@@ -34,6 +34,7 @@ Report schema (``schema_version`` 1)::
         "grids": N, "points": N, "claimed": N,
         "submits_per_sec": r, "claims_per_sec": r
       },
+      "telemetry": {"adds": N, "seconds": s, "eventlog_adds_per_sec": r},
       "experiments": {"fig3": {"seconds": s}, ...},
       "peak_rss_bytes": B
     }
@@ -195,6 +196,27 @@ def run_shard_scaling_benchmark(shards: int = 2) -> dict[str, float]:
     }
 
 
+# -- telemetry micro-benchmark ----------------------------------------------
+def run_eventlog_benchmark(adds: int = 200_000, repeats: int = 5) -> dict[str, float]:
+    """Best-of-``repeats`` ``EventLog.add`` rate, in the simulated stores' call shape.
+
+    Every simulated compute iteration and transport op appends one
+    record, so this rate bounds how cheap an event can get. Reported
+    beside the DES rows, never gated.
+    """
+    from repro.telemetry.events import EventKind, EventLog
+
+    starts = [float(i) for i in range(adds)]
+    best = float("inf")
+    for _ in range(repeats):
+        add = EventLog().add
+        begin = time.perf_counter()
+        for start in starts:
+            add("sim", EventKind.WRITE, start, 0.5, 3, 1e6, "k")
+        best = min(best, time.perf_counter() - begin)
+    return {"adds": float(adds), "seconds": best, "eventlog_adds_per_sec": adds / best}
+
+
 # -- sweep service throughput -----------------------------------------------
 def _bench_point(x: float) -> float:
     """Trivial grid point for the service bench (must be importable)."""
@@ -319,6 +341,7 @@ def collect(quick: bool = False, repeats: int = 5) -> dict[str, Any]:
     des = run_des_benchmarks(repeats=repeats)
     des["shard_scaling"] = run_shard_scaling_benchmark()
     service = run_service_benchmark()
+    telemetry = run_eventlog_benchmark(repeats=repeats)
     experiments = run_experiment_rounds(names)
     return {
         "schema_version": 1,
@@ -329,6 +352,7 @@ def collect(quick: bool = False, repeats: int = 5) -> dict[str, Any]:
         "environment": environment_info(),
         "des": des,
         "service": service,
+        "telemetry": telemetry,
         "experiments": experiments,
         "peak_rss_bytes": peak_rss_bytes(),
     }
@@ -411,6 +435,17 @@ def delta_table(current: dict[str, Any], baseline: dict[str, Any]) -> str:
                     _fmt_delta(cur_service[metric], base_service[metric], True),
                 )
             )
+    cur_adds = current.get("telemetry", {}).get("eventlog_adds_per_sec")
+    base_adds = baseline.get("telemetry", {}).get("eventlog_adds_per_sec")
+    if cur_adds and base_adds:
+        rows.append(
+            (
+                "telemetry.eventlog_adds_per_sec",
+                f"{base_adds:,.0f}",
+                f"{cur_adds:,.0f}",
+                _fmt_delta(cur_adds, base_adds, True),
+            )
+        )
     for name, cur in current.get("experiments", {}).items():
         base = baseline.get("experiments", {}).get(name)
         if base is None:
@@ -568,6 +603,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"{service['claims_per_sec']:,.0f} claims/sec "
             f"({service['grids']:.0f} grids x "
             f"{service['points'] / max(service['grids'], 1):.0f} points)"
+        )
+    telemetry = payload.get("telemetry", {})
+    if telemetry:
+        print(
+            f"telemetry.eventlog_adds_per_sec: "
+            f"{telemetry['eventlog_adds_per_sec']:,.0f} ({telemetry['adds']:.0f} adds)"
         )
     for name, numbers in payload["experiments"].items():
         print(f"{name}: {numbers['seconds']:.2f} s")

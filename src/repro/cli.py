@@ -296,9 +296,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"{mean_throughput(result.log, EventKind.READ) / 1e9:.3f} GB/s"
         )
     else:
-        runtime = runtime_per_iteration(
-            result.log.filter(component="train"), "train", args.iterations
-        )
+        runtime = runtime_per_iteration(result.log, "train", args.iterations)
         n_sims = args.nodes - 1
         print(
             f"many-to-one on {args.nodes} nodes ({n_sims} sims), {args.size_mb} MB, "

@@ -69,9 +69,7 @@ def p2_sweep_point(backend: str, nbytes: float, iterations: int) -> float:
             concurrent_clients=n_clients,
         ),
     )
-    return runtime_per_iteration(
-        res.log.filter(component="train"), "train", iterations
-    )
+    return runtime_per_iteration(res.log, "train", iterations)
 
 
 @dataclass

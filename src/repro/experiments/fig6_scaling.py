@@ -62,9 +62,7 @@ def sweep_point(backend: str, scale: int, nbytes: float, iterations: int) -> flo
             concurrent_clients=n_clients,
         ),
     )
-    return runtime_per_iteration(
-        res.log.filter(component="train"), "train", iterations
-    )
+    return runtime_per_iteration(res.log, "train", iterations)
 
 
 @dataclass

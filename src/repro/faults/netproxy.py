@@ -337,6 +337,9 @@ class ChaosProxy:
             if self.chaos.latency_p and float(rng.random()) < self.chaos.latency_p:
                 self._count("delayed")
                 time.sleep(self.chaos.latency_seconds)
+            # Counted before forwarding: once the peer has the bytes it may
+            # read ``stats``, which must already include them.
+            self._count("relayed_bytes", len(data))
             try:
                 if trickled:
                     for i in range(len(data)):
@@ -347,7 +350,6 @@ class ChaosProxy:
                     dst.sendall(data)
             except OSError:
                 break
-            self._count("relayed_bytes", len(data))
         # EOF (or error) on one side: half-close towards the other so
         # in-flight replies still drain, then let the peer thread finish.
         try:

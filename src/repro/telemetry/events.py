@@ -9,7 +9,7 @@ turn the transport events into throughput.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Iterator, Optional
 
@@ -33,6 +33,14 @@ class EventKind(str, Enum):
 TRANSPORT_KINDS = frozenset({EventKind.WRITE, EventKind.READ})
 
 
+def _reject_negative(component: str, duration: float, nbytes: float) -> None:
+    """Raise for a negative duration or size (shared by record and log)."""
+    if duration < 0:
+        raise ReproError(f"negative duration {duration} for {component}")
+    if nbytes < 0:
+        raise ReproError(f"negative nbytes {nbytes} for {component}")
+
+
 @dataclass(frozen=True)
 class EventRecord:
     """One span of activity on one component/rank."""
@@ -47,10 +55,7 @@ class EventRecord:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ReproError(f"negative duration {self.duration} for {self.component}")
-        if self.nbytes < 0:
-            raise ReproError(f"negative nbytes {self.nbytes} for {self.component}")
+        _reject_negative(self.component, self.duration, self.nbytes)
 
     @property
     def end(self) -> float:
@@ -65,15 +70,38 @@ class EventRecord:
         return self.nbytes / self.duration
 
 
+#: Row layout of :class:`EventLog`: the record's fields, in order.
+_FIELDS = tuple(f.name for f in fields(EventRecord))
+
+
+def _materialize(row: tuple) -> EventRecord:
+    """The public record for a stored row (``meta`` None reads as ``{}``)."""
+    return EventRecord(*row) if row[7] is not None else EventRecord(*row[:7])
+
+
 class EventLog:
-    """An append-only collection of event records with query helpers."""
+    """An append-only collection of event records with query helpers.
+
+    Storage is one plain tuple per record, in :class:`EventRecord` field
+    order: ``(component, kind, start, duration, rank, nbytes, key, meta)``
+    with ``meta`` None until a caller supplies one. Appending is the hot
+    path of every simulated run, so :meth:`add` validates and appends a
+    row and nothing else; every query below reads the rows directly.
+    :class:`EventRecord` objects are built only where a caller receives
+    one: iteration, ``log[i]`` and ``log[a:b]``.
+    """
 
     def __init__(self, records: Optional[Iterable[EventRecord]] = None) -> None:
-        self._records: list[EventRecord] = list(records or [])
+        self._rows: list[tuple] = []
+        for record in records or ():
+            self.record(record)
 
     def record(self, record: EventRecord) -> None:
-        """Append one record."""
-        self._records.append(record)
+        """Append one record (validated when it was constructed)."""
+        self._rows.append(
+            (record.component, record.kind, record.start, record.duration,
+             record.rank, record.nbytes, record.key, record.meta)
+        )
 
     def add(
         self,
@@ -81,27 +109,54 @@ class EventLog:
         kind: EventKind,
         start: float,
         duration: float,
-        **kwargs,
-    ) -> EventRecord:
-        """Construct, append, and return a record."""
-        rec = EventRecord(component=component, kind=kind, start=start, duration=duration, **kwargs)
-        self.record(rec)
-        return rec
+        rank: int = 0,
+        nbytes: float = 0.0,
+        key: str = "",
+        meta: Optional[dict] = None,
+    ) -> None:
+        """Validate and append one record."""
+        if duration < 0 or nbytes < 0:
+            _reject_negative(component, duration, nbytes)
+        self._rows.append((component, kind, start, duration, rank, nbytes, key, meta))
 
     def extend(self, other: "EventLog") -> None:
         """Append every record from another log."""
-        self._records.extend(other._records)
+        self._rows.extend(other._rows)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[EventRecord]:
-        return iter(self._records)
+        return map(_materialize, self._rows)
 
     def __getitem__(self, idx):
-        return self._records[idx]
+        if isinstance(idx, slice):
+            return [_materialize(row) for row in self._rows[idx]]
+        return _materialize(self._rows[idx])
 
     # -- queries ------------------------------------------------------------
+    def _matching(
+        self,
+        component: Optional[str] = None,
+        kind: Optional[EventKind] = None,
+        kinds: Optional[Iterable[EventKind]] = None,
+        rank: Optional[int] = None,
+    ) -> Iterable[tuple]:
+        """The rows matching the filter arguments, lazily, in log order."""
+        if kind is not None and kinds is not None:
+            raise ReproError("pass either kind or kinds, not both")
+        if component is None and kind is None and kinds is None and rank is None:
+            return self._rows
+        wanted = None if kinds is None else frozenset(kinds)
+        return (
+            r
+            for r in self._rows
+            if (component is None or r[0] == component)
+            and (kind is None or r[1] == kind)
+            and (wanted is None or r[1] in wanted)
+            and (rank is None or r[4] == rank)
+        )
+
     def filter(
         self,
         component: Optional[str] = None,
@@ -109,30 +164,22 @@ class EventLog:
         kinds: Optional[Iterable[EventKind]] = None,
         rank: Optional[int] = None,
     ) -> "EventLog":
-        """A new log containing only the matching records."""
-        if kind is not None and kinds is not None:
-            raise ReproError("pass either kind or kinds, not both")
-        wanted = None if kinds is None else frozenset(kinds)
-        out = [
-            r
-            for r in self._records
-            if (component is None or r.component == component)
-            and (kind is None or r.kind == kind)
-            and (wanted is None or r.kind in wanted)
-            and (rank is None or r.rank == rank)
-        ]
-        return EventLog(out)
+        """A new log containing only the matching records.
+
+        :meth:`count`, :meth:`span` and :meth:`makespan` take the same
+        arguments as keywords and answer without building a log.
+        """
+        out = EventLog()
+        out._rows = list(self._matching(component, kind, kinds, rank))
+        return out
 
     def components(self) -> list[str]:
         """Component names in first-seen order."""
-        seen: dict[str, None] = {}
-        for r in self._records:
-            seen.setdefault(r.component, None)
-        return list(seen)
+        return list(dict.fromkeys(r[0] for r in self._rows))
 
-    def count(self, **kwargs) -> int:
+    def count(self, **where) -> int:
         """Number of records matching the filter arguments."""
-        return len(self.filter(**kwargs))
+        return sum(1 for _ in self._matching(**where))
 
     def durations(self) -> list[float]:
         """Every record's duration, in log order.
@@ -141,46 +188,54 @@ class EventLog:
         statistics over no events are simply empty, unlike time-window
         queries which have no meaningful answer (see :meth:`span`).
         """
-        return [r.duration for r in self._records]
+        return [r[3] for r in self._rows]
 
     def total_bytes(self) -> float:
         """Sum of nbytes over all records."""
-        return sum(r.nbytes for r in self._records)
+        return sum(r[5] for r in self._rows)
 
-    def span(self) -> tuple[float, float]:
-        """(earliest start, latest end) over all records.
+    def _window(self, what: str, where: dict) -> tuple[float, float]:
+        """One pass over the matching rows: (min start, max end)."""
+        first = last = None
+        for r in self._matching(**where):
+            start = r[2]
+            end = start + r[3]
+            if first is None:
+                first, last = start, end
+                continue
+            if start < first:
+                first = start
+            if end > last:
+                last = end
+        if first is None:
+            raise EmptyLogError(
+                f"{what}() on an empty event log — no records means no time "
+                "window (check component/kind filters)"
+            )
+        return first, last
 
-        Raises :class:`~repro.errors.EmptyLogError` on an empty log:
+    def span(self, **where) -> tuple[float, float]:
+        """(earliest start, latest end) over the matching records.
+
+        Raises :class:`~repro.errors.EmptyLogError` when nothing matches:
         there is no meaningful time window, and silently returning
         ``(0.0, 0.0)`` used to hide filters that matched nothing.
         """
-        if not self._records:
-            raise EmptyLogError(
-                "span() on an empty event log — no records means no time window "
-                "(check component/kind filters)"
-            )
-        return (
-            min(r.start for r in self._records),
-            max(r.end for r in self._records),
-        )
+        return self._window("span", where)
 
-    def makespan(self) -> float:
-        """Latest end minus earliest start (raises on an empty log)."""
-        if not self._records:
-            raise EmptyLogError(
-                "makespan() on an empty event log — no records means no time "
-                "window (check component/kind filters)"
-            )
-        start, end = self.span()
+    def makespan(self, **where) -> float:
+        """Latest end minus earliest start (raises when nothing matches)."""
+        start, end = self._window("makespan", where)
         return end - start
 
     # -- (de)serialisation ----------------------------------------------------
     def to_jsonl(self) -> str:
         """Serialize as one JSON object per line."""
         lines = []
-        for r in self._records:
-            d = asdict(r)
-            d["kind"] = r.kind.value
+        for row in self._rows:
+            d = dict(zip(_FIELDS, row))
+            d["kind"] = row[1].value
+            d["meta"] = row[7] or {}
             lines.append(json.dumps(d, sort_keys=True))
         return "\n".join(lines)
 
@@ -194,7 +249,7 @@ class EventLog:
                 continue
             d = json.loads(line)
             d["kind"] = EventKind(d["kind"])
-            log.record(EventRecord(**d))
+            log.add(**d)
         return log
 
     def save(self, path) -> None:

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import EmptyLogError, ReproError
 from repro.telemetry.events import TRANSPORT_KINDS, EventKind, EventLog
 
 
@@ -116,10 +116,10 @@ def runtime_per_iteration(log: EventLog, component: str, iterations: int) -> flo
     """
     if iterations <= 0:
         raise ReproError(f"iterations must be positive, got {iterations}")
-    comp = log.filter(component=component)
-    if len(comp) == 0:
+    try:
+        return log.makespan(component=component) / iterations
+    except EmptyLogError:
         raise ReproError(
             f"no events recorded for component {component!r}; "
             f"known components: {log.components()}"
-        )
-    return comp.makespan() / iterations
+        ) from None

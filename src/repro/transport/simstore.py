@@ -113,18 +113,10 @@ class SimDataStore:
         return self.model.name
 
     def _log(self, kind: EventKind, start: float, nbytes: float, key: str) -> None:
+        duration = self.env.now - start
         if self.event_log is not None:
-            self.event_log.add(
-                component=self.component,
-                kind=kind,
-                start=start,
-                duration=self.env.now - start,
-                rank=self.rank,
-                nbytes=nbytes,
-                key=key,
-            )
+            self.event_log.add(self.component, kind, start, duration, self.rank, nbytes, key)
         if self.telemetry is not None:
-            duration = self.env.now - start
             self.telemetry.tracer.add_span(
                 f"transport.{kind.value}",
                 start=start,
@@ -144,35 +136,35 @@ class SimDataStore:
                 metrics.counter(f"transport.{kind.value}.bytes", **label).inc(nbytes)
 
     # -- fault hooks ----------------------------------------------------------
-    def _fault_gate(self) -> Generator:
+    # Each staging op below is a single generator frame: on a healthy store
+    # it yields exactly one timeout and delegates to no sub-generator; the
+    # fault gate is entered only behind an ``is None`` test.
+    def _fault_gate(self, faults: "FaultState") -> Generator:
         """Abort the op when an open fault window blocks this component.
 
         Charges the fault-detection delay (a connect attempt that times
         out) before raising, so outages cost virtual time the way real
         ones cost wall time. Yields nothing when no fault is active.
         """
-        if self.fault_state is None:
-            return
-        failure = self.fault_state.failure_for(self.component, self.backend)
+        failure = faults.failure_for(self.component, self.backend)
         if failure is not None:
-            yield self.env.timeout(self.fault_state.detect_seconds)
+            yield self.env.timeout(faults.detect_seconds)
             raise failure
 
-    def _op_cost(self, seconds: float) -> float:
-        """Modeled op time under any active slowdown windows."""
-        if self.fault_state is not None:
-            seconds *= self.fault_state.delay_factor(self.backend)
-        return seconds
+    def _charge(self, op: str, key: str, cost: float) -> tuple[float, Optional[TimeoutError]]:
+        """What to charge the clock for an op modeled at ``cost`` seconds.
 
-    def _charge(self, op: str, key: str, cost: float) -> Generator:
-        """Charge ``cost`` to the clock, or time out when it exceeds budget."""
+        Applies any active slowdown window, then the op budget: returns
+        ``(seconds to wait, error to raise afterwards or None)``.
+        """
+        if self.fault_state is not None:
+            cost *= self.fault_state.delay_factor(self.backend)
         if self.op_timeout is not None and cost > self.op_timeout:
-            yield self.env.timeout(self.op_timeout)
-            raise TimeoutError(
+            return self.op_timeout, TimeoutError(
                 f"{op} {key!r} on backend {self.backend!r} aborted after "
                 f"{self.op_timeout:g}s (modeled {cost:.3g}s under current faults)"
             )
-        yield self.env.timeout(cost)
+        return cost, None
 
     # -- staging API (DES generators) ----------------------------------------
     def stage_write(
@@ -181,24 +173,28 @@ class SimDataStore:
         """Stage ``nbytes`` under ``key``; yields the modeled write time."""
         if nbytes < 0:
             raise TransportError(f"negative staged size {nbytes}")
-        ctx = ctx or self.default_ctx
-        yield from self._fault_gate()
+        faults, telemetry = self.fault_state, self.telemetry
+        if faults is not None:
+            yield from self._fault_gate(faults)
         start = self.env.now
-        if self.telemetry is not None:
-            self.telemetry.transport_started(t=start)
+        cost, late = self._charge(
+            "write", key, self.model.write_time(nbytes, ctx or self.default_ctx)
+        )
+        if telemetry is not None:
+            telemetry.transport_started(t=start)
         try:
-            yield from self._charge(
-                "write", key, self._op_cost(self.model.write_time(nbytes, ctx))
-            )
+            yield self.env.timeout(cost)
         finally:
-            if self.telemetry is not None:
-                self.telemetry.transport_finished(t=self.env.now)
-        if self.fault_state is not None and self.fault_state.drops_message():
+            if telemetry is not None:
+                telemetry.transport_finished(t=self.env.now)
+        if late is not None:
+            raise late
+        if faults is not None and faults.drops_message():
             # Silently lost in transit: time was spent, nothing staged.
             return nbytes
         self.area.publish(key, nbytes)
-        if self.fault_state is not None:
-            self.fault_state.corrupts_message(key)
+        if faults is not None:
+            faults.corrupts_message(key)
         self._log(EventKind.WRITE, start, nbytes, key)
         return nbytes
 
@@ -206,20 +202,24 @@ class SimDataStore:
         self, key: str, ctx: Optional[TransportOpContext] = None
     ) -> Generator:
         """Read a staged key; yields the modeled read time; returns nbytes."""
-        yield from self._fault_gate()
+        faults, telemetry = self.fault_state, self.telemetry
+        if faults is not None:
+            yield from self._fault_gate(faults)
         nbytes = self.area.size_of(key)  # raises if not staged
-        ctx = ctx or self.default_ctx
         start = self.env.now
-        if self.telemetry is not None:
-            self.telemetry.transport_started(t=start)
+        cost, late = self._charge(
+            "read", key, self.model.read_time(nbytes, ctx or self.default_ctx)
+        )
+        if telemetry is not None:
+            telemetry.transport_started(t=start)
         try:
-            yield from self._charge(
-                "read", key, self._op_cost(self.model.read_time(nbytes, ctx))
-            )
+            yield self.env.timeout(cost)
         finally:
-            if self.telemetry is not None:
-                self.telemetry.transport_finished(t=self.env.now)
-        if self.fault_state is not None and self.fault_state.consume_corruption(key):
+            if telemetry is not None:
+                telemetry.transport_finished(t=self.env.now)
+        if late is not None:
+            raise late
+        if faults is not None and faults.consume_corruption(key):
             # Fetched a damaged copy; a retry models re-fetching a good one.
             raise CorruptPayloadError(
                 f"staged payload for {key!r} failed checksum on {self.backend!r}"
@@ -232,10 +232,14 @@ class SimDataStore:
         self, key: str, ctx: Optional[TransportOpContext] = None
     ) -> Generator:
         """Existence check; yields the modeled poll time; returns bool."""
-        ctx = ctx or self.default_ctx
-        yield from self._fault_gate()
+        faults = self.fault_state
+        if faults is not None:
+            yield from self._fault_gate(faults)
         start = self.env.now
-        yield from self._charge("poll", key, self._op_cost(self.model.poll_time(ctx)))
+        cost, late = self._charge("poll", key, self.model.poll_time(ctx or self.default_ctx))
+        yield self.env.timeout(cost)
+        if late is not None:
+            raise late
         present = self.area.contains(key)
         self._log(EventKind.POLL, start, 0.0, key)
         return present

@@ -374,12 +374,8 @@ def _bind_telemetry(telemetry: Optional[Telemetry], env: Environment, area: SimS
     sampler.add_source("staging.keys", lambda: len(area.keys()))
 
 
-def _iteration_span(
-    telemetry: Optional[Telemetry], component: str, rank: int, iteration: int
-):
-    """An open workload-iteration span, or None when telemetry is off."""
-    if telemetry is None:
-        return None
+def _iteration_span(telemetry: Telemetry, component: str, rank: int, iteration: int):
+    """An open workload-iteration span (callers skip it without a hub)."""
     return telemetry.tracer.span(
         f"iteration.{component}",
         category="workload",
@@ -439,10 +435,6 @@ class _FaultHarness:
             telemetry=self.telemetry,
         )
 
-    def crashed(self, component: str) -> bool:
-        """True while ``component``'s node is down (fault runs only)."""
-        return self.state is not None and self.state.is_component_down(component)
-
     @property
     def staleness_bound(self) -> float:
         return self.config.staleness_bound if self.config is not None else float("inf")
@@ -462,9 +454,13 @@ class _FaultHarness:
         return out
 
 
+#: Every kind but FAULT: fault windows may outlast the run they disturb.
+_WORKLOAD_KINDS = frozenset(EventKind) - {EventKind.FAULT}
+
+
 def _workload_makespan(log: EventLog) -> float:
-    """Makespan over workload records (fault windows may outlast the run)."""
-    return log.filter(kinds=[k for k in EventKind if k is not EventKind.FAULT]).makespan()
+    """Makespan over workload records, in one pass over the log."""
+    return log.makespan(kinds=_WORKLOAD_KINDS)
 
 
 def run_one_to_one(
@@ -516,6 +512,9 @@ def run_one_to_one(
     rngs = RngRegistry(config.seed)
     stop = _StopFlag() if sh is None else _ShardStop(env, sh)
     harness = _FaultHarness(env, log, rngs, telemetry, fault_plan, resilience)
+    # Hot-loop rule: the per-iteration loops below test these two once
+    # and touch the fault state / tracer only behind them.
+    faults, traced = harness.state, telemetry is not None
     counters = {
         "sim_iters": 0,
         "train_iters": 0,
@@ -539,32 +538,34 @@ def run_one_to_one(
                 event_log=log,
                 default_ctx=ctx,
                 telemetry=telemetry,
-                fault_state=harness.state,
+                fault_state=faults,
             )
         )
         rng = rngs.stream(f"sim{rank}")
-        yield env.timeout(config.sim_init_time)
+        timeout, add, sample = env.timeout, log.add, config.sim_iter_time.sample
+        compute, write_interval = EventKind.COMPUTE, config.write_interval
+        yield timeout(config.sim_init_time)
         if rank == 0:
-            log.add(sim_name, EventKind.INIT, 0.0, config.sim_init_time, rank=rank)
+            add(sim_name, EventKind.INIT, 0.0, config.sim_init_time, rank)
         iteration = 0
         snapshot = 0
         while not stop.stopped:
-            if harness.crashed(sim_name):
-                counters["downtime"] += yield from harness.state.wait_until_up(
+            if faults is not None and faults.is_component_down(sim_name):
+                counters["downtime"] += yield from faults.wait_until_up(
                     env, sim_name, should_abort=lambda: stop.stopped
                 )
                 if stop.stopped:
                     break
             start = env.now
-            span = _iteration_span(telemetry, sim_name, rank, iteration + 1)
-            yield env.timeout(max(0.0, config.sim_iter_time.sample(rng)))
+            span = _iteration_span(telemetry, sim_name, rank, iteration + 1) if traced else None
+            yield timeout(max(0.0, sample(rng)))
             if span is not None:
                 span.finish()
-            log.add(sim_name, EventKind.COMPUTE, start, env.now - start, rank=rank)
+            add(sim_name, compute, start, env.now - start, rank)
             iteration += 1
             if rank == 0:
                 counters["sim_iters"] += 1
-            if iteration % config.write_interval == 0:
+            if iteration % write_interval == 0:
                 try:
                     for a in range(config.arrays_per_snapshot):
                         yield from store.stage_write(
@@ -590,31 +591,31 @@ def run_one_to_one(
                 event_log=log,
                 default_ctx=ctx,
                 telemetry=telemetry,
-                fault_state=harness.state,
+                fault_state=faults,
             )
         )
         rng = rngs.stream(f"ai{rank}")
-        yield env.timeout(config.ai_init_time)
+        timeout, add, sample = env.timeout, log.add, config.ai_iter_time.sample
+        train, read_interval = EventKind.TRAIN, config.read_interval
+        yield timeout(config.ai_init_time)
         if rank == 0:
-            log.add(ai_name, EventKind.INIT, 0.0, config.ai_init_time, rank=rank)
+            add(ai_name, EventKind.INIT, 0.0, config.ai_init_time, rank)
         next_snapshot = 0
         last_ingest = env.now
         for iteration in range(1, config.train_iterations + 1):
-            if harness.crashed(ai_name):
-                counters["downtime"] += yield from harness.state.wait_until_up(
-                    env, ai_name
-                )
+            if faults is not None and faults.is_component_down(ai_name):
+                counters["downtime"] += yield from faults.wait_until_up(env, ai_name)
             start = env.now
-            span = _iteration_span(telemetry, ai_name, rank, iteration)
-            yield env.timeout(max(0.0, config.ai_iter_time.sample(rng)))
+            span = _iteration_span(telemetry, ai_name, rank, iteration) if traced else None
+            yield timeout(max(0.0, sample(rng)))
             if span is not None:
                 span.finish()
-            log.add(ai_name, EventKind.TRAIN, start, env.now - start, rank=rank)
+            add(ai_name, train, start, env.now - start, rank)
             if rank == 0:
                 counters["train_iters"] += 1
                 if sh is not None:
                     sh.note_train(iteration)
-            if iteration % config.read_interval == 0:
+            if iteration % read_interval == 0:
                 # Asynchronous ingest: drain every snapshot staged so far by
                 # the co-located sim rank with the same index.
                 while True:
@@ -625,7 +626,7 @@ def run_one_to_one(
                         counters["failed_ingests"] += 1
                         break
                     if not present:
-                        if harness.state is not None:
+                        if faults is not None:
                             # Control-plane peek (no modeled transport op):
                             # when a later snapshot exists, this one was
                             # dropped in a fault window — skip it for good.
@@ -833,6 +834,9 @@ def run_many_to_one(
     rngs = RngRegistry(config.seed)
     stop = _StopFlag() if sh is None else _ShardStop(env, sh)
     harness = _FaultHarness(env, log, rngs, telemetry, fault_plan, resilience)
+    # Hot-loop rule: the per-iteration loops below test these two once
+    # and touch the fault state / tracer only behind them.
+    faults, traced = harness.state, telemetry is not None
     counters = {
         "sim_iters": 0,
         "train_iters": 0,
@@ -846,17 +850,18 @@ def run_many_to_one(
     quorum_needed = math.ceil(harness.quorum * config.n_simulations)
 
     def producer(index: int):
+        name = f"sim{index}"
         if sh is None or sh.publishes_to is None:
             raw_store = SimDataStore(
                 env,
                 model,
                 area,
-                component=f"sim{index}",
+                component=name,
                 rank=index,
                 event_log=log,
                 default_ctx=write_ctx,
                 telemetry=telemetry,
-                fault_state=harness.state,
+                fault_state=faults,
             )
         else:
             # Producer on a non-trainer shard: expose in-flight writes so
@@ -865,38 +870,40 @@ def run_many_to_one(
                 env,
                 model,
                 area,
-                component=f"sim{index}",
+                component=name,
                 rank=index,
                 event_log=log,
                 default_ctx=write_ctx,
                 telemetry=telemetry,
-                fault_state=harness.state,
+                fault_state=faults,
                 shard_program=sh,
             )
         store = harness.wrap(raw_store)
-        rng = rngs.stream(f"sim{index}")
+        rng = rngs.stream(name)
+        timeout, add, sample = env.timeout, log.add, config.sim_iter_time.sample
+        compute, write_interval = EventKind.COMPUTE, config.write_interval
         iteration = 0
         update = 0
         while not stop.stopped:
-            if harness.crashed(f"sim{index}"):
-                counters["downtime"] += yield from harness.state.wait_until_up(
-                    env, f"sim{index}", should_abort=lambda: stop.stopped
+            if faults is not None and faults.is_component_down(name):
+                counters["downtime"] += yield from faults.wait_until_up(
+                    env, name, should_abort=lambda: stop.stopped
                 )
                 if stop.stopped:
                     break
             start = env.now
-            span = _iteration_span(telemetry, f"sim{index}", index, iteration + 1)
-            yield env.timeout(max(0.0, config.sim_iter_time.sample(rng)))
+            span = _iteration_span(telemetry, name, index, iteration + 1) if traced else None
+            yield timeout(max(0.0, sample(rng)))
             if span is not None:
                 span.finish()
-            log.add(f"sim{index}", EventKind.COMPUTE, start, env.now - start, rank=index)
+            add(name, compute, start, env.now - start, index)
             iteration += 1
             if index == 0:
                 counters["sim_iters"] += 1
-            if iteration % config.write_interval == 0:
+            if iteration % write_interval == 0:
                 try:
                     yield from store.stage_write(
-                        f"sim{index}_update{update}", config.snapshot_nbytes
+                        f"{name}_update{update}", config.snapshot_nbytes
                     )
                 except TransportError:
                     counters["lost"] += 1
@@ -905,17 +912,18 @@ def run_many_to_one(
                 update += 1
 
     def reader_lane(store, keys: list[str], got: dict):
+        timeout, poll, poll_timeout = env.timeout, store.poll_staged_data, config.poll_timeout
         for key in keys:
-            deadline = env.now + config.poll_timeout
+            deadline = env.now + poll_timeout
             present = False
             while True:
                 try:
-                    present = yield from store.poll_staged_data(key)
+                    present = yield from poll(key)
                 except TransportError:
                     present = False
                 if present or env.now >= deadline:
                     break
-                yield env.timeout(0.01)  # producer not there yet: re-poll
+                yield timeout(0.01)  # producer not there yet: re-poll
             if not present:
                 got[key] = False
                 counters["missed"] += 1
@@ -940,26 +948,26 @@ def run_many_to_one(
                 event_log=log,
                 default_ctx=read_ctx,
                 telemetry=telemetry,
-                fault_state=harness.state,
+                fault_state=faults,
             )
         )
         rng = rngs.stream("ai")
+        timeout, add, sample = env.timeout, log.add, config.ai_iter_time.sample
+        train, read_interval = EventKind.TRAIN, config.read_interval
         update = 0
         for iteration in range(1, config.train_iterations + 1):
-            if harness.crashed(ai_name):
-                counters["downtime"] += yield from harness.state.wait_until_up(
-                    env, ai_name
-                )
+            if faults is not None and faults.is_component_down(ai_name):
+                counters["downtime"] += yield from faults.wait_until_up(env, ai_name)
             start = env.now
-            span = _iteration_span(telemetry, ai_name, 0, iteration)
-            yield env.timeout(max(0.0, config.ai_iter_time.sample(rng)))
+            span = _iteration_span(telemetry, ai_name, 0, iteration) if traced else None
+            yield timeout(max(0.0, sample(rng)))
             if span is not None:
                 span.finish()
-            log.add(ai_name, EventKind.TRAIN, start, env.now - start, rank=0)
+            add(ai_name, train, start, env.now - start, 0)
             counters["train_iters"] += 1
             if sh is not None:
                 sh.note_train(iteration)
-            if iteration % config.read_interval == 0:
+            if iteration % read_interval == 0:
                 # Blocking collective ingest of this update from every
                 # producer, spread over the reader lanes. Lanes give up
                 # after poll_timeout, so a dead producer costs bounded

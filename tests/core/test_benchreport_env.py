@@ -91,6 +91,18 @@ def test_delta_table_reports_shard_scaling_speedup():
     assert "speedup" in table
 
 
+def test_eventlog_add_rate_is_reported_but_never_gated():
+    row = benchreport.run_eventlog_benchmark(adds=500, repeats=1)
+    assert row["adds"] == 500.0 and row["eventlog_adds_per_sec"] > 0
+    current, baseline = _payload(), _payload()
+    current["telemetry"] = {**row, "eventlog_adds_per_sec": 1.0}
+    baseline["telemetry"] = {**row, "eventlog_adds_per_sec": 1000.0}
+    assert "telemetry.eventlog_adds_per_sec" in delta_table(current, baseline)
+    assert check_regression(current, baseline) == []
+    # a baseline from before the row existed simply has no such line
+    assert "eventlog" not in delta_table(current, _payload())
+
+
 def _run_check(tmp_path, monkeypatch, current, baseline):
     (tmp_path / "BENCH_2026-01-01.json").write_text(json.dumps(baseline))
     monkeypatch.setattr(benchreport, "collect", lambda **kwargs: current)
