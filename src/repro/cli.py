@@ -33,13 +33,13 @@ fixed seed, whatever the worker count.
 
 Fleet observability (all passive — rendered sweep output stays
 bit-identical with every layer on): a serving sweep takes
-``--fleet-trace out.json`` (one merged Chrome trace: coordinator lease
-spans + every worker's execution spans on named tracks) and
-``--flight-recorder dump.json`` (postmortem ring of recent protocol
+``--fleet-trace out.json`` (one merged Chrome trace: lease spans on the
+``coordinator`` track + every worker's execution spans on named tracks)
+and ``--flight-recorder dump.json`` (postmortem ring of recent protocol
 events; workers accept the same flag). ``sweep --watch HOST:PORT``
-attaches a read-only live console to a running coordinator.
+attaches a read-only live console to a serving sweep or service.
 ``--log-json FILE`` / ``--log-level`` emit structured JSONL logs from
-the coordinator/worker/engine layers.
+the service/worker/engine layers.
 
 The ``run`` config format::
 
@@ -330,7 +330,7 @@ class _SweepProgress:
         self.cached = 0
         self.computed = 0
         self.retried = 0
-        self.replayed = 0  # restored from a distributed crash-recovery journal
+        self.replayed = 0  # acknowledged by an earlier --serve session's store
         self.stolen = 0  # leases reclaimed from silent distributed workers
 
     @property
@@ -464,7 +464,7 @@ def _validate_sweep_args(args: argparse.Namespace) -> None:
         if args.experiments:
             raise ConfigError(
                 "--watch takes no experiment names: it attaches to a "
-                "running coordinator"
+                "running sweep"
             )
         return
     if args.connect:
@@ -475,11 +475,11 @@ def _validate_sweep_args(args: argparse.Namespace) -> None:
         if args.experiments:
             raise ConfigError(
                 "--connect takes no experiment names: workers claim their "
-                "points from the coordinator"
+                "points from the serving sweep"
             )
         if args.fleet_trace:
             raise ConfigError(
-                "--fleet-trace only applies to --serve (the coordinator "
+                "--fleet-trace only applies to --serve (the serving side "
                 "merges the fleet's spans)"
             )
         return
@@ -505,6 +505,20 @@ def _validate_sweep_args(args: argparse.Namespace) -> None:
         )
     if (args.journal or args.lease is not None) and not args.serve:
         raise ConfigError("--journal/--lease only apply to --serve")
+    if args.journal:
+        from pathlib import Path
+
+        from repro.sweep.dist.store import STORE_FILENAME
+
+        journal = Path(args.journal)
+        if not (journal / STORE_FILENAME).exists() and any(journal.glob("*.jsonl")):
+            raise ConfigError(
+                f"--journal {journal} holds legacy *.jsonl journals and no "
+                f"{STORE_FILENAME}: serving from it would recompute work they "
+                "acknowledged. Import them first (repro sweep --migrate-history "
+                f"--journal {journal} --store {journal / STORE_FILENAME} "
+                "--cache-dir DIR) or name a fresh directory"
+            )
     if (args.fleet_trace or args.flight_recorder) and not args.serve:
         raise ConfigError(
             "--fleet-trace/--flight-recorder only apply to --serve "
@@ -1247,8 +1261,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal",
         default="",
         metavar="DIR",
-        help="crash-recovery journal for --serve; restarting with the same "
-        "journal resumes without re-running completed points",
+        help="directory of the --serve store (every result is committed "
+        "there before its worker is acknowledged); restarting with the same "
+        "directory resumes without re-running completed points",
     )
     sweep.add_argument(
         "--lease",
@@ -1406,7 +1421,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         metavar="SECONDS",
-        help="how long a worker keeps retrying an unreachable coordinator",
+        help="how long a worker keeps retrying an unreachable --serve/--service "
+        "address",
     )
     sweep.add_argument(
         "--poll",
@@ -1430,15 +1446,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--watch",
         default="",
         metavar="HOST:PORT",
-        help="attach a read-only live console to a running coordinator "
-        "(progress bar, per-worker rates, quarantine list)",
+        help="attach a read-only live console to a running --serve sweep or "
+        "--service (progress bar, per-worker rates, quarantine list)",
     )
     sweep.add_argument(
         "--fleet-trace",
         default="",
         metavar="FILE",
         help="with --serve: write one merged Chrome trace of the whole "
-        "fleet (coordinator lease spans + worker execution spans)",
+        "fleet (lease spans on the coordinator track + worker execution "
+        "spans)",
     )
     sweep.add_argument(
         "--flight-recorder",
@@ -1452,7 +1469,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--log-json",
         default="",
         metavar="FILE",
-        help="append structured JSONL logs (coordinator/worker/engine "
+        help="append structured JSONL logs (service/worker/engine "
         "events) to FILE",
     )
     sweep.add_argument(

@@ -161,15 +161,6 @@ class SweepTimeoutError(SweepError, builtins.TimeoutError):
         return (type(self), (self.label, self.timeout))
 
 
-class SweepJournalError(SweepError):
-    """The crash-recovery journal is unusable for this grid.
-
-    Raised when a journal file's header names a different grid signature
-    (the journal belongs to another sweep or another code version) or the
-    file is structurally unreadable beyond ordinary torn-tail truncation.
-    """
-
-
 class SweepStoreError(SweepError):
     """The SQLite-backed sweep store is unusable.
 

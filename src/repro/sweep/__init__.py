@@ -17,9 +17,10 @@ first-class object and executes it as fast as the hardware allows:
   store keyed by a stable hash of (function, arguments, package
   version), so re-running a sweep only computes changed points;
 * :mod:`repro.sweep.dist` — fault-tolerant *distributed* execution: a
-  TCP coordinator serves the grid under time-bounded leases with
-  heartbeats, work stealing, poison-point quarantine, and an append-only
-  crash-recovery journal (``SweepOptions(serve="HOST:PORT")``);
+  TCP service leases the grid to workers under time-bounded leases with
+  heartbeats, work stealing, poison-point quarantine, and an SQLite
+  store that commits every result before acknowledging it
+  (``SweepOptions(serve="HOST:PORT")``);
 * telemetry merge-back — worker processes record into their own
   :class:`~repro.telemetry.hub.Telemetry` hub, and the engine folds each
   worker's spans/metrics/instants into the parent hub in deterministic

@@ -1,30 +1,29 @@
-"""Fault-tolerant distributed sweep: coordinator, workers, leases, journal.
+"""Fault-tolerant distributed sweep: one service, workers, leases, a store.
 
-A :class:`SweepCoordinator` serves a point grid over TCP (the RESP
-substrate shared with the mini-Redis backend); :class:`WorkerAgent`\\ s
-claim points under time-bounded leases, renew them via heartbeats, and
-stream results back. Expired leases are reclaimed and re-queued (work
+A :class:`SweepService` serves point grids over TCP (the RESP substrate
+shared with the mini-Redis backend); :class:`WorkerAgent`\\ s claim
+points under time-bounded leases, renew them via heartbeats, and stream
+results back. Expired leases are reclaimed and re-queued (work
 stealing), points that fail on multiple distinct workers are quarantined
-as poison, and an append-only journal lets a restarted coordinator
-resume a half-finished grid without re-running completed points.
+as poison, and every completed point is committed to an SQLite
+:class:`SweepStore` before its worker is acknowledged, so a SIGKILLed
+service restarts against the same database with every acknowledged
+result intact.
 
-The *durable service* (:class:`SweepService` + :class:`SweepStore`)
-generalises the single-grid coordinator into a long-lived multi-tenant
-endpoint: many named grids at once, fair-share leasing across tenants,
-and an SQLite store instead of the journal, so a SIGKILLed service
-restarts against the same database with every acknowledged result
-intact. Tenants drive it with :class:`ServiceClient` (or ``repro sweep
---submit``).
+The service runs two ways. Standalone (``repro sweep --service``) it is
+a long-lived multi-tenant endpoint: many named grids at once, fair-share
+leasing across tenants, driven with :class:`ServiceClient` (or ``repro
+sweep --submit``). Embedded (``SweepOptions(serve=...)``, ``repro sweep
+--serve``) the engine starts one in-process for a single grid and stops
+it when that job is terminal.
 
 See ``ARCHITECTURE.md`` for the lease/job state machines and failure
 matrix.
 """
 
 from repro.sweep.dist.admission import AdmissionController, TenantQuota
-from repro.sweep.dist.coordinator import DistOutcome, DistProgressFn, SweepCoordinator
 from repro.sweep.dist.loadgen import LoadSpec, run_load
 from repro.sweep.dist.fleetmetrics import EwmaRate, prometheus_exposition
-from repro.sweep.dist.journal import SweepJournal
 from repro.sweep.dist.lease import LeaseTable, PointRecord, PointState
 from repro.sweep.dist.protocol import (
     Assignment,
@@ -59,8 +58,6 @@ from repro.sweep.dist.worker import (
 __all__ = [
     "AdmissionController",
     "Assignment",
-    "DistOutcome",
-    "DistProgressFn",
     "EwmaRate",
     "FailureRecord",
     "GridInfo",
@@ -75,8 +72,6 @@ __all__ = [
     "PointRecord",
     "PointState",
     "ServiceClient",
-    "SweepCoordinator",
-    "SweepJournal",
     "SweepService",
     "SweepStore",
     "TenantQuota",

@@ -1,6 +1,6 @@
 """Live fleet metrics: per-worker EWMA rates + Prometheus exposition.
 
-The coordinator's :class:`~repro.sweep.dist.lease.LeaseTable` knows the
+The service's :class:`~repro.sweep.dist.lease.LeaseTable`\\ s know the
 state machine; this module knows the *speeds*. One :class:`EwmaRate` per
 worker tracks its points-per-second as an exponentially-weighted moving
 average of inter-completion intervals — cheap (O(1) per completion),
@@ -9,7 +9,7 @@ the reported rate by the worker's silence gap, so a worker that stopped
 completing decays toward zero instead of advertising its last burst
 forever.
 
-:func:`prometheus_exposition` renders the coordinator's ``status()``
+:func:`prometheus_exposition` renders the service's ``status()``
 document (counts, per-worker tallies, rates, lease ages) in the
 Prometheus text format, served verbatim as the ``METRICS`` reply —
 scrape it with ``redis-cli``-style tooling, CI smoke jobs, or an actual
@@ -30,8 +30,8 @@ DEFAULT_ALPHA = 0.3
 class EwmaRate:
     """Exponentially-weighted points-per-second of one worker.
 
-    Not internally locked: the coordinator/service mutates and reads it
-    under their dispatch lock, like every other per-worker structure.
+    Not internally locked: the service mutates and reads it under its
+    dispatch lock, like every other per-worker structure.
     Pure bookkeeping — nothing here is durable or needs to be.
     """
 
@@ -51,7 +51,7 @@ class EwmaRate:
         """Record one completion at time ``now``."""
         now = float(now)
         if self._last is None:
-            # No claim was seen (journal replay paths): anchor here and
+            # No claim was seen (a DONE from before a restart): anchor here and
             # let the next completion produce the first interval.
             self._last = now
             return
@@ -108,7 +108,7 @@ def _family(
 
 
 def prometheus_exposition(status: dict) -> str:
-    """Render a coordinator ``status()`` dict as Prometheus text.
+    """Render a service ``status()`` dict as Prometheus text.
 
     Families: grid point states, session counters (reclaims, requeues,
     executed, replayed), and per-worker counters/rates/lease ages from
@@ -134,7 +134,7 @@ def prometheus_exposition(status: dict) -> str:
         ("reclaims", "Leases stolen back from expired workers."),
         ("requeues", "Terminal worker failures re-queued to other workers."),
         ("executed", "Points completed by workers this session."),
-        ("replayed", "Points restored from the crash-recovery journal."),
+        ("replayed", "Points restored from the store at (re)start."),
     ):
         _family(
             lines,

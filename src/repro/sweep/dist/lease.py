@@ -1,4 +1,4 @@
-"""Lease table: the coordinator's point state machine.
+"""Lease table: the sweep service's per-job point state machine.
 
 Every grid point moves through::
 
@@ -22,7 +22,7 @@ a stale worker finishing a point that was already reclaimed and finished
 elsewhere gets a duplicate-ack, never an error, because points are
 deterministic functions of their kwargs (any result is *the* result).
 
-The table is not itself thread-safe; the coordinator serializes access
+The table is not itself thread-safe; the service serializes access
 under its command-execution lock (see
 :class:`~repro.transport.server.RespTcpServer`). Time is injected
 (``clock``) so expiry ordering is unit-testable without sleeping.
@@ -70,8 +70,8 @@ class LeaseTable:
 
     ``observer(event, record)`` is called on every state transition
     (``lease``, ``renew``, ``reclaim``, ``done``, ``requeue``,
-    ``poison``) — the coordinator hangs its journal and progress
-    reporting off it.
+    ``poison``) — the service hangs its audit trail, fleet trace and
+    the engine's progress reporting off it.
 
     The ready queue is a deque of ``(index, generation)`` entries plus a
     liveness map ``index -> generation``: removing a point just drops it
@@ -85,13 +85,11 @@ class LeaseTable:
     requeues at the back).
 
     Thread-safety: none of its own — the table assumes the caller
-    serializes every call (the coordinator and service both drive it
-    from under their RESP dispatch lock; the engine's serve path is
-    single-threaded). Durability: none — this is the *in-memory* half
-    of the state machine; the journal
-    (:class:`~repro.sweep.dist.journal.SweepJournal`) or store
+    serializes every call (the service drives it from under its RESP
+    dispatch lock). Durability: none — this is the *in-memory* half
+    of the state machine; the store
     (:class:`~repro.sweep.dist.store.SweepStore`) is the durable record,
-    written by the observer callback / caller before acks go out.
+    written by the caller before acks go out.
     """
 
     def __init__(
@@ -295,7 +293,7 @@ class LeaseTable:
         return record.state
 
     def preload_done(self, index: int) -> None:
-        """Mark a point DONE before serving (journal replay / cache hit)."""
+        """Mark a point DONE before serving (restored from the store)."""
         record = self.records.get(index)
         if record is None:
             raise SweepError(f"unknown point index {index}")

@@ -1,6 +1,7 @@
 """Wire protocol of the distributed sweep: RESP commands + payloads.
 
-The coordinator is a :class:`~repro.transport.server.RespTcpServer`
+The serving side (:class:`~repro.sweep.dist.service.SweepService`, the
+"coordinator" below) is a :class:`~repro.transport.server.RespTcpServer`
 subclass, so every exchange is a RESP command array from the worker and
 a single RESP reply from the coordinator — the same substrate (and the
 same :class:`~repro.transport.redis_backend.MiniRedisConnection` client
@@ -99,13 +100,13 @@ HELLO's version check keeps mixed fleets out entirely):
   *assignment* still carries its own signature, and DONE/FAIL still
   echo it, so results route to the right job). (2) ``RENEW`` grows an
   optional third ``grid`` argument: under one grid an index identifies
-  a lease, under many it does not. v3 coordinators accept both arities
-  (the grid, when present, is validated); v3 workers talking to a v4
+  a lease, under many it does not. Both arities are accepted (the
+  grid, when present, routes the renewal); v3 workers talking to a v4
   service would renew ambiguously — which is why ``WIRE_FORMAT`` is
   bumped and HELLO's version gate keeps mixed fleets out. (3)
   ``STATUS`` accepts an optional grid argument; without one a service
-  answers an *aggregate* document shaped exactly like a coordinator's
-  (so ``--watch`` works unchanged against either). Submission is
+  answers an *aggregate* document over every live job (what
+  ``--watch`` and ``METRICS`` render). Submission is
   idempotent by grid content signature, results are persisted in an
   SQLite store before acknowledgement, and a SIGKILLed service
   restarted on the same store drains every in-flight job to
@@ -259,7 +260,7 @@ def grid_signature(points: Sequence[tuple[int, SweepPoint]]) -> str:
 
     Embeds each point's function path, canonical kwargs fingerprint, and
     the package version (via :func:`~repro.sweep.cache.point_key`), plus
-    the grid *indices* — so a journal written for one grid can never be
+    the grid *indices* — so results stored for one grid can never be
     replayed into a different one, a reordered grid, or another code
     version.
     """

@@ -1,13 +1,15 @@
 """SweepService: a durable multi-tenant grid server + its client.
 
-Where :class:`~repro.sweep.dist.coordinator.SweepCoordinator` serves
-exactly one grid and exits when it drains, the service is long-lived
-middleware (the "heavy traffic from many users" pattern of the coupled
-AI-simulation workflows): tenants ``SUBMIT`` named grids over the same
-RESP substrate workers already speak, the service leases points from
-*all* active jobs fair-share, and every completed point is committed to
-an SQLite store (:class:`~repro.sweep.dist.store.SweepStore`) **before**
-its worker is acknowledged. The consequences:
+The one sweep control plane: long-lived middleware (the "heavy traffic
+from many users" pattern of the coupled AI-simulation workflows) where
+tenants ``SUBMIT`` named grids over the same RESP substrate workers
+speak, the service leases points from *all* active jobs fair-share, and
+every completed point is committed to an SQLite store
+(:class:`~repro.sweep.dist.store.SweepStore`) **before** its worker is
+acknowledged. ``repro sweep --serve`` embeds the same class for one
+grid: the engine submits its job in-process and
+:meth:`SweepService.serve_forever` returns once that job is terminal.
+The consequences:
 
 * **SIGKILL-proof** — a service killed mid-multi-tenant-workload and
   restarted on the same store reloads every non-terminal job (point
@@ -37,10 +39,19 @@ its worker is acknowledged. The consequences:
   path; and under queue or store-latency pressure the service declares
   *brownout* — new SUBMITs refused, CLAIM/DONE still served to drain.
 
-Workers are oblivious: the service speaks the coordinator's exact
-command vocabulary towards them (HELLO advertises the
+Workers see one command vocabulary (HELLO advertises the
 :data:`~repro.sweep.dist.protocol.MULTI_GRID` sentinel), so
-``repro sweep --connect`` joins either interchangeably.
+``repro sweep --connect`` joins a standalone or an embedded service
+alike.
+
+Fleet observability is passive — the result stream is bit-identical
+with every layer on: worker-shipped ``SPANS`` are filed under per-worker
+tracks named from the HELLO ``host:pid`` identity, per-worker EWMA rates
+feed ``STATUS``/``METRICS``, a flight recorder rings the last protocol
+events, and — only when a ``fleet_path`` is given, because the tracer
+is unbounded and a long-lived service must not grow with every lease —
+each lease's lifetime becomes a wall-clock span on the ``coordinator``
+track (one lane per worker) beside steal/quarantine/replay instants.
 
 The job lifecycle is ``SUBMITTED -> RUNNING -> {DONE, CANCELLED,
 POISONED}`` (see ARCHITECTURE.md for the full state machine); terminal
@@ -49,8 +60,12 @@ states are immutable and stay queryable forever.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import pickle
+import signal
+import sys
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -112,6 +127,7 @@ from repro.sweep.dist.store import (
     SweepStore,
 )
 from repro.sweep.point import SweepPoint, derive_seed
+from repro.telemetry.chrome_trace import write_chrome_trace
 from repro.telemetry.flight import FlightRecorder, maybe_dump
 from repro.telemetry.log import get_logger
 from repro.telemetry.tracing import Tracer
@@ -121,6 +137,11 @@ from repro.transport.server import RespTcpServer
 from repro.version import __version__
 
 _log = get_logger("sweep.service")
+
+#: Per-transition observer: ``(grid, event, record)`` for every lease
+#: transition of every live job (``lease``, ``renew``, ``reclaim``,
+#: ``done``, ``requeue``, ``poison``), called under the dispatch lock.
+TransitionFn = Callable[[str, str, PointRecord], None]
 
 
 @dataclass
@@ -177,6 +198,8 @@ class SweepService(RespTcpServer):
         brownout_store_latency_s: Optional[float] = 1.0,
         busy_retry_s: float = 1.0,
         seed: int = 0,
+        fleet_path: Optional[str | Path] = None,
+        observer: Optional[TransitionFn] = None,
     ) -> None:
         if brownout_backlog is None and dispatch_queue_limit is not None:
             # Brown out before the queue is hard-full, so shedding reads
@@ -219,6 +242,13 @@ class SweepService(RespTcpServer):
         self.fleet = Tracer(clock=wall)
         self.flight = FlightRecorder(component="service", clock=wall)
         self.flight_path = Path(flight_path) if flight_path is not None else None
+        #: Where :meth:`serve_forever` leaves the merged fleet trace; also
+        #: the switch for lease spans (see the module docstring).
+        self.fleet_path = Path(fleet_path) if fleet_path is not None else None
+        self.observer = observer
+        self._worker_lanes: dict[str, int] = {}  # worker -> coordinator-track tid
+        #: (grid, index) -> (holder, wall start, span id) of open leases.
+        self._lease_open: dict[tuple[str, int], tuple[str, float, str]] = {}
         self._rates: dict[str, EwmaRate] = {}
         self.workers: dict[str, dict] = {}
         self._spans_accepted = 0
@@ -259,6 +289,11 @@ class SweepService(RespTcpServer):
                 if idx in job.points:
                     job.table.preload_done(idx)
                     job.replayed += 1
+                    if self.fleet_path is not None:
+                        self.fleet.instant(
+                            "replay", category="journal", pid="coordinator",
+                            index=idx,
+                        )
             self.store.record_event(grid, None, "restore")
             self.flight.record("restore", grid=grid[:16], replayed=job.replayed)
             _log.info(
@@ -313,6 +348,64 @@ class SweepService(RespTcpServer):
         if event == "reclaim":
             _log.warning("lease.reclaim", grid=grid[:16], index=record.index,
                          worker=record.worker)
+        if self.fleet_path is not None:
+            self._trace_transition(grid, event, record)
+        if self.observer is not None:
+            self.observer(grid, event, record)
+
+    def _worker_lane(self, worker: str) -> int:
+        """Stable per-worker tid on the coordinator track (lane 0 = self)."""
+        return self._worker_lanes.setdefault(worker, len(self._worker_lanes) + 1)
+
+    def _close_lease(self, grid: str, index: int, outcome: str) -> None:
+        opened = self._lease_open.pop((grid, index), None)
+        if opened is None:
+            return
+        holder, started, span_id = opened
+        self.fleet.add_span(
+            f"lease p{index}",
+            started,
+            max(0.0, self.wall() - started),
+            category="lease",
+            pid="coordinator",
+            tid=self._worker_lane(holder),
+            index=index,
+            worker=holder,
+            outcome=outcome,
+            trace_id=grid[:16],
+            span_id=span_id,
+        )
+
+    def _trace_transition(self, grid: str, event: str, record: PointRecord) -> None:
+        """Fleet-trace view of one lease transition: each lease's lifetime
+        as a span on the ``coordinator`` track, steals and quarantines as
+        instants. Strictly passive — touches neither table nor store."""
+        index, worker = record.index, record.worker
+        if event == "lease":
+            self._lease_open[grid, index] = (
+                worker or "?", self.wall(), f"{index}/{record.leases}",
+            )
+            return
+        if event == "renew":
+            return
+        self._close_lease(grid, index, outcome=event)
+        if event == "reclaim":
+            self.fleet.instant(
+                "steal",
+                category="lease",
+                pid="coordinator",
+                tid=self._worker_lane(worker or "?"),
+                index=index,
+                worker=worker,
+            )
+        elif event == "poison":
+            self.fleet.instant(
+                "quarantine",
+                category="poison",
+                pid="coordinator",
+                index=index,
+                failures=len(record.failures),
+            )
 
     def _maybe_finalize(self, job: ServiceJob) -> None:
         """Move a drained job to its terminal state (immutable afterwards)."""
@@ -898,7 +991,9 @@ class SweepService(RespTcpServer):
             return resp.encode_busy(dump_busy(**doc))
         return resp.encode_bulk(json.dumps(reply, sort_keys=True).encode())
 
-    def _handle_results(self, grid: str) -> bytes:
+    def results(self, grid: str) -> tuple[str, dict[int, bytes], dict[int, list]]:
+        """``(job state, done wire payloads, poisoned failures)`` from the
+        store — what RESULTS ships, and what the embedding engine reads."""
         job = self.jobs.get(grid)
         if job is not None:
             state = job.state
@@ -907,9 +1002,14 @@ class SweepService(RespTcpServer):
             if row is None:
                 raise TransportError(f"unknown grid {grid[:16]}")
             state = row["state"]
-        payloads = self.store.done_payloads(grid)
-        poisoned = self.store.poisoned_points(grid)
-        return resp.encode_bulk(dump_results_reply(state, payloads, poisoned))
+        return (
+            state,
+            self.store.done_payloads(grid),
+            self.store.poisoned_points(grid),
+        )
+
+    def _handle_results(self, grid: str) -> bytes:
+        return resp.encode_bulk(dump_results_reply(*self.results(grid)))
 
     def _handle_spans(self, worker: str, spans_json: str) -> bytes:
         spans = load_spans(spans_json)
@@ -1017,13 +1117,16 @@ class SweepService(RespTcpServer):
     def request_stop(self) -> None:
         self._stop_serving = True
 
-    def serve_forever(self, poll: float = 0.1) -> dict:
+    def serve_forever(self, poll: float = 0.1, until: Optional[str] = None) -> dict:
         """Run until :meth:`request_stop` (SIGTERM); returns a summary.
 
-        Unlike the coordinator, draining all jobs does *not* end the
-        loop — a service waits for the next tenant. The periodic tick
-        reclaims expired leases across every live job so work stealing
-        happens even when no worker is polling.
+        Draining all jobs does *not* end the loop — a service waits for
+        the next tenant — unless ``until`` names the one grid this
+        session exists for (the engine's embedded ``--serve`` service):
+        then the loop also ends once that job is terminal, or is not
+        live at all because an earlier session finished it. The periodic
+        tick reclaims expired leases across every live job so work
+        stealing happens even when no worker is polling.
         """
         if not self.is_running:
             self.start()
@@ -1034,11 +1137,31 @@ class SweepService(RespTcpServer):
                         job.table.reclaim_expired()
                         self._maybe_finalize(job)
                     self._evaluate_brownout()
+                    if until is not None and (
+                        until not in self.jobs
+                        or self.jobs[until].state in JOB_TERMINAL
+                    ):
+                        break
                 time.sleep(poll)
         except BaseException:
             maybe_dump(self.flight, self.flight_path, "crash")
             raise
-        maybe_dump(self.flight, self.flight_path, "drain")
+        finally:
+            if self.fleet_path is not None:
+                # Even a poisoned or stopped session leaves a trace — that
+                # is when the timeline matters most.
+                try:
+                    self.write_fleet_trace(self.fleet_path)
+                except OSError as exc:  # observability must not mask the run
+                    print(f"fleet trace not written: {exc}", file=sys.stderr)
+        served = self.jobs.get(until) if until is not None else None
+        maybe_dump(
+            self.flight,
+            self.flight_path,
+            "poison" if served is not None and served.state == JOB_POISONED
+            else "drain" if self._stop_serving
+            else "completed",
+        )
         summary = {
             "jobs": {g: j.state for g, j in self.jobs.items()},
             "stale_grid": self.stale_grid,
@@ -1049,9 +1172,15 @@ class SweepService(RespTcpServer):
         return summary
 
     def write_fleet_trace(self, path: str | Path) -> int:
-        from repro.telemetry.chrome_trace import write_chrome_trace
+        """Merge lease spans + worker spans into one Chrome trace.
 
+        Any lease still open (a stopped session leaves unfinished
+        points) is closed at "now" so the trace stays structurally
+        valid. Returns the number of trace events written.
+        """
         with self._exec_lock:
+            for grid, index in sorted(self._lease_open):
+                self._close_lease(grid, index, outcome="open")
             return write_chrome_trace(path, tracer=self.fleet)
 
     def stop(self) -> None:
@@ -1265,6 +1394,26 @@ class ServiceClient:
             time.sleep(poll)
 
 
+@contextlib.contextmanager
+def sigterm_calls(callback: Callable[[], None]):
+    """Route SIGTERM to ``callback`` for the block (main thread only)."""
+    if not (
+        hasattr(signal, "SIGTERM")
+        and threading.current_thread() is threading.main_thread()
+    ):
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: callback())
+    try:
+        yield
+    finally:
+        # signal.signal returns None for a handler installed from C,
+        # which it would refuse to take back.
+        signal.signal(
+            signal.SIGTERM, signal.SIG_DFL if previous is None else previous
+        )
+
+
 def run_service_process(
     address: str,
     store_path: str | Path,
@@ -1286,9 +1435,6 @@ def run_service_process(
     path the store exists for. Returns 0 on clean shutdown, 1 when the
     store is unusable.
     """
-    import signal
-    import sys
-
     host, port = parse_hostport(address)
     try:
         service = SweepService(
@@ -1309,21 +1455,15 @@ def run_service_process(
     except SweepStoreError as exc:
         print(f"sweep service: {exc}", file=sys.stderr)
         return 1
-    previous = None
-    if hasattr(signal, "SIGTERM"):
-        previous = signal.signal(
-            signal.SIGTERM, lambda signum, frame: service.request_stop()
-        )
     print(
         f"sweep service on {service.host}:{service.port} "
         f"(store {service.store.path}, {len(service.jobs)} jobs restored)",
         file=sys.stderr,
     )
     try:
-        service.serve_forever(poll=poll)
+        with sigterm_calls(service.request_stop):
+            service.serve_forever(poll=poll)
     finally:
-        if previous is not None:
-            signal.signal(signal.SIGTERM, previous)
         service.stop()
     return 0
 
@@ -1347,4 +1487,5 @@ __all__ = [
     "SweepService",
     "TenantQuota",
     "run_service_process",
+    "sigterm_calls",
 ]

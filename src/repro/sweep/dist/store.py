@@ -1,13 +1,14 @@
 """SQLite-backed job/results/telemetry store for the sweep service.
 
-This replaces the append-only per-grid journal + ``history.jsonl`` pair
-with one queryable database per service (or per cache directory). The
-durability contract is the same as the journal's — a completed point is
-committed *before* its worker is acknowledged, so a SIGKILLed service
-restarted against the same file serves every acknowledged result from
-disk — but the store additionally survives *multi-tenant* workloads:
-many named grids live side by side, keyed by their content signature,
-and "all fig6 points ever run, any version" is one indexed query.
+One queryable database per service — standalone, or embedded by
+``repro sweep --serve`` in its ``--journal`` directory — or per cache
+directory. The durability contract: a completed point is committed
+*before* its worker is acknowledged, so a SIGKILLed service restarted
+against the same file serves every acknowledged result from disk. Many
+named grids live side by side, keyed by their content signature, and
+"all fig6 points ever run, any version" is one indexed query. (The
+append-only per-grid JSONL journal this replaced survives only as the
+one-shot importer :func:`migrate_journal_file`.)
 
 Concurrency model — **single writer thread**:
 
@@ -15,7 +16,7 @@ Every SQLite operation (reads included) funnels through one dedicated
 thread that owns the only connection. Callers enqueue a closure and
 block until the writer commits it; exceptions propagate back to the
 caller. This gives the service the same no-locking simplicity the RESP
-dispatch lock gives the coordinator, makes write ordering identical to
+dispatch lock gives its command handlers, makes write ordering identical to
 call ordering (the crash-recovery tests rely on that prefix property),
 and sidesteps SQLite's cross-thread connection rules entirely.
 
@@ -914,9 +915,8 @@ def migrate_journal_file(store: SweepStore, path: str | Path) -> Optional[str]:
     if not created:
         return grid  # already imported (or live) — leave it alone
     for idx, payload in done.items():
-        # The journal stored {"value", "snapshot"} pickles; keep the raw
-        # blob — RESULTS consumers re-decode with the journal's shape in
-        # mind via load_result's fallback (see protocol.load_result).
+        # The journal stored bare {"value", "snapshot"} pickles; the raw
+        # blob is kept as an archive (JOBS/QUERY, undecoded RESULTS).
         store.record_done(grid, idx, payload, worker="journal-import")
     for idx, failures in poisoned.items():
         if idx not in done:

@@ -1,9 +1,10 @@
-"""Live fleet console: render a coordinator's STATUS as refreshing text.
+"""Live fleet console: render a sweep service's STATUS as refreshing text.
 
-``repro sweep --watch HOST:PORT`` attaches to a *running* coordinator
-(local or remote) as a read-only observer: it polls the ``STATUS``
-command, renders a grid progress bar, the per-worker rate table (from
-the ``rates`` section the coordinator computes with
+``repro sweep --watch HOST:PORT`` attaches to a *running* service — a
+``--serve`` sweep or a standalone ``--service``, local or remote — as a
+read-only observer: it polls the ``STATUS`` command, renders a grid
+progress bar, the per-worker rate table (from the ``rates`` section the
+service computes with
 :class:`~repro.sweep.dist.fleetmetrics.EwmaRate`), and the quarantine
 list, then repaints in place with ANSI cursor control. It claims
 nothing, renews nothing, and submits nothing — watching a sweep cannot
@@ -27,12 +28,11 @@ from repro.errors import BackendUnavailableError, SweepError, TransportError
 from repro.sweep.dist.protocol import parse_hostport
 from repro.sweep.point import derive_seed
 from repro.transport.redis_backend import MiniRedisConnection
-from repro.transport.resp import ServerReplyError
 
 #: Progress-bar width in cells.
 BAR_WIDTH = 30
 
-#: Default cumulative reconnect allowance after losing a coordinator we
+#: Default cumulative reconnect allowance after losing a service we
 #: had reached (seconds of *requested* sleep, so injected test clocks
 #: still exhaust it deterministically).
 RECONNECT_BUDGET = 30.0
@@ -42,10 +42,10 @@ _CLEAR = "\x1b[H\x1b[J"
 
 
 def fetch_status(address: str, timeout: float = 5.0) -> dict:
-    """One STATUS round-trip to the coordinator at ``HOST:PORT``.
+    """One STATUS round-trip to the service at ``HOST:PORT``.
 
     Opens and closes its own connection per call — stateless, safe from
-    any thread, and strictly read-only on the coordinator side.
+    any thread, and strictly read-only on the serving side.
     """
     host, port = parse_hostport(address)
     conn = MiniRedisConnection(host, port, timeout=timeout)
@@ -63,19 +63,15 @@ def fetch_status(address: str, timeout: float = 5.0) -> dict:
 
 
 def fetch_health(address: str, timeout: float = 5.0) -> Optional[dict]:
-    """One HEALTH round-trip; None when the peer has no HEALTH command.
+    """One HEALTH round-trip; None when the reply is not a document.
 
-    A v5-or-older coordinator answers ``-ERR unknown command`` — the
-    console degrades to status-only rendering instead of failing, so
-    ``--watch`` attaches to either vintage. Connection-level failures
-    propagate (the caller's reconnect loop owns those).
+    Failures propagate — :func:`watch` treats any of them as "no
+    banner", since only STATUS drives its reconnect loop.
     """
     host, port = parse_hostport(address)
     conn = MiniRedisConnection(host, port, timeout=timeout)
     try:
         reply = conn.command("HEALTH")
-    except ServerReplyError:
-        return None  # -ERR unknown command: pre-v6 peer
     finally:
         conn.close()
     try:
@@ -197,20 +193,19 @@ def watch(
 ) -> int:
     """Poll-and-repaint until the grid drains; returns an exit code.
 
-    Losing a coordinator we had reached starts a seeded-backoff
+    Losing a service we had reached starts a seeded-backoff
     reconnect loop bounded by ``reconnect_budget`` cumulative seconds —
-    a coordinator restarting against the same store (the durable
-    service) comes back mid-budget and the console re-attaches where it
-    left off. The budget is accounted in *requested* sleep seconds, not
+    a service restarting against the same store comes back mid-budget
+    and the console re-attaches where it left off. The budget is accounted in *requested* sleep seconds, not
     wall time, so an injected no-op ``sleep`` exhausts it all the same.
 
-    Exit 0 when the watched grid drained, or when a coordinator we had
-    reached stays gone past the budget — a serve-mode coordinator only
+    Exit 0 when the watched grid drained, or when a service we had
+    reached stays gone past the budget — a ``--serve`` sweep only
     exits once its grid resolves (drain, poison, or stop), and the poll
     usually misses the sub-second window between the last completion
     and the process exiting, so "gone after contact" is the *normal*
     end of a watched run, not a failure. Exit 1 only when the
-    coordinator was never reachable at all.
+    address was never reachable at all.
     """
     if interval <= 0:
         raise SweepError(f"watch interval must be positive, got {interval}")
@@ -232,8 +227,9 @@ def watch(
             health = None
             if health_supported:
                 # Best-effort: only STATUS drives the reconnect loop; a
-                # health probe failing (pre-v6 peer, injected fetch in
-                # tests) just degrades the console to status-only.
+                # health probe failing (a peer that is not a sweep
+                # service, an injected fetch in tests) just degrades the
+                # console to status-only.
                 try:
                     health = fetch_health_fn(address)
                 except (BackendUnavailableError, TransportError, OSError):

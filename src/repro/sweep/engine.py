@@ -30,7 +30,7 @@ from __future__ import annotations
 import contextlib
 import os
 import signal
-import sys
+import tempfile
 import threading
 import time
 import warnings
@@ -39,14 +39,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from repro.errors import SweepError, SweepPointError, SweepTimeoutError
+from repro.errors import (
+    SweepError,
+    SweepPointError,
+    SweepPoisonedError,
+    SweepTimeoutError,
+)
 from repro.sweep.cache import CacheStats, ResultCache
 from repro.sweep.point import SweepPoint, points_from_grid
 
 #: Progress callback signature: (done_count, total, label, source) where
-#: source is "cache", "run", "retry", "journal" (restored from a
-#: crash-recovery journal), or "steal" (lease reclaimed from a dead
-#: worker — informational, does not advance the done count).
+#: source is "cache", "run", "retry", "journal" (acknowledged by an
+#: earlier serving session and replayed from its store), or "steal"
+#: (lease reclaimed from a dead worker — informational, does not advance
+#: the done count).
 ProgressFn = Callable[[int, int, str, str], None]
 
 _UNSET = object()
@@ -75,8 +81,9 @@ class SweepOptions:
     #: (mutually exclusive with ``parallel > 1``). Pending points are
     #: executed by remote :class:`~repro.sweep.dist.WorkerAgent`\\ s.
     serve: Optional[str] = None
-    #: Crash-recovery journal directory for the distributed coordinator;
-    #: a restarted sweep with the same journal resumes where it died.
+    #: Directory of the serving sweep's durable store; a restarted sweep
+    #: with the same directory resumes where it died. None = a temporary
+    #: store removed when serving ends.
     journal_dir: Optional[str | Path] = None
     #: Distributed lease duration; a worker silent this long loses its
     #: point to the next claimer.
@@ -88,16 +95,17 @@ class SweepOptions:
     poison_failures: int = 4
     #: Evict cache entries (oldest first) above this size after the run.
     cache_max_mb: Optional[float] = None
-    #: Write the merged fleet Chrome trace (coordinator lease spans +
-    #: worker execution spans) here when the serving sweep ends — even a
-    #: poisoned or stopped one. Requires ``serve``.
+    #: Write the merged fleet Chrome trace (lease spans on the
+    #: ``coordinator`` track + worker execution spans) here when the
+    #: serving sweep ends — even a poisoned or stopped one. Requires
+    #: ``serve``.
     fleet_trace: Optional[str | Path] = None
-    #: Dump the coordinator's flight-recorder ring (recent protocol
+    #: Dump the serving side's flight-recorder ring (recent protocol
     #: events) here when serving ends or crashes. Requires ``serve``.
     flight_recorder: Optional[str | Path] = None
     #: ``HOST:PORT`` of a running durable sweep service: SUBMIT the grid
     #: as one named job and block until it drains, instead of executing
-    #: locally or serving a dedicated coordinator. Mutually exclusive
+    #: locally or serving the grid from this process. Mutually exclusive
     #: with ``serve`` and ``parallel > 1``; the service's workers do the
     #: computing and its SQLite store keeps the results across restarts.
     submit: Optional[str] = None
@@ -152,11 +160,11 @@ class SweepReport:
 
     values: list[Any] = field(default_factory=list)
     n_points: int = 0
-    computed: int = 0  # points actually executed (not cache- or journal-served)
+    computed: int = 0  # points actually executed (not cache- or store-served)
     retried: int = 0
     cache: Optional[CacheStats] = None
     # Distributed-run extras (zero on serial/pool runs):
-    replayed: int = 0  # points restored from the crash-recovery journal
+    replayed: int = 0  # points an earlier serving session had acknowledged
     reclaims: int = 0  # leases stolen back from silent workers
     requeues: int = 0  # worker failures re-queued to other workers
 
@@ -252,9 +260,9 @@ class SweepEngine:
     ) -> None:
         self.options = options or SweepOptions()
         self.telemetry = telemetry
-        #: Live SweepCoordinator while a distributed run is serving
-        #: (signal handlers use it to request a graceful stop).
-        self._coordinator = None
+        #: The embedded SweepService while a distributed run is serving
+        #: (tests use it to request a graceful stop).
+        self._service = None
 
     # -- public API --------------------------------------------------------
     def run(self, points: Sequence[SweepPoint], telemetry=None) -> SweepReport:
@@ -468,89 +476,95 @@ class SweepEngine:
     ) -> None:
         """Serve pending points to remote workers; block until drained.
 
-        The coordinator owns fault tolerance (leases, stealing, poison,
-        journal); this method only adapts it to the engine's bookkeeping:
-        point-order values/snapshots, cache stores, and progress events
-        ("journal" for replayed points, "steal" for reclaimed leases).
-        Raises :class:`~repro.errors.SweepPoisonedError` if any point was
-        quarantined — partial results are not silently returned.
+        Embeds a :class:`~repro.sweep.dist.service.SweepService` on the
+        serve address with the pending points as its one job. The
+        service owns fault tolerance (leases, stealing, poison) and
+        durability (every DONE is committed to its store before the
+        ack; ``journal_dir`` keeps that store across sessions, so a
+        restart resumes instead of recomputing). This method only adapts
+        the job to the engine's bookkeeping: progress events ("journal"
+        for points an earlier session finished, "steal" for reclaimed
+        leases) and the shared :meth:`_collect_job`.
         """
-        from repro.sweep.dist.coordinator import SweepCoordinator
+        from repro.sweep.dist.protocol import grid_signature, load_result, parse_hostport
+        from repro.sweep.dist.service import SweepService, sigterm_calls
+        from repro.sweep.dist.store import STORE_FILENAME
+        from repro.telemetry.log import get_logger
 
-        keys = dict(pending)
         work = [(index, points[index]) for index, _ in pending]
-        progress_done = [done]  # box: closed over by the callback
+        grid = grid_signature(work)
+        host, port = parse_hostport(self.options.serve)
+        progress_done = done
 
-        def on_event(event: str, index: int, worker) -> None:
-            label = points[index].label
-            if event in ("replay", "done"):
-                progress_done[0] += 1
-                emit(progress_done[0], label, "journal" if event == "replay" else "run")
-            elif event == "reclaim":
-                emit(progress_done[0], label, "steal")
-            elif event == "requeue":
-                emit(progress_done[0], label, "retry")
+        def announce(index: int, source: str) -> None:
+            nonlocal progress_done
+            if source in ("journal", "run"):
+                progress_done += 1
+            emit(progress_done, points[index].label, source)
 
-        coordinator = SweepCoordinator(
-            work,
-            host=self._serve_host,
-            port=self._serve_port,
-            lease_seconds=self.options.lease_seconds,
-            poison_workers=self.options.poison_workers,
-            poison_failures=self.options.poison_failures,
-            timeout=self.options.timeout,
-            retries=self.options.retries,
-            capture=capture,
-            journal_dir=self.options.journal_dir,
-            progress=on_event,
-            flight_path=self.options.flight_recorder,
-        )
-        self._coordinator = coordinator  # exposed for signal handlers/tests
-        # Graceful drain: SIGTERM stops serving at the next poll; the
-        # journal (if any) already holds every acknowledged result, so a
-        # restarted sweep with the same journal resumes where this died.
-        previous_term = None
-        on_main = (
-            hasattr(signal, "SIGTERM")
-            and threading.current_thread() is threading.main_thread()
-        )
-        if on_main:
-            previous_term = signal.signal(
-                signal.SIGTERM, lambda signum, frame: coordinator.request_stop()
+        sources = {"done": "run", "reclaim": "steal", "requeue": "retry"}
+
+        def on_transition(job_grid: str, event: str, record) -> None:
+            if job_grid == grid and event in sources:
+                announce(record.index, sources[event])
+
+        with contextlib.ExitStack() as stack:
+            directory = self.options.journal_dir
+            if directory is None:
+                directory = stack.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-serve-")
+                )
+            service = SweepService(
+                Path(directory) / STORE_FILENAME,
+                host=host,
+                port=port,
+                lease_seconds=self.options.lease_seconds,
+                poison_workers=self.options.poison_workers,
+                poison_failures=self.options.poison_failures,
+                flight_path=self.options.flight_recorder,
+                fleet_path=self.options.fleet_trace,
+                observer=on_transition,
             )
-        try:
-            outcome = coordinator.serve()
-        finally:
-            if on_main:
-                signal.signal(signal.SIGTERM, previous_term)
-            if self.options.fleet_trace is not None:
-                # Even a poisoned or stopped sweep leaves a trace — that
-                # is when you want the timeline most.
-                try:
-                    coordinator.write_fleet_trace(self.options.fleet_trace)
-                except OSError as exc:  # observability must not mask the run
-                    print(f"fleet trace not written: {exc}", file=sys.stderr)
-            coordinator.stop()
-            self._coordinator = None
-        for index, (value, snapshot) in outcome.results.items():
-            values[index] = value
-            snapshots[index] = snapshot
-            if cache is not None and keys.get(index) is not None:
-                cache.store(keys[index], value, snapshot,
-                            meta={"label": points[index].label})
-        report.computed = outcome.executed
-        report.replayed = outcome.replayed
-        report.reclaims = outcome.reclaims
-        report.requeues = outcome.requeues
-        report.retried += outcome.requeues
-        if len(outcome.results) < len(pending):
-            # serve() returned early (request_stop): surface the gap
-            # rather than handing back _UNSET placeholders.
-            missing = [i for i, _ in pending if i not in outcome.results]
-            raise SweepError(
-                f"distributed sweep stopped with {len(missing)} unfinished "
-                f"points (first: {points[missing[0]].label})"
+            stack.callback(service.stop)
+            created = service.submit(
+                points[work[0][0]].label,
+                work,
+                timeout=self.options.timeout,
+                retries=self.options.retries,
+                capture=capture,
+            )["created"]
+            # A job this store already knew may hold acknowledged results.
+            replayed = [] if created else sorted(service.store.done_payloads(grid))
+            get_logger("sweep.engine").info(
+                "grid.open",
+                grid=grid[:16],
+                n_points=len(work),
+                replayed=len(replayed),
+                address=f"{service.host}:{service.port}",
             )
+            for index in replayed:
+                announce(index, "journal")
+            self._service = service  # tests stop a session through it
+            try:
+                # Graceful drain: SIGTERM stops serving at the next tick;
+                # the store already holds every acknowledged result.
+                with sigterm_calls(service.request_stop):
+                    service.serve_forever(until=grid)
+            finally:
+                self._service = None
+            state, payloads, poisoned = service.results(grid)
+            job = service.jobs.get(grid)
+        report.replayed = len(replayed)
+        report.computed = len(payloads) - len(replayed)
+        if job is not None:
+            report.reclaims = job.table.reclaims
+            report.requeues = job.requeues
+            report.retried += job.requeues
+        self._collect_job(
+            points, pending, cache, values, snapshots, grid, state,
+            {index: load_result(blob) for index, blob in payloads.items()},
+            poisoned,
+        )
 
     # -- service submission path --------------------------------------------
     def _run_submit(
@@ -564,11 +578,9 @@ class SweepEngine:
         and fair-share across tenants; this method only adapts one job
         to the engine's bookkeeping, mirroring :meth:`_run_dist`.
         """
-        from repro.errors import SweepPoisonedError
         from repro.sweep.dist.service import ServiceClient
-        from repro.sweep.dist.store import JOB_DONE, JOB_POISONED, JOB_TERMINAL
+        from repro.sweep.dist.store import JOB_TERMINAL
 
-        keys = dict(pending)
         work = [(index, points[index]) for index, _ in pending]
         name = self.options.job_name or points[work[0][0]].label
         client = ServiceClient(self.options.submit)
@@ -606,7 +618,34 @@ class SweepEngine:
                 break
             time.sleep(0.25)
         outcome = client.results(grid, decode=True)
-        if state == JOB_POISONED or outcome["poisoned"]:
+        self._collect_job(
+            points, pending, cache, values, snapshots, grid, state,
+            outcome["results"], outcome["poisoned"],
+        )
+        report.computed = len(pending)
+
+    def _collect_job(
+        self, points, pending, cache, values, snapshots, grid, state, results,
+        poisoned,
+    ) -> None:
+        """Fold one finished service job into values/snapshots/cache.
+
+        Shared by the serve and submit paths. Every result the job did
+        produce is kept (and cached) first; then
+        :class:`~repro.errors.SweepPoisonedError` if any point was
+        quarantined and :class:`~repro.errors.SweepError` if the job
+        ended short — partial results are not silently returned.
+        """
+        from repro.sweep.dist.store import JOB_DONE, JOB_POISONED
+
+        keys = dict(pending)
+        for index, (value, snapshot) in results.items():
+            values[index] = value
+            snapshots[index] = snapshot
+            if cache is not None and keys.get(index) is not None:
+                cache.store(keys[index], value, snapshot,
+                            meta={"label": points[index].label})
+        if state == JOB_POISONED or poisoned:
             raise SweepPoisonedError(
                 [
                     {
@@ -614,40 +653,23 @@ class SweepEngine:
                         "index": index,
                         "failures": failures,
                     }
-                    for index, failures in sorted(outcome["poisoned"].items())
+                    for index, failures in sorted(poisoned.items())
                 ]
             )
         if state != JOB_DONE:
+            # Stopped (SIGTERM) or cancelled: surface the gap rather
+            # than handing back _UNSET placeholders.
             raise SweepError(
-                f"submitted job {grid[:16]} ended {state!r} with "
-                f"{len(pending) - len(outcome['results'])} unfinished points"
+                f"sweep job {grid[:16]} ended {state!r} with "
+                f"{len(pending) - len(results)} unfinished points"
             )
-        for index, (value, snapshot) in outcome["results"].items():
-            values[index] = value
-            snapshots[index] = snapshot
-            if cache is not None and keys.get(index) is not None:
-                cache.store(keys[index], value, snapshot,
-                            meta={"label": points[index].label})
         missing = [i for i, _ in pending if values[i] is _UNSET]
         if missing:
             raise SweepError(
-                f"service returned {len(outcome['results'])} results for "
+                f"service returned {len(results)} results for "
                 f"{len(pending)} submitted points (first missing: "
                 f"{points[missing[0]].label})"
             )
-        report.computed = len(pending)
-
-    @property
-    def _serve_host(self) -> str:
-        from repro.sweep.dist.protocol import parse_hostport
-
-        return parse_hostport(self.options.serve)[0]
-
-    @property
-    def _serve_port(self) -> int:
-        from repro.sweep.dist.protocol import parse_hostport
-
-        return parse_hostport(self.options.serve)[1]
 
 
 def default_parallelism() -> int:

@@ -4,7 +4,7 @@ Structured logs stream everything to a file *if* one was configured; the
 flight recorder is the always-on complement — a fixed-size in-memory
 ring buffer of the last ``capacity`` protocol events that costs one
 deque append per event and is only ever written out when something goes
-wrong. Both the sweep coordinator and the worker agent keep one, and
+wrong. Both the sweep service and the worker agent keep one, and
 dump it to a postmortem JSON file on **poison** (a point was
 quarantined), **crash** (an unhandled exception is about to take the
 process down), or **SIGTERM drain** — the black box that explains the
@@ -12,7 +12,7 @@ last seconds before the incident.
 
 Dump schema::
 
-    {"component": "coordinator", "reason": "poison",
+    {"component": "service", "reason": "poison",
      "dumped_at": 1754500000.5, "capacity": 512, "recorded": 3817,
      "dropped": 3305,
      "events": [{"ts": ..., "event": "claim", "worker": ..., ...}, ...]}

@@ -5,7 +5,7 @@ the fleet *do*, in what order, on which worker". Every record is one
 JSON object per line::
 
     {"ts": 1754500000.123456, "level": "info",
-     "component": "sweep.coordinator", "event": "point.done",
+     "component": "sweep.worker", "event": "point.done",
      "index": 7, "worker": "host:4242:0"}
 
 Components obtain a :class:`ComponentLogger` via :func:`get_logger` and

@@ -5,7 +5,7 @@ this module reproduces its architecturally relevant properties:
 
 * a real TCP server speaking RESP (the shared
   :class:`~repro.transport.server.RespTcpServer` substrate, also reused
-  by the distributed sweep coordinator);
+  by the distributed sweep service);
 * **single-threaded command execution** — connections are accepted and
   parsed concurrently, but commands funnel through one executor lock, the
   same serialization point that caps real Redis throughput under

@@ -6,8 +6,8 @@ Two layers live here:
   (see :mod:`repro.transport.resp`): bind/listen, per-connection reader
   threads, incremental frame parsing, and serialized command dispatch.
   :class:`~repro.transport.redis_backend.MiniRedisServer` (the mini-Redis
-  backend) and :class:`~repro.sweep.dist.coordinator.SweepCoordinator`
-  (the distributed sweep coordinator) are both subclasses that only
+  backend) and :class:`~repro.sweep.dist.service.SweepService` (the
+  distributed sweep's control plane) are both subclasses that only
   implement ``_dispatch``.
 * :class:`ServerManager` — deploys and configures data servers (paper
   §3.2): "The ServerManager is responsible for the creation and

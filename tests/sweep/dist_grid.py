@@ -2,7 +2,7 @@
 
 Point functions live here (module top level) so worker *processes* can
 import them when unpickling assignments; ``serve_main`` is the
-coordinator entry the tests launch as a subprocess.
+serving-sweep entry the tests launch as a subprocess.
 """
 
 import json

@@ -1,4 +1,8 @@
-"""Coordinator + WorkerAgent integration, in-process (threads, real TCP)."""
+"""Embedded SweepService + WorkerAgent integration, in-process (threads, real TCP).
+
+``coordinator_factory`` builds what ``SweepOptions(serve=...)`` embeds:
+one :class:`SweepService` on a throwaway store with one submitted grid.
+"""
 
 import json
 import socket
@@ -13,12 +17,9 @@ from repro.errors import (
     SweepPoisonedError,
 )
 from repro.sweep import SweepEngine, SweepOptions, SweepPoint
-from repro.sweep.dist import (
-    SweepCoordinator,
-    WorkerAgent,
-    WorkerOptions,
-    grid_signature,
-)
+from repro.sweep.dist import SweepService, WorkerAgent, WorkerOptions
+from repro.sweep.dist.protocol import MULTI_GRID, load_result
+from repro.sweep.dist.store import JOB_DONE, JOB_POISONED
 from repro.transport.redis_backend import MiniRedisConnection
 from repro.transport.resp import ServerReplyError
 
@@ -52,6 +53,12 @@ def make_points(n=6, func=add):
     return [SweepPoint(func, {"x": x, "y": 1}) for x in range(n)]
 
 
+def free_port():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
 def agent_options(**kwargs):
     kwargs.setdefault("poll", 0.02)
     kwargs.setdefault("reconnect_budget", 10.0)
@@ -73,20 +80,35 @@ def drain_agents(agents, threads):
         thread.join(timeout=10)
 
 
+def serve_one_grid(store_path, points, port=0, retries=1, capture=True, **kwargs):
+    """A started service holding ``points`` as its one job (``.grid``)."""
+    kwargs.setdefault("lease_seconds", 5.0)
+    service = SweepService(store_path, port=port, **kwargs)
+    service.grid = service.submit(
+        "grid", list(enumerate(points)), retries=retries, capture=capture
+    )["grid"]
+    service.start()
+    return service
+
+
+def values_of(service):
+    """index -> value of every point the store has acknowledged."""
+    _, payloads, _ = service.results(service.grid)
+    return {index: load_result(blob)[0] for index, blob in payloads.items()}
+
+
 @pytest.fixture
-def coordinator_factory():
-    coordinators = []
+def coordinator_factory(tmp_path):
+    services = []
 
     def make(points, **kwargs):
-        kwargs.setdefault("lease_seconds", 5.0)
-        coordinator = SweepCoordinator(list(enumerate(points)), **kwargs)
-        coordinator.start()
-        coordinators.append(coordinator)
-        return coordinator
+        store = tmp_path / f"serve-{len(services)}" / "store.sqlite"
+        services.append(serve_one_grid(store, points, **kwargs))
+        return services[-1]
 
     yield make
-    for coordinator in coordinators:
-        coordinator.stop()
+    for service in services:
+        service.stop()
 
 
 class TestHandshake:
@@ -104,7 +126,8 @@ class TestHandshake:
         coordinator = coordinator_factory(points)
         conn = MiniRedisConnection(coordinator.host, coordinator.port)
         info = json.loads(conn.command("HELLO", "w1", json.dumps({"pid": 1})))
-        assert info["grid"] == grid_signature(list(enumerate(points)))
+        # Assignments, not HELLO, name the grid: a service may hold many.
+        assert info["grid"] == MULTI_GRID and info["jobs"] == 1
         assert info["n_points"] == 3 and info["remaining"] == 3
         conn.close()
 
@@ -121,13 +144,12 @@ class TestDistributedRun:
         points = make_points(8)
         coordinator = coordinator_factory(points)
         agents, threads = run_agents(coordinator.address, n=2)
-        outcome = coordinator.serve(poll=0.02)
+        coordinator.serve_forever(poll=0.02, until=coordinator.grid)
         drain_agents(agents, threads)
 
-        assert outcome.completed == 8
-        assert sorted(outcome.results) == list(range(8))
-        assert [outcome.results[i][0] for i in range(8)] == [x + 1 for x in range(8)]
-        assert sum(e["completed"] for e in outcome.workers.values()) == 8
+        assert coordinator.jobs[coordinator.grid].state == JOB_DONE
+        assert values_of(coordinator) == {x: x + 1 for x in range(8)}
+        assert sum(e["completed"] for e in coordinator.workers.values()) == 8
 
     def test_telemetry_snapshots_ship_back(self, coordinator_factory):
         points = [
@@ -135,10 +157,11 @@ class TestDistributedRun:
         ]
         coordinator = coordinator_factory(points, capture=True)
         agents, threads = run_agents(coordinator.address, n=1)
-        outcome = coordinator.serve(poll=0.02)
+        coordinator.serve_forever(poll=0.02, until=coordinator.grid)
         drain_agents(agents, threads)
+        _, payloads, _ = coordinator.results(coordinator.grid)
         for index in range(3):
-            value, snapshot = outcome.results[index]
+            value, snapshot = load_result(payloads[index])
             assert value == points[index].kwargs["x"] + 2
             assert snapshot is not None
 
@@ -147,33 +170,37 @@ class TestDistributedRun:
         points = [SweepPoint(flaky_once, {"x": x}) for x in range(3)]
         coordinator = coordinator_factory(points, retries=2)
         agents, threads = run_agents(coordinator.address, n=1)
-        outcome = coordinator.serve(poll=0.02)
+        coordinator.serve_forever(poll=0.02, until=coordinator.grid)
         drain_agents(agents, threads)
-        assert outcome.completed == 3
-        assert outcome.requeues == 0  # absorbed by local retries
+        job = coordinator.jobs[coordinator.grid]
+        assert job.executed == 3
+        assert job.requeues == 0  # absorbed by local retries
         assert agents[0].report.local_retries == 3
 
-    def test_poison_point_raises_with_tracebacks(self, coordinator_factory):
+    def test_poison_point_raises_with_tracebacks(self):
         points = [SweepPoint(add, {"x": 1, "y": 1}), SweepPoint(always_boom, {"x": 9})]
         # poison_failures is high so quarantine can only come from the
         # two-distinct-workers rule (deterministic worker set below).
-        coordinator = coordinator_factory(
-            points, poison_workers=2, poison_failures=50, retries=0
+        address = f"127.0.0.1:{free_port()}"
+        engine = SweepEngine(
+            SweepOptions(
+                serve=address, poison_workers=2, poison_failures=50, retries=0
+            )
         )
-        agents, threads = run_agents(coordinator.address, n=2)
-        with pytest.raises(SweepPoisonedError) as excinfo:
-            coordinator.serve(poll=0.02)
-        drain_agents(agents, threads)
+        agents, threads = run_agents(address, n=2)
+        try:
+            with pytest.raises(SweepPoisonedError) as excinfo:
+                engine.run(points)
+        finally:
+            drain_agents(agents, threads)
 
         (cell,) = excinfo.value.poisoned
-        assert cell["index"] == 1
+        assert cell["index"] == 1 and cell["label"] == points[1].label
         assert "toxic cell 9" in cell["failures"][0]["error"]
         assert "always_boom" in cell["failures"][0]["traceback"]
         assert {f["worker"] for f in cell["failures"]} == {
             a.worker_id for a in agents
         }
-        # The healthy point still completed.
-        assert coordinator.outcome.results[0][0] == 2
 
 
 class TestFaultPaths:
@@ -187,13 +214,12 @@ class TestFaultPaths:
         ghost.close()
 
         agents, threads = run_agents(coordinator.address, n=1)
-        outcome = coordinator.serve(poll=0.02)
+        coordinator.serve_forever(poll=0.02, until=coordinator.grid)
         drain_agents(agents, threads)
-        assert outcome.completed == 2
-        assert outcome.reclaims >= 1
-        assert coordinator.table.records[0].leases >= 2 or (
-            coordinator.table.records[1].leases >= 2
-        )
+        table = coordinator.jobs[coordinator.grid].table
+        assert sorted(values_of(coordinator)) == [0, 1]
+        assert table.reclaims >= 1
+        assert table.records[0].leases >= 2 or table.records[1].leases >= 2
 
     def test_duplicate_done_is_acknowledged(self, coordinator_factory):
         from repro.sweep.dist.protocol import Assignment, dump_result
@@ -202,13 +228,29 @@ class TestFaultPaths:
         conn = MiniRedisConnection(coordinator.host, coordinator.port)
         conn.command("HELLO", "w1", "{}")
         assignment = Assignment.from_bytes(conn.command("CLAIM", "w1"))
-        assert assignment.grid == coordinator.signature
-        blob = dump_result(123, None)
-        args = ("w1", str(assignment.index), assignment.grid, blob)
-        assert conn.command("DONE", *args) == "OK"
-        assert conn.command("DONE", *args) == "DUPLICATE"
-        assert coordinator.outcome.duplicates == 1
-        assert coordinator.outcome.results[0][0] == 123  # first writer won
+        assert assignment.grid == coordinator.grid
+        first = ("w1", str(assignment.index), assignment.grid, dump_result(123, None))
+        late = ("w2", str(assignment.index), assignment.grid, dump_result(456, None))
+        assert conn.command("DONE", *first) == "OK"
+        assert conn.command("DONE", *late) == "DUPLICATE"
+        assert coordinator.duplicates == 1
+        assert values_of(coordinator) == {0: 123}  # first writer won
+        conn.close()
+
+    def test_unreadable_done_payload_is_rejected_before_commit(
+        self, coordinator_factory
+    ):
+        from repro.sweep.dist.protocol import Assignment, dump_result
+
+        coordinator = coordinator_factory(make_points(1))
+        conn = MiniRedisConnection(coordinator.host, coordinator.port)
+        assignment = Assignment.from_bytes(conn.command("CLAIM", "w1"))
+        done = ("DONE", "w1", str(assignment.index), assignment.grid)
+        with pytest.raises(ServerReplyError, match="unreadable result"):
+            conn.command(*done, b"not a result payload")
+        assert values_of(coordinator) == {}  # nothing reached the store
+        assert conn.command(*done, dump_result(7, None)) == "OK"
+        assert values_of(coordinator) == {0: 7}
         conn.close()
 
     def test_done_from_another_grid_is_discarded(self, coordinator_factory):
@@ -221,8 +263,8 @@ class TestFaultPaths:
         blob = dump_result(999, None)  # index 0 exists in *every* grid
         reply = conn.command("DONE", "w1", "0", "grid-from-a-previous-life", blob)
         assert reply == "STALE"
-        assert 0 not in coordinator.outcome.results
-        assert coordinator.outcome.stale_grid == 1
+        assert values_of(coordinator) == {}
+        assert coordinator.stale_grid == 1
         conn.close()
 
     def test_fail_from_another_grid_never_counts_toward_poison(
@@ -234,45 +276,40 @@ class TestFaultPaths:
         conn = MiniRedisConnection(coordinator.host, coordinator.port)
         payload = json.dumps({"error": "boom", "traceback": "tb"})
         assert conn.command("FAIL", "w1", "0", "other-grid", payload) == "STALE"
-        assert coordinator.table.records[0].failures == []
-        assert coordinator.outcome.stale_grid == 1
+        assert coordinator.jobs[coordinator.grid].table.records[0].failures == []
+        assert coordinator.stale_grid == 1
         conn.close()
 
-    def test_repeated_stale_fail_journals_poison_once(
-        self, coordinator_factory, tmp_path
-    ):
+    def test_repeated_stale_fail_journals_poison_once(self, coordinator_factory):
         coordinator = coordinator_factory(
-            make_points(1),
-            journal_dir=tmp_path / "journal",
-            poison_workers=2,
-            poison_failures=2,
+            make_points(1), poison_workers=2, poison_failures=2
         )
         conn = MiniRedisConnection(coordinator.host, coordinator.port)
-        grid = coordinator.signature
+        grid = coordinator.grid
         payload = json.dumps({"error": "boom", "traceback": "tb"})
         assert conn.command("FAIL", "w1", "0", grid, payload) == "REQUEUED"
         assert conn.command("FAIL", "w2", "0", grid, payload) == "POISONED"
-        # A third, stale FAIL is acknowledged but not re-journaled.
+        # A third, stale FAIL is acknowledged but not recorded again.
         assert conn.command("FAIL", "w3", "0", grid, payload) == "DUPLICATE"
-        text = coordinator._journal.path.read_text(encoding="utf-8")
-        assert text.count('"poisoned"') == 1
+        events = [e["event"] for e in coordinator.store.events(grid)]
+        assert events.count("poisoned") == 1
+        assert coordinator.jobs[grid].state == JOB_POISONED
         conn.close()
 
     def test_done_after_journal_close_is_an_error_reply_not_a_disconnect(
-        self, coordinator_factory, tmp_path
+        self, coordinator_factory
     ):
-        """Late submissions racing shutdown get -ERR, not a dead socket."""
+        """DONE after the store (the ``--journal`` directory's log) closed
+        is an -ERR reply, not a dropped connection."""
         from repro.sweep.dist.protocol import Assignment, dump_result
 
-        coordinator = coordinator_factory(
-            make_points(2), journal_dir=tmp_path / "journal"
-        )
+        coordinator = coordinator_factory(make_points(2))
         conn = MiniRedisConnection(coordinator.host, coordinator.port)
         conn.command("HELLO", "w1", "{}")
         assignment = Assignment.from_bytes(conn.command("CLAIM", "w1"))
-        coordinator._journal.close()  # what serve() does on drain/stop
+        coordinator.store.close()  # durability can no longer be promised
         blob = dump_result(1, None)
-        with pytest.raises(ServerReplyError, match="shutting down"):
+        with pytest.raises(ServerReplyError, match="is closed"):
             conn.command(
                 "DONE", "w1", str(assignment.index), assignment.grid, blob
             )
@@ -287,14 +324,14 @@ class TestFaultPaths:
 
         coordinator = coordinator_factory(make_points(1))
         agent = WorkerAgent(coordinator.address, agent_options())
-        # An index the coordinator does not serve, but with the right
-        # grid signature: the coordinator answers -ERR, and the agent
-        # must treat that as a discarded submission, not a crash.
+        # An index the job does not hold, but with the right grid
+        # signature: the service answers -ERR, and the agent must treat
+        # that as a discarded submission, not a crash.
         assignment = Assignment(
             index=77,
             point=make_points(1)[0],
             lease_seconds=1.0,
-            grid=coordinator.signature,
+            grid=coordinator.grid,
         )
         reply = agent._submit("DONE", assignment, dump_result(1, None))
         assert reply is None
@@ -337,41 +374,46 @@ class TestFaultPaths:
         assert agent.report.renews >= 1  # and renewals resumed on a fresh one
         agent._drop_conn()
 
-    def test_grid_swap_on_same_address_discards_stale_result(self):
-        """The reconnect budget rides out a coordinator swap; the old
-        grid's in-flight result must not land in the new grid."""
+    def test_grid_swap_on_same_address_discards_stale_result(self, tmp_path):
+        """The reconnect budget rides out one serving session ending and
+        the next starting on the same address; the old grid's in-flight
+        result must not land in the new grid."""
         from tests.sweep.dist_grid import slow_add
 
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-
-        grid_a = SweepCoordinator(
-            [(0, SweepPoint(slow_add, {"x": 100, "y": 1, "delay": 1.0}))],
+        port = free_port()
+        grid_a = serve_one_grid(
+            tmp_path / "a" / "store.sqlite",
+            [SweepPoint(slow_add, {"x": 100, "y": 1, "delay": 1.0})],
             port=port,
         )
-        grid_a.start()
         agent = WorkerAgent(
             f"127.0.0.1:{port}", agent_options(reconnect_budget=20.0)
         )
         thread = threading.Thread(target=agent.run, daemon=True)
         thread.start()
         try:
+            record = grid_a.jobs[grid_a.grid].table.records[0]
             deadline = time.monotonic() + 10
-            while (
-                time.monotonic() < deadline
-                and grid_a.table.records[0].state.value != "leased"
-            ):
+            while time.monotonic() < deadline and record.state.value != "leased":
                 time.sleep(0.01)
-            # Grid A's coordinator vanishes while the point is in flight
+            # Grid A's service vanishes while the point is in flight
             # and a *different* grid appears on the same address.
             grid_a.stop()
-            grid_b = SweepCoordinator(
-                [(0, SweepPoint(add, {"x": 0, "y": 5}))], port=port
+            grid_b = serve_one_grid(
+                tmp_path / "b" / "store.sqlite",
+                [SweepPoint(add, {"x": 0, "y": 5})],
+                port=port,
             )
-            grid_b.start()
             try:
-                outcome = grid_b.serve(poll=0.02)
+                grid_b.serve_forever(poll=0.02, until=grid_b.grid)
+                # Grid A's late DONE must reach B before the verdict.
+                deadline = time.monotonic() + 10
+                while (
+                    time.monotonic() < deadline
+                    and agent.report.stale_grid + grid_b.stale_grid < 1
+                ):
+                    time.sleep(0.02)
+                values = values_of(grid_b)
             finally:
                 grid_b.stop()
         finally:
@@ -379,15 +421,12 @@ class TestFaultPaths:
             thread.join(timeout=10)
 
         # Grid B got its own value, not grid A's 101 for the same index.
-        assert outcome.results[0][0] == 5
-        assert agent.report.stale_grid + grid_b.outcome.stale_grid >= 1
+        assert values == {0: 5}
+        assert agent.report.stale_grid + grid_b.stale_grid >= 1
 
     def test_worker_gives_up_when_coordinator_never_appears(self):
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            free_port = probe.getsockname()[1]
         agent = WorkerAgent(
-            f"127.0.0.1:{free_port}",
+            f"127.0.0.1:{free_port()}",
             WorkerOptions(poll=0.02, reconnect_budget=0.5, breaker_reset=0.1),
         )
         report = agent.run()
@@ -402,11 +441,8 @@ class TestFaultPaths:
         assert report.drained is True and report.completed == 0
 
     def test_drain_during_reconnect_is_not_giving_up(self):
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            free_port = probe.getsockname()[1]
         agent = WorkerAgent(
-            f"127.0.0.1:{free_port}",
+            f"127.0.0.1:{free_port()}",
             WorkerOptions(poll=0.02, reconnect_budget=30.0, breaker_reset=0.05),
         )
         thread = threading.Thread(target=agent.run, daemon=True)
@@ -422,13 +458,10 @@ class TestFaultPaths:
 
         from repro.sweep.dist import run_worker_process
 
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            free_port = probe.getsockname()[1]
         previous = signal_module.getsignal(signal_module.SIGTERM)
         try:
             code = run_worker_process(
-                f"127.0.0.1:{free_port}",
+                f"127.0.0.1:{free_port()}",
                 reconnect_budget=0.4,
                 poll=0.02,
                 quiet=True,
@@ -439,16 +472,11 @@ class TestFaultPaths:
 
 
 class TestEngineServe:
-    def _free_port(self):
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            return probe.getsockname()[1]
-
     def test_engine_serve_matches_serial(self):
         points = make_points(6)
         serial = SweepEngine(SweepOptions()).run(points)
 
-        port = self._free_port()
+        port = free_port()
         address = f"127.0.0.1:{port}"
         events = []
         options = SweepOptions(
@@ -469,12 +497,12 @@ class TestEngineServe:
 
     def test_engine_serve_resumes_from_journal(self, tmp_path):
         points = make_points(4)
-        port = self._free_port()
+        port = free_port()
         address = f"127.0.0.1:{port}"
         journal = tmp_path / "journal"
 
         # Session 1: one agent computes only 2 points, then the "run"
-        # stops (request_stop simulates a killed coordinator).
+        # stops (request_stop simulates a killed serving process).
         options = SweepOptions(serve=address, journal_dir=journal)
         engine = SweepEngine(options)
         agent = WorkerAgent(address, agent_options(max_points=2))
@@ -482,9 +510,9 @@ class TestEngineServe:
 
         def stop_after_agent():
             thread.join(timeout=10)
-            while engine._coordinator is None:
+            while engine._service is None:
                 time.sleep(0.01)
-            engine._coordinator.request_stop()
+            engine._service.request_stop()
 
         stopper = threading.Thread(target=stop_after_agent, daemon=True)
         thread.start()
@@ -493,7 +521,7 @@ class TestEngineServe:
             engine.run(points)
         stopper.join(timeout=10)
 
-        # Session 2: same journal -> the 2 done points replay, 2 execute.
+        # Session 2: same store -> the 2 done points replay, 2 execute.
         engine2 = SweepEngine(SweepOptions(serve=address, journal_dir=journal))
         agents, threads = run_agents(address, n=1)
         try:
@@ -502,6 +530,111 @@ class TestEngineServe:
             drain_agents(agents, threads)
         assert report.replayed == 2 and report.computed == 2
         assert report.values == [x + 1 for x in range(4)]
+
+    def _serve(self, points, address, **options):
+        """One ``serve`` session drained by two in-process agents."""
+        agents, threads = run_agents(address, n=2)
+        try:
+            return SweepEngine(SweepOptions(serve=address, **options)).run(points)
+        finally:
+            drain_agents(agents, threads)
+
+    def test_serial_serve_and_submit_agree_then_a_finished_journal_replays(
+        self, tmp_path
+    ):
+        import dataclasses
+
+        from repro.sweep import ResultCache
+
+        points = [
+            SweepPoint(traced_add, {"x": x, "y": 2}, telemetry=True) for x in range(5)
+        ]
+
+        def stored(cache_dir):
+            """Canonical bytes of every (value, snapshot) the run cached."""
+            cache = ResultCache(cache_dir)
+            entries = [cache.lookup(cache.key_for(point)) for point in points]
+            return json.dumps(
+                [[e["value"], dataclasses.asdict(e["snapshot"])] for e in entries],
+                sort_keys=True,
+            )
+
+        serial = SweepEngine(SweepOptions(cache_dir=tmp_path / "c-serial")).run(points)
+
+        address = f"127.0.0.1:{free_port()}"
+        journal = tmp_path / "journal"
+        served = self._serve(
+            points, address, journal_dir=journal, cache_dir=tmp_path / "c-serve"
+        )
+
+        service = SweepService(tmp_path / "standalone.sqlite")
+        loop = threading.Thread(
+            target=service.serve_forever, kwargs={"poll": 0.02}, daemon=True
+        )
+        loop.start()
+        agents, threads = run_agents(service.address, n=1)
+        try:
+            submitted = SweepEngine(
+                SweepOptions(submit=service.address, cache_dir=tmp_path / "c-submit")
+            ).run(points)
+        finally:
+            drain_agents(agents, threads)
+            service.request_stop()
+            loop.join(timeout=10)
+            service.stop()
+
+        assert serial.values == served.values == submitted.values
+        assert (
+            stored(tmp_path / "c-serial")
+            == stored(tmp_path / "c-serve")
+            == stored(tmp_path / "c-submit")
+        )
+        assert served.computed == 5 and served.replayed == 0
+
+        # Same journal, no workers at all: everything replays at once.
+        replay = []
+        session = threading.Thread(
+            target=lambda: replay.append(
+                SweepEngine(SweepOptions(serve=address, journal_dir=journal)).run(
+                    points
+                )
+            ),
+            daemon=True,
+        )
+        session.start()
+        session.join(timeout=10)
+        assert not session.is_alive(), "replay session waited for workers"
+        (report,) = replay
+        assert report.values == serial.values
+        assert report.computed == 0 and report.replayed == 5
+
+    def test_sigterm_handler_installed_from_c_is_restored_as_default(
+        self, tmp_path, monkeypatch
+    ):
+        import signal
+
+        points = make_points(2)
+        address = f"127.0.0.1:{free_port()}"
+        self._serve(points, address, journal_dir=tmp_path / "journal")
+
+        original = signal.getsignal(signal.SIGTERM)
+        real = signal.signal
+        handlers = []
+
+        def signal_with_c_handler(signum, handler):
+            handlers.append(handler)
+            previous = real(signum, handler)
+            # What signal.signal reports for a handler Python did not install.
+            return None if len(handlers) == 1 else previous
+
+        monkeypatch.setattr(signal, "signal", signal_with_c_handler)
+        try:
+            SweepEngine(
+                SweepOptions(serve=address, journal_dir=tmp_path / "journal")
+            ).run(points)
+        finally:
+            real(signal.SIGTERM, original)
+        assert handlers[-1] is signal.SIG_DFL
 
     def test_serve_and_parallel_are_exclusive(self):
         with pytest.raises(SweepError, match="mutually exclusive"):

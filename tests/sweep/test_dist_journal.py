@@ -1,117 +1,131 @@
-"""Crash-recovery journal: replay, torn tails, and signature safety."""
+"""The legacy JSONL journal format, as the one-shot importer reads it.
 
+``--serve`` no longer writes journals — its durable log is the
+:class:`SweepStore` in the ``--journal`` directory — so
+:func:`migrate_journal_file` is the only code that still parses the v1
+record stream. The format cases live on here against it: what a
+journal proved (``done``/``poisoned``) lands in the store, the lease
+lifecycle stays an audit trail, and a writer killed mid-append costs
+only its torn final record.
+"""
+
+import base64
 import json
+import pickle
 
 import pytest
 
-from repro.errors import SweepJournalError
-from repro.sweep.dist.journal import SweepJournal
-
+from repro.sweep.dist.store import JOB_CANCELLED, SweepStore, migrate_journal_file
 
 SIG = "a" * 64
 
 
-def make_journal(tmp_path, signature=SIG, n_points=4):
-    return SweepJournal(tmp_path / "journal", signature, n_points)
+def header(n_points=4):
+    return {
+        "type": "header",
+        "format": "repro-sweep-journal-v1",
+        "grid": SIG,
+        "n_points": n_points,
+    }
+
+
+def done(index, value, snapshot=None):
+    payload = pickle.dumps({"value": value, "snapshot": snapshot})
+    return {
+        "type": "done",
+        "index": index,
+        "payload": base64.b64encode(payload).decode("ascii"),
+    }
+
+
+def poisoned(index):
+    return {
+        "type": "poisoned",
+        "index": index,
+        "failures": [{"worker": "w", "error": "boom"}],
+    }
+
+
+def write_journal(tmp_path, records, tail=""):
+    path = tmp_path / f"{SIG[:24]}.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records) + tail)
+    return path
+
+
+def imported_values(store):
+    return {
+        index: pickle.loads(blob)["value"]
+        for index, blob in store.done_payloads(SIG).items()
+    }
+
+
+@pytest.fixture
+def store(tmp_path):
+    with SweepStore(tmp_path / "store.sqlite") as store:
+        yield store
 
 
 class TestRoundTrip:
-    def test_empty_journal_replays_empty(self, tmp_path):
-        journal = make_journal(tmp_path)
-        state = journal.replay()
-        assert state.done == {} and state.poisoned == {} and state.sessions == 0
+    def test_empty_journal_replays_empty(self, store, tmp_path):
+        assert migrate_journal_file(store, write_journal(tmp_path, [])) is None
+        assert migrate_journal_file(store, tmp_path / "missing.jsonl") is None
+        assert store.jobs() == []
 
-    def test_done_records_round_trip(self, tmp_path):
-        journal = make_journal(tmp_path)
-        journal.open_session()
-        journal.record_done(0, {"metric": 1.5}, None)
-        journal.record_done(2, [1, 2, 3], {"spans": []})
-        journal.close()
+    def test_done_records_round_trip(self, store, tmp_path):
+        journal = write_journal(
+            tmp_path,
+            [header(), done(0, {"metric": 1.5}), done(2, [1, 2, 3], {"spans": []})],
+        )
+        assert migrate_journal_file(store, journal) == SIG
+        payloads = store.done_payloads(SIG)
+        assert pickle.loads(payloads[0]) == {"value": {"metric": 1.5}, "snapshot": None}
+        assert pickle.loads(payloads[2]) == {
+            "value": [1, 2, 3],
+            "snapshot": {"spans": []},
+        }
 
-        state = make_journal(tmp_path).replay()
-        assert state.done[0] == ({"metric": 1.5}, None)
-        assert state.done[2] == ([1, 2, 3], {"spans": []})
-        assert state.sessions == 1
+    def test_poisoned_records_survive_unless_later_done(self, store, tmp_path):
+        journal = write_journal(
+            tmp_path,
+            # Point 3 was quarantined, then a later session succeeded.
+            [header(), poisoned(1), poisoned(3), done(3, "fixed")],
+        )
+        migrate_journal_file(store, journal)
+        assert sorted(store.poisoned_points(SIG)) == [1]
+        assert imported_values(store) == {3: "fixed"}
 
-    def test_poisoned_records_survive_unless_later_done(self, tmp_path):
-        journal = make_journal(tmp_path)
-        journal.open_session()
-        journal.record_poisoned(1, [{"worker": "w", "error": "boom"}])
-        journal.record_poisoned(3, [{"worker": "w", "error": "boom"}])
-        journal.record_done(3, "fixed", None)  # later session succeeded
-        journal.close()
+    def test_each_session_appends_a_header(self, store, tmp_path):
+        # Three sessions of one grid are one job, not three.
+        journal = write_journal(
+            tmp_path, [header(), done(0, 1), header(), header(), done(1, 2)]
+        )
+        migrate_journal_file(store, journal)
+        (job,) = store.jobs()
+        assert job["grid"] == SIG and job["n_points"] == 4
+        assert imported_values(store) == {0: 1, 1: 2}
 
-        state = make_journal(tmp_path).replay()
-        assert 1 in state.poisoned and 3 not in state.poisoned
-        assert state.done[3] == ("fixed", None)
-
-    def test_each_session_appends_a_header(self, tmp_path):
-        for _ in range(3):
-            journal = make_journal(tmp_path)
-            journal.replay()
-            journal.open_session()
-            journal.close()
-        assert make_journal(tmp_path).replay().sessions == 3
-
-    def test_transitions_are_audit_only(self, tmp_path):
-        journal = make_journal(tmp_path)
-        journal.open_session()
-        journal.record_transition("lease", 0, "w1")
-        journal.record_transition("reclaim", 0, None)
-        journal.close()
-        state = make_journal(tmp_path).replay()
-        assert state.done == {}
-        assert state.records == 3  # header + 2 transitions
+    def test_transitions_are_audit_only(self, store, tmp_path):
+        journal = write_journal(
+            tmp_path,
+            [
+                header(),
+                {"type": "lease", "index": 0, "worker": "w1"},
+                {"type": "reclaim", "index": 0, "worker": None},
+            ],
+        )
+        migrate_journal_file(store, journal)
+        assert store.done_payloads(SIG) == {}
+        assert store.job(SIG)["state"] == JOB_CANCELLED  # it never finished
+        events = [(e["event"], e["idx"]) for e in store.events(SIG)]
+        assert ("lease", 0) in events and ("reclaim", 0) in events
 
 
 class TestCorruption:
-    def test_torn_tail_is_tolerated(self, tmp_path):
-        journal = make_journal(tmp_path)
-        journal.open_session()
-        journal.record_done(0, 42, None)
-        journal.close()
-        with open(journal.path, "a", encoding="utf-8") as fh:
-            fh.write('{"type": "done", "index": 1, "payl')  # killed mid-append
-
-        state = make_journal(tmp_path).replay()
-        assert state.done == {0: (42, None)}
-
-    def test_mid_file_corruption_raises(self, tmp_path):
-        journal = make_journal(tmp_path)
-        journal.open_session()
-        journal.close()
-        with open(journal.path, "a", encoding="utf-8") as fh:
-            fh.write("NOT JSON AT ALL\n")
-            fh.write(json.dumps({"type": "done", "index": 0, "payload": ""}) + "\n")
-        with pytest.raises(SweepJournalError, match="corrupt"):
-            make_journal(tmp_path).replay()
-
-    def test_grid_signature_mismatch_raises(self, tmp_path):
-        journal = make_journal(tmp_path, signature=SIG)
-        journal.open_session()
-        journal.close()
-        # Same prefix -> same file name, different full signature.
-        other = SweepJournal(tmp_path / "journal", SIG[:24] + "b" * 40, 4)
-        with pytest.raises(SweepJournalError, match="belongs to grid"):
-            other.replay()
-
-    def test_unknown_format_raises(self, tmp_path):
-        journal = make_journal(tmp_path)
-        journal.path.write_text(
-            json.dumps({"type": "header", "format": "v999", "grid": SIG}) + "\n"
+    def test_torn_tail_is_tolerated(self, store, tmp_path):
+        journal = write_journal(
+            tmp_path,
+            [header(), done(0, 42)],
+            tail='{"type": "done", "index": 1, "payl',  # killed mid-append
         )
-        with pytest.raises(SweepJournalError, match="format"):
-            journal.replay()
-
-    def test_unreadable_done_payload_raises(self, tmp_path):
-        journal = make_journal(tmp_path)
-        journal.path.write_text(
-            json.dumps({"type": "done", "index": 0, "payload": "!!!"}) + "\n"
-        )
-        with pytest.raises(SweepJournalError, match="unreadable"):
-            journal.replay()
-
-    def test_append_without_session_raises(self, tmp_path):
-        journal = make_journal(tmp_path)
-        with pytest.raises(SweepJournalError, match="not open"):
-            journal.record_done(0, 1, None)
+        migrate_journal_file(store, journal)
+        assert imported_values(store) == {0: 42}

@@ -1,9 +1,10 @@
-"""Chaos tests with real processes: SIGKILL workers and the coordinator.
+"""Chaos tests with real processes: SIGKILL workers and the serving sweep.
 
 These are the acceptance criteria for the distributed sweep: the grid
-must survive a worker dying mid-point (lease steal) and a coordinator
-dying mid-grid (journal replay), and the final values must be identical
-to a serial run. Everything runs as subprocesses so the kills are real.
+must survive a worker dying mid-point (lease steal) and the serving
+process dying mid-grid (replay from the store in its ``--journal``
+directory), and the final values must be identical to a serial run.
+Everything runs as subprocesses so the kills are real.
 """
 
 import json
@@ -183,8 +184,8 @@ def test_coordinator_sigkill_then_restart_resumes_from_journal(tmp_path):
     workers = [_spawn_worker(address, rank) for rank in range(2)]
     second = None
     try:
-        # Let a few points land in the journal, then kill the
-        # coordinator without warning.
+        # Let a few points land in the store, then kill the serving
+        # process without warning.
         _wait_for(
             lambda: len(_read_log(log)) >= 3,
             timeout=30,
@@ -194,7 +195,7 @@ def test_coordinator_sigkill_then_restart_resumes_from_journal(tmp_path):
         first.wait(timeout=10)
 
         # Workers are now reconnect-looping against a dead address;
-        # a restarted coordinator with the same journal picks them up.
+        # a restarted sweep on the same journal directory picks them up.
         time.sleep(0.3)
         second = _spawn_coordinator(spec)
         data = _finish(second)
@@ -202,9 +203,9 @@ def test_coordinator_sigkill_then_restart_resumes_from_journal(tmp_path):
         _reap(first, *(p for p in [second] if p), *workers)
 
     assert data["values"] == _serial_values(n)
-    assert data["replayed"] >= 1  # journal saved completed work
+    assert data["replayed"] >= 1  # the store saved completed work
     assert data["replayed"] + data["computed"] == n
-    # Journaled points never re-execute. Only points in flight when the
-    # coordinator died (at most one per worker) may run twice.
+    # Acknowledged points never re-execute. Only points in flight when
+    # the serving process died (at most one per worker) may run twice.
     executions = len(_read_log(log))
     assert n <= executions <= n + len(workers)

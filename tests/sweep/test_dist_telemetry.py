@@ -1,7 +1,7 @@
 """Fleet observability: trace propagation, rates/METRICS, SPANS, watch.
 
 Unit layers use injectable clocks (no sleeps, no sockets); the
-integration layer runs real coordinator+worker fleets over TCP and
+integration layer runs real service+worker fleets over TCP and
 asserts the merged artifacts — deterministic snapshot merges, the
 fleet Chrome trace, and the Prometheus scrape.
 """
@@ -12,11 +12,11 @@ import threading
 
 import pytest
 
-from repro.errors import BackendUnavailableError, SweepError, SweepPoisonedError
+from repro.errors import BackendUnavailableError, SweepError
 from repro.sweep import SweepEngine, SweepOptions, SweepPoint
 from repro.sweep.dist import (
     EwmaRate,
-    SweepCoordinator,
+    SweepService,
     WorkerAgent,
     WorkerOptions,
     prometheus_exposition,
@@ -96,7 +96,7 @@ class TestEwmaRate:
 
     def test_observe_without_claim_anchors_silently(self):
         rate = EwmaRate()
-        rate.observe(10.0)  # journal-replay path: no claim preceded it
+        rate.observe(10.0)  # a steal's late DONE: no claim preceded it
         assert rate.current(10.0) == 0.0
         rate.observe(11.0)
         assert rate.current(11.0) == pytest.approx(1.0)
@@ -194,16 +194,31 @@ class TestSpansPayload:
         assert span["category"] == "point" and span["args"] == {}
 
 
-# -- Coordinator observability (no sockets, fake clocks) --------------------
-def make_coordinator(n=3, func=plain, **kwargs):
-    points = [SweepPoint(func, {"x": i}) for i in range(n)]
-    clock = FakeClock(0.0)
-    wall = FakeClock(1000.0)
-    kwargs.setdefault("lease_seconds", 5.0)
-    coordinator = SweepCoordinator(
-        list(enumerate(points)), port=0, clock=clock, wall=wall, **kwargs
-    )
-    return coordinator, clock, wall
+# -- Serving-side observability (no sockets, fake clocks) -------------------
+@pytest.fixture
+def make_coordinator(tmp_path):
+    """The embedded ``--serve`` service: one grid (``.grid``), fleet trace on."""
+    services = []
+
+    def make(n=3, func=plain, **kwargs):
+        points = [SweepPoint(func, {"x": i}) for i in range(n)]
+        clock = FakeClock(0.0)
+        wall = FakeClock(1000.0)
+        kwargs.setdefault("lease_seconds", 5.0)
+        kwargs.setdefault("fleet_path", tmp_path / "serve-fleet.json")
+        service = SweepService(
+            tmp_path / f"store-{len(services)}.sqlite",
+            clock=clock,
+            wall=wall,
+            **kwargs,
+        )
+        service.grid = service.submit("grid", list(enumerate(points)))["grid"]
+        services.append(service)
+        return service, clock, wall
+
+    yield make
+    for service in services:
+        service.stop()
 
 
 def hello(coordinator, worker="w1", host="nodeA", pid=7):
@@ -218,22 +233,21 @@ def claim(coordinator, worker="w1") -> Assignment:
 
 
 class TestCoordinatorTraceContext:
-    def test_claim_is_stamped_with_trace_and_span_ids(self):
+    def test_claim_is_stamped_with_trace_and_span_ids(self, make_coordinator):
         coordinator, _, _ = make_coordinator()
         hello(coordinator)
         assignment = claim(coordinator)
-        assert assignment.trace_id == coordinator.trace_id
-        assert assignment.trace_id == coordinator.signature[:16]
+        assert assignment.trace_id == coordinator.grid[:16]
         assert assignment.span_id == f"{assignment.index}/1"
 
-    def test_lease_lifetime_becomes_a_coordinator_span(self):
+    def test_lease_lifetime_becomes_a_coordinator_span(self, make_coordinator):
         coordinator, clock, wall = make_coordinator()
         hello(coordinator)
         assignment = claim(coordinator)
         clock.advance(1.0)
         wall.advance(2.5)
         coordinator._handle_done(
-            "w1", assignment.index, coordinator.signature, dump_result(0, None)
+            "w1", assignment.index, coordinator.grid, dump_result(0, None)
         )
         (span,) = [s for s in coordinator.fleet.spans if s.category == "lease"]
         assert span.pid == "coordinator"
@@ -243,19 +257,19 @@ class TestCoordinatorTraceContext:
         assert span.args["worker"] == "w1"
         assert span.args["span_id"] == assignment.span_id
 
-    def test_reclaim_emits_steal_instant_and_closes_the_span(self):
+    def test_reclaim_emits_steal_instant_and_closes_the_span(self, make_coordinator):
         coordinator, clock, wall = make_coordinator()
         hello(coordinator)
         claim(coordinator)
         clock.advance(10.0)  # past the 5s lease
         wall.advance(10.0)
-        coordinator.table.reclaim_expired()
+        coordinator.jobs[coordinator.grid].table.reclaim_expired()
         instants = [i.name for i in coordinator.fleet.instants]
         assert "steal" in instants
         (span,) = [s for s in coordinator.fleet.spans if s.category == "lease"]
         assert span.args["outcome"] == "reclaim"
 
-    def test_worker_spans_file_under_hello_identity_track(self):
+    def test_worker_spans_file_under_hello_identity_track(self, make_coordinator):
         coordinator, _, _ = make_coordinator()
         hello(coordinator, worker="w1", host="nodeA", pid=7)
         reply = coordinator._handle_spans(
@@ -269,7 +283,7 @@ class TestCoordinatorTraceContext:
         assert span.pid == "worker nodeA:7"
         assert span.args["k"] == 1
 
-    def test_spans_from_unknown_worker_use_fallback_track(self):
+    def test_spans_from_unknown_worker_use_fallback_track(self, make_coordinator):
         coordinator, _, _ = make_coordinator()
         coordinator._handle_spans(
             "ghost", dump_spans([{"name": "p1", "start": 1.0, "end": 2.0}])
@@ -279,7 +293,7 @@ class TestCoordinatorTraceContext:
 
 
 class TestCoordinatorRatesAndStatus:
-    def test_status_gains_rates_remaining_and_poison_sections(self):
+    def test_status_gains_rates_remaining_and_poison_sections(self, make_coordinator):
         coordinator, clock, _ = make_coordinator()
         hello(coordinator)
         assignment = claim(coordinator)
@@ -290,39 +304,54 @@ class TestCoordinatorRatesAndStatus:
         entry = status["rates"]["w1"]
         assert entry["lease_age_seconds"] == pytest.approx(2.0)
         coordinator._handle_done(
-            "w1", assignment.index, coordinator.signature, dump_result(0, None)
+            "w1", assignment.index, coordinator.grid, dump_result(0, None)
         )
         status = coordinator.status()
         assert status["rates"]["w1"]["points_per_second"] == pytest.approx(0.5)
         assert status["rates"]["w1"]["lease_age_seconds"] is None
         assert status["workers"]["w1"]["track"] == "worker nodeA:7"
 
-    def test_metrics_command_returns_prometheus_text(self):
+    def test_metrics_command_returns_prometheus_text(self, make_coordinator):
         coordinator, clock, _ = make_coordinator()
         hello(coordinator)
         assignment = claim(coordinator)
         clock.advance(1.0)
         coordinator._handle_done(
-            "w1", assignment.index, coordinator.signature, dump_result(0, None)
+            "w1", assignment.index, coordinator.grid, dump_result(0, None)
         )
         reply = coordinator._dispatch("METRICS", [])
         text = bulk_payload(reply).decode()
         assert "repro_sweep_executed_total 1" in text
         assert 'repro_sweep_worker_rate_points_per_second{worker="w1"} 1' in text
 
-    def test_flight_ring_narrates_the_protocol(self):
+    def test_flight_ring_narrates_the_protocol(self, make_coordinator):
         coordinator, _, _ = make_coordinator()
         hello(coordinator)
         assignment = claim(coordinator)
         coordinator._handle_done(
-            "w1", assignment.index, coordinator.signature, dump_result(0, None)
+            "w1", assignment.index, coordinator.grid, dump_result(0, None)
         )
         names = [e["event"] for e in coordinator.flight.events()]
-        assert names == ["hello", "lease", "done"]
+        assert names == ["submit", "hello", "lease", "done"]
+
+    def test_long_lived_service_holds_no_lease_spans(self, make_coordinator):
+        # The tracer is unbounded: without a fleet-trace destination a
+        # standalone service must not grow with every lease it grants.
+        service, _, _ = make_coordinator(n=200, fleet_path=None)
+        hello(service)
+        for _ in range(200):
+            assignment = claim(service)
+            reply = service._handle_done(
+                "w1", assignment.index, service.grid, dump_result(0, None)
+            )
+            assert reply == b"+OK\r\n"
+        assert service.jobs[service.grid].state == "done"
+        assert service.fleet.spans == [] and service.fleet.instants == []
+        assert service._lease_open == {}
 
 
 class TestFleetTraceWriter:
-    def test_open_leases_are_closed_at_write_time(self, tmp_path):
+    def test_open_leases_are_closed_at_write_time(self, make_coordinator, tmp_path):
         coordinator, _, wall = make_coordinator()
         hello(coordinator)
         claim(coordinator)
@@ -335,13 +364,13 @@ class TestFleetTraceWriter:
         assert lease["args"]["outcome"] == "open"
         assert lease["dur"] == pytest.approx(3.0 * 1e6)
 
-    def test_trace_has_named_sorted_tracks(self, tmp_path):
+    def test_trace_has_named_sorted_tracks(self, make_coordinator, tmp_path):
         coordinator, _, wall = make_coordinator()
         hello(coordinator, worker="w1", host="nodeA", pid=7)
         assignment = claim(coordinator)
         wall.advance(1.0)
         coordinator._handle_done(
-            "w1", assignment.index, coordinator.signature, dump_result(0, None)
+            "w1", assignment.index, coordinator.grid, dump_result(0, None)
         )
         coordinator._handle_spans(
             "w1", dump_spans([{"name": "p0", "start": 1000.0, "end": 1001.0}])
@@ -363,28 +392,25 @@ class TestFleetTraceWriter:
         assert set(by_name) == {"coordinator", "worker nodeA:7"}
         assert by_name["coordinator"] < by_name["worker nodeA:7"]
 
-    def test_poisoned_serve_dumps_the_flight_recorder(self, tmp_path):
-        coordinator, _, _ = make_coordinator(
-            n=1, poison_workers=1, poison_failures=1
-        )
+    def test_poisoned_serve_dumps_the_flight_recorder(self, make_coordinator, tmp_path):
         dump_path = tmp_path / "postmortem.json"
-        coordinator.flight_path = dump_path
+        coordinator, _, _ = make_coordinator(
+            n=1, poison_workers=1, poison_failures=1, flight_path=dump_path
+        )
         hello(coordinator)
         assignment = claim(coordinator)
         coordinator._handle_fail(
             "w1",
             assignment.index,
-            coordinator.signature,
+            coordinator.grid,
             json.dumps({"error": "ValueError: toxic"}),
         )
-        try:
-            with pytest.raises(SweepPoisonedError):
-                coordinator.serve(poll=0.01)
-        finally:
-            coordinator.stop()
+        coordinator.serve_forever(poll=0.01, until=coordinator.grid)
         payload = json.loads(dump_path.read_text())
         assert payload["reason"] == "poison"
-        assert [e["event"] for e in payload["events"]][:2] == ["hello", "lease"]
+        assert [e["event"] for e in payload["events"]][:4] == [
+            "submit", "hello", "lease", "poison",
+        ]
 
 
 # -- Watch console ----------------------------------------------------------
@@ -447,7 +473,7 @@ class TestWatchRendering:
         assert "grid drained." in stream.getvalue()
 
     def test_watch_treats_gone_after_contact_as_run_end(self):
-        # The coordinator exits sub-seconds after its last DONE; a
+        # A serving sweep exits sub-seconds after its last DONE; a
         # watcher that polled mid-grid then lost it must not fail.
         import io
 
@@ -634,13 +660,15 @@ class TestFleetIntegration:
 
     def test_metrics_scrape_and_fleet_trace_from_live_run(self, tmp_path):
         points = [SweepPoint(plain, {"x": x}) for x in range(6)]
-        coordinator = SweepCoordinator(
-            list(enumerate(points)), lease_seconds=5.0
+        coordinator = SweepService(
+            tmp_path / "store.sqlite",
+            lease_seconds=5.0,
+            fleet_path=tmp_path / "serve-fleet.json",
         )
-        coordinator.start()
+        grid = coordinator.submit("grid", list(enumerate(points)))["grid"]
         agents, threads = run_agents(coordinator.address, n=2)
         try:
-            outcome = coordinator.serve(poll=0.02)
+            coordinator.serve_forever(poll=0.02, until=grid)
             conn = MiniRedisConnection(coordinator.host, coordinator.port)
             metrics = conn.command("METRICS")
             status = fetch_status(coordinator.address)
@@ -652,7 +680,7 @@ class TestFleetIntegration:
             if isinstance(metrics, (bytes, bytearray))
             else str(metrics)
         )
-        assert outcome.completed == 6
+        assert coordinator.jobs[grid].state == "done"
         assert "repro_sweep_executed_total 6" in text
         for agent in agents:
             assert f'worker="{agent.worker_id}"' in text

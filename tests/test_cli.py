@@ -358,6 +358,24 @@ def test_sweep_flag_validation_errors():
             main(argv)
 
 
+def test_sweep_serve_refuses_a_legacy_jsonl_journal_dir(tmp_path):
+    from repro.errors import ConfigError
+    from repro.sweep.dist.store import STORE_FILENAME
+
+    journal = tmp_path / "journal"
+    journal.mkdir()
+    (journal / ("a" * 24 + ".jsonl")).write_text('{"type": "header"}\n')
+    argv = ["sweep", "fig5", "--serve", "127.0.0.1:1", "--journal", str(journal)]
+    # Serving would silently recompute what the old log acknowledged.
+    with pytest.raises(ConfigError, match=f"--migrate-history --journal {journal}"):
+        main(argv)
+    # Once a store sits beside them the directory is the new format.
+    (journal / STORE_FILENAME).write_bytes(b"")
+    from repro.cli import _validate_sweep_args, build_parser
+
+    _validate_sweep_args(build_parser().parse_args(argv))
+
+
 def test_sweep_migrate_history_imports_jsonl(tmp_path, capsys):
     import json
 
