@@ -35,6 +35,10 @@ Report schema (``schema_version`` 1)::
         "submits_per_sec": r, "claims_per_sec": r
       },
       "telemetry": {"adds": N, "seconds": s, "eventlog_adds_per_sec": r},
+      "transport": {
+        "payload_mib": 8.0,
+        "staging_mb_per_s": {"kvfile": r, "redis": r, "dragon": r}
+      },
       "experiments": {"fig3": {"seconds": s}, ...},
       "peak_rss_bytes": B
     }
@@ -217,6 +221,46 @@ def run_eventlog_benchmark(adds: int = 200_000, repeats: int = 5) -> dict[str, f
     return {"adds": float(adds), "seconds": best, "eventlog_adds_per_sec": adds / best}
 
 
+# -- real staging throughput -------------------------------------------------
+def run_staging_benchmark(payload_mib: int = 8, repeats: int = 5) -> dict[str, Any]:
+    """MiB/s of one ``stage_write`` + ``stage_read`` per real substrate.
+
+    A ``payload_mib`` MiB float64 array through ``ServerManager`` +
+    ``DataStore`` (servers in-process, kvfile under the temp directory),
+    best of ``repeats`` after one warm-up pair; both directions count as
+    moved bytes. The only real byte-moving in the report — shown in the
+    delta table, never gated (it is as much the host's memory and
+    loopback bandwidth as this code).
+    """
+    import tempfile
+
+    import numpy as np
+
+    from repro.transport.datastore import DataStore
+    from repro.transport.server import ServerManager
+
+    array = np.random.default_rng(0).random(payload_mib * (1 << 20) // 8)
+    rates: dict[str, float] = {}
+    with tempfile.TemporaryDirectory(prefix="repro-bench-staging-") as tmp:
+        for backend, row in (("node-local", "kvfile"), ("redis", "redis"), ("dragon", "dragon")):
+            config = {"backend": backend}
+            if backend == "node-local":
+                config["path"] = tmp
+            with ServerManager(f"bench-{row}", config=config) as manager:
+                with DataStore("bench", server_info=manager.get_server_info()) as store:
+                    best = float("inf")
+                    for i in range(repeats + 1):
+                        begin = time.perf_counter()
+                        store.stage_write("snap", array)
+                        value = store.stage_read("snap")
+                        if i:  # the first pair opens connections and faults pages in
+                            best = min(best, time.perf_counter() - begin)
+                    if not np.array_equal(value, array):
+                        raise RuntimeError(f"{backend} read back a different array")
+            rates[row] = 2 * payload_mib / best
+    return {"payload_mib": float(payload_mib), "staging_mb_per_s": rates}
+
+
 # -- sweep service throughput -----------------------------------------------
 def _bench_point(x: float) -> float:
     """Trivial grid point for the service bench (must be importable)."""
@@ -342,6 +386,7 @@ def collect(quick: bool = False, repeats: int = 5) -> dict[str, Any]:
     des["shard_scaling"] = run_shard_scaling_benchmark()
     service = run_service_benchmark()
     telemetry = run_eventlog_benchmark(repeats=repeats)
+    transport = run_staging_benchmark(repeats=repeats)
     experiments = run_experiment_rounds(names)
     return {
         "schema_version": 1,
@@ -353,6 +398,7 @@ def collect(quick: bool = False, repeats: int = 5) -> dict[str, Any]:
         "des": des,
         "service": service,
         "telemetry": telemetry,
+        "transport": transport,
         "experiments": experiments,
         "peak_rss_bytes": peak_rss_bytes(),
     }
@@ -446,6 +492,17 @@ def delta_table(current: dict[str, Any], baseline: dict[str, Any]) -> str:
                 _fmt_delta(cur_adds, base_adds, True),
             )
         )
+    base_staging = baseline.get("transport", {}).get("staging_mb_per_s", {})
+    for name, cur in current.get("transport", {}).get("staging_mb_per_s", {}).items():
+        if base_staging.get(name):
+            rows.append(
+                (
+                    f"transport.staging_mb_per_s.{name}",
+                    f"{base_staging[name]:,.0f}",
+                    f"{cur:,.0f}",
+                    _fmt_delta(cur, base_staging[name], True),
+                )
+            )
     for name, cur in current.get("experiments", {}).items():
         base = baseline.get("experiments", {}).get(name)
         if base is None:
@@ -609,6 +666,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(
             f"telemetry.eventlog_adds_per_sec: "
             f"{telemetry['eventlog_adds_per_sec']:,.0f} ({telemetry['adds']:.0f} adds)"
+        )
+    transport = payload.get("transport", {})
+    for name, rate in transport.get("staging_mb_per_s", {}).items():
+        print(
+            f"transport.staging_mb_per_s.{name}: {rate:,.0f} MiB/s "
+            f"({transport['payload_mib']:.0f} MiB written and read back)"
         )
     for name, numbers in payload["experiments"].items():
         print(f"{name}: {numbers['seconds']:.2f} s")

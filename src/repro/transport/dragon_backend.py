@@ -19,6 +19,10 @@ Frame format (little endian)::
 
 ops: 1=PUT 2=GET 3=DEL 4=HAS 5=KEYS 6=CLEAR 7=PING
 status: 0=ok 1=missing 2=error (payload = utf-8 message)
+
+Every declared length is bounded by :data:`MAX_FRAME_BYTES` before a
+buffer of that size is allocated: a shard answers an oversized request
+with ``STATUS_ERROR`` and closes, a client drops the connection.
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ from repro.errors import (
 )
 from repro.transport.base import DataStoreClient
 from repro.transport.kvfile import crc32_shard
-from repro.transport.serializer import deserialize, serialize
+from repro.transport.resp import MAX_BULK_BYTES as MAX_FRAME_BYTES
+from repro.transport.serializer import deserialize, serialize_parts
+from repro.transport.wire import Blob, Buffer, as_parts, nbytes, recv_exact, send_parts
 
 OP_PUT, OP_GET, OP_DEL, OP_HAS, OP_KEYS, OP_CLEAR, OP_PING = range(1, 8)
 STATUS_OK, STATUS_MISSING, STATUS_ERROR = 0, 1, 2
@@ -44,26 +50,14 @@ STATUS_OK, STATUS_MISSING, STATUS_ERROR = 0, 1, 2
 _REQ_HEADER = struct.Struct("<BI")
 _VAL_HEADER = struct.Struct("<Q")
 _RESP_HEADER = struct.Struct("<BQ")
-_RECV_CHUNK = 1 << 16
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining > 0:
-        data = sock.recv(min(remaining, _RECV_CHUNK))
-        if not data:
-            raise BackendUnavailableError("connection closed mid-frame")
-        chunks.append(data)
-        remaining -= len(data)
-    return b"".join(chunks)
-
 
 class DragonShardServer:
     """One shard of the distributed dictionary."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._data: dict[str, bytes] = {}
+        # Values are kept as received and only ever replaced: GET replies
+        # are sent from them after the lock is dropped.
+        self._data: dict[str, Buffer] = {}
         self._data_lock = threading.Lock()  # short, per-mutation only
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -141,6 +135,7 @@ class DragonShardServer:
                 target=self._serve_connection, args=(conn,), daemon=True
             )
             thread.start()
+            self._conn_threads = [t for t in self._conn_threads if t.is_alive()]
             self._conn_threads.append(thread)
 
     def _serve_connection(self, conn: socket.socket) -> None:
@@ -149,19 +144,21 @@ class DragonShardServer:
             self._open_conns.add(conn)
         try:
             while self._running.is_set():
-                try:
-                    header = _recv_exact(conn, _REQ_HEADER.size)
-                except ServerError:
+                op, key_len = _REQ_HEADER.unpack(recv_exact(conn, _REQ_HEADER.size))
+                if key_len > MAX_FRAME_BYTES:
+                    self._refuse(conn, f"key of {key_len} bytes")
                     break
-                except OSError:
+                key = recv_exact(conn, key_len).decode("utf-8")
+                (value_len,) = _VAL_HEADER.unpack(recv_exact(conn, _VAL_HEADER.size))
+                if value_len > MAX_FRAME_BYTES:
+                    self._refuse(conn, f"value of {value_len} bytes")
                     break
-                op, key_len = _REQ_HEADER.unpack(header)
-                key = _recv_exact(conn, key_len).decode("utf-8") if key_len else ""
-                (value_len,) = _VAL_HEADER.unpack(_recv_exact(conn, _VAL_HEADER.size))
-                value = _recv_exact(conn, value_len) if value_len else b""
+                value = recv_exact(conn, value_len)
                 self.requests_served += 1
                 status, payload = self._execute(op, key, value)
-                conn.sendall(_RESP_HEADER.pack(status, len(payload)) + payload)
+                send_parts(conn, (_RESP_HEADER.pack(status, len(payload)), payload))
+        except OSError:
+            pass  # the peer went away, between frames or inside one
         finally:
             with self._conns_lock:
                 self._open_conns.discard(conn)
@@ -170,7 +167,12 @@ class DragonShardServer:
             except OSError:
                 pass
 
-    def _execute(self, op: int, key: str, value: bytes) -> tuple[int, bytes]:
+    @staticmethod
+    def _refuse(conn: socket.socket, what: str) -> None:
+        message = f"{what} exceeds the {MAX_FRAME_BYTES}-byte frame limit".encode()
+        send_parts(conn, (_RESP_HEADER.pack(STATUS_ERROR, len(message)), message))
+
+    def _execute(self, op: int, key: str, value: Buffer) -> tuple[int, Buffer]:
         if op == OP_PING:
             return STATUS_OK, b"pong"
         if op == OP_PUT:
@@ -216,19 +218,29 @@ class DragonConnection:
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._lock = threading.Lock()
 
-    def request(self, op: int, key: str = "", value: bytes = b"") -> tuple[int, bytes]:
+    def request(self, op: int, key: str = "", value: Blob = b"") -> tuple[int, bytearray]:
         key_blob = key.encode("utf-8")
+        pieces = as_parts(value)
+        parts = (
+            _REQ_HEADER.pack(op, len(key_blob)),
+            key_blob,
+            _VAL_HEADER.pack(sum(map(nbytes, pieces))),
+            *pieces,
+        )
         with self._lock:
             try:
-                self._sock.sendall(
-                    _REQ_HEADER.pack(op, len(key_blob))
-                    + key_blob
-                    + _VAL_HEADER.pack(len(value))
-                    + value
-                )
-                header = _recv_exact(self._sock, _RESP_HEADER.size)
+                send_parts(self._sock, parts)
+                header = recv_exact(self._sock, _RESP_HEADER.size)
                 status, payload_len = _RESP_HEADER.unpack(header)
-                payload = _recv_exact(self._sock, payload_len) if payload_len else b""
+                if payload_len > MAX_FRAME_BYTES:
+                    # Nothing sane follows a header like that; the stream
+                    # cannot be resynchronised.
+                    self._sock.close()
+                    raise BackendUnavailableError(
+                        f"dragon reply declares {payload_len} bytes, over the "
+                        f"{MAX_FRAME_BYTES}-byte frame limit"
+                    )
+                payload = recv_exact(self._sock, payload_len)
             except OSError as exc:
                 raise BackendUnavailableError(f"dragon connection failed: {exc}") from exc
         if status == STATUS_ERROR:
@@ -269,10 +281,10 @@ class DragonDictionary:
             for i in range(len(self.addresses))
         )
 
-    def put(self, key: str, blob: bytes) -> None:
+    def put(self, key: str, blob: Blob) -> None:
         self._connection(self._shard_for(key)).request(OP_PUT, key, blob)
 
-    def get(self, key: str) -> Optional[bytes]:
+    def get(self, key: str) -> Optional[bytearray]:
         status, payload = self._connection(self._shard_for(key)).request(OP_GET, key)
         return None if status == STATUS_MISSING else payload
 
@@ -316,9 +328,9 @@ class DragonStoreClient(DataStoreClient):
         self.ddict = DragonDictionary(addresses)
 
     def _write(self, key: str, value: Any) -> float:
-        blob = serialize(value)
-        self.ddict.put(key, blob)
-        return float(len(blob))
+        parts = serialize_parts(value)
+        self.ddict.put(key, parts)
+        return float(sum(map(nbytes, parts)))
 
     def _read(self, key: str) -> tuple[Any, float]:
         blob = self.ddict.get(key)

@@ -26,7 +26,8 @@ from typing import Any, Optional
 
 from repro.errors import BackendUnavailableError, KeyNotStagedError, TransportError
 from repro.transport.base import DataStoreClient
-from repro.transport.serializer import deserialize, serialize
+from repro.transport.serializer import deserialize, serialize_parts
+from repro.transport.wire import Blob, as_parts, nbytes
 
 VALUE_SUFFIX = ".pickle"
 
@@ -56,7 +57,7 @@ class ShardedFileStore:
         return self._shard_dir(crc32_shard(key, self.n_shards)) / f"{key}{VALUE_SUFFIX}"
 
     # -- operations ------------------------------------------------------------
-    def write(self, key: str, blob: bytes) -> None:
+    def write(self, key: str, blob: Blob) -> None:
         """Atomically publish ``blob`` under ``key``."""
         final = self.path_for(key)
         try:
@@ -68,8 +69,13 @@ class ShardedFileStore:
                 f"cannot stage into {final.parent}: {exc}"
             ) from exc
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
+            # Unbuffered: each piece goes to the kernel from the caller's
+            # own memory, with no staging copy in a userspace file buffer.
+            with os.fdopen(fd, "wb", buffering=0) as handle:
+                for piece in as_parts(blob):
+                    view = memoryview(piece).cast("B")
+                    while view.nbytes:
+                        view = view[handle.write(view) :]
             os.replace(tmp_name, final)  # atomic publish
         except BaseException:
             try:
@@ -78,10 +84,22 @@ class ShardedFileStore:
                 pass
             raise
 
-    def read(self, key: str) -> bytes:
+    def read(self, key: str) -> bytearray:
+        """The stored blob, in a new buffer the caller owns."""
         try:
-            with open(self.path_for(key), "rb") as handle:
-                return handle.read()
+            with open(self.path_for(key), "rb", buffering=0) as handle:
+                # Sized from fstat and filled in place; a published file
+                # never changes (writers replace it), so the size holds.
+                blob = bytearray(os.fstat(handle.fileno()).st_size)
+                view = memoryview(blob)
+                while view.nbytes:
+                    got = handle.readinto(view)
+                    if not got:
+                        raise BackendUnavailableError(
+                            f"key {key!r} is shorter on disk than its fstat size"
+                        )
+                    view = view[got:]
+                return blob
         except FileNotFoundError:
             raise KeyNotStagedError(key, backend="kvfile") from None
         except OSError as exc:
@@ -132,9 +150,9 @@ class FileStoreClient(DataStoreClient):
         self.store = ShardedFileStore(root, n_shards=n_shards)
 
     def _write(self, key: str, value: Any) -> float:
-        blob = serialize(value)
-        self.store.write(key, blob)
-        return float(len(blob))
+        parts = serialize_parts(value)
+        self.store.write(key, parts)
+        return float(sum(map(nbytes, parts)))
 
     def _read(self, key: str) -> tuple[Any, float]:
         blob = self.store.read(key)

@@ -32,10 +32,9 @@ from repro.errors import (
 from repro.transport import resp
 from repro.transport.base import DataStoreClient
 from repro.transport.kvfile import crc32_shard
-from repro.transport.serializer import deserialize, serialize
-from repro.transport.server import RespTcpServer
-
-_RECV_CHUNK = 1 << 16
+from repro.transport.serializer import deserialize, serialize_parts
+from repro.transport.server import Reply, RespTcpServer
+from repro.transport.wire import Blob, Buffer, nbytes, send_parts
 
 
 class MiniRedisServer(RespTcpServer):
@@ -49,19 +48,21 @@ class MiniRedisServer(RespTcpServer):
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         super().__init__(host=host, port=port, name="miniredis")
-        self._data: dict[bytes, bytes] = {}
+        # Values are kept as received (a bytearray for large ones) and only
+        # ever replaced: GET replies are sent from them outside the lock.
+        self._data: dict[bytes, Buffer] = {}
 
     def dbsize(self) -> int:
         with self._exec_lock:
             return len(self._data)
 
     # -- command execution -------------------------------------------------------
-    def _dispatch(self, name: str, args: list) -> bytes:
+    def _dispatch(self, name: str, args: list) -> Reply:
         if name == "PING":
             return resp.encode_simple("PONG")
         if name == "SET":
             self._need(args, 2, "SET")
-            self._data[bytes(args[0])] = bytes(args[1])
+            self._data[bytes(args[0])] = args[1]
             return resp.encode_simple("OK")
         if name == "GET":
             self._need(args, 1, "GET")
@@ -110,15 +111,13 @@ class MiniRedisConnection:
     def command(self, *parts) -> Any:
         with self._lock:
             try:
-                self._sock.sendall(resp.encode_command(*parts))
+                send_parts(self._sock, resp.encode_command_parts(*parts))
                 while True:
                     found, reply = self._parser.pop_frame()
                     if found:
                         return reply
-                    data = self._sock.recv(_RECV_CHUNK)
-                    if not data:
+                    if not self._parser.recv_from(self._sock):
                         raise BackendUnavailableError("connection closed by server")
-                    self._parser.feed(data)
             except OSError as exc:
                 raise BackendUnavailableError(f"redis connection failed: {exc}") from exc
 
@@ -157,12 +156,12 @@ class MiniRedisClient:
             for i in range(len(self.addresses))
         )
 
-    def set(self, key: str, blob: bytes) -> None:
+    def set(self, key: str, blob: Blob) -> None:
         reply = self._connection(self._shard_for(key)).command("SET", key, blob)
         if reply != "OK":
             raise ServerError(f"SET failed: {reply!r}")
 
-    def get(self, key: str) -> Optional[bytes]:
+    def get(self, key: str) -> Optional[Buffer]:
         return self._connection(self._shard_for(key)).command("GET", key)
 
     def delete(self, *keys: str) -> int:
@@ -204,9 +203,9 @@ class RedisStoreClient(DataStoreClient):
         self.client = MiniRedisClient(addresses)
 
     def _write(self, key: str, value: Any) -> float:
-        blob = serialize(value)
-        self.client.set(key, blob)
-        return float(len(blob))
+        parts = serialize_parts(value)
+        self.client.set(key, parts)
+        return float(sum(map(nbytes, parts)))
 
     def _read(self, key: str) -> tuple[Any, float]:
         blob = self.client.get(key)

@@ -40,8 +40,11 @@ from repro.config.schema import ServerConfig
 from repro.errors import ServerError, TransportError
 from repro.transport import resp
 from repro.transport.kvfile import ShardedFileStore
+from repro.transport.wire import Blob, as_parts, send_parts
 
-_RECV_CHUNK = 1 << 16
+#: What ``_dispatch`` returns: one encoded reply, or its pieces when a
+#: large value rides along uncopied (``resp.encode_bulk``).
+Reply = Blob
 
 
 class _DispatchSlot:
@@ -80,7 +83,7 @@ class RespTcpServer:
     * ``idle_timeout`` — a connection that sends nothing for this long is
       closed (half-open connects cannot pin reader threads forever).
     * ``write_timeout`` — a client that stops *reading* its reply (slow
-      loris) is disconnected once ``sendall`` stalls this long; replies
+      loris) is disconnected once the send stalls this long; replies
       are sent outside the dispatch lock, so a stalled send never blocks
       other connections' commands either way — the deadline reclaims the
       pinned thread and its buffered reply.
@@ -231,13 +234,14 @@ class RespTcpServer:
             self._conn_threads = [t for t in self._conn_threads if t.is_alive()]
             self._conn_threads.append(thread)
 
-    def _send_reply(self, conn: socket.socket, reply: bytes) -> bool:
+    def _send_reply(self, conn: socket.socket, reply: Reply) -> bool:
         """Send one reply under the write deadline; False = give up on peer.
 
         The slow-loris defense: a client that stops draining its receive
-        buffer makes ``sendall`` block once the kernel buffers fill; the
-        deadline turns that into a disconnect instead of a forever-pinned
-        thread holding the buffered reply.
+        buffer makes the send block once the kernel buffers fill; the
+        deadline (which ``send_parts`` applies to the whole reply, not to
+        each call) turns that into a disconnect instead of a
+        forever-pinned thread holding the buffered reply.
         """
         if self.write_timeout is not None:
             try:
@@ -245,7 +249,7 @@ class RespTcpServer:
             except OSError:
                 return False
         try:
-            conn.sendall(reply)
+            send_parts(conn, as_parts(reply))
             return True
         except socket.timeout:
             self.stalled_disconnects += 1
@@ -268,15 +272,14 @@ class RespTcpServer:
         try:
             while self._running.is_set():
                 try:
-                    data = conn.recv(_RECV_CHUNK)
+                    received = parser.recv_from(conn)
                 except socket.timeout:
                     self.idle_disconnects += 1
                     break
                 except OSError:
                     break
-                if not data:
+                if not received:
                     break
-                parser.feed(data)
                 while True:
                     try:
                         message = parser.pop()
@@ -330,7 +333,7 @@ class RespTcpServer:
             self._dispatch_pending.append(slot)
         return slot
 
-    def _execute(self, message: Any) -> bytes:
+    def _execute(self, message: Any) -> Reply:
         if not isinstance(message, list) or not message:
             return resp.encode_error("protocol: expected a command array")
         command = message[0]
@@ -374,8 +377,13 @@ class RespTcpServer:
                     f"internal {type(exc).__name__} in '{name}': {exc}"
                 )
 
-    def _dispatch(self, name: str, args: list) -> bytes:
-        """Handle one command; subclasses must implement."""
+    def _dispatch(self, name: str, args: list) -> Reply:
+        """Handle one command; subclasses must implement.
+
+        Arguments arrive as the parser produced them (large ones as
+        ``bytearray``); a handler that keeps one must treat it as
+        immutable — replies may be sent from it while it is stored.
+        """
         raise NotImplementedError
 
     def _dispatch_unlocked(self, name: str, args: list) -> Optional[bytes]:

@@ -32,26 +32,13 @@ from typing import Any, Mapping, Optional
 
 from repro.errors import ServerError, TransportError
 from repro.transport.serializer import deserialize, serialize
+from repro.transport.wire import recv_exact, send_parts
 
 OP_WAIT_STEP = 1
 STATUS_STEP, STATUS_EOS, STATUS_ERROR = 0, 1, 2
 
 _REQ = struct.Struct("<BQ")
 _RESP = struct.Struct("<BQ")
-_RECV_CHUNK = 1 << 16
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining > 0:
-        data = sock.recv(min(remaining, _RECV_CHUNK))
-        if not data:
-            raise ServerError("stream connection closed mid-frame")
-        chunks.append(data)
-        remaining -= len(data)
-    return b"".join(chunks)
-
 
 def _encode_step(variables: Mapping[str, Any]) -> bytes:
     blobs = {name: serialize(value) for name, value in variables.items()}
@@ -214,10 +201,7 @@ class StreamWriter:
         delivered: set[int] = set()
         try:
             while True:
-                try:
-                    op, step_id = _REQ.unpack(_recv_exact(conn, _REQ.size))
-                except (ServerError, OSError):
-                    break
+                op, step_id = _REQ.unpack(recv_exact(conn, _REQ.size))
                 if op != OP_WAIT_STEP:
                     conn.sendall(_RESP.pack(STATUS_ERROR, 0))
                     continue
@@ -225,9 +209,11 @@ class StreamWriter:
                 if payload is None:
                     conn.sendall(_RESP.pack(STATUS_EOS, 0))
                 else:
-                    conn.sendall(_RESP.pack(STATUS_STEP, len(payload)) + payload)
+                    send_parts(conn, (_RESP.pack(STATUS_STEP, len(payload)), payload))
                     delivered.add(step_id)
                     self._maybe_release(step_id)
+        except OSError:
+            pass  # the reader went away
         finally:
             self._open_conns.discard(conn)
             try:
@@ -279,13 +265,16 @@ class StreamReader:
         """Block for the next step; False at end-of-stream."""
         if self._current is not None:
             raise TransportError("begin_step called inside an open step")
-        self._sock.sendall(_REQ.pack(OP_WAIT_STEP, self._next_step))
-        status, payload_len = _RESP.unpack(_recv_exact(self._sock, _RESP.size))
+        try:
+            self._sock.sendall(_REQ.pack(OP_WAIT_STEP, self._next_step))
+            status, payload_len = _RESP.unpack(recv_exact(self._sock, _RESP.size))
+            payload = recv_exact(self._sock, payload_len)
+        except ConnectionError as exc:
+            raise ServerError(f"stream {exc}") from exc
         if status == STATUS_EOS:
             return False
         if status == STATUS_ERROR:
             raise TransportError("stream writer reported an error")
-        payload = _recv_exact(self._sock, payload_len) if payload_len else b""
         self._current = _decode_step(payload)
         self.bytes_consumed += payload_len
         return True

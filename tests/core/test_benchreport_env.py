@@ -103,6 +103,22 @@ def test_eventlog_add_rate_is_reported_but_never_gated():
     assert "eventlog" not in delta_table(current, _payload())
 
 
+def test_staging_rates_are_reported_but_never_gated():
+    block = benchreport.run_staging_benchmark(payload_mib=1, repeats=1)
+    assert block["payload_mib"] == 1.0
+    assert set(block["staging_mb_per_s"]) == {"kvfile", "redis", "dragon"}
+    assert all(rate > 0 for rate in block["staging_mb_per_s"].values())
+    current, baseline = _payload(), _payload()
+    current["transport"] = {"staging_mb_per_s": {"kvfile": 1.0, "redis": 1.0, "dragon": 1.0}}
+    baseline["transport"] = {"staging_mb_per_s": {"kvfile": 900.0, "redis": 900.0}}
+    table = delta_table(current, baseline)
+    assert "transport.staging_mb_per_s.kvfile" in table
+    assert "transport.staging_mb_per_s.redis" in table
+    assert "staging_mb_per_s.dragon" not in table  # no baseline value to compare
+    assert check_regression(current, baseline) == []
+    assert "staging" not in delta_table(current, _payload())
+
+
 def _run_check(tmp_path, monkeypatch, current, baseline):
     (tmp_path / "BENCH_2026-01-01.json").write_text(json.dumps(baseline))
     monkeypatch.setattr(benchreport, "collect", lambda **kwargs: current)
