@@ -30,6 +30,7 @@ under its command-execution lock (see
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -114,6 +115,13 @@ class LeaseTable:
         self._queue: deque[tuple[int, int]] = deque()
         self._live: dict[int, int] = {}  # index -> generation of its live entry
         self._generation = 0
+        self._done = 0
+        self._poisoned = 0
+        #: Lower bound on the earliest deadline of any LEASED record:
+        #: lowered on lease, recomputed by a real scan, never raised by
+        #: renew/complete/fail (a stale-low bound costs one scan, a
+        #: stale-high one would hide an expiry).
+        self._earliest_deadline = math.inf
         for index in indices:
             if index in self.records:
                 raise SweepError(f"duplicate point index {index}")
@@ -153,20 +161,27 @@ class LeaseTable:
         return record.state in (PointState.DONE, PointState.POISONED)
 
     # -- queries -----------------------------------------------------------
+    # All O(1): every QUEUED record has exactly one live queue entry,
+    # and the terminal states are counted where they are entered.
     def done(self) -> bool:
         """Every point reached a terminal state (DONE or POISONED)."""
-        return all(self._terminal(r) for r in self.records.values())
+        return self.remaining() == 0
 
     def counts(self) -> dict[str, int]:
-        out = {state.value: 0 for state in PointState}
-        for record in self.records.values():
-            out[record.state.value] += 1
-        return out
+        queued = len(self._live)
+        return {
+            PointState.QUEUED.value: queued,
+            PointState.LEASED.value: self.remaining() - queued,
+            PointState.DONE.value: self._done,
+            PointState.POISONED.value: self._poisoned,
+        }
 
     def remaining(self) -> int:
-        return sum(1 for r in self.records.values() if not self._terminal(r))
+        return len(self.records) - self._done - self._poisoned
 
     def poisoned(self) -> list[PointRecord]:
+        if not self._poisoned:
+            return []
         return [
             self.records[i]
             for i in sorted(self.records)
@@ -182,11 +197,18 @@ class LeaseTable:
         dead worker re-issues its points before fresh ones.
         """
         now = self.clock()
-        expired = sorted(
-            record.index
-            for record in self.records.values()
-            if record.state is PointState.LEASED and record.deadline <= now
-        )
+        if now < self._earliest_deadline:
+            return []  # no lease can have expired yet
+        expired = []
+        earliest = math.inf
+        for record in self.records.values():
+            if record.state is PointState.LEASED:
+                if record.deadline <= now:
+                    expired.append(record.index)
+                elif record.deadline < earliest:
+                    earliest = record.deadline
+        self._earliest_deadline = earliest
+        expired.sort()
         for index in reversed(expired):  # appendleft reverses again
             record = self.records[index]
             record.state = PointState.QUEUED
@@ -227,6 +249,8 @@ class LeaseTable:
         record.state = PointState.LEASED
         record.worker = worker
         record.deadline = self.clock() + self.lease_seconds
+        if record.deadline < self._earliest_deadline:
+            self._earliest_deadline = record.deadline
         record.leases += 1
         self._notify("lease", record)
         return chosen
@@ -258,6 +282,7 @@ class LeaseTable:
         if record.state is PointState.QUEUED:
             self._queue_discard(index)
         record.state = PointState.DONE
+        self._done += 1
         record.worker = worker
         record.deadline = 0.0
         self._notify("done", record)
@@ -285,6 +310,7 @@ class LeaseTable:
             or len(record.failures) >= self.poison_failures
         ):
             record.state = PointState.POISONED
+            self._poisoned += 1
             self._notify("poison", record)
         else:
             record.state = PointState.QUEUED
@@ -301,4 +327,5 @@ class LeaseTable:
             raise SweepError(f"point {index} already {record.state.value}")
         self._queue_discard(index)
         record.state = PointState.DONE
+        self._done += 1
         record.worker = "journal"

@@ -146,7 +146,8 @@ TransitionFn = Callable[[str, str, PointRecord], None]
 
 @dataclass
 class ServiceJob:
-    """One live (non-terminal) job: its points + lease table + options."""
+    """One job this session served: lease table + options, and — while
+    it is live — its point specs (released when it leaves the ring)."""
 
     grid: str
     name: str
@@ -164,6 +165,10 @@ class ServiceJob:
     @property
     def trace_id(self) -> str:
         return self.grid[:16]
+
+    @property
+    def n_points(self) -> int:
+        return len(self.table.records)
 
 
 class SweepService(RespTcpServer):
@@ -286,7 +291,7 @@ class SweepService(RespTcpServer):
                 grid, row["name"], row.get("tenant", ""), points, state=row["state"]
             )
             for idx in self.store.done_payloads(grid):
-                if idx in job.points:
+                if idx in job.table.records:
                     job.table.preload_done(idx)
                     job.replayed += 1
                     if self.fleet_path is not None:
@@ -414,10 +419,7 @@ class SweepService(RespTcpServer):
         poisoned = list(job.table.poisoned())
         job.state = JOB_POISONED if poisoned else JOB_DONE
         self.store.set_job_state(job.grid, job.state)
-        try:
-            self._ring.remove(job.grid)
-        except ValueError:
-            pass
+        self._retire(job)
         self.flight.record("job." + job.state, grid=job.grid[:16])
         _log.info(
             "job.terminal",
@@ -427,6 +429,16 @@ class SweepService(RespTcpServer):
             executed=job.executed,
             replayed=job.replayed,
         )
+
+    def _retire(self, job: ServiceJob) -> None:
+        """Take a finished or cancelled job out of the claim ring and drop
+        its point specs: nothing hands them out again, and the job stays
+        in ``self.jobs`` (late DONEs, STATUS) for the life of the service."""
+        try:
+            self._ring.remove(job.grid)
+        except ValueError:
+            pass
+        job.points = {}
 
     def _mark_running(self, job: ServiceJob) -> None:
         if job.state == JOB_SUBMITTED:
@@ -451,7 +463,7 @@ class SweepService(RespTcpServer):
         existing = self.jobs.get(grid)
         if existing is not None:
             return {"grid": grid, "created": False, "state": existing.state,
-                    "n_points": len(existing.points)}
+                    "n_points": existing.n_points}
         row = self.store.job(grid)
         if row is not None:
             # Known but not live: terminal, or restored-unresumable.
@@ -516,10 +528,7 @@ class SweepService(RespTcpServer):
         if job.state != JOB_CANCELLED:
             job.state = JOB_CANCELLED
             self.store.set_job_state(grid, JOB_CANCELLED)
-            try:
-                self._ring.remove(grid)
-            except ValueError:
-                pass
+            self._retire(job)
             self.flight.record("cancel", grid=grid[:16], name=job.name)
             _log.info("job.cancel", grid=grid[:16], name=job.name)
         return CANCELLED
@@ -529,8 +538,8 @@ class SweepService(RespTcpServer):
         """(live jobs, outstanding points) this tenant holds right now."""
         live_jobs = 0
         queued = 0
-        for job in self.jobs.values():
-            if job.tenant == tenant and job.state in (JOB_SUBMITTED, JOB_RUNNING):
+        for job in self._active_jobs():
+            if job.tenant == tenant:
                 live_jobs += 1
                 queued += job.table.remaining()
         return live_jobs, queued
@@ -632,9 +641,9 @@ class SweepService(RespTcpServer):
         try:
             quota = self.admission.quota
             tenants: dict[str, dict] = {}
-            for job in self.jobs.values():
-                if job.state not in (JOB_SUBMITTED, JOB_RUNNING):
-                    continue
+            live = 0
+            for job in self._active_jobs():
+                live += 1
                 entry = tenants.setdefault(
                     job.tenant, {"live_jobs": 0, "queued_points": 0}
                 )
@@ -645,14 +654,7 @@ class SweepService(RespTcpServer):
                     entry["live_jobs"], entry["queued_points"], store_bytes
                 )
             doc["tenants"] = dict(sorted(tenants.items()))
-            doc["jobs"] = {
-                "live": sum(
-                    1
-                    for j in self.jobs.values()
-                    if j.state in (JOB_SUBMITTED, JOB_RUNNING)
-                ),
-                "known": len(self.jobs),
-            }
+            doc["jobs"] = {"live": live, "known": len(self.jobs)}
         finally:
             self._exec_lock.release()
         return doc
@@ -762,6 +764,7 @@ class SweepService(RespTcpServer):
         return resp.encode_bulk(json.dumps(reply, sort_keys=True).encode())
 
     def _handle_usage(self, spec: dict) -> bytes:
+        self.store.flush()  # lease/requeue rows still riding the next commit
         report = usage(
             self.reader,
             tenant=spec.get("tenant"),
@@ -785,6 +788,7 @@ class SweepService(RespTcpServer):
             lease_grace=float(spec.get("lease_grace", 300.0)),
         )
         dry_run = bool(spec.get("dry_run", True))
+        self.store.flush()
         report = run_gc(
             self.store, policy, dry_run=dry_run, pool=self.reader,
             now=self.wall(),
@@ -822,20 +826,22 @@ class SweepService(RespTcpServer):
         host, pid = caps.get("host"), caps.get("pid")
         if host is not None and pid is not None:
             entry["track"] = f"worker {host}:{pid}"
-        remaining = sum(job.table.remaining() for job in self._active_jobs())
+        active = list(self._active_jobs())
         info = GridInfo(
             grid=MULTI_GRID,
-            n_points=sum(len(j.points) for j in self._active_jobs()),
+            n_points=sum(j.n_points for j in active),
             lease_seconds=self.lease_seconds,
             version=__version__,
-            remaining=remaining,
-            extra={"service": True, "jobs": len(list(self._active_jobs()))},
+            remaining=sum(j.table.remaining() for j in active),
+            extra={"service": True, "jobs": len(active)},
         )
         self.flight.record("hello", worker=worker, host=host, pid=pid)
         return resp.encode_bulk(json.dumps(info.as_dict(), sort_keys=True).encode())
 
     def _active_jobs(self):
-        for grid in list(self._ring):
+        """Live jobs in ring order. Iterates the ring itself: a caller
+        that finalises or cancels while looping takes a ``list()`` first."""
+        for grid in self._ring:
             job = self.jobs.get(grid)
             if job is not None and job.state in (JOB_SUBMITTED, JOB_RUNNING):
                 yield job
@@ -843,17 +849,6 @@ class SweepService(RespTcpServer):
     def _handle_claim(self, worker: str) -> bytes:
         if self._stop_serving:
             return resp.encode_simple(DRAINED)
-        active = [j for j in self._active_jobs() if not j.table.done()]
-        if not active:
-            # Nothing claimable anywhere. DRAINED only when there are no
-            # live jobs at all — a service with an empty moment is not
-            # finished, so idle workers should poll, not leave.
-            if not self.jobs or all(
-                j.state in JOB_TERMINAL or j.state == JOB_CANCELLED
-                for j in self.jobs.values()
-            ):
-                return resp.encode_simple(DRAINED)
-            return resp.encode_bulk(None)
         # Fair share: try each active job once, starting at the ring head,
         # and rotate the ring so the *next* claim starts at the next tenant.
         for _ in range(len(self._ring)):
@@ -883,6 +878,11 @@ class SweepService(RespTcpServer):
                 span_id=f"{index}/{job.table.records[index].leases}",
             )
             return resp.encode_bulk(assignment.to_bytes())
+        # Nothing claimable anywhere. DRAINED only when there are no live
+        # jobs at all — a service with an empty moment is not finished,
+        # so idle workers should poll, not leave.
+        if next(self._active_jobs(), None) is None:
+            return resp.encode_simple(DRAINED)
         return resp.encode_bulk(None)
 
     def _handle_renew(self, worker: str, index: int, grid: Optional[str]) -> bytes:
@@ -913,9 +913,9 @@ class SweepService(RespTcpServer):
             # moves on, record nothing.
             self.stale_grid += 1
             return resp.encode_simple(STALE)
-        if index not in job.points:
+        record = job.table.records.get(index)
+        if record is None:
             raise TransportError(f"unknown point index {index}")
-        record = job.table.records[index]
         if record.state in (PointState.DONE, PointState.POISONED):
             self.duplicates += 1
             return resp.encode_simple("DUPLICATE")
@@ -945,9 +945,9 @@ class SweepService(RespTcpServer):
         if job is None or job.state == JOB_CANCELLED:
             self.stale_grid += 1
             return resp.encode_simple(STALE)
-        if index not in job.points:
+        record = job.table.records.get(index)
+        if record is None:
             raise TransportError(f"unknown point index {index}")
-        record = job.table.records[index]
         if record.state in (PointState.DONE, PointState.POISONED):
             self.duplicates += 1
             return resp.encode_simple("DUPLICATE")
@@ -1034,7 +1034,7 @@ class SweepService(RespTcpServer):
             "name": job.name,
             "tenant": job.tenant,
             "state": job.state,
-            "n_points": len(job.points),
+            "n_points": job.n_points,
             "remaining": job.table.remaining(),
             "counts": job.table.counts(),
             "reclaims": job.table.reclaims,
@@ -1070,13 +1070,15 @@ class SweepService(RespTcpServer):
         live = list(self.jobs.values())
         counts = {"queued": 0, "leased": 0, "done": 0, "poisoned": 0}
         poisoned_points: list[int] = []
-        for job in live:
-            for state, n in job.table.counts().items():
-                counts[state] = counts.get(state, 0) + n
-            poisoned_points.extend(r.index for r in job.table.poisoned())
         now = self.clock()
         lease_age: dict[str, float] = {}
         for job in live:
+            job_counts = job.table.counts()
+            for state, n in job_counts.items():
+                counts[state] += n
+            poisoned_points.extend(r.index for r in job.table.poisoned())
+            if not job_counts["leased"]:
+                continue  # finished jobs stay known: no record scan for them
             for record in job.table.records.values():
                 if record.state is PointState.LEASED and record.worker is not None:
                     age = max(
@@ -1095,7 +1097,7 @@ class SweepService(RespTcpServer):
         return {
             "grid": MULTI_GRID,
             "service": True,
-            "n_points": sum(len(j.points) for j in live),
+            "n_points": sum(j.n_points for j in live),
             "remaining": sum(j.table.remaining() for j in live),
             "counts": counts,
             "reclaims": sum(j.table.reclaims for j in live),

@@ -20,13 +20,24 @@ dispatch lock gives its command handlers, makes write ordering identical to
 call ordering (the crash-recovery tests rely on that prefix property),
 and sidesteps SQLite's cross-thread connection rules entirely.
 
+The one call that does not wait is :meth:`SweepStore.record_event`:
+audit rows (lease/reclaim/requeue/restore) promise nothing to anyone,
+so the writer inserts them in call order into a transaction it leaves
+open, and they commit with the next waited mutation (one fsync per
+point, not two), with :meth:`SweepStore.flush`, with ``close()``, or
+:data:`AUDIT_FLUSH_SECONDS` after the first pending row. Reads through
+the store see them at once; a second connection does not until that
+commit, and a crash inside the window drops them — nothing restores
+from audit rows.
+
 Durability and torn-write recovery:
 
 * ``journal_mode=WAL`` + ``synchronous=FULL`` — committed transactions
   survive power loss, and readers never block the writer;
-* every mutating call is one transaction — a crash mid-call (any fsync
-  boundary) rolls back on the next open, so the job table is always a
-  *prefix* of the call sequence: no half-applied DONE, ever;
+* every waited mutating call commits before it returns, together with
+  the audit rows recorded since the previous commit — a crash mid-call
+  (any fsync boundary) rolls back on the next open, so the store is
+  always a *prefix* of the call sequence: no half-applied DONE, ever;
 * :meth:`SweepStore.open` runs SQLite's own WAL/hot-journal recovery,
   then ``PRAGMA quick_check`` — real corruption (not just a torn tail)
   raises :class:`~repro.errors.SweepStoreError` instead of silently
@@ -96,6 +107,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.errors import SweepStoreError
 from repro.sweep.cache import point_fingerprint
+from repro.telemetry.log import get_logger
 from repro.version import __version__
 
 #: Bump when the schema changes shape; ``meta.schema_version`` gates it.
@@ -194,7 +206,14 @@ CREATE VIEW IF NOT EXISTS usage_daily AS
     GROUP BY j.tenant, DATE(e.time, 'unixepoch');
 """
 
+#: Longest an audit row nobody waits on (:meth:`SweepStore.record_event`)
+#: sits in the writer's open transaction before the writer commits it on
+#: its own: bounds both the write lock other processes see and the tail
+#: of lease/reclaim/requeue rows a SIGKILL can drop.
+AUDIT_FLUSH_SECONDS = 0.05
+
 _CLOSE = object()
+_log = get_logger("sweep.store")
 
 
 def _migrate_v1_to_v2(conn: sqlite3.Connection) -> None:
@@ -289,12 +308,38 @@ class SweepStore:
             self._opened.set()
             return
         self._opened.set()
+        # Commit-by time of the open transaction holding unacknowledged
+        # audit rows; None while nothing is pending.
+        deadline: Optional[float] = None
         while True:
-            item = self._ops.get()
+            wait = None if deadline is None else deadline - time.monotonic()
+            try:
+                if wait is not None and wait <= 0:
+                    raise queue.Empty
+                item = self._ops.get(timeout=wait)
+            except queue.Empty:
+                self._commit_audit(conn)
+                deadline = None
+                continue
             if item is _CLOSE:
                 break
             fn, mutate, box, done = item
+            pending = deadline is not None
+            if done is None:  # record_event: nobody waits, nothing commits
+                try:
+                    fn(conn)
+                    if not pending:
+                        deadline = time.monotonic() + AUDIT_FLUSH_SECONDS
+                except Exception as exc:
+                    _log.error(
+                        "store.audit.failed", store=str(self.path), error=str(exc)
+                    )
+                continue
             try:
+                if mutate and pending:
+                    # A failing mutation must undo itself only, not the
+                    # audit rows waiting in the same transaction.
+                    conn.execute("SAVEPOINT mutation")
                 box["value"] = fn(conn)
                 if mutate:
                     self._mutations += 1
@@ -305,6 +350,7 @@ class SweepStore:
                     ):
                         os._exit(86)  # crash-test hook: die mid-transaction
                     conn.commit()
+                    deadline = None
                     if (
                         self._crash_op is not None
                         and self._mutations >= self._crash_op
@@ -313,17 +359,29 @@ class SweepStore:
                         os._exit(86)  # crash-test hook: die post-fsync
             except BaseException as exc:  # propagate to the caller
                 try:
-                    conn.rollback()
+                    if not pending:
+                        conn.rollback()
+                    elif mutate:
+                        conn.execute("ROLLBACK TO mutation")
+                        conn.execute("RELEASE mutation")
                 except sqlite3.Error:
                     pass
                 box["error"] = exc
             finally:
                 done.set()
+        self._commit_audit(conn)
+        conn.close()
+
+    def _commit_audit(self, conn: sqlite3.Connection) -> None:
+        """Commit audit rows nobody waits on (idle deadline, close)."""
         try:
             conn.commit()
-        except sqlite3.Error:
-            pass
-        conn.close()
+        except sqlite3.Error as exc:
+            _log.error("store.audit.failed", store=str(self.path), error=str(exc))
+            try:
+                conn.rollback()
+            except sqlite3.Error:
+                pass
 
     def _open_connection(self) -> sqlite3.Connection:
         conn = sqlite3.connect(str(self.path))
@@ -362,13 +420,17 @@ class SweepStore:
         conn.commit()
         return conn
 
-    def _call(self, fn: Callable[[sqlite3.Connection], Any], mutate: bool = False) -> Any:
-        """Run ``fn(conn)`` on the writer thread and return its result."""
+    def _enqueue(self, item: tuple) -> None:
+        """Queue ``(fn, mutate, box, done)``; ``done=None``: nobody waits."""
         if not self._writer.is_alive():
             raise SweepStoreError(f"sweep store {self.path} is closed")
+        self._ops.put(item)
+
+    def _call(self, fn: Callable[[sqlite3.Connection], Any], mutate: bool = False) -> Any:
+        """Run ``fn(conn)`` on the writer thread and return its result."""
         box: dict[str, Any] = {}
         done = threading.Event()
-        self._ops.put((fn, mutate, box, done))
+        self._enqueue((fn, mutate, box, done))
         done.wait()
         if "error" in box:
             error = box["error"]
@@ -376,6 +438,13 @@ class SweepStore:
                 raise SweepStoreError(f"sweep store {self.path}: {error}") from error
             raise error
         return box.get("value")
+
+    def flush(self) -> None:
+        """Barrier: every row recorded before this call is committed when
+        it returns. Readers on their own connection (the
+        :class:`~repro.sweep.dist.query.ReaderPool`) call it before
+        reading ``events``; it counts as a waited mutation."""
+        self._call(lambda conn: None, mutate=True)
 
     def close(self) -> None:
         if self._writer.is_alive():
@@ -584,16 +653,24 @@ class SweepStore:
     def record_event(
         self, grid: str, idx: Optional[int], event: str, worker: Optional[str] = None
     ) -> None:
-        """Audit-trail entry (lease/reclaim/requeue/cancel...)."""
+        """Audit-trail entry (lease/reclaim/requeue/restore...).
+
+        Returns without waiting: the row is inserted in call order but
+        committed with the next waited mutation, :meth:`flush`,
+        :meth:`close`, or :data:`AUDIT_FLUSH_SECONDS` later — whichever
+        comes first. Reads through the store see it at once; a crash can
+        drop it.
+        """
         now = self.wall()
-        self._call(
-            lambda conn: conn.execute(
+
+        def op(conn: sqlite3.Connection) -> None:
+            conn.execute(
                 "INSERT INTO events (grid, idx, event, worker, time)"
                 " VALUES (?, ?, ?, ?, ?)",
                 (grid, idx, event, worker, now),
-            ),
-            mutate=True,
-        )
+            )
+
+        self._enqueue((op, False, None, None))
 
     def done_payloads(self, grid: str) -> dict[int, bytes]:
         """idx -> wire payload for every completed point of ``grid``."""

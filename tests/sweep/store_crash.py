@@ -15,10 +15,13 @@ GRID = "crashgrid"
 
 
 def mutation_sequence(store):
-    """The deterministic mutation list the parent asserts prefixes of.
+    """The deterministic call list the parent asserts prefixes of.
 
     1 submit + N_POINTS record_done + 1 set_job_state = N_POINTS + 2
-    mutations (each one commit/fsync).
+    waited mutations (each one commit/fsync) — the only calls the crash
+    hook counts. Each record_done is preceded by the lease audit row
+    the service would write, which nobody waits for and which rides
+    that record_done's commit.
     """
     store.submit_job(
         GRID,
@@ -27,6 +30,7 @@ def mutation_sequence(store):
         tenant="crash",
     )
     for i in range(N_POINTS):
+        store.record_event(GRID, i, "lease", worker="w0")
         store.record_done(GRID, i, b"payload-%d" % i, worker="w0")
     store.set_job_state(GRID, "done")
 

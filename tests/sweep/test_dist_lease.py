@@ -1,6 +1,8 @@
 """Lease-table state machine: claims, expiry stealing, poison, replay."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SweepError
 from repro.sweep.dist.lease import LeaseTable, PointState
@@ -212,3 +214,79 @@ class TestObserverAndPreload:
         assert counts == {"queued": 1, "leased": 0, "done": 1, "poisoned": 1}
         assert table.remaining() == 1
         assert not table.done()
+
+
+# -- counters and the deadline bound vs a recount over records -----------------
+_OPS = st.one_of(
+    st.tuples(st.just("claim"), st.sampled_from(["a", "b", "c"])),
+    st.tuples(st.just("renew"), st.integers(0, 5)),  # k-th held lease, by its holder
+    st.tuples(st.just("renew-as"), st.sampled_from(["a", "b", "c"]), st.integers(0, 5)),
+    st.tuples(st.just("complete"), st.sampled_from(["a", "b", "c"]), st.integers(0, 5)),
+    st.tuples(st.just("fail"), st.sampled_from(["a", "b", "c"]), st.integers(0, 5)),
+    st.tuples(st.just("preload"), st.integers(0, 5)),
+    st.tuples(st.just("reclaim")),
+    # Steps around the 10 s lease: most leave leases alive, some expire
+    # only the un-renewed ones, a few expire everything.
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 1.0, 4.0, 6.0, 11.0])),
+)
+
+
+def _recount(table):
+    counts = {state.value: 0 for state in PointState}
+    for record in table.records.values():
+        counts[record.state.value] += 1
+    return counts
+
+
+def _expired_by_scan(table, now):
+    return sorted(
+        r.index
+        for r in table.records.values()
+        if r.state is PointState.LEASED and r.deadline <= now
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_OPS, max_size=60))
+def test_counters_and_reclaim_agree_with_full_scan(ops):
+    table, clock = make_table(6, poison_workers=2, poison_failures=3)
+    for op in ops:
+        kind = op[0]
+        if kind == "advance":
+            clock.advance(op[1])
+        elif kind == "claim":
+            # claim() reclaims first: it must steal what a scan would.
+            expected = _expired_by_scan(table, clock.now)
+            before = table.reclaims
+            table.claim(op[1])
+            assert table.reclaims - before == len(expected)
+        elif kind == "renew":
+            held = [r for r in table.records.values() if r.state is PointState.LEASED]
+            if held:
+                record = held[op[1] % len(held)]
+                assert table.renew(record.worker, record.index)
+        elif kind == "renew-as":
+            table.renew(op[1], op[2])
+        elif kind == "complete":
+            table.complete(op[1], op[2])
+        elif kind == "fail":
+            table.fail(op[1], op[2], fail(worker=op[1]))
+        elif kind == "preload":
+            if table.records[op[1]].state is PointState.QUEUED:
+                table.preload_done(op[1])
+        else:
+            expected = _expired_by_scan(table, clock.now)
+            assert table.reclaim_expired() == expected
+        # The cached bound may be stale-low (one wasted scan), never
+        # stale-high (a hidden expiry).
+        assert table._earliest_deadline <= min(
+            (r.deadline for r in table.records.values() if r.state is PointState.LEASED),
+            default=float("inf"),
+        )
+        counts = _recount(table)
+        assert table.counts() == counts
+        assert table.remaining() == counts["queued"] + counts["leased"]
+        assert table.done() == (table.remaining() == 0)
+        assert [r.index for r in table.poisoned()] == sorted(
+            i for i, r in table.records.items() if r.state is PointState.POISONED
+        )

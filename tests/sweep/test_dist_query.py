@@ -204,6 +204,7 @@ class TestUsage:
         grid, _ = seed_job(store, tenant="alice", xs=(1,), done=False)
         store.record_event(grid, 0, "lease", "w0")
         store.record_event(grid, 0, "requeue", "w0")
+        store.flush()  # audit rows reach other connections with the next commit
         with ReaderPool(store.path) as pool:
             report = usage(pool, tenant="alice")
             empty = usage(pool, tenant="nobody")

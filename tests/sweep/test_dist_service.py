@@ -396,6 +396,36 @@ class TestStatus:
             service.status("nope")
 
 
+class TestRetiredJobs:
+    """A job that left the ring keeps answering, without its specs."""
+
+    def test_finished_job_releases_specs_and_still_acks_late_done(self, service):
+        grid = service.submit("grid-a", points_for(2), tenant="alice")["grid"]
+        first, second = claim(service), claim(service)
+        finish(service, None, grid, first)
+        finish(service, None, grid, second)
+        job = service.jobs[grid]
+        assert job.state == JOB_DONE
+        assert job.points == {}  # every SweepPoint + kwargs released
+        late = ("DONE", "w9", "0", grid, dump_result(0, None))
+        assert command(service, *late) == "DUPLICATE"
+        with pytest.raises(TransportError):
+            command(service, "DONE", "w9", "7", grid, dump_result(0, None))
+        doc = service.status(grid)
+        assert doc["n_points"] == 2 and doc["remaining"] == 0
+        assert doc["counts"] == {"queued": 0, "leased": 0, "done": 2, "poisoned": 0}
+        assert service.status()["n_points"] == 2
+        assert not service.submit("grid-a", points_for(2), tenant="alice")["created"]
+
+    def test_cancelled_job_releases_specs(self, service):
+        grid = service.submit("grid-a", points_for(3))["grid"]
+        claim(service)
+        assert service.cancel(grid) == CANCELLED
+        assert service.jobs[grid].points == {}
+        assert service.status(grid)["n_points"] == 3
+        assert claim(service) is None  # nothing live: DRAINED
+
+
 class TestEngineSubmitPath:
     def test_engine_submits_and_collects_in_point_order(self, tmp_path):
         service = SweepService(tmp_path / "store.sqlite", host="127.0.0.1", port=0)

@@ -3,13 +3,20 @@
 import base64
 import json
 import os
+import sqlite3
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.errors import SweepStoreError
+from repro.sweep.dist import store as store_module
+from repro.sweep.dist.loadgen import loadgen_point
+from repro.sweep.dist.protocol import dump_result
+from repro.sweep.dist.query import ReaderPool
+from repro.sweep.dist.service import SweepService
 from repro.sweep.dist.store import (
     JOB_CANCELLED,
     JOB_DONE,
@@ -22,6 +29,9 @@ from repro.sweep.dist.store import (
     migrate_history_jsonl,
     migrate_journal_file,
 )
+
+from repro.sweep.point import SweepPoint
+from repro.transport import resp
 
 from .store_crash import GRID as CRASH_GRID
 from .store_crash import N_POINTS as CRASH_POINTS
@@ -99,6 +109,107 @@ class TestPoints:
         assert events == ["submit", "lease", "done"]
 
 
+def _lease_rows_on_disk(pool):
+    """What a second connection sees — i.e. what is committed."""
+    with pool.connection() as conn:
+        return conn.execute(
+            "SELECT COUNT(*) FROM events WHERE event = 'lease'"
+        ).fetchone()[0]
+
+
+class TestAuditRidesNextCommit:
+    """record_event does not wait or commit; the next waited mutation,
+    flush(), close() or the idle deadline makes its rows durable."""
+
+    @pytest.fixture
+    def no_idle_flush(self, monkeypatch):
+        monkeypatch.setattr(store_module, "AUDIT_FLUSH_SECONDS", 3600.0)
+
+    @pytest.fixture
+    def pool(self, store):
+        store.submit_job("g", name="g", points=[(0, b"s"), (1, b"s")])
+        with ReaderPool(store.path) as pool:
+            yield pool
+
+    def test_rides_the_next_waited_mutation(self, store, pool, no_idle_flush):
+        store.record_event("g", 0, "lease", worker="w0")
+        assert _lease_rows_on_disk(pool) == 0
+        # Reads through the writer see the row at once, in call order.
+        assert [e["event"] for e in store.events("g")] == ["submit", "lease"]
+        store.record_done("g", 0, b"r", worker="w0")
+        assert _lease_rows_on_disk(pool) == 1
+
+    def test_flush_is_a_barrier(self, store, pool, no_idle_flush):
+        store.record_event("g", 0, "lease", worker="w0")
+        store.record_event("g", 1, "lease", worker="w0")
+        assert _lease_rows_on_disk(pool) == 0
+        store.flush()
+        assert _lease_rows_on_disk(pool) == 2
+
+    def test_idle_deadline_commits_without_any_caller(self, store, pool):
+        store.record_event("g", 0, "lease", worker="w0")
+        deadline = time.monotonic() + 10.0
+        while _lease_rows_on_disk(pool) == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _lease_rows_on_disk(pool) == 1
+
+    def test_close_commits_pending_rows(self, tmp_path, no_idle_flush):
+        path = tmp_path / "closing.sqlite"
+        with SweepStore(path) as store:
+            store.submit_job("g", name="g", points=[(0, b"s")])
+            store.record_event("g", 0, "lease", worker="w0")
+        with SweepStore(path) as store:
+            assert [e["event"] for e in store.events("g")] == ["submit", "lease"]
+
+    def test_failed_mutation_keeps_pending_rows(self, store, pool, no_idle_flush):
+        store.record_event("g", 0, "lease", worker="w0")
+        with pytest.raises(SweepStoreError):  # duplicate idx: the INSERT fails
+            store.submit_job("dup", name="dup", points=[(0, b"s"), (0, b"s")])
+        store.flush()
+        assert store.job("dup") is None  # the failed submit undid itself only
+        assert _lease_rows_on_disk(pool) == 1
+
+    def test_closed_store_raises(self, tmp_path):
+        store = SweepStore(tmp_path / "closed.sqlite")
+        store.close()
+        with pytest.raises(SweepStoreError):
+            store.record_event("g", 0, "lease", worker="w0")
+        with pytest.raises(SweepStoreError):
+            store.flush()
+
+    def test_claim_commits_nothing_until_done(self, tmp_path, no_idle_flush):
+        service = SweepService(tmp_path / "service.sqlite", lease_seconds=60.0)
+        probe = sqlite3.connect(service.store.path)
+        try:
+            spec = [
+                (i, SweepPoint(func=loadgen_point, kwargs={"x": float(i)}))
+                for i in range(3)
+            ]
+            grid = service.submit("g", spec)["grid"]
+            # The job's first CLAIM also commits its SUBMITTED -> RUNNING flip.
+            assert service._dispatch("CLAIM", [b"w0"]) != resp.encode_bulk(None)
+
+            def version():
+                return probe.execute("PRAGMA data_version").fetchone()[0]
+
+            before = version()
+            assert service._dispatch("CLAIM", [b"w0"]) != resp.encode_bulk(None)
+            assert version() == before  # lease row pending, nothing committed
+            leases = [e for e in service.store.events(grid) if e["event"] == "lease"]
+            assert [e["idx"] for e in leases] == [0, 1]
+            ack = service._dispatch("DONE", [b"w0", b"1", grid.encode(), dump_result(1, None)])
+            assert ack == resp.encode_simple("OK")
+            assert version() != before  # one commit: the lease rows + the done row
+            on_disk = probe.execute(
+                "SELECT event, idx FROM events WHERE grid = ? AND idx IS NOT NULL"
+                " ORDER BY seq", (grid,),
+            ).fetchall()
+            assert on_disk == [("lease", 0), ("lease", 1), ("done", 1)]
+        finally:
+            probe.close()
+            service.stop()
+
+
 class TestHistory:
     def test_history_round_trip(self, store):
         store.record_history({"time": 1.0, "hits": 3, "misses": 1, "hit_rate": 0.75})
@@ -124,8 +235,6 @@ class TestOpenRecovery:
             store.job("g")
 
     def test_newer_schema_is_refused(self, tmp_path):
-        import sqlite3
-
         path = tmp_path / "store.sqlite"
         SweepStore(path).close()
         conn = sqlite3.connect(path)
@@ -168,11 +277,13 @@ def _run_crash_subprocess(tmp_path, crash_op, crash_mode):
 class TestCrashRecovery:
     """Kill a real writer at every fsync boundary; reopen; assert prefixes.
 
-    The crash subprocess performs ``1 submit + N record_done + 1 state``
-    mutations and ``os._exit``\\ s the whole process around the Nth
-    commit. Whatever survived must be a *prefix* of that sequence —
-    never a torn job (job row without its points), never a gap in the
-    done set, never an unreadable database.
+    The crash subprocess performs ``1 submit + N (lease event,
+    record_done) + 1 state`` calls and ``os._exit``\\ s the whole process
+    around the Nth waited commit. Whatever survived must be a *prefix*
+    of that sequence, audit rows included — never a torn job (job row
+    without its points), never a gap in the done set, never a done row
+    without the lease row recorded before it, never an unreadable
+    database.
     """
 
     # All fsync boundaries of the sequence, both sides of the commit.
@@ -193,6 +304,7 @@ class TestCrashRecovery:
             job = store.job(CRASH_GRID)
             if committed == 0:
                 assert job is None
+                assert store.events(CRASH_GRID) == []
                 return
             # The submit transaction is atomic: job row + every point row.
             assert job is not None
@@ -207,6 +319,21 @@ class TestCrashRecovery:
                 JOB_DONE if committed >= CRASH_POINTS + 2 else JOB_SUBMITTED
             )
             assert job["state"] == expected_state
+            # The audit trail is the same prefix, in call order: each done
+            # row's lease row rode its commit.
+            events = store.events(CRASH_GRID)
+            assert [e["seq"] for e in events] == sorted(e["seq"] for e in events)
+            expected_events = [("submit", None)]
+            for idx in range(expected_done):
+                expected_events += [("lease", idx), ("done", idx)]
+            if committed >= CRASH_POINTS + 2:
+                expected_events.append(("state:done", None))
+            got = [(e["event"], e["idx"]) for e in events]
+            if got != expected_events:
+                # Only the idle flush can add to the prefix: the one lease
+                # row recorded after the last committed mutation.
+                assert got == expected_events + [("lease", expected_done)]
+                assert expected_done < CRASH_POINTS
 
     def test_no_crash_when_hook_beyond_sequence(self, tmp_path):
         path, proc = _run_crash_subprocess(tmp_path, CRASH_POINTS + 99, "after_commit")
