@@ -9,14 +9,14 @@ from repro.mpi import run_parallel
 
 
 def test_des_event_throughput(benchmark):
-    """Events processed per benchmark round: 10k timeouts through the heap."""
+    """Events processed per benchmark round: 10k sleeps through the heap."""
 
     def run_sim():
         env = Environment()
 
         def ticker(env):
             for _ in range(1000):
-                yield env.timeout(1.0)
+                yield 1.0
 
         for _ in range(10):
             env.process(ticker(env))
@@ -35,7 +35,7 @@ def test_des_resource_contention(benchmark):
             for _ in range(50):
                 with res.request() as req:
                     yield req
-                    yield env.timeout(0.1)
+                    yield 0.1
 
         for _ in range(40):
             env.process(user(env, res))

@@ -116,7 +116,7 @@ class LustreModel:
     def _metadata_op(self) -> Generator:
         with self.mds.request() as req:
             yield req
-            yield self.env.timeout(self.spec.mds_service_time)
+            yield self.spec.mds_service_time
         self.metadata_ops += 1
 
     def _data_transfer(self, nbytes: float, osts: list[int]) -> Generator:
@@ -129,7 +129,7 @@ class LustreModel:
                 for ost in osts
             )
             bandwidth = min(self.spec.client_bandwidth, per_ost * len(osts))
-            yield self.env.timeout(nbytes / bandwidth)
+            yield nbytes / bandwidth
         finally:
             for ost in osts:
                 self._ost_streams[ost] -= 1

@@ -121,7 +121,7 @@ class NetworkFabric:
             epochs[link] = epochs.get(link, 0) + 1
         try:
             duration = self.transfer_time_with_current_share(src, dst, nbytes)
-            yield self.env.timeout(duration)
+            yield duration
         finally:
             for link in links:
                 flows[link] -= 1

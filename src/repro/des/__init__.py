@@ -3,7 +3,7 @@
 This subpackage provides the substrate on which the simulated Aurora
 machine (:mod:`repro.cluster`) and the simulated execution mode of
 SimAI-Bench mini-apps run. The API intentionally mirrors the classic
-process-based DES style (generators yielding events)::
+process-based DES style (generators yielding delays and events)::
 
     from repro.des import Environment
 
@@ -11,7 +11,7 @@ process-based DES style (generators yielding events)::
 
     def clock(env, tick):
         while True:
-            yield env.timeout(tick)
+            yield tick  # or ``yield env.timeout(tick)`` for an event object
             print("tick", env.now)
 
     env.process(clock(env, 1.0))

@@ -2,13 +2,25 @@
 
 The :class:`Environment` owns the event calendar (a binary heap keyed on
 ``(time, priority, sequence)``) and the simulation clock. Processes are
-Python generators that ``yield`` events; the value sent back into the
-generator is the event's value, so simulated code reads naturally::
+Python generators that ``yield`` what they wait for: a non-negative
+``float`` to sleep that many simulated seconds, or an event, whose value
+is sent back into the generator — so simulated code reads naturally::
 
     def producer(env, store):
         while True:
-            yield env.timeout(1.0)
-            yield store.put("item")
+            yield 1.0                       # sleep: allocates nothing
+            yield store.put("item")         # wait for an event
+
+    def consumer(env, store, patience):
+        item = store.get()
+        got = yield item | env.timeout(patience)   # whichever comes first
+        return got[item] if item in got else None
+
+``yield delay`` and ``yield env.timeout(delay)`` schedule the same
+calendar entry at the same point, so a simulation orders its events
+identically either way. The float form is for a wait nobody else needs
+to see; ``env.timeout()`` makes the event object that ``any_of`` /
+``all_of``, ``value=`` or another process can hold.
 
 Determinism: given the same process structure and the same seeded RNG
 streams, event ordering is fully deterministic because ties are broken by a
@@ -19,7 +31,7 @@ from __future__ import annotations
 
 import os
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Generator, Iterable, Optional, Union
 
 from repro.des.calendar import CalendarQueue
 from repro.des.events import (
@@ -36,7 +48,8 @@ from repro.errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.probe import Probe
 
-ProcessGenerator = Generator[Event, Any, Any]
+#: What a process yields: an event to wait for, or a delay to sleep.
+ProcessGenerator = Generator[Union[Event, float], Any, Any]
 
 #: Valid event-core names for :class:`Environment`.
 CORES = ("heap", "calendar")
@@ -84,13 +97,21 @@ def _detached(event: "Event") -> None:
 
 
 class Process(Event):
-    """A process wraps a generator of events and is itself an event.
+    """A process wraps a generator and is itself an event.
+
+    The generator waits by yielding either an :class:`Event` (resumed
+    with the event's value) or a plain non-negative ``float`` — *sleep
+    that many seconds*, the allocation-free form of
+    ``yield env.timeout(delay)``: the process re-arms one private,
+    reusable :class:`Timeout` and is woken straight from its calendar
+    entry. Both forms take the same sequence number at the same point,
+    so the event order is identical.
 
     The process event triggers with the generator's return value when the
     generator terminates, so other processes can wait on it ("join").
     """
 
-    __slots__ = ("_generator", "_target", "name", "_resume_cb")
+    __slots__ = ("_generator", "_send", "_target", "name", "_resume_cb", "_sleep", "_sleep_cbs")
 
     def __init__(
         self,
@@ -102,17 +123,43 @@ class Process(Event):
             raise SimulationError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
+        self._send = generator.send
         self.name = name or getattr(generator, "__name__", "process")
         # One bound method reused for every wait: appending self._resume
         # directly would allocate a fresh bound-method object per yield.
         self._resume_cb = self._resume
+        self._new_sleep()
         # The event the process is currently waiting on (None when resuming).
         self._target: Optional[Event] = Initialize(env)
         self._target.callbacks.append(self._resume_cb)
 
+    def _new_sleep(self) -> None:
+        """Give the process an unarmed sleep timeout and its callback list.
+
+        The timeout is built without ``Timeout.__init__`` (which would
+        schedule it) in the state the run loop leaves a fired one in;
+        ``yield delay`` arms it by pointing ``callbacks`` back at the
+        one-element list, which nothing ever mutates.
+        """
+        sleep = Timeout.__new__(Timeout)
+        sleep.env = self.env
+        sleep.callbacks = None
+        sleep._value = None
+        sleep._ok = True
+        sleep._triggered = True
+        sleep._processed = True
+        sleep.delay = 0.0
+        self._sleep = sleep
+        self._sleep_cbs = [self._resume_cb]
+
     @property
     def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for."""
+        """The event this process is currently waiting for.
+
+        For a process sleeping on ``yield delay`` this is its private
+        :class:`Timeout`, which the process re-arms for every later
+        sleep: inspect it, but wait on an ``env.timeout()`` of your own.
+        """
         return self._target
 
     @property
@@ -145,12 +192,19 @@ class Process(Event):
             return  # terminated before the interrupt was delivered
         # Detach from the event we were waiting on (sentinel swap, see
         # :func:`_detached`).
-        if self._target is not None and self._target.callbacks is not None:
-            callbacks = self._target.callbacks
+        target = self._target
+        if target is not None and target.callbacks is not None:
+            callbacks = target.callbacks
             try:
                 callbacks[callbacks.index(self._resume_cb)] = _detached
             except ValueError:
                 pass
+            if target is self._sleep:
+                # The armed sleep keeps its (now detached) list and its
+                # calendar entry, which pops later and wakes nobody, as
+                # a detached Timeout does. Re-arming it instead would
+                # let that stale entry fire the next sleep early.
+                self._new_sleep()
         self._target = None
         self._resume(event)
 
@@ -159,16 +213,15 @@ class Process(Event):
         env._active_proc = self
         if env.probe is not None:
             env.probe.on_process_switch(env, self)
-        send = self._generator.send
-        throw = self._generator.throw
+        send = self._send
         try:
             while True:
                 try:
                     if event._ok:
-                        next_event = send(event._value)
+                        yielded = send(event._value)
                     else:
                         # Mark the failure as handled: the process sees it.
-                        next_event = throw(event._value)
+                        yielded = self._generator.throw(event._value)
                 except StopIteration as exc:
                     self._ok = True
                     self._value = exc.value
@@ -182,36 +235,54 @@ class Process(Event):
                     env.schedule(self)
                     break
 
-                if not isinstance(next_event, Event):
-                    exc2 = SimulationError(
-                        f"process {self.name!r} yielded a non-event: {next_event!r}"
-                    )
+                if type(yielded) is not float:
                     try:
-                        next_event = self._generator.throw(exc2)
-                        continue
-                    except StopIteration as stop:
-                        self._ok = True
-                        self._value = stop.value
-                        self._triggered = True
-                        env.schedule(self)
-                        break
-                    except BaseException as exc3:
-                        self._ok = False
-                        self._value = exc3
-                        self._triggered = True
-                        env.schedule(self)
+                        callbacks = yielded.callbacks
+                    except AttributeError:
+                        if not isinstance(yielded, (int, float)) or type(yielded) is bool:
+                            event = self._bad_yield(f"yielded a non-event: {yielded!r}")
+                            continue
+                        yielded = float(yielded)  # an int or float subclass: sleep
+                    else:
+                        if callbacks is None:
+                            # Already happened: resume immediately with its value.
+                            event = yielded
+                            continue
+                        self._target = yielded
+                        callbacks.append(self._resume_cb)
                         break
 
-                if next_event._processed:
-                    # Already happened: resume immediately with its value.
-                    event = next_event
+                # A delay: arm the reusable sleep timeout exactly as
+                # ``Timeout.__init__`` schedules a fresh one (same
+                # sequence number, same push, same probe hook).
+                if not yielded >= 0:  # negative or NaN
+                    event = self._bad_yield(f"yielded a bad delay: {yielded!r}")
                     continue
-
-                self._target = next_event
-                next_event.callbacks.append(self._resume_cb)
+                sleep = self._sleep
+                sleep.callbacks = self._sleep_cbs
+                sleep._processed = False
+                sleep.delay = yielded
+                at = env._now + yielded
+                seq = env._seq
+                env._seq = seq + 1
+                queue = env._queue
+                if type(queue) is list:
+                    heappush(queue, (at, NORMAL, seq, sleep))
+                else:
+                    queue.push((at, NORMAL, seq, sleep))
+                if env.probe is not None:
+                    env.probe.on_schedule(env, sleep, at, NORMAL)
+                self._target = sleep
                 break
         finally:
             env._active_proc = None
+
+    def _bad_yield(self, what: str) -> Event:
+        """A failed pseudo-event that throws ``what`` into the generator."""
+        event = Event(self.env)
+        event._ok = False
+        event._value = SimulationError(f"process {self.name!r} {what}")
+        return event
 
 
 class Environment:
@@ -261,7 +332,12 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that triggers ``delay`` seconds from now."""
+        """Create an event that triggers ``delay`` seconds from now.
+
+        A process that only sleeps can ``yield delay`` instead (see
+        :class:`Process`); this is the form to compose, share or give a
+        ``value``.
+        """
         return Timeout(self, delay, value)
 
     def process(self, generator: ProcessGenerator, name: Optional[str] = None) -> Process:
@@ -333,9 +409,9 @@ class Environment:
                 stop_event = until
             else:
                 at = float(until)
-                if at < self._now:
+                if not at >= self._now:
                     raise SimulationError(
-                        f"until={at} lies in the past (now={self._now})"
+                        f"until={at} is NaN or lies in the past (now={self._now})"
                     )
                 stop_event = Event(self)
                 stop_event._ok = True

@@ -130,8 +130,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:  # negative or NaN (NaN would poison the clock)
+            raise SimulationError(f"timeout delay must be >= 0, got {delay!r}")
         # Fast path: one Timeout per simulated wait makes this the
         # hottest constructor in the engine, so the Event.__init__ +
         # Environment.schedule() call chain is inlined. State and push

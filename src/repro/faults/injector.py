@@ -97,7 +97,7 @@ class FaultInjector:
     def _drive(self, spec: FaultSpec) -> Generator:
         """DES process: wait, apply the fault, and revert it after its window."""
         if spec.at > self.env.now:
-            yield self.env.timeout(spec.at - self.env.now)
+            yield spec.at - self.env.now
         record = InjectedFault(spec=spec, injected_at=self.env.now)
         self.injected.append(record)
         self.state.apply(spec)
@@ -107,7 +107,7 @@ class FaultInjector:
                 "faults.injected", kind=spec.kind.value
             ).inc()
         if spec.duration > 0:
-            yield self.env.timeout(spec.duration)
+            yield spec.duration
             self.state.revert(spec)
             record.recovered_at = self.env.now
             self._mark("fault.recover", spec, latency=record.recovery_latency)

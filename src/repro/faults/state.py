@@ -186,5 +186,5 @@ class FaultState:
         while self.is_component_down(component):
             if should_abort is not None and should_abort():
                 break
-            yield env.timeout(self.restart_poll)
+            yield self.restart_poll
         return env.now - start

@@ -410,7 +410,7 @@ class ResilientSimDataStore:
                     raise
                 self.stats.note_retry()
                 self._mark_retry(op, key, attempt, exc)
-                yield env.timeout(self.policy.delay(attempt, self.rng))
+                yield self.policy.delay(attempt, self.rng)
             else:
                 if self.breaker is not None:
                     self.breaker.record_success()

@@ -19,6 +19,7 @@ copied, so the result is always writable and always private.
 from __future__ import annotations
 
 import json
+import math
 import pickle
 import struct
 from typing import Any
@@ -91,19 +92,21 @@ def deserialize(blob) -> Any:
         if view.nbytes < 8:
             raise CorruptPayloadError("truncated numpy header length")
         payload_start = 8 + _HEADER_LEN.unpack_from(view, 4)[0]
+        payload = view[payload_start:]
         try:
             header = json.loads(bytes(view[8:payload_start]))
             dtype = np.lib.format.descr_to_dtype(header["dtype"])
             shape = tuple(header["shape"])
+            if dtype.hasobject:
+                raise ValueError(f"object dtype {dtype} cannot be read from a buffer")
+            if not all(type(n) is int and n >= 0 for n in shape):
+                raise ValueError(f"bad shape {shape!r}")
+            expected = dtype.itemsize * math.prod(shape)
+            if payload.nbytes != expected:
+                raise ValueError(f"payload length {payload.nbytes} != expected {expected}")
+            array = np.frombuffer(payload, dtype=dtype).reshape(shape)
         except Exception as exc:
-            raise CorruptPayloadError(f"corrupt numpy header: {exc}") from exc
-        payload = view[payload_start:]
-        expected = dtype.itemsize * int(np.prod(shape)) if shape else dtype.itemsize
-        if payload.nbytes != expected:
-            raise CorruptPayloadError(
-                f"numpy payload length {payload.nbytes} != expected {expected}"
-            )
-        array = np.frombuffer(payload, dtype=dtype).reshape(shape)
+            raise CorruptPayloadError(f"corrupt numpy blob: {exc}") from exc
         # Blobs from before the header was padded can start the payload
         # anywhere; those take the copy too.
         if view.readonly or not array.flags.aligned:

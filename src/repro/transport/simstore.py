@@ -148,7 +148,7 @@ class SimDataStore:
         """
         failure = faults.failure_for(self.component, self.backend)
         if failure is not None:
-            yield self.env.timeout(faults.detect_seconds)
+            yield faults.detect_seconds
             raise failure
 
     def _charge(self, op: str, key: str, cost: float) -> tuple[float, Optional[TimeoutError]]:
@@ -183,7 +183,7 @@ class SimDataStore:
         if telemetry is not None:
             telemetry.transport_started(t=start)
         try:
-            yield self.env.timeout(cost)
+            yield cost
         finally:
             if telemetry is not None:
                 telemetry.transport_finished(t=self.env.now)
@@ -213,7 +213,7 @@ class SimDataStore:
         if telemetry is not None:
             telemetry.transport_started(t=start)
         try:
-            yield self.env.timeout(cost)
+            yield cost
         finally:
             if telemetry is not None:
                 telemetry.transport_finished(t=self.env.now)
@@ -237,7 +237,7 @@ class SimDataStore:
             yield from self._fault_gate(faults)
         start = self.env.now
         cost, late = self._charge("poll", key, self.model.poll_time(ctx or self.default_ctx))
-        yield self.env.timeout(cost)
+        yield cost
         if late is not None:
             raise late
         present = self.area.contains(key)

@@ -19,7 +19,10 @@ Wire protocol (little endian), writer = TCP server::
                      status 0 = step payload, 1 = end-of-stream, 2 = error
 
 Step payloads are a name->array mapping serialized with
-:mod:`repro.transport.serializer`.
+:mod:`repro.transport.serializer`. A step is bounded by
+:data:`MAX_STEP_BYTES` on both ends: the writer refuses to publish a
+larger one, and a reader drops the connection rather than allocate what
+an oversized ``payload_len`` declares.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ import struct
 import threading
 from typing import Any, Mapping, Optional
 
-from repro.errors import ServerError, TransportError
+from repro.errors import CorruptPayloadError, ServerError, TransportError
+from repro.transport.resp import MAX_BULK_BYTES as MAX_STEP_BYTES
 from repro.transport.serializer import deserialize, serialize
 from repro.transport.wire import recv_exact, send_parts
 
@@ -125,6 +129,10 @@ class StreamWriter:
         if self._current is None:
             raise TransportError("end_step called without begin_step")
         payload = _encode_step(self._current)
+        if len(payload) > MAX_STEP_BYTES:
+            raise TransportError(
+                f"step of {len(payload)} bytes exceeds the {MAX_STEP_BYTES}-byte step limit"
+            )
         with self._lock:
             self._steps[self._next_step] = payload
             self._next_step += 1
@@ -268,6 +276,14 @@ class StreamReader:
         try:
             self._sock.sendall(_REQ.pack(OP_WAIT_STEP, self._next_step))
             status, payload_len = _RESP.unpack(recv_exact(self._sock, _RESP.size))
+            if payload_len > MAX_STEP_BYTES:
+                # Nothing sane follows a header like that; the stream
+                # cannot be resynchronised.
+                self._sock.close()
+                raise CorruptPayloadError(
+                    f"stream reply declares {payload_len} bytes, over the "
+                    f"{MAX_STEP_BYTES}-byte step limit"
+                )
             payload = recv_exact(self._sock, payload_len)
         except ConnectionError as exc:
             raise ServerError(f"stream {exc}") from exc

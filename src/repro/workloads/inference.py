@@ -80,7 +80,7 @@ def run_inference_loop(
         rng = rngs.stream("sim")
         for i in range(config.iterations):
             start = env.now
-            yield env.timeout(max(0.0, config.sim_iter_time.sample(rng)))
+            yield max(0.0, config.sim_iter_time.sample(rng))
             log.add("sim", EventKind.COMPUTE, start, env.now - start)
             rt_start = env.now
             yield from sim_store.stage_write(f"req{i}", config.request_nbytes)
@@ -88,7 +88,7 @@ def run_inference_loop(
                 present = yield from sim_store.poll_staged_data(f"resp{i}")
                 if present:
                     break
-                yield env.timeout(config.poll_interval)
+                yield config.poll_interval
             yield from sim_store.stage_read(f"resp{i}")
             round_trips.append(env.now - rt_start)
             done["count"] += 1
@@ -100,10 +100,10 @@ def run_inference_loop(
                 present = yield from ai_store.poll_staged_data(f"req{i}")
                 if present:
                     break
-                yield env.timeout(config.poll_interval)
+                yield config.poll_interval
             yield from ai_store.stage_read(f"req{i}")
             start = env.now
-            yield env.timeout(max(0.0, config.infer_time.sample(rng)))
+            yield max(0.0, config.infer_time.sample(rng))
             log.add("infer", EventKind.COMPUTE, start, env.now - start)
             yield from ai_store.stage_write(f"resp{i}", config.response_nbytes)
 

@@ -542,9 +542,9 @@ def run_one_to_one(
             )
         )
         rng = rngs.stream(f"sim{rank}")
-        timeout, add, sample = env.timeout, log.add, config.sim_iter_time.sample
+        add, sample = log.add, config.sim_iter_time.sample
         compute, write_interval = EventKind.COMPUTE, config.write_interval
-        yield timeout(config.sim_init_time)
+        yield config.sim_init_time
         if rank == 0:
             add(sim_name, EventKind.INIT, 0.0, config.sim_init_time, rank)
         iteration = 0
@@ -558,7 +558,7 @@ def run_one_to_one(
                     break
             start = env.now
             span = _iteration_span(telemetry, sim_name, rank, iteration + 1) if traced else None
-            yield timeout(max(0.0, sample(rng)))
+            yield max(0.0, sample(rng))
             if span is not None:
                 span.finish()
             add(sim_name, compute, start, env.now - start, rank)
@@ -595,9 +595,9 @@ def run_one_to_one(
             )
         )
         rng = rngs.stream(f"ai{rank}")
-        timeout, add, sample = env.timeout, log.add, config.ai_iter_time.sample
+        add, sample = log.add, config.ai_iter_time.sample
         train, read_interval = EventKind.TRAIN, config.read_interval
-        yield timeout(config.ai_init_time)
+        yield config.ai_init_time
         if rank == 0:
             add(ai_name, EventKind.INIT, 0.0, config.ai_init_time, rank)
         next_snapshot = 0
@@ -607,7 +607,7 @@ def run_one_to_one(
                 counters["downtime"] += yield from faults.wait_until_up(env, ai_name)
             start = env.now
             span = _iteration_span(telemetry, ai_name, rank, iteration) if traced else None
-            yield timeout(max(0.0, sample(rng)))
+            yield max(0.0, sample(rng))
             if span is not None:
                 span.finish()
             add(ai_name, train, start, env.now - start, rank)
@@ -880,7 +880,7 @@ def run_many_to_one(
             )
         store = harness.wrap(raw_store)
         rng = rngs.stream(name)
-        timeout, add, sample = env.timeout, log.add, config.sim_iter_time.sample
+        add, sample = log.add, config.sim_iter_time.sample
         compute, write_interval = EventKind.COMPUTE, config.write_interval
         iteration = 0
         update = 0
@@ -893,7 +893,7 @@ def run_many_to_one(
                     break
             start = env.now
             span = _iteration_span(telemetry, name, index, iteration + 1) if traced else None
-            yield timeout(max(0.0, sample(rng)))
+            yield max(0.0, sample(rng))
             if span is not None:
                 span.finish()
             add(name, compute, start, env.now - start, index)
@@ -912,7 +912,7 @@ def run_many_to_one(
                 update += 1
 
     def reader_lane(store, keys: list[str], got: dict):
-        timeout, poll, poll_timeout = env.timeout, store.poll_staged_data, config.poll_timeout
+        poll, poll_timeout = store.poll_staged_data, config.poll_timeout
         for key in keys:
             deadline = env.now + poll_timeout
             present = False
@@ -923,7 +923,7 @@ def run_many_to_one(
                     present = False
                 if present or env.now >= deadline:
                     break
-                yield timeout(0.01)  # producer not there yet: re-poll
+                yield 0.01  # producer not there yet: re-poll
             if not present:
                 got[key] = False
                 counters["missed"] += 1
@@ -952,7 +952,7 @@ def run_many_to_one(
             )
         )
         rng = rngs.stream("ai")
-        timeout, add, sample = env.timeout, log.add, config.ai_iter_time.sample
+        add, sample = log.add, config.ai_iter_time.sample
         train, read_interval = EventKind.TRAIN, config.read_interval
         update = 0
         for iteration in range(1, config.train_iterations + 1):
@@ -960,7 +960,7 @@ def run_many_to_one(
                 counters["downtime"] += yield from faults.wait_until_up(env, ai_name)
             start = env.now
             span = _iteration_span(telemetry, ai_name, 0, iteration) if traced else None
-            yield timeout(max(0.0, sample(rng)))
+            yield max(0.0, sample(rng))
             if span is not None:
                 span.finish()
             add(ai_name, train, start, env.now - start, 0)

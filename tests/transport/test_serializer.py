@@ -1,12 +1,15 @@
 """Tests for value serialization."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from repro.errors import TransportError
+from repro.errors import CorruptPayloadError, TransportError
 from repro.transport import deserialize, serialize, serialized_nbytes
 from repro.transport.serializer import serialize_parts
 from tests.transport.memory import peak_bytes
@@ -171,6 +174,38 @@ def test_deserialize_truncated_numpy():
     blob = serialize(np.ones(100))
     with pytest.raises(TransportError):
         deserialize(blob[:-8])
+
+
+def _numpy_blob(dtype, shape, payload: bytes) -> bytes:
+    """An ``RNP1`` blob with a hand-written (possibly hostile) header."""
+    text = json.dumps({"dtype": dtype, "shape": shape}).encode()
+    return b"RNP1" + struct.pack("<I", len(text)) + text + payload
+
+
+@pytest.mark.parametrize(
+    "dtype, shape, nbytes",
+    [
+        pytest.param("<f8", [-1, -4], 32, id="two-negative-dims"),  # product is +4
+        pytest.param("<f8", [-1], 8, id="negative-dim"),
+        pytest.param("<f8", [2.5, 2], 40, id="float-dim"),
+        pytest.param("<f8", ["2", "2"], 32, id="string-dims"),
+        pytest.param("<f8", [True, 4], 32, id="bool-dim"),
+        pytest.param("<f8", "ab", 16, id="string-shape"),
+        pytest.param("<f8", 4, 32, id="scalar-shape"),
+        pytest.param("|O", [2], 16, id="object-dtype"),
+        pytest.param([["a", "|O"], ["b", "<i4"]], [1], 12, id="object-field"),
+        pytest.param("<f8", [2**62, 4], 0, id="int64-overflow"),  # wraps to 0 in numpy
+        pytest.param("<f8", [3], 16, id="length-mismatch"),
+    ],
+)
+def test_deserialize_hostile_numpy_header_is_corrupt_payload(dtype, shape, nbytes):
+    with pytest.raises(CorruptPayloadError):
+        deserialize(_numpy_blob(dtype, shape, bytes(nbytes)))
+
+
+def test_deserialize_handwritten_header_still_decodes():
+    got = deserialize(_numpy_blob("<f8", [2, 2], np.arange(4.0).tobytes()))
+    np.testing.assert_array_equal(got, np.arange(4.0).reshape(2, 2))
 
 
 def test_deserialize_corrupt_pickle():

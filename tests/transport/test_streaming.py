@@ -1,12 +1,15 @@
 """Tests for the ADIOS2-style point-to-point streaming transport."""
 
+import socket
+import struct
 import threading
 
 import numpy as np
 import pytest
 
-from repro.errors import ServerError, TransportError
+from repro.errors import CorruptPayloadError, ServerError, TransportError
 from repro.transport import StreamReader, StreamWriter
+from repro.transport import streaming
 from repro.transport.models import (
     StreamingBackendModel,
     TransportOpContext,
@@ -237,3 +240,34 @@ def test_backpressure_timeout_raises():
             writer.write_step({"i": 1})  # no reader: must raise, not hang
     finally:
         writer.close()
+
+
+def test_reader_refuses_an_oversized_payload_len_without_allocating():
+    """A hostile writer declaring 2**63 bytes gets a dropped connection."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def hostile():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(9)
+            conn.sendall(struct.pack("<BQ", streaming.STATUS_STEP, 2**63))
+            conn.recv(1)  # returns b"" once the reader hangs up
+
+    thread = threading.Thread(target=hostile, daemon=True)
+    thread.start()
+    try:
+        reader = StreamReader(f"127.0.0.1:{port}", timeout=5.0)
+        with pytest.raises(CorruptPayloadError, match="step limit"):
+            reader.begin_step()
+    finally:
+        thread.join(timeout=5.0)
+        listener.close()
+    assert not thread.is_alive()
+
+
+def test_writer_refuses_to_publish_an_oversized_step(writer, monkeypatch):
+    monkeypatch.setattr(streaming, "MAX_STEP_BYTES", 1024)
+    writer.write_step({"ok": np.zeros(8)})
+    with pytest.raises(TransportError, match="step limit"):
+        writer.write_step({"big": np.zeros(1024)})
