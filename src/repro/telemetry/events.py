@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import EmptyLogError, ReproError
 
@@ -34,10 +34,14 @@ TRANSPORT_KINDS = frozenset({EventKind.WRITE, EventKind.READ})
 
 
 def _reject_negative(component: str, duration: float, nbytes: float) -> None:
-    """Raise for a negative duration or size (shared by record and log)."""
-    if duration < 0:
+    """Raise for a negative or NaN duration or size (shared by record and log).
+
+    ``not x >= 0`` rather than ``x < 0``: every comparison with NaN is
+    false, and one stored NaN turns makespan and throughput into NaN.
+    """
+    if not duration >= 0:
         raise ReproError(f"negative duration {duration} for {component}")
-    if nbytes < 0:
+    if not nbytes >= 0:
         raise ReproError(f"negative nbytes {nbytes} for {component}")
 
 
@@ -115,9 +119,28 @@ class EventLog:
         meta: Optional[dict] = None,
     ) -> None:
         """Validate and append one record."""
-        if duration < 0 or nbytes < 0:
+        if not (duration >= 0 and nbytes >= 0):
             _reject_negative(component, duration, nbytes)
         self._rows.append((component, kind, start, duration, rank, nbytes, key, meta))
+
+    def add_step(
+        self,
+        tracks: Sequence[tuple[str, int]],
+        kind: EventKind,
+        start: float,
+        duration: float,
+    ) -> None:
+        """Append one record per ``(component, rank)`` track, in order.
+
+        The records of one step of a lock-step group share ``kind``,
+        ``start`` and ``duration``, so they are validated once and
+        appended with one ``list.extend``.
+        """
+        if not duration >= 0:
+            _reject_negative(tracks[0][0], duration, 0.0)
+        self._rows.extend(
+            [(component, kind, start, duration, rank, 0.0, "", None) for component, rank in tracks]
+        )
 
     def extend(self, other: "EventLog") -> None:
         """Append every record from another log."""
@@ -141,21 +164,28 @@ class EventLog:
         kind: Optional[EventKind] = None,
         kinds: Optional[Iterable[EventKind]] = None,
         rank: Optional[int] = None,
-    ) -> Iterable[tuple]:
-        """The rows matching the filter arguments, lazily, in log order."""
+    ) -> list[tuple]:
+        """The rows matching the filter arguments, in log order.
+
+        Each filter given narrows the rows in its own pass and an absent
+        one costs nothing: the whole-log scans every run ends with
+        (makespan over workload kinds, one component's span) test one
+        field per row. With no filter this is the log's own row list;
+        callers must not mutate it.
+        """
         if kind is not None and kinds is not None:
             raise ReproError("pass either kind or kinds, not both")
-        if component is None and kind is None and kinds is None and rank is None:
-            return self._rows
-        wanted = None if kinds is None else frozenset(kinds)
-        return (
-            r
-            for r in self._rows
-            if (component is None or r[0] == component)
-            and (kind is None or r[1] == kind)
-            and (wanted is None or r[1] in wanted)
-            and (rank is None or r[4] == rank)
-        )
+        rows = self._rows
+        if component is not None:
+            rows = [r for r in rows if r[0] == component]
+        if rank is not None:
+            rows = [r for r in rows if r[4] == rank]
+        if kind is not None:
+            rows = [r for r in rows if r[1] == kind]
+        if kinds is not None:
+            wanted = frozenset(kinds)
+            rows = [r for r in rows if r[1] in wanted]
+        return rows
 
     def filter(
         self,
@@ -170,7 +200,8 @@ class EventLog:
         arguments as keywords and answer without building a log.
         """
         out = EventLog()
-        out._rows = list(self._matching(component, kind, kinds, rank))
+        rows = self._matching(component, kind, kinds, rank)
+        out._rows = list(rows) if rows is self._rows else rows
         return out
 
     def components(self) -> list[str]:
@@ -179,7 +210,7 @@ class EventLog:
 
     def count(self, **where) -> int:
         """Number of records matching the filter arguments."""
-        return sum(1 for _ in self._matching(**where))
+        return len(self._matching(**where))
 
     def durations(self) -> list[float]:
         """Every record's duration, in log order.

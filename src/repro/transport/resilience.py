@@ -344,6 +344,10 @@ class ResilientSimDataStore:
         return self.store.component
 
     @property
+    def rank(self) -> int:
+        return self.store.rank
+
+    @property
     def backend(self) -> str:
         return self.store.backend
 

@@ -295,10 +295,12 @@ class RespParser:
         line = bytes(self._buffer[pos + 1 : line_end])
         after_line = line_end + 2
 
-        if marker == b"+":
-            return line.decode("utf-8"), after_line
-        if marker == b"-":
-            return _ErrorReply(line.decode("utf-8")), after_line
+        if marker == b"+" or marker == b"-":
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError:
+                raise RespError(f"status line is not UTF-8: {line!r}") from None
+            return (text if marker == b"+" else _ErrorReply(text)), after_line
         if marker == b":":
             try:
                 return int(line), after_line

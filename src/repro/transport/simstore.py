@@ -21,7 +21,7 @@ Usage inside a DES process::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from repro.des import Environment
 from repro.errors import CorruptPayloadError, KeyNotStagedError, TimeoutError, TransportError
@@ -249,3 +249,46 @@ class SimDataStore:
         if keys is None:
             return self.area.clear()
         return sum(int(self.area.remove(key)) for key in keys)
+
+
+def stage_write_group(
+    stores: Sequence[SimDataStore], keys: Sequence[Sequence[str]], nbytes: float
+) -> Generator:
+    """Lock-step writes of a group of stores, as one DES process.
+
+    ``stores[i]`` stages ``keys[i][0]``, ``keys[i][1]``, ... back to
+    back, ``nbytes`` each. The stores share one environment, model,
+    default context and op budget and carry no fault state, so the
+    modeled cost is one number and the group sleeps once per key; the
+    publish, the WRITE row, the tracer span and the ``link.occupancy``
+    steps happen per store, in list order — the order per-store
+    :meth:`SimDataStore.stage_write` calls run in when the stores'
+    calendar entries pop consecutively.
+    """
+    lead = stores[0]
+    if nbytes < 0:
+        raise TransportError(f"negative staged size {nbytes}")
+    env, telemetry = lead.env, lead.telemetry
+    modeled = lead.model.write_time(nbytes, lead.default_ctx)
+    last = len(keys[0]) - 1
+    for j in range(last + 1):
+        start = env.now
+        cost, late = lead._charge("write", keys[0][j], modeled)
+        if telemetry is not None and j == 0:
+            for _ in stores:
+                telemetry.transport_started(t=start)
+        yield cost
+        now = env.now
+        for store, mine in zip(stores, keys):
+            if telemetry is not None:
+                telemetry.transport_finished(t=now)
+            if late is not None:
+                continue
+            store.area.publish(mine[j], nbytes)
+            store._log(EventKind.WRITE, start, nbytes, mine[j])
+            if telemetry is not None and j < last:
+                # This store's next key goes on the wire before the next
+                # store's write has come off it.
+                telemetry.transport_started(t=now)
+        if late is not None:
+            raise late

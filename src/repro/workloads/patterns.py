@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Union
 
 from repro.config.distributions import Constant, Distribution
@@ -45,7 +46,7 @@ from repro.transport.resilience import (
     ResilienceStats,
     ResilientSimDataStore,
 )
-from repro.transport.simstore import SimDataStore, SimStagingArea
+from repro.transport.simstore import SimDataStore, SimStagingArea, stage_write_group
 
 #: Calibrated iteration times from the paper's production profiling (§4.1.1).
 NEKRS_ITER_TIME = 0.03147
@@ -463,6 +464,93 @@ def _workload_makespan(log: EventLog) -> float:
     return log.makespan(kinds=_WORKLOAD_KINDS)
 
 
+def _rank_groups(ranks, sim_iter_time: Distribution, harness, sh, contiguous: bool = True) -> list:
+    """The simulation ranks of a run, split into groups that are one process each.
+
+    All ranks form one group when lock-step is provable from the inputs:
+    a deterministic iteration time, no fault or resilience wiring, not a
+    shard program, and calendar entries the caller knows are
+    ``contiguous`` from the first step. Otherwise every rank is its own
+    group. Telemetry never decides: traced and untraced runs are the
+    same program.
+    """
+    ranks = list(ranks)
+    lockstep = (
+        isinstance(sim_iter_time, Constant) and not harness.active and sh is None and contiguous
+    )
+    return [ranks] if lockstep and ranks else [[rank] for rank in ranks]
+
+
+def _sim_ranks(
+    env, log, stop, counters, faults, telemetry, rngs, stores, config,
+    keys_for, init_time=None, count_every_write=False,
+):
+    """One DES process driving a group of simulation ranks in lock-step.
+
+    A step is one sleep for the whole group, then one COMPUTE row per
+    rank in rank order; every ``write_interval`` steps each rank stages
+    ``keys_for(rank, snapshot)``. Several ranks share a process only
+    where :func:`_rank_groups` proved lock-step, and then write through
+    :func:`~repro.transport.simstore.stage_write_group`. A group of one
+    is the general case: its own (resilient, shard-tracked) store, its
+    own RNG stream, the fault hooks.
+
+    One process emits what N did because the N per-rank calendar entries
+    are pushed during one uninterrupted run of pops: they carry
+    consecutive sequence numbers at every instant, so any other entry at
+    the same timestamp lies wholly before or after the block. Rows,
+    publishes, counters and the ``stop`` test keep their order.
+    """
+    tracks = [(store.component, store.rank) for store in stores]
+    component = tracks[0][0]  # the fault hooks only ever see a group of one
+    leads = tracks[0][1] == 0  # rank 0 carries the per-run counters
+    sole = stores[0] if len(stores) == 1 else None
+    sample, write_interval = config.sim_iter_time.sample, config.write_interval
+    # A deterministic distribution never draws: no Generator is built for it.
+    rng = None if isinstance(config.sim_iter_time, Constant) else rngs.stream(f"sim{tracks[0][1]}")
+    if init_time is not None:
+        yield init_time
+        if leads:
+            log.add(component, EventKind.INIT, 0.0, init_time, 0)
+    iteration = snapshot = 0
+    while not stop.stopped:
+        if faults is not None and faults.is_component_down(component):
+            counters["downtime"] += yield from faults.wait_until_up(
+                env, component, should_abort=lambda: stop.stopped
+            )
+            if stop.stopped:
+                break
+        start = env.now
+        iteration += 1
+        spans = (
+            [_iteration_span(telemetry, c, r, iteration) for c, r in tracks]
+            if telemetry is not None
+            else ()
+        )
+        yield max(0.0, sample(rng))
+        for span in spans:
+            span.finish()
+        log.add_step(tracks, EventKind.COMPUTE, start, env.now - start)
+        if leads:
+            counters["sim_iters"] += 1
+        if iteration % write_interval == 0:
+            try:
+                if sole is None:
+                    yield from stage_write_group(
+                        stores, [keys_for(r, snapshot) for _, r in tracks], config.snapshot_nbytes
+                    )
+                else:
+                    for key in keys_for(tracks[0][1], snapshot):
+                        yield from sole.stage_write(key, config.snapshot_nbytes)
+            except TransportError:
+                # Degrade, don't crash: the snapshot is lost, the
+                # simulation carries on.
+                counters["lost"] += len(stores)
+            else:
+                counters["written"] += len(stores) if count_every_write else leads
+            snapshot += 1
+
+
 def run_one_to_one(
     model: BackendModel,
     config: Optional[OneToOneConfig] = None,
@@ -527,13 +615,13 @@ def run_one_to_one(
         "downtime": 0.0,
     }
 
-    def sim_rank(rank: int):
-        store = harness.wrap(
+    def client(component: str, rank: int):
+        return harness.wrap(
             SimDataStore(
                 env,
                 model,
                 area,
-                component=sim_name,
+                component=component,
                 rank=rank,
                 event_log=log,
                 default_ctx=ctx,
@@ -541,59 +629,19 @@ def run_one_to_one(
                 fault_state=faults,
             )
         )
-        rng = rngs.stream(f"sim{rank}")
-        add, sample = log.add, config.sim_iter_time.sample
-        compute, write_interval = EventKind.COMPUTE, config.write_interval
-        yield config.sim_init_time
-        if rank == 0:
-            add(sim_name, EventKind.INIT, 0.0, config.sim_init_time, rank)
-        iteration = 0
-        snapshot = 0
-        while not stop.stopped:
-            if faults is not None and faults.is_component_down(sim_name):
-                counters["downtime"] += yield from faults.wait_until_up(
-                    env, sim_name, should_abort=lambda: stop.stopped
-                )
-                if stop.stopped:
-                    break
-            start = env.now
-            span = _iteration_span(telemetry, sim_name, rank, iteration + 1) if traced else None
-            yield max(0.0, sample(rng))
-            if span is not None:
-                span.finish()
-            add(sim_name, compute, start, env.now - start, rank)
-            iteration += 1
-            if rank == 0:
-                counters["sim_iters"] += 1
-            if iteration % write_interval == 0:
-                try:
-                    for a in range(config.arrays_per_snapshot):
-                        yield from store.stage_write(
-                            f"r{rank}_snap{snapshot}_a{a}", config.snapshot_nbytes
-                        )
-                except TransportError:
-                    # Degrade, don't crash: the snapshot is lost, the
-                    # simulation carries on.
-                    counters["lost"] += 1
-                else:
-                    if rank == 0:
-                        counters["written"] += 1
-                snapshot += 1
+
+    def sim_ranks(ranks: list[int]):
+        return _sim_ranks(
+            env, log, stop, counters, faults, telemetry, rngs,
+            [client(sim_name, rank) for rank in ranks], config,
+            keys_for=lambda rank, snapshot: [
+                f"r{rank}_snap{snapshot}_a{a}" for a in range(config.arrays_per_snapshot)
+            ],
+            init_time=config.sim_init_time,
+        )
 
     def ai_rank(rank: int):
-        store = harness.wrap(
-            SimDataStore(
-                env,
-                model,
-                area,
-                component=ai_name,
-                rank=rank,
-                event_log=log,
-                default_ctx=ctx,
-                telemetry=telemetry,
-                fault_state=faults,
-            )
-        )
+        store = client(ai_name, rank)
         rng = rngs.stream(f"ai{rank}")
         add, sample = log.add, config.ai_iter_time.sample
         train, read_interval = EventKind.TRAIN, config.read_interval
@@ -665,8 +713,19 @@ def run_one_to_one(
             stop.set()
 
     harness.start()
-    for rank in (sh.members if sh is not None else range(config.ranks_per_component)):
-        env.process(sim_rank(rank), name=f"{sim_name}{rank}")
+    ranks = sh.members if sh is not None else range(config.ranks_per_component)
+    # Sims and AIs are created interleaved: with equal init times their
+    # entries alternate rank by rank at every shared instant and the sims
+    # never become one contiguous block. Unequal, the sims wake alone.
+    groups = _rank_groups(
+        ranks, config.sim_iter_time, harness, sh,
+        contiguous=config.sim_init_time != config.ai_init_time,
+    )
+    starts = {group[0]: group for group in groups}
+    for rank in ranks:
+        # A group takes its first rank's place in the creation order.
+        if rank in starts:
+            env.process(sim_ranks(starts[rank]), name=f"{sim_name}{rank}")
         env.process(ai_rank(rank), name=f"{ai_name}{rank}")
     if sh is not None:
         sh.log = log
@@ -849,67 +908,34 @@ def run_many_to_one(
     }
     quorum_needed = math.ceil(harness.quorum * config.n_simulations)
 
-    def producer(index: int):
-        name = f"sim{index}"
+    def producers(indexes: list[int]):
+        # Producers on a non-trainer shard expose their in-flight writes
+        # so the shard's publish promise covers them.
         if sh is None or sh.publishes_to is None:
-            raw_store = SimDataStore(
-                env,
-                model,
-                area,
-                component=name,
-                rank=index,
-                event_log=log,
-                default_ctx=write_ctx,
-                telemetry=telemetry,
-                fault_state=faults,
-            )
+            store_type = SimDataStore
         else:
-            # Producer on a non-trainer shard: expose in-flight writes so
-            # the shard's publish promise covers them.
-            raw_store = _TrackedSimDataStore(
-                env,
-                model,
-                area,
-                component=name,
-                rank=index,
-                event_log=log,
-                default_ctx=write_ctx,
-                telemetry=telemetry,
-                fault_state=faults,
-                shard_program=sh,
-            )
-        store = harness.wrap(raw_store)
-        rng = rngs.stream(name)
-        add, sample = log.add, config.sim_iter_time.sample
-        compute, write_interval = EventKind.COMPUTE, config.write_interval
-        iteration = 0
-        update = 0
-        while not stop.stopped:
-            if faults is not None and faults.is_component_down(name):
-                counters["downtime"] += yield from faults.wait_until_up(
-                    env, name, should_abort=lambda: stop.stopped
+            store_type = partial(_TrackedSimDataStore, shard_program=sh)
+        stores = [
+            harness.wrap(
+                store_type(
+                    env,
+                    model,
+                    area,
+                    component=f"sim{index}",
+                    rank=index,
+                    event_log=log,
+                    default_ctx=write_ctx,
+                    telemetry=telemetry,
+                    fault_state=faults,
                 )
-                if stop.stopped:
-                    break
-            start = env.now
-            span = _iteration_span(telemetry, name, index, iteration + 1) if traced else None
-            yield max(0.0, sample(rng))
-            if span is not None:
-                span.finish()
-            add(name, compute, start, env.now - start, index)
-            iteration += 1
-            if index == 0:
-                counters["sim_iters"] += 1
-            if iteration % write_interval == 0:
-                try:
-                    yield from store.stage_write(
-                        f"{name}_update{update}", config.snapshot_nbytes
-                    )
-                except TransportError:
-                    counters["lost"] += 1
-                else:
-                    counters["written"] += 1
-                update += 1
+            )
+            for index in indexes
+        ]
+        return _sim_ranks(
+            env, log, stop, counters, faults, telemetry, rngs, stores, config,
+            keys_for=lambda index, update: [f"sim{index}_update{update}"],
+            count_every_write=True,
+        )
 
     def reader_lane(store, keys: list[str], got: dict):
         poll, poll_timeout = store.poll_staged_data, config.poll_timeout
@@ -1003,8 +1029,9 @@ def run_many_to_one(
         stop.set()
 
     harness.start()
-    for index in (sh.members if sh is not None else range(config.n_simulations)):
-        env.process(producer(index), name=f"sim{index}")
+    indexes = sh.members if sh is not None else range(config.n_simulations)
+    for group in _rank_groups(indexes, config.sim_iter_time, harness, sh):
+        env.process(producers(group), name=f"sim{group[0]}")
     if sh is None or sh.owns_stop:
         env.process(trainer(), name=ai_name)
     if sh is not None:

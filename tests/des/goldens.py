@@ -69,7 +69,21 @@ def probed_pattern_environment(probe: Probe):
         patterns.Environment = original
 
 
-def record_pattern1() -> dict:
+@contextmanager
+def one_rank_per_group():
+    """Patch the pattern runners to give every simulation rank its own
+    process, whatever the inputs prove about lock-step."""
+    import repro.workloads.patterns as patterns
+
+    original = patterns._rank_groups
+    patterns._rank_groups = lambda ranks, *args, **kwargs: [[rank] for rank in ranks]
+    try:
+        yield
+    finally:
+        patterns._rank_groups = original
+
+
+def record_pattern1_lockstep() -> dict:
     """Quick Pattern 1 (one-to-one) run on the dragon model."""
     from repro.experiments.common import backend_models, pattern1_context
     from repro.workloads import OneToOneConfig, run_one_to_one
@@ -84,7 +98,7 @@ def record_pattern1() -> dict:
     return recorder.digest()
 
 
-def record_pattern2() -> dict:
+def record_pattern2_lockstep() -> dict:
     """Quick Pattern 2 (many-to-one) run on the redis model."""
     from repro.experiments.common import backend_models
     from repro.workloads import ManyToOneConfig, run_many_to_one
@@ -96,6 +110,19 @@ def record_pattern2() -> dict:
             ManyToOneConfig(n_simulations=7, train_iterations=60, seed=0),
         )
     return recorder.digest()
+
+
+def record_pattern1() -> dict:
+    """The Pattern 1 run with one process per simulation rank: the
+    program the pre-optimization digest was recorded on."""
+    with one_rank_per_group():
+        return record_pattern1_lockstep()
+
+
+def record_pattern2() -> dict:
+    """The Pattern 2 run with one process per producer."""
+    with one_rank_per_group():
+        return record_pattern2_lockstep()
 
 
 def record_substrate_mix() -> dict:
@@ -172,7 +199,9 @@ def record_substrate_mix() -> dict:
 
 RECORDERS = {
     "pattern1": record_pattern1,
+    "pattern1_lockstep": record_pattern1_lockstep,
     "pattern2": record_pattern2,
+    "pattern2_lockstep": record_pattern2_lockstep,
     "substrate_mix": record_substrate_mix,
 }
 

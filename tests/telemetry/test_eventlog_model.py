@@ -63,14 +63,21 @@ COMPONENTS = st.sampled_from(["sim", "train", "sim0", "sim1"])
 KINDS = st.sampled_from(list(EventKind))
 RANKS = st.integers(min_value=0, max_value=3)
 TIMES = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-# Durations and sizes stray below zero often enough to hit validation.
-SIGNED = st.one_of(st.floats(min_value=0, max_value=1e9), st.floats(min_value=-5, max_value=5))
+# Durations and sizes stray below zero (and to NaN, for which every
+# comparison is false) often enough to hit validation.
+SIGNED = st.one_of(
+    st.floats(min_value=0, max_value=1e9),
+    st.floats(min_value=-5, max_value=5),
+    st.just(float("nan")),
+)
 METAS = st.dictionaries(st.text(max_size=4), st.one_of(st.integers(), st.text(max_size=4)), max_size=2)
 OPTIONAL = st.fixed_dictionaries(
     {}, optional={"rank": RANKS, "nbytes": SIGNED, "key": st.text(max_size=6), "meta": METAS}
 )
 FIELDS = st.tuples(COMPONENTS, KINDS, TIMES, SIGNED, OPTIONAL)
-OPS = st.lists(st.tuples(st.sampled_from(["add", "record", "extend"]), FIELDS), max_size=25)
+OPS = st.lists(
+    st.tuples(st.sampled_from(["add", "add_step", "record", "extend"]), FIELDS), max_size=25
+)
 FILTERS = st.fixed_dictionaries(
     {},
     optional={
@@ -86,6 +93,21 @@ def build(ops):
     """Apply ``ops`` to a real log and the model; invalid ones to neither."""
     log, model = EventLog(), ModelLog()
     for op, (component, kind, start, duration, optional) in ops:
+        if op == "add_step":
+            # One step of a two-rank lock-step group: shared kind, start
+            # and duration, validated once, appended in track order.
+            rank = optional.get("rank", 0)
+            tracks = [(component, rank), ("sim1", rank + 1)]
+            try:
+                records = [EventRecord(c, kind, start, duration, rank=r) for c, r in tracks]
+            except ReproError as err:
+                with pytest.raises(ReproError) as caught:
+                    log.add_step(tracks, kind, start, duration)
+                assert str(caught.value) == str(err)
+                continue
+            log.add_step(tracks, kind, start, duration)
+            model.records.extend(records)
+            continue
         try:
             record = EventRecord(component, kind, start, duration, **optional)
         except ReproError as err:

@@ -27,6 +27,34 @@ def test_record_validation():
         rec(nbytes=-5)
 
 
+def test_nan_duration_and_size_are_rejected_everywhere():
+    # `x < 0` is false for NaN; one stored NaN poisons makespan and throughput.
+    nan = float("nan")
+    log = EventLog()
+    for bad in ({"duration": nan}, {"duration": 1.0, "nbytes": nan}):
+        with pytest.raises(ReproError, match="nan"):
+            rec(**bad)
+        with pytest.raises(ReproError, match="nan"):
+            log.add("sim", EventKind.WRITE, start=0.0, **bad)
+    with pytest.raises(ReproError, match="negative duration nan for sim0"):
+        log.add_step([("sim0", 0), ("sim1", 1)], EventKind.COMPUTE, 0.0, nan)
+    with pytest.raises(ReproError, match="negative duration -1.0 for sim0"):
+        log.add_step([("sim0", 0), ("sim1", 1)], EventKind.COMPUTE, 0.0, -1.0)
+    # record() takes only constructed records, and construction rejects NaN.
+    with pytest.raises(ReproError):
+        log.record(rec(duration=nan))
+    assert len(log) == 0
+
+
+def test_add_step_appends_one_record_per_track_in_order():
+    log = EventLog()
+    log.add_step([("sim0", 0), ("sim1", 1)], EventKind.COMPUTE, 2.0, 0.5)
+    assert list(log) == [
+        rec("sim0", start=2.0, duration=0.5, rank=0),
+        rec("sim1", start=2.0, duration=0.5, rank=1),
+    ]
+
+
 def test_log_record_and_len():
     log = EventLog()
     log.record(rec())

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.des import Environment
-from repro.errors import KeyNotStagedError, TransportError
-from repro.telemetry import EventKind, EventLog
+from repro.errors import KeyNotStagedError, TimeoutError, TransportError
+from repro.telemetry import EventKind, EventLog, Telemetry
 from repro.transport.models import (
     NodeLocalBackendModel,
     TransportOpContext,
 )
-from repro.transport.simstore import SimDataStore, SimStagingArea
+from repro.transport.simstore import SimDataStore, SimStagingArea, stage_write_group
 
 
 def make_store(event_log=None):
@@ -184,3 +184,86 @@ def test_negative_write_size_rejected():
 def test_backend_name():
     env, area, store = make_store()
     assert store.backend == "node-local"
+
+
+# -- lock-step group writes ---------------------------------------------------
+
+
+def _group_fixture(n=3, telemetry=None, **store_kwargs):
+    env, area, log = Environment(), SimStagingArea(), EventLog()
+    if telemetry is not None:
+        telemetry.tracer.bind_clock(lambda: env.now)
+    stores = [
+        SimDataStore(
+            env, NodeLocalBackendModel(), area, component=f"sim{i}", rank=i,
+            event_log=log, default_ctx=TransportOpContext(local=True),
+            telemetry=telemetry, **store_kwargs,
+        )
+        for i in range(n)
+    ]
+    keys = [[f"sim{i}_a0", f"sim{i}_a1"] for i in range(n)]
+    return env, area, log, stores, keys
+
+
+def _snapshot(area, log, telemetry):
+    return (
+        log.to_jsonl(), area.keys(), area.staged_bytes, area.total_writes,
+        telemetry.snapshot(),
+    )
+
+
+def test_group_write_is_the_per_store_writes_in_one_process():
+    hub = Telemetry()
+    env, area, log, stores, keys = _group_fixture(telemetry=hub)
+    env.process(stage_write_group(stores, keys, 2e6))
+    env.run()
+    grouped = _snapshot(area, log, hub)
+    assert env.now > 0 and len(log) == 6
+
+    hub = Telemetry()
+    env, area, log, stores, keys = _group_fixture(telemetry=hub)
+
+    def writer(store, mine):
+        for key in mine:
+            yield from store.stage_write(key, 2e6)
+
+    for store, mine in zip(stores, keys):
+        env.process(writer(store, mine))
+    env.run()
+    assert _snapshot(area, log, hub) == grouped
+    # Each store hands over from its first key to its second while the
+    # others are still on the wire: occupancy dips to 2, never to 0.
+    levels = [v for _, v in hub.metrics.gauge("link.occupancy").samples]
+    assert levels == [1, 2, 3, 2, 3, 2, 3, 2, 3, 2, 1, 0]
+
+
+def test_group_write_rejects_negative_size_before_any_time_passes():
+    env, area, log, stores, keys = _group_fixture()
+    failures = []
+
+    def proc():
+        try:
+            yield from stage_write_group(stores, keys, -1.0)
+        except TransportError as err:
+            failures.append((env.now, str(err)))
+
+    env.process(proc())
+    env.run()
+    assert failures == [(0.0, "negative staged size -1.0")]
+    assert len(log) == 0 and area.keys() == []
+
+
+def test_group_write_over_the_op_budget_times_out_for_every_store():
+    env, area, log, stores, keys = _group_fixture(op_timeout=1e-9)
+    failures = []
+
+    def proc():
+        try:
+            yield from stage_write_group(stores, keys, 2e6)
+        except TimeoutError:
+            failures.append(env.now)
+
+    env.process(proc())
+    env.run()
+    assert failures == [1e-9]
+    assert len(log) == 0 and area.keys() == []
