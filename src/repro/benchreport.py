@@ -24,11 +24,7 @@ Report schema (``schema_version`` 1)::
       "des": {
         "event_throughput": {"events": N, "seconds": s, "events_per_sec": r},
         "resource_contention": {...},
-        "calendar_throughput": {...},   # event_throughput on the calendar core
-        "shard_scaling": {
-          "shards": 2, "serial_seconds": s, "sharded_seconds": s,
-          "speedup": x, "identical": 1.0
-        }
+        "calendar_throughput": {...}    # event_throughput on the calendar core
       },
       "service": {
         "grids": N, "points": N, "claimed": N,
@@ -144,63 +140,6 @@ def run_des_benchmarks(repeats: int = 5) -> dict[str, dict[str, float]]:
         "event_throughput": _measure_des(_ticker_workload, repeats),
         "resource_contention": _measure_des(_contention_workload, repeats),
         "calendar_throughput": _measure_des(_ticker_workload, repeats, core="calendar"),
-    }
-
-
-def run_shard_scaling_benchmark(shards: int = 2) -> dict[str, float]:
-    """One fig6-style pattern-2 cell, serial vs ``shards``-way sharded.
-
-    Reports both wall times and the speedup, and asserts the sharded
-    event log is byte-identical to the serial one (``identical`` is 1.0;
-    a mismatch raises, because a wrong-but-fast parallel run must never
-    become a committed baseline). On single-core hosts the "speedup" is
-    honestly below 1 — the fingerprint check keeps such baselines from
-    gating runs on other machines.
-    """
-    from repro.experiments.common import backend_models
-    from repro.transport.models import TransportOpContext
-    from repro.workloads.patterns import ManyToOneConfig, run_many_to_one
-
-    n_sims = 127  # the paper's 128-node cell: one trainer + 127 simulations
-    config = ManyToOneConfig(
-        n_simulations=n_sims,
-        train_iterations=200,
-        snapshot_nbytes=1e6,
-    )
-    n_clients = n_sims + min(12, n_sims)
-    kwargs = dict(
-        write_ctx=TransportOpContext(
-            local=True, clients_per_server=12, concurrent_clients=n_clients
-        ),
-        read_ctx=TransportOpContext(
-            local=False,
-            clients_per_server=12,
-            fan_in=n_sims,
-            concurrent_peers=min(12, n_sims),
-            concurrent_clients=n_clients,
-        ),
-    )
-    models = backend_models()["filesystem"]
-
-    start = time.perf_counter()
-    serial = run_many_to_one(models, config, **kwargs)
-    serial_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    sharded = run_many_to_one(models, config, shards=shards, **kwargs)
-    sharded_seconds = time.perf_counter() - start
-
-    if serial.log.to_jsonl() != sharded.log.to_jsonl():
-        raise RuntimeError(
-            f"{shards}-shard event log diverged from serial; refusing to "
-            "record a shard-scaling baseline for a non-equivalent run"
-        )
-    return {
-        "shards": float(shards),
-        "serial_seconds": serial_seconds,
-        "sharded_seconds": sharded_seconds,
-        "speedup": serial_seconds / sharded_seconds if sharded_seconds > 0 else 0.0,
-        "identical": 1.0,
     }
 
 
@@ -387,7 +326,6 @@ def collect(quick: bool = False, repeats: int = 5) -> dict[str, Any]:
     """Run the whole bench and assemble the report payload."""
     names = list(QUICK_EXPERIMENTS) if quick else None
     des = run_des_benchmarks(repeats=repeats)
-    des["shard_scaling"] = run_shard_scaling_benchmark()
     service = run_service_benchmark()
     telemetry = run_eventlog_benchmark(repeats=repeats)
     transport = run_staging_benchmark(repeats=repeats)
@@ -452,7 +390,7 @@ def delta_table(current: dict[str, Any], baseline: dict[str, Any]) -> str:
     rows: list[tuple[str, str, str, str]] = []
     for name, cur in current.get("des", {}).items():
         base = baseline.get("des", {}).get(name)
-        if base is None or "events_per_sec" not in cur or "events_per_sec" not in base:
+        if base is None:
             continue
         rows.append(
             (
@@ -460,17 +398,6 @@ def delta_table(current: dict[str, Any], baseline: dict[str, Any]) -> str:
                 f"{base['events_per_sec']:,.0f}",
                 f"{cur['events_per_sec']:,.0f}",
                 _fmt_delta(cur["events_per_sec"], base["events_per_sec"], True),
-            )
-        )
-    cur_scaling = current.get("des", {}).get("shard_scaling", {})
-    base_scaling = baseline.get("des", {}).get("shard_scaling", {})
-    if "speedup" in cur_scaling and "speedup" in base_scaling:
-        rows.append(
-            (
-                f"des.shard_scaling (x{cur_scaling.get('shards', 2):.0f} speedup)",
-                f"{base_scaling['speedup']:.2f}",
-                f"{cur_scaling['speedup']:.2f}",
-                _fmt_delta(cur_scaling["speedup"], base_scaling["speedup"], True),
             )
         )
     cur_service = current.get("service", {})
@@ -581,7 +508,7 @@ def check_regression(
     failures = []
     for name, cur in current.get("des", {}).items():
         base = baseline.get("des", {}).get(name)
-        if base is None or "events_per_sec" not in cur or "events_per_sec" not in base:
+        if base is None:
             continue
         floor = (1.0 - threshold) * base["events_per_sec"]
         if cur["events_per_sec"] < floor:
@@ -644,19 +571,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     payload = collect(quick=args.quick, repeats=args.repeats)
 
     for name, numbers in payload["des"].items():
-        if "events_per_sec" in numbers:
-            print(
-                f"des.{name}: {numbers['events_per_sec']:,.0f} events/sec "
-                f"({numbers['events']:.0f} events in "
-                f"{numbers['seconds'] * 1e3:.1f} ms)"
-            )
-        elif "speedup" in numbers:
-            print(
-                f"des.{name}: {numbers['speedup']:.2f}x at "
-                f"{numbers['shards']:.0f} shards "
-                f"(serial {numbers['serial_seconds']:.2f} s, sharded "
-                f"{numbers['sharded_seconds']:.2f} s, output identical)"
-            )
+        print(
+            f"des.{name}: {numbers['events_per_sec']:,.0f} events/sec "
+            f"({numbers['events']:.0f} events in "
+            f"{numbers['seconds'] * 1e3:.1f} ms)"
+        )
     service = payload.get("service", {})
     if service:
         print(

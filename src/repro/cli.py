@@ -176,7 +176,6 @@ def _simulate_one_to_one(args, model, telemetry, fault_plan=None):
         ctx=pattern1_context(args.nodes),
         telemetry=telemetry,
         fault_plan=fault_plan,
-        shards=getattr(args, "shards", 1),
     )
 
 
@@ -206,13 +205,11 @@ def _simulate_many_to_one(args, model, telemetry, fault_plan=None):
         ),
         telemetry=telemetry,
         fault_plan=fault_plan,
-        shards=getattr(args, "shards", 1),
     )
 
 
 def _simulate_summary(args, result) -> dict:
     """The machine-readable run summary (simulate --json)."""
-    from repro.des import default_core
     from repro.telemetry import EventKind, mean_throughput, mean_transport_time
     from repro.telemetry.stats import Summary
 
@@ -237,8 +234,6 @@ def _simulate_summary(args, result) -> dict:
         "nodes": args.nodes,
         "size_mb": args.size_mb,
         "iterations": args.iterations,
-        "shards": getattr(args, "shards", 1),
-        "des_core": default_core(),
         "makespan_seconds": result.makespan,
         "sim_iterations": result.sim_iterations,
         "train_iterations": result.train_iterations,
@@ -252,7 +247,6 @@ def _simulate_summary(args, result) -> dict:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.analysis import format_summary_table
-    from repro.des import set_default_core
     from repro.experiments.common import backend_models
     from repro.telemetry import EventKind
     from repro.telemetry.stats import Summary, mean_throughput, runtime_per_iteration
@@ -269,8 +263,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ) from None
     telemetry = _make_telemetry(args)
     fault_plan = _load_fault_plan(args)
-    if getattr(args, "des_core", None):
-        set_default_core(args.des_core)
 
     if args.pattern == "one-to-one":
         result = _simulate_one_to_one(args, model, telemetry, fault_plan)
@@ -1186,20 +1178,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--nodes", type=int, default=8)
     simulate.add_argument("--size-mb", type=float, default=1.2)
     simulate.add_argument("--iterations", type=int, default=500)
-    simulate.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="run the DES across this many OS processes (conservative "
-        "sharding; output is byte-identical to --shards 1)",
-    )
-    simulate.add_argument(
-        "--des-core",
-        choices=("heap", "calendar"),
-        default=None,
-        help="event-queue core for the DES engine (default: REPRO_DES_CORE "
-        "or heap)",
-    )
     simulate.add_argument(
         "--json",
         action="store_true",

@@ -10,7 +10,6 @@ from repro.cluster.presets import (
     aurora_node,
     aurora_node_local,
     laptop,
-    sharded_dragonfly,
 )
 from repro.cluster.storage import NodeLocalModel, NodeLocalSpec
 from repro.cluster.topology import DragonflyTopology, LinkSpec
@@ -38,5 +37,4 @@ __all__ = [
     "aurora_node_local",
     "laptop",
     "make_machine",
-    "sharded_dragonfly",
 ]

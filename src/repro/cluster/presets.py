@@ -17,13 +17,11 @@ shapes; EXPERIMENTS.md records how each calibrated constant was chosen.
 
 from __future__ import annotations
 
-import math
-
 from repro.cluster.filesystem import LustreSpec
 from repro.cluster.machine import Machine, MachineSpec
 from repro.cluster.node import GB, MB, CpuSpec, GpuSpec, NodeSpec
 from repro.cluster.storage import NodeLocalSpec
-from repro.cluster.topology import DragonflyTopology, LinkSpec
+from repro.cluster.topology import LinkSpec
 
 
 def aurora_node() -> NodeSpec:
@@ -111,33 +109,6 @@ def aurora(n_nodes: int = 8) -> Machine:
         global_link=LinkSpec(25e9, 2e-6),
     )
     return Machine(spec)
-
-
-def sharded_dragonfly(n_nodes: int, n_shards: int) -> DragonflyTopology:
-    """An Aurora-link dragonfly sized so group cuts can serve ``n_shards``.
-
-    Parallel DES (:mod:`repro.des.parallel`) gets its best lookahead when
-    every shard cut lands on a dragonfly group boundary. This preset
-    keeps Aurora's link classes and 16-nodes-per-switch packing where
-    possible but sizes ``switches_per_group`` so the machine has at
-    least ``n_shards`` groups — the partitioner then never has to split
-    inside a group (it may merge several groups into one shard, which
-    costs nothing). Small machines fall back to fewer nodes per switch
-    so enough switches exist to form the groups.
-    """
-    if n_shards <= 0:
-        raise ValueError(f"n_shards must be positive, got {n_shards}")
-    nodes_per_switch = max(1, min(16, n_nodes // max(1, n_shards)))
-    n_switches = math.ceil(n_nodes / nodes_per_switch)
-    switches_per_group = max(1, n_switches // max(1, n_shards))
-    return DragonflyTopology(
-        n_nodes,
-        nodes_per_switch=nodes_per_switch,
-        switches_per_group=switches_per_group,
-        node_link=LinkSpec(25e9, 2e-6),
-        group_link=LinkSpec(50e9, 1e-6),
-        global_link=LinkSpec(25e9, 2e-6),
-    )
 
 
 def laptop(n_nodes: int = 2) -> Machine:

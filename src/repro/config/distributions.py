@@ -40,16 +40,6 @@ class Distribution:
         """Analytic mean, used for validation and for sim-mode planning."""
         raise NotImplementedError
 
-    def minimum(self) -> float:
-        """Infimum of the support: no sample is ever below this.
-
-        Conservative parallel DES (:mod:`repro.des.parallel`) uses it as
-        the per-iteration lookahead of workload progress oracles, so it
-        must be a *sound* lower bound; unbounded-below distributions
-        return ``-inf`` (sound but useless for lookahead).
-        """
-        raise NotImplementedError
-
     def to_spec(self) -> dict[str, Any]:
         """Serialise back to a JSON-friendly dict."""
         raise NotImplementedError
@@ -109,9 +99,6 @@ class Constant(Distribution):
     def mean(self) -> float:
         return self.value
 
-    def minimum(self) -> float:
-        return self.value
-
     def to_spec(self) -> dict[str, Any]:
         return {"dist": "constant", "value": self.value}
 
@@ -145,9 +132,6 @@ class Discrete(Distribution):
     def mean(self) -> float:
         return float(sum(v * w for v, w in zip(self.values, self.weights)))
 
-    def minimum(self) -> float:
-        return min(self.values)
-
     def to_spec(self) -> dict[str, Any]:
         return {"dist": "discrete", "values": self.values, "weights": self.weights}
 
@@ -168,9 +152,6 @@ class Uniform(Distribution):
 
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
-
-    def minimum(self) -> float:
-        return self.low
 
     def to_spec(self) -> dict[str, Any]:
         return {"dist": "uniform", "low": self.low, "high": self.high}
@@ -203,11 +184,6 @@ class Normal(Distribution):
     def mean(self) -> float:
         return self._mean
 
-    def minimum(self) -> float:
-        if self.std == 0.0:
-            return self._mean
-        return float("-inf") if self.min is None else self.min
-
     def to_spec(self) -> dict[str, Any]:
         spec: dict[str, Any] = {"dist": "normal", "mean": self._mean, "std": self.std}
         if self.min is not None:
@@ -239,9 +215,6 @@ class LogNormal(Distribution):
     def mean(self) -> float:
         return self._mean
 
-    def minimum(self) -> float:
-        return self._mean if self.sigma == 0.0 else 0.0
-
     def to_spec(self) -> dict[str, Any]:
         return {"dist": "lognormal", "mean": self._mean, "sigma": self.sigma}
 
@@ -262,9 +235,6 @@ class Exponential(Distribution):
 
     def mean(self) -> float:
         return self.shift + self.scale
-
-    def minimum(self) -> float:
-        return self.shift
 
     def to_spec(self) -> dict[str, Any]:
         return {"dist": "exponential", "scale": self.scale, "shift": self.shift}

@@ -43,7 +43,6 @@ from repro.des.events import (
     Interrupt,
     Timeout,
 )
-from repro.des.partition import Partition, partition_nodes
 from repro.des.resources import Container, Request, Resource, Store
 from repro.des.rng import RngRegistry
 
@@ -61,7 +60,6 @@ __all__ = [
     "Event",
     "Interrupt",
     "MultiProbe",
-    "Partition",
     "PeriodicSampler",
     "Probe",
     "Process",
@@ -72,6 +70,5 @@ __all__ = [
     "Timeout",
     "attach_probe",
     "default_core",
-    "partition_nodes",
     "set_default_core",
 ]

@@ -29,7 +29,6 @@ monotonically increasing sequence number.
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Generator, Iterable, Optional, Union
 
@@ -54,16 +53,15 @@ ProcessGenerator = Generator[Union[Event, float], Any, Any]
 #: Valid event-core names for :class:`Environment`.
 CORES = ("heap", "calendar")
 
-# Session override for the default event core; ``None`` defers to the
-# ``REPRO_DES_CORE`` environment variable (and ultimately to "heap").
+# Session override for the default event core; ``None`` means "heap".
 _default_core: Optional[str] = None
 
 
 def set_default_core(core: Optional[str]) -> None:
     """Set the event core used when ``Environment(core=None)``.
 
-    Pass ``None`` to fall back to the ``REPRO_DES_CORE`` environment
-    variable (default ``"heap"``).
+    The seam the golden-trace tests replay every digest through; pass
+    ``None`` to go back to ``"heap"``.
     """
     if core is not None and core not in CORES:
         raise ValueError(f"unknown DES core {core!r}; expected one of {CORES}")
@@ -73,9 +71,7 @@ def set_default_core(core: Optional[str]) -> None:
 
 def default_core() -> str:
     """The event core used when an :class:`Environment` does not name one."""
-    if _default_core is not None:
-        return _default_core
-    return os.environ.get("REPRO_DES_CORE", "heap")
+    return _default_core or "heap"
 
 
 class EmptySchedule(SimulationError):

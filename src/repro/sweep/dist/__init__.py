@@ -22,7 +22,6 @@ matrix.
 """
 
 from repro.sweep.dist.admission import AdmissionController, TenantQuota
-from repro.sweep.dist.loadgen import LoadSpec, run_load
 from repro.sweep.dist.fleetmetrics import EwmaRate, prometheus_exposition
 from repro.sweep.dist.lease import LeaseTable, PointRecord, PointState
 from repro.sweep.dist.protocol import (
@@ -68,7 +67,6 @@ __all__ = [
     "JOB_SUBMITTED",
     "JOB_TERMINAL",
     "LeaseTable",
-    "LoadSpec",
     "PointRecord",
     "PointState",
     "ServiceClient",
@@ -84,7 +82,6 @@ __all__ = [
     "parse_hostport",
     "prometheus_exposition",
     "render_status",
-    "run_load",
     "run_service_process",
     "run_worker_process",
     "watch",

@@ -28,13 +28,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional, Union
 
 from repro.config.distributions import Constant, Distribution
 from repro.des import Environment
-from repro.des.parallel import run_sharded
-from repro.des.partition import Partition, partition_nodes
 from repro.des.rng import RngRegistry
 from repro.errors import ConfigError, KeyNotStagedError, TransportError
 from repro.faults import FaultInjector, FaultPlan, FaultState
@@ -114,256 +111,6 @@ class _StopFlag:
 
     def set(self) -> None:
         self.stopped = True
-
-
-class _ShardStop:
-    """Cross-shard steering signal (drop-in for :class:`_StopFlag`).
-
-    On the owning shard ``set()`` has plain-boolean semantics, identical
-    to serial. Other shards receive the stop *time* over the shard
-    protocol; for them ``stopped`` reads true for any event at or after
-    that time — which is when the serial flag would read true there,
-    since the owning trainer set it at exactly that simulated instant.
-    """
-
-    def __init__(self, env: Environment, program: "_ShardProgram") -> None:
-        self._env = env
-        self._program = program
-        self.stop_time: Optional[float] = None  # set locally on the owner
-        self._remote_time: Optional[float] = None
-
-    @property
-    def stopped(self) -> bool:
-        if self.stop_time is not None:
-            return True
-        remote = self._remote_time
-        return remote is not None and self._env.now >= remote
-
-    def set(self) -> None:
-        if self.stop_time is None:
-            self.stop_time = self._env.now
-            self._program.emit(None, ("stop", self._env.now))
-
-    def receive(self, time: float) -> None:
-        if self._remote_time is None or time < self._remote_time:
-            self._remote_time = time
-
-
-class _EgressArea(SimStagingArea):
-    """Staging area on a producer shard: publishes also cross the fabric.
-
-    The local copy keeps producer-side observations (overwrite checks,
-    gauges) serial-identical; the emitted message re-publishes the key
-    on the trainer's shard at the same simulated time.
-    """
-
-    def __init__(self, program: "_ShardProgram") -> None:
-        super().__init__()
-        self._program = program
-
-    def publish(self, key: str, nbytes: float) -> None:
-        super().publish(key, nbytes)
-        self._program.emit(self._program.publishes_to, ("publish", key, nbytes))
-
-
-class _TrackedSimDataStore(SimDataStore):
-    """Producer store that exposes in-flight write completion times.
-
-    A healthy write's completion time is known on entry (the transport
-    model is a pure function of size and context), so the open interval
-    can feed the shard's publish promise: the trainer's horizon must not
-    pass a write that is already on the wire.
-    """
-
-    def __init__(self, *args, shard_program: "_ShardProgram", **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._program = shard_program
-
-    def stage_write(self, key: str, nbytes: float, ctx=None):
-        eta = self.env.now + self.model.write_time(nbytes, ctx or self.default_ctx)
-        token = self._program.track_write(eta)
-        try:
-            result = yield from super().stage_write(key, nbytes, ctx)
-        finally:
-            self._program.untrack_write(token)
-        return result
-
-
-class _ShardProgram:
-    """One shard's slice of a pattern run.
-
-    Implements the :mod:`repro.des.parallel` shard contract. The pattern
-    body (called with ``_shard=<program>``) builds its environment, log,
-    and counters exactly as in serial — restricted to this shard's
-    member ranks/producers — and binds them here instead of calling
-    ``env.run()``; the parallel runtime then drives the rounds.
-
-    Promises:
-
-    * a producer shard promises the trainer's shard
-      ``min(in-flight write completions, peek + write_lookahead)`` — no
-      publish can appear earlier;
-    * the shard owning the steering trainer promises everyone
-      ``note_time + remaining_iterations * iteration_floor`` (the stop
-      oracle), switching to ``inf`` once the stop has been emitted.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        n_shards: int,
-        members: list[int],
-        owns_stop: bool,
-        publishes_to: Optional[int] = None,
-        write_lookahead: float = 0.0,
-        stop_iter_floor: float = 0.0,
-        stop_total_iters: int = 0,
-    ) -> None:
-        self.shard_id = shard_id
-        self.n_shards = n_shards
-        self.members = members
-        self.owns_stop = owns_stop
-        self.publishes_to = publishes_to
-        self.write_lookahead = write_lookahead
-        self.stop_iter_floor = stop_iter_floor
-        self.stop_total_iters = stop_total_iters
-        self._outbox: list[tuple] = []
-        self._inflight: dict[int, float] = {}
-        self._next_token = 0
-        self._note_time = 0.0
-        self._note_iters = 0
-        # Bound by the pattern body before the first round:
-        self.env: Optional[Environment] = None
-        self.log: Optional[EventLog] = None
-        self.counters: Optional[dict] = None
-        self.stop: Optional[_ShardStop] = None
-        self.area: Optional[SimStagingArea] = None
-        self.telemetry: Optional[Telemetry] = None
-
-    # -- hooks for the shard-aware pattern pieces -------------------------
-    def emit(self, dest: Optional[int], payload: tuple) -> None:
-        self._outbox.append((self.env.now, dest, payload))
-
-    def track_write(self, eta: float) -> int:
-        token = self._next_token
-        self._next_token += 1
-        self._inflight[token] = eta
-        return token
-
-    def untrack_write(self, token: int) -> None:
-        del self._inflight[token]
-
-    def note_train(self, iteration: int) -> None:
-        """Record steering-trainer progress (feeds the stop oracle)."""
-        self._note_iters = iteration
-        self._note_time = self.env.now
-
-    # -- repro.des.parallel contract --------------------------------------
-    def apply(self, payload: tuple) -> None:
-        kind = payload[0]
-        if kind == "publish":
-            self.area.publish(payload[1], payload[2])
-        elif kind == "stop":
-            self.stop.receive(payload[1])
-        else:  # pragma: no cover - protocol misuse
-            raise ConfigError(f"unknown cross-shard payload kind {kind!r}")
-
-    def promises(self) -> dict:
-        out: dict = {}
-        if self.publishes_to is not None:
-            peek = self.env.peek()
-            bound = peek if peek == float("inf") else peek + self.write_lookahead
-            if self._inflight:
-                bound = min(bound, min(self._inflight.values()))
-            out[self.publishes_to] = bound
-        if self.owns_stop:
-            if self.stop.stop_time is not None:
-                out["*"] = float("inf")
-            else:
-                remaining = self.stop_total_iters - self._note_iters
-                out["*"] = self._note_time + remaining * self.stop_iter_floor
-        return out
-
-    def take_outbox(self) -> list[tuple]:
-        out = self._outbox
-        self._outbox = []
-        return out
-
-    def result(self) -> dict:
-        return {
-            "records": list(self.log),
-            "counters": self.counters,
-            "telemetry": None if self.telemetry is None else self.telemetry.snapshot(),
-        }
-
-
-def _check_shardable(
-    fault_plan: Optional[FaultPlan],
-    resilience: Optional[ResilienceConfig],
-    ai_iter_time: Distribution,
-) -> float:
-    """Validate sharded-run preconditions; returns the iteration floor."""
-    if fault_plan is not None and fault_plan.is_active:
-        raise ConfigError(
-            "sharded pattern runs do not support fault injection; "
-            "run fault studies serially (shards=1)"
-        )
-    if resilience is not None:
-        raise ConfigError(
-            "sharded pattern runs do not support resilience wrapping; "
-            "run resilience studies serially (shards=1)"
-        )
-    floor = ai_iter_time.minimum()
-    if not floor > 0.0:
-        raise ConfigError(
-            "sharded pattern runs need an ai_iter_time with a positive "
-            f"lower bound (minimum() = {floor}); the trainer progress "
-            "oracle derives its cross-shard lookahead from it"
-        )
-    return floor
-
-
-def _merge_sharded(results: list[dict], telemetry: Optional[Telemetry]):
-    """Deterministically merge per-shard results into (log, counters).
-
-    Records merge in ``(emission time, shard, local index)`` order.
-    Emission time is recoverable from the record itself (every workload
-    record is appended at ``start + duration``), local order is the
-    shard engine's serial order for its own ranks, and shard order
-    matches rank order because partitions are contiguous — so the merged
-    stream reproduces the serial log byte for byte.
-    """
-    keyed = []
-    counters: dict = {}
-    for shard_id, res in enumerate(results):
-        for idx, rec in enumerate(res["records"]):
-            keyed.append((rec.start + rec.duration, shard_id, idx, rec))
-        for name, value in res["counters"].items():
-            counters[name] = counters.get(name, 0) + value
-        if telemetry is not None:
-            telemetry.merge(res["telemetry"])
-    keyed.sort(key=lambda item: (item[0], item[1], item[2]))
-    log = EventLog(item[3] for item in keyed)
-    return log, counters
-
-
-def _balanced_rank_partition(n_ranks: int, shards: int) -> Partition:
-    """Contiguous balanced spans over pattern-1 rank pairs.
-
-    Pattern 1's rank pairs are self-contained (each trainer reads only
-    its co-located simulation's keys), so no fabric traffic crosses a
-    cut and the only cross-shard channel is the steering signal, whose
-    lookahead comes from the stop oracle — the partition's fabric
-    lookahead is irrelevant and recorded as ``inf``.
-    """
-    if shards > n_ranks:
-        raise ConfigError(
-            f"cannot split {n_ranks} rank pair(s) into {shards} shards"
-        )
-    cuts = [k * n_ranks // shards for k in range(shards + 1)]
-    return Partition(
-        spans=tuple(zip(cuts, cuts[1:])), lookahead=float("inf")
-    )
 
 
 def _bind_telemetry(telemetry: Optional[Telemetry], env: Environment, area: SimStagingArea):
@@ -464,20 +211,17 @@ def _workload_makespan(log: EventLog) -> float:
     return log.makespan(kinds=_WORKLOAD_KINDS)
 
 
-def _rank_groups(ranks, sim_iter_time: Distribution, harness, sh, contiguous: bool = True) -> list:
+def _rank_groups(ranks, sim_iter_time: Distribution, harness, contiguous: bool = True) -> list:
     """The simulation ranks of a run, split into groups that are one process each.
 
     All ranks form one group when lock-step is provable from the inputs:
-    a deterministic iteration time, no fault or resilience wiring, not a
-    shard program, and calendar entries the caller knows are
-    ``contiguous`` from the first step. Otherwise every rank is its own
-    group. Telemetry never decides: traced and untraced runs are the
-    same program.
+    a deterministic iteration time, no fault or resilience wiring, and
+    calendar entries the caller knows are ``contiguous`` from the first
+    step. Otherwise every rank is its own group. Telemetry never decides:
+    traced and untraced runs are the same program.
     """
     ranks = list(ranks)
-    lockstep = (
-        isinstance(sim_iter_time, Constant) and not harness.active and sh is None and contiguous
-    )
+    lockstep = isinstance(sim_iter_time, Constant) and not harness.active and contiguous
     return [ranks] if lockstep and ranks else [[rank] for rank in ranks]
 
 
@@ -492,8 +236,8 @@ def _sim_ranks(
     ``keys_for(rank, snapshot)``. Several ranks share a process only
     where :func:`_rank_groups` proved lock-step, and then write through
     :func:`~repro.transport.simstore.stage_write_group`. A group of one
-    is the general case: its own (resilient, shard-tracked) store, its
-    own RNG stream, the fault hooks.
+    is the general case: its own (possibly resilient) store, its own RNG
+    stream, the fault hooks.
 
     One process emits what N did because the N per-rank calendar entries
     are pushed during one uninterrupted run of pops: they carry
@@ -560,9 +304,6 @@ def run_one_to_one(
     telemetry: Optional[Telemetry] = None,
     fault_plan: Optional[FaultPlan] = None,
     resilience: Optional[ResilienceConfig] = None,
-    shards: int = 1,
-    partition: Optional[Partition] = None,
-    _shard: Optional[_ShardProgram] = None,
 ) -> PatternResult:
     """Simulate the one-to-one pattern; returns logs and counters.
 
@@ -583,22 +324,12 @@ def run_one_to_one(
     """
     config = config or OneToOneConfig()
     ctx = ctx or TransportOpContext(local=True, clients_per_server=12)
-    if _shard is None and (
-        shards > 1 or (partition is not None and partition.n_shards > 1)
-    ):
-        return _run_one_to_one_sharded(
-            model, config, ctx, sim_name, ai_name, telemetry,
-            fault_plan, resilience, shards, partition,
-        )
-    sh = _shard
     env = Environment()
     log = EventLog()
     area = SimStagingArea()
-    if sh is not None:
-        sh.env = env
     _bind_telemetry(telemetry, env, area)
     rngs = RngRegistry(config.seed)
-    stop = _StopFlag() if sh is None else _ShardStop(env, sh)
+    stop = _StopFlag()
     harness = _FaultHarness(env, log, rngs, telemetry, fault_plan, resilience)
     # Hot-loop rule: the per-iteration loops below test these two once
     # and touch the fault state / tracer only behind them.
@@ -661,8 +392,6 @@ def run_one_to_one(
             add(ai_name, train, start, env.now - start, rank)
             if rank == 0:
                 counters["train_iters"] += 1
-                if sh is not None:
-                    sh.note_train(iteration)
             if iteration % read_interval == 0:
                 # Asynchronous ingest: drain every snapshot staged so far by
                 # the co-located sim rank with the same index.
@@ -713,12 +442,12 @@ def run_one_to_one(
             stop.set()
 
     harness.start()
-    ranks = sh.members if sh is not None else range(config.ranks_per_component)
+    ranks = range(config.ranks_per_component)
     # Sims and AIs are created interleaved: with equal init times their
     # entries alternate rank by rank at every shared instant and the sims
     # never become one contiguous block. Unequal, the sims wake alone.
     groups = _rank_groups(
-        ranks, config.sim_iter_time, harness, sh,
+        ranks, config.sim_iter_time, harness,
         contiguous=config.sim_init_time != config.ai_init_time,
     )
     starts = {group[0]: group for group in groups}
@@ -727,13 +456,6 @@ def run_one_to_one(
         if rank in starts:
             env.process(sim_ranks(starts[rank]), name=f"{sim_name}{rank}")
         env.process(ai_rank(rank), name=f"{ai_name}{rank}")
-    if sh is not None:
-        sh.log = log
-        sh.counters = counters
-        sh.stop = stop
-        sh.area = area
-        sh.telemetry = telemetry
-        return sh
     env.run()
 
     return PatternResult(
@@ -752,66 +474,6 @@ def run_one_to_one(
                 "downtime_seconds": counters["downtime"],
             }
         ),
-    )
-
-
-def _run_one_to_one_sharded(
-    model: BackendModel,
-    config: OneToOneConfig,
-    ctx: TransportOpContext,
-    sim_name: str,
-    ai_name: str,
-    telemetry: Optional[Telemetry],
-    fault_plan: Optional[FaultPlan],
-    resilience: Optional[ResilienceConfig],
-    shards: int,
-    partition: Optional[Partition],
-) -> PatternResult:
-    """Pattern 1 across shards: rank pairs split, steering via the oracle."""
-    iter_floor = _check_shardable(fault_plan, resilience, config.ai_iter_time)
-    if partition is None:
-        partition = _balanced_rank_partition(config.ranks_per_component, shards)
-    if partition.n_nodes != config.ranks_per_component:
-        raise ConfigError(
-            f"partition covers {partition.n_nodes} rank pair(s) but the "
-            f"config has {config.ranks_per_component}"
-        )
-    stop_shard = partition.shard_of(0)  # rank 0's trainer steers the run
-
-    def builder(shard_id: int) -> _ShardProgram:
-        program = _ShardProgram(
-            shard_id,
-            partition.n_shards,
-            members=list(partition.nodes(shard_id)),
-            owns_stop=(shard_id == stop_shard),
-            stop_iter_floor=iter_floor,
-            stop_total_iters=config.train_iterations,
-        )
-        child_hub = (
-            None
-            if telemetry is None
-            else Telemetry(sample_interval=telemetry.sample_interval)
-        )
-        return run_one_to_one(
-            model,
-            config,
-            ctx,
-            sim_name=sim_name,
-            ai_name=ai_name,
-            telemetry=child_hub,
-            _shard=program,
-        )
-
-    results = run_sharded(builder, partition.n_shards)
-    log, counters = _merge_sharded(results, telemetry)
-    return PatternResult(
-        log=log,
-        makespan=_workload_makespan(log),
-        sim_iterations=counters["sim_iters"],
-        train_iterations=counters["train_iters"],
-        snapshots_written=counters["written"],
-        snapshots_read=counters["read"],
-        resilience=None,
     )
 
 
@@ -853,9 +515,6 @@ def run_many_to_one(
     telemetry: Optional[Telemetry] = None,
     fault_plan: Optional[FaultPlan] = None,
     resilience: Optional[ResilienceConfig] = None,
-    shards: int = 1,
-    partition: Optional[Partition] = None,
-    _shard: Optional[_ShardProgram] = None,
 ) -> PatternResult:
     """Simulate the many-to-one pattern.
 
@@ -876,22 +535,12 @@ def run_many_to_one(
         concurrent_peers=min(config.reader_lanes, config.n_simulations),
         concurrent_clients=config.n_simulations + 1,
     )
-    if _shard is None and (
-        shards > 1 or (partition is not None and partition.n_shards > 1)
-    ):
-        return _run_many_to_one_sharded(
-            model, config, write_ctx, read_ctx, ai_name, telemetry,
-            fault_plan, resilience, shards, partition,
-        )
-    sh = _shard
     env = Environment()
     log = EventLog()
-    area = SimStagingArea() if sh is None or sh.publishes_to is None else _EgressArea(sh)
-    if sh is not None:
-        sh.env = env
+    area = SimStagingArea()
     _bind_telemetry(telemetry, env, area)
     rngs = RngRegistry(config.seed)
-    stop = _StopFlag() if sh is None else _ShardStop(env, sh)
+    stop = _StopFlag()
     harness = _FaultHarness(env, log, rngs, telemetry, fault_plan, resilience)
     # Hot-loop rule: the per-iteration loops below test these two once
     # and touch the fault state / tracer only behind them.
@@ -909,15 +558,9 @@ def run_many_to_one(
     quorum_needed = math.ceil(harness.quorum * config.n_simulations)
 
     def producers(indexes: list[int]):
-        # Producers on a non-trainer shard expose their in-flight writes
-        # so the shard's publish promise covers them.
-        if sh is None or sh.publishes_to is None:
-            store_type = SimDataStore
-        else:
-            store_type = partial(_TrackedSimDataStore, shard_program=sh)
         stores = [
             harness.wrap(
-                store_type(
+                SimDataStore(
                     env,
                     model,
                     area,
@@ -991,8 +634,6 @@ def run_many_to_one(
                 span.finish()
             add(ai_name, train, start, env.now - start, 0)
             counters["train_iters"] += 1
-            if sh is not None:
-                sh.note_train(iteration)
             if iteration % read_interval == 0:
                 # Blocking collective ingest of this update from every
                 # producer, spread over the reader lanes. Lanes give up
@@ -1029,18 +670,9 @@ def run_many_to_one(
         stop.set()
 
     harness.start()
-    indexes = sh.members if sh is not None else range(config.n_simulations)
-    for group in _rank_groups(indexes, config.sim_iter_time, harness, sh):
+    for group in _rank_groups(range(config.n_simulations), config.sim_iter_time, harness):
         env.process(producers(group), name=f"sim{group[0]}")
-    if sh is None or sh.owns_stop:
-        env.process(trainer(), name=ai_name)
-    if sh is not None:
-        sh.log = log
-        sh.counters = counters
-        sh.stop = stop
-        sh.area = area
-        sh.telemetry = telemetry
-        return sh
+    env.process(trainer(), name=ai_name)
     env.run()
 
     return PatternResult(
@@ -1058,86 +690,4 @@ def run_many_to_one(
                 "downtime_seconds": counters["downtime"],
             }
         ),
-    )
-
-
-def _run_many_to_one_sharded(
-    model: BackendModel,
-    config: ManyToOneConfig,
-    write_ctx: TransportOpContext,
-    read_ctx: TransportOpContext,
-    ai_name: str,
-    telemetry: Optional[Telemetry],
-    fault_plan: Optional[FaultPlan],
-    resilience: Optional[ResilienceConfig],
-    shards: int,
-    partition: Optional[Partition],
-) -> PatternResult:
-    """Pattern 2 across shards: producers split along dragonfly groups.
-
-    The simulated machine has ``n_simulations + 1`` nodes (one per
-    producer, the trainer on the last). Cuts follow the default
-    group-aligned partition unless an explicit one is passed. Publishes
-    from non-trainer shards travel as cross-shard messages; the steering
-    stop travels back. Write durations give the forward lookahead, the
-    trainer's progress oracle the backward one.
-    """
-    iter_floor = _check_shardable(fault_plan, resilience, config.ai_iter_time)
-    n_nodes = config.n_simulations + 1
-    if partition is None:
-        from repro.cluster.presets import sharded_dragonfly
-
-        partition = partition_nodes(sharded_dragonfly(n_nodes, shards), shards)
-    if partition.n_nodes != n_nodes:
-        raise ConfigError(
-            f"partition covers {partition.n_nodes} node(s) but the config "
-            f"needs {n_nodes} ({config.n_simulations} producers + trainer)"
-        )
-    trainer_shard = partition.shard_of(config.n_simulations)
-    write_lookahead = model.write_time(config.snapshot_nbytes, write_ctx)
-    if not write_lookahead > 0.0:
-        raise ConfigError(
-            "sharded pattern runs need a positive modeled write time "
-            f"(got {write_lookahead}); zero-cost publishes cannot bound "
-            "cross-shard effects"
-        )
-
-    def builder(shard_id: int) -> _ShardProgram:
-        program = _ShardProgram(
-            shard_id,
-            partition.n_shards,
-            members=[
-                i for i in partition.nodes(shard_id) if i < config.n_simulations
-            ],
-            owns_stop=(shard_id == trainer_shard),
-            publishes_to=(trainer_shard if shard_id != trainer_shard else None),
-            write_lookahead=write_lookahead,
-            stop_iter_floor=iter_floor,
-            stop_total_iters=config.train_iterations,
-        )
-        child_hub = (
-            None
-            if telemetry is None
-            else Telemetry(sample_interval=telemetry.sample_interval)
-        )
-        return run_many_to_one(
-            model,
-            config,
-            write_ctx,
-            read_ctx,
-            ai_name=ai_name,
-            telemetry=child_hub,
-            _shard=program,
-        )
-
-    results = run_sharded(builder, partition.n_shards)
-    log, counters = _merge_sharded(results, telemetry)
-    return PatternResult(
-        log=log,
-        makespan=_workload_makespan(log),
-        sim_iterations=counters["sim_iters"],
-        train_iterations=counters["train_iters"],
-        snapshots_written=counters["written"],
-        snapshots_read=counters["read"],
-        resilience=None,
     )

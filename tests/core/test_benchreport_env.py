@@ -40,17 +40,23 @@ def _payload(cpu_model="cpu-a", cpu_count=4, events_per_sec=1000.0):
                 "seconds": 100.0 / events_per_sec,
                 "events_per_sec": events_per_sec,
             },
-            "shard_scaling": {
-                "shards": 2.0,
-                "serial_seconds": 1.0,
-                "sharded_seconds": 0.6,
-                "speedup": 1.0 / 0.6,
-                "identical": 1.0,
-            },
         },
         "experiments": {"fig3": {"seconds": 2.0}},
         "peak_rss_bytes": 50_000_000,
     }
+
+
+def _old_payload(**kwargs):
+    """A committed baseline from when the bench still had ``des.shard_scaling``."""
+    payload = _payload(**kwargs)
+    payload["des"]["shard_scaling"] = {
+        "shards": 2.0,
+        "serial_seconds": 1.0,
+        "sharded_seconds": 0.6,
+        "speedup": 1.0 / 0.6,
+        "identical": 1.0,
+    }
+    return payload
 
 
 def test_fingerprint_matches_same_machine():
@@ -74,21 +80,22 @@ def test_fingerprint_flags_pre_schema_baseline():
 
 
 def test_check_regression_skips_entries_without_events_per_sec():
-    # shard_scaling has no events/sec; it must never trip (or crash) the
-    # regression gate, and a real throughput drop still must.
+    # An older baseline's shard_scaling row has no events/sec and no
+    # counterpart today; it must never trip (or crash) the regression
+    # gate, and a real throughput drop still must.
     current = _payload(events_per_sec=100.0)
-    baseline = _payload(events_per_sec=1000.0)
+    baseline = _old_payload(events_per_sec=1000.0)
     failures = check_regression(current, baseline)
     assert len(failures) == 1
     assert "event_throughput" in failures[0]
-    assert check_regression(baseline, baseline) == []
+    assert check_regression(_payload(), baseline) == []
 
 
-def test_delta_table_reports_shard_scaling_speedup():
-    table = delta_table(_payload(), _payload())
+def test_delta_table_ignores_retired_shard_scaling_row():
+    table = delta_table(_payload(), _old_payload())
     assert "des.event_throughput" in table
-    assert "shard_scaling" in table
-    assert "speedup" in table
+    assert "shard_scaling" not in table
+    assert "speedup" not in table
 
 
 def test_eventlog_add_rate_is_reported_but_never_gated():
@@ -133,7 +140,7 @@ def test_check_gates_same_machine_regression(tmp_path, monkeypatch, capsys):
     rc = _run_check(
         tmp_path, monkeypatch,
         current=_payload(events_per_sec=100.0),
-        baseline=_payload(events_per_sec=1000.0),
+        baseline=_old_payload(events_per_sec=1000.0),
     )
     assert rc == 1
     assert "PERF REGRESSION" in capsys.readouterr().err
@@ -145,7 +152,7 @@ def test_check_downgrades_to_warning_on_foreign_baseline(
     rc = _run_check(
         tmp_path, monkeypatch,
         current=_payload(events_per_sec=100.0),
-        baseline=_payload(cpu_model="other-cpu", events_per_sec=1000.0),
+        baseline=_old_payload(cpu_model="other-cpu", events_per_sec=1000.0),
     )
     assert rc == 0
     err = capsys.readouterr().err

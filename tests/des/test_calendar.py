@@ -166,12 +166,6 @@ class TestEngineIntegration:
             set_default_core(None)
         assert isinstance(Environment()._queue, list)
 
-    def test_default_core_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DES_CORE", "calendar")
-        assert isinstance(Environment()._queue, CalendarQueue)
-        monkeypatch.setenv("REPRO_DES_CORE", "heap")
-        assert isinstance(Environment()._queue, list)
-
     def test_set_default_core_rejects_unknown(self):
         with pytest.raises(ValueError):
             set_default_core("wheel")

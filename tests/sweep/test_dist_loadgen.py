@@ -2,6 +2,9 @@
 small flood against a real quota-limited service."""
 
 import json
+import os
+import subprocess
+import sys
 
 from repro.sweep.dist.admission import TenantQuota
 from repro.sweep.dist.loadgen import (
@@ -139,3 +142,18 @@ def _coords(job_name: str) -> tuple[int, int]:
     """Invert the loadgen's ``flood-t<tenant>-g<grid>`` naming."""
     tenant, grid = job_name.removeprefix("flood-t").split("-g")
     return int(tenant), int(grid)
+
+
+def test_package_import_leaves_loadgen_unloaded():
+    # The load generator is a tool (`python -m repro.sweep.dist.loadgen`),
+    # not part of what `import repro.sweep.dist` pays for.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    code = (
+        "import sys, repro.sweep.dist\n"
+        "assert 'repro.sweep.dist.service' in sys.modules\n"
+        "assert 'repro.sweep.dist.loadgen' not in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

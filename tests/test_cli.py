@@ -141,30 +141,23 @@ def test_simulate_json_summary(capsys):
     assert summary["iteration_time_seconds"]["sim"]["count"] > 0
 
 
-def _summary(capsys, *extra):
-    assert main(simulate_args("--json", *extra)) == 0
-    return json.loads(capsys.readouterr().out)
+@pytest.mark.parametrize("flag", [("--shards", "2"), ("--des-core", "calendar")])
+def test_simulate_rejects_removed_execution_mode_flags(flag, capsys):
+    # A pattern run has one execution mode: the parser no longer knows these.
+    with pytest.raises(SystemExit) as exit_info:
+        main(simulate_args(*flag))
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_simulate_shards_flag_identical_summary(capsys):
-    serial = _summary(capsys)
-    sharded = _summary(capsys, "--shards", "2")
-    assert serial.pop("shards") == 1
-    assert sharded.pop("shards") == 2
-    assert serial == sharded  # sharding is a wall-clock detail, not an output
+def test_run_still_parses_shards_override(tmp_path):
+    # `run --shards` overrides the real server's n_shards: a different flag.
+    from repro.errors import ConfigError
 
-
-def test_simulate_des_core_flag_identical_summary(capsys):
-    from repro.des import set_default_core
-
-    try:
-        heap = _summary(capsys)
-        calendar = _summary(capsys, "--des-core", "calendar")
-    finally:
-        set_default_core(None)  # --des-core sets a session-wide default
-    assert heap.pop("des_core") == "heap"
-    assert calendar.pop("des_core") == "calendar"
-    assert heap == calendar
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps({"pattern": "many-to-one"}))
+    with pytest.raises(ConfigError, match="unsupported"):  # past the parser
+        main(["run", "--config", str(config_path), "--shards", "2"])
 
 
 def test_simulate_text_mode_prints_percentile_table(capsys):

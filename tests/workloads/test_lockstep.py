@@ -1,7 +1,7 @@
 """Lock-step simulation ranks run as one DES process — and nothing shows.
 
 A group of ranks that provably advance together (deterministic iteration
-time, healthy, unsharded, contiguous calendar entries) shares one sleep
+time, healthy, contiguous calendar entries) shares one sleep
 per step. These tests pin that the grouped program and the
 one-process-per-rank program are indistinguishable from outside: same
 ``EventLog`` bytes, counters, makespan and, under a hub, the same tracer
@@ -237,22 +237,6 @@ def test_disabled_fault_plan_still_groups(groups_seen):
         fault_plan=plan,
     )
     assert groups_seen == [[[0, 1, 2]]]
-
-
-def test_shard_programs_take_one_rank_per_group():
-    # Shard programs run in forked children, out of a spy's reach: ask the
-    # decision function what it answers for a run that has a shard program.
-    # (tests/workloads/test_patterns_sharded.py compares those per-rank
-    # shards with the grouped serial run, byte for byte.)
-    harness = patterns._FaultHarness(None, None, None, None, None, None)
-    assert not harness.active
-    step = Constant(0.03)
-    assert patterns._rank_groups(range(3), step, harness, None) == [[0, 1, 2]]
-    assert patterns._rank_groups(range(3), step, harness, object()) == [[0], [1], [2]]
-    assert patterns._rank_groups(range(3), step, harness, None, contiguous=False) == [
-        [0], [1], [2]
-    ]
-    assert patterns._rank_groups([], step, harness, None) == []
 
 
 @pytest.mark.parametrize("pattern", ["one-to-one", "many-to-one"])
