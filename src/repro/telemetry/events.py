@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import islice, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import EmptyLogError, ReproError
@@ -74,38 +75,94 @@ class EventRecord:
         return self.nbytes / self.duration
 
 
-#: Row layout of :class:`EventLog`: the record's fields, in order.
+#: Row layout of :class:`EventLog`: the record's fields, in order (``kind``
+#: as its value, a plain ``str``). A step entry is shorter.
 _FIELDS = tuple(f.name for f in fields(EventRecord))
+_ROW = len(_FIELDS)
+_KIND_OF = {kind._value_: kind for kind in EventKind}
+
+
+def _kind_value(kind) -> str:
+    """The stored form of ``kind``; anything but an :class:`EventKind` raises."""
+    if type(kind) is not EventKind:
+        raise ReproError(f"kind must be an EventKind, got {kind!r}")
+    return kind._value_
 
 
 def _materialize(row: tuple) -> EventRecord:
     """The public record for a stored row (``meta`` None reads as ``{}``)."""
-    return EventRecord(*row) if row[7] is not None else EventRecord(*row[:7])
+    return EventRecord(row[0], _KIND_OF[row[1]], *(row[2:7] if row[7] is None else row[2:]))
+
+
+def _narrowed(entries: list, component: Optional[str], rank: Optional[int]) -> list:
+    """The entries on one component and/or rank, in log order.
+
+    A step keeps the tracks that match (and their keys); which ones is
+    worked out once per distinct ``tracks`` object, not once per step.
+    """
+    out = []
+    kept: dict[int, tuple] = {}
+    for entry in entries:
+        if len(entry) == _ROW:
+            if (component is None or entry[0] == component) and (rank is None or entry[4] == rank):
+                out.append(entry)
+            continue
+        tracks = entry[0]
+        try:
+            picks, sub = kept[id(tracks)]
+        except KeyError:
+            picks = [
+                i for i, (c, r) in enumerate(tracks)
+                if (component is None or c == component) and (rank is None or r == rank)
+            ]
+            sub = tracks if len(picks) == len(tracks) else tuple([tracks[i] for i in picks])
+            kept[id(tracks)] = picks, sub
+        if sub is tracks:
+            out.append(entry)
+        elif sub:
+            keys = entry[5]
+            if keys is not None:
+                keys = tuple([keys[i] for i in picks])
+            out.append((sub, *entry[1:5], keys))
+    return out
+
+
+def _size(entries: list) -> int:
+    """How many records the entries stand for."""
+    return sum(1 if len(e) == _ROW else len(e[0]) for e in entries)
 
 
 class EventLog:
     """An append-only collection of event records with query helpers.
 
-    Storage is one plain tuple per record, in :class:`EventRecord` field
-    order: ``(component, kind, start, duration, rank, nbytes, key, meta)``
-    with ``meta`` None until a caller supplies one. Appending is the hot
-    path of every simulated run, so :meth:`add` validates and appends a
-    row and nothing else; every query below reads the rows directly.
-    :class:`EventRecord` objects are built only where a caller receives
-    one: iteration, ``log[i]`` and ``log[a:b]``.
+    Storage is one list of entries of two shapes. A *row* is one record
+    in :class:`EventRecord` field order, ``(component, kind, start,
+    duration, rank, nbytes, key, meta)``: ``kind`` is held as its value
+    and ``meta`` is None until a caller supplies one, so a row holds only
+    atomic objects and the cyclic collector stops tracking it. A *step*,
+    ``(tracks, kind, start, duration, nbytes, keys)``, stands for one
+    record per ``(component, rank)`` track of a lock-step group (``keys``
+    None, or one per track); ``kind``, ``start`` and ``duration`` sit at
+    the same index in both shapes. Appending is the hot path of every
+    simulated run, so :meth:`add` and :meth:`add_step` validate and
+    append one entry and nothing else; every query below reads the
+    entries directly. :class:`EventRecord` objects are built only where
+    a caller receives one: iteration, ``log[i]`` and ``log[a:b]``.
     """
 
     def __init__(self, records: Optional[Iterable[EventRecord]] = None) -> None:
-        self._rows: list[tuple] = []
+        self._entries: list[tuple] = []
+        self._count = 0
         for record in records or ():
             self.record(record)
 
     def record(self, record: EventRecord) -> None:
         """Append one record (validated when it was constructed)."""
-        self._rows.append(
-            (record.component, record.kind, record.start, record.duration,
+        self._entries.append(
+            (record.component, _kind_value(record.kind), record.start, record.duration,
              record.rank, record.nbytes, record.key, record.meta)
         )
+        self._count += 1
 
     def add(
         self,
@@ -121,7 +178,9 @@ class EventLog:
         """Validate and append one record."""
         if not (duration >= 0 and nbytes >= 0):
             _reject_negative(component, duration, nbytes)
-        self._rows.append((component, kind, start, duration, rank, nbytes, key, meta))
+        value = kind._value_ if type(kind) is EventKind else _kind_value(kind)
+        self._entries.append((component, value, start, duration, rank, nbytes, key, meta))
+        self._count += 1
 
     def add_step(
         self,
@@ -129,33 +188,60 @@ class EventLog:
         kind: EventKind,
         start: float,
         duration: float,
+        nbytes: float = 0.0,
+        keys: Optional[Sequence[str]] = None,
     ) -> None:
         """Append one record per ``(component, rank)`` track, in order.
 
         The records of one step of a lock-step group share ``kind``,
-        ``start`` and ``duration``, so they are validated once and
-        appended with one ``list.extend``.
+        ``start``, ``duration`` and ``nbytes`` (``keys`` names one key per
+        track), so they are validated once and stored as one entry. A
+        ``tracks`` tuple is stored by reference: pass the same one every
+        step. No tracks, no records.
         """
-        if not duration >= 0:
-            _reject_negative(tracks[0][0], duration, 0.0)
-        self._rows.extend(
-            [(component, kind, start, duration, rank, 0.0, "", None) for component, rank in tracks]
-        )
+        if not (duration >= 0 and nbytes >= 0):
+            _reject_negative(tracks[0][0] if tracks else "?", duration, nbytes)
+        if keys is not None:
+            keys = tuple(keys)
+            if len(keys) != len(tracks):
+                raise ReproError(f"{len(keys)} keys for {len(tracks)} tracks")
+        if tracks:
+            self._entries.append((tuple(tracks), _kind_value(kind), start, duration, nbytes, keys))
+            self._count += len(tracks)
 
     def extend(self, other: "EventLog") -> None:
         """Append every record from another log."""
-        self._rows.extend(other._rows)
+        self._entries.extend(other._entries)
+        self._count += other._count
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._count
+
+    def _expanded(self) -> Iterator[tuple]:
+        """Every record as a row, in log order."""
+        for entry in self._entries:
+            if len(entry) == _ROW:
+                yield entry
+                continue
+            tracks, kind, start, duration, nbytes, keys = entry
+            for (component, rank), key in zip(tracks, keys or repeat("")):
+                yield (component, kind, start, duration, rank, nbytes, key, None)
+
+    def _shared(self, row_at: int, step_at: int) -> Iterator:
+        """One field of every record, for a field the tracks of a step share."""
+        for entry in self._entries:
+            if len(entry) == _ROW:
+                yield entry[row_at]
+            else:
+                yield from repeat(entry[step_at], len(entry[0]))
 
     def __iter__(self) -> Iterator[EventRecord]:
-        return map(_materialize, self._rows)
+        return map(_materialize, self._expanded())
 
     def __getitem__(self, idx):
         if isinstance(idx, slice):
-            return [_materialize(row) for row in self._rows[idx]]
-        return _materialize(self._rows[idx])
+            return [_materialize(row) for row in list(self._expanded())[idx]]
+        return _materialize(next(islice(self._expanded(), range(self._count)[idx], None)))
 
     # -- queries ------------------------------------------------------------
     def _matching(
@@ -165,27 +251,25 @@ class EventLog:
         kinds: Optional[Iterable[EventKind]] = None,
         rank: Optional[int] = None,
     ) -> list[tuple]:
-        """The rows matching the filter arguments, in log order.
+        """The entries matching the filter arguments, in log order.
 
-        Each filter given narrows the rows in its own pass and an absent
-        one costs nothing: the whole-log scans every run ends with
+        Each filter given narrows the entries in its own pass and an
+        absent one costs nothing: the whole-log scans every run ends with
         (makespan over workload kinds, one component's span) test one
-        field per row. With no filter this is the log's own row list;
-        callers must not mutate it.
+        field per entry, however many ranks a step covers. With no filter
+        this is the log's own entry list; callers must not mutate it.
         """
         if kind is not None and kinds is not None:
             raise ReproError("pass either kind or kinds, not both")
-        rows = self._rows
-        if component is not None:
-            rows = [r for r in rows if r[0] == component]
-        if rank is not None:
-            rows = [r for r in rows if r[4] == rank]
+        entries = self._entries
         if kind is not None:
-            rows = [r for r in rows if r[1] == kind]
+            entries = [e for e in entries if e[1] == kind]
         if kinds is not None:
             wanted = frozenset(kinds)
-            rows = [r for r in rows if r[1] in wanted]
-        return rows
+            entries = [e for e in entries if e[1] in wanted]
+        if component is not None or rank is not None:
+            entries = _narrowed(entries, component, rank)
+        return entries
 
     def filter(
         self,
@@ -200,17 +284,18 @@ class EventLog:
         arguments as keywords and answer without building a log.
         """
         out = EventLog()
-        rows = self._matching(component, kind, kinds, rank)
-        out._rows = list(rows) if rows is self._rows else rows
+        entries = self._matching(component, kind, kinds, rank)
+        out._entries = list(entries) if entries is self._entries else entries
+        out._count = _size(entries)
         return out
 
     def components(self) -> list[str]:
         """Component names in first-seen order."""
-        return list(dict.fromkeys(r[0] for r in self._rows))
+        return list(dict.fromkeys(r[0] for r in self._expanded()))
 
     def count(self, **where) -> int:
         """Number of records matching the filter arguments."""
-        return len(self._matching(**where))
+        return _size(self._matching(**where))
 
     def durations(self) -> list[float]:
         """Every record's duration, in log order.
@@ -219,18 +304,22 @@ class EventLog:
         statistics over no events are simply empty, unlike time-window
         queries which have no meaningful answer (see :meth:`span`).
         """
-        return [r[3] for r in self._rows]
+        return list(self._shared(3, 3))
+
+    def sizes(self) -> list[float]:
+        """Every record's nbytes, in log order."""
+        return list(self._shared(5, 4))
 
     def total_bytes(self) -> float:
         """Sum of nbytes over all records."""
-        return sum(r[5] for r in self._rows)
+        return sum(self._shared(5, 4))
 
     def _window(self, what: str, where: dict) -> tuple[float, float]:
-        """One pass over the matching rows: (min start, max end)."""
+        """One pass over the matching entries: (min start, max end)."""
         first = last = None
-        for r in self._matching(**where):
-            start = r[2]
-            end = start + r[3]
+        for e in self._matching(**where):
+            start = e[2]
+            end = start + e[3]
             if first is None:
                 first, last = start, end
                 continue
@@ -263,9 +352,8 @@ class EventLog:
     def to_jsonl(self) -> str:
         """Serialize as one JSON object per line."""
         lines = []
-        for row in self._rows:
+        for row in self._expanded():
             d = dict(zip(_FIELDS, row))
-            d["kind"] = row[1].value
             d["meta"] = row[7] or {}
             lines.append(json.dumps(d, sort_keys=True))
         return "\n".join(lines)

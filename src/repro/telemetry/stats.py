@@ -90,7 +90,7 @@ def mean_throughput(log: EventLog, kind: EventKind, component: str | None = None
     if kind not in TRANSPORT_KINDS:
         raise ReproError(f"{kind} is not a transport kind")
     events = log.filter(component=component, kind=kind)
-    samples = [r.throughput for r in events if r.duration > 0]
+    samples = [n / d for n, d in zip(events.sizes(), events.durations()) if d > 0]
     if not samples:
         return 0.0
     return float(np.mean(samples))

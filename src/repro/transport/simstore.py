@@ -117,23 +117,27 @@ class SimDataStore:
         if self.event_log is not None:
             self.event_log.add(self.component, kind, start, duration, self.rank, nbytes, key)
         if self.telemetry is not None:
-            self.telemetry.tracer.add_span(
-                f"transport.{kind.value}",
-                start=start,
-                duration=duration,
-                category="transport",
-                pid=self.component,
-                tid=self.rank,
-                key=key,
-                nbytes=nbytes,
-                backend=self.model.name,
-            )
-            metrics = self.telemetry.metrics
-            label = {"backend": self.model.name}
-            metrics.histogram(f"transport.{kind.value}.seconds", **label).observe(duration)
-            metrics.counter(f"transport.{kind.value}.ops", **label).inc()
-            if nbytes:
-                metrics.counter(f"transport.{kind.value}.bytes", **label).inc(nbytes)
+            self._trace(kind, start, duration, nbytes, key)
+
+    def _trace(self, kind: EventKind, start: float, duration: float, nbytes: float, key: str) -> None:
+        """The tracer span and metrics of one finished op (hub attached)."""
+        self.telemetry.tracer.add_span(
+            f"transport.{kind.value}",
+            start=start,
+            duration=duration,
+            category="transport",
+            pid=self.component,
+            tid=self.rank,
+            key=key,
+            nbytes=nbytes,
+            backend=self.model.name,
+        )
+        metrics = self.telemetry.metrics
+        label = {"backend": self.model.name}
+        metrics.histogram(f"transport.{kind.value}.seconds", **label).observe(duration)
+        metrics.counter(f"transport.{kind.value}.ops", **label).inc()
+        if nbytes:
+            metrics.counter(f"transport.{kind.value}.bytes", **label).inc(nbytes)
 
     # -- fault hooks ----------------------------------------------------------
     # Each staging op below is a single generator frame: on a healthy store
@@ -258,37 +262,44 @@ def stage_write_group(
 
     ``stores[i]`` stages ``keys[i][0]``, ``keys[i][1]``, ... back to
     back, ``nbytes`` each. The stores share one environment, model,
-    default context and op budget and carry no fault state, so the
-    modeled cost is one number and the group sleeps once per key; the
-    publish, the WRITE row, the tracer span and the ``link.occupancy``
+    default context, op budget, event log and hub and carry no fault
+    state, so the modeled cost is one number and the group sleeps once
+    per key; the publish, the tracer span and the ``link.occupancy``
     steps happen per store, in list order — the order per-store
     :meth:`SimDataStore.stage_write` calls run in when the stores'
-    calendar entries pop consecutively.
+    calendar entries pop consecutively. The WRITE rows of one key column
+    are one :meth:`EventLog.add_step` after that loop: no ``yield``
+    separates them, so no other process's row can fall between.
     """
     lead = stores[0]
     if nbytes < 0:
         raise TransportError(f"negative staged size {nbytes}")
-    env, telemetry = lead.env, lead.telemetry
+    env, telemetry, log = lead.env, lead.telemetry, lead.event_log
     modeled = lead.model.write_time(nbytes, lead.default_ctx)
-    last = len(keys[0]) - 1
-    for j in range(last + 1):
+    tracks = tuple([(store.component, store.rank) for store in stores])
+    columns = list(zip(*keys))
+    last = len(columns) - 1
+    for j, column in enumerate(columns):
         start = env.now
-        cost, late = lead._charge("write", keys[0][j], modeled)
+        cost, late = lead._charge("write", column[0], modeled)
         if telemetry is not None and j == 0:
             for _ in stores:
                 telemetry.transport_started(t=start)
         yield cost
         now = env.now
-        for store, mine in zip(stores, keys):
+        for store, key in zip(stores, column):
             if telemetry is not None:
                 telemetry.transport_finished(t=now)
             if late is not None:
                 continue
-            store.area.publish(mine[j], nbytes)
-            store._log(EventKind.WRITE, start, nbytes, mine[j])
-            if telemetry is not None and j < last:
-                # This store's next key goes on the wire before the next
-                # store's write has come off it.
-                telemetry.transport_started(t=now)
+            store.area.publish(key, nbytes)
+            if telemetry is not None:
+                store._trace(EventKind.WRITE, start, now - start, nbytes, key)
+                if j < last:
+                    # This store's next key goes on the wire before the
+                    # next store's write has come off it.
+                    telemetry.transport_started(t=now)
         if late is not None:
             raise late
+        if log is not None:
+            log.add_step(tracks, EventKind.WRITE, start, now - start, nbytes, column)

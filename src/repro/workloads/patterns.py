@@ -245,7 +245,7 @@ def _sim_ranks(
     the same timestamp lies wholly before or after the block. Rows,
     publishes, counters and the ``stop`` test keep their order.
     """
-    tracks = [(store.component, store.rank) for store in stores]
+    tracks = tuple([(store.component, store.rank) for store in stores])
     component = tracks[0][0]  # the fault hooks only ever see a group of one
     leads = tracks[0][1] == 0  # rank 0 carries the per-run counters
     sole = stores[0] if len(stores) == 1 else None

@@ -1,10 +1,11 @@
-"""The row-store EventLog against a list-of-EventRecord reference model.
+"""The entry-list EventLog against a list-of-EventRecord reference model.
 
-The model is the pre-row-store implementation reduced to its essentials:
-every record is an :class:`EventRecord` held in a list and every query
-goes through the record's attributes. Hypothesis drives both through the
-same operations and requires equal records, equal answers, equal errors
-and byte-equal JSONL.
+The model is the first implementation reduced to its essentials: every
+record is an :class:`EventRecord` held in a list and every query goes
+through the record's attributes. The real log stores rows and steps (one
+entry standing for one record per track). Hypothesis drives both through
+the same operations and requires equal records, equal answers, equal
+errors and byte-equal JSONL, wherever the step boundaries fall.
 """
 
 import gc
@@ -18,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EmptyLogError, ReproError
+from repro.experiments.common import backend_models
 from repro.telemetry import EventKind, EventLog, EventRecord
+from repro.workloads.patterns import ManyToOneConfig, run_many_to_one
 
 
 class ModelLog:
@@ -75,9 +78,32 @@ OPTIONAL = st.fixed_dictionaries(
     {}, optional={"rank": RANKS, "nbytes": SIGNED, "key": st.text(max_size=6), "meta": METAS}
 )
 FIELDS = st.tuples(COMPONENTS, KINDS, TIMES, SIGNED, OPTIONAL)
-OPS = st.lists(
-    st.tuples(st.sampled_from(["add", "add_step", "record", "extend"]), FIELDS), max_size=25
+RECORD_OPS = st.tuples(st.sampled_from(["add", "record", "extend"]), FIELDS)
+# One step of a lock-step group: 0-5 tracks on mixed components (so a
+# component or rank filter splits it), shared kind/start/duration/nbytes,
+# and optionally one key per track. Tracks arrive as a tuple or a list.
+TRACKS = st.lists(st.tuples(COMPONENTS, RANKS), max_size=5)
+STEP_OPS = TRACKS.flatmap(
+    lambda tracks: st.tuples(
+        st.just("add_step"),
+        st.tuples(
+            st.sampled_from([tracks, tuple(tracks)]),
+            KINDS,
+            TIMES,
+            SIGNED,
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "nbytes": SIGNED,
+                    "keys": st.lists(
+                        st.text(max_size=6), min_size=len(tracks), max_size=len(tracks)
+                    ),
+                },
+            ),
+        ),
+    )
 )
+OPS = st.lists(st.one_of(RECORD_OPS, STEP_OPS), max_size=25)
 FILTERS = st.fixed_dictionaries(
     {},
     optional={
@@ -94,19 +120,22 @@ def build(ops):
     log, model = EventLog(), ModelLog()
     for op, (component, kind, start, duration, optional) in ops:
         if op == "add_step":
-            # One step of a two-rank lock-step group: shared kind, start
-            # and duration, validated once, appended in track order.
-            rank = optional.get("rank", 0)
-            tracks = [(component, rank), ("sim1", rank + 1)]
+            # Validated once, against the first track (no track: "?"),
+            # then one record per track in track order.
+            tracks, nbytes = component, optional.get("nbytes", 0.0)
+            keys = optional.get("keys") or [""] * len(tracks)
             try:
-                records = [EventRecord(c, kind, start, duration, rank=r) for c, r in tracks]
+                EventRecord(tracks[0][0] if tracks else "?", kind, start, duration, nbytes=nbytes)
             except ReproError as err:
                 with pytest.raises(ReproError) as caught:
-                    log.add_step(tracks, kind, start, duration)
+                    log.add_step(tracks, kind, start, duration, **optional)
                 assert str(caught.value) == str(err)
                 continue
-            log.add_step(tracks, kind, start, duration)
-            model.records.extend(records)
+            log.add_step(tracks, kind, start, duration, **optional)
+            model.records.extend(
+                EventRecord(c, kind, start, duration, rank=r, nbytes=nbytes, key=key)
+                for (c, r), key in zip(tracks, keys)
+            )
             continue
         try:
             record = EventRecord(component, kind, start, duration, **optional)
@@ -157,11 +186,13 @@ def assert_same(log: EventLog, model: ModelLog) -> None:
 
 
 @settings(max_examples=150, deadline=None)
-@given(ops=OPS, where=FILTERS, index=st.integers(-30, 30), cut=st.tuples(
+@given(ops=OPS, more=OPS, where=FILTERS, index=st.integers(-30, 30), cut=st.tuples(
     st.one_of(st.none(), st.integers(-30, 30)), st.one_of(st.none(), st.integers(-30, 30))))
-def test_eventlog_matches_reference_model(ops, where, index, cut):
+def test_eventlog_matches_reference_model(ops, more, where, index, cut):
     log, model = build(ops)
     assert_same(log, model)
+    if model.records:
+        assert log[-1] == model.records[-1]
 
     # filter / count / span / makespan take the same arguments and agree
     # with filtering the model first, including the kind+kinds error.
@@ -189,13 +220,32 @@ def test_eventlog_matches_reference_model(ops, where, index, cut):
     assert_same(pickle.loads(pickle.dumps(log)), model)
     assert_same(EventLog(model.records), model)
 
+    # extend copies entries, steps included, and leaves its argument alone;
+    # a filter result taken earlier does not see what its source gained
+    # (and the source does not see what the result gains).
+    if isinstance(expected, ModelLog):
+        filtered = log.filter(**where)
+    other, other_model = build(more)
+    log.extend(other)
+    assert_same(other, other_model)
+    assert_same(log, ModelLog(model.records + other_model.records))
+    if isinstance(expected, ModelLog):
+        assert_same(filtered, expected)
+        filtered.add_step([("sim", 0), ("train", 1)], EventKind.OTHER, 0.0, 1.0)
+        assert len(filtered) == len(expected.records) + 2
+        assert_same(log, ModelLog(model.records + other_model.records))
+
 
 def test_filtered_log_is_independent_of_its_source():
     log = EventLog()
     log.add("sim", EventKind.COMPUTE, 0.0, 1.0)
-    everything = log.filter()
+    log.add_step((("sim", 0), ("train", 1)), EventKind.WRITE, 1.0, 1.0, 8.0, ("a", "b"))
+    everything, narrowed = log.filter(), log.filter(component="train")
     everything.add("sim", EventKind.COMPUTE, 1.0, 1.0)
-    assert (len(log), len(everything)) == (1, 2)
+    narrowed.add_step([("sim", 2)], EventKind.COMPUTE, 2.0, 1.0)
+    log.add("train", EventKind.TRAIN, 3.0, 1.0)
+    assert (len(log), len(everything), len(narrowed)) == (4, 4, 2)
+    assert [(r.component, r.key) for r in narrowed] == [("train", "b"), ("sim", "")]
 
 
 def test_add_allocates_one_row_per_record():
@@ -226,3 +276,54 @@ def test_add_allocates_one_row_per_record():
     assert len(log) == n + 1
     assert tracked <= n + 32
     assert blocks <= n + 32
+
+
+def healthy_p2_cell_log() -> EventLog:
+    """The log of one healthy 128-node Pattern 2 cell (127 producers)."""
+    config = ManyToOneConfig(n_simulations=127, train_iterations=4, snapshot_nbytes=1.2e6)
+    return run_many_to_one(backend_models()["filesystem"], config).log
+
+
+def test_no_entry_of_a_p2_cell_log_stays_gc_tracked():
+    """A count, not a timing: the collector has nothing of the log to walk.
+
+    A row holds only atomic objects, so its first collection untracks it.
+    A step holds tuples of tuples, and CPython untracks one nesting level
+    per pass (a container is examined before what only it refers to):
+    three passes cover tracks' pairs, then tracks and keys, then the step.
+    One record with a ``meta`` dict or an enum member would stay tracked
+    through any number of passes.
+    """
+    log = healthy_p2_cell_log()
+    assert len(log._entries) < len(log) / 5  # steps carried the lock-step rows
+    for _ in range(3):
+        gc.collect()
+    assert not any(map(gc.is_tracked, log._entries))
+
+
+def test_add_step_allocates_a_constant_number_of_blocks():
+    """A count, not a timing: a step over 127 tracks is one entry.
+
+    ``tracks`` and ``keys`` tuples are stored by reference, so the cost of
+    a step does not grow with the group (one row per track was 127 blocks).
+    """
+    n = 200
+    tracks = tuple((f"sim{i}", i) for i in range(127))
+    keys = tuple(f"sim{i}_k" for i in range(127))
+    log = EventLog()
+    starts = [float(i) for i in range(n)]  # allocated before the measurement
+    log.add_step(tracks, EventKind.WRITE, -1.0, 0.5, 1e6, keys)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        blocks = sys.getallocatedblocks()
+        for start in starts:
+            log.add_step(tracks, EventKind.WRITE, start, 0.5, 1e6, keys)
+        blocks = sys.getallocatedblocks() - blocks
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(log) == 127 * (n + 1)
+    assert blocks <= n + 32
+    assert all(entry[0] is tracks and entry[5] is keys for entry in log._entries)

@@ -55,6 +55,48 @@ def test_add_step_appends_one_record_per_track_in_order():
     ]
 
 
+def test_add_step_carries_nbytes_and_one_key_per_track():
+    log = EventLog()
+    log.add_step((("sim0", 0), ("sim1", 1)), EventKind.WRITE, 2.0, 0.5, 8.0, ["a", "b"])
+    assert list(log) == [
+        rec("sim0", EventKind.WRITE, start=2.0, duration=0.5, rank=0, nbytes=8.0, key="a"),
+        rec("sim1", EventKind.WRITE, start=2.0, duration=0.5, rank=1, nbytes=8.0, key="b"),
+    ]
+    with pytest.raises(ReproError, match="1 keys for 2 tracks"):
+        log.add_step((("sim0", 0), ("sim1", 1)), EventKind.WRITE, 2.0, 0.5, 8.0, ["a"])
+    with pytest.raises(ReproError, match="negative nbytes -8.0 for sim0"):
+        log.add_step((("sim0", 0), ("sim1", 1)), EventKind.WRITE, 2.0, 0.5, -8.0)
+    assert len(log) == 2
+
+
+def test_empty_step_is_a_noop_but_still_validated():
+    # An empty step used to raise IndexError from tracks[0][0].
+    log = EventLog()
+    log.add_step([], EventKind.COMPUTE, 0.0, 1.0)
+    log.add_step((), EventKind.WRITE, 0.0, 1.0, 8.0, [])
+    assert len(log) == 0 and list(log) == [] and log.to_jsonl() == ""
+    with pytest.raises(ReproError, match=r"negative duration nan for \?"):
+        log.add_step([], EventKind.COMPUTE, 0.0, float("nan"))
+    with pytest.raises(ReproError, match=r"negative duration -1.0 for \?"):
+        log.add_step([], EventKind.COMPUTE, 0.0, -1.0)
+    with pytest.raises(ReproError, match=r"negative nbytes -1.0 for \?"):
+        log.add_step([], EventKind.COMPUTE, 0.0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("kind", ["compute", None, 3])
+def test_a_kind_that_is_not_an_event_kind_is_rejected_at_append_time(kind):
+    # It used to be stored and to fail later, inside to_jsonl.
+    log = EventLog()
+    for append in (
+        lambda: log.add("sim", kind, 0.0, 1.0),
+        lambda: log.add_step([("sim", 0)], kind, 0.0, 1.0),
+        lambda: log.record(rec(kind=kind)),  # the dataclass does not check
+    ):
+        with pytest.raises(ReproError, match="kind must be an EventKind"):
+            append()
+    assert len(log) == 0 and log.to_jsonl() == ""
+
+
 def test_log_record_and_len():
     log = EventLog()
     log.record(rec())

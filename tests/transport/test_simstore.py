@@ -237,6 +237,55 @@ def test_group_write_is_the_per_store_writes_in_one_process():
     assert levels == [1, 2, 3, 2, 3, 2, 3, 2, 3, 2, 1, 0]
 
 
+@pytest.mark.parametrize("op_timeout", [None, 1e-9], ids=["in-budget", "op-timeout-fires"])
+@pytest.mark.parametrize("traced", [False, True], ids=["no-hub", "hub"])
+def test_group_write_logs_what_per_store_writes_log(traced, op_timeout):
+    """One step per key column is, row for row, the per-store WRITE rows —
+    also with another process logging between the columns."""
+
+    def run(grouped):
+        hub = Telemetry() if traced else None
+        env, area, log, stores, keys = _group_fixture(n=5, telemetry=hub, op_timeout=op_timeout)
+        failures = []
+
+        def writer(write):
+            try:
+                yield from write
+            except TimeoutError as err:
+                failures.append((env.now, type(err), str(err)))
+
+        def one_store(store, mine):
+            for key in mine:
+                yield from store.stage_write(key, 2e6)
+
+        def poller():
+            reader = SimDataStore(
+                env, NodeLocalBackendModel(), area, component="train", event_log=log,
+                default_ctx=TransportOpContext(local=True),
+            )
+            for _ in range(40):
+                yield from reader.poll_staged_data("sim0_a1")
+
+        if grouped:
+            env.process(writer(stage_write_group(stores, keys, 2e6)))
+        else:
+            for store, mine in zip(stores, keys):
+                env.process(writer(one_store(store, mine)))
+        env.process(poller())
+        env.run()
+        return log, failures, area.keys(), hub and hub.snapshot()
+
+    log, failures, staged, snapshot = run(grouped=True)
+    per_store, per_store_failures, per_store_staged, per_store_snapshot = run(grouped=False)
+    assert log.to_jsonl() == per_store.to_jsonl()
+    assert (staged, snapshot) == (per_store_staged, per_store_snapshot)
+    # The group fails once, as its first store would have.
+    assert failures == per_store_failures[:1]
+    writes = log.count(kind=EventKind.WRITE)
+    assert (writes, len(failures)) == ((10, 0) if op_timeout is None else (0, 1))
+    assert log.count(kind=EventKind.POLL) == 40
+
+
 def test_group_write_rejects_negative_size_before_any_time_passes():
     env, area, log, stores, keys = _group_fixture()
     failures = []
