@@ -6,7 +6,7 @@ from repro.experiments import ext_futurework, ext_inference
 
 
 def test_ext_inference(benchmark):
-    result = run_once(benchmark, ext_inference.run, quick=True)
+    result = run_once(benchmark, ext_inference.run)
     # Latency ordering: in-memory/streaming beat the filesystem by a lot.
     assert result.rows["filesystem"][0] > 3 * result.rows["dragon"][0]
     assert result.rows["filesystem"][1] > result.rows["dragon"][1]  # transport share
@@ -15,7 +15,7 @@ def test_ext_inference(benchmark):
 
 
 def test_ext_futurework(benchmark):
-    result = run_once(benchmark, ext_futurework.run, quick=True)
+    result = run_once(benchmark, ext_futurework.run)
     # DAOS avoids the Lustre metadata collapse at 512 nodes...
     for i in range(len(result.sizes_mb)):
         assert result.p1_write_512["daos"][i] > result.p1_write_512["filesystem"][i]

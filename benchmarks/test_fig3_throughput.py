@@ -5,7 +5,7 @@ from repro.experiments import fig3_throughput
 
 
 def test_fig3(benchmark):
-    result = run_once(benchmark, fig3_throughput.run, quick=True)
+    result = run_once(benchmark, fig3_throughput.run)
     # In-memory backends: interior throughput peak (cache-spill dip).
     for backend in ("node-local", "dragon", "redis"):
         thr = result.write[8][backend]

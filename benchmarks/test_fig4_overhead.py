@@ -5,7 +5,7 @@ from repro.experiments import fig4_overhead
 
 
 def test_fig4(benchmark):
-    result = run_once(benchmark, fig4_overhead.run, quick=True)
+    result = run_once(benchmark, fig4_overhead.run)
     # node-local: 32 MB transfer ~ one sim iteration at both scales.
     for scale in (8, 512):
         assert 0.3 <= result.panel("node-local", scale).transfer_to_iter_ratio(-1) <= 3.0

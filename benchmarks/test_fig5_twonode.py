@@ -5,7 +5,7 @@ from repro.experiments import fig5_twonode
 
 
 def test_fig5(benchmark):
-    result = run_once(benchmark, fig5_twonode.run, quick=True)
+    result = run_once(benchmark, fig5_twonode.run)
     # Redis non-local reads far below dragon at every size.
     for i in range(len(result.sizes_mb)):
         assert result.read["redis"][i] < 0.5 * result.read["dragon"][i]

@@ -5,7 +5,7 @@ from repro.experiments import fig6_scaling
 
 
 def test_fig6(benchmark):
-    result = run_once(benchmark, fig6_scaling.run, quick=True)
+    result = run_once(benchmark, fig6_scaling.run)
     for scale in (8, 128):
         for backend, series in result.runtime[scale].items():
             assert series == sorted(series), (scale, backend)

@@ -2,11 +2,12 @@
 
 The DES engine's event throughput is the hard ceiling on every number
 this reproduction produces, so its trajectory is tracked in the repo:
-``repro bench`` runs the DES micro-benchmarks plus one quick round of
-each paper experiment, writes a machine-readable ``BENCH_<date>.json``
-(events/sec, per-experiment wall seconds, peak RSS), and prints a delta
-table against the most recent committed baseline. CI runs
-``repro bench --quick --check`` as a perf-smoke job that fails on a
+``repro bench`` runs the DES micro-benchmarks plus one round of each
+paper experiment (the run ``experiments_full_output.txt`` archives),
+writes a machine-readable ``BENCH_<date>.json`` (events/sec,
+per-experiment wall seconds, peak RSS), and prints a delta table
+against the most recent committed baseline. CI runs
+``repro bench --check`` as a perf-smoke job that fails on a
 >25% events/sec regression against the baseline in ``benchmarks/``.
 
 Report schema (``schema_version`` 1)::
@@ -14,7 +15,6 @@ Report schema (``schema_version`` 1)::
     {
       "schema_version": 1,
       "created": "2026-08-05T12:00:00",
-      "quick": false,
       "python": "3.12.1",
       "platform": "Linux-...",
       "environment": {
@@ -60,9 +60,6 @@ import socket
 import sys
 import time
 from typing import Any, Optional
-
-#: Experiments timed by ``--quick`` (CI smoke) vs the full bench.
-QUICK_EXPERIMENTS = ("table2", "fig3")
 
 #: Fail ``--check`` when events/sec drops below this fraction of baseline.
 DEFAULT_REGRESSION_THRESHOLD = 0.25
@@ -277,16 +274,14 @@ def run_service_benchmark(
 
 
 # -- experiment rounds ------------------------------------------------------
-def run_experiment_rounds(names: Optional[list[str]] = None) -> dict[str, dict[str, float]]:
-    """Wall seconds for one quick round of each named paper experiment."""
+def run_experiment_rounds() -> dict[str, dict[str, float]]:
+    """Wall seconds for one round of each paper experiment."""
     from repro.experiments import ALL_EXPERIMENTS
 
-    chosen = list(ALL_EXPERIMENTS) if names is None else list(names)
     timings: dict[str, dict[str, float]] = {}
-    for name in chosen:
-        module = ALL_EXPERIMENTS[name]
+    for name, module in ALL_EXPERIMENTS.items():
         start = time.perf_counter()
-        module.run(quick=True)
+        module.run()
         timings[name] = {"seconds": time.perf_counter() - start}
     return timings
 
@@ -322,18 +317,16 @@ def environment_info() -> dict[str, Any]:
 
 
 # -- report assembly --------------------------------------------------------
-def collect(quick: bool = False, repeats: int = 5) -> dict[str, Any]:
+def collect(repeats: int = 5) -> dict[str, Any]:
     """Run the whole bench and assemble the report payload."""
-    names = list(QUICK_EXPERIMENTS) if quick else None
     des = run_des_benchmarks(repeats=repeats)
     service = run_service_benchmark()
     telemetry = run_eventlog_benchmark(repeats=repeats)
     transport = run_staging_benchmark(repeats=repeats)
-    experiments = run_experiment_rounds(names)
+    experiments = run_experiment_rounds()
     return {
         "schema_version": 1,
         "created": _dt.datetime.now().isoformat(timespec="seconds"),
-        "quick": quick,
         "python": platform.python_version(),
         "platform": platform.platform(),
         "environment": environment_info(),
@@ -523,11 +516,6 @@ def check_regression(
 # -- CLI --------------------------------------------------------------------
 def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--quick",
-        action="store_true",
-        help=f"time only {', '.join(QUICK_EXPERIMENTS)} (CI smoke)",
-    )
-    parser.add_argument(
         "--repeats",
         type=int,
         default=5,
@@ -568,7 +556,7 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
 def cmd_bench(args: argparse.Namespace) -> int:
     baseline_dir = pathlib.Path(args.baseline_dir)
     baseline_path = find_baseline(baseline_dir)
-    payload = collect(quick=args.quick, repeats=args.repeats)
+    payload = collect(repeats=args.repeats)
 
     for name, numbers in payload["des"].items():
         print(

@@ -6,9 +6,9 @@ Subcommands::
     python -m repro run --config app.json   # real-mode mini-app from JSON
     python -m repro simulate --pattern one-to-one --backend dragon \
         --nodes 64 --size-mb 4              # sim-mode what-if study
-    python -m repro sweep fig3 --quick --parallel 4 \
+    python -m repro sweep fig3 --parallel 4 \
         --cache-dir .sweep-cache            # cached parallel experiment sweep
-    python -m repro bench --quick           # perf baseline -> BENCH_<date>.json
+    python -m repro bench                   # perf baseline -> BENCH_<date>.json
     python -m repro trace-summary out.json  # top-k slowest spans per component
 
 Observability: ``run`` and ``simulate`` accept ``--trace out.json``
@@ -1044,7 +1044,7 @@ def _cmd_sweep_serial_or_serve(args: argparse.Namespace) -> int:
             job_name=name if args.submit else None,
         )
         start = time.perf_counter()
-        result = registry[name].run(quick=args.quick, sweep=options)
+        result = registry[name].run(sweep=options)
         elapsed = time.perf_counter() - start
         print(progress.summary(name, elapsed), file=sys.stderr)
         print(f"=== {name} ({elapsed:.1f}s) ===")
@@ -1057,9 +1057,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.experiments import ext_faults
 
     telemetry = _make_telemetry(args)
-    result = ext_faults.run(
-        quick=args.quick, rates=args.rates, seed=args.seed, telemetry=telemetry
-    )
+    result = ext_faults.run(rates=args.rates, seed=args.seed, telemetry=telemetry)
     if args.json:
         payload = {
             "cells": [
@@ -1199,9 +1197,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'usage' (per-tenant accounting), 'gc' (retention pass), 'health' "
         "(overload/brownout probe) — these take --store FILE or --at "
         "HOST:PORT",
-    )
-    sweep.add_argument(
-        "--quick", action="store_true", help="scaled-down iteration counts"
     )
     sweep.add_argument(
         "--parallel",
@@ -1462,9 +1457,6 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="seeded chaos sweep: fault rate x backend x pattern"
     )
     chaos.add_argument(
-        "--quick", action="store_true", help="shrunk iteration counts (CI smoke)"
-    )
-    chaos.add_argument(
         "--rates",
         type=float,
         nargs="+",
@@ -1480,7 +1472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="perf baseline: DES micro-bench + quick experiment rounds "
+        help="perf baseline: DES micro-bench + one round of each paper experiment "
         "-> BENCH_<date>.json with a delta table vs the last baseline",
     )
     from repro.benchreport import add_bench_arguments

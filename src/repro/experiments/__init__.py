@@ -1,9 +1,10 @@
 """Experiment drivers: one module per table/figure in the paper.
 
-Each exposes ``run(quick=False) -> Result`` where the result has a
-``render()`` returning the paper-style table text. The CLI entry point::
+Each exposes ``run() -> Result`` where the result has a ``render()``
+returning the paper-style table text. The CLI entry point (an alias of
+``python -m repro sweep``)::
 
-    python -m repro.experiments all --quick
+    python -m repro.experiments all
     python -m repro.experiments fig3
 """
 

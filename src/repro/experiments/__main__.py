@@ -1,73 +1,20 @@
-"""CLI for regenerating the paper's tables and figures.
+"""``python -m repro.experiments ARGS`` is ``python -m repro sweep ARGS``.
 
 Usage::
 
-    python -m repro.experiments all [--quick]
-    python -m repro.experiments fig3 fig6 [--quick] [--parallel 4] [--cache-dir .sweep-cache]
+    python -m repro.experiments all
+    python -m repro.experiments fig3 fig6 [--parallel 4] [--cache-dir .sweep-cache]
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-import time
 
-from repro.experiments import ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS
-from repro.sweep import SweepOptions
+from repro.cli import main as repro_main
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments",
-        description="Regenerate the paper's tables and figures.",
-    )
-    parser.add_argument(
-        "experiments",
-        nargs="+",
-        help=(
-            "experiment ids or 'all' (paper artifacts: "
-            f"{', '.join(ALL_EXPERIMENTS)}; extensions: "
-            f"{', '.join(EXTENSION_EXPERIMENTS)})"
-        ),
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="scaled-down iteration counts (shapes preserved)",
-    )
-    parser.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes per sweep grid (1 = serial, bit-identical default)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="content-addressed result cache; re-runs are served from disk",
-    )
-    args = parser.parse_args(argv)
-
-    registry = {**ALL_EXPERIMENTS, **EXTENSION_EXPERIMENTS}
-    names = list(ALL_EXPERIMENTS) if "all" in args.experiments else args.experiments
-    unknown = [n for n in names if n not in registry]
-    if unknown:
-        parser.error(f"unknown experiments {unknown}; choose from {list(registry)}")
-
-    sweep = None
-    if args.parallel != 1 or args.cache_dir:
-        sweep = SweepOptions(parallel=args.parallel, cache_dir=args.cache_dir)
-
-    for name in names:
-        start = time.perf_counter()
-        result = registry[name].run(quick=args.quick, sweep=sweep)
-        elapsed = time.perf_counter() - start
-        print(f"=== {name} ({elapsed:.1f}s) ===")
-        print(result.render())
-        print()
-    return 0
+    return repro_main(["sweep", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Shared infrastructure for the per-table/figure experiment drivers.
 
-Every driver follows one contract: a ``run(quick=False)`` function
-returning a result dataclass with (a) the measured series and (b) a
-``render()`` method printing the same rows/series the paper reports.
-``quick=True`` shrinks iteration counts for smoke tests and pytest
-benchmarks; the shapes (who wins, crossovers) are preserved.
+Every driver follows one contract: a ``run()`` function returning a
+result dataclass with (a) the measured series and (b) a ``render()``
+method printing the same rows/series the paper reports. There is one
+scale — the iteration counts ``experiments_full_output.txt`` was printed
+at; a test that wants a shorter run calls the driver's module-level
+``sweep_point(..., iterations=N)`` instead.
 """
 
 from __future__ import annotations

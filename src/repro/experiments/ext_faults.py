@@ -166,26 +166,26 @@ class FaultsExtResult:
         )
 
 
-def _p1_config(quick: bool, seed: int) -> OneToOneConfig:
-    return OneToOneConfig(train_iterations=200 if quick else 1000, seed=seed)
+def _p1_config(seed: int) -> OneToOneConfig:
+    return OneToOneConfig(train_iterations=1000, seed=seed)
 
 
-def _p2_config(quick: bool, seed: int) -> ManyToOneConfig:
+def _p2_config(seed: int) -> ManyToOneConfig:
     return ManyToOneConfig(
-        train_iterations=150 if quick else 600,
+        train_iterations=600,
         n_simulations=4,
         poll_timeout=2.0,
         seed=seed,
     )
 
 
-def baseline_point(pattern: int, backend: str, quick: bool, seed: int) -> tuple[float, float]:
+def baseline_point(pattern: int, backend: str, seed: int) -> tuple[float, float]:
     """Healthy (makespan, goodput) for one pattern x backend pair."""
     model = backend_models()[backend]
     if pattern == 1:
-        healthy = run_one_to_one(model, _p1_config(quick, seed), ctx=pattern1_context(8))
+        healthy = run_one_to_one(model, _p1_config(seed), ctx=pattern1_context(8))
     else:
-        healthy = run_many_to_one(model, _p2_config(quick, seed))
+        healthy = run_many_to_one(model, _p2_config(seed))
     return healthy.makespan, healthy.snapshots_read / healthy.makespan
 
 
@@ -194,7 +194,6 @@ def cell_point(
     backend: str,
     rate: float,
     horizon: float,
-    quick: bool,
     seed: int,
     telemetry=None,
 ) -> dict:
@@ -209,7 +208,7 @@ def cell_point(
     if pattern == 1:
         faulty = run_one_to_one(
             model,
-            _p1_config(quick, seed),
+            _p1_config(seed),
             ctx=pattern1_context(8),
             telemetry=telemetry,
             fault_plan=plan,
@@ -223,7 +222,7 @@ def cell_point(
     else:
         faulty = run_many_to_one(
             model,
-            _p2_config(quick, seed),
+            _p2_config(seed),
             telemetry=telemetry,
             fault_plan=plan,
             resilience=resilience,
@@ -254,7 +253,6 @@ def cell_point(
 
 
 def run(
-    quick: bool = False,
     rates: Optional[list[float]] = None,
     seed: int = 0,
     telemetry=None,
@@ -278,7 +276,7 @@ def run(
 
     combos = [(pattern, backend) for pattern in (1, 2) for backend in CHAOS_BACKENDS]
     base_cells = [
-        {"pattern": pattern, "backend": backend, "quick": quick, "seed": seed}
+        {"pattern": pattern, "backend": backend, "seed": seed}
         for pattern, backend in combos
     ]
     baselines = sweep_values(baseline_point, base_cells, sweep=sweep)
@@ -291,7 +289,6 @@ def run(
             "backend": backend,
             "rate": rate,
             "horizon": result.baselines[(pattern, backend)][0],
-            "quick": quick,
             "seed": seed,
         }
         for pattern, backend in combos
@@ -319,6 +316,4 @@ def run(
 
 
 if __name__ == "__main__":
-    import sys
-
-    print(run(quick="--quick" in sys.argv).render())
+    print(run().render())

@@ -108,11 +108,11 @@ P1_BACKENDS = ("node-local", "filesystem", "daos", "streaming")
 P2_BACKENDS = ("filesystem", "dragon", "daos", "streaming")
 
 
-def run(quick: bool = False, sweep=None) -> FutureWorkResult:
+def run(sweep=None) -> FutureWorkResult:
     from repro.experiments.common import sweep_values
 
-    p1_iters = 300 if quick else 1500
-    p2_iters = 100 if quick else 500
+    p1_iters = 1500
+    p2_iters = 500
     result = FutureWorkResult()
 
     # Pattern 1 at 512 nodes: filesystem vs daos vs node-local vs streaming.
@@ -138,6 +138,4 @@ def run(quick: bool = False, sweep=None) -> FutureWorkResult:
 
 
 if __name__ == "__main__":
-    import sys
-
-    print(run(quick="--quick" in sys.argv).render())
+    print(run().render())

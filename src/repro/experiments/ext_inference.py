@@ -54,8 +54,8 @@ class InferenceExtResult:
         )
 
 
-def run(quick: bool = False, sweep=None) -> InferenceExtResult:
-    iterations = 50 if quick else 500
+def run(sweep=None) -> InferenceExtResult:
+    iterations = 500
     names = list(_inference_models())
     cells = [{"backend": name, "iterations": iterations} for name in names]
     values = sweep_values(sweep_point, cells, sweep=sweep)
@@ -66,6 +66,4 @@ def run(quick: bool = False, sweep=None) -> InferenceExtResult:
 
 
 if __name__ == "__main__":
-    import sys
-
-    print(run(quick="--quick" in sys.argv).render())
+    print(run().render())

@@ -39,10 +39,10 @@ class Fig2Result:
         )
 
 
-def run(quick: bool = False, seed: int = 0, sweep=None) -> Fig2Result:
+def run(seed: int = 0, sweep=None) -> Fig2Result:
     from repro.experiments.common import nekrs_validation_point, sweep_values
 
-    iterations = 300 if quick else 2000
+    iterations = 2000
     cells = [
         {"which": which, "iterations": iterations, "seed": seed}
         for which in ("original", "miniapp")

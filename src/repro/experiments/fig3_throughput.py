@@ -73,7 +73,7 @@ class Fig3Result:
         return "\n\n".join(blocks)
 
 
-def run(quick: bool = False, backends=None, telemetry=None, sweep=None) -> Fig3Result:
+def run(backends=None, telemetry=None, sweep=None) -> Fig3Result:
     """Run the sweep; ``backends`` restricts it, ``telemetry`` records it.
 
     When a :class:`~repro.telemetry.hub.Telemetry` hub is given, every
@@ -83,7 +83,7 @@ def run(quick: bool = False, backends=None, telemetry=None, sweep=None) -> Fig3R
     across worker processes and/or a result cache; for a fixed seed the
     rendered output is bit-identical to the serial path.
     """
-    iterations = 300 if quick else 2500
+    iterations = 2500
     backends = list(backends or PATTERN1_BACKENDS)
     cells = [
         {"backend": backend, "nbytes": nbytes, "scale": scale, "iterations": iterations}
@@ -106,6 +106,4 @@ def run(quick: bool = False, backends=None, telemetry=None, sweep=None) -> Fig3R
 
 
 if __name__ == "__main__":
-    import sys
-
-    print(run(quick="--quick" in sys.argv).render())
+    print(run().render())

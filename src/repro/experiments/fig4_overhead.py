@@ -82,8 +82,8 @@ class Fig4Result:
         return "\n\n".join(blocks)
 
 
-def run(quick: bool = False, sweep=None) -> Fig4Result:
-    iterations = 300 if quick else 2500
+def run(sweep=None) -> Fig4Result:
+    iterations = 2500
     cells = [
         {"backend": backend, "scale": scale, "nbytes": nbytes, "iterations": iterations}
         for backend in BACKENDS
@@ -110,6 +110,4 @@ def run(quick: bool = False, sweep=None) -> Fig4Result:
 
 
 if __name__ == "__main__":
-    import sys
-
-    print(run(quick="--quick" in sys.argv).render())
+    print(run().render())

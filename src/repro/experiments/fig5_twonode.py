@@ -75,8 +75,8 @@ class Fig5Result:
         return "\n\n".join(blocks)
 
 
-def run(quick: bool = False, sweep=None) -> Fig5Result:
-    iterations = 300 if quick else 2500
+def run(sweep=None) -> Fig5Result:
+    iterations = 2500
     cells = [
         {"backend": backend, "nbytes": nbytes, "iterations": iterations}
         for backend in PATTERN2_BACKENDS
@@ -94,6 +94,4 @@ def run(quick: bool = False, sweep=None) -> Fig5Result:
 
 
 if __name__ == "__main__":
-    import sys
-
-    print(run(quick="--quick" in sys.argv).render())
+    print(run().render())

@@ -88,8 +88,8 @@ class Fig6Result:
         return "\n\n".join(blocks)
 
 
-def run(quick: bool = False, sweep=None) -> Fig6Result:
-    iterations = 200 if quick else 1000
+def run(sweep=None) -> Fig6Result:
+    iterations = 1000
     cells = [
         {"backend": backend, "scale": scale, "nbytes": nbytes, "iterations": iterations}
         for scale in SCALES
@@ -109,6 +109,4 @@ def run(quick: bool = False, sweep=None) -> Fig6Result:
 
 
 if __name__ == "__main__":
-    import sys
-
-    print(run(quick="--quick" in sys.argv).render())
+    print(run().render())

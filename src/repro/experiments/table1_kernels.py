@@ -80,7 +80,7 @@ def sweep_point(category: str, name: str) -> bool:
         return _kernel_runs(name, Path(tmp))
 
 
-def run(quick: bool = False, sweep=None) -> Table1Result:
+def run(sweep=None) -> Table1Result:
     from repro.experiments.common import sweep_values
 
     cells = [

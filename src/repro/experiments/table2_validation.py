@@ -71,10 +71,10 @@ class Table2Result:
         return table
 
 
-def run(quick: bool = False, seed: int = 0, sweep=None) -> Table2Result:
+def run(seed: int = 0, sweep=None) -> Table2Result:
     from repro.experiments.common import nekrs_validation_point, sweep_values
 
-    iterations = 500 if quick else 5000
+    iterations = 5000
     cells = [
         {"which": which, "iterations": iterations, "seed": seed}
         for which in ("original", "miniapp")

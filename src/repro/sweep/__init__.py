@@ -27,7 +27,7 @@ first-class object and executes it as fast as the hardware allows:
   point order (:mod:`repro.telemetry.snapshot`).
 
 The serial no-cache path is the exact code path the drivers ran before
-this layer existed, so ``run(quick=...)`` output is bit-identical
+this layer existed, so a driver's ``run()`` output is bit-identical
 between ``SweepOptions()`` (defaults) and ``--parallel N`` for a fixed
 seed — a property the regression tests assert per driver.
 

@@ -46,6 +46,11 @@ _FORMAT = "repro-sweep-cache-v1"
 #: every recorded fingerprint, so: don't).
 _POINT_FORMAT = "repro-sweep-point-v1"
 
+#: Filename of the SQLite store inside a cache or service directory.
+#: Defined here, not in :mod:`repro.sweep.dist.store` (which re-exports
+#: it), so that a plain serial sweep never loads ``repro.sweep.dist``.
+STORE_FILENAME = "store.sqlite"
+
 
 def fingerprint(obj: Any) -> str:
     """A canonical, process-stable string rendering of ``obj``.
@@ -344,10 +349,6 @@ class ResultCache:
         }
 
     def _store_path(self) -> Path:
-        # Lazy import: repro.sweep.dist pulls in the transport stack,
-        # which this module must not load for a plain serial sweep.
-        from repro.sweep.dist.store import STORE_FILENAME
-
         return self.directory / STORE_FILENAME
 
     def record_history(self, fingerprint: Optional[str] = None) -> None:

@@ -106,15 +106,12 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.errors import SweepStoreError
-from repro.sweep.cache import point_fingerprint
+from repro.sweep.cache import STORE_FILENAME, point_fingerprint
 from repro.telemetry.log import get_logger
 from repro.version import __version__
 
 #: Bump when the schema changes shape; ``meta.schema_version`` gates it.
 SCHEMA_VERSION = 2
-
-#: Default store filename inside a cache or service directory.
-STORE_FILENAME = "store.sqlite"
 
 #: Job lifecycle states (see ARCHITECTURE.md for the state machine).
 JOB_SUBMITTED = "submitted"

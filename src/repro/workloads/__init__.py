@@ -4,7 +4,6 @@ from repro.workloads.nekrs import (
     NekrsValidationSetup,
     nekrs_ai_config,
     nekrs_simulation_config,
-    quick_validation_setup,
 )
 from repro.workloads.patterns import (
     DEFAULT_SNAPSHOT_NBYTES,
@@ -51,7 +50,6 @@ __all__ = [
     "calibrate_transport_schedule",
     "nekrs_ai_config",
     "nekrs_simulation_config",
-    "quick_validation_setup",
     "run_inference_loop",
     "run_many_to_one",
     "run_one_to_one",

@@ -131,11 +131,6 @@ class NekrsValidationSetup:
         )
 
 
-def quick_validation_setup(train_iterations: int = 500) -> NekrsValidationSetup:
-    """A scaled-down validation run for tests and smoke benchmarks."""
-    return NekrsValidationSetup(train_iterations=train_iterations)
-
-
 __all__ = [
     "DEFAULT_SNAPSHOT_NBYTES",
     "GNN_ITER_TIME",
@@ -143,5 +138,4 @@ __all__ = [
     "NekrsValidationSetup",
     "nekrs_ai_config",
     "nekrs_simulation_config",
-    "quick_validation_setup",
 ]

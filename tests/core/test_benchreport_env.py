@@ -130,7 +130,7 @@ def _run_check(tmp_path, monkeypatch, current, baseline):
     (tmp_path / "BENCH_2026-01-01.json").write_text(json.dumps(baseline))
     monkeypatch.setattr(benchreport, "collect", lambda **kwargs: current)
     args = argparse.Namespace(
-        quick=True, repeats=1, out_dir=str(tmp_path), no_write=True,
+        repeats=1, out_dir=str(tmp_path), no_write=True,
         check=True, threshold=0.25, baseline_dir=str(tmp_path),
     )
     return benchreport.cmd_bench(args)

@@ -1,22 +1,19 @@
-"""End-to-end tests of every table/figure driver (quick mode).
+"""End-to-end tests of every table/figure driver.
 
 Each test asserts the qualitative findings the paper reports for that
 artifact — these are the reproduction's acceptance criteria.
 """
 
+import inspect
+import pathlib
+
 import pytest
 
-from repro.experiments import (
-    ALL_EXPERIMENTS,
-    fig2_timeline,
-    fig3_throughput,
-    fig4_overhead,
-    fig5_twonode,
-    fig6_scaling,
-    table1_kernels,
-    table2_validation,
-    table3_iterstats,
-)
+from repro.errors import ConfigError
+from repro.experiments import ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS
+
+REGISTRY = {**ALL_EXPERIMENTS, **EXTENSION_EXPERIMENTS}
+FULL_OUTPUT = pathlib.Path(__file__).parents[2] / "experiments_full_output.txt"
 
 
 def test_registry_covers_every_artifact():
@@ -32,15 +29,15 @@ def test_registry_covers_every_artifact():
     }
 
 
-def test_table1_all_kernels_present():
-    result = table1_kernels.run()
+def test_table1_all_kernels_present(driver_result):
+    result = driver_result("table1")
     assert result.all_present
     assert len(result.rows) == 16
     assert "MatMulSimple2D" in result.render()
 
 
-def test_table2_counts_match():
-    result = table2_validation.run(quick=True)
+def test_table2_counts_match(driver_result):
+    result = driver_result("table2")
     assert result.train.original_timesteps == result.train.miniapp_timesteps
     assert result.sim.timestep_relative_error < 0.06
     assert result.sim.transport_relative_error <= 0.15
@@ -48,8 +45,8 @@ def test_table2_counts_match():
     assert "Table 2" in result.render()
 
 
-def test_table3_stats_match():
-    result = table3_iterstats.run(quick=True)
+def test_table3_stats_match(driver_result):
+    result = driver_result("table3")
     assert result.sim.mean_relative_error < 0.10
     assert result.train.mean_relative_error < 0.05
     # the paper's signature: original jitter large, mini-app jitter tiny
@@ -58,8 +55,8 @@ def test_table3_stats_match():
     assert "Table 3" in result.render()
 
 
-def test_fig2_timelines_similar():
-    result = fig2_timeline.run(quick=True)
+def test_fig2_timelines_similar(driver_result):
+    result = driver_result("fig2")
     assert result.sim_similarity > 0.8
     assert result.train_similarity > 0.8
     text = result.render(width=80)
@@ -68,8 +65,8 @@ def test_fig2_timelines_similar():
 
 
 @pytest.fixture(scope="module")
-def fig3():
-    return fig3_throughput.run(quick=True)
+def fig3(driver_result):
+    return driver_result("fig3")
 
 
 def test_fig3_in_memory_backends_non_monotonic(fig3):
@@ -110,8 +107,8 @@ def test_fig3_render(fig3):
 
 
 @pytest.fixture(scope="module")
-def fig4():
-    return fig4_overhead.run(quick=True)
+def fig4(driver_result):
+    return driver_result("fig4")
 
 
 def test_fig4_nodelocal_32mb_about_one_iteration(fig4):
@@ -139,8 +136,8 @@ def test_fig4_render(fig4):
 
 
 @pytest.fixture(scope="module")
-def fig5():
-    return fig5_twonode.run(quick=True)
+def fig5(driver_result):
+    return driver_result("fig5")
 
 
 def test_fig5_redis_nonlocal_read_poor(fig5):
@@ -171,8 +168,8 @@ def test_fig5_render(fig5):
 
 
 @pytest.fixture(scope="module")
-def fig6():
-    return fig6_scaling.run(quick=True)
+def fig6(driver_result):
+    return driver_result("fig6")
 
 
 def test_fig6_runtime_grows_with_size(fig6):
@@ -217,10 +214,24 @@ def test_fig6_render(fig6):
     assert "128 nodes" in fig6.render()
 
 
-def test_cli_main_runs_quick(capsys):
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_archived_output_is_what_the_driver_prints(name, driver_result):
+    assert driver_result(name).render() + "\n" in FULL_OUTPUT.read_text()
+
+
+def test_no_driver_takes_a_scale_parameter():
+    """One scale: ``run()`` takes what selects *what* is run, never how long."""
+    for name, module in REGISTRY.items():
+        extra = set(inspect.signature(module.run).parameters) - {
+            "backends", "rates", "seed", "sweep", "telemetry",
+        }
+        assert not extra, (name, extra)
+
+
+def test_cli_main_runs(capsys):
     from repro.experiments.__main__ import main
 
-    assert main(["table2", "--quick"]) == 0
+    assert main(["table2"]) == 0
     out = capsys.readouterr().out
     assert "Table 2" in out
 
@@ -228,5 +239,5 @@ def test_cli_main_runs_quick(capsys):
 def test_cli_unknown_experiment():
     from repro.experiments.__main__ import main
 
-    with pytest.raises(SystemExit):
+    with pytest.raises(ConfigError, match="unknown experiments"):
         main(["bogus"])

@@ -9,7 +9,7 @@ from repro.telemetry import Telemetry
 
 @pytest.fixture(scope="module")
 def sweep():
-    return ext_faults.run(quick=True, rates=[0.1], seed=0)
+    return ext_faults.run(rates=[0.1], seed=0)
 
 
 def test_sweep_covers_patterns_and_backends(sweep):
@@ -18,7 +18,7 @@ def test_sweep_covers_patterns_and_backends(sweep):
 
 
 def test_sweep_is_deterministic(sweep):
-    again = ext_faults.run(quick=True, rates=[0.1], seed=0)
+    again = ext_faults.run(rates=[0.1], seed=0)
     assert [vars(c) for c in again.cells] == [vars(c) for c in sweep.cells]
 
 
@@ -45,7 +45,7 @@ def test_faults_hurt_goodput(sweep):
 
 def test_telemetry_captures_fault_instants():
     telemetry = Telemetry()
-    ext_faults.run(quick=True, rates=[0.1], seed=0, telemetry=telemetry)
+    ext_faults.run(rates=[0.1], seed=0, telemetry=telemetry)
     names = {e.name for e in telemetry.tracer.instants}
     assert "fault.inject" in names and "fault.recover" in names
 

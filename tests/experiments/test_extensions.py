@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import EXTENSION_EXPERIMENTS, ext_futurework
+from repro.experiments import EXTENSION_EXPERIMENTS
 from repro.transport.models import (
     DaosBackendModel,
     TransportOpContext,
@@ -56,8 +56,8 @@ def test_daos_beats_lustre_at_scale():
 
 
 @pytest.fixture(scope="module")
-def futurework():
-    return ext_futurework.run(quick=True)
+def futurework(driver_result):
+    return driver_result("ext_futurework")
 
 
 def test_futurework_daos_avoids_p1_collapse(futurework):
@@ -97,5 +97,5 @@ def test_futurework_render(futurework):
 def test_cli_accepts_extensions(capsys):
     from repro.experiments.__main__ import main
 
-    assert main(["ext_inference", "--quick"]) == 0
+    assert main(["ext_inference"]) == 0
     assert "round trip" in capsys.readouterr().out

@@ -1,5 +1,8 @@
 """Tests for the sweep engine: serial/pool execution, retries, caching."""
 
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -160,6 +163,26 @@ def test_cache_only_computes_new_points(tmp_path):
     report = SweepEngine(SweepOptions(cache_dir=tmp_path)).run(points_for([1, 2, 3]))
     assert report.computed == 1
     assert report.values == [1, 4, 9]
+
+
+def test_serial_cached_run_leaves_dist_package_unloaded(tmp_path):
+    # record_history needs the store's filename, not the service stack.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    code = (
+        "import json, sys\n"
+        "from repro.sweep import SweepEngine, SweepOptions, SweepPoint\n"
+        "points = [SweepPoint(func=json.dumps, kwargs={'obj': x}) for x in (1, 2)]\n"
+        f"options = SweepOptions(cache_dir={str(tmp_path)!r})\n"
+        "assert SweepEngine(options).run(points).values == ['1', '2']\n"
+        "assert SweepEngine(options).run(points).from_cache == 2\n"
+        "loaded = [m for m in sys.modules if m.startswith('repro.sweep.dist')]\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "history.jsonl").read_text().splitlines()) == 2
 
 
 def test_cache_replays_telemetry_on_hits(tmp_path):

@@ -253,7 +253,6 @@ def test_sweep_subcommand_runs_and_reports_progress(tmp_path, capsys):
             [
                 "sweep",
                 "fig5",
-                "--quick",
                 "--parallel",
                 "2",
                 "--cache-dir",
@@ -268,7 +267,7 @@ def test_sweep_subcommand_runs_and_reports_progress(tmp_path, capsys):
     assert "0 cached" in cold.err
 
     assert (
-        main(["sweep", "fig5", "--quick", "--cache-dir", str(cache)])
+        main(["sweep", "fig5", "--cache-dir", str(cache)])
         == 0
     )
     warm = capsys.readouterr()
@@ -279,19 +278,26 @@ def test_sweep_subcommand_runs_and_reports_progress(tmp_path, capsys):
     assert warm.out.splitlines()[1:] == cold.out.splitlines()[1:]
 
 
-def test_sweep_subcommand_serial_matches_plain_driver(capsys):
-    assert main(["sweep", "table2", "--quick"]) == 0
+def test_sweep_subcommand_serial_matches_plain_driver(capsys, driver_result):
+    assert main(["sweep", "table2"]) == 0
     out = capsys.readouterr().out
-    from repro.experiments import table2_validation
-
-    assert table2_validation.run(quick=True).render() in out
+    assert driver_result("table2").render() in out
 
 
 def test_sweep_unknown_experiment():
     from repro.errors import ConfigError
 
     with pytest.raises(ConfigError, match="unknown experiments"):
-        main(["sweep", "nope", "--quick"])
+        main(["sweep", "nope"])
+
+
+@pytest.mark.parametrize("command", ["sweep", "chaos", "bench"])
+def test_experiment_commands_take_no_scale_flag(command, capsys):
+    # argparse accepts any unique prefix, so "--q" finds every flag that
+    # starts with q; the deleted iteration-scale switch was the only one.
+    with pytest.raises(SystemExit):
+        main([command, "--q"])
+    assert "unrecognized arguments: --q" in capsys.readouterr().err
 
 
 # -- sweep: distributed/cache flags ----------------------------------------

@@ -8,11 +8,11 @@ commit *before* lock-step ranks were grouped into one process, so
 ``test_lockstep.py`` fails if grouping moves one row of one cell.
 
 The committed golden uses short runs (serialising the rows is what costs);
-to compare two checkouts at the drivers' ``--quick`` counts, print both and
-diff::
+to compare two checkouts at the drivers' own iteration counts, print both
+and diff::
 
     PYTHONPATH=<tree>/src python tests/workloads/cell_digests.py \
-        --fig3-iterations 300 --fig6-iterations 200 > <tree>.json
+        --fig3-iterations 2500 --fig6-iterations 1000 > <tree>.json
 
 Regenerate (only when *intentionally* changing the patterns or models)::
 

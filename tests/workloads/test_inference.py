@@ -95,10 +95,8 @@ def test_zero_iterations():
     assert res.transport_fraction == 0.0
 
 
-def test_extension_driver():
-    from repro.experiments import ext_inference
-
-    result = ext_inference.run(quick=True)
+def test_extension_driver(driver_result):
+    result = driver_result("ext_inference")
     assert set(result.rows) == {"node-local", "dragon", "redis", "filesystem", "streaming"}
     # Latency ordering: in-memory backends beat the filesystem.
     assert result.rows["filesystem"][0] > result.rows["dragon"][0]

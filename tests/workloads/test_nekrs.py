@@ -6,10 +6,10 @@ import pytest
 from repro.core import compare_event_counts, compare_iteration_stats
 from repro.telemetry import EventKind
 from repro.workloads import (
+    NekrsValidationSetup,
     RealOneToOneConfig,
     nekrs_ai_config,
     nekrs_simulation_config,
-    quick_validation_setup,
     run_one_to_one_real,
 )
 from repro.workloads.nekrs import _lognormal_from_mean_std
@@ -43,7 +43,7 @@ class TestValidationPair:
 
     @pytest.fixture(scope="class")
     def pair(self):
-        setup = quick_validation_setup(train_iterations=500)
+        setup = NekrsValidationSetup(train_iterations=500)
         return setup.run_original(), setup.run_miniapp()
 
     def test_train_timesteps_exact_match(self, pair):
