@@ -32,7 +32,7 @@ import pickle
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.errors import SweepError
 from repro.version import __version__
@@ -114,10 +114,22 @@ def fingerprint(obj: Any) -> str:
     return f"{type(obj).__name__}:{rendered}"
 
 
+def point_identity(func_path: str, kwargs: dict, version: str = __version__) -> tuple[str, str]:
+    """``(point_key, point_fingerprint)`` of one point, from one rendering.
+
+    Rendering the keyword arguments is most of the cost of either; a
+    caller that needs both (the engine's lookup loop, a SUBMIT) asks here.
+    """
+    rendered = f"{func_path}|{fingerprint(dict(kwargs))}"
+    return (
+        hashlib.sha256(f"{_FORMAT}|{version}|{rendered}".encode("utf-8")).hexdigest(),
+        hashlib.sha256(f"{_POINT_FORMAT}|{rendered}".encode("utf-8")).hexdigest(),
+    )
+
+
 def point_key(func_path: str, kwargs: dict, version: str = __version__) -> str:
     """The content address of one sweep point under one code version."""
-    material = f"{_FORMAT}|{version}|{func_path}|{fingerprint(dict(kwargs))}"
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    return point_identity(func_path, kwargs, version)[0]
 
 
 def point_fingerprint(func_path: str, kwargs: dict) -> str:
@@ -133,8 +145,7 @@ def point_fingerprint(func_path: str, kwargs: dict) -> str:
     different version) are one indexed join — see
     :mod:`repro.sweep.dist.query`.
     """
-    material = f"{_POINT_FORMAT}|{func_path}|{fingerprint(dict(kwargs))}"
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    return point_identity(func_path, kwargs)[1]
 
 
 def grid_fingerprint(points: "Sequence[tuple[int, Any]]") -> str:
@@ -147,9 +158,16 @@ def grid_fingerprint(points: "Sequence[tuple[int, Any]]") -> str:
     content that produced it even after a version bump reshuffles every
     point key.
     """
+    return grid_fingerprint_of(
+        (index, point_fingerprint(point.func_path, point.kwargs)) for index, point in points
+    )
+
+
+def grid_fingerprint_of(fingerprints: "Iterable[tuple[int, str]]") -> str:
+    """:func:`grid_fingerprint` from ``(index, point fingerprint)`` pairs
+    the caller already holds."""
     digest = hashlib.sha256()
-    for index, point in points:
-        fp = point_fingerprint(point.func_path, dict(point.kwargs))
+    for index, fp in fingerprints:
         digest.update(f"{int(index)}:{fp}\n".encode("utf-8"))
     return digest.hexdigest()
 
@@ -197,10 +215,20 @@ class ResultCache:
         changes what gets observed, never what gets computed, and the
         entry stores the snapshot either way.
         """
-        return point_key(point.func_path, dict(point.kwargs), self.version)
+        return self.identity_for(point)[0]
+
+    def identity_for(self, point) -> tuple[str, str]:
+        """``(cache key, version-free fingerprint)`` of a point: see
+        :func:`point_identity`."""
+        return point_identity(point.func_path, point.kwargs, self.version)
+
+    def _file(self, key: str) -> str:
+        # A plain string join: lookup and store run once per cell per
+        # sweep, and two pathlib joins were a fifth of a warm replay.
+        return os.path.join(self.directory, key[:2], f"{key}.pkl")
 
     def _path(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key}.pkl"
+        return Path(self._file(key))
 
     # -- read --------------------------------------------------------------
     def lookup(self, key: str) -> Optional[dict]:
@@ -211,7 +239,7 @@ class ResultCache:
         ``os.replace`` in between) before the bad entry is repaired
         (unlinked) and the lookup reported as a miss.
         """
-        path = self._path(key)
+        path = self._file(key)
         for attempt in (1, 2):
             try:
                 with open(path, "rb") as handle:
@@ -231,7 +259,7 @@ class ResultCache:
         self._repair(path)
         return None
 
-    def _repair(self, path: Path) -> None:
+    def _repair(self, path: "str | Path") -> None:
         """Drop a corrupt entry so the recomputed result replaces it.
 
         Tolerates the entry vanishing (or being rewritten and locked)
@@ -240,15 +268,16 @@ class ResultCache:
         handles the rest.
         """
         try:
-            path.unlink()
-        except (FileNotFoundError, OSError):
+            os.unlink(path)
+        except OSError:
             pass
 
     # -- write -------------------------------------------------------------
     def store(self, key: str, value: Any, snapshot=None, meta: Optional[dict] = None) -> None:
         """Atomically persist one point result (last writer wins)."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        path = self._file(key)
+        parent = os.path.dirname(path)
+        os.makedirs(parent, exist_ok=True)
         entry = {
             "format": _FORMAT,
             "version": self.version,
@@ -256,7 +285,7 @@ class ResultCache:
             "snapshot": snapshot,
             "meta": dict(meta or {}),
         }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
                 pickle.dump(entry, handle, protocol=pickle.HIGHEST_PROTOCOL)

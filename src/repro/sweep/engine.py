@@ -45,7 +45,7 @@ from repro.errors import (
     SweepPoisonedError,
     SweepTimeoutError,
 )
-from repro.sweep.cache import CacheStats, ResultCache
+from repro.sweep.cache import CacheStats, ResultCache, grid_fingerprint_of
 from repro.sweep.point import SweepPoint, points_from_grid
 
 #: Progress callback signature: (done_count, total, label, source) where
@@ -293,11 +293,13 @@ class SweepEngine:
 
         # 1. Serve whatever the cache already has.
         pending: list[tuple[int, Optional[str]]] = []
+        fingerprints: list[str] = []  # version-free, for the history row
         for index, point in enumerate(points):
             if cache is None:
                 pending.append((index, None))
                 continue
-            key = cache.key_for(point)
+            key, fingerprint = cache.identity_for(point)
+            fingerprints.append(fingerprint)
             entry = cache.lookup(key)
             if entry is None:
                 pending.append((index, key))
@@ -355,9 +357,7 @@ class SweepEngine:
             # Housekeeping: log this run's hit rate (tagged with the
             # version-independent grid identity so history survives
             # version bumps), then trim the cache.
-            from repro.sweep.cache import grid_fingerprint
-
-            cache.record_history(fingerprint=grid_fingerprint(enumerate(points)))
+            cache.record_history(fingerprint=grid_fingerprint_of(enumerate(fingerprints)))
             if self.options.cache_max_mb is not None:
                 cache.evict(max_bytes=int(self.options.cache_max_mb * 1024 * 1024))
         return report

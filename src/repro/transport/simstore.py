@@ -21,10 +21,16 @@ Usage inside a DES process::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
 from repro.des import Environment
-from repro.errors import CorruptPayloadError, KeyNotStagedError, TimeoutError, TransportError
+from repro.errors import (
+    CorruptPayloadError,
+    KeyNotStagedError,
+    ReproError,
+    TimeoutError,
+    TransportError,
+)
 from repro.telemetry.events import EventKind, EventLog
 from repro.telemetry.hub import Telemetry
 from repro.transport.models import BackendModel, TransportOpContext
@@ -255,51 +261,131 @@ class SimDataStore:
         return sum(int(self.area.remove(key)) for key in keys)
 
 
-def stage_write_group(
-    stores: Sequence[SimDataStore], keys: Sequence[Sequence[str]], nbytes: float
+def _lockstep(
+    stores: Sequence[SimDataStore],
+    kind: EventKind,
+    columns: Sequence[Sequence[str]],
+    price: Callable[[Sequence[str]], tuple[float, float]],
+    settle: Callable[[str, float], None],
 ) -> Generator:
-    """Lock-step writes of a group of stores, as one DES process.
+    """Lock-step ops of a group of stores, as one DES process.
 
-    ``stores[i]`` stages ``keys[i][0]``, ``keys[i][1]``, ... back to
-    back, ``nbytes`` each. The stores share one environment, model,
-    default context, op budget, event log and hub and carry no fault
-    state, so the modeled cost is one number and the group sleeps once
-    per key; the publish, the tracer span and the ``link.occupancy``
-    steps happen per store, in list order — the order per-store
-    :meth:`SimDataStore.stage_write` calls run in when the stores'
-    calendar entries pop consecutively. The WRITE rows of one key column
+    Every store runs the same op on its own key of ``columns[0]``, then
+    of ``columns[1]``, ... back to back. The stores share one
+    environment, model, default context, op budget, staging area, event
+    log and hub and carry no fault state, so a column is one modeled
+    cost and one sleep. ``price(column)`` gives its ``(nbytes, seconds)``
+    at the instant the stores would start on it, and raises what a store
+    would raise before charging anything. After the sleep
+    ``settle(key, nbytes)`` (the op's effect on the area), the tracer
+    span and the ``link.occupancy`` steps happen per store, in list
+    order — the order per-store :class:`SimDataStore` calls run in when
+    the stores' calendar entries pop consecutively. The rows of a column
     are one :meth:`EventLog.add_step` after that loop: no ``yield``
     separates them, so no other process's row can fall between.
     """
     lead = stores[0]
-    if nbytes < 0:
-        raise TransportError(f"negative staged size {nbytes}")
     env, telemetry, log = lead.env, lead.telemetry, lead.event_log
-    modeled = lead.model.write_time(nbytes, lead.default_ctx)
+    # A poll is not modeled as occupying the link.
+    wire = telemetry if kind is not EventKind.POLL else None
     tracks = tuple([(store.component, store.rank) for store in stores])
-    columns = list(zip(*keys))
     last = len(columns) - 1
+    following = price(columns[0])
+    if wire is not None:
+        for _ in stores:
+            wire.transport_started(t=env.now)
     for j, column in enumerate(columns):
+        nbytes, modeled = following
         start = env.now
-        cost, late = lead._charge("write", column[0], modeled)
-        if telemetry is not None and j == 0:
-            for _ in stores:
-                telemetry.transport_started(t=start)
+        cost, late = lead._charge(kind.value, column[0], modeled)
         yield cost
         now = env.now
+        # Whether the next column can start is one answer for the group:
+        # nothing runs between the stores' turns.
+        following = refused = None
+        if j < last and late is None:
+            try:
+                following = price(columns[j + 1])
+            except KeyNotStagedError as exc:
+                refused = exc
         for store, key in zip(stores, column):
-            if telemetry is not None:
-                telemetry.transport_finished(t=now)
+            if wire is not None:
+                wire.transport_finished(t=now)
             if late is not None:
                 continue
-            store.area.publish(key, nbytes)
+            settle(key, nbytes)
             if telemetry is not None:
-                store._trace(EventKind.WRITE, start, now - start, nbytes, key)
-                if j < last:
+                store._trace(kind, start, now - start, nbytes, key)
+                if wire is not None and following is not None:
                     # This store's next key goes on the wire before the
-                    # next store's write has come off it.
-                    telemetry.transport_started(t=now)
+                    # next store's op has come off it.
+                    wire.transport_started(t=now)
         if late is not None:
             raise late
         if log is not None:
-            log.add_step(tracks, EventKind.WRITE, start, now - start, nbytes, column)
+            log.add_step(tracks, kind, start, now - start, nbytes, column)
+        if refused is not None:
+            raise refused
+
+
+def _agreed(keys: Sequence[str], found: Sequence, what: str):
+    """The one answer every store of a lock-step group got, else ReproError."""
+    for key, answer in zip(keys, found):
+        if answer != found[0]:
+            raise ReproError(
+                f"lock-step group diverged: {what} of {keys[0]!r} is {found[0]!r}, "
+                f"of {key!r} {answer!r}"
+            )
+    return found[0]
+
+
+def stage_write_group(
+    stores: Sequence[SimDataStore], keys: Sequence[Sequence[str]], nbytes: float
+) -> Generator:
+    """Lock-step writes: ``stores[i]`` stages ``keys[i][0]``,
+    ``keys[i][1]``, ... back to back, ``nbytes`` each."""
+    if nbytes < 0:
+        raise TransportError(f"negative staged size {nbytes}")
+    lead = stores[0]
+    priced = nbytes, lead.model.write_time(nbytes, lead.default_ctx)
+    yield from _lockstep(
+        stores, EventKind.WRITE, list(zip(*keys)), lambda column: priced, lead.area.publish
+    )
+
+
+def stage_read_group(stores: Sequence[SimDataStore], keys: Sequence[Sequence[str]]) -> Generator:
+    """Lock-step reads: ``stores[i]`` reads ``keys[i][0]``, ``keys[i][1]``,
+    ... back to back.
+
+    A column nobody staged raises :class:`KeyNotStagedError` where the
+    stores would each have raised it. A column staged for some stores
+    only, or at different sizes, is a :class:`ReproError`: the group
+    would no longer be in lock-step.
+    """
+    lead = stores[0]
+    area = lead.area
+
+    def price(column):
+        nbytes = _agreed(column, [area._staged.get(key) for key in column], "staged size")
+        if nbytes is None:
+            raise KeyNotStagedError(column[0], backend="sim")
+        return nbytes, lead.model.read_time(nbytes, lead.default_ctx)
+
+    def settle(key, nbytes):
+        area.total_reads += 1
+
+    yield from _lockstep(stores, EventKind.READ, list(zip(*keys)), price, settle)
+
+
+def poll_staged_group(stores: Sequence[SimDataStore], keys: Sequence[str]) -> Generator:
+    """Lock-step existence check of ``keys[i]`` by ``stores[i]``; returns
+    the group's one answer (:class:`ReproError` if the stores disagree)."""
+    lead = stores[0]
+    contains = lead.area.contains
+    priced = 0.0, lead.model.poll_time(lead.default_ctx)
+    found: list[bool] = []
+    yield from _lockstep(
+        stores, EventKind.POLL, [keys], lambda column: priced,
+        lambda key, nbytes: found.append(contains(key)),
+    )
+    return _agreed(keys, found, "presence")

@@ -43,7 +43,13 @@ from repro.transport.resilience import (
     ResilienceStats,
     ResilientSimDataStore,
 )
-from repro.transport.simstore import SimDataStore, SimStagingArea, stage_write_group
+from repro.transport.simstore import (
+    SimDataStore,
+    SimStagingArea,
+    poll_staged_group,
+    stage_read_group,
+    stage_write_group,
+)
 
 #: Calibrated iteration times from the paper's production profiling (§4.1.1).
 NEKRS_ITER_TIME = 0.03147
@@ -211,8 +217,8 @@ def _workload_makespan(log: EventLog) -> float:
     return log.makespan(kinds=_WORKLOAD_KINDS)
 
 
-def _rank_groups(ranks, sim_iter_time: Distribution, harness, contiguous: bool = True) -> list:
-    """The simulation ranks of a run, split into groups that are one process each.
+def _rank_groups(ranks, iter_time: Distribution, harness, contiguous: bool = True) -> list:
+    """The ranks of one component, split into groups that are one process each.
 
     All ranks form one group when lock-step is provable from the inputs:
     a deterministic iteration time, no fault or resilience wiring, and
@@ -221,7 +227,7 @@ def _rank_groups(ranks, sim_iter_time: Distribution, harness, contiguous: bool =
     traced and untraced runs are the same program.
     """
     ranks = list(ranks)
-    lockstep = isinstance(sim_iter_time, Constant) and not harness.active and contiguous
+    lockstep = isinstance(iter_time, Constant) and not harness.active and contiguous
     return [ranks] if lockstep and ranks else [[rank] for rank in ranks]
 
 
@@ -361,46 +367,71 @@ def run_one_to_one(
             )
         )
 
+    def snapshot_keys(rank: int, snapshot: int) -> list[str]:
+        return [f"r{rank}_snap{snapshot}_a{a}" for a in range(config.arrays_per_snapshot)]
+
     def sim_ranks(ranks: list[int]):
         return _sim_ranks(
             env, log, stop, counters, faults, telemetry, rngs,
             [client(sim_name, rank) for rank in ranks], config,
-            keys_for=lambda rank, snapshot: [
-                f"r{rank}_snap{snapshot}_a{a}" for a in range(config.arrays_per_snapshot)
-            ],
+            keys_for=snapshot_keys,
             init_time=config.sim_init_time,
         )
 
-    def ai_rank(rank: int):
-        store = client(ai_name, rank)
-        rng = rngs.stream(f"ai{rank}")
-        add, sample = log.add, config.ai_iter_time.sample
+    def train_ranks(ranks: list[int]):
+        """One DES process driving a group of trainer ranks in lock-step.
+
+        The trainers' mirror of :func:`_sim_ranks`: one sleep and one
+        TRAIN step per iteration for the group, and at a read step one
+        lock-step poll and read per array column. Several ranks share a
+        process only where :func:`_rank_groups` proved it; a group of one
+        is the general case (own store, RNG stream and fault hooks).
+        """
+        stores = [client(ai_name, rank) for rank in ranks]
+        tracks = tuple([(ai_name, rank) for rank in ranks])
+        first = ranks[0]  # the fault hooks only ever see a group of one
+        leads = first == 0  # rank 0 carries the per-run counters and steers
+        sole = stores[0] if len(stores) == 1 else None
+        add_step, sample = log.add_step, config.ai_iter_time.sample
         train, read_interval = EventKind.TRAIN, config.read_interval
+        # A deterministic distribution never draws: no Generator is built for it.
+        rng = None if isinstance(config.ai_iter_time, Constant) else rngs.stream(f"ai{first}")
         yield config.ai_init_time
-        if rank == 0:
-            add(ai_name, EventKind.INIT, 0.0, config.ai_init_time, rank)
+        if leads:
+            log.add(ai_name, EventKind.INIT, 0.0, config.ai_init_time, 0)
         next_snapshot = 0
         last_ingest = env.now
         for iteration in range(1, config.train_iterations + 1):
             if faults is not None and faults.is_component_down(ai_name):
                 counters["downtime"] += yield from faults.wait_until_up(env, ai_name)
             start = env.now
-            span = _iteration_span(telemetry, ai_name, rank, iteration) if traced else None
+            spans = (
+                [_iteration_span(telemetry, ai_name, rank, iteration) for rank in ranks]
+                if traced
+                else ()
+            )
             yield max(0.0, sample(rng))
-            if span is not None:
+            for span in spans:
                 span.finish()
-            add(ai_name, train, start, env.now - start, rank)
-            if rank == 0:
+            add_step(tracks, train, start, env.now - start)
+            if leads:
                 counters["train_iters"] += 1
             if iteration % read_interval == 0:
                 # Asynchronous ingest: drain every snapshot staged so far by
-                # the co-located sim rank with the same index.
+                # the co-located sim rank with the same index. The sim group
+                # publishes a key column without yielding, so every rank of a
+                # trainer group finds the same thing (the group ops check).
                 while True:
-                    key0 = f"r{rank}_snap{next_snapshot}_a0"
+                    keys = [snapshot_keys(rank, next_snapshot) for rank in ranks]
                     try:
-                        present = yield from store.poll_staged_data(key0)
+                        if sole is None:
+                            present = yield from poll_staged_group(
+                                stores, [mine[0] for mine in keys]
+                            )
+                        else:
+                            present = yield from sole.poll_staged_data(keys[0][0])
                     except TransportError:
-                        counters["failed_ingests"] += 1
+                        counters["failed_ingests"] += len(stores)
                         break
                     if not present:
                         if faults is not None:
@@ -410,7 +441,7 @@ def run_one_to_one(
                             look = next_snapshot + 1
                             horizon = look + 64
                             while look < horizon and not area.contains(
-                                f"r{rank}_snap{look}_a0"
+                                f"r{first}_snap{look}_a0"
                             ):
                                 look += 1
                             if look < horizon:
@@ -419,43 +450,52 @@ def run_one_to_one(
                                 continue
                         break
                     try:
-                        for a in range(config.arrays_per_snapshot):
-                            yield from store.stage_read(
-                                f"r{rank}_snap{next_snapshot}_a{a}"
-                            )
+                        if sole is None:
+                            yield from stage_read_group(stores, keys)
+                        else:
+                            for key in keys[0]:
+                                yield from sole.stage_read(key)
                     except KeyNotStagedError:
-                        # Partially staged snapshot (write died mid-fault):
+                        # Partially staged snapshot (a write died mid-fault, or
+                        # the poll fell between two array writes):
                         # unrecoverable, skip past it.
-                        counters["lost_skipped"] += 1
+                        counters["lost_skipped"] += len(stores)
                         next_snapshot += 1
                         continue
                     except TransportError:
-                        counters["failed_ingests"] += 1
+                        counters["failed_ingests"] += len(stores)
                         break
                     next_snapshot += 1
                     last_ingest = env.now
-                    if rank == 0:
+                    if leads:
                         counters["read"] += 1
-                if rank == 0 and env.now - last_ingest > harness.staleness_bound:
+                if leads and env.now - last_ingest > harness.staleness_bound:
                     counters["staleness"] += 1
-        if rank == 0:
+        if leads:
             stop.set()
 
     harness.start()
     ranks = range(config.ranks_per_component)
-    # Sims and AIs are created interleaved: with equal init times their
-    # entries alternate rank by rank at every shared instant and the sims
-    # never become one contiguous block. Unequal, the sims wake alone.
-    groups = _rank_groups(
+    # Per rank, sims and trainers are created interleaved: with equal init
+    # times their entries alternate rank by rank at every shared instant
+    # and the sims never become one contiguous block. Unequal, the sims
+    # wake alone; and only behind one sim process are the trainers created
+    # next to each other.
+    sim_groups = _rank_groups(
         ranks, config.sim_iter_time, harness,
         contiguous=config.sim_init_time != config.ai_init_time,
     )
-    starts = {group[0]: group for group in groups}
+    train_groups = _rank_groups(
+        ranks, config.ai_iter_time, harness, contiguous=len(sim_groups) == 1
+    )
+    sim_starts = {group[0]: group for group in sim_groups}
+    train_starts = {group[0]: group for group in train_groups}
     for rank in ranks:
         # A group takes its first rank's place in the creation order.
-        if rank in starts:
-            env.process(sim_ranks(starts[rank]), name=f"{sim_name}{rank}")
-        env.process(ai_rank(rank), name=f"{ai_name}{rank}")
+        if rank in sim_starts:
+            env.process(sim_ranks(sim_starts[rank]), name=f"{sim_name}{rank}")
+        if rank in train_starts:
+            env.process(train_ranks(train_starts[rank]), name=f"{ai_name}{rank}")
     env.run()
 
     return PatternResult(

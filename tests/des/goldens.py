@@ -9,9 +9,10 @@ runs through a :class:`~repro.des.probe.Probe`; the committed digests in
 engine, so ``tests/des/test_golden_trace.py`` fails if any data-structure
 swap moves even one event.
 
-Regenerate (only when *intentionally* changing workload structure)::
+Re-record an entry (only when *intentionally* changing workload
+structure) by name; the command refuses if any other entry moved::
 
-    PYTHONPATH=src python tests/des/goldens.py --write
+    PYTHONPATH=src python tests/des/goldens.py --write pattern1_lockstep
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ def probed_pattern_environment(probe: Probe):
 
 @contextmanager
 def one_rank_per_group():
-    """Patch the pattern runners to give every simulation rank its own
-    process, whatever the inputs prove about lock-step."""
+    """Patch the pattern runners to give every simulation and trainer
+    rank its own process, whatever the inputs prove about lock-step."""
     import repro.workloads.patterns as patterns
 
     original = patterns._rank_groups
@@ -210,17 +211,40 @@ def record_all() -> dict[str, dict]:
     return {name: recorder() for name, recorder in RECORDERS.items()}
 
 
+def rewritten(golden: dict[str, dict], current: dict[str, dict], names: list[str]) -> dict[str, dict]:
+    """``golden`` with the entries in ``names`` taken from ``current``.
+
+    Re-recording is deliberate and per entry: an entry that moved
+    without being named is a regression, not something to write over.
+    """
+    unknown = sorted(set(names) - set(RECORDERS))
+    if unknown:
+        raise SystemExit(f"no such golden: {', '.join(unknown)} (have {', '.join(RECORDERS)})")
+    moved = sorted(
+        name for name in golden if name not in names and current.get(name) != golden[name]
+    )
+    if moved:
+        raise SystemExit(
+            f"refusing to write: {', '.join(moved)} moved too and "
+            f"{'was' if len(moved) == 1 else 'were'} not named"
+        )
+    return {**golden, **{name: current[name] for name in names}}
+
+
 def main() -> None:  # pragma: no cover - regeneration entry point
     import argparse
 
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--write", action="store_true", help="rewrite the golden file")
+    parser.add_argument(
+        "--write", nargs="+", metavar="NAME",
+        help="re-record these entries of the golden file; fails if any other entry moved",
+    )
     args = parser.parse_args()
     digests = record_all()
-    payload = {"format": 1, "digests": digests}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.write:
-        GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
+        digests = rewritten(json.loads(GOLDEN_PATH.read_text())["digests"], digests, args.write)
+    text = json.dumps({"format": 1, "digests": digests}, indent=2, sort_keys=True) + "\n"
+    if args.write:
         GOLDEN_PATH.write_text(text)
         print(f"wrote {GOLDEN_PATH}")
     print(text, end="")

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.des import CORES, set_default_core
-from tests.des.goldens import GOLDEN_PATH, RECORDERS
+from tests.des.goldens import GOLDEN_PATH, RECORDERS, rewritten
 
 
 def _golden() -> dict:
@@ -36,7 +36,7 @@ def test_trace_matches_pre_optimization_golden(name, core):
     golden = _golden()
     assert name in golden, (
         f"no golden digest for {name!r}; regenerate with "
-        "`PYTHONPATH=src python tests/des/goldens.py --write`"
+        f"`PYTHONPATH=src python tests/des/goldens.py --write {name}`"
     )
     current = RECORDERS[name]()
     assert current == golden[name], (
@@ -45,3 +45,15 @@ def test_trace_matches_pre_optimization_golden(name, core):
         f"{current['steps']} steps vs {golden[name]['schedules']} / "
         f"{golden[name]['steps']}); the engine is no longer bit-identical"
     )
+
+
+def test_write_re_records_the_named_entries_and_refuses_to_touch_another():
+    golden = _golden()
+    moved = {"schedules": 1, "sha256": "0" * 64, "steps": 1}
+    current = {**golden, "pattern1_lockstep": moved}
+    assert rewritten(golden, current, ["pattern1_lockstep"]) == current
+    assert rewritten(golden, current, ["pattern1_lockstep", "pattern2"]) == current
+    with pytest.raises(SystemExit, match="pattern2 moved too and was not named"):
+        rewritten(golden, {**current, "pattern2": moved}, ["pattern1_lockstep"])
+    with pytest.raises(SystemExit, match="no such golden: pattern9"):
+        rewritten(golden, current, ["pattern9"])

@@ -8,6 +8,12 @@ import pytest
 
 from repro.errors import SweepError
 from repro.sweep import ResultCache, SweepPoint, fingerprint, point_key
+from repro.sweep.cache import (
+    grid_fingerprint,
+    grid_fingerprint_of,
+    point_fingerprint,
+    point_identity,
+)
 
 
 def work(a, b=0):
@@ -81,6 +87,25 @@ def test_point_key_stable_and_sensitive():
     assert key != point_key("m:g", {"a": 1})
     assert key != point_key("m:f", {"a": 1}, version="999.0")
     assert len(key) == 64  # sha256 hex
+
+
+def test_identities_are_the_bytes_recorded_before_the_single_rendering(tmp_path):
+    """Keys name cache files and fingerprints sit in service stores: the
+    digests below were printed by the commit before ``point_identity``."""
+    kwargs = {"a": 1, "b": [1.5, "x"]}
+    key = "071bce09740bd17e3043bc3fef5b7e33134b46e34988ddced594cd2b982e0293"
+    fp = "e35ee40ae3ba52edfd1941b9aff49071b818ad81164d5b974f8ba49b362e582f"
+    assert point_identity("m:f", kwargs, version="1.0") == (key, fp)
+    assert point_key("m:f", kwargs, version="1.0") == key
+    assert point_fingerprint("m:f", kwargs) == fp
+    points = [SweepPoint(func=work, kwargs={"a": i}) for i in range(3)]
+    grid = "f6a66d55d02a42e5b6f0701f158d826484b8d06dd36395e199bcef2a1b53aa4b"
+    assert grid_fingerprint(enumerate(points)) == grid
+    cache = ResultCache(tmp_path, version="1.0")
+    identities = [cache.identity_for(p) for p in points]
+    assert [k for k, _ in identities] == [cache.key_for(p) for p in points]
+    assert grid_fingerprint_of(enumerate(f for _, f in identities)) == grid
+    assert cache._path(key) == tmp_path / "07" / f"{key}.pkl"
 
 
 def test_telemetry_flag_not_part_of_cache_key(tmp_path):

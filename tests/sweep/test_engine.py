@@ -165,6 +165,34 @@ def test_cache_only_computes_new_points(tmp_path):
     assert report.values == [1, 4, 9]
 
 
+def test_a_cached_run_renders_each_point_once(tmp_path, monkeypatch):
+    """Key and history fingerprint come from one rendering per point, and
+    the history row still carries the grid's version-free identity."""
+    import repro.sweep.cache as cache_module
+
+    rendered = []
+    original = cache_module.fingerprint
+
+    def spy(obj):
+        if isinstance(obj, dict) and set(obj) == {"x"}:
+            rendered.append(obj["x"])
+        return original(obj)
+
+    monkeypatch.setattr(cache_module, "fingerprint", spy)
+    points = points_for([1, 2, 3])
+    options = SweepOptions(cache_dir=tmp_path)
+    for expected_hits in (0, 3):
+        rendered.clear()
+        report = SweepEngine(options).run(points)
+        assert (report.values, report.cache.hits) == ([1, 4, 9], expected_hits)
+        assert rendered == [1, 2, 3]
+    monkeypatch.undo()
+    rows = cache_module.ResultCache(tmp_path).history()
+    assert [row["fingerprint"] for row in rows] == [
+        cache_module.grid_fingerprint(enumerate(points))
+    ] * 2
+
+
 def test_serial_cached_run_leaves_dist_package_unloaded(tmp_path):
     # record_history needs the store's filename, not the service stack.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}

@@ -3,13 +3,19 @@
 import pytest
 
 from repro.des import Environment
-from repro.errors import KeyNotStagedError, TimeoutError, TransportError
+from repro.errors import KeyNotStagedError, ReproError, TimeoutError, TransportError
 from repro.telemetry import EventKind, EventLog, Telemetry
 from repro.transport.models import (
     NodeLocalBackendModel,
     TransportOpContext,
 )
-from repro.transport.simstore import SimDataStore, SimStagingArea, stage_write_group
+from repro.transport.simstore import (
+    SimDataStore,
+    SimStagingArea,
+    poll_staged_group,
+    stage_read_group,
+    stage_write_group,
+)
 
 
 def make_store(event_log=None):
@@ -186,7 +192,7 @@ def test_backend_name():
     assert store.backend == "node-local"
 
 
-# -- lock-step group writes ---------------------------------------------------
+# -- lock-step group ops ------------------------------------------------------
 
 
 def _group_fixture(n=3, telemetry=None, **store_kwargs):
@@ -316,3 +322,97 @@ def test_group_write_over_the_op_budget_times_out_for_every_store():
     env.run()
     assert failures == [1e-9]
     assert len(log) == 0 and area.keys() == []
+
+
+# -- lock-step group polls and reads ---------------------------------------------
+
+
+@pytest.mark.parametrize("op_timeout", [None, 1e-9], ids=["in-budget", "op-timeout-fires"])
+@pytest.mark.parametrize("staged", [0, 1, 2], ids=["nothing", "first-array", "both-arrays"])
+def test_group_ingest_is_the_per_store_ingests_in_one_process(staged, op_timeout):
+    """Poll, then read every array: rows, read counter, hub content, the
+    occupancy hand-over and the error are what one process per store
+    gives, also when the snapshot is only partly staged."""
+
+    def run(grouped):
+        hub = Telemetry()
+        env, area, log, stores, keys = _group_fixture(telemetry=hub, op_timeout=op_timeout)
+        for mine in keys:
+            for key in mine[:staged]:
+                area.publish(key, 2e6)
+        outcomes = []
+
+        def ingest(poll, read):
+            try:
+                present = yield from poll
+                if present:
+                    yield from read()
+                outcomes.append((env.now, present))
+            except TransportError as err:
+                outcomes.append((env.now, type(err), str(err)))
+
+        def one_store_reads(store, mine):
+            for key in mine:
+                yield from store.stage_read(key)
+
+        if grouped:
+            firsts = [mine[0] for mine in keys]
+            env.process(
+                ingest(poll_staged_group(stores, firsts), lambda: stage_read_group(stores, keys))
+            )
+        else:
+            for store, mine in zip(stores, keys):
+                env.process(
+                    ingest(
+                        store.poll_staged_data(mine[0]),
+                        lambda store=store, mine=mine: one_store_reads(store, mine),
+                    )
+                )
+        env.run()
+        return log.to_jsonl(), area.total_reads, hub.snapshot(), outcomes
+
+    log, reads, snapshot, outcomes = run(grouped=True)
+    per_store = run(grouped=False)
+    assert (log, reads, snapshot) == per_store[:3]
+    # The group ends once, as its first store would have.
+    assert len(per_store[3]) == 3 and outcomes == per_store[3][:1]
+    if op_timeout is not None:
+        assert outcomes[0][1] is TimeoutError and reads == 0
+    else:
+        assert reads == 3 * staged
+        assert (outcomes[0][1] is KeyNotStagedError) == (staged == 1)
+
+
+def test_group_read_of_nothing_staged_raises_before_any_time_passes():
+    env, area, log, stores, keys = _group_fixture(telemetry=Telemetry())
+    failures = []
+
+    def proc():
+        try:
+            yield from stage_read_group(stores, keys)
+        except KeyNotStagedError as err:
+            failures.append((env.now, err.key))
+
+    env.process(proc())
+    env.run()
+    assert failures == [(0.0, "sim0_a0")]
+    assert len(log) == 0 and stores[0].telemetry.inflight == 0
+
+
+@pytest.mark.parametrize("fate", ["missing", "another-size"])
+def test_a_group_whose_stores_find_different_things_is_an_error(fate):
+    env, area, log, stores, keys = _group_fixture()
+    for i, mine in enumerate(keys):
+        if i == 1 and fate == "missing":
+            continue
+        area.publish(mine[0], 2e6 + (i == 1))
+
+    def ingest():
+        if (yield from poll_staged_group(stores, [mine[0] for mine in keys])):
+            yield from stage_read_group(stores, [mine[:1] for mine in keys])
+
+    env.process(ingest())
+    what = "presence" if fate == "missing" else "staged size"
+    with pytest.raises(ReproError, match=f"lock-step group diverged: {what} of 'sim0_a0'"):
+        env.run()
+    assert area.total_reads == 0

@@ -1,9 +1,10 @@
-"""Lock-step simulation ranks run as one DES process — and nothing shows.
+"""Lock-step ranks run as one DES process — and nothing shows.
 
 A group of ranks that provably advance together (deterministic iteration
 time, healthy, contiguous calendar entries) shares one sleep
-per step. These tests pin that the grouped program and the
-one-process-per-rank program are indistinguishable from outside: same
+per step: Pattern 2's producers, Pattern 1's simulation ranks and
+Pattern 1's trainer ranks. These tests pin that the grouped program and
+the one-process-per-rank program are indistinguishable from outside: same
 ``EventLog`` bytes, counters, makespan and, under a hub, the same tracer
 and metrics content. The one-rank-per-group side is driven by patching
 the internal grouping function (there is no public switch).
@@ -12,14 +13,17 @@ the internal grouping function (there is no public switch).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import repro.workloads.patterns as patterns
 from repro.config.distributions import Constant, Normal
+from repro.des.probe import CountingProbe
+from repro.errors import ReproError
 from repro.experiments.common import backend_models, pattern1_context
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.telemetry import Telemetry
@@ -30,7 +34,7 @@ from repro.workloads.patterns import (
     run_many_to_one,
     run_one_to_one,
 )
-from tests.des.goldens import one_rank_per_group
+from tests.des.goldens import one_rank_per_group, probed_pattern_environment
 from tests.workloads import cell_digests
 
 #: Tie-heavy dyadic times: exact in binary, so distinct processes land on
@@ -75,42 +79,111 @@ def both_ways(run, traced: bool = False):
     return grouped, ungrouped
 
 
+class Watch(CountingProbe):
+    """Event counts plus the processes that ran, in creation order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._seen: dict = {}
+
+    def on_process_switch(self, env, process) -> None:
+        self._seen.setdefault(process)
+
+    @property
+    def names(self) -> list[str]:
+        return [process.name for process in self._seen]
+
+
+@contextmanager
+def watched():
+    """Attach a :class:`Watch` to every pattern run started inside."""
+    watch = Watch()
+    with probed_pattern_environment(watch):
+        yield watch
+
+
+#: What a Pattern 1 config lets the runner prove, and the processes the
+#: run must then create.
+SHAPES = {
+    "trainer group": lambda ranks: 2,
+    "sim group, one process per trainer": lambda ranks: 1 + ranks,
+    "one process per rank": lambda ranks: 2 * ranks,
+}
+UNEQUAL_INIT_TIMES = st.sampled_from([(0.0, 0.5), (0.5, 0.0), (1.0, 2.0), (2.0, 0.5), (0.5, 1.0)])
+
+
+@st.composite
+def one_to_one_cases(draw, shapes=st.sampled_from(sorted(SHAPES))):
+    """``(shape, config)``: the shape is drawn first and the config built to it."""
+    shape = draw(shapes)
+    per_rank = shape == "one process per rank"
+    # Equal init times are the one deterministic config that stays per-rank.
+    inits = draw(INIT_TIMES.map(lambda t: (t, t)) if per_rank else UNEQUAL_INIT_TIMES)
+    ai_iter = draw(ITER_TIMES)
+    stochastic = shape == "sim group, one process per trainer"
+    return shape, OneToOneConfig(
+        sim_iter_time=Constant(draw(ITER_TIMES)),
+        ai_iter_time=Normal(ai_iter, ai_iter / 4, min=0.01) if stochastic else Constant(ai_iter),
+        write_interval=draw(st.integers(1, 4)),
+        read_interval=draw(st.integers(1, 4)),
+        train_iterations=draw(st.integers(0, 12)),
+        snapshot_nbytes=draw(SIZES),
+        arrays_per_snapshot=draw(st.integers(1, 3)),
+        ranks_per_component=draw(st.integers(1 if per_rank else 2, 16)),
+        sim_init_time=inits[0],
+        ai_init_time=inits[1],
+    )
+
+
+def check_one_to_one(backend, case, traced):
+    shape, config = case
+    model, ctx = backend_models()[backend], pattern1_context(8)
+    with watched() as watch:
+        grouped, ungrouped = both_ways(
+            lambda hub: run_one_to_one(model, config, ctx=ctx, telemetry=hub), traced
+        )
+    assert grouped == ungrouped
+    ranks = config.ranks_per_component
+    assert len(watch.names) == SHAPES[shape](ranks) + 2 * ranks, watch.names
+    event(shape)
+
+
+P1_BACKENDS = st.sampled_from(["node-local", "dragon", "redis", "filesystem"])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(backend=P1_BACKENDS, case=one_to_one_cases(), traced=st.booleans())
+def test_one_to_one_grouped_equals_per_rank(backend, case, traced):
+    """All three shapes. Hypothesis clusters its draws, so which share of
+    a run forms a trainer group varies (``event`` reports it); the
+    property below does not leave that to chance."""
+    check_one_to_one(backend, case, traced)
+
+
+def trainer_group_corner(**overrides):
+    knobs = dict(
+        sim_iter_time=Constant(0.25), ai_iter_time=Constant(0.5), write_interval=1,
+        read_interval=1, train_iterations=12, snapshot_nbytes=0.4e6,
+        ranks_per_component=6, sim_init_time=0.5, ai_init_time=1.0,
+    )
+    return "trainer group", OneToOneConfig(**{**knobs, **overrides})
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    backend=st.sampled_from(["node-local", "dragon", "redis", "filesystem"]),
-    ranks=st.integers(1, 16),
-    write_interval=st.integers(1, 4),
-    read_interval=st.integers(1, 4),
-    arrays=st.integers(1, 3),
-    nbytes=SIZES,
-    sim_init=INIT_TIMES,
-    ai_init=INIT_TIMES,
-    sim_iter=ITER_TIMES,
-    ai_iter=ITER_TIMES,
-    train_iterations=st.integers(0, 12),
+    backend=P1_BACKENDS,
+    case=one_to_one_cases(st.just("trainer group")),
     traced=st.booleans(),
 )
-def test_one_to_one_grouped_equals_per_rank(
-    backend, ranks, write_interval, read_interval, arrays, nbytes,
-    sim_init, ai_init, sim_iter, ai_iter, train_iterations, traced,
-):
-    config = OneToOneConfig(
-        sim_iter_time=Constant(sim_iter),
-        ai_iter_time=Constant(ai_iter),
-        write_interval=write_interval,
-        read_interval=read_interval,
-        train_iterations=train_iterations,
-        snapshot_nbytes=nbytes,
-        arrays_per_snapshot=arrays,
-        ranks_per_component=ranks,
-        sim_init_time=sim_init,
-        ai_init_time=ai_init,
-    )
-    model, ctx = backend_models()[backend], pattern1_context(8)
-    grouped, ungrouped = both_ways(
-        lambda hub: run_one_to_one(model, config, ctx=ctx, telemetry=hub), traced
-    )
-    assert grouped == ungrouped
+# A read at every step over one to three array columns (a poll can fall
+# between two array writes), and a run that never trains.
+@example("dragon", trainer_group_corner(arrays_per_snapshot=1), True)
+@example("redis", trainer_group_corner(arrays_per_snapshot=2, snapshot_nbytes=4e6), False)
+@example("filesystem", trainer_group_corner(arrays_per_snapshot=3, ai_iter_time=Constant(0.25)), True)
+@example("node-local", trainer_group_corner(train_iterations=0), True)
+def test_one_to_one_trainer_group_equals_per_rank(backend, case, traced):
+    """Every example forms a trainer group: exactly two processes."""
+    check_one_to_one(backend, case, traced)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -182,7 +255,8 @@ def test_equal_init_times_are_not_grouped(monkeypatch):
 
 @pytest.fixture
 def groups_seen(monkeypatch):
-    """Every grouping decision the pattern runners make in this process."""
+    """Every grouping decision the pattern runners make in this process
+    (Pattern 1 makes two per run: simulation ranks, then trainer ranks)."""
     seen = []
     original = patterns._rank_groups
 
@@ -203,7 +277,8 @@ def test_deterministic_healthy_serial_runs_are_one_group(groups_seen):
     model = backend_models()["dragon"]
     run_one_to_one(model, OneToOneConfig(train_iterations=5, ranks_per_component=4))
     run_many_to_one(model, ManyToOneConfig(n_simulations=5, train_iterations=5))
-    assert groups_seen == [[[0, 1, 2, 3]], [[0, 1, 2, 3, 4]]]
+    # Pattern 1 decides twice: its sims, then its trainers.
+    assert groups_seen == [[[0, 1, 2, 3]], [[0, 1, 2, 3]], [[0, 1, 2, 3, 4]]]
 
 
 @pytest.mark.parametrize(
@@ -225,7 +300,7 @@ def test_unprovable_lockstep_takes_one_rank_per_group(groups_seen, overrides, kw
         ManyToOneConfig(n_simulations=3, train_iterations=20, poll_timeout=2.0, **overrides),
         **kwargs,
     )
-    assert groups_seen == [[[0], [1], [2]], [[0], [1], [2]]]
+    assert groups_seen == [[[0], [1], [2]]] * 3
 
 
 def test_disabled_fault_plan_still_groups(groups_seen):
@@ -274,6 +349,75 @@ def test_negative_size_counts_every_rank_as_lost(monkeypatch, pattern):
     lost_grouped, lost_ungrouped = captured[0]["lost"], captured[-1]["lost"]
     assert lost_grouped == lost_ungrouped > 0
     assert lost_grouped % 4 == 0  # every write step lost all four ranks
+
+
+# -- Pattern 1's trainer ranks -----------------------------------------------------
+
+
+def fig3_cell(**overrides) -> OneToOneConfig:
+    """The config of a Fig 3 cell (``measure_one_to_one``), 120 iterations."""
+    return OneToOneConfig(
+        **{"train_iterations": 120, "snapshot_nbytes": 1e6, "ranks_per_component": 6, **overrides}
+    )
+
+
+def test_a_fig3_cell_is_two_processes_and_a_pinned_number_of_events():
+    model, ctx = backend_models()["dragon"], pattern1_context(512)
+    with watched() as watch:
+        grouped = run_one_to_one(model, fig3_cell(), ctx=ctx)
+    assert watch.names == ["sim0", "train0"]
+    # Exact, not bounds: one event more is a change to the grouped program.
+    # 297 sim steps, 120 train steps, 2 x 2 array writes, 14 polls (12 read
+    # steps, 2 snapshots found), 2 x 2 array reads; per process its start,
+    # its init sleep and its end.
+    assert watch.processed == 297 + 120 + 4 + 14 + 4 + 2 * 3 == 445
+    assert len(grouped.log._entries) == 445 - 4 == 441  # one entry per step, not per row
+    with one_rank_per_group(), watched() as watch:
+        per_rank = run_one_to_one(model, fig3_cell(), ctx=ctx)
+    assert len(watch.names) == 12 and watch.processed == 6 * 445
+    assert len(grouped.log) == len(per_rank.log) == 6 * 441 - 10  # the two INIT rows are rank 0's
+    assert grouped.log.to_jsonl() == per_rank.log.to_jsonl()
+
+
+@pytest.mark.parametrize(
+    "overrides, kwargs, processes",
+    [
+        ({"ai_iter_time": Normal(0.06, 0.01, min=0.001)}, {}, 1 + 3),
+        ({"sim_init_time": 2.0, "ai_init_time": 2.0}, {}, 3 + 3),
+        ({}, {"fault_plan": crash_plan()}, 3 + 3),
+        ({}, {"resilience": ResilienceConfig()}, 3 + 3),
+    ],
+    ids=["stochastic-trainers", "equal-init-times", "fault-plan", "explicit-resilience"],
+)
+def test_unprovable_lockstep_is_one_process_per_trainer_rank(overrides, kwargs, processes):
+    config = fig3_cell(train_iterations=20, ranks_per_component=3, **overrides)
+    with watched() as watch:
+        run_one_to_one(backend_models()["redis"], config, **kwargs)
+    assert [n for n in watch.names if n.startswith("train")] == ["train0", "train1", "train2"]
+    # The injector's own processes are not pattern ranks.
+    assert len([n for n in watch.names if n.startswith(("sim", "train"))]) == processes
+
+
+@pytest.mark.parametrize("fate", ["missing", "another-size"])
+def test_a_trainer_group_that_stops_agreeing_is_an_error(monkeypatch, fate):
+    """Rank 1's first array staged late or at another size: ranks that would
+    take different branches raise instead of one of them deciding for all."""
+    publish = patterns.SimStagingArea.publish
+
+    def tampering(self, key, nbytes):
+        if key == "r1_snap0_a0":
+            if fate == "missing":
+                return
+            nbytes += 1.0
+        publish(self, key, nbytes)
+
+    monkeypatch.setattr(patterns.SimStagingArea, "publish", tampering)
+    config = fig3_cell(ranks_per_component=3, write_interval=10)
+    with pytest.raises(ReproError, match="lock-step group diverged.*r0_snap0_a0.*r1_snap0_a0"):
+        run_one_to_one(backend_models()["dragon"], config)
+    # One process per rank has nothing to agree on: the same run completes.
+    with one_rank_per_group():
+        assert run_one_to_one(backend_models()["dragon"], config).train_iterations == 120
 
 
 # -- byte parity with the commit before grouping ----------------------------------
