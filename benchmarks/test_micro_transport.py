@@ -6,6 +6,8 @@ and dragon implementations at a representative 1 MB payload (the paper's
 production workload moves 1.2 MB per op).
 """
 
+import socket
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,15 @@ def store(request, tmp_path):
         client.close()
 
 
+def carrier(store) -> str:
+    """Which socket family carried the redis/dragon bytes ("" for files)."""
+    cluster = getattr(store._client, "client", None) or getattr(store._client, "ddict", None)
+    if cluster is None:
+        return ""
+    family = cluster._connection(0)._sock.family
+    return " (unix socket)" if family == socket.AF_UNIX else " (tcp)"
+
+
 def test_stage_write_1mb(benchmark, store):
     counter = iter(range(10**9))
 
@@ -36,7 +47,7 @@ def test_stage_write_1mb(benchmark, store):
     benchmark(op)
     assert store.stats.write.count > 0
     print(
-        f"\n{store.backend}: write {store.stats.write.throughput / 1e6:.1f} MB/s "
+        f"\n{store.backend}{carrier(store)}: write {store.stats.write.throughput / 1e6:.1f} MB/s "
         f"over {store.stats.write.count} ops"
     )
 
@@ -50,7 +61,7 @@ def test_stage_read_1mb(benchmark, store):
     result = benchmark(op)
     np.testing.assert_array_equal(result, PAYLOAD)
     print(
-        f"\n{store.backend}: read {store.stats.read.throughput / 1e6:.1f} MB/s "
+        f"\n{store.backend}{carrier(store)}: read {store.stats.read.throughput / 1e6:.1f} MB/s "
         f"over {store.stats.read.count} ops"
     )
 

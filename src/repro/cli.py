@@ -755,7 +755,8 @@ def _print_health(report: dict) -> int:
         f"/{queues.get('dispatch_limit', '-')} waiting, "
         f"{queues.get('shed_commands', 0)} shed; connections "
         f"{queues.get('connections', 0)}/{queues.get('max_connections', '-')} "
-        f"({queues.get('refused_connections', 0)} refused, "
+        f"({queues.get('local_connections', 0)} came over the same-host socket, "
+        f"{queues.get('refused_connections', 0)} refused, "
         f"{queues.get('idle_disconnects', 0)} idle-closed, "
         f"{queues.get('stalled_disconnects', 0)} stall-closed)"
     )

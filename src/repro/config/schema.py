@@ -267,7 +267,6 @@ class ServerConfig:
     path: str = ""
     n_shards: int = 1
     host: str = "127.0.0.1"
-    port: int = 0
     cluster_nodes: tuple[str, ...] = ()
     stripe_size_mb: float = 1.0
     stripe_count: int = 1
@@ -295,7 +294,7 @@ class ServerConfig:
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "ServerConfig":
         allowed = {
-            "backend", "path", "n_shards", "host", "port", "cluster_nodes",
+            "backend", "path", "n_shards", "host", "cluster_nodes",
             "stripe_size_mb", "stripe_count", "options", "chaos", "resilience",
         }
         _check_unknown(raw, allowed, "server config")
@@ -313,7 +312,6 @@ class ServerConfig:
             "path": self.path,
             "n_shards": self.n_shards,
             "host": self.host,
-            "port": self.port,
             "cluster_nodes": list(self.cluster_nodes),
             "stripe_size_mb": self.stripe_size_mb,
             "stripe_count": self.stripe_count,

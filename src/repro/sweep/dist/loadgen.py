@@ -56,6 +56,7 @@ from repro.sweep.dist.protocol import (
 from repro.sweep.point import SweepPoint, derive_seed
 from repro.transport import resp
 from repro.transport.redis_backend import MiniRedisConnection
+from repro.transport.wire import connect
 
 #: A torn RESP frame: array header + first bulk announced but never
 #: delivered — the half-open connect's opening (and only) words.
@@ -233,7 +234,7 @@ def _slow_reader(
     """Send STATUS forever, read nothing: the write-deadline's prey."""
     command = resp.encode_command("STATUS")
     try:
-        sock = socket.create_connection((host, port), timeout=spec.op_timeout)
+        sock = connect(host, port, spec.op_timeout)
     except OSError:
         return
     with stats.lock:
@@ -266,7 +267,7 @@ def _half_open(
 ) -> None:
     """Connect, send a torn frame, go silent: the idle-deadline's prey."""
     try:
-        sock = socket.create_connection((host, port), timeout=spec.op_timeout)
+        sock = connect(host, port, spec.op_timeout)
     except OSError:
         return
     with stats.lock:

@@ -606,8 +606,7 @@ class SweepService(RespTcpServer):
             state = DRAINING
         else:
             state = self.admission.state
-        with self._conns_lock:
-            connections = len(self._open_conns)
+        connections = len(self._open_conns)
         store_bytes = self._store_bytes_ro()
         doc: dict[str, Any] = {
             "service": True,
@@ -629,6 +628,7 @@ class SweepService(RespTcpServer):
                 "connections": connections,
                 "max_connections": self.max_connections,
                 "refused_connections": self.refused_connections,
+                "local_connections": self.local_connections,
                 "idle_disconnects": self.idle_disconnects,
                 "stalled_disconnects": self.stalled_disconnects,
             },

@@ -4,7 +4,8 @@ DragonHPC's ``DDict`` spreads key-value pairs over manager processes on
 many nodes and serves requests in parallel. This stand-in reproduces that
 architecture with real moving parts:
 
-* N independent **shard servers** (TCP); keys map to shards by CRC32;
+* N independent **shard servers** (TCP, a Unix socket on the same host);
+  keys map to shards by CRC32;
 * a compact length-prefixed **binary protocol** (cheaper per message than
   RESP's text framing — one reason dragon beats Redis on latency);
 * **concurrent request execution** — each connection is served by its own
@@ -42,7 +43,16 @@ from repro.transport.base import DataStoreClient
 from repro.transport.kvfile import crc32_shard
 from repro.transport.resp import MAX_BULK_BYTES as MAX_FRAME_BYTES
 from repro.transport.serializer import deserialize, serialize_parts
-from repro.transport.wire import Blob, Buffer, as_parts, nbytes, recv_exact, send_parts
+from repro.transport.wire import (
+    Blob,
+    Buffer,
+    Listener,
+    as_parts,
+    connect,
+    nbytes,
+    recv_exact,
+    send_parts,
+)
 
 OP_PUT, OP_GET, OP_DEL, OP_HAS, OP_KEYS, OP_CLEAR, OP_PING = range(1, 8)
 STATUS_OK, STATUS_MISSING, STATUS_ERROR = 0, 1, 2
@@ -59,22 +69,9 @@ class DragonShardServer:
         # are sent from them after the lock is dropped.
         self._data: dict[str, Buffer] = {}
         self._data_lock = threading.Lock()  # short, per-mutation only
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            self._listener.bind((host, port))
-        except OSError as exc:
-            raise ServerError(f"cannot bind {host}:{port}: {exc}") from exc
-        self._listener.listen(128)
-        # A finite accept timeout lets the accept loop observe shutdown
-        # promptly (closing a listener does not reliably wake accept()).
-        self._listener.settimeout(0.2)
-        self.host, self.port = self._listener.getsockname()
+        self._listener = Listener(host, port)
+        self.host, self.port = self._listener.host, self._listener.port
         self._running = threading.Event()
-        self._accept_thread: Optional[threading.Thread] = None
-        self._conn_threads: list[threading.Thread] = []
-        self._open_conns: set[socket.socket] = set()
-        self._conns_lock = threading.Lock()
         self.requests_served = 0
 
     # -- lifecycle ----------------------------------------------------------
@@ -82,66 +79,28 @@ class DragonShardServer:
         if self._running.is_set():
             raise ServerError("shard already started")
         self._running.set()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"dragon-shard-{self.port}", daemon=True
-        )
-        self._accept_thread.start()
+        self._listener.start(self._serve_connection, "dragon-shard")
         return self
 
     def stop(self) -> None:
-        if not self._running.is_set():
-            return
         self._running.clear()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        # Unblock connection threads sitting in recv().
-        with self._conns_lock:
-            conns = list(self._open_conns)
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-        for t in self._conn_threads:
-            t.join(timeout=1.0)
+        self._listener.close()
 
     @property
     def address(self) -> str:
         return f"{self.host}:{self.port}"
+
+    @property
+    def local_connections(self) -> int:
+        """Connections that arrived over the same-host twin (monotonic)."""
+        return self._listener.local_connections
 
     def size(self) -> int:
         with self._data_lock:
             return len(self._data)
 
     # -- serving ------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while self._running.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            conn.settimeout(None)  # connections block indefinitely
-            thread = threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            )
-            thread.start()
-            self._conn_threads = [t for t in self._conn_threads if t.is_alive()]
-            self._conn_threads.append(thread)
-
     def _serve_connection(self, conn: socket.socket) -> None:
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        with self._conns_lock:
-            self._open_conns.add(conn)
         try:
             while self._running.is_set():
                 op, key_len = _REQ_HEADER.unpack(recv_exact(conn, _REQ_HEADER.size))
@@ -159,13 +118,6 @@ class DragonShardServer:
                 send_parts(conn, (_RESP_HEADER.pack(status, len(payload)), payload))
         except OSError:
             pass  # the peer went away, between frames or inside one
-        finally:
-            with self._conns_lock:
-                self._open_conns.discard(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
 
     @staticmethod
     def _refuse(conn: socket.socket, what: str) -> None:
@@ -210,12 +162,11 @@ class DragonConnection:
 
     def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
         try:
-            self._sock = socket.create_connection((host, port), timeout=timeout)
+            self._sock = connect(host, port, timeout)
         except OSError as exc:
             raise BackendUnavailableError(
                 f"cannot connect to {host}:{port}: {exc}"
             ) from exc
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._lock = threading.Lock()
 
     def request(self, op: int, key: str = "", value: Blob = b"") -> tuple[int, bytearray]:

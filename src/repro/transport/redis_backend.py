@@ -19,7 +19,6 @@ Commands implemented: PING, SET, GET, DEL, EXISTS, KEYS, DBSIZE, FLUSHDB.
 
 from __future__ import annotations
 
-import socket
 import threading
 from typing import Any, Optional
 
@@ -34,7 +33,7 @@ from repro.transport.base import DataStoreClient
 from repro.transport.kvfile import crc32_shard
 from repro.transport.serializer import deserialize, serialize_parts
 from repro.transport.server import Reply, RespTcpServer
-from repro.transport.wire import Blob, Buffer, nbytes, send_parts
+from repro.transport.wire import Blob, Buffer, connect, nbytes, send_parts
 
 
 class MiniRedisServer(RespTcpServer):
@@ -95,16 +94,15 @@ class MiniRedisServer(RespTcpServer):
 
 
 class MiniRedisConnection:
-    """One client TCP connection with request/response framing."""
+    """One client connection with request/response framing."""
 
     def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
         try:
-            self._sock = socket.create_connection((host, port), timeout=timeout)
+            self._sock = connect(host, port, timeout)
         except OSError as exc:
             raise BackendUnavailableError(
                 f"cannot connect to {host}:{port}: {exc}"
             ) from exc
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._parser = resp.RespParser()
         self._lock = threading.Lock()
 

@@ -2,8 +2,9 @@
 
 Two layers live here:
 
-* :class:`RespTcpServer` — a generic threaded TCP server speaking RESP
-  (see :mod:`repro.transport.resp`): bind/listen, per-connection reader
+* :class:`RespTcpServer` — a generic threaded server speaking RESP (see
+  :mod:`repro.transport.resp`) on a :class:`~repro.transport.wire.Listener`
+  (a TCP port and its same-host Unix-socket twin): per-connection reader
   threads, incremental frame parsing, and serialized command dispatch.
   :class:`~repro.transport.redis_backend.MiniRedisServer` (the mini-Redis
   backend) and :class:`~repro.sweep.dist.service.SweepService` (the
@@ -40,7 +41,7 @@ from repro.config.schema import ServerConfig
 from repro.errors import ServerError, TransportError
 from repro.transport import resp
 from repro.transport.kvfile import ShardedFileStore
-from repro.transport.wire import Blob, as_parts, send_parts
+from repro.transport.wire import Blob, Listener, as_parts, send_parts
 
 #: What ``_dispatch`` returns: one encoded reply, or its pieces when a
 #: large value rides along uncopied (``resp.encode_bulk``).
@@ -123,22 +124,10 @@ class RespTcpServer:
         self.idle_disconnects = 0
         self.stalled_disconnects = 0
         self.shed_commands = 0
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            self._listener.bind((host, port))
-        except OSError as exc:
-            raise ServerError(f"cannot bind {host}:{port}: {exc}") from exc
-        self._listener.listen(128)
-        # A finite accept timeout lets the accept loop observe shutdown
-        # promptly (closing a listener does not reliably wake accept()).
-        self._listener.settimeout(0.2)
-        self.host, self.port = self._listener.getsockname()
+        self._listener = Listener(host, port)
+        self.host, self.port = self._listener.host, self._listener.port
+        self._open_conns = self._listener.conns
         self._running = threading.Event()
-        self._accept_thread: Optional[threading.Thread] = None
-        self._conn_threads: list[threading.Thread] = []
-        self._open_conns: set[socket.socket] = set()
-        self._conns_lock = threading.Lock()
         self.commands_served = 0
 
     # -- lifecycle ----------------------------------------------------------
@@ -146,36 +135,12 @@ class RespTcpServer:
         if self._running.is_set():
             raise ServerError("server already started")
         self._running.set()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"{self.name}-{self.port}", daemon=True
-        )
-        self._accept_thread.start()
+        self._listener.start(self._serve_connection, self.name, admit=self._accept_connection)
         return self
 
     def stop(self) -> None:
-        if not self._running.is_set():
-            return
         self._running.clear()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        # Unblock connection threads sitting in recv().
-        with self._conns_lock:
-            conns = list(self._open_conns)
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-        for t in self._conn_threads:
-            t.join(timeout=1.0)
+        self._listener.close()
 
     def __enter__(self) -> "RespTcpServer":
         return self.start()
@@ -192,47 +157,25 @@ class RespTcpServer:
         return self._running.is_set()
 
     # -- connection handling ------------------------------------------------
-    def _accept_loop(self) -> None:
-        while self._running.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            # Register under the lock *before* spawning the thread so the
-            # cap check never races a connection that is accepted but not
-            # yet counted.
-            with self._conns_lock:
-                at_cap = (
-                    self.max_connections is not None
-                    and len(self._open_conns) >= self.max_connections
-                )
-                if not at_cap:
-                    self._open_conns.add(conn)
-            if at_cap:
-                self.refused_connections += 1
-                try:
-                    conn.settimeout(1.0)
-                    conn.sendall(
-                        resp.encode_busy(
-                            f"connection limit {self.max_connections} reached"
-                        )
-                    )
-                except OSError:
-                    pass
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                continue
+    @property
+    def local_connections(self) -> int:
+        """Connections that arrived over the same-host twin (monotonic)."""
+        return self._listener.local_connections
+
+    def _accept_connection(self, conn: socket.socket) -> bool:
+        """Accept-thread gate: past ``max_connections`` answer ``-BUSY``."""
+        if self.max_connections is None or len(self._open_conns) < self.max_connections:
             conn.settimeout(self.idle_timeout)  # None = block indefinitely
-            thread = threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
+            return True
+        self.refused_connections += 1
+        try:
+            conn.settimeout(1.0)
+            conn.sendall(
+                resp.encode_busy(f"connection limit {self.max_connections} reached")
             )
-            thread.start()
-            self._conn_threads = [t for t in self._conn_threads if t.is_alive()]
-            self._conn_threads.append(thread)
+        except OSError:
+            pass
+        return False
 
     def _send_reply(self, conn: socket.socket, reply: Reply) -> bool:
         """Send one reply under the write deadline; False = give up on peer.
@@ -265,39 +208,27 @@ class RespTcpServer:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         parser = resp.RespParser(max_bulk_bytes=self.max_frame_bytes)
-        try:
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
-        try:
-            while self._running.is_set():
-                try:
-                    received = parser.recv_from(conn)
-                except socket.timeout:
-                    self.idle_disconnects += 1
-                    break
-                except OSError:
-                    break
-                if not received:
-                    break
-                while True:
-                    try:
-                        message = parser.pop()
-                    except TransportError as exc:
-                        self._send_reply(conn, resp.encode_error(str(exc)))
-                        return
-                    if message is None:
-                        break
-                    reply = self._execute(message)
-                    if not self._send_reply(conn, reply):
-                        return
-        finally:
-            with self._conns_lock:
-                self._open_conns.discard(conn)
+        while self._running.is_set():
             try:
-                conn.close()
+                received = parser.recv_from(conn)
+            except socket.timeout:
+                self.idle_disconnects += 1
+                break
             except OSError:
-                pass
+                break
+            if not received:
+                break
+            while True:
+                try:
+                    message = parser.pop()
+                except TransportError as exc:
+                    self._send_reply(conn, resp.encode_error(str(exc)))
+                    return
+                if message is None:
+                    break
+                reply = self._execute(message)
+                if not self._send_reply(conn, reply):
+                    return
 
     # -- command execution ---------------------------------------------------
     def dispatch_backlog(self) -> int:

@@ -36,7 +36,7 @@ from typing import Any, Mapping, Optional
 from repro.errors import CorruptPayloadError, ServerError, TransportError
 from repro.transport.resp import MAX_BULK_BYTES as MAX_STEP_BYTES
 from repro.transport.serializer import deserialize, serialize
-from repro.transport.wire import recv_exact, send_parts
+from repro.transport.wire import Listener, connect, recv_exact, send_parts
 
 OP_WAIT_STEP = 1
 STATUS_STEP, STATUS_EOS, STATUS_ERROR = 0, 1, 2
@@ -77,23 +77,11 @@ class StreamWriter:
         self.steps_published = 0
         self.bytes_published = 0.0
 
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            self._listener.bind((host, port))
-        except OSError as exc:
-            raise ServerError(f"cannot bind {host}:{port}: {exc}") from exc
-        self._listener.listen(64)
-        self._listener.settimeout(0.2)
-        self.host, self.port = self._listener.getsockname()
+        self._listener = Listener(host, port)
+        self.host, self.port = self._listener.host, self._listener.port
         self._running = threading.Event()
         self._running.set()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"stream-writer-{self.port}", daemon=True
-        )
-        self._accept_thread.start()
-        self._conn_threads: list[threading.Thread] = []
-        self._open_conns: set[socket.socket] = set()
+        self._listener.start(self._serve_reader, "stream-writer")
 
     @property
     def address(self) -> str:
@@ -164,22 +152,7 @@ class StreamWriter:
         """Mark end-of-stream and shut the server down."""
         self.finish()
         self._running.clear()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        for conn in list(self._open_conns):
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._accept_thread.join(timeout=5.0)
-        for t in self._conn_threads:
-            t.join(timeout=1.0)
+        self._listener.close()
 
     def __enter__(self) -> "StreamWriter":
         return self
@@ -188,25 +161,7 @@ class StreamWriter:
         self.close()
 
     # -- serving ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while self._running.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            conn.settimeout(None)
-            thread = threading.Thread(
-                target=self._serve_reader, args=(conn,), daemon=True
-            )
-            thread.start()
-            self._conn_threads.append(thread)
-
     def _serve_reader(self, conn: socket.socket) -> None:
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._open_conns.add(conn)
-        delivered: set[int] = set()
         try:
             while True:
                 op, step_id = _REQ.unpack(recv_exact(conn, _REQ.size))
@@ -218,16 +173,9 @@ class StreamWriter:
                     conn.sendall(_RESP.pack(STATUS_EOS, 0))
                 else:
                     send_parts(conn, (_RESP.pack(STATUS_STEP, len(payload)), payload))
-                    delivered.add(step_id)
                     self._maybe_release(step_id)
         except OSError:
             pass  # the reader went away
-        finally:
-            self._open_conns.discard(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
 
     def _wait_for_step(self, step_id: int) -> Optional[bytes]:
         with self._lock:
@@ -258,12 +206,9 @@ class StreamReader:
     def __init__(self, address: str, timeout: float = 30.0) -> None:
         host, port_text = address.rsplit(":", 1)
         try:
-            self._sock = socket.create_connection(
-                (host, int(port_text)), timeout=timeout
-            )
+            self._sock = connect(host, int(port_text), timeout)
         except OSError as exc:
             raise ServerError(f"cannot connect to stream {address}: {exc}") from exc
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._next_step = 0
         self._current: Optional[dict[str, Any]] = None
         self.steps_consumed = 0

@@ -159,8 +159,14 @@ def test_server_config_validation():
 
 
 def test_server_config_round_trip():
-    cfg = ServerConfig(backend="redis", host="10.0.0.1", port=6390, cluster_nodes=("a", "b"))
+    cfg = ServerConfig(backend="redis", host="10.0.0.1", cluster_nodes=("a", "b"))
     assert ServerConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_server_config_has_no_port():
+    # ServerManager binds port 0 for each of its n_shards servers.
+    with pytest.raises(ConfigError, match="port"):
+        ServerConfig.from_dict({"backend": "redis", "port": 6390})
 
 
 def test_load_from_json_file(tmp_path):

@@ -231,9 +231,9 @@ def test_mid_frame_disconnect_is_a_clean_close(shard, prefix, monkeypatch):
     with _raw(shard) as sock:
         sock.sendall(prefix)
     deadline = time.monotonic() + 5.0
-    while shard._open_conns and time.monotonic() < deadline:
+    while shard._listener.conns and time.monotonic() < deadline:
         time.sleep(0.01)
-    assert not shard._open_conns
+    assert not shard._listener.conns
     assert crashes == []
     # The shard still serves.
     d = DragonDictionary([shard.address])
@@ -249,12 +249,12 @@ def test_finished_connection_threads_are_pruned(shard):
         assert d.ping()
         d.close()
     deadline = time.monotonic() + 5.0
-    while shard._open_conns and time.monotonic() < deadline:
+    while shard._listener.conns and time.monotonic() < deadline:
         time.sleep(0.01)
     # Pruning happens at the next accept; the list holds live threads only.
     d = DragonDictionary([shard.address])
     try:
         assert d.ping()
-        assert len(shard._conn_threads) <= 2
+        assert len(shard._listener.threads) <= 2
     finally:
         d.close()

@@ -1,5 +1,8 @@
 """Tests for ServerManager and the DataStore facade across all backends."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -183,3 +186,40 @@ def test_dispatch_exception_becomes_error_reply_not_disconnect():
         conn.close()
     finally:
         server.stop()
+
+
+@pytest.mark.parametrize("backend", ["redis", "dragon"])
+def test_stop_server_does_not_wait_out_an_accept_poll(backend):
+    """Two shards used to cost 0.2 s each; live connections included."""
+    manager = ServerManager("fast-stop", config={"backend": backend, "n_shards": 2})
+    manager.start_server()
+    with DataStore("client", server_info=manager.get_server_info()) as store:
+        for i in range(8):  # enough keys to open a connection to both shards
+            store.stage_write(f"k{i}", i)
+        start = time.perf_counter()
+        manager.stop_server()
+        assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("backend", ["redis", "dragon", "streaming"])
+def test_stop_before_start_and_stop_twice_are_quiet(backend, monkeypatch):
+    from repro.transport import StreamWriter
+    from repro.transport.dragon_backend import DragonShardServer
+    from repro.transport.redis_backend import MiniRedisServer
+
+    make, stop = {
+        "redis": (MiniRedisServer, "stop"),
+        "dragon": (DragonShardServer, "stop"),
+        "streaming": (StreamWriter, "close"),
+    }[backend]
+    crashes = []
+    monkeypatch.setattr(threading, "excepthook", crashes.append)
+    never_started = make()
+    getattr(never_started, stop)()
+    getattr(never_started, stop)()
+    server = make(port=never_started.port)  # the port came back with the first stop
+    if backend != "streaming":  # a writer serves from construction
+        server.start()
+    getattr(server, stop)()
+    getattr(server, stop)()
+    assert crashes == []
