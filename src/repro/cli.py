@@ -371,10 +371,6 @@ def _validate_sweep_args(args: argparse.Namespace) -> None:
         if not args.cache_dir:
             raise ConfigError("--cache-info needs --cache-dir to inspect")
         return
-    if args.migrate_history:
-        if not args.cache_dir:
-            raise ConfigError("--migrate-history needs --cache-dir to import")
-        return
     if args.experiments and args.experiments[0] in _MAINTENANCE_VERBS:
         verb = args.experiments[0]
         if len(args.experiments) > 1:
@@ -433,7 +429,7 @@ def _validate_sweep_args(args: argparse.Namespace) -> None:
         return
     if args.store:
         raise ConfigError(
-            "--store only applies to --service/--migrate-history and the "
+            "--store only applies to --service and the "
             "query/usage/gc/health maintenance commands"
         )
     if (
@@ -507,9 +503,7 @@ def _validate_sweep_args(args: argparse.Namespace) -> None:
             raise ConfigError(
                 f"--journal {journal} holds legacy *.jsonl journals and no "
                 f"{STORE_FILENAME}: serving from it would recompute work they "
-                "acknowledged. Import them first (repro sweep --migrate-history "
-                f"--journal {journal} --store {journal / STORE_FILENAME} "
-                "--cache-dir DIR) or name a fresh directory"
+                "acknowledged; name a fresh directory"
             )
     if (args.fleet_trace or args.flight_recorder) and not args.serve:
         raise ConfigError(
@@ -537,42 +531,12 @@ def _cmd_cache_info(args: argparse.Namespace) -> int:
         print(f"  hit-rate history (last {len(history)} runs):")
         for record in history:
             print(
-                f"    {record.get('hits', 0)} hits / {record.get('misses', 0)} "
-                f"misses ({100.0 * record.get('hit_rate', 0.0):.0f}%), "
+                f"    {record['hits']} hits / {record['misses']} "
+                f"misses ({100.0 * record['hit_rate']:.0f}%), "
                 f"{record.get('stores', 0)} stores"
             )
     else:
         print("  hit-rate history: (none recorded yet)")
-    return 0
-
-
-def _cmd_migrate_history(args: argparse.Namespace) -> int:
-    """``sweep --migrate-history``: JSONL history + journals -> SQLite.
-
-    One-shot and idempotent: journals import by grid signature (already-
-    present jobs are skipped) and the imported ``history.jsonl`` is
-    renamed ``history.jsonl.imported`` so a re-run cannot double-count.
-    """
-    from pathlib import Path
-
-    from repro.sweep.dist.store import STORE_FILENAME, SweepStore, migrate_cache_dir
-
-    cache_dir = Path(args.cache_dir)
-    store_path = Path(args.store) if args.store else cache_dir / STORE_FILENAME
-    store = SweepStore(store_path)
-    try:
-        counts = migrate_cache_dir(
-            store, cache_dir, journal_dirs=[args.journal] if args.journal else []
-        )
-    finally:
-        store.close()
-    history_jsonl = cache_dir / "history.jsonl"
-    if counts["history"] and history_jsonl.exists():
-        history_jsonl.rename(history_jsonl.with_suffix(".jsonl.imported"))
-    print(
-        f"migrated {counts['history']} history records and "
-        f"{counts['journals']} journal(s) into {store_path}"
-    )
     return 0
 
 
@@ -842,15 +806,6 @@ def _cmd_sweep_maintenance(args: argparse.Namespace) -> int:
             ("RETRIES", "retries"), ("RECLAIMS", "reclaims"),
             ("POISONED", "poisoned"), ("GRIDS", "grids"),
         ])
-        cache_rows = [
-            {**row, "hit_rate": f"{100.0 * row.get('hit_rate', 0.0):.0f}%"}
-            for row in report.get("cache", [])
-        ]
-        print("cache history:")
-        _print_table(cache_rows, [
-            ("DAY", "day"), ("HITS", "hits"), ("MISSES", "misses"),
-            ("HIT-RATE", "hit_rate"),
-        ])
         return 0
     # gc
     mode = "DRY RUN (use --apply to collect)" if report.get("dry_run") else "applied"
@@ -952,8 +907,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _validate_sweep_args(args)
     if args.cache_info:
         return _cmd_cache_info(args)
-    if args.migrate_history:
-        return _cmd_migrate_history(args)
     if args.experiments and args.experiments[0] in _MAINTENANCE_VERBS:
         return _cmd_sweep_maintenance(args)
     handler = None
@@ -1259,8 +1212,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default="",
         metavar="FILE",
-        help="SQLite job/results store for --service (also the "
-        "--migrate-history target; defaults there to CACHE_DIR/store.sqlite)",
+        help="SQLite job/results store for --service, or the store file "
+        "query/usage/gc/health read",
     )
     sweep.add_argument(
         "--max-live-jobs",
@@ -1370,12 +1323,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="for query/usage/gc: print the full report as JSON instead "
         "of tables",
-    )
-    sweep.add_argument(
-        "--migrate-history",
-        action="store_true",
-        help="one-shot import of CACHE_DIR/history.jsonl (plus --journal "
-        "DIR journals) into the SQLite store, then exit",
     )
     sweep.add_argument(
         "--connect",

@@ -139,34 +139,6 @@ class DragonflyTopology:
     def group_of_node(self, node: int) -> int:
         return (node // self.nodes_per_switch) // self.switches_per_group
 
-    def switch_of_node(self, node: int) -> int:
-        return node // self.nodes_per_switch
-
-    # -- latency floors (conservative-PDES lookahead) ----------------------
-    # A message between nodes in different dragonfly groups traverses at
-    # least two terminal links and one global link; within a group but
-    # across switches, two terminal links and one all-to-all group link;
-    # on a shared switch, two terminal links. These floors are exact
-    # lower bounds on :meth:`path_latency` for the respective node pairs,
-    # which is what makes them sound lookahead values for conservative
-    # parallel simulation: no cross-boundary effect can arrive sooner.
-    def min_same_switch_latency(self) -> float:
-        """Latency floor between two distinct nodes on one switch."""
-        return 2.0 * self.node_link.latency
-
-    def min_intra_group_latency(self) -> float:
-        """Latency floor between nodes on different switches of a group."""
-        return 2.0 * self.node_link.latency + self.group_link.latency
-
-    def min_inter_group_latency(self) -> float:
-        """Latency floor between nodes in different dragonfly groups."""
-        if self.n_groups < 2:
-            raise ConfigError(
-                f"topology has {self.n_groups} group(s); inter-group latency "
-                "is undefined"
-            )
-        return 2.0 * self.node_link.latency + self.global_link.latency
-
     def path(self, src: int, dst: int) -> list[str]:
         """Minimal-hop route between two compute nodes (graph node ids).
 

@@ -13,6 +13,7 @@ Layout (two-level fan-out keeps directories small on big sweeps)::
 
     <cache-dir>/
       ab/abcdef....pkl      # pickle of {"value": ..., "snapshot": ..., "meta": ...}
+      history.jsonl         # one hit-rate record per run (record_history)
 
 Writes are atomic (temp file + ``os.replace``) so a sweep killed
 mid-write never leaves a truncated entry; unreadable or corrupt entries
@@ -46,10 +47,9 @@ _FORMAT = "repro-sweep-cache-v1"
 #: every recorded fingerprint, so: don't).
 _POINT_FORMAT = "repro-sweep-point-v1"
 
-#: Filename of the SQLite store inside a cache or service directory.
-#: Defined here, not in :mod:`repro.sweep.dist.store` (which re-exports
-#: it), so that a plain serial sweep never loads ``repro.sweep.dist``.
-STORE_FILENAME = "store.sqlite"
+#: Fields of a ``history.jsonl`` record that must be numbers; a line
+#: where one is not is skipped like a torn append.
+_HISTORY_NUMBERS = ("time", "hits", "misses", "hit_rate")
 
 
 def fingerprint(obj: Any) -> str:
@@ -377,147 +377,46 @@ class ResultCache:
             "history": self.history(),
         }
 
-    def _store_path(self) -> Path:
-        return self.directory / STORE_FILENAME
-
     def record_history(self, fingerprint: Optional[str] = None) -> None:
-        """Append this run's hit/miss counters to the history log.
+        """Append this run's hit/miss counters to ``history.jsonl``.
 
-        Writes the SQLite store when one lives in the cache directory
-        (``repro sweep --migrate-history`` creates it) and falls back to
-        ``history.jsonl`` otherwise. Best-effort either way: a read-only
-        or contended cache directory must not fail the sweep.
-
-        ``fingerprint`` is the run's :func:`grid_fingerprint` — recorded
-        alongside the counters (both paths) so hit-rate history joins to
-        grid content across ``repro`` versions.
+        Best-effort: a read-only or contended cache directory must not
+        fail the sweep. ``fingerprint`` is the run's
+        :func:`grid_fingerprint`, recorded alongside the counters so
+        hit-rate history joins to grid content across ``repro`` versions.
         """
         if self.stats.lookups == 0 and self.stats.stores == 0:
             return
         record = {"time": time.time(), **self.stats.as_dict()}
         if fingerprint:
             record["fingerprint"] = str(fingerprint)
-        if self._record_history_sqlite(record):
-            return
         try:
             with open(self.directory / "history.jsonl", "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
         except OSError:
             pass
 
-    def _record_history_sqlite(self, record: dict) -> bool:
-        """Append one record to the store DB; False -> use the JSONL.
-
-        Tries the schema-v2 shape (with ``fingerprint``) first and falls
-        back to the v1 column set for cache-dir stores nothing has
-        migrated yet — this writer opens the file raw precisely so it
-        never has to take the store's writer thread (or its migration)
-        hostage for a best-effort history append.
-        """
-        path = self._store_path()
-        if not path.exists():
-            return False
-        import sqlite3
-
-        try:
-            conn = sqlite3.connect(path, timeout=5.0)
-        except sqlite3.Error:
-            return False
-        values = (
-            float(record.get("time", 0.0)),
-            int(record.get("hits", 0)),
-            int(record.get("misses", 0)),
-            int(record.get("stores", 0)),
-            int(record.get("invalid", 0)),
-            float(record.get("hit_rate", 0.0)),
-        )
-        try:
-            try:
-                conn.execute(
-                    "INSERT INTO history (time, hits, misses, stores, invalid,"
-                    " hit_rate, fingerprint) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    values + (record.get("fingerprint"),),
-                )
-            except sqlite3.OperationalError:
-                # Schema v1 store: no fingerprint column yet.
-                conn.execute(
-                    "INSERT INTO history (time, hits, misses, stores, invalid,"
-                    " hit_rate) VALUES (?, ?, ?, ?, ?, ?)",
-                    values,
-                )
-            conn.commit()
-            return True
-        except sqlite3.Error:
-            return False
-        finally:
-            conn.close()
-
     def history(self, limit: int = 20) -> list[dict]:
-        """The most recent ``limit`` hit-rate records (oldest first).
+        """The most recent ``limit`` hit-rate records, oldest first.
 
-        Reads the SQLite store when present, falling back to (and
-        merging in) any remaining ``history.jsonl`` — during migration a
-        directory can legitimately hold both.
+        Lines that do not parse (a torn append) or whose ``time``,
+        ``hits``, ``misses`` or ``hit_rate`` is not a number are skipped.
         """
-        records = self._history_sqlite(limit)
-        path = self.directory / "history.jsonl"
+        if limit <= 0:
+            return []
         try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except (FileNotFoundError, OSError):
-            lines = []
-        for line in lines:
+            text = (self.directory / "history.jsonl").read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError):
+            return []
+        records = []
+        for line in text.splitlines():
             try:
                 record = json.loads(line)
             except ValueError:
                 continue  # torn append
-            if isinstance(record, dict):
+            # type(), not isinstance(): JSON true/false are not counts.
+            if isinstance(record, dict) and all(
+                type(record.get(name)) in (int, float) for name in _HISTORY_NUMBERS
+            ):
                 records.append(record)
-        records.sort(key=lambda r: float(r.get("time", 0.0)))
         return records[-limit:]
-
-    def _history_sqlite(self, limit: int) -> list[dict]:
-        path = self._store_path()
-        if not path.exists():
-            return []
-        import sqlite3
-
-        try:
-            conn = sqlite3.connect(path, timeout=5.0)
-        except sqlite3.Error:
-            return []
-        try:
-            try:
-                rows = conn.execute(
-                    "SELECT time, hits, misses, stores, invalid, hit_rate,"
-                    " fingerprint FROM history ORDER BY seq DESC LIMIT ?",
-                    (int(limit),),
-                ).fetchall()
-            except sqlite3.OperationalError:
-                # Schema v1 store: no fingerprint column yet.
-                rows = [
-                    tuple(row) + (None,)
-                    for row in conn.execute(
-                        "SELECT time, hits, misses, stores, invalid, hit_rate"
-                        " FROM history ORDER BY seq DESC LIMIT ?",
-                        (int(limit),),
-                    ).fetchall()
-                ]
-        except sqlite3.Error:
-            return []
-        finally:
-            conn.close()
-        rows.reverse()
-        records = []
-        for time_, hits, misses, stores, invalid, hit_rate, fp in rows:
-            record = {
-                "time": time_,
-                "hits": hits,
-                "misses": misses,
-                "stores": stores,
-                "invalid": invalid,
-                "hit_rate": hit_rate,
-            }
-            if fp:
-                record["fingerprint"] = fp
-            records.append(record)
-        return records

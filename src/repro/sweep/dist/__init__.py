@@ -44,7 +44,6 @@ from repro.sweep.dist.store import (
     JOB_SUBMITTED,
     JOB_TERMINAL,
     SweepStore,
-    migrate_cache_dir,
 )
 from repro.sweep.dist.watch import fetch_status, render_status, watch
 from repro.sweep.dist.worker import (
@@ -78,7 +77,6 @@ __all__ = [
     "WorkerReport",
     "fetch_status",
     "grid_signature",
-    "migrate_cache_dir",
     "parse_hostport",
     "prometheus_exposition",
     "render_status",

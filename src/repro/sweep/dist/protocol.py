@@ -115,7 +115,7 @@ HELLO's version check keeps mixed fleets out entirely):
   recorded results for a point-fingerprint/job-name/tenant filter,
   across jobs and code versions, with optional version-divergence
   detection), ``USAGE`` (per-tenant per-day accounting aggregated from
-  the event audit trail and cache history), and ``GC`` (the
+  the event audit trail), and ``GC`` (the
   retention/policy engine: age- and count-based collection of terminal
   jobs, dry-run planning, tombstoned grids still short-circuit
   re-submission). All three take one optional JSON argument and answer

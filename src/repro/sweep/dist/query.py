@@ -13,9 +13,9 @@ for:
   and ``repro`` versions" — plus version-divergence detection that
   flags fingerprints whose result *values* differ between code versions
   (the canary for a behaviour change that forgot its version bump);
-* **per-tenant usage accounting** aggregated from the ``events`` and
-  ``history`` tables: points executed, wall-seconds leased, retries,
-  poison counts, and cache-hit ratios per tenant per day;
+* **per-tenant usage accounting** aggregated from the ``events``
+  table: points executed, wall-seconds leased, retries and poison
+  counts per tenant per day;
 * a **retention/GC policy engine**: age- and count-based selection over
   *terminal* jobs only, a dry-run mode whose plan is exactly what the
   real run collects, and tombstones so idempotent re-submission still
@@ -325,9 +325,9 @@ def usage(
     tenant: Optional[str] = None,
     since: Optional[float] = None,
 ) -> dict:
-    """Per-tenant per-day usage accounting from ``events`` + ``history``.
+    """Per-tenant per-day usage accounting from ``events``.
 
-    Returns ``{"tenants": [...], "cache": [...]}``. Each tenant row is
+    Returns ``{"tenants": [...]}``. Each tenant row is
     one ``(tenant, day)`` bucket (UTC days, newest last)::
 
         {"tenant", "day", "points_done", "leases", "wall_seconds",
@@ -341,10 +341,6 @@ def usage(
     work keeps repeated queries monotone). ``retries`` counts
     ``requeue`` events (failures re-queued below the poison
     thresholds).
-
-    Cache rows aggregate the (store-wide, tenant-less) ``history``
-    table per day: ``{"day", "hits", "misses", "hit_rate"}`` with the
-    ratio weighted by lookups, not averaged over runs.
 
     Jobs already garbage-collected have no events left by design —
     usage reports live+terminal jobs; collect after you account.
@@ -365,11 +361,6 @@ def usage(
     )
     with pool.connection() as conn:
         events = conn.execute(sql, params).fetchall()
-        history = conn.execute(
-            "SELECT time, hits, misses FROM history"
-            + (" WHERE time >= ?" if since is not None else ""),
-            ([float(since)] if since is not None else []),
-        ).fetchall()
 
     buckets: dict[tuple[str, str], dict] = {}
     grids_seen: dict[tuple[str, str], set] = {}
@@ -419,24 +410,7 @@ def usage(
     for key, entry in buckets.items():
         entry["grids"] = len(grids_seen[key])
         entry["wall_seconds"] = round(entry["wall_seconds"], 6)
-
-    cache_days: dict[str, dict] = {}
-    for row in history:
-        day = _day(row["time"])
-        entry = cache_days.setdefault(day, {"day": day, "hits": 0, "misses": 0})
-        entry["hits"] += int(row["hits"])
-        entry["misses"] += int(row["misses"])
-    cache = []
-    for day in sorted(cache_days):
-        entry = cache_days[day]
-        lookups = entry["hits"] + entry["misses"]
-        entry["hit_rate"] = entry["hits"] / lookups if lookups else 0.0
-        cache.append(entry)
-
-    return {
-        "tenants": [buckets[k] for k in sorted(buckets)],
-        "cache": cache,
-    }
+    return {"tenants": [buckets[k] for k in sorted(buckets)]}
 
 
 # -- retention / GC -----------------------------------------------------------

@@ -276,17 +276,13 @@ class SweepService(RespTcpServer):
         """Reload every non-terminal job from the store (crash restart)."""
         for row in self.store.resumable_jobs():
             grid = row["grid"]
-            specs = self.store.load_specs(grid)
-            points: dict[int, SweepPoint] = {}
             try:
-                for idx, blob in specs:
-                    if blob is not None:
-                        points[idx] = pickle.loads(blob)
-            except Exception as exc:
+                points: dict[int, SweepPoint] = {
+                    idx: pickle.loads(blob) for idx, blob in self.store.load_specs(grid)
+                }
+            except Exception as exc:  # a NULL spec lands here too
                 _log.error("service.restore.unreadable", grid=grid[:16], error=str(exc))
                 continue
-            if len(points) != len(specs):
-                continue  # journal-imported job without specs: not resumable
             job = self._activate(
                 grid, row["name"], row.get("tenant", ""), points, state=row["state"]
             )
@@ -1337,7 +1333,7 @@ class ServiceClient:
         """Per-tenant, per-day accounting report (read-only)."""
         spec = {"tenant": tenant, "since": since}
         reply = self._command("USAGE", json.dumps(spec, sort_keys=True))
-        return json.loads(reply) if reply else {"tenants": [], "cache": []}
+        return json.loads(reply) if reply else {"tenants": []}
 
     def gc(
         self,

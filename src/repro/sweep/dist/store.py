@@ -1,14 +1,12 @@
 """SQLite-backed job/results/telemetry store for the sweep service.
 
 One queryable database per service — standalone, or embedded by
-``repro sweep --serve`` in its ``--journal`` directory — or per cache
-directory. The durability contract: a completed point is committed
-*before* its worker is acknowledged, so a SIGKILLed service restarted
-against the same file serves every acknowledged result from disk. Many
-named grids live side by side, keyed by their content signature, and
-"all fig6 points ever run, any version" is one indexed query. (The
-append-only per-grid JSONL journal this replaced survives only as the
-one-shot importer :func:`migrate_journal_file`.)
+``repro sweep --serve`` in its ``--journal`` directory. The durability
+contract: a completed point is committed *before* its worker is
+acknowledged, so a SIGKILLed service restarted against the same file
+serves every acknowledged result from disk. Many named grids live side
+by side, keyed by their content signature, and "all fig6 points ever
+run, any version" is one indexed query.
 
 Concurrency model — **single writer thread**:
 
@@ -63,8 +61,9 @@ Schema (version 2)::
 so a restarted service can re-serve unfinished jobs without the tenant
 resubmitting; ``points.payload`` holds the pickled (value, snapshot)
 wire blob exactly as the worker shipped it, which is what makes restart
-results byte-identical. Jobs imported from legacy journals have no specs
-(the journal never stored them) — they are queryable but not resumable.
+results byte-identical. The ``history`` table is kept in the schema, no
+longer written: cache hit rates live in the cache directory's
+``history.jsonl`` (:meth:`repro.sweep.cache.ResultCache.record_history`).
 
 Version 2 additions (see :mod:`repro.sweep.dist.query` for the read
 side):
@@ -73,8 +72,8 @@ side):
   the cell (:func:`repro.sweep.cache.point_fingerprint`), indexed, so
   "every result for this cell across jobs, tenants, and ``repro``
   versions" is one indexed join;
-* ``history.fingerprint`` — ties a cache hit-rate row to the grid
-  content (:func:`repro.sweep.cache.grid_fingerprint`) that produced it;
+* ``history.fingerprint`` — the grid fingerprint column of the
+  unwritten ``history`` table;
 * ``tombstones`` — one row per garbage-collected job, so idempotent
   re-submission still short-circuits after the job's bulk rows are gone
   (:meth:`SweepStore.collect_job`);
@@ -103,12 +102,15 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import SweepStoreError
-from repro.sweep.cache import STORE_FILENAME, point_fingerprint
+from repro.sweep.cache import point_fingerprint
 from repro.telemetry.log import get_logger
 from repro.version import __version__
+
+#: Filename of the store inside a ``--serve --journal`` directory.
+STORE_FILENAME = "store.sqlite"
 
 #: Bump when the schema changes shape; ``meta.schema_version`` gates it.
 SCHEMA_VERSION = 2
@@ -580,23 +582,14 @@ class SweepStore:
         return self._call(op)
 
     def resumable_jobs(self) -> list[dict]:
-        """Non-terminal jobs whose point specs survived (restart set)."""
+        """Non-terminal jobs, oldest first (the restart set)."""
 
         def op(conn: sqlite3.Connection):
             rows = conn.execute(
                 "SELECT * FROM jobs WHERE state IN (?, ?) ORDER BY created",
                 (JOB_SUBMITTED, JOB_RUNNING),
             ).fetchall()
-            out = []
-            for row in rows:
-                missing = conn.execute(
-                    "SELECT COUNT(*) FROM points WHERE grid = ? AND spec IS NULL"
-                    " AND state != 'done'",
-                    (row["grid"],),
-                ).fetchone()[0]
-                if missing == 0:
-                    out.append(dict(row))
-            return out
+            return [dict(row) for row in rows]
 
         return self._call(op)
 
@@ -732,8 +725,7 @@ class SweepStore:
         ``events`` / ``jobs`` rows are deleted and one ``tombstones``
         row is written in their place, so idempotent re-submission of
         the same grid still short-circuits (:meth:`submit_job`) and the
-        job's name/tenant/outcome stay auditable. ``history`` rows are
-        never touched — they are store-wide, not per-job.
+        job's name/tenant/outcome stay auditable.
 
         Refusals (``{"collected": False, "refused": <why>}``, nothing
         deleted):
@@ -836,57 +828,6 @@ class SweepStore:
 
         return self._call(op)
 
-    # -- history ------------------------------------------------------------
-    def record_history(self, record: dict) -> None:
-        """Append one cache hit/miss record (ResultCache.record_history).
-
-        ``record["fingerprint"]`` — the run's grid fingerprint — is
-        persisted when present so hit-rate history stays joinable to
-        grid content across code versions (records imported from
-        pre-fingerprint JSONL simply store NULL).
-        """
-
-        def op(conn: sqlite3.Connection) -> None:
-            conn.execute(
-                "INSERT INTO history (time, hits, misses, stores, invalid,"
-                " hit_rate, fingerprint) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (
-                    float(record.get("time", self.wall())),
-                    int(record.get("hits", 0)),
-                    int(record.get("misses", 0)),
-                    int(record.get("stores", 0)),
-                    int(record.get("invalid", 0)),
-                    float(record.get("hit_rate", 0.0)),
-                    record.get("fingerprint"),
-                ),
-            )
-
-        self._call(op, mutate=True)
-
-    def history(self, limit: int = 20) -> list[dict]:
-        """The most recent ``limit`` history records, oldest first.
-
-        Records carry a ``fingerprint`` key only when one was recorded
-        (v1-era and JSONL-imported rows have none), mirroring the JSONL
-        record shape so the two sources merge cleanly.
-        """
-
-        def op(conn: sqlite3.Connection):
-            rows = conn.execute(
-                "SELECT time, hits, misses, stores, invalid, hit_rate,"
-                " fingerprint FROM history ORDER BY seq DESC LIMIT ?",
-                (int(limit),),
-            ).fetchall()
-            out = []
-            for row in reversed(rows):
-                record = dict(row)
-                if record.get("fingerprint") is None:
-                    record.pop("fingerprint", None)
-                out.append(record)
-            return out
-
-        return self._call(op)
-
     # -- telemetry ----------------------------------------------------------
     def events(self, grid: str, limit: int = 1000) -> list[dict]:
         def op(conn: sqlite3.Connection):
@@ -900,135 +841,6 @@ class SweepStore:
         return self._call(op)
 
 
-# -- legacy imports ----------------------------------------------------------
-def migrate_history_jsonl(store: SweepStore, path: str | Path) -> int:
-    """Import a ``history.jsonl`` into the store; returns records imported.
-
-    Records are passed through whole, so a ``fingerprint`` field written
-    by a fingerprint-aware :meth:`ResultCache.record_history` lands in
-    ``history.fingerprint`` and the imported run stays joinable to its
-    grid content; pre-fingerprint records import with NULL.
-    """
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (FileNotFoundError, OSError):
-        return 0
-    imported = 0
-    for line in lines:
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue  # torn append — same tolerance the JSONL reader has
-        if isinstance(record, dict):
-            store.record_history(record)
-            imported += 1
-    return imported
-
-
-def migrate_journal_file(store: SweepStore, path: str | Path) -> Optional[str]:
-    """Import one legacy per-grid journal into the store.
-
-    Builds a job row from the journal header and fills ``done`` /
-    ``poisoned`` point rows from the recovery records (audit-only lease
-    records become ``events``). The journal never stored point *specs*,
-    so imported jobs are queryable — RESULTS/JOBS, done payloads — but
-    not resumable; their job state reflects what the journal proved:
-    every point done -> ``done``, any poison -> ``poisoned``, otherwise
-    ``cancelled`` (the grid never finished under the journal). Returns
-    the grid signature, or None when the file is not a journal. A job
-    already present in the store is left untouched (idempotent re-runs).
-    """
-    import base64
-
-    path = Path(path)
-    try:
-        lines = path.read_bytes().split(b"\n")
-    except (FileNotFoundError, OSError):
-        return None
-    grid: Optional[str] = None
-    n_points = 0
-    done: dict[int, bytes] = {}
-    poisoned: dict[int, list[dict]] = {}
-    audit: list[tuple[Optional[int], str, Optional[str]]] = []
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue  # torn tail
-        kind = record.get("type")
-        if kind == "header":
-            if grid is None:
-                grid = str(record.get("grid", ""))
-                n_points = int(record.get("n_points", 0))
-        elif kind == "done":
-            try:
-                done[int(record["index"])] = base64.b64decode(record["payload"])
-            except (KeyError, ValueError, TypeError):
-                continue
-        elif kind == "poisoned":
-            try:
-                poisoned[int(record["index"])] = list(record.get("failures", []))
-            except (KeyError, ValueError, TypeError):
-                continue
-        elif kind in ("lease", "reclaim", "requeue", "renew"):
-            try:
-                audit.append((int(record["index"]), kind, record.get("worker")))
-            except (KeyError, ValueError, TypeError):
-                continue
-    if not grid:
-        return None
-    indices = set(range(n_points)) | set(done) | set(poisoned)
-    created = store.submit_job(
-        grid,
-        name=path.stem,
-        points=[(idx, None) for idx in sorted(indices)],
-        tenant="journal-import",
-    )
-    if not created:
-        return grid  # already imported (or live) — leave it alone
-    for idx, payload in done.items():
-        # The journal stored bare {"value", "snapshot"} pickles; the raw
-        # blob is kept as an archive (JOBS/QUERY, undecoded RESULTS).
-        store.record_done(grid, idx, payload, worker="journal-import")
-    for idx, failures in poisoned.items():
-        if idx not in done:
-            store.record_poisoned(grid, idx, failures)
-    for idx, event, worker in audit:
-        store.record_event(grid, idx, event, worker)
-    if len(done) >= len(indices) and indices:
-        store.set_job_state(grid, JOB_DONE)
-    elif poisoned:
-        store.set_job_state(grid, JOB_POISONED)
-    else:
-        store.set_job_state(grid, JOB_CANCELLED)
-    return grid
-
-
-def migrate_cache_dir(
-    store: SweepStore,
-    cache_dir: str | Path,
-    journal_dirs: Iterable[str | Path] = (),
-) -> dict[str, int]:
-    """One-shot ``--migrate-history`` import; returns counters.
-
-    Imports ``<cache_dir>/history.jsonl`` plus every ``*.jsonl`` journal
-    in the given journal directories. Safe to re-run: journals already
-    imported are skipped (job rows are idempotent by grid signature);
-    history records are appended, so re-running duplicates those — the
-    CLI renames the JSONL to ``history.jsonl.imported`` afterwards to
-    keep the operation one-shot.
-    """
-    counts = {"history": 0, "journals": 0}
-    counts["history"] = migrate_history_jsonl(store, Path(cache_dir) / "history.jsonl")
-    for directory in journal_dirs:
-        for path in sorted(Path(directory).glob("*.jsonl")):
-            if migrate_journal_file(store, path) is not None:
-                counts["journals"] += 1
-    return counts
-
-
 __all__ = [
     "JOB_CANCELLED",
     "JOB_DONE",
@@ -1039,9 +851,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "STORE_FILENAME",
     "SweepStore",
-    "migrate_cache_dir",
-    "migrate_history_jsonl",
-    "migrate_journal_file",
     "schema_version",
 ]
 

@@ -28,7 +28,6 @@ Execution contract (what the bit-identical regression tests rely on):
 from __future__ import annotations
 
 import contextlib
-import os
 import signal
 import tempfile
 import threading
@@ -670,8 +669,3 @@ class SweepEngine:
                 f"{len(pending)} submitted points (first missing: "
                 f"{points[missing[0]].label})"
             )
-
-
-def default_parallelism() -> int:
-    """A sensible ``--parallel auto`` value: the machine's core count."""
-    return max(1, os.cpu_count() or 1)

@@ -70,17 +70,18 @@ def main() -> None:
     store.record_event(grid_b, 0, "lease", worker="w2")
     store.record_done(grid_b, 0, dump_result(11, None), worker="w2")
     store.set_job_state(grid_b, "running")
-
-    # Two v1 history rows (no fingerprint column existed).
-    store.record_history({"time": 1.0, "hits": 1, "misses": 2, "stores": 2,
-                          "invalid": 0, "hit_rate": 1 / 3})
-    store.record_history({"time": 2.0, "hits": 3, "misses": 0, "stores": 0,
-                          "invalid": 0, "hit_rate": 1.0})
     store.close()
-    # Fold the WAL back into the main file so the snapshot is one file.
     import sqlite3
 
     conn = sqlite3.connect(OUT)
+    # Two v1 history rows (no fingerprint column existed).
+    conn.executemany(
+        "INSERT INTO history (time, hits, misses, stores, invalid, hit_rate)"
+        " VALUES (?, ?, ?, ?, ?, ?)",
+        [(1.0, 1, 2, 2, 0, 1 / 3), (2.0, 3, 0, 0, 0, 1.0)],
+    )
+    conn.commit()
+    # Fold the WAL back into the main file so the snapshot is one file.
     conn.execute("PRAGMA journal_mode=DELETE")
     conn.close()
     print(f"wrote {OUT} ({OUT.stat().st_size} bytes): jobs {grid_a[:12]} {grid_b[:12]}")

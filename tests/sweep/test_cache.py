@@ -244,6 +244,11 @@ def test_record_history_round_trips_and_tolerates_torn_lines(tmp_path):
     cache.lookup(key)
     cache.record_history()
     with open(tmp_path / "history.jsonl", "a", encoding="utf-8") as fh:
+        # Not records: a null time, a string rate, a bool count, a list.
+        fh.write('{"time": null, "hits": 1, "misses": 0, "hit_rate": 1.0}\n')
+        fh.write('{"time": 1.0, "hits": 1, "misses": 0, "hit_rate": "x"}\n')
+        fh.write('{"time": 1.0, "hits": true, "misses": 0, "hit_rate": 1.0}\n')
+        fh.write("[1, 2]\n")
         fh.write('{"torn": ')  # killed mid-append
 
     records = ResultCache(tmp_path).history()
@@ -266,6 +271,7 @@ def test_history_limit_keeps_most_recent(tmp_path):
     records = cache.history(limit=2)
     assert len(records) == 2
     assert records[-1]["misses"] == 5  # counters accumulate per run
+    assert cache.history(limit=0) == []
 
 
 # -- concurrent-writer hardening -------------------------------------------

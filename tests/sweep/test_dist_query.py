@@ -212,17 +212,6 @@ class TestUsage:
         assert report["tenants"][0]["leases"] == 1
         assert empty["tenants"] == []
 
-    def test_cache_history_rows(self, store, wall):
-        store.record_history(
-            {"time": wall(), "hits": 3, "misses": 1, "stores": 1,
-             "invalid": 0, "hit_rate": 0.75, "fingerprint": "ab" * 32}
-        )
-        with ReaderPool(store.path) as pool:
-            report = usage(pool)
-        (row,) = report["cache"]
-        assert row["hits"] == 3 and row["misses"] == 1
-        assert row["hit_rate"] == pytest.approx(0.75)
-
 
 # -- retention / GC ------------------------------------------------------------
 class TestRetention:
@@ -298,7 +287,7 @@ class TestRetention:
         assert store.collect_job(grid)["collected"]
         tomb = store.tombstone(grid)
         assert tomb["n_points"] == 2 and tomb["points_done"] == 2
-        # Bulk rows are gone, history untouched, resubmission refused.
+        # Bulk rows are gone and resubmission is refused.
         assert store.job(grid) is None
         assert store.done_payloads(grid) == {}
         assert not store.submit_job(grid, name="again", points=[(0, b"x")])

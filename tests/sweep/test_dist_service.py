@@ -1,5 +1,7 @@
 """SweepService: multi-tenant lifecycle, fair-share, isolation, restart."""
 
+import logging
+import sqlite3
 import threading
 import time
 
@@ -356,6 +358,29 @@ class TestRestart:
             assert client.results(grid)["state"] == JOB_DONE
             rows = client.jobs()
             assert [r["state"] for r in rows] == [JOB_DONE]
+        finally:
+            revived.stop()
+
+    def test_null_spec_job_is_skipped_and_the_rest_resume(self, tmp_path, caplog):
+        store_path = tmp_path / "store.sqlite"
+        service = SweepService(store_path, host="127.0.0.1", port=0)
+        broken = service.submit("broken", points_for(2), capture=False)["grid"]
+        intact = service.submit("intact", points_for(2, offset=10), capture=False)["grid"]
+        service.stop()
+        conn = sqlite3.connect(store_path)
+        conn.execute("UPDATE points SET spec = NULL WHERE grid = ? AND idx = 1", (broken,))
+        conn.commit()
+        conn.close()
+
+        caplog.set_level(logging.ERROR, logger="repro")
+        revived = SweepService(store_path, host="127.0.0.1", port=0)
+        revived.start()
+        try:
+            assert list(revived.jobs) == [intact]
+            assert [
+                (r.getMessage(), r.fields["grid"]) for r in caplog.records
+            ] == [("service.restore.unreadable", broken[:16])]
+            assert claim(revived).grid == intact
         finally:
             revived.stop()
 

@@ -1,6 +1,6 @@
-"""SweepStore: durability, idempotency, crash recovery, legacy imports."""
+"""SweepStore: durability, idempotency, crash recovery."""
 
-import base64
+import hashlib
 import json
 import os
 import sqlite3
@@ -12,22 +12,18 @@ from pathlib import Path
 import pytest
 
 from repro.errors import SweepStoreError
+from repro.sweep.cache import ResultCache, point_key
 from repro.sweep.dist import store as store_module
 from repro.sweep.dist.loadgen import loadgen_point
 from repro.sweep.dist.protocol import dump_result
 from repro.sweep.dist.query import ReaderPool
 from repro.sweep.dist.service import SweepService
 from repro.sweep.dist.store import (
-    JOB_CANCELLED,
     JOB_DONE,
-    JOB_POISONED,
-    JOB_RUNNING,
     JOB_SUBMITTED,
     SCHEMA_VERSION,
+    STORE_FILENAME,
     SweepStore,
-    migrate_cache_dir,
-    migrate_history_jsonl,
-    migrate_journal_file,
 )
 
 from repro.sweep.point import SweepPoint
@@ -71,15 +67,16 @@ class TestJobs:
         assert {j["grid"] for j in store.jobs()} == {"g1", "g2"}
         assert [j["grid"] for j in store.jobs(name="beta")] == ["g2"]
 
-    def test_resumable_requires_specs(self, store):
+    def test_resumable_is_every_non_terminal_job(self, store):
         store.submit_job("with", name="w", points=[(0, b"s")])
         store.submit_job("without", name="n", points=[(0, None)])
         store.submit_job("terminal", name="t", points=[(0, b"s")])
         store.set_job_state("terminal", JOB_DONE)
-        assert [j["grid"] for j in store.resumable_jobs()] == ["with"]
+        # Specs are the restoring service's concern, not the store's.
+        assert [j["grid"] for j in store.resumable_jobs()] == ["with", "without"]
 
     def test_specless_point_done_is_still_resumable(self, store):
-        # A done point no longer needs its spec — only pending work does.
+        # The store never inspects specs, finished or pending.
         store.submit_job("g", name="g", points=[(0, None), (1, b"s")])
         store.record_done("g", 0, b"r", worker="w")
         assert [j["grid"] for j in store.resumable_jobs()] == ["g"]
@@ -211,12 +208,17 @@ class TestAuditRidesNextCommit:
 
 
 class TestHistory:
-    def test_history_round_trip(self, store):
-        store.record_history({"time": 1.0, "hits": 3, "misses": 1, "hit_rate": 0.75})
-        store.record_history({"time": 2.0, "hits": 4, "misses": 0, "hit_rate": 1.0})
-        records = store.history()
-        assert [r["hits"] for r in records] == [3, 4]
-        assert store.history(limit=1)[0]["hits"] == 4
+    def test_store_in_a_cache_dir_is_not_a_history_sink(self, tmp_path):
+        with SweepStore(tmp_path / STORE_FILENAME) as store:
+            store.submit_job("g", name="g", points=[(0, b"s")])
+        digest = hashlib.sha256((tmp_path / STORE_FILENAME).read_bytes()).hexdigest()
+        cache = ResultCache(tmp_path)
+        cache.lookup(point_key("m:f", {"a": 1}))
+        cache.record_history()
+        assert [r["misses"] for r in cache.history()] == [1]
+        assert (tmp_path / "history.jsonl").exists()
+        after = hashlib.sha256((tmp_path / STORE_FILENAME).read_bytes()).hexdigest()
+        assert after == digest
 
 
 class TestOpenRecovery:
@@ -341,78 +343,3 @@ class TestCrashRecovery:
         with SweepStore(path) as store:
             assert store.job(CRASH_GRID)["state"] == JOB_DONE
 
-
-class TestLegacyImports:
-    def test_migrate_history_jsonl(self, store, tmp_path):
-        jsonl = tmp_path / "history.jsonl"
-        jsonl.write_text(
-            json.dumps({"time": 1.0, "hits": 2, "misses": 1, "hit_rate": 2 / 3})
-            + "\n"
-            + "{torn garbage\n"
-            + json.dumps({"time": 2.0, "hits": 5, "misses": 0, "hit_rate": 1.0})
-            + "\n"
-        )
-        assert migrate_history_jsonl(store, jsonl) == 2
-        assert [r["hits"] for r in store.history()] == [2, 5]
-
-    def _write_journal(self, path, grid="legacy", n_points=3, done=(0, 1), poisoned=()):
-        records = [{"type": "header", "grid": grid, "n_points": n_points}]
-        for idx in done:
-            records.append(
-                {
-                    "type": "done",
-                    "index": idx,
-                    "payload": base64.b64encode(b"blob-%d" % idx).decode(),
-                }
-            )
-        for idx in poisoned:
-            records.append(
-                {"type": "poisoned", "index": idx, "failures": [{"error": "x"}]}
-            )
-        records.append({"type": "lease", "index": 0, "worker": "w0"})
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
-
-    def test_migrate_journal_imports_done_points(self, store, tmp_path):
-        journal = tmp_path / "legacy.jsonl"
-        self._write_journal(journal, done=(0, 1), n_points=3)
-        grid = migrate_journal_file(store, journal)
-        assert grid == "legacy"
-        assert store.done_payloads("legacy") == {0: b"blob-0", 1: b"blob-1"}
-        # Unfinished under the journal and spec-less -> cancelled, and
-        # never offered for resumption.
-        assert store.job("legacy")["state"] == JOB_CANCELLED
-        assert store.resumable_jobs() == []
-
-    def test_migrate_journal_terminal_states(self, store, tmp_path):
-        all_done = tmp_path / "done.jsonl"
-        self._write_journal(all_done, grid="gdone", done=(0, 1, 2), n_points=3)
-        toxic = tmp_path / "toxic.jsonl"
-        self._write_journal(toxic, grid="gpoison", done=(0,), poisoned=(2,))
-        migrate_journal_file(store, all_done)
-        migrate_journal_file(store, toxic)
-        assert store.job("gdone")["state"] == JOB_DONE
-        assert store.job("gpoison")["state"] == JOB_POISONED
-
-    def test_migrate_journal_is_idempotent(self, store, tmp_path):
-        journal = tmp_path / "legacy.jsonl"
-        self._write_journal(journal)
-        assert migrate_journal_file(store, journal) == "legacy"
-        before = store.done_payloads("legacy")
-        assert migrate_journal_file(store, journal) == "legacy"
-        assert store.done_payloads("legacy") == before
-
-    def test_migrate_journal_rejects_non_journal(self, store, tmp_path):
-        junk = tmp_path / "junk.jsonl"
-        junk.write_text('{"no": "header"}\n')
-        assert migrate_journal_file(store, junk) is None
-
-    def test_migrate_cache_dir_counts(self, store, tmp_path):
-        (tmp_path / "history.jsonl").write_text(
-            json.dumps({"time": 1.0, "hits": 1}) + "\n"
-        )
-        journal_dir = tmp_path / "journals"
-        journal_dir.mkdir()
-        self._write_journal(journal_dir / "a.jsonl", grid="ga")
-        self._write_journal(journal_dir / "b.jsonl", grid="gb")
-        counts = migrate_cache_dir(store, tmp_path, journal_dirs=[journal_dir])
-        assert counts == {"history": 1, "journals": 2}

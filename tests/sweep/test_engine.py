@@ -194,7 +194,7 @@ def test_a_cached_run_renders_each_point_once(tmp_path, monkeypatch):
 
 
 def test_serial_cached_run_leaves_dist_package_unloaded(tmp_path):
-    # record_history needs the store's filename, not the service stack.
+    # record_history appends history.jsonl without the service stack.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     code = (
         "import json, sys\n"

@@ -350,7 +350,6 @@ def test_sweep_flag_validation_errors():
             "mutually exclusive",
         ),
         (["sweep", "fig5", "--tenant", "alice"], "only applies to --submit"),
-        (["sweep", "--migrate-history"], "needs --cache-dir"),
     ]
     for argv, match in cases:
         with pytest.raises(ConfigError, match=match):
@@ -366,7 +365,7 @@ def test_sweep_serve_refuses_a_legacy_jsonl_journal_dir(tmp_path):
     (journal / ("a" * 24 + ".jsonl")).write_text('{"type": "header"}\n')
     argv = ["sweep", "fig5", "--serve", "127.0.0.1:1", "--journal", str(journal)]
     # Serving would silently recompute what the old log acknowledged.
-    with pytest.raises(ConfigError, match=f"--migrate-history --journal {journal}"):
+    with pytest.raises(ConfigError, match="legacy .*; name a fresh directory"):
         main(argv)
     # Once a store sits beside them the directory is the new format.
     (journal / STORE_FILENAME).write_bytes(b"")
@@ -375,26 +374,12 @@ def test_sweep_serve_refuses_a_legacy_jsonl_journal_dir(tmp_path):
     _validate_sweep_args(build_parser().parse_args(argv))
 
 
-def test_sweep_migrate_history_imports_jsonl(tmp_path, capsys):
-    import json
-
-    from repro.sweep.dist.store import STORE_FILENAME, SweepStore
-
-    cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
-    (cache_dir / "history.jsonl").write_text(
-        json.dumps({"time": 1.0, "hits": 2, "misses": 0, "hit_rate": 1.0}) + "\n"
-    )
-    assert main(["sweep", "--migrate-history", "--cache-dir", str(cache_dir)]) == 0
-    out = capsys.readouterr().out
-    assert "1 history record" in out
-    # The legacy file is renamed aside, so a re-run imports nothing new.
-    assert not (cache_dir / "history.jsonl").exists()
-    with SweepStore(cache_dir / STORE_FILENAME) as store:
-        assert [r["hits"] for r in store.history()] == [2]
-    assert main(["sweep", "--migrate-history", "--cache-dir", str(cache_dir)]) == 0
-    with SweepStore(cache_dir / STORE_FILENAME) as store:
-        assert len(store.history()) == 1
+def test_sweep_rejects_removed_migrate_history_flag(tmp_path, capsys):
+    # history.jsonl is the one hit-rate history: there is nothing to import.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--migrate-history", "--cache-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_sweep_progress_tracks_distributed_sources():
