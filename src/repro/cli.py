@@ -584,6 +584,7 @@ def _maintenance_reports(args: argparse.Namespace, verb: str) -> dict:
         run_gc,
         usage,
     )
+    from repro.sweep.dist.store import live_bytes
 
     if verb == "health":
         # No service attached: the live sections (queues, admission,
@@ -593,9 +594,7 @@ def _maintenance_reports(args: argparse.Namespace, verb: str) -> dict:
             row = conn.execute(
                 "SELECT value FROM meta WHERE key = 'schema_version'"
             ).fetchone()
-            page_size = int(conn.execute("PRAGMA page_size").fetchone()[0])
-            page_count = int(conn.execute("PRAGMA page_count").fetchone()[0])
-            freelist = int(conn.execute("PRAGMA freelist_count").fetchone()[0])
+            store_bytes = live_bytes(conn)
             states = {
                 state: int(count)
                 for state, count in conn.execute(
@@ -613,7 +612,7 @@ def _maintenance_reports(args: argparse.Namespace, verb: str) -> dict:
             "store": {
                 "path": str(args.store),
                 "schema_version": int(row[0]) if row else None,
-                "bytes": max(0, page_count - freelist) * page_size,
+                "bytes": store_bytes,
             },
             "jobs": {"by_state": states, "by_tenant": tenants},
         }

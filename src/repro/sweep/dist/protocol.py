@@ -16,7 +16,7 @@ CLAIM      worker_id                                      bulk assignment pickle
                                                           null (nothing claimable
                                                           right now), or
                                                           ``+DRAINED``
-RENEW      worker_id, index [, grid]                      ``:1`` (lease held) /
+RENEW      worker_id, index, grid                         ``:1`` (lease held) /
                                                           ``:0`` (lease lost)
 DONE       worker_id, index, grid, result pickle          ``+OK`` / ``+DUPLICATE``
                                                           / ``+STALE``
@@ -95,15 +95,13 @@ HELLO's version check keeps mixed fleets out entirely):
   grids concurrently (``SUBMIT``/``JOBS``/``CANCEL``/``RESULTS``), so
   the single-grid assumptions of v3 are loosened in three places.
   (1) HELLO from a service advertises :data:`MULTI_GRID` (``"*"``)
-  instead of one signature — a worker treats it as "any grid I claim
-  here is current" and skips its reconnect-time stale-grid check (each
+  instead of one signature: "any grid I claim here is current" (each
   *assignment* still carries its own signature, and DONE/FAIL still
-  echo it, so results route to the right job). (2) ``RENEW`` grows an
-  optional third ``grid`` argument: under one grid an index identifies
-  a lease, under many it does not. Both arities are accepted (the
-  grid, when present, routes the renewal); v3 workers talking to a v4
-  service would renew ambiguously — which is why ``WIRE_FORMAT`` is
-  bumped and HELLO's version gate keeps mixed fleets out. (3)
+  echo it, so results route to the right job; a DONE for a grid the
+  service no longer holds is acked ``+STALE``). (2) ``RENEW`` grows a
+  third ``grid`` argument: under one grid an index identifies a lease,
+  under many it does not, so the two-argument form is now a
+  wrong-arity error. HELLO's version gate keeps v3 workers out. (3)
   ``STATUS`` accepts an optional grid argument; without one a service
   answers an *aggregate* document over every live job (what
   ``--watch`` and ``METRICS`` render). Submission is
@@ -188,7 +186,7 @@ DRAINED = "DRAINED"
 STALE = "STALE"
 
 #: HELLO ``grid`` value advertised by the multi-tenant service: "no one
-#: grid is current here" — workers must not stale-drop against it.
+#: grid is current here".
 MULTI_GRID = "*"
 
 #: CANCEL ack meaning "the job was already done or poisoned" (terminal

@@ -125,6 +125,7 @@ from repro.sweep.dist.store import (
     JOB_SUBMITTED,
     JOB_TERMINAL,
     SweepStore,
+    live_bytes,
 )
 from repro.sweep.point import SweepPoint, derive_seed
 from repro.telemetry.chrome_trace import write_chrome_trace
@@ -581,10 +582,7 @@ class SweepService(RespTcpServer):
         """Live store bytes via the reader pool (never queues on the writer)."""
         try:
             with self.reader.connection() as conn:
-                page_size = conn.execute("PRAGMA page_size").fetchone()[0]
-                page_count = conn.execute("PRAGMA page_count").fetchone()[0]
-                freelist = conn.execute("PRAGMA freelist_count").fetchone()[0]
-            return max(0, int(page_count) - int(freelist)) * int(page_size)
+                return live_bytes(conn)
         except Exception:
             return None
 
@@ -675,10 +673,8 @@ class SweepService(RespTcpServer):
             self._need(args, 1, "CLAIM")
             return self._handle_claim(_text(args[0]))
         if name == "RENEW":
-            if len(args) not in (2, 3):
-                raise TransportError("wrong number of arguments for 'RENEW'")
-            grid = _text(args[2]) if len(args) == 3 else None
-            return self._handle_renew(_text(args[0]), _index(args[1]), grid)
+            self._need(args, 3, "RENEW")
+            return self._handle_renew(_text(args[0]), _index(args[1]), _text(args[2]))
         if name == "DONE":
             self._need(args, 4, "DONE")
             return self._handle_done(
@@ -881,25 +877,11 @@ class SweepService(RespTcpServer):
             return resp.encode_simple(DRAINED)
         return resp.encode_bulk(None)
 
-    def _handle_renew(self, worker: str, index: int, grid: Optional[str]) -> bytes:
-        if grid is not None:
-            job = self.jobs.get(grid)
-            if job is None or job.state == JOB_CANCELLED:
-                return resp.encode_integer(0)
-            return resp.encode_integer(int(job.table.renew(worker, index)))
-        # v3 arity: no grid named. Unambiguous only if exactly one live
-        # job has this (index, worker) lease — otherwise refuse renewal
-        # (the worker finishes and resubmits; DONE still routes by grid).
-        held = [
-            job
-            for job in self._active_jobs()
-            if index in job.table.records
-            and job.table.records[index].state is PointState.LEASED
-            and job.table.records[index].worker == worker
-        ]
-        if len(held) != 1:
+    def _handle_renew(self, worker: str, index: int, grid: str) -> bytes:
+        job = self.jobs.get(grid)
+        if job is None or job.state == JOB_CANCELLED:
             return resp.encode_integer(0)
-        return resp.encode_integer(int(held[0].table.renew(worker, index)))
+        return resp.encode_integer(int(job.table.renew(worker, index)))
 
     def _handle_done(self, worker: str, index: int, grid: str, blob: bytes) -> bytes:
         job = self.jobs.get(grid)

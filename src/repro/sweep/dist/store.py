@@ -261,6 +261,22 @@ def _fingerprint_spec(spec: Optional[bytes]) -> Optional[str]:
         return None
 
 
+def live_bytes(conn: sqlite3.Connection) -> int:
+    """Bytes of live data in the store file behind ``conn``.
+
+    ``(page_count - freelist_count) * page_size``: unlike the raw file
+    size, this *shrinks* when GC deletes rows (SQLite frees pages to the
+    freelist without truncating the file), so a tenant's store-bytes
+    quota headroom recovers after ``collect_job`` even though
+    ``stat().st_size`` never moves.
+    """
+    page_size, page_count, freelist = (
+        int(conn.execute(f"PRAGMA {name}").fetchone()[0])
+        for name in ("page_size", "page_count", "freelist_count")
+    )
+    return max(0, page_count - freelist) * page_size
+
+
 class SweepStore:
     """One SQLite file, one writer thread, many tenants' jobs."""
 
@@ -456,22 +472,9 @@ class SweepStore:
         return self._writer.is_alive()
 
     def used_bytes(self) -> int:
-        """Bytes of live data in the store file (admission accounting).
-
-        ``(page_count - freelist_count) * page_size``: unlike the raw
-        file size, this *shrinks* when GC deletes rows (SQLite frees
-        pages to the freelist without truncating the file), so a
-        tenant's store-bytes quota headroom recovers after
-        ``collect_job`` even though ``stat().st_size`` never moves.
-        """
-
-        def fn(conn: sqlite3.Connection) -> int:
-            page_size = conn.execute("PRAGMA page_size").fetchone()[0]
-            page_count = conn.execute("PRAGMA page_count").fetchone()[0]
-            freelist = conn.execute("PRAGMA freelist_count").fetchone()[0]
-            return max(0, int(page_count) - int(freelist)) * int(page_size)
-
-        return self._call(fn)
+        """Bytes of live data in the store file (admission accounting);
+        see :func:`live_bytes`."""
+        return self._call(live_bytes)
 
     def __enter__(self) -> "SweepStore":
         return self

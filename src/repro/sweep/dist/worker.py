@@ -21,10 +21,9 @@ agent fails:
 * **result durability** — a computed result is resent across reconnects
   until acknowledged; a ``DUPLICATE`` ack (someone stole and finished
   the point while we were partitioned) is a success, not an error. Every
-  submission names its grid signature, and the agent checks the grid the
-  coordinator advertises after each reconnect — a result computed for a
-  *previous* grid on the same address is dropped (``STALE``), never
-  recorded into the wrong grid. An ``-ERR`` rejection discards the point
+  submission names its grid signature, and the service acks a result
+  for a grid it no longer holds ``STALE`` instead of recording it into
+  the wrong grid. An ``-ERR`` rejection discards the point
   and the agent claims again; only a rejected HELLO is fatal;
 * **graceful drain** — SIGTERM (see :meth:`install_signal_handlers`)
   finishes and reports the in-flight point, then exits the claim loop.
@@ -61,7 +60,6 @@ import numpy as np
 from repro.errors import BackendUnavailableError, SweepError, TransportError
 from repro.sweep.dist.protocol import (
     DRAINED,
-    MULTI_GRID,
     STALE,
     Assignment,
     FailureRecord,
@@ -139,7 +137,7 @@ class WorkerReport:
     renews: int = 0
     lease_losses: int = 0  # renewals answered "lease lost" mid-execution
     local_retries: int = 0
-    stale_grid: int = 0  # results dropped: the grid changed under us
+    stale_grid: int = 0  # results acked STALE: the service no longer holds the grid
     rejected: int = 0  # submissions/claims the coordinator answered -ERR
     busy: int = 0  # -BUSY shed/overload replies absorbed (paced retries)
     spans_shipped: int = 0  # fleet spans the coordinator accepted
@@ -404,18 +402,6 @@ class WorkerAgent:
             conn = self._ensure_connection()
             if conn is None:
                 return None
-            served = (self.grid_info or {}).get("grid")
-            if (
-                assignment.grid
-                and served
-                and served != MULTI_GRID  # a service serves *many* grids
-                and served != assignment.grid
-            ):
-                # We reconnected into a *different* grid on the same
-                # address (a multi-stage sweep moved on): this result is
-                # not part of it — drop it without submitting.
-                self.report.stale_grid += 1
-                return STALE
             try:
                 reply = conn.command(
                     command,
@@ -450,8 +436,8 @@ class WorkerAgent:
             self._touch()
             reply = str(reply)
             if reply == STALE:
-                # The coordinator (not our local check) spotted the
-                # cross-grid submission; same verdict, same counter.
+                # The service no longer holds this grid (cancelled or
+                # collected): the result is discarded, not lost.
                 self.report.stale_grid += 1
             return reply
 

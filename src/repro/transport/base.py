@@ -21,7 +21,6 @@ from typing import Any, Iterable, Optional
 
 from repro.errors import TransportError
 from repro.telemetry.events import EventKind, EventLog
-from repro.telemetry.hub import Telemetry
 from repro.telemetry.timer import Clock, RealClock
 
 
@@ -58,10 +57,10 @@ class ClientStats:
 
 
 class DataStoreClient:
-    """Base class for backend clients: stats + telemetry plumbing.
+    """Base class for backend clients: stats + event-log plumbing.
 
     Subclasses implement ``_write``, ``_read``, ``_poll``, ``_clean`` and
-    inherit the public API with timing/telemetry.
+    inherit the public API with timing and one event-log row per op.
     """
 
     backend_name = "abstract"
@@ -72,13 +71,11 @@ class DataStoreClient:
         rank: int = 0,
         clock: Optional[Clock] = None,
         event_log: Optional[EventLog] = None,
-        telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.name = name
         self.rank = rank
         self.clock = clock or RealClock()
         self.event_log = event_log
-        self.telemetry = telemetry
         self.stats = ClientStats()
 
     # -- public API -------------------------------------------------------
@@ -164,21 +161,3 @@ class DataStoreClient:
                 nbytes=nbytes,
                 key=key,
             )
-        if self.telemetry is not None:
-            self.telemetry.tracer.add_span(
-                f"transport.{kind.value}",
-                start=start,
-                duration=duration,
-                category="transport",
-                pid=self.name,
-                tid=self.rank,
-                key=key,
-                nbytes=nbytes,
-                backend=self.backend_name,
-            )
-            metrics = self.telemetry.metrics
-            label = {"backend": self.backend_name}
-            metrics.histogram(f"transport.{kind.value}.seconds", **label).observe(duration)
-            metrics.counter(f"transport.{kind.value}.ops", **label).inc()
-            if nbytes:
-                metrics.counter(f"transport.{kind.value}.bytes", **label).inc(nbytes)

@@ -50,7 +50,9 @@ def make_client(
       (drops, corruption, outages) for real-mode chaos experiments;
     * ``resilience`` — a :func:`~repro.transport.resilience.
       resilient_client_from_config` dict adding retry/backoff and a
-      circuit breaker around every operation.
+      circuit breaker around every operation (its retries are counted
+      in ``telemetry``, the only use of the hub here: each op's row in
+      ``event_log`` is what the transport telemetry is derived from).
 
     Chaos sits under resilience so injected faults exercise the retry
     path rather than bypassing it.
@@ -59,13 +61,7 @@ def make_client(
         backend = server_info["backend"]
     except KeyError:
         raise TransportError("server_info missing 'backend'") from None
-    common = {
-        "name": name,
-        "rank": rank,
-        "clock": clock,
-        "event_log": event_log,
-        "telemetry": telemetry,
-    }
+    common = {"name": name, "rank": rank, "clock": clock, "event_log": event_log}
     if backend in ("node-local", "filesystem"):
         try:
             path = server_info["path"]
@@ -90,7 +86,9 @@ def make_client(
         client = chaos_client_from_config(client, chaos, name=name, rank=rank)
     resilience = server_info.get("resilience")
     if resilience:
-        client = resilient_client_from_config(client, resilience, name=name, rank=rank)
+        client = resilient_client_from_config(
+            client, resilience, name=name, rank=rank, telemetry=telemetry
+        )
     return client
 
 

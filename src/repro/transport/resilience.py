@@ -446,6 +446,7 @@ class ResilientClient:
         rng: Optional[np.random.Generator] = None,
         stats: Optional[ResilienceStats] = None,
         sleep: Callable[[float], None] = time.sleep,
+        telemetry=None,
     ) -> None:
         self.client = client
         self.policy = policy or RetryPolicy()
@@ -453,6 +454,7 @@ class ResilientClient:
         self.rng = rng
         self.resilience = stats or ResilienceStats()
         self._sleep = sleep
+        self.telemetry = telemetry
         self._clock = time.monotonic
 
     # -- client surface passthrough ----------------------------------------
@@ -471,10 +473,6 @@ class ResilientClient:
     @property
     def event_log(self):
         return self.client.event_log
-
-    @property
-    def telemetry(self):
-        return self.client.telemetry
 
     def close(self) -> None:
         self.client.close()
@@ -573,10 +571,6 @@ class FaultingClient:
     def event_log(self):
         return self.client.event_log
 
-    @property
-    def telemetry(self):
-        return self.client.telemetry
-
     def close(self) -> None:
         self.client.close()
 
@@ -619,7 +613,7 @@ def policy_from_dict(config: dict) -> RetryPolicy:
 
 
 def resilient_client_from_config(
-    client, config: dict, name: str = "client", rank: int = 0
+    client, config: dict, name: str = "client", rank: int = 0, telemetry=None
 ) -> ResilientClient:
     """Wrap a real client per a ``server_info['resilience']`` dict.
 
@@ -639,7 +633,8 @@ def resilient_client_from_config(
         _derive_seed(int(config.get("seed", 0)), f"resilience:{name}:{rank}")
     )
     return ResilientClient(
-        client, policy=policy_from_dict(config), breaker=breaker, rng=rng
+        client, policy=policy_from_dict(config), breaker=breaker, rng=rng,
+        telemetry=telemetry,
     )
 
 

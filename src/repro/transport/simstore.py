@@ -8,7 +8,7 @@ what has actually been staged so far in simulated time.
 Usage inside a DES process::
 
     area = SimStagingArea()
-    store = SimDataStore(env, model, area, component="sim", rank=0, log=log)
+    store = SimDataStore(env, model, area, component="sim", rank=0, event_log=log)
 
     def producer(env):
         yield from store.stage_write("snap0", nbytes=1.2e6, ctx=ctx)
@@ -32,7 +32,6 @@ from repro.errors import (
     TransportError,
 )
 from repro.telemetry.events import EventKind, EventLog
-from repro.telemetry.hub import Telemetry
 from repro.transport.models import BackendModel, TransportOpContext
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -96,7 +95,6 @@ class SimDataStore:
         rank: int = 0,
         event_log: Optional[EventLog] = None,
         default_ctx: Optional[TransportOpContext] = None,
-        telemetry: Optional[Telemetry] = None,
         fault_state: Optional["FaultState"] = None,
         op_timeout: Optional[float] = None,
     ) -> None:
@@ -107,7 +105,6 @@ class SimDataStore:
         self.rank = rank
         self.event_log = event_log
         self.default_ctx = default_ctx or TransportOpContext()
-        self.telemetry = telemetry
         # Fault hooks. With fault_state None (the default) every hook is a
         # no-op and the event sequence is byte-identical to a store built
         # before faults existed — healthy runs stay bit-reproducible.
@@ -119,31 +116,10 @@ class SimDataStore:
         return self.model.name
 
     def _log(self, kind: EventKind, start: float, nbytes: float, key: str) -> None:
-        duration = self.env.now - start
         if self.event_log is not None:
-            self.event_log.add(self.component, kind, start, duration, self.rank, nbytes, key)
-        if self.telemetry is not None:
-            self._trace(kind, start, duration, nbytes, key)
-
-    def _trace(self, kind: EventKind, start: float, duration: float, nbytes: float, key: str) -> None:
-        """The tracer span and metrics of one finished op (hub attached)."""
-        self.telemetry.tracer.add_span(
-            f"transport.{kind.value}",
-            start=start,
-            duration=duration,
-            category="transport",
-            pid=self.component,
-            tid=self.rank,
-            key=key,
-            nbytes=nbytes,
-            backend=self.model.name,
-        )
-        metrics = self.telemetry.metrics
-        label = {"backend": self.model.name}
-        metrics.histogram(f"transport.{kind.value}.seconds", **label).observe(duration)
-        metrics.counter(f"transport.{kind.value}.ops", **label).inc()
-        if nbytes:
-            metrics.counter(f"transport.{kind.value}.bytes", **label).inc(nbytes)
+            self.event_log.add(
+                self.component, kind, start, self.env.now - start, self.rank, nbytes, key
+            )
 
     # -- fault hooks ----------------------------------------------------------
     # Each staging op below is a single generator frame: on a healthy store
@@ -183,20 +159,14 @@ class SimDataStore:
         """Stage ``nbytes`` under ``key``; yields the modeled write time."""
         if nbytes < 0:
             raise TransportError(f"negative staged size {nbytes}")
-        faults, telemetry = self.fault_state, self.telemetry
+        faults = self.fault_state
         if faults is not None:
             yield from self._fault_gate(faults)
         start = self.env.now
         cost, late = self._charge(
             "write", key, self.model.write_time(nbytes, ctx or self.default_ctx)
         )
-        if telemetry is not None:
-            telemetry.transport_started(t=start)
-        try:
-            yield cost
-        finally:
-            if telemetry is not None:
-                telemetry.transport_finished(t=self.env.now)
+        yield cost
         if late is not None:
             raise late
         if faults is not None and faults.drops_message():
@@ -212,7 +182,7 @@ class SimDataStore:
         self, key: str, ctx: Optional[TransportOpContext] = None
     ) -> Generator:
         """Read a staged key; yields the modeled read time; returns nbytes."""
-        faults, telemetry = self.fault_state, self.telemetry
+        faults = self.fault_state
         if faults is not None:
             yield from self._fault_gate(faults)
         nbytes = self.area.size_of(key)  # raises if not staged
@@ -220,13 +190,7 @@ class SimDataStore:
         cost, late = self._charge(
             "read", key, self.model.read_time(nbytes, ctx or self.default_ctx)
         )
-        if telemetry is not None:
-            telemetry.transport_started(t=start)
-        try:
-            yield cost
-        finally:
-            if telemetry is not None:
-                telemetry.transport_finished(t=self.env.now)
+        yield cost
         if late is not None:
             raise late
         if faults is not None and faults.consume_corruption(key):
@@ -272,58 +236,42 @@ def _lockstep(
 
     Every store runs the same op on its own key of ``columns[0]``, then
     of ``columns[1]``, ... back to back. The stores share one
-    environment, model, default context, op budget, staging area, event
-    log and hub and carry no fault state, so a column is one modeled
-    cost and one sleep. ``price(column)`` gives its ``(nbytes, seconds)``
-    at the instant the stores would start on it, and raises what a store
+    environment, model, default context, op budget, staging area and
+    event log and carry no fault state, so a column is one modeled cost
+    and one sleep. ``price(column)`` gives its ``(nbytes, seconds)`` at
+    the instant the stores would start on it, and raises what a store
     would raise before charging anything. After the sleep
-    ``settle(key, nbytes)`` (the op's effect on the area), the tracer
-    span and the ``link.occupancy`` steps happen per store, in list
-    order — the order per-store :class:`SimDataStore` calls run in when
-    the stores' calendar entries pop consecutively. The rows of a column
-    are one :meth:`EventLog.add_step` after that loop: no ``yield``
-    separates them, so no other process's row can fall between.
+    ``settle(key, nbytes)`` (the op's effect on the area) runs per
+    store, in list order — the order per-store :class:`SimDataStore`
+    calls run in when the stores' calendar entries pop consecutively.
+    The rows of a column are one :meth:`EventLog.add_step` after that
+    loop: no ``yield`` separates them, so no other process's row can
+    fall between.
     """
     lead = stores[0]
-    env, telemetry, log = lead.env, lead.telemetry, lead.event_log
-    # A poll is not modeled as occupying the link.
-    wire = telemetry if kind is not EventKind.POLL else None
+    env, log = lead.env, lead.event_log
     tracks = tuple([(store.component, store.rank) for store in stores])
     last = len(columns) - 1
     following = price(columns[0])
-    if wire is not None:
-        for _ in stores:
-            wire.transport_started(t=env.now)
     for j, column in enumerate(columns):
         nbytes, modeled = following
         start = env.now
         cost, late = lead._charge(kind.value, column[0], modeled)
         yield cost
-        now = env.now
+        if late is not None:
+            raise late
         # Whether the next column can start is one answer for the group:
         # nothing runs between the stores' turns.
-        following = refused = None
-        if j < last and late is None:
+        refused = None
+        if j < last:
             try:
                 following = price(columns[j + 1])
             except KeyNotStagedError as exc:
                 refused = exc
-        for store, key in zip(stores, column):
-            if wire is not None:
-                wire.transport_finished(t=now)
-            if late is not None:
-                continue
+        for key in column:
             settle(key, nbytes)
-            if telemetry is not None:
-                store._trace(kind, start, now - start, nbytes, key)
-                if wire is not None and following is not None:
-                    # This store's next key goes on the wire before the
-                    # next store's op has come off it.
-                    wire.transport_started(t=now)
-        if late is not None:
-            raise late
         if log is not None:
-            log.add_step(tracks, kind, start, now - start, nbytes, column)
+            log.add_step(tracks, kind, start, env.now - start, nbytes, column)
         if refused is not None:
             raise refused
 

@@ -128,6 +128,16 @@ def _bind_telemetry(telemetry: Optional[Telemetry], env: Environment, area: SimS
     sampler.add_source("staging.keys", lambda: len(area.keys()))
 
 
+def _run(env: Environment, log: EventLog, model: BackendModel, telemetry: Optional[Telemetry]):
+    """Run the simulation; the hub then derives its transport telemetry
+    from the log, also when the run raised."""
+    try:
+        env.run()
+    finally:
+        if telemetry is not None:
+            telemetry.record_transport(log, model.name)
+
+
 def _iteration_span(telemetry: Telemetry, component: str, rank: int, iteration: int):
     """An open workload-iteration span (callers skip it without a hub)."""
     return telemetry.tracer.span(
@@ -314,9 +324,11 @@ def run_one_to_one(
     """Simulate the one-to-one pattern; returns logs and counters.
 
     Passing a :class:`~repro.telemetry.hub.Telemetry` hub records
-    workload-iteration and transport spans on virtual time, transport
-    histograms, and engine gauge series (link occupancy, staged bytes,
-    event-queue depth); with ``telemetry=None`` the run is untouched.
+    workload-iteration spans on virtual time and engine gauge series
+    (staged bytes, event-queue depth); at the end of the run the hub
+    derives the transport spans, histograms and ``link.occupancy`` from
+    the event log (:meth:`~repro.telemetry.hub.Telemetry.record_transport`).
+    With ``telemetry=None`` the run is untouched.
 
     An enabled ``fault_plan`` injects the planned faults (node/backend
     crashes, degraded links, drops, corruption) through DES events and
@@ -362,7 +374,6 @@ def run_one_to_one(
                 rank=rank,
                 event_log=log,
                 default_ctx=ctx,
-                telemetry=telemetry,
                 fault_state=faults,
             )
         )
@@ -496,7 +507,7 @@ def run_one_to_one(
             env.process(sim_ranks(sim_starts[rank]), name=f"{sim_name}{rank}")
         if rank in train_starts:
             env.process(train_ranks(train_starts[rank]), name=f"{ai_name}{rank}")
-    env.run()
+    _run(env, log, model, telemetry)
 
     return PatternResult(
         log=log,
@@ -608,7 +619,6 @@ def run_many_to_one(
                     rank=index,
                     event_log=log,
                     default_ctx=write_ctx,
-                    telemetry=telemetry,
                     fault_state=faults,
                 )
             )
@@ -656,7 +666,6 @@ def run_many_to_one(
                 rank=0,
                 event_log=log,
                 default_ctx=read_ctx,
-                telemetry=telemetry,
                 fault_state=faults,
             )
         )
@@ -713,7 +722,7 @@ def run_many_to_one(
     for group in _rank_groups(range(config.n_simulations), config.sim_iter_time, harness):
         env.process(producers(group), name=f"sim{group[0]}")
     env.process(trainer(), name=ai_name)
-    env.run()
+    _run(env, log, model, telemetry)
 
     return PatternResult(
         log=log,

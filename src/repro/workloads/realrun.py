@@ -72,7 +72,9 @@ def run_one_to_one_real(
     The simulation thread stages a fresh synthetic (x, y) snapshot every
     ``write_interval`` iterations; the AI thread polls every
     ``read_interval`` training iterations, ingests what is new, trains on
-    the growing pool, and finally steers the simulation to stop.
+    the growing pool, and finally steers the simulation to stop. A
+    ``telemetry`` hub gets iteration spans as they run and, at the end,
+    the transport spans and metrics derived from the run's log.
     """
     config = config or RealOneToOneConfig()
     log = EventLog()
@@ -177,11 +179,18 @@ def run_one_to_one_real(
     ]
     for t in threads:
         t.start()
-    for t in threads:
-        t.join(timeout=timeout)
-        if t.is_alive():
-            stop.set()
-            raise WorkflowError(f"{t.name} did not finish within {timeout}s")
+    try:
+        for t in threads:
+            t.join(timeout=timeout)
+            if t.is_alive():
+                stop.set()
+                raise WorkflowError(f"{t.name} did not finish within {timeout}s")
+    finally:
+        if telemetry is not None:
+            with log_lock:
+                # .get: a server_info without a backend logged no ops, and
+                # its TransportError must not turn into a KeyError here.
+                telemetry.record_transport(log, server_info.get("backend"))
     if errors:
         raise errors[0]
 

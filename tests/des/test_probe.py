@@ -14,7 +14,7 @@ from repro.des import (
     attach_probe,
 )
 from repro.errors import SimulationError
-from repro.telemetry import Telemetry, VirtualClock
+from repro.telemetry import EventKind, EventLog, Telemetry, VirtualClock
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import Tracer
 
@@ -172,25 +172,26 @@ def test_telemetry_bind_environment_records_engine_series():
     # tests/workloads/test_patterns_telemetry.py).
     telemetry = Telemetry(sample_interval=0.5)
     env = Environment()
+    log = EventLog()
     sampler = telemetry.bind_environment(env)
     res = Resource(env, capacity=1)
     sampler.watch_resource("link", res)
 
-    def user(env, res):
+    def user(env, res, rank):
         with res.request() as req:
             yield req
-            telemetry.transport_started(t=env.now)
+            start = env.now
             yield env.timeout(1.0)
-            telemetry.transport_finished(t=env.now)
+            log.add("client", EventKind.WRITE, start, env.now - start, rank, 1.0, "k")
 
-    for _ in range(3):
-        env.process(user(env, res))
+    for rank in range(3):
+        env.process(user(env, res, rank))
     env.run()
+    telemetry.record_transport(log, "test")
 
     occupancy = telemetry.metrics.gauge("link.occupancy")
-    assert occupancy.nonzero_samples()  # event-driven, nonzero
-    assert occupancy.max_sample == 1.0
-    assert telemetry.inflight == 0
+    assert occupancy.nonzero_samples()  # one sample per change, nonzero
+    assert occupancy.max_sample == 1.0 and occupancy.value == 0.0
     depth = sampler.series("link.queue_depth")
     assert max(v for _, v in depth) >= 1.0
     heap = sampler.series("des.event_queue")

@@ -209,16 +209,15 @@ class TestRenewRouting:
         refused = command(service, "RENEW", "w0", str(assignment.index), other)
         assert int(refused) == 0
 
-    def test_v3_renew_without_grid_requires_unambiguity(self, service):
+    def test_renew_without_grid_is_a_wrong_arity_error(self, service):
         service.submit("grid-a", points_for(1))
         assignment = claim(service, "w0")
-        # Single live holder of (index, worker): legacy arity still works.
-        assert int(command(service, "RENEW", "w0", str(assignment.index))) == 1
-        # Two jobs, same index leased by the same worker: ambiguous -> 0.
-        service.submit("grid-b", points_for(1, offset=10))
-        second = claim(service, "w0")
-        assert second.index == assignment.index
-        assert int(command(service, "RENEW", "w0", str(assignment.index))) == 0
+        with pytest.raises(
+            TransportError, match="wrong number of arguments for 'RENEW'"
+        ):
+            command(service, "RENEW", "w0", str(assignment.index))
+        # The lease itself is untouched: the three-argument form renews it.
+        assert int(command(service, "RENEW", "w0", str(assignment.index), assignment.grid)) == 1
 
 
 class TestHello:

@@ -195,15 +195,12 @@ def test_backend_name():
 # -- lock-step group ops ------------------------------------------------------
 
 
-def _group_fixture(n=3, telemetry=None, **store_kwargs):
+def _group_fixture(n=3, **store_kwargs):
     env, area, log = Environment(), SimStagingArea(), EventLog()
-    if telemetry is not None:
-        telemetry.tracer.bind_clock(lambda: env.now)
     stores = [
         SimDataStore(
             env, NodeLocalBackendModel(), area, component=f"sim{i}", rank=i,
-            event_log=log, default_ctx=TransportOpContext(local=True),
-            telemetry=telemetry, **store_kwargs,
+            event_log=log, default_ctx=TransportOpContext(local=True), **store_kwargs,
         )
         for i in range(n)
     ]
@@ -211,23 +208,27 @@ def _group_fixture(n=3, telemetry=None, **store_kwargs):
     return env, area, log, stores, keys
 
 
-def _snapshot(area, log, telemetry):
+def _derived(log):
+    """The hub content a traced run derives from ``log``."""
+    hub = Telemetry()
+    hub.record_transport(log, "node-local")
+    return hub.snapshot()
+
+
+def _snapshot(area, log):
     return (
-        log.to_jsonl(), area.keys(), area.staged_bytes, area.total_writes,
-        telemetry.snapshot(),
+        log.to_jsonl(), area.keys(), area.staged_bytes, area.total_writes, _derived(log),
     )
 
 
 def test_group_write_is_the_per_store_writes_in_one_process():
-    hub = Telemetry()
-    env, area, log, stores, keys = _group_fixture(telemetry=hub)
+    env, area, log, stores, keys = _group_fixture()
     env.process(stage_write_group(stores, keys, 2e6))
     env.run()
-    grouped = _snapshot(area, log, hub)
+    grouped = _snapshot(area, log)
     assert env.now > 0 and len(log) == 6
 
-    hub = Telemetry()
-    env, area, log, stores, keys = _group_fixture(telemetry=hub)
+    env, area, log, stores, keys = _group_fixture()
 
     def writer(store, mine):
         for key in mine:
@@ -236,11 +237,13 @@ def test_group_write_is_the_per_store_writes_in_one_process():
     for store, mine in zip(stores, keys):
         env.process(writer(store, mine))
     env.run()
-    assert _snapshot(area, log, hub) == grouped
-    # Each store hands over from its first key to its second while the
-    # others are still on the wire: occupancy dips to 2, never to 0.
+    assert _snapshot(area, log) == grouped
+    # Each store's second key goes on the wire the instant its first
+    # comes off: all three stay on it until the last write ends.
+    hub = Telemetry()
+    hub.record_transport(log, "node-local")
     levels = [v for _, v in hub.metrics.gauge("link.occupancy").samples]
-    assert levels == [1, 2, 3, 2, 3, 2, 3, 2, 3, 2, 1, 0]
+    assert levels == [3, 0]
 
 
 @pytest.mark.parametrize("op_timeout", [None, 1e-9], ids=["in-budget", "op-timeout-fires"])
@@ -250,8 +253,7 @@ def test_group_write_logs_what_per_store_writes_log(traced, op_timeout):
     also with another process logging between the columns."""
 
     def run(grouped):
-        hub = Telemetry() if traced else None
-        env, area, log, stores, keys = _group_fixture(n=5, telemetry=hub, op_timeout=op_timeout)
+        env, area, log, stores, keys = _group_fixture(n=5, op_timeout=op_timeout)
         failures = []
 
         def writer(write):
@@ -279,7 +281,7 @@ def test_group_write_logs_what_per_store_writes_log(traced, op_timeout):
                 env.process(writer(one_store(store, mine)))
         env.process(poller())
         env.run()
-        return log, failures, area.keys(), hub and hub.snapshot()
+        return log, failures, area.keys(), traced and _derived(log)
 
     log, failures, staged, snapshot = run(grouped=True)
     per_store, per_store_failures, per_store_staged, per_store_snapshot = run(grouped=False)
@@ -330,13 +332,12 @@ def test_group_write_over_the_op_budget_times_out_for_every_store():
 @pytest.mark.parametrize("op_timeout", [None, 1e-9], ids=["in-budget", "op-timeout-fires"])
 @pytest.mark.parametrize("staged", [0, 1, 2], ids=["nothing", "first-array", "both-arrays"])
 def test_group_ingest_is_the_per_store_ingests_in_one_process(staged, op_timeout):
-    """Poll, then read every array: rows, read counter, hub content, the
-    occupancy hand-over and the error are what one process per store
-    gives, also when the snapshot is only partly staged."""
+    """Poll, then read every array: rows, read counter, derived hub
+    content and the error are what one process per store gives, also
+    when the snapshot is only partly staged."""
 
     def run(grouped):
-        hub = Telemetry()
-        env, area, log, stores, keys = _group_fixture(telemetry=hub, op_timeout=op_timeout)
+        env, area, log, stores, keys = _group_fixture(op_timeout=op_timeout)
         for mine in keys:
             for key in mine[:staged]:
                 area.publish(key, 2e6)
@@ -369,7 +370,7 @@ def test_group_ingest_is_the_per_store_ingests_in_one_process(staged, op_timeout
                     )
                 )
         env.run()
-        return log.to_jsonl(), area.total_reads, hub.snapshot(), outcomes
+        return log.to_jsonl(), area.total_reads, _derived(log), outcomes
 
     log, reads, snapshot, outcomes = run(grouped=True)
     per_store = run(grouped=False)
@@ -384,7 +385,7 @@ def test_group_ingest_is_the_per_store_ingests_in_one_process(staged, op_timeout
 
 
 def test_group_read_of_nothing_staged_raises_before_any_time_passes():
-    env, area, log, stores, keys = _group_fixture(telemetry=Telemetry())
+    env, area, log, stores, keys = _group_fixture()
     failures = []
 
     def proc():
@@ -396,7 +397,7 @@ def test_group_read_of_nothing_staged_raises_before_any_time_passes():
     env.process(proc())
     env.run()
     assert failures == [(0.0, "sim0_a0")]
-    assert len(log) == 0 and stores[0].telemetry.inflight == 0
+    assert len(log) == 0
 
 
 @pytest.mark.parametrize("fate", ["missing", "another-size"])
