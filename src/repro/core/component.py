@@ -13,7 +13,6 @@ from typing import Any, Mapping, Optional
 from repro.errors import WorkflowError
 from repro.mpi.api import Communicator
 from repro.telemetry.events import EventKind, EventLog
-from repro.telemetry.hub import Telemetry
 from repro.telemetry.timer import Clock, RealClock
 from repro.transport.datastore import DataStore
 
@@ -31,7 +30,6 @@ class Component:
         clock: Optional[Clock] = None,
         event_log: Optional[EventLog] = None,
         workdir: Optional[str | Path] = None,
-        telemetry: Optional["Telemetry"] = None,
     ) -> None:
         if not name:
             raise WorkflowError("components need a non-empty name")
@@ -40,7 +38,6 @@ class Component:
         self.clock = clock or RealClock()
         self.event_log = event_log if event_log is not None else EventLog()
         self.workdir = Path(workdir) if workdir is not None else None
-        self.telemetry = telemetry
         self._datastore: Optional[DataStore] = None
         if server_info is not None:
             self._datastore = DataStore(
@@ -49,7 +46,6 @@ class Component:
                 rank=self.rank,
                 clock=self.clock,
                 event_log=self.event_log,
-                telemetry=telemetry,
             )
 
     @property

@@ -262,8 +262,10 @@ def run(
 
     ``telemetry`` (a :class:`~repro.telemetry.hub.Telemetry`) is attached
     to the *last* faulty cell only — one run per trace keeps the Chrome
-    timeline readable; fault injections appear as ``fault.inject`` /
-    ``fault.recover`` instants and retries as ``transport.retry``.
+    timeline readable. When that run ends, its fault injections become
+    ``fault.inject`` / ``fault.recover`` instants and its retries
+    ``transport.retry`` instants, derived from the injector's and the
+    retry wrappers' records.
 
     The sweep runs in two engine stages because the fault plans are
     anchored to each healthy makespan: stage 1 computes the baselines,

@@ -9,14 +9,10 @@ same event calendar as the workload, virtual-time determinism is fully
 preserved: the same plan against the same workload produces bit-identical
 runs.
 
-Observability (all optional, zero-cost when absent):
-
-* telemetry instants ``fault.inject`` / ``fault.recover`` on the
-  ``faults`` track (visible as markers in the Chrome trace);
-* metrics: counter ``faults.injected{kind=...}``, histogram
-  ``faults.recovery.seconds`` (per-fault recovery latency);
-* an :class:`~repro.telemetry.events.EventKind.FAULT` record per healed
-  window in the run's EventLog (duration = the outage span).
+Each fault's lifecycle is kept as an :class:`InjectedFault` in
+:attr:`FaultInjector.injected`, and each healed window is also an
+:class:`~repro.telemetry.events.EventKind.FAULT` record in the run's
+EventLog (duration = the outage span).
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from repro.telemetry.events import EventKind, EventLog
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.core import Environment, Process
-    from repro.telemetry.hub import Telemetry
 
 
 @dataclass
@@ -57,14 +52,12 @@ class FaultInjector:
         env: "Environment",
         plan: FaultPlan,
         state: FaultState,
-        telemetry: Optional["Telemetry"] = None,
         event_log: Optional[EventLog] = None,
         component: str = "faults",
     ) -> None:
         self.env = env
         self.plan = plan
         self.state = state
-        self.telemetry = telemetry
         self.event_log = event_log
         self.component = component
         self.injected: list[InjectedFault] = []
@@ -80,20 +73,6 @@ class FaultInjector:
             )
         return procs
 
-    def _mark(self, name: str, spec: FaultSpec, **extra) -> None:
-        """Emit a telemetry instant for an inject/recover edge."""
-        if self.telemetry is None:
-            return
-        self.telemetry.tracer.instant(
-            name,
-            category="fault",
-            pid=self.component,
-            kind=spec.kind.value,
-            target=spec.target,
-            severity=spec.severity,
-            **extra,
-        )
-
     def _drive(self, spec: FaultSpec) -> Generator:
         """DES process: wait, apply the fault, and revert it after its window."""
         if spec.at > self.env.now:
@@ -101,20 +80,10 @@ class FaultInjector:
         record = InjectedFault(spec=spec, injected_at=self.env.now)
         self.injected.append(record)
         self.state.apply(spec)
-        self._mark("fault.inject", spec)
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(
-                "faults.injected", kind=spec.kind.value
-            ).inc()
         if spec.duration > 0:
             yield spec.duration
             self.state.revert(spec)
             record.recovered_at = self.env.now
-            self._mark("fault.recover", spec, latency=record.recovery_latency)
-            if self.telemetry is not None:
-                self.telemetry.metrics.histogram(
-                    "faults.recovery.seconds", kind=spec.kind.value
-                ).observe(record.recovery_latency)
             if self.event_log is not None:
                 self.event_log.add(
                     component=self.component,

@@ -575,7 +575,10 @@ class SweepEngine:
         The service owns execution (its fleet of workers), durability
         (the SQLite store — the job survives service SIGKILL/restart),
         and fair-share across tenants; this method only adapts one job
-        to the engine's bookkeeping, mirroring :meth:`_run_dist`.
+        to the engine's bookkeeping, mirroring :meth:`_run_dist`. A
+        grid the service already held (SUBMIT answered ``created:
+        false``) is served from its store: its points count as replayed
+        and report progress as ``"journal"``.
         """
         from repro.sweep.dist.service import ServiceClient
         from repro.sweep.dist.store import JOB_TERMINAL
@@ -602,6 +605,8 @@ class SweepEngine:
                 "retention policy; its results are no longer available "
                 "(change the grid, or clear the tombstone to recompute)"
             )
+        created = submitted.get("created", True)
+        source = "run" if created else "journal"
         progress_done = done
         last_seen = 0
         while True:
@@ -612,7 +617,7 @@ class SweepEngine:
             while last_seen < finished:
                 last_seen += 1
                 progress_done += 1
-                emit(progress_done, name, "run")
+                emit(progress_done, name, source)
             if state in JOB_TERMINAL:
                 break
             time.sleep(0.25)
@@ -621,7 +626,14 @@ class SweepEngine:
             points, pending, cache, values, snapshots, grid, state,
             outcome["results"], outcome["poisoned"],
         )
-        report.computed = len(pending)
+        if created:
+            report.computed = len(pending)
+        else:
+            report.replayed = len(pending)
+        # A job no longer live answers STATUS from its store row, which
+        # carries no lease history.
+        report.reclaims = int(status.get("reclaims", 0))
+        report.requeues = int(status.get("requeues", 0))
 
     def _collect_job(
         self, points, pending, cache, values, snapshots, grid, state, results,

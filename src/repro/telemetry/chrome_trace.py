@@ -11,18 +11,21 @@ fleet traces (one pid track per worker, named from its HELLO
 ``hostname:pid`` identity) render in stable name order with the
 coordinator track first.
 
-Both :class:`~repro.telemetry.tracing.Tracer` contents and plain
-:class:`~repro.telemetry.events.EventLog` records can be rendered, so
-pre-existing JSONL event logs are loadable in Perfetto too.
+A :class:`~repro.telemetry.tracing.Tracer` is what gets rendered. To
+open a saved JSONL event log in Perfetto, run the derive pass on it and
+save the hub's trace::
+
+    hub = Telemetry()
+    hub.record_run(EventLog.load("events.jsonl"), backend="redis")
+    hub.save_trace("events.trace.json")
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.errors import ReproError
-from repro.telemetry.events import EventLog
 from repro.telemetry.tracing import Tracer
 
 #: Trace timestamps are integer-ish microseconds.
@@ -167,49 +170,13 @@ def tracer_events(tracer: Tracer) -> list[dict]:
     return tracks.all_metadata() + events
 
 
-def eventlog_events(log: EventLog) -> list[dict]:
-    """Render a flat EventLog as one complete event per record."""
-    tracks = _TrackIds()
-    events: list[dict] = []
-    for record in log:
-        events.append(
-            {
-                "ph": "X",
-                "ts": record.start * _US,
-                "dur": record.duration * _US,
-                "pid": tracks.pid(record.component),
-                "tid": tracks.tid(record.component, record.rank),
-                "name": record.kind.value if record.key == "" else f"{record.kind.value}:{record.key}",
-                "cat": record.kind.value,
-                "args": _json_safe(
-                    {"nbytes": record.nbytes, "key": record.key, **record.meta}
-                ),
-            }
-        )
-    return tracks.all_metadata() + events
+#: The package-level name of :func:`tracer_events`: a tracer is the one source.
+trace_events = tracer_events
 
 
-def trace_events(
-    tracer: Optional[Tracer] = None, event_log: Optional[EventLog] = None
-) -> list[dict]:
-    """Combine tracer and/or event-log content into one event array."""
-    if tracer is None and event_log is None:
-        raise ReproError("need a tracer and/or an event log to export")
-    events: list[dict] = []
-    if tracer is not None:
-        events.extend(tracer_events(tracer))
-    if event_log is not None:
-        events.extend(eventlog_events(event_log))
-    return events
-
-
-def write_chrome_trace(
-    path,
-    tracer: Optional[Tracer] = None,
-    event_log: Optional[EventLog] = None,
-) -> int:
+def write_chrome_trace(path, tracer: Tracer) -> int:
     """Write the JSON-array trace file; returns the number of events."""
-    events = trace_events(tracer=tracer, event_log=event_log)
+    events = tracer_events(tracer)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(events, handle)
         handle.write("\n")

@@ -219,9 +219,12 @@ class Tracer:
         category: str = "",
         pid: str = "main",
         tid: int = 0,
+        time: Optional[float] = None,
         **args: Any,
     ) -> InstantEvent:
-        event = InstantEvent(name, self._now(), pid, tid, category, dict(args))
+        """Record a marker at ``time`` (default: now)."""
+        when = self._now() if time is None else float(time)
+        event = InstantEvent(name, when, pid, tid, category, dict(args))
         self.instants.append(event)
         return event
 

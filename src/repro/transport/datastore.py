@@ -20,13 +20,13 @@ from typing import Any, Mapping, Optional
 
 from repro.errors import TransportError
 from repro.telemetry.events import EventLog
-from repro.telemetry.hub import Telemetry
 from repro.telemetry.timer import Clock
 from repro.transport.base import DataStoreClient
 from repro.transport.dragon_backend import DragonStoreClient
 from repro.transport.kvfile import FileStoreClient
 from repro.transport.redis_backend import RedisStoreClient
 from repro.transport.resilience import (
+    ResilienceStats,
     chaos_client_from_config,
     resilient_client_from_config,
 )
@@ -38,7 +38,6 @@ def make_client(
     rank: int = 0,
     clock: Optional[Clock] = None,
     event_log: Optional[EventLog] = None,
-    telemetry: Optional[Telemetry] = None,
 ) -> DataStoreClient:
     """Build the right backend client from server info.
 
@@ -50,9 +49,8 @@ def make_client(
       (drops, corruption, outages) for real-mode chaos experiments;
     * ``resilience`` — a :func:`~repro.transport.resilience.
       resilient_client_from_config` dict adding retry/backoff and a
-      circuit breaker around every operation (its retries are counted
-      in ``telemetry``, the only use of the hub here: each op's row in
-      ``event_log`` is what the transport telemetry is derived from).
+      circuit breaker around every operation (its record of failed
+      attempts is :attr:`DataStore.resilience`).
 
     Chaos sits under resilience so injected faults exercise the retry
     path rather than bypassing it.
@@ -86,9 +84,7 @@ def make_client(
         client = chaos_client_from_config(client, chaos, name=name, rank=rank)
     resilience = server_info.get("resilience")
     if resilience:
-        client = resilient_client_from_config(
-            client, resilience, name=name, rank=rank, telemetry=telemetry
-        )
+        client = resilient_client_from_config(client, resilience, name=name, rank=rank)
     return client
 
 
@@ -102,17 +98,11 @@ class DataStore:
         rank: int = 0,
         clock: Optional[Clock] = None,
         event_log: Optional[EventLog] = None,
-        telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.name = name
         self.server_info = dict(server_info)
         self._client = make_client(
-            server_info,
-            name=name,
-            rank=rank,
-            clock=clock,
-            event_log=event_log,
-            telemetry=telemetry,
+            server_info, name=name, rank=rank, clock=clock, event_log=event_log
         )
 
     @property
@@ -128,6 +118,11 @@ class DataStore:
     @property
     def event_log(self) -> Optional[EventLog]:
         return self._client.event_log
+
+    @property
+    def resilience(self) -> Optional[ResilienceStats]:
+        """Failed attempts and recoveries, with a ``resilience`` server_info."""
+        return getattr(self._client, "resilience", None)
 
     def stage_write(self, key: str, value: Any) -> float:
         """Stage a value under ``key``; returns serialized bytes written."""

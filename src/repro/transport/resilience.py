@@ -20,8 +20,10 @@ healthy-path benchmarks leave out:
   (drop / corrupt / unavailability per operation), the real-mode
   counterpart of the DES fault injector.
 
-All wrappers share one :class:`ResilienceStats`, which is how pattern
-runs report retries, giveups, and failure->success recovery latency.
+All wrappers share one :class:`ResilienceStats`: the record of every
+failed attempt (retries and giveups are counts over it) and the
+failure->success recovery latencies, which is how pattern runs report
+them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -47,6 +49,7 @@ from repro.errors import (
 __all__ = [
     "BreakerState",
     "CircuitBreaker",
+    "FailedAttempt",
     "FaultingClient",
     "ResilienceConfig",
     "ResilienceStats",
@@ -200,46 +203,61 @@ class CircuitBreaker:
                 self.opened_at = self.clock()
 
 
+class FailedAttempt(NamedTuple):
+    """One failed attempt of one logical operation."""
+
+    time: float  # on the wrapper's clock (``env.now`` in sim mode)
+    track: str  # the component (client name) the operation ran on
+    op: str
+    key: str
+    attempt: int  # 1-based
+    error: str  # the exception class name
+    gave_up: bool  # the failure was re-raised, not retried
+
+
 @dataclass
 class ResilienceStats:
-    """Shared counters across every resilient wrapper of one run."""
+    """What every resilient wrapper of one run saw fail and recover."""
 
-    retries: int = 0
-    failures: int = 0
-    giveups: int = 0
+    failed: list[FailedAttempt] = field(default_factory=list)
     breaker_rejections: int = 0
-    recoveries: int = 0
     recovery_latencies: list[float] = field(default_factory=list)
-    _first_failure: dict[str, float] = field(default_factory=dict)
+    _first_failure: dict[tuple[str, str], float] = field(default_factory=dict)
 
-    def note_failure(self, track: str, t: float) -> None:
-        """Record a failed attempt; starts the recovery clock for ``track``."""
-        self.failures += 1
-        self._first_failure.setdefault(track, t)
+    @property
+    def failures(self) -> int:
+        return len(self.failed)
 
-    def note_retry(self) -> None:
-        """One more re-attempt after a retryable failure."""
-        self.retries += 1
+    @property
+    def giveups(self) -> int:
+        """Operations whose retry budget ran out (or whose error was fatal)."""
+        return sum(1 for attempt in self.failed if attempt.gave_up)
 
-    def note_giveup(self, track: str) -> None:
-        """The retry budget ran out for one logical operation."""
-        self.giveups += 1
-        # Keep first-failure time: a later success still counts recovery
-        # latency from the moment service was first lost.
+    @property
+    def retries(self) -> int:
+        """Re-attempts after a retryable failure."""
+        return self.failures - self.giveups
+
+    @property
+    def recoveries(self) -> int:
+        return len(self.recovery_latencies)
+
+    def note_failure(self, attempt: FailedAttempt) -> None:
+        """Record a failed attempt; starts the recovery clock of its track
+        and op. A giveup keeps that clock running: a later success still
+        counts recovery latency from the moment service was first lost."""
+        self.failed.append(attempt)
+        self._first_failure.setdefault((attempt.track, attempt.op), attempt.time)
 
     def note_rejection(self) -> None:
         """The circuit breaker refused a call without attempting it."""
         self.breaker_rejections += 1
 
-    def note_success(self, track: str, t: float) -> Optional[float]:
-        """Returns the failure->success recovery latency, when one ended."""
-        first = self._first_failure.pop(track, None)
-        if first is None:
-            return None
-        latency = t - first
-        self.recoveries += 1
-        self.recovery_latencies.append(latency)
-        return latency
+    def note_success(self, track: str, op: str, t: float) -> None:
+        """Ends the recovery clock of ``(track, op)``, if one is running."""
+        first = self._first_failure.pop((track, op), None)
+        if first is not None:
+            self.recovery_latencies.append(t - first)
 
     def as_dict(self) -> dict:
         """The counters as reported through ``PatternResult.resilience``."""
@@ -322,14 +340,12 @@ class ResilientSimDataStore:
         breaker: Optional[CircuitBreaker] = None,
         rng: Optional[np.random.Generator] = None,
         stats: Optional[ResilienceStats] = None,
-        telemetry=None,
     ) -> None:
         self.store = store
         self.policy = policy or RetryPolicy()
         self.breaker = breaker
         self.rng = rng
         self.stats = stats or ResilienceStats()
-        self.telemetry = telemetry
         # Let the sim store model per-op timeouts (stalled ops abort).
         if getattr(store, "op_timeout", None) is None:
             store.op_timeout = self.policy.timeout
@@ -373,26 +389,9 @@ class ResilientSimDataStore:
         )
         return result
 
-    def _mark_retry(self, op: str, key: str, attempt: int, exc: BaseException) -> None:
-        if self.telemetry is None:
-            return
-        self.telemetry.tracer.instant(
-            "transport.retry",
-            category="resilience",
-            pid=self.component,
-            op=op,
-            key=key,
-            attempt=attempt,
-            error=type(exc).__name__,
-        )
-        self.telemetry.metrics.counter(
-            "resilience.retries", backend=self.backend, op=op
-        ).inc()
-
     def _attempt(self, op: str, key: str, thunk: Callable[[], Generator]) -> Generator:
         """One logical op: breaker gate, attempt, classify, back off, repeat."""
-        env = self.store.env
-        track = f"{self.component}:{op}"
+        env, track = self.store.env, self.component
         for attempt in range(1, self.policy.max_attempts + 1):
             if self.breaker is not None and not self.breaker.allow():
                 self.stats.note_rejection()
@@ -404,25 +403,17 @@ class ResilientSimDataStore:
             except TransportError as exc:
                 if self.breaker is not None and _trips_breaker(exc):
                     self.breaker.record_failure()
-                self.stats.note_failure(track, env.now)
-                if not _is_retryable(exc) or attempt == self.policy.max_attempts:
-                    self.stats.note_giveup(track)
-                    if self.telemetry is not None:
-                        self.telemetry.metrics.counter(
-                            "resilience.giveups", backend=self.backend, op=op
-                        ).inc()
+                gave_up = not _is_retryable(exc) or attempt == self.policy.max_attempts
+                self.stats.note_failure(FailedAttempt(
+                    env.now, track, op, key, attempt, type(exc).__name__, gave_up
+                ))
+                if gave_up:
                     raise
-                self.stats.note_retry()
-                self._mark_retry(op, key, attempt, exc)
                 yield self.policy.delay(attempt, self.rng)
             else:
                 if self.breaker is not None:
                     self.breaker.record_success()
-                latency = self.stats.note_success(track, env.now)
-                if latency is not None and self.telemetry is not None:
-                    self.telemetry.metrics.histogram(
-                        "resilience.recovery.seconds", backend=self.backend
-                    ).observe(latency)
+                self.stats.note_success(track, op, env.now)
                 return result
         raise AssertionError("unreachable")  # pragma: no cover
 
@@ -446,7 +437,6 @@ class ResilientClient:
         rng: Optional[np.random.Generator] = None,
         stats: Optional[ResilienceStats] = None,
         sleep: Callable[[float], None] = time.sleep,
-        telemetry=None,
     ) -> None:
         self.client = client
         self.policy = policy or RetryPolicy()
@@ -454,7 +444,6 @@ class ResilientClient:
         self.rng = rng
         self.resilience = stats or ResilienceStats()
         self._sleep = sleep
-        self.telemetry = telemetry
         self._clock = time.monotonic
 
     # -- client surface passthrough ----------------------------------------
@@ -485,19 +474,19 @@ class ResilientClient:
 
     # -- wrapped operations --------------------------------------------------
     def stage_write(self, key: str, value: Any) -> float:
-        return self._attempt("write", lambda: self.client.stage_write(key, value))
+        return self._attempt("write", key, lambda: self.client.stage_write(key, value))
 
     def stage_read(self, key: str) -> Any:
-        return self._attempt("read", lambda: self.client.stage_read(key))
+        return self._attempt("read", key, lambda: self.client.stage_read(key))
 
     def poll_staged_data(self, key: str) -> bool:
-        return self._attempt("poll", lambda: self.client.poll_staged_data(key))
+        return self._attempt("poll", key, lambda: self.client.poll_staged_data(key))
 
     def clean_staged_data(self, keys: Optional[Iterable[str]] = None) -> int:
-        return self._attempt("clean", lambda: self.client.clean_staged_data(keys))
+        return self._attempt("clean", "", lambda: self.client.clean_staged_data(keys))
 
-    def _attempt(self, op: str, thunk: Callable[[], Any]) -> Any:
-        track = f"{self.client.name}:{op}"
+    def _attempt(self, op: str, key: str, thunk: Callable[[], Any]) -> Any:
+        track = self.client.name
         for attempt in range(1, self.policy.max_attempts + 1):
             if self.breaker is not None and not self.breaker.allow():
                 self.resilience.note_rejection()
@@ -509,20 +498,17 @@ class ResilientClient:
             except TransportError as exc:
                 if self.breaker is not None and _trips_breaker(exc):
                     self.breaker.record_failure()
-                self.resilience.note_failure(track, self._clock())
-                if not _is_retryable(exc) or attempt == self.policy.max_attempts:
-                    self.resilience.note_giveup(track)
+                gave_up = not _is_retryable(exc) or attempt == self.policy.max_attempts
+                self.resilience.note_failure(FailedAttempt(
+                    self._clock(), track, op, key, attempt, type(exc).__name__, gave_up
+                ))
+                if gave_up:
                     raise
-                self.resilience.note_retry()
-                if self.telemetry is not None:
-                    self.telemetry.metrics.counter(
-                        "resilience.retries", backend=self.backend_name, op=op
-                    ).inc()
                 self._sleep(self.policy.delay(attempt, self.rng))
             else:
                 if self.breaker is not None:
                     self.breaker.record_success()
-                self.resilience.note_success(track, self._clock())
+                self.resilience.note_success(track, op, self._clock())
                 return result
         raise AssertionError("unreachable")  # pragma: no cover
 
@@ -613,7 +599,7 @@ def policy_from_dict(config: dict) -> RetryPolicy:
 
 
 def resilient_client_from_config(
-    client, config: dict, name: str = "client", rank: int = 0, telemetry=None
+    client, config: dict, name: str = "client", rank: int = 0
 ) -> ResilientClient:
     """Wrap a real client per a ``server_info['resilience']`` dict.
 
@@ -632,10 +618,7 @@ def resilient_client_from_config(
     rng = np.random.default_rng(
         _derive_seed(int(config.get("seed", 0)), f"resilience:{name}:{rank}")
     )
-    return ResilientClient(
-        client, policy=policy_from_dict(config), breaker=breaker, rng=rng,
-        telemetry=telemetry,
-    )
+    return ResilientClient(client, policy=policy_from_dict(config), breaker=breaker, rng=rng)
 
 
 def chaos_client_from_config(

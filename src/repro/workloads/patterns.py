@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from repro.config.distributions import Constant, Distribution
 from repro.des import Environment
@@ -128,25 +128,30 @@ def _bind_telemetry(telemetry: Optional[Telemetry], env: Environment, area: SimS
     sampler.add_source("staging.keys", lambda: len(area.keys()))
 
 
-def _run(env: Environment, log: EventLog, model: BackendModel, telemetry: Optional[Telemetry]):
-    """Run the simulation; the hub then derives its transport telemetry
-    from the log, also when the run raised."""
+def _run(env: Environment, log: EventLog, model: BackendModel, harness: "_FaultHarness",
+         telemetry: Optional[Telemetry]):
+    """Run the simulation; the hub then derives its telemetry from the
+    run's records, also when the run raised."""
     try:
         env.run()
     finally:
         if telemetry is not None:
-            telemetry.record_transport(log, model.name)
+            telemetry.record_run(
+                log, model.name,
+                resilience=() if harness.stats is None else (harness.stats,),
+                injector=harness.injector,
+                quorum_misses=harness.quorum_misses,
+            )
 
 
-def _iteration_span(telemetry: Telemetry, component: str, rank: int, iteration: int):
-    """An open workload-iteration span (callers skip it without a hub)."""
-    return telemetry.tracer.span(
-        f"iteration.{component}",
-        category="workload",
-        pid=component,
-        tid=rank,
-        iteration=iteration,
-    )
+class QuorumMiss(NamedTuple):
+    """One Pattern 2 update the trainer went on without a quorum of."""
+
+    time: float
+    track: str  # the trainer
+    update: int
+    arrived: int
+    needed: int
 
 
 class _FaultHarness:
@@ -163,23 +168,20 @@ class _FaultHarness:
         env: Environment,
         log: EventLog,
         rngs: RngRegistry,
-        telemetry: Optional[Telemetry],
         fault_plan: Optional[FaultPlan],
         resilience: Optional[ResilienceConfig],
     ) -> None:
         self.env = env
-        self.telemetry = telemetry
         self.rngs = rngs
         plan_active = fault_plan is not None and fault_plan.is_active
         self.active = plan_active or resilience is not None
         self.state = FaultState(seed=fault_plan.seed) if plan_active else None
         self.config = resilience or (ResilienceConfig() if self.active else None)
         self.stats = ResilienceStats() if self.active else None
+        self.quorum_misses: list[QuorumMiss] = []
         self.injector: Optional[FaultInjector] = None
         if plan_active:
-            self.injector = FaultInjector(
-                env, fault_plan, self.state, telemetry=telemetry, event_log=log
-            )
+            self.injector = FaultInjector(env, fault_plan, self.state, event_log=log)
 
     def start(self) -> None:
         if self.injector is not None:
@@ -196,7 +198,6 @@ class _FaultHarness:
             breaker=self.config.make_breaker(lambda: self.env.now),
             rng=self.rngs.stream(f"resilience:{store.component}:{store.rank}"),
             stats=self.stats,
-            telemetry=self.telemetry,
         )
 
     @property
@@ -234,7 +235,7 @@ def _rank_groups(ranks, iter_time: Distribution, harness, contiguous: bool = Tru
     a deterministic iteration time, no fault or resilience wiring, and
     calendar entries the caller knows are ``contiguous`` from the first
     step. Otherwise every rank is its own group. Telemetry never decides:
-    traced and untraced runs are the same program.
+    traced and untraced runs are the same program until the run ends.
     """
     ranks = list(ranks)
     lockstep = isinstance(iter_time, Constant) and not harness.active and contiguous
@@ -242,7 +243,7 @@ def _rank_groups(ranks, iter_time: Distribution, harness, contiguous: bool = Tru
 
 
 def _sim_ranks(
-    env, log, stop, counters, faults, telemetry, rngs, stores, config,
+    env, log, stop, counters, faults, rngs, stores, config,
     keys_for, init_time=None, count_every_write=False,
 ):
     """One DES process driving a group of simulation ranks in lock-step.
@@ -282,14 +283,7 @@ def _sim_ranks(
                 break
         start = env.now
         iteration += 1
-        spans = (
-            [_iteration_span(telemetry, c, r, iteration) for c, r in tracks]
-            if telemetry is not None
-            else ()
-        )
         yield max(0.0, sample(rng))
-        for span in spans:
-            span.finish()
         log.add_step(tracks, EventKind.COMPUTE, start, env.now - start)
         if leads:
             counters["sim_iters"] += 1
@@ -323,12 +317,13 @@ def run_one_to_one(
 ) -> PatternResult:
     """Simulate the one-to-one pattern; returns logs and counters.
 
-    Passing a :class:`~repro.telemetry.hub.Telemetry` hub records
-    workload-iteration spans on virtual time and engine gauge series
-    (staged bytes, event-queue depth); at the end of the run the hub
-    derives the transport spans, histograms and ``link.occupancy`` from
-    the event log (:meth:`~repro.telemetry.hub.Telemetry.record_transport`).
-    With ``telemetry=None`` the run is untouched.
+    Passing a :class:`~repro.telemetry.hub.Telemetry` hub records engine
+    gauge series on virtual time (staged bytes, event-queue depth); at
+    the end of the run the hub derives the iteration and transport
+    spans, their metrics, ``link.occupancy`` and the fault and retry
+    markers from the run's records
+    (:meth:`~repro.telemetry.hub.Telemetry.record_run`). The workload
+    code a traced run executes is the untraced run's.
 
     An enabled ``fault_plan`` injects the planned faults (node/backend
     crashes, degraded links, drops, corruption) through DES events and
@@ -348,10 +343,10 @@ def run_one_to_one(
     _bind_telemetry(telemetry, env, area)
     rngs = RngRegistry(config.seed)
     stop = _StopFlag()
-    harness = _FaultHarness(env, log, rngs, telemetry, fault_plan, resilience)
-    # Hot-loop rule: the per-iteration loops below test these two once
-    # and touch the fault state / tracer only behind them.
-    faults, traced = harness.state, telemetry is not None
+    harness = _FaultHarness(env, log, rngs, fault_plan, resilience)
+    # Hot-loop rule: the per-iteration loops below test this once and
+    # touch the fault state only behind it.
+    faults = harness.state
     counters = {
         "sim_iters": 0,
         "train_iters": 0,
@@ -383,7 +378,7 @@ def run_one_to_one(
 
     def sim_ranks(ranks: list[int]):
         return _sim_ranks(
-            env, log, stop, counters, faults, telemetry, rngs,
+            env, log, stop, counters, faults, rngs,
             [client(sim_name, rank) for rank in ranks], config,
             keys_for=snapshot_keys,
             init_time=config.sim_init_time,
@@ -416,14 +411,7 @@ def run_one_to_one(
             if faults is not None and faults.is_component_down(ai_name):
                 counters["downtime"] += yield from faults.wait_until_up(env, ai_name)
             start = env.now
-            spans = (
-                [_iteration_span(telemetry, ai_name, rank, iteration) for rank in ranks]
-                if traced
-                else ()
-            )
             yield max(0.0, sample(rng))
-            for span in spans:
-                span.finish()
             add_step(tracks, train, start, env.now - start)
             if leads:
                 counters["train_iters"] += 1
@@ -507,7 +495,7 @@ def run_one_to_one(
             env.process(sim_ranks(sim_starts[rank]), name=f"{sim_name}{rank}")
         if rank in train_starts:
             env.process(train_ranks(train_starts[rank]), name=f"{ai_name}{rank}")
-    _run(env, log, model, telemetry)
+    _run(env, log, model, harness, telemetry)
 
     return PatternResult(
         log=log,
@@ -592,10 +580,10 @@ def run_many_to_one(
     _bind_telemetry(telemetry, env, area)
     rngs = RngRegistry(config.seed)
     stop = _StopFlag()
-    harness = _FaultHarness(env, log, rngs, telemetry, fault_plan, resilience)
-    # Hot-loop rule: the per-iteration loops below test these two once
-    # and touch the fault state / tracer only behind them.
-    faults, traced = harness.state, telemetry is not None
+    harness = _FaultHarness(env, log, rngs, fault_plan, resilience)
+    # Hot-loop rule: the per-iteration loops below test this once and
+    # touch the fault state only behind it.
+    faults = harness.state
     counters = {
         "sim_iters": 0,
         "train_iters": 0,
@@ -603,7 +591,6 @@ def run_many_to_one(
         "read": 0,
         "lost": 0,
         "missed": 0,
-        "quorum_misses": 0,
         "downtime": 0.0,
     }
     quorum_needed = math.ceil(harness.quorum * config.n_simulations)
@@ -625,7 +612,7 @@ def run_many_to_one(
             for index in indexes
         ]
         return _sim_ranks(
-            env, log, stop, counters, faults, telemetry, rngs, stores, config,
+            env, log, stop, counters, faults, rngs, stores, config,
             keys_for=lambda index, update: [f"sim{index}_update{update}"],
             count_every_write=True,
         )
@@ -677,10 +664,7 @@ def run_many_to_one(
             if faults is not None and faults.is_component_down(ai_name):
                 counters["downtime"] += yield from faults.wait_until_up(env, ai_name)
             start = env.now
-            span = _iteration_span(telemetry, ai_name, 0, iteration) if traced else None
             yield max(0.0, sample(rng))
-            if span is not None:
-                span.finish()
             add(ai_name, train, start, env.now - start, 0)
             counters["train_iters"] += 1
             if iteration % read_interval == 0:
@@ -705,16 +689,9 @@ def run_many_to_one(
                 yield env.all_of(procs)
                 arrived = sum(1 for ok in got.values() if ok)
                 if arrived < quorum_needed:
-                    counters["quorum_misses"] += 1
-                    if telemetry is not None:
-                        telemetry.tracer.instant(
-                            "quorum.miss",
-                            category="resilience",
-                            pid=ai_name,
-                            update=update,
-                            arrived=arrived,
-                            needed=quorum_needed,
-                        )
+                    harness.quorum_misses.append(
+                        QuorumMiss(env.now, ai_name, update, arrived, quorum_needed)
+                    )
                 update += 1
         stop.set()
 
@@ -722,7 +699,7 @@ def run_many_to_one(
     for group in _rank_groups(range(config.n_simulations), config.sim_iter_time, harness):
         env.process(producers(group), name=f"sim{group[0]}")
     env.process(trainer(), name=ai_name)
-    _run(env, log, model, telemetry)
+    _run(env, log, model, harness, telemetry)
 
     return PatternResult(
         log=log,
@@ -735,7 +712,7 @@ def run_many_to_one(
             {
                 "lost_snapshots": counters["lost"],
                 "missed_reads": counters["missed"],
-                "quorum_misses": counters["quorum_misses"],
+                "quorum_misses": len(harness.quorum_misses),
                 "downtime_seconds": counters["downtime"],
             }
         ),

@@ -73,8 +73,9 @@ def run_one_to_one_real(
     ``write_interval`` iterations; the AI thread polls every
     ``read_interval`` training iterations, ingests what is new, trains on
     the growing pool, and finally steers the simulation to stop. A
-    ``telemetry`` hub gets iteration spans as they run and, at the end,
-    the transport spans and metrics derived from the run's log.
+    ``telemetry`` hub gets, at the end, the iteration and transport
+    spans and metrics derived from the run's log, and the
+    ``resilience.retries`` counters of a ``resilience`` server_info.
     """
     config = config or RealOneToOneConfig()
     log = EventLog()
@@ -82,6 +83,7 @@ def run_one_to_one_real(
     stop = threading.Event()
     counters = {"written": 0, "read": 0, "sim_iters": 0, "lost": 0, "failed": 0}
     errors: list[BaseException] = []
+    stores = []  # each component's DataStore, for its resilience record
 
     sim_cfg = config.sim_config or nekrs_simulation_config(
         run_time=config.sim_iter_time, data_size=(64, 64), device="cpu"
@@ -95,26 +97,13 @@ def run_one_to_one_real(
         "hidden_dims": [32],
     }
 
-    def _iteration_span(component: str, iteration: int):
-        if telemetry is None:
-            return None
-        return telemetry.tracer.span(
-            f"iteration.{component}",
-            category="workload",
-            pid=component,
-            iteration=iteration,
-        )
-
     def sim_main() -> None:
-        sim = Simulation("sim", config=sim_cfg, server_info=server_info, telemetry=telemetry)
+        sim = Simulation("sim", config=sim_cfg, server_info=server_info)
         rng = np.random.default_rng(7)
         snapshot = 0
         try:
             while not stop.is_set():
-                span = _iteration_span("sim", counters["sim_iters"] + 1)
                 sim.run_iteration()
-                if span is not None:
-                    span.finish()
                 counters["sim_iters"] += 1
                 if counters["sim_iters"] % config.write_interval == 0:
                     x, y = synthetic_snapshot(
@@ -138,19 +127,17 @@ def run_one_to_one_real(
         finally:
             with log_lock:
                 log.extend(sim.event_log)
+                stores.append(sim.datastore)
             sim.teardown()
 
     final_loss = [float("nan")]
 
     def ai_main() -> None:
-        ai = AI("train", config=ai_cfg, server_info=server_info, telemetry=telemetry)
+        ai = AI("train", config=ai_cfg, server_info=server_info)
         next_snapshot = 0
         try:
             for iteration in range(1, config.train_iterations + 1):
-                span = _iteration_span("train", iteration)
                 ai.train_iteration()
-                if span is not None:
-                    span.finish()
                 if iteration % config.read_interval == 0:
                     while True:
                         try:
@@ -171,6 +158,7 @@ def run_one_to_one_real(
             stop.set()  # steer the simulation to stop (§4.1)
             with log_lock:
                 log.extend(ai.event_log)
+                stores.append(ai.datastore)
             ai.close()
 
     threads = [
@@ -190,7 +178,11 @@ def run_one_to_one_real(
             with log_lock:
                 # .get: a server_info without a backend logged no ops, and
                 # its TransportError must not turn into a KeyError here.
-                telemetry.record_transport(log, server_info.get("backend"))
+                telemetry.record_run(
+                    log, server_info.get("backend"),
+                    resilience=[s.resilience for s in stores if s.resilience is not None],
+                    retries_only=True,
+                )
     if errors:
         raise errors[0]
 

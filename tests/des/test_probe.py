@@ -187,7 +187,7 @@ def test_telemetry_bind_environment_records_engine_series():
     for rank in range(3):
         env.process(user(env, res, rank))
     env.run()
-    telemetry.record_transport(log, "test")
+    telemetry.record_run(log, "test")
 
     occupancy = telemetry.metrics.gauge("link.occupancy")
     assert occupancy.nonzero_samples()  # one sample per change, nonzero

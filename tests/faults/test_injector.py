@@ -9,10 +9,10 @@ from repro.telemetry import Telemetry
 from repro.telemetry.events import EventKind, EventLog
 
 
-def _run(plan, telemetry=None, event_log=None, seed=0):
+def _run(plan, event_log=None, seed=0):
     env = Environment()
     state = FaultState(seed=seed)
-    injector = FaultInjector(env, plan, state, telemetry=telemetry, event_log=event_log)
+    injector = FaultInjector(env, plan, state, event_log=event_log)
     injector.start()
     env.run()
     return env, state, injector
@@ -84,16 +84,37 @@ def test_event_log_gets_fault_records():
 
 
 def test_telemetry_instants_and_metrics():
-    telemetry = Telemetry()
+    """The hub derives the fault markers and metrics from the injector's
+    records when the run ends: one ``fault.inject`` per injected fault,
+    one ``fault.recover`` and one recovery observation per healed one."""
     plan = FaultPlan(
-        faults=[FaultSpec(kind=FaultKind.BACKEND_CRASH, at=1.0, duration=1.0)]
+        faults=[
+            FaultSpec(kind=FaultKind.BACKEND_CRASH, at=1.0, duration=1.0),
+            FaultSpec(kind=FaultKind.NODE_CRASH, at=1.5, duration=0.25, target="sim"),
+            FaultSpec(kind=FaultKind.BACKEND_CRASH, at=3.0),  # never heals
+        ]
     )
-    _run(plan, telemetry=telemetry)
-    names = [e.name for e in telemetry.tracer.instants]
-    assert "fault.inject" in names and "fault.recover" in names
-    metric_names = telemetry.metrics.names()
-    assert any(n.startswith("faults.injected") for n in metric_names)
-    assert any(n.startswith("faults.recovery.seconds") for n in metric_names)
+    log = EventLog()
+    _, _, injector = _run(plan, event_log=log)
+    telemetry = Telemetry()
+    telemetry.record_run(log, "redis", injector=injector)
+    marks = [
+        (e.name, e.time, e.pid, e.category, e.args["kind"], e.args["target"],
+         e.args.get("latency"))
+        for e in telemetry.tracer.instants
+    ]
+    assert sorted(marks) == [
+        ("fault.inject", 1.0, "faults", "fault", "backend_crash", "", None),
+        ("fault.inject", 1.5, "faults", "fault", "node_crash", "sim", None),
+        ("fault.inject", 3.0, "faults", "fault", "backend_crash", "", None),
+        ("fault.recover", 1.75, "faults", "fault", "node_crash", "sim", 0.25),
+        ("fault.recover", 2.0, "faults", "fault", "backend_crash", "", 1.0),
+    ]
+    metrics = telemetry.metrics
+    assert metrics.get("faults.injected{kind=backend_crash}").value == 2
+    assert metrics.get("faults.injected{kind=node_crash}").value == 1
+    assert metrics.get("faults.recovery.seconds{kind=backend_crash}").count == 1
+    assert metrics.get("faults.recovery.seconds{kind=node_crash}").sum == 0.25
 
 
 # ---------------------------------------------------------------------------

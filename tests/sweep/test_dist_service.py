@@ -480,6 +480,45 @@ class TestEngineSubmitPath:
             serve.join(timeout=5)
             service.stop()
 
+    def test_resubmitting_a_finished_grid_replays_it(self, tmp_path):
+        """SUBMIT of a grid the service already finished answers
+        ``created: false``: the engine reports its points as replayed
+        (progress source "journal"), not computed, with the same values."""
+        service = SweepService(tmp_path / "store.sqlite", host="127.0.0.1", port=0)
+        serve = threading.Thread(
+            target=service.serve_forever, kwargs={"poll": 0.05}, daemon=True
+        )
+        serve.start()
+        agent = WorkerAgent(
+            f"{service.host}:{service.port}",
+            WorkerOptions(poll=0.02, reconnect_budget=10.0),
+        )
+        worker = threading.Thread(target=agent.run, daemon=True)
+        worker.start()
+        try:
+            points = [p for _, p in points_for(4)]
+            reports, sources = [], []
+            for _ in range(2):
+                seen = []
+                options = SweepOptions(
+                    submit=f"{service.host}:{service.port}",
+                    progress=lambda done, total, label, source: seen.append(source),
+                )
+                reports.append(SweepEngine(options).run(points))
+                sources.append(seen)
+            first, again = reports
+            assert (first.computed, first.replayed) == (4, 0)
+            assert (again.computed, again.replayed) == (0, 4)
+            assert again.values == first.values == [i * i for i in range(4)]
+            assert sources == [["run"] * 4, ["journal"] * 4]
+            status = service.status(service.store.jobs()[0]["grid"])
+            assert (first.reclaims, first.requeues) == (status["reclaims"], status["requeues"])
+        finally:
+            service.request_stop()
+            worker.join(timeout=10)
+            serve.join(timeout=5)
+            service.stop()
+
     def test_submit_options_validation(self):
         with pytest.raises(SweepError):
             SweepOptions(submit="h:1", serve="h:2")

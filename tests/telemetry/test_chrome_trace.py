@@ -5,13 +5,11 @@ import json
 import pytest
 
 from repro.errors import ReproError
-from repro.telemetry import EventKind, EventLog, VirtualClock
+from repro.telemetry import VirtualClock
 from repro.telemetry.chrome_trace import (
     REQUIRED_EVENT_KEYS,
-    eventlog_events,
     load_trace,
     summarize_trace,
-    trace_events,
     tracer_events,
     validate_trace_events,
     write_chrome_trace,
@@ -55,25 +53,6 @@ def test_unfinished_spans_are_skipped():
     tracer = Tracer(VirtualClock())
     tracer.span("open")  # never finished
     assert [e for e in tracer_events(tracer) if e["ph"] == "X"] == []
-
-
-def test_eventlog_events_conversion():
-    log = EventLog()
-    log.add("sim", EventKind.WRITE, start=1.0, duration=0.5, rank=2, nbytes=4096, key="s0")
-    log.add("ai", EventKind.TRAIN, start=2.0, duration=0.1)
-    events = eventlog_events(log)
-    assert validate_trace_events(events) == len(events)
-    spans = [e for e in events if e["ph"] == "X"]
-    assert spans[0]["name"] == "write:s0"
-    assert spans[0]["tid"] == 2
-    assert spans[0]["args"]["nbytes"] == 4096
-    assert spans[1]["name"] == "train"
-    assert spans[0]["pid"] != spans[1]["pid"]
-
-
-def test_trace_events_requires_a_source():
-    with pytest.raises(ReproError, match="tracer and/or an event log"):
-        trace_events()
 
 
 def test_write_load_round_trip(tmp_path):

@@ -211,7 +211,7 @@ def _group_fixture(n=3, **store_kwargs):
 def _derived(log):
     """The hub content a traced run derives from ``log``."""
     hub = Telemetry()
-    hub.record_transport(log, "node-local")
+    hub.record_run(log, "node-local")
     return hub.snapshot()
 
 
@@ -241,7 +241,7 @@ def test_group_write_is_the_per_store_writes_in_one_process():
     # Each store's second key goes on the wire the instant its first
     # comes off: all three stay on it until the last write ends.
     hub = Telemetry()
-    hub.record_transport(log, "node-local")
+    hub.record_run(log, "node-local")
     levels = [v for _, v in hub.metrics.gauge("link.occupancy").samples]
     assert levels == [3, 0]
 
