@@ -71,7 +71,7 @@ class LeaseTable:
 
     ``observer(event, record)`` is called on every state transition
     (``lease``, ``renew``, ``reclaim``, ``done``, ``requeue``,
-    ``poison``) — the service hangs its audit trail, fleet trace and
+    ``poison``) — the service hangs its audit trail, its tallies and
     the engine's progress reporting off it.
 
     The ready queue is a deque of ``(index, generation)`` entries plus a

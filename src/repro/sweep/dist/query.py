@@ -13,6 +13,9 @@ for:
   and ``repro`` versions" — plus version-divergence detection that
   flags fingerprints whose result *values* differ between code versions
   (the canary for a behaviour change that forgot its version bump);
+* **lease intervals**: the one pairing of each ``lease`` row with the
+  row that settled it, which usage bills and the service's fleet trace
+  draws (:func:`fleet_tracer`);
 * **per-tenant usage accounting** aggregated from the ``events``
   table: points executed, wall-seconds leased, retries and poison
   counts per tenant per day;
@@ -59,19 +62,24 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from repro.errors import SweepStoreError
 from repro.sweep.cache import fingerprint as _canonical_fingerprint
 from repro.sweep.dist.store import JOB_TERMINAL, SweepStore
+from repro.telemetry.tracing import Tracer
 
 __all__ = [
+    "LeaseInterval",
     "ReaderPool",
     "RetentionPolicy",
     "divergences",
+    "fleet_tracer",
     "gc_plan",
+    "lease_intervals",
     "query_fingerprint",
     "run_gc",
+    "session_events",
     "usage",
 ]
 
@@ -315,6 +323,117 @@ def divergences(
     return out
 
 
+# -- lease intervals ----------------------------------------------------------
+#: Settle rows by the lease outcome they stand for.
+_SETTLES = {"done": "done", "reclaim": "reclaim", "requeue": "requeue",
+            "poisoned": "poison"}
+
+
+class LeaseInterval(NamedTuple):
+    """A ``lease`` row, the row that settled it (None while the lease is
+    open), and which of its point's leases in the rows it is (1 = first)."""
+
+    lease: Mapping[str, Any]
+    settle: Optional[Mapping[str, Any]]
+    number: int
+
+
+def lease_intervals(rows: Iterable[Mapping[str, Any]]) -> list[LeaseInterval]:
+    """Pair each ``lease`` row with its point's next ``done``/``reclaim``/
+    ``requeue``/``poisoned`` row; ``rows`` are ``events`` rows in ``seq``
+    order.
+
+    A settle row with no lease open (a stale worker's late DONE) pairs
+    with nothing; a lease issued again before anything settled it (its
+    service died holding it) replaces the first. Closed intervals come in
+    settle order, then open ones by ``(grid, idx)``.
+    """
+    open_: dict[tuple[str, int], LeaseInterval] = {}
+    numbers: dict[tuple[str, int], int] = {}
+    closed: list[LeaseInterval] = []
+    for row in rows:
+        point = (row["grid"], row["idx"])
+        if row["event"] == "lease":
+            numbers[point] = numbers.get(point, 0) + 1
+            open_[point] = LeaseInterval(row, None, numbers[point])
+        elif row["event"] in _SETTLES and point in open_:
+            closed.append(open_.pop(point)._replace(settle=row))
+    return closed + [open_[point] for point in sorted(open_)]
+
+
+def session_events(pool: ReaderPool, after_seq: int) -> list[dict]:
+    """The ``events`` rows after ``after_seq`` (a service session's), plus
+    the earlier ``done`` rows of each grid the session restored."""
+    with pool.connection() as conn:
+        rows = conn.execute(
+            "SELECT seq, grid, idx, event, worker, time FROM events"
+            " WHERE seq > ?1 OR (event = 'done' AND grid IN ("
+            "  SELECT grid FROM events WHERE seq > ?1 AND event = 'restore'))"
+            " ORDER BY seq",
+            (int(after_seq),),
+        ).fetchall()
+    return [dict(row) for row in rows]
+
+
+def fleet_tracer(
+    rows: Sequence[Mapping[str, Any]],
+    after_seq: int,
+    now: float,
+    worker_spans: Iterable[tuple[str, Mapping[str, Any]]] = (),
+) -> Tracer:
+    """A service session's fleet trace, rebuilt from :func:`session_events`.
+
+    Each session lease is a ``lease p<idx>`` span on its holder's lane of
+    the ``coordinator`` track (lanes numbered in settle order), ended by
+    its settle row or, still open, at ``now``. A ``reclaim`` adds a
+    ``steal`` instant on that lane; a ``poisoned`` row, a ``quarantine``
+    instant counting the point's failures this session; a ``restore``
+    row, one ``replay`` instant per ``done`` row its grid had before the
+    session. ``worker_spans`` are ``(track, span)`` pairs as
+    :func:`~repro.sweep.dist.protocol.load_spans` decodes them.
+    """
+    tracer = Tracer(clock=lambda: now)
+    session = [row for row in rows if row["seq"] > after_seq]
+    lanes: dict[str, int] = {}
+    for lease, settle, number in lease_intervals(session):
+        index, holder, start = lease["idx"], lease["worker"], lease["time"]
+        lane = lanes.setdefault(holder, len(lanes) + 1)
+        end = now if settle is None else settle["time"]
+        outcome = "open" if settle is None else _SETTLES[settle["event"]]
+        tracer.add_span(
+            f"lease p{index}", start, max(0.0, end - start), category="lease",
+            pid="coordinator", tid=lane, index=index, worker=holder,
+            outcome=outcome, trace_id=lease["grid"][:16],
+            span_id=f"{index}/{number}",
+        )
+        if outcome == "reclaim":
+            tracer.instant("steal", category="lease", pid="coordinator",
+                           tid=lane, time=end, index=index,
+                           worker=settle["worker"])
+    replayed: dict[str, list[int]] = {}
+    failures: dict[tuple[str, int], int] = {}
+    for row in rows:
+        point = (row["grid"], row["idx"])
+        if row["seq"] <= after_seq:
+            if row["event"] == "done":
+                replayed.setdefault(row["grid"], []).append(row["idx"])
+        elif row["event"] in ("requeue", "poisoned"):
+            failures[point] = failures.get(point, 0) + 1
+            if row["event"] == "poisoned":
+                tracer.instant("quarantine", category="poison",
+                               pid="coordinator", time=row["time"],
+                               index=row["idx"], failures=failures[point])
+        elif row["event"] == "restore":
+            for index in replayed.get(row["grid"], ()):
+                tracer.instant("replay", category="journal", pid="coordinator",
+                               time=row["time"], index=index)
+    for track, span in worker_spans:
+        tracer.add_span(span["name"], span["start"], span["end"] - span["start"],
+                        category=span["category"], pid=track, tid=span["tid"],
+                        **span["args"])
+    return tracer
+
+
 # -- usage accounting ---------------------------------------------------------
 def _day(ts: float) -> str:
     return time.strftime("%Y-%m-%d", time.gmtime(float(ts)))
@@ -333,12 +452,11 @@ def usage(
         {"tenant", "day", "points_done", "leases", "wall_seconds",
          "retries", "reclaims", "poisoned", "grids"}
 
-    ``wall_seconds`` is real leased wall time: for every point, each
-    ``lease`` event is paired with that point's next ``done`` /
-    ``reclaim`` / ``requeue`` / ``poisoned`` event and the interval
-    lengths are summed into the day the lease *started* (a lease still
-    dangling at query time contributes nothing — billing only settled
-    work keeps repeated queries monotone). ``retries`` counts
+    ``wall_seconds`` is real leased wall time: the settled
+    :func:`lease_intervals` summed into the day each lease *started* (a
+    lease still dangling at query time contributes nothing — billing
+    only settled work keeps repeated queries monotone), the same
+    intervals the fleet trace draws as lease spans. ``retries`` counts
     ``requeue`` events (failures re-queued below the poison
     thresholds).
 
@@ -364,7 +482,6 @@ def usage(
 
     buckets: dict[tuple[str, str], dict] = {}
     grids_seen: dict[tuple[str, str], set] = {}
-    open_lease: dict[tuple[str, Any], float] = {}
 
     def bucket(tenant_: str, day: str) -> dict:
         key = (tenant_, day)
@@ -383,30 +500,28 @@ def usage(
             grids_seen[key] = set()
         return buckets[key]
 
+    counted = {
+        "lease": "leases",
+        "done": "points_done",
+        "reclaim": "reclaims",
+        "requeue": "retries",
+        "poisoned": "poisoned",
+    }
     for row in events:
-        kind = row["event"]
         day = _day(row["time"])
         entry = bucket(row["tenant"], day)
         grids_seen[(row["tenant"], day)].add(row["grid"])
-        point = (row["grid"], row["idx"])
-        if kind == "lease":
-            entry["leases"] += 1
-            open_lease[point] = float(row["time"])
-        elif kind in ("done", "reclaim", "requeue", "poisoned"):
-            if kind == "done":
-                entry["points_done"] += 1
-            elif kind == "reclaim":
-                entry["reclaims"] += 1
-            elif kind == "requeue":
-                entry["retries"] += 1
-            else:
-                entry["poisoned"] += 1
-            started = open_lease.pop(point, None)
-            if started is not None:
-                # Billed to the day the lease started, even if it
-                # settled after midnight — one interval, one bucket.
-                start_entry = bucket(row["tenant"], _day(started))
-                start_entry["wall_seconds"] += max(0.0, float(row["time"]) - started)
+        if row["event"] in counted:
+            entry[counted[row["event"]]] += 1
+    for interval in lease_intervals(events):
+        if interval.settle is not None:
+            # Billed to the day the lease started, even if it settled
+            # after midnight — one interval, one bucket.
+            started = float(interval.lease["time"])
+            entry = bucket(interval.lease["tenant"], _day(started))
+            entry["wall_seconds"] += max(
+                0.0, float(interval.settle["time"]) - started
+            )
     for key, entry in buckets.items():
         entry["grids"] = len(grids_seen[key])
         entry["wall_seconds"] = round(entry["wall_seconds"], 6)

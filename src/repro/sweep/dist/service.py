@@ -44,14 +44,18 @@ Workers see one command vocabulary (HELLO advertises the
 ``repro sweep --connect`` joins a standalone or an embedded service
 alike.
 
-Fleet observability is passive — the result stream is bit-identical
-with every layer on: worker-shipped ``SPANS`` are filed under per-worker
-tracks named from the HELLO ``host:pid`` identity, per-worker EWMA rates
-feed ``STATUS``/``METRICS``, a flight recorder rings the last protocol
-events, and — only when a ``fleet_path`` is given, because the tracer
-is unbounded and a long-lived service must not grow with every lease —
-each lease's lifetime becomes a wall-clock span on the ``coordinator``
-track (one lane per worker) beside steal/quarantine/replay instants.
+A lease transition is recorded once, as a store ``events`` row, and
+lands in memory at one hook (:meth:`SweepService._on_transition`),
+which keeps the per-worker and per-job tallies. Fleet observability is
+passive — the result stream is bit-identical with every layer on:
+per-worker EWMA rates feed ``STATUS``/``METRICS``, a flight recorder
+rings the last protocol events, and the fleet trace is derived from the
+store's ``events`` at write time — each lease's lifetime a wall-clock
+span on the ``coordinator`` track (one lane per worker) beside
+steal/quarantine/replay instants — merged with the worker-shipped
+``SPANS``, which are kept (under per-worker tracks named from the HELLO
+``host:pid`` identity) only when a ``fleet_path`` says a trace will be
+written.
 
 The job lifecycle is ``SUBMITTED -> RUNNING -> {DONE, CANCELLED,
 POISONED}`` (see ARCHITECTURE.md for the full state machine); terminal
@@ -113,8 +117,10 @@ from repro.sweep.dist.query import (
     ReaderPool,
     RetentionPolicy,
     divergences,
+    fleet_tracer,
     query_fingerprint,
     run_gc,
+    session_events,
     usage,
 )
 from repro.sweep.dist.store import (
@@ -131,7 +137,6 @@ from repro.sweep.point import SweepPoint, derive_seed
 from repro.telemetry.chrome_trace import write_chrome_trace
 from repro.telemetry.flight import FlightRecorder, maybe_dump
 from repro.telemetry.log import get_logger
-from repro.telemetry.tracing import Tracer
 from repro.transport import resp
 from repro.transport.redis_backend import MiniRedisConnection
 from repro.transport.server import RespTcpServer
@@ -245,18 +250,15 @@ class SweepService(RespTcpServer):
         #: Fair-share rotation order over *active* job signatures.
         self._ring: deque[str] = deque()
         self._stop_serving = False
-        self.fleet = Tracer(clock=wall)
         self.flight = FlightRecorder(component="service", clock=wall)
         self.flight_path = Path(flight_path) if flight_path is not None else None
-        #: Where :meth:`serve_forever` leaves the merged fleet trace; also
-        #: the switch for lease spans (see the module docstring).
+        #: Where :meth:`serve_forever` leaves the merged fleet trace.
         self.fleet_path = Path(fleet_path) if fleet_path is not None else None
         self.observer = observer
-        self._worker_lanes: dict[str, int] = {}  # worker -> coordinator-track tid
-        #: (grid, index) -> (holder, wall start, span id) of open leases.
-        self._lease_open: dict[tuple[str, int], tuple[str, float, str]] = {}
         self._rates: dict[str, EwmaRate] = {}
         self.workers: dict[str, dict] = {}
+        #: (track, span) of worker SPANS, kept only for a fleet trace.
+        self._worker_spans: list[tuple[str, dict]] = []
         self._spans_accepted = 0
         self.stale_grid = 0
         self.duplicates = 0
@@ -264,6 +266,9 @@ class SweepService(RespTcpServer):
         #: (and GC's planning pass) answer from here, so an expensive
         #: query never queues between a worker's DONE and its fsync.
         self.reader = ReaderPool(self.store.path)
+        #: The store's last ``events.seq`` before this session: the fleet
+        #: trace draws the rows after it.
+        self._session_seq = self.store.last_seq()
         self._restore()
         _log.info(
             "service.open",
@@ -291,11 +296,6 @@ class SweepService(RespTcpServer):
                 if idx in job.table.records:
                     job.table.preload_done(idx)
                     job.replayed += 1
-                    if self.fleet_path is not None:
-                        self.fleet.instant(
-                            "replay", category="journal", pid="coordinator",
-                            index=idx,
-                        )
             self.store.record_event(grid, None, "restore")
             self.flight.record("restore", grid=grid[:16], replayed=job.replayed)
             _log.info(
@@ -343,71 +343,35 @@ class SweepService(RespTcpServer):
 
     # -- lease-table plumbing ------------------------------------------------
     def _on_transition(self, grid: str, event: str, record: PointRecord) -> None:
-        """Audit trail: lease transitions -> store events + flight ring."""
+        """The one place a lease transition lands: its store ``events`` row
+        (``done``/``poisoned`` are written by the handler's own commit),
+        the per-worker and per-job tallies, the flight ring, the observer."""
+        worker = record.worker
         if event in ("lease", "reclaim", "requeue"):
-            self.store.record_event(grid, record.index, event, record.worker)
-        self.flight.record(event, grid=grid[:16], index=record.index, worker=record.worker)
+            self.store.record_event(grid, record.index, event, worker)
+        if event == "lease":
+            self._tally(worker)["claimed"] += 1
+            self._rates.setdefault(worker, EwmaRate()).mark_active(self.clock())
+        elif event == "done":
+            self.jobs[grid].executed += 1
+            self._tally(worker)["completed"] += 1
+            self._rates.setdefault(worker, EwmaRate()).observe(self.clock())
+        elif event in ("requeue", "poison"):
+            # fail() clears the holder; the failure names who reported it.
+            self._tally(record.failures[-1].worker)["failed"] += 1
+            if event == "requeue":
+                self.jobs[grid].requeues += 1
+        self.flight.record(event, grid=grid[:16], index=record.index, worker=worker)
         if event == "reclaim":
             _log.warning("lease.reclaim", grid=grid[:16], index=record.index,
-                         worker=record.worker)
-        if self.fleet_path is not None:
-            self._trace_transition(grid, event, record)
+                         worker=worker)
         if self.observer is not None:
             self.observer(grid, event, record)
 
-    def _worker_lane(self, worker: str) -> int:
-        """Stable per-worker tid on the coordinator track (lane 0 = self)."""
-        return self._worker_lanes.setdefault(worker, len(self._worker_lanes) + 1)
-
-    def _close_lease(self, grid: str, index: int, outcome: str) -> None:
-        opened = self._lease_open.pop((grid, index), None)
-        if opened is None:
-            return
-        holder, started, span_id = opened
-        self.fleet.add_span(
-            f"lease p{index}",
-            started,
-            max(0.0, self.wall() - started),
-            category="lease",
-            pid="coordinator",
-            tid=self._worker_lane(holder),
-            index=index,
-            worker=holder,
-            outcome=outcome,
-            trace_id=grid[:16],
-            span_id=span_id,
+    def _tally(self, worker: str) -> dict:
+        return self.workers.setdefault(
+            worker, {"claimed": 0, "completed": 0, "failed": 0}
         )
-
-    def _trace_transition(self, grid: str, event: str, record: PointRecord) -> None:
-        """Fleet-trace view of one lease transition: each lease's lifetime
-        as a span on the ``coordinator`` track, steals and quarantines as
-        instants. Strictly passive — touches neither table nor store."""
-        index, worker = record.index, record.worker
-        if event == "lease":
-            self._lease_open[grid, index] = (
-                worker or "?", self.wall(), f"{index}/{record.leases}",
-            )
-            return
-        if event == "renew":
-            return
-        self._close_lease(grid, index, outcome=event)
-        if event == "reclaim":
-            self.fleet.instant(
-                "steal",
-                category="lease",
-                pid="coordinator",
-                tid=self._worker_lane(worker or "?"),
-                index=index,
-                worker=worker,
-            )
-        elif event == "poison":
-            self.fleet.instant(
-                "quarantine",
-                category="poison",
-                pid="coordinator",
-                index=index,
-                failures=len(record.failures),
-            )
 
     def _maybe_finalize(self, job: ServiceJob) -> None:
         """Move a drained job to its terminal state (immutable afterwards)."""
@@ -853,11 +817,6 @@ class SweepService(RespTcpServer):
             if index is None:
                 continue
             self._mark_running(job)
-            entry = self.workers.setdefault(
-                worker, {"claimed": 0, "completed": 0, "failed": 0}
-            )
-            entry["claimed"] += 1
-            self._rates.setdefault(worker, EwmaRate()).mark_active(self.clock())
             assignment = Assignment(
                 index=index,
                 point=job.points[index],
@@ -909,12 +868,6 @@ class SweepService(RespTcpServer):
         self.store.record_done(grid, index, blob, worker=worker)
         self.admission.observe_store_write(time.perf_counter() - t0)
         job.table.complete(worker, index)
-        job.executed += 1
-        entry = self.workers.setdefault(
-            worker, {"claimed": 0, "completed": 0, "failed": 0}
-        )
-        entry["completed"] += 1
-        self._rates.setdefault(worker, EwmaRate()).observe(self.clock())
         self._maybe_finalize(job)
         return resp.encode_simple("OK")
 
@@ -934,18 +887,11 @@ class SweepService(RespTcpServer):
         except ValueError:
             raise TransportError("FAIL payload must be JSON") from None
         failure = FailureRecord.from_dict({**info, "worker": worker})
-        state = job.table.fail(worker, index, failure)
-        entry = self.workers.setdefault(
-            worker, {"claimed": 0, "completed": 0, "failed": 0}
-        )
-        entry["failed"] += 1
-        if state is PointState.POISONED:
+        if job.table.fail(worker, index, failure) is PointState.POISONED:
             failures = [f.as_dict() for f in job.table.records[index].failures]
             self.store.record_poisoned(grid, index, failures)
             self._maybe_finalize(job)
             return resp.encode_simple("POISONED")
-        if state is PointState.QUEUED:
-            job.requeues += 1
         return resp.encode_simple("REQUEUED")
 
     def _handle_submit(self, blob: bytes) -> bytes:
@@ -991,17 +937,9 @@ class SweepService(RespTcpServer):
 
     def _handle_spans(self, worker: str, spans_json: str) -> bytes:
         spans = load_spans(spans_json)
-        track = self.workers.get(worker, {}).get("track") or f"worker {worker}"
-        for span in spans:
-            self.fleet.add_span(
-                span["name"],
-                span["start"],
-                span["end"] - span["start"],
-                category=span["category"],
-                pid=track,
-                tid=span["tid"],
-                **span["args"],
-            )
+        if self.fleet_path is not None:
+            track = self.workers.get(worker, {}).get("track") or f"worker {worker}"
+            self._worker_spans.extend((track, span) for span in spans)
         self._spans_accepted += len(spans)
         return resp.encode_integer(len(spans))
 
@@ -1132,7 +1070,8 @@ class SweepService(RespTcpServer):
                 # is when the timeline matters most.
                 try:
                     self.write_fleet_trace(self.fleet_path)
-                except OSError as exc:  # observability must not mask the run
+                except (OSError, SweepStoreError) as exc:
+                    # Observability must not mask the run.
                     print(f"fleet trace not written: {exc}", file=sys.stderr)
         served = self.jobs.get(until) if until is not None else None
         maybe_dump(
@@ -1152,16 +1091,21 @@ class SweepService(RespTcpServer):
         return summary
 
     def write_fleet_trace(self, path: str | Path) -> int:
-        """Merge lease spans + worker spans into one Chrome trace.
+        """Write this session's fleet trace as one Chrome trace.
 
-        Any lease still open (a stopped session leaves unfinished
-        points) is closed at "now" so the trace stays structurally
-        valid. Returns the number of trace events written.
+        The coordinator track is derived from the ``events`` rows the
+        session wrote (:func:`~repro.sweep.dist.query.fleet_tracer`),
+        read after a flush; any lease still open (a stopped session
+        leaves unfinished points) is closed at "now" so the trace stays
+        structurally valid. Returns the number of trace events written.
         """
         with self._exec_lock:
-            for grid, index in sorted(self._lease_open):
-                self._close_lease(grid, index, outcome="open")
-            return write_chrome_trace(path, tracer=self.fleet)
+            self.store.flush()
+            rows = session_events(self.reader, self._session_seq)
+            tracer = fleet_tracer(
+                rows, self._session_seq, self.wall(), self._worker_spans
+            )
+        return write_chrome_trace(path, tracer=tracer)
 
     def stop(self) -> None:
         self.request_stop()

@@ -76,9 +76,11 @@ side):
   unwritten ``history`` table;
 * ``tombstones`` — one row per garbage-collected job, so idempotent
   re-submission still short-circuits after the job's bulk rows are gone
-  (:meth:`SweepStore.collect_job`);
-* the ``usage_daily`` view — per-tenant per-day event counts backing the
-  usage-accounting queries.
+  (:meth:`SweepStore.collect_job`).
+
+Usage accounting (:func:`repro.sweep.dist.query.usage`) aggregates
+``events`` directly; the ``usage_daily`` view early v2 stores carried is
+dropped on open.
 
 Opening a v1 store migrates it in place on the writer thread before the
 first caller can touch it: the fingerprint columns are added and
@@ -188,21 +190,12 @@ CREATE TABLE IF NOT EXISTS tombstones (
 );
 """
 
-#: Indexes/views over v2 columns; applied after migration so they never
-#: reference a column a v1 store does not have yet.
+#: Indexes over v2 columns; applied after migration so they never
+#: reference a column a v1 store does not have yet. No code read the
+#: ``usage_daily`` view, so opening a store drops it.
 _SCHEMA_DERIVED = """
 CREATE INDEX IF NOT EXISTS points_by_fingerprint ON points (fingerprint);
-CREATE VIEW IF NOT EXISTS usage_daily AS
-    SELECT j.tenant                  AS tenant,
-           DATE(e.time, 'unixepoch') AS day,
-           SUM(e.event = 'done')     AS points_done,
-           SUM(e.event = 'lease')    AS leases,
-           SUM(e.event = 'requeue')  AS requeues,
-           SUM(e.event = 'reclaim')  AS reclaims,
-           SUM(e.event = 'poisoned') AS poisoned,
-           COUNT(DISTINCT e.grid)    AS grids
-    FROM events e JOIN jobs j ON j.grid = e.grid
-    GROUP BY j.tenant, DATE(e.time, 'unixepoch');
+DROP VIEW IF EXISTS usage_daily;
 """
 
 #: Longest an audit row nobody waits on (:meth:`SweepStore.record_event`)
@@ -219,7 +212,7 @@ def _migrate_v1_to_v2(conn: sqlite3.Connection) -> None:
     """In-place v1 -> v2 migration; runs on the writer thread at open.
 
     Adds the ``points.fingerprint`` / ``history.fingerprint`` columns
-    (the ``tombstones`` table and the derived index/view come from the
+    (the ``tombstones`` table and the derived index come from the
     shared schema scripts) and backfills point fingerprints from the
     pickled specs. Every step is guarded on the store's current shape,
     so a crash mid-migration re-enters cleanly on the next open; the
@@ -832,6 +825,16 @@ class SweepStore:
         return self._call(op)
 
     # -- telemetry ----------------------------------------------------------
+    def last_seq(self) -> int:
+        """The highest ``events.seq`` written so far (0 for an empty store)."""
+        return int(
+            self._call(
+                lambda conn: conn.execute(
+                    "SELECT COALESCE(MAX(seq), 0) FROM events"
+                ).fetchone()[0]
+            )
+        )
+
     def events(self, grid: str, limit: int = 1000) -> list[dict]:
         def op(conn: sqlite3.Connection):
             rows = conn.execute(

@@ -577,8 +577,9 @@ class SweepEngine:
         and fair-share across tenants; this method only adapts one job
         to the engine's bookkeeping, mirroring :meth:`_run_dist`. A
         grid the service already held (SUBMIT answered ``created:
-        false``) is served from its store: its points count as replayed
-        and report progress as ``"journal"``.
+        false``) is served from its store: the points done by the first
+        STATUS count as replayed and report progress as ``"journal"``;
+        a still-running job computes the rest now, as ``"run"``.
         """
         from repro.sweep.dist.service import ServiceClient
         from repro.sweep.dist.store import JOB_TERMINAL
@@ -605,19 +606,22 @@ class SweepEngine:
                 "retention policy; its results are no longer available "
                 "(change the grid, or clear the tombstone to recompute)"
             )
-        created = submitted.get("created", True)
-        source = "run" if created else "journal"
+        replayed: Optional[int] = 0 if submitted.get("created", True) else None
         progress_done = done
         last_seen = 0
         while True:
             status = client.status(grid)
             state = status.get("state")
             counts = status.get("counts", {})
+            if replayed is None:
+                # A job the service already held: what it had done by the
+                # first STATUS was acknowledged earlier; the rest runs now.
+                replayed = int(counts.get("done", 0))
             finished = int(counts.get("done", 0)) + int(counts.get("poisoned", 0))
             while last_seen < finished:
                 last_seen += 1
                 progress_done += 1
-                emit(progress_done, name, source)
+                emit(progress_done, name, "journal" if last_seen <= replayed else "run")
             if state in JOB_TERMINAL:
                 break
             time.sleep(0.25)
@@ -626,10 +630,8 @@ class SweepEngine:
             points, pending, cache, values, snapshots, grid, state,
             outcome["results"], outcome["poisoned"],
         )
-        if created:
-            report.computed = len(pending)
-        else:
-            report.replayed = len(pending)
+        report.replayed = replayed
+        report.computed = len(pending) - replayed
         # A job no longer live answers STATUS from its store row, which
         # carries no lease history.
         report.reclaims = int(status.get("reclaims", 0))

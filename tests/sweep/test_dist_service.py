@@ -519,6 +519,53 @@ class TestEngineSubmitPath:
             serve.join(timeout=5)
             service.stop()
 
+    def test_resubmitting_a_running_grid_computes_the_rest(self, tmp_path):
+        """SUBMIT of a grid the service still runs: the points done by the
+        first STATUS are replayed ("journal"), the rest computed ("run")."""
+        service = SweepService(tmp_path / "store.sqlite", host="127.0.0.1", port=0)
+        pts = points_for(3)
+        grid = service.submit("by-hand", pts)["grid"]
+        assignment = Assignment.from_bytes(
+            bytes(service._handle_claim("hand")).partition(b"\r\n")[2][:-2]
+        )
+        service._handle_done(
+            "hand", assignment.index, grid,
+            dump_result(assignment.point.call(), None),
+        )
+        serve = threading.Thread(
+            target=service.serve_forever, kwargs={"poll": 0.05}, daemon=True
+        )
+        serve.start()
+        agent = WorkerAgent(
+            f"{service.host}:{service.port}",
+            WorkerOptions(poll=0.02, reconnect_budget=10.0),
+        )
+        worker = threading.Thread(target=agent.run, daemon=True)
+        sources = []
+
+        def progress(done, total, label, source):
+            # The agent starts only after the first STATUS was read, so
+            # that STATUS sees exactly the point finished by hand.
+            if not sources:
+                worker.start()
+            sources.append(source)
+
+        try:
+            options = SweepOptions(
+                submit=f"{service.host}:{service.port}", progress=progress
+            )
+            report = SweepEngine(options).run([p for _, p in pts])
+            serial = SweepEngine(SweepOptions()).run([p for _, p in pts])
+            assert (report.computed, report.replayed) == (2, 1)
+            assert report.values == serial.values == [0, 1, 4]
+            assert sources == ["journal", "run", "run"]
+        finally:
+            service.request_stop()
+            if worker.is_alive():
+                worker.join(timeout=10)
+            serve.join(timeout=5)
+            service.stop()
+
     def test_submit_options_validation(self):
         with pytest.raises(SweepError):
             SweepOptions(submit="h:1", serve="h:2")

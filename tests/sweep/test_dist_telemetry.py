@@ -22,6 +22,7 @@ from repro.sweep.dist import (
     prometheus_exposition,
 )
 from repro.sweep.dist.protocol import Assignment, dump_result, dump_spans, load_spans
+from repro.sweep.dist.query import fleet_tracer, lease_intervals
 from repro.sweep.dist.watch import (
     drained,
     fetch_status,
@@ -232,6 +233,17 @@ def claim(coordinator, worker="w1") -> Assignment:
     return Assignment.from_bytes(bulk_payload(reply))
 
 
+def written_trace(coordinator, path=None):
+    """Write the fleet trace; its non-metadata events, pid -> track name."""
+    path = coordinator.fleet_path if path is None else path
+    coordinator.write_fleet_trace(path)
+    events = load_trace(path)
+    names = {
+        e["pid"]: e["args"]["name"] for e in events if e["name"] == "process_name"
+    }
+    return [{**e, "pid": names[e["pid"]]} for e in events if e["ph"] != "M"]
+
+
 class TestCoordinatorTraceContext:
     def test_claim_is_stamped_with_trace_and_span_ids(self, make_coordinator):
         coordinator, _, _ = make_coordinator()
@@ -249,13 +261,14 @@ class TestCoordinatorTraceContext:
         coordinator._handle_done(
             "w1", assignment.index, coordinator.grid, dump_result(0, None)
         )
-        (span,) = [s for s in coordinator.fleet.spans if s.category == "lease"]
-        assert span.pid == "coordinator"
-        assert span.name == f"lease p{assignment.index}"
-        assert span.duration == pytest.approx(2.5)
-        assert span.args["outcome"] == "done"
-        assert span.args["worker"] == "w1"
-        assert span.args["span_id"] == assignment.span_id
+        (span,) = [e for e in written_trace(coordinator) if e["cat"] == "lease"]
+        assert span["pid"] == "coordinator"
+        assert span["name"] == f"lease p{assignment.index}"
+        assert span["dur"] == pytest.approx(2.5e6)
+        assert span["args"]["outcome"] == "done"
+        assert span["args"]["worker"] == "w1"
+        assert span["args"]["span_id"] == assignment.span_id
+        assert span["args"]["trace_id"] == assignment.trace_id
 
     def test_reclaim_emits_steal_instant_and_closes_the_span(self, make_coordinator):
         coordinator, clock, wall = make_coordinator()
@@ -264,10 +277,14 @@ class TestCoordinatorTraceContext:
         clock.advance(10.0)  # past the 5s lease
         wall.advance(10.0)
         coordinator.jobs[coordinator.grid].table.reclaim_expired()
-        instants = [i.name for i in coordinator.fleet.instants]
-        assert "steal" in instants
-        (span,) = [s for s in coordinator.fleet.spans if s.category == "lease"]
-        assert span.args["outcome"] == "reclaim"
+        events = written_trace(coordinator)
+        (steal,) = [e for e in events if e["name"] == "steal"]
+        (span,) = [e for e in events if e["cat"] == "lease" and e["ph"] == "X"]
+        assert span["args"]["outcome"] == "reclaim"
+        assert span["dur"] == pytest.approx(10.0e6)
+        # The steal sits on the lane of the worker it was taken from.
+        assert (steal["pid"], steal["tid"]) == (span["pid"], span["tid"])
+        assert steal["ts"] == span["ts"] + span["dur"]
 
     def test_worker_spans_file_under_hello_identity_track(self, make_coordinator):
         coordinator, _, _ = make_coordinator()
@@ -279,17 +296,17 @@ class TestCoordinatorTraceContext:
             ),
         )
         assert reply == b":1\r\n"
-        (span,) = [s for s in coordinator.fleet.spans if s.name == "p0"]
-        assert span.pid == "worker nodeA:7"
-        assert span.args["k"] == 1
+        (span,) = [e for e in written_trace(coordinator) if e["name"] == "p0"]
+        assert span["pid"] == "worker nodeA:7"
+        assert span["args"]["k"] == 1
 
     def test_spans_from_unknown_worker_use_fallback_track(self, make_coordinator):
         coordinator, _, _ = make_coordinator()
         coordinator._handle_spans(
             "ghost", dump_spans([{"name": "p1", "start": 1.0, "end": 2.0}])
         )
-        (span,) = coordinator.fleet.spans
-        assert span.pid == "worker ghost"
+        (span,) = written_trace(coordinator)
+        assert span["pid"] == "worker ghost"
 
 
 class TestCoordinatorRatesAndStatus:
@@ -334,9 +351,10 @@ class TestCoordinatorRatesAndStatus:
         names = [e["event"] for e in coordinator.flight.events()]
         assert names == ["submit", "hello", "lease", "done"]
 
-    def test_long_lived_service_holds_no_lease_spans(self, make_coordinator):
-        # The tracer is unbounded: without a fleet-trace destination a
-        # standalone service must not grow with every lease it grants.
+    def test_long_lived_service_holds_no_lease_spans(self, make_coordinator, tmp_path):
+        # Without a fleet-trace destination a standalone service must not
+        # grow with every point it serves: leases live only in the store,
+        # and worker spans are acknowledged but not kept.
         service, _, _ = make_coordinator(n=200, fleet_path=None)
         hello(service)
         for _ in range(200):
@@ -345,9 +363,18 @@ class TestCoordinatorRatesAndStatus:
                 "w1", assignment.index, service.grid, dump_result(0, None)
             )
             assert reply == b"+OK\r\n"
+            reply = service._handle_spans(
+                "w1",
+                dump_spans(
+                    [{"name": f"p{assignment.index}", "start": 1.0, "end": 2.0}]
+                ),
+            )
+            assert reply == b":1\r\n"
         assert service.jobs[service.grid].state == "done"
-        assert service.fleet.spans == [] and service.fleet.instants == []
-        assert service._lease_open == {}
+        assert service._worker_spans == []
+        events = written_trace(service, tmp_path / "on-demand.json")
+        assert sum(e["cat"] == "lease" for e in events) == 200
+        assert not [e for e in events if e["cat"] == "point"]
 
 
 class TestFleetTraceWriter:
@@ -392,6 +419,45 @@ class TestFleetTraceWriter:
         assert set(by_name) == {"coordinator", "worker nodeA:7"}
         assert by_name["coordinator"] < by_name["worker nodeA:7"]
 
+    def test_trace_is_the_same_when_written_twice(self, make_coordinator, tmp_path):
+        coordinator, _, wall = make_coordinator()
+        hello(coordinator)
+        assignment = claim(coordinator)
+        wall.advance(1.0)
+        coordinator._handle_done(
+            "w1", assignment.index, coordinator.grid, dump_result(0, None)
+        )
+        claim(coordinator)  # still open when written
+        wall.advance(2.0)
+        coordinator.write_fleet_trace(tmp_path / "a.json")
+        coordinator.write_fleet_trace(tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_usage_bills_the_closed_lease_spans(self, make_coordinator):
+        coordinator, clock, wall = make_coordinator()
+        hello(coordinator)
+        grid = coordinator.grid
+        first = claim(coordinator)
+        wall.advance(1.5)
+        coordinator._handle_done("w1", first.index, grid, dump_result(0, None))
+        claim(coordinator)
+        clock.advance(10.0)
+        wall.advance(2.0)
+        coordinator.jobs[grid].table.reclaim_expired()
+        for step in (0.75, 0.5):
+            assignment = claim(coordinator)
+            wall.advance(step)
+            coordinator._handle_done(
+                "w1", assignment.index, grid, dump_result(0, None)
+            )
+        assert coordinator.jobs[grid].state == "done"
+        report = json.loads(bulk_payload(coordinator._handle_usage({})))
+        billed = sum(row["wall_seconds"] for row in report["tenants"])
+        spans = [e for e in written_trace(coordinator) if e["ph"] == "X"]
+        assert len(spans) == 4 and all(e["args"]["outcome"] != "open" for e in spans)
+        assert billed == pytest.approx(sum(e["dur"] for e in spans) / 1e6)
+        assert billed == pytest.approx(1.5 + 2.0 + 0.75 + 0.5)
+
     def test_poisoned_serve_dumps_the_flight_recorder(self, make_coordinator, tmp_path):
         dump_path = tmp_path / "postmortem.json"
         coordinator, _, _ = make_coordinator(
@@ -411,6 +477,125 @@ class TestFleetTraceWriter:
         assert [e["event"] for e in payload["events"]][:4] == [
             "submit", "hello", "lease", "poison",
         ]
+
+
+# -- The trace from rows (no sockets, no SQLite) ----------------------------
+GRID = "ab" * 32
+
+
+def rows(*spec, grid=GRID, first_seq=1):
+    """``events`` rows from ``(event, idx, worker, time)`` tuples."""
+    return [
+        {"seq": seq, "grid": grid, "idx": idx, "event": event,
+         "worker": worker, "time": float(t)}
+        for seq, (event, idx, worker, t) in enumerate(spec, start=first_seq)
+    ]
+
+
+#: One session: done, reclaim, requeue, poison, a stale DONE, an open lease.
+SESSION = rows(
+    ("submit", None, "", 9),
+    ("lease", 0, "w1", 10),
+    ("lease", 1, "w2", 11),
+    ("done", 0, "w1", 12),
+    ("reclaim", 1, None, 15),
+    ("lease", 1, "w1", 16),
+    ("requeue", 1, None, 17),
+    ("lease", 1, "w2", 18),
+    ("poisoned", 1, None, 19),
+    ("lease", 2, "w1", 20),
+    ("done", 3, "w9", 21),  # a stale worker's DONE: no lease open
+)
+
+
+class TestLeaseIntervals:
+    def test_each_lease_pairs_with_the_row_that_settled_it(self):
+        got = [
+            (i.lease["idx"], i.lease["worker"], i.lease["time"],
+             i.settle and i.settle["event"], i.settle and i.settle["time"],
+             i.number)
+            for i in lease_intervals(SESSION)
+        ]
+        assert got == [
+            (0, "w1", 10.0, "done", 12.0, 1),
+            (1, "w2", 11.0, "reclaim", 15.0, 1),
+            (1, "w1", 16.0, "requeue", 17.0, 2),
+            (1, "w2", 18.0, "poisoned", 19.0, 3),
+            (2, "w1", 20.0, None, None, 1),  # still open: last
+        ]
+
+    def test_a_lease_issued_again_before_settling_replaces_the_first(self):
+        (interval,) = lease_intervals(
+            rows(("lease", 0, "w1", 1), ("lease", 0, "w2", 5), ("done", 0, "w2", 7))
+        )
+        assert (interval.lease["worker"], interval.settle["time"]) == ("w2", 7.0)
+        assert interval.number == 2
+
+    def test_points_of_different_grids_do_not_pair(self):
+        mixed = rows(("lease", 0, "w1", 1)) + rows(
+            ("done", 0, "w1", 2), grid="cd" * 32, first_seq=2
+        )
+        (interval,) = lease_intervals(mixed)
+        assert interval.settle is None
+
+
+class TestFleetTracerFromRows:
+    def test_lease_spans_lanes_and_outcomes(self):
+        tracer = fleet_tracer(SESSION, after_seq=0, now=30.0)
+        got = [
+            (s.name, s.pid, s.tid, s.start, s.duration, s.args["outcome"],
+             s.args["worker"], s.args["span_id"], s.args["trace_id"])
+            for s in tracer.spans
+        ]
+        assert got == [
+            ("lease p0", "coordinator", 1, 10.0, 2.0, "done", "w1", "0/1", GRID[:16]),
+            ("lease p1", "coordinator", 2, 11.0, 4.0, "reclaim", "w2", "1/1", GRID[:16]),
+            ("lease p1", "coordinator", 1, 16.0, 1.0, "requeue", "w1", "1/2", GRID[:16]),
+            ("lease p1", "coordinator", 2, 18.0, 1.0, "poison", "w2", "1/3", GRID[:16]),
+            ("lease p2", "coordinator", 1, 20.0, 10.0, "open", "w1", "2/1", GRID[:16]),
+        ]
+
+    def test_steal_and_quarantine_instants(self):
+        tracer = fleet_tracer(SESSION, after_seq=0, now=30.0)
+        got = [(i.name, i.category, i.tid, i.time, i.args) for i in tracer.instants]
+        assert got == [
+            # On the lane of w2, the worker the lease was taken from.
+            ("steal", "lease", 2, 15.0, {"index": 1, "worker": None}),
+            # One requeue this session, then the poisoning failure.
+            ("quarantine", "poison", 0, 19.0, {"index": 1, "failures": 2}),
+        ]
+
+    def test_restart_replays_the_done_rows_before_the_session(self):
+        before = rows(
+            ("done", 0, "w1", 1), ("done", 1, "w2", 2), ("lease", 2, "w1", 3)
+        )
+        after = rows(
+            ("restore", None, None, 100),
+            ("lease", 2, "w3", 101),
+            ("done", 2, "w3", 102.5),
+            first_seq=4,
+        )
+        tracer = fleet_tracer(before + after, after_seq=3, now=200.0)
+        replays = [(i.name, i.category, i.time, i.args) for i in tracer.instants]
+        assert replays == [
+            ("replay", "journal", 100.0, {"index": 0}),
+            ("replay", "journal", 100.0, {"index": 1}),
+        ]
+        # The lease the previous session left open is not this session's.
+        (span,) = tracer.spans
+        assert (span.args["worker"], span.args["span_id"], span.duration) == (
+            "w3", "2/1", 1.5,
+        )
+
+    def test_worker_spans_join_on_their_own_tracks(self):
+        shipped = {"name": "p0", "category": "point", "start": 10.5,
+                   "end": 11.5, "tid": 0, "args": {"span_id": "0/1"}}
+        tracer = fleet_tracer(SESSION, 0, 30.0, [("worker h:1", shipped)])
+        span = tracer.spans[-1]
+        assert (span.name, span.pid, span.category, span.duration) == (
+            "p0", "worker h:1", "point", 1.0,
+        )
+        assert span.args == {"span_id": "0/1"}
 
 
 # -- Watch console ----------------------------------------------------------
