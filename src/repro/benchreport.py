@@ -249,6 +249,7 @@ def run_service_benchmark(
                 ]
                 client.submit(f"bench-{g}", points, tenant="bench")
             submit_seconds = time.perf_counter() - start
+            client.close()
 
             conn = MiniRedisConnection("127.0.0.1", service.port, timeout=10.0)
             claimed = 0

@@ -365,134 +365,96 @@ class _SweepProgress:
 #: maintenance command instead of an experiment run.
 _MAINTENANCE_VERBS = ("query", "usage", "gc", "health")
 
+_LOGGING = ("log_json", "log_level")
+
+#: Every ``repro sweep`` mode and the flags (argparse dests) it reads.
+#: A flag set away from its default outside its mode's row is refused.
+_SWEEP_MODES: dict[str, tuple[str, ...]] = {
+    "--cache-info": ("cache_info", "cache_dir"),
+    "query": ("experiments", "store", "at", "json", "fingerprint", "name", "tenant"),
+    "usage": ("experiments", "store", "at", "json", "tenant", "since"),
+    "gc": (
+        "experiments", "store", "at", "json", "tenant", "name", "max_age",
+        "keep_latest", "lease_grace", "apply",
+    ),
+    "health": ("experiments", "store", "at", "json"),
+    "--service": (
+        "service", "store", "lease", "seed", "flight_recorder", "max_live_jobs",
+        "max_queued_points", "max_store_mb", "max_connections",
+    ) + _LOGGING,
+    "--watch": ("watch", "reconnect_budget", "seed") + _LOGGING,
+    "--connect": (
+        "connect", "workers", "reconnect_budget", "poll", "op_timeout", "seed",
+        "flight_recorder",
+    ) + _LOGGING,
+    "--submit": ("experiments", "submit", "tenant", "cache_dir", "cache_max_mb")
+    + _LOGGING,
+    "--serve": (
+        "experiments", "serve", "journal", "lease", "cache_dir", "cache_max_mb",
+        "fleet_trace", "flight_recorder",
+    ) + _LOGGING,
+    "run": ("experiments", "parallel", "cache_dir", "cache_max_mb") + _LOGGING,
+}
+
+#: Flags that select a mode, in the order that decides between them.
+_MODE_FLAGS = ("service", "watch", "connect", "submit", "serve")
+
+
+def _sweep_mode(args: argparse.Namespace) -> str:
+    if args.cache_info:
+        return "--cache-info"
+    if args.experiments and args.experiments[0] in _MAINTENANCE_VERBS:
+        return args.experiments[0]
+    for flag in _MODE_FLAGS:
+        if getattr(args, flag):
+            return f"--{flag}"
+    return "run"
+
+
+def _mode_label(mode: str) -> str:
+    if mode == "run":
+        return "a local run"
+    return mode if mode.startswith("--") else f"'{mode}'"
+
+
+def _misplaced_flag(dest: str, mode: str) -> str:
+    label = _mode_label(mode)
+    if dest == "experiments":
+        return f"{label} takes no experiment names"
+    flag = "--" + dest.replace("_", "-")
+    if dest == "cache_info" or dest in _MODE_FLAGS:
+        return f"{label} and {flag} are mutually exclusive"
+    where = ", ".join(_mode_label(m) for m, reads in _SWEEP_MODES.items() if dest in reads)
+    return f"{flag} does not apply to {label}; it only applies to {where}"
+
 
 def _validate_sweep_args(args: argparse.Namespace) -> None:
-    if args.cache_info:
-        if not args.cache_dir:
-            raise ConfigError("--cache-info needs --cache-dir to inspect")
-        return
-    if args.experiments and args.experiments[0] in _MAINTENANCE_VERBS:
-        verb = args.experiments[0]
+    mode = _sweep_mode(args)
+    reads = _SWEEP_MODES[mode]
+    defaults = vars(build_parser().parse_args(["sweep"]))
+    for dest, default in defaults.items():
+        if dest != "command" and dest not in reads and getattr(args, dest) != default:
+            raise ConfigError(_misplaced_flag(dest, mode))
+    if mode == "--cache-info" and not args.cache_dir:
+        raise ConfigError("--cache-info needs --cache-dir to inspect")
+    if mode in _MAINTENANCE_VERBS:
         if len(args.experiments) > 1:
             raise ConfigError(
-                f"'{verb}' takes flags, not positional arguments: "
+                f"'{mode}' takes flags, not positional arguments: "
                 f"{args.experiments[1:]}"
             )
         if bool(args.store) == bool(args.at):
             raise ConfigError(
-                f"'{verb}' needs exactly one of --store FILE (read a store "
+                f"'{mode}' needs exactly one of --store FILE (read a store "
                 "file) or --at HOST:PORT (ask a running service)"
             )
-        if args.serve or args.connect or args.watch or args.submit or args.service:
-            raise ConfigError(
-                f"'{verb}' is a maintenance command; it cannot combine with "
-                "--serve/--connect/--submit/--service/--watch"
-            )
-        if verb != "gc" and (
-            args.max_age is not None
-            or args.keep_latest is not None
-            or args.apply
-        ):
-            raise ConfigError("--max-age/--keep-latest/--apply only apply to gc")
-        if verb != "query" and args.fingerprint:
-            raise ConfigError("--fingerprint only applies to query")
-        if verb == "health" and (args.name or args.tenant or args.since is not None):
-            raise ConfigError(
-                "health reports the whole service; --name/--tenant/--since "
-                "only apply to query/usage/gc"
-            )
-        return
-    if args.at:
-        raise ConfigError("--at only applies to query/usage/gc/health")
-    if args.fingerprint or args.apply or args.max_age is not None \
-            or args.keep_latest is not None:
+    if mode == "--service" and not args.store:
         raise ConfigError(
-            "--fingerprint/--max-age/--keep-latest/--apply only apply to "
-            "the query/usage/gc maintenance commands"
+            "--service needs --store FILE: durability across restarts "
+            "is the point of the service"
         )
-    if args.service:
-        if not args.store:
-            raise ConfigError(
-                "--service needs --store FILE: durability across restarts "
-                "is the point of the service"
-            )
-        if args.serve or args.connect or args.watch or args.submit:
-            raise ConfigError(
-                "--service runs standalone; it cannot also --serve, "
-                "--connect, --submit, or --watch"
-            )
-        if args.experiments:
-            raise ConfigError(
-                "--service takes no experiment names: tenants SUBMIT grids "
-                "to it (sweep --submit HOST:PORT ...)"
-            )
-        return
-    if args.store:
-        raise ConfigError(
-            "--store only applies to --service and the "
-            "query/usage/gc/health maintenance commands"
-        )
-    if (
-        args.max_live_jobs is not None
-        or args.max_queued_points is not None
-        or args.max_store_mb is not None
-        or args.max_connections is not None
-    ):
-        raise ConfigError(
-            "--max-live-jobs/--max-queued-points/--max-store-mb/"
-            "--max-connections only apply to --service (admission control "
-            "is enforced where grids are accepted)"
-        )
-    if args.watch:
-        if args.serve or args.connect:
-            raise ConfigError(
-                "--watch is a read-only observer; it cannot also --serve "
-                "or --connect"
-            )
-        if args.experiments:
-            raise ConfigError(
-                "--watch takes no experiment names: it attaches to a "
-                "running sweep"
-            )
-        return
-    if args.connect:
-        if args.serve or args.submit:
-            raise ConfigError(
-                "--connect and --serve/--submit are mutually exclusive"
-            )
-        if args.experiments:
-            raise ConfigError(
-                "--connect takes no experiment names: workers claim their "
-                "points from the serving sweep"
-            )
-        if args.fleet_trace:
-            raise ConfigError(
-                "--fleet-trace only applies to --serve (the serving side "
-                "merges the fleet's spans)"
-            )
-        return
-    if args.submit:
-        if args.serve:
-            raise ConfigError(
-                "--submit and --serve are mutually exclusive: submit hands "
-                "the grid to an already-running service"
-            )
-        if args.parallel > 1:
-            raise ConfigError(
-                "--submit and --parallel are mutually exclusive: the "
-                "service's workers do the computing"
-            )
-    elif args.tenant:
-        raise ConfigError("--tenant only applies to --submit")
-    if not args.experiments:
+    if mode in ("--submit", "--serve", "run") and not args.experiments:
         raise ConfigError("name at least one experiment (or 'all')")
-    if args.serve and args.parallel > 1:
-        raise ConfigError(
-            "--serve and --parallel are mutually exclusive: a serving sweep "
-            "delegates execution to remote workers"
-        )
-    if (args.journal or args.lease is not None) and not args.serve:
-        raise ConfigError("--journal/--lease only apply to --serve")
     if args.journal:
         from pathlib import Path
 
@@ -505,11 +467,6 @@ def _validate_sweep_args(args: argparse.Namespace) -> None:
                 f"{STORE_FILENAME}: serving from it would recompute work they "
                 "acknowledged; name a fresh directory"
             )
-    if (args.fleet_trace or args.flight_recorder) and not args.serve:
-        raise ConfigError(
-            "--fleet-trace/--flight-recorder only apply to --serve "
-            "(or --connect, for a worker-side flight recorder)"
-        )
 
 
 def _cmd_cache_info(args: argparse.Namespace) -> int:
@@ -555,25 +512,25 @@ def _maintenance_reports(args: argparse.Namespace, verb: str) -> dict:
     if args.at:
         from repro.sweep.dist.service import ServiceClient
 
-        client = ServiceClient(args.at)
-        if verb == "health":
-            return client.health()
-        if verb == "query":
-            return client.query(
-                fingerprint=args.fingerprint or None,
-                name=args.name or None,
+        with ServiceClient(args.at) as client:
+            if verb == "health":
+                return client.health()
+            if verb == "query":
+                return client.query(
+                    fingerprint=args.fingerprint or None,
+                    name=args.name or None,
+                    tenant=args.tenant or None,
+                )
+            if verb == "usage":
+                return client.usage(tenant=args.tenant or None, since=args.since)
+            return client.gc(
+                max_age_seconds=args.max_age,
+                keep_latest=args.keep_latest,
                 tenant=args.tenant or None,
+                name=args.name or None,
+                lease_grace=args.lease_grace,
+                dry_run=not args.apply,
             )
-        if verb == "usage":
-            return client.usage(tenant=args.tenant or None, since=args.since)
-        return client.gc(
-            max_age_seconds=args.max_age,
-            keep_latest=args.keep_latest,
-            tenant=args.tenant or None,
-            name=args.name or None,
-            lease_grace=args.lease_grace,
-            dry_run=not args.apply,
-        )
 
     from repro.sweep.dist.query import (
         ReaderPool,
@@ -993,7 +950,7 @@ def _cmd_sweep_serial_or_serve(args: argparse.Namespace) -> int:
             fleet_trace=args.fleet_trace or None,
             flight_recorder=args.flight_recorder or None,
             submit=args.submit or None,
-            tenant=args.tenant if args.submit else "",
+            tenant=args.tenant,
             job_name=name if args.submit else None,
         )
         start = time.perf_counter()

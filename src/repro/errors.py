@@ -85,6 +85,14 @@ class CorruptPayloadError(TransportError):
     retryable = True
 
 
+class HelloRefusedError(TransportError):
+    """A sweep service answered a client's ``HELLO`` with ``-ERR``.
+
+    Fatal, never retried: a worker whose version the service refuses
+    would compute a different grid if it joined anyway.
+    """
+
+
 class ServiceBusyError(ServerError):
     """The server refused the operation under overload (``-BUSY`` reply).
 

@@ -45,7 +45,7 @@ from repro.sweep.dist.store import (
     JOB_TERMINAL,
     SweepStore,
 )
-from repro.sweep.dist.watch import fetch_status, render_status, watch
+from repro.sweep.dist.watch import render_status, watch
 from repro.sweep.dist.worker import (
     WorkerAgent,
     WorkerOptions,
@@ -75,7 +75,6 @@ __all__ = [
     "WorkerAgent",
     "WorkerOptions",
     "WorkerReport",
-    "fetch_status",
     "grid_signature",
     "parse_hostport",
     "prometheus_exposition",

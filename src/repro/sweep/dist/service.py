@@ -80,6 +80,7 @@ import numpy as np
 
 from repro.errors import (
     BackendUnavailableError,
+    HelloRefusedError,
     ServiceBusyError,
     SweepError,
     SweepStoreError,
@@ -1116,23 +1117,31 @@ class SweepService(RespTcpServer):
 
 
 class ServiceClient:
-    """Tenant-side client: SUBMIT/STATUS/CANCEL/RESULTS/JOBS plus the
-    v5 read commands QUERY/USAGE/GC, all over RESP.
+    """The one client of a sweep service: tenants, workers and the
+    ``--watch`` console all reach a service through it.
 
-    Every exchange is one short-lived request with a request-scoped
-    timeout, retried across reconnects with seeded backoff — the client
-    rides out a service SIGKILL + restart exactly like a worker does.
-    All commands it issues are idempotent (SUBMIT by content signature,
-    the rest read-only or terminal-state-absorbing), so blind retry is
-    safe.
+    It keeps one connection, reopens it after a loss, and replays the
+    owner's ``hello`` (the ``HELLO`` arguments, for workers) on every
+    connection it opens. Each command is retried within
+    ``reconnect_budget`` seconds; a budget of 0 makes every command one
+    attempt (a connection that had gone stale since the last command is
+    still reopened once, at once). Waits between attempts are seeded
+    backoff, or the server's ``retry_after_s`` hint after a ``-BUSY``;
+    they never outlast the budget and end at once when ``stop`` is set.
+    Every command the tenant API issues is idempotent (SUBMIT by content
+    signature, the rest read-only or terminal-state-absorbing), so
+    retrying one that may have reached the service is safe.
 
-    Error replies split three ways: ``-BUSY`` (overload refusal —
-    retryable; the server's ``retry_after_s`` hint is honored *instead
-    of* the client's own backoff, and exhausting the budget raises
-    :class:`~repro.errors.ServiceBusyError` carrying the refusal
-    reason), connection loss (retryable with seeded backoff, as
-    before), and ``-ERR`` (the request itself is wrong — fatal, raised
-    immediately).
+    Failures split four ways: connection loss (retried; raised as
+    :class:`~repro.errors.BackendUnavailableError` once the budget is
+    spent), ``-BUSY`` (retried; raised as
+    :class:`~repro.errors.ServiceBusyError` carrying the refusal),
+    ``-ERR`` (the request itself is wrong — raised at once as
+    :class:`~repro.transport.resp.ServerReplyError`), and an ``-ERR``
+    to the replayed HELLO (raised at once as
+    :class:`~repro.errors.HelloRefusedError`). One lock serialises
+    commands, so threads may share a client but never interleave on
+    its socket.
     """
 
     def __init__(
@@ -1141,64 +1150,98 @@ class ServiceClient:
         op_timeout: float = 30.0,
         reconnect_budget: float = 30.0,
         seed: int = 0,
+        hello: Optional[Sequence[str]] = None,
+        stop: Optional[threading.Event] = None,
     ) -> None:
         self.host, self.port = parse_hostport(address)
         self.address = address
         self.op_timeout = op_timeout
         self.reconnect_budget = reconnect_budget
+        self.hello = tuple(hello) if hello else None
+        self.stop = stop if stop is not None else threading.Event()
         self._rng = np.random.default_rng(derive_seed(seed, "service-client", address))
-        #: -BUSY refusals absorbed (retried) across this client's lifetime.
+        #: -BUSY refusals absorbed or raised across this client's lifetime.
         self.busy_refusals = 0
         #: The most recent -BUSY document seen, for operator forensics.
         self.last_busy: Optional[dict] = None
+        #: Connections opened after a command had lost one or failed to.
+        self.reconnects = 0
+        self._conn: Optional[MiniRedisConnection] = None
+        self._lock = threading.Lock()
 
-    def _command(self, *parts) -> Any:
-        deadline = time.monotonic() + self.reconnect_budget
-        attempt = 0
-        while True:
-            conn = None
+    def _open(self) -> MiniRedisConnection:
+        conn = MiniRedisConnection(self.host, self.port, timeout=self.op_timeout)
+        if self.hello is not None:
             try:
-                conn = MiniRedisConnection(self.host, self.port, timeout=self.op_timeout)
-                return conn.command(*parts)
-            except BackendUnavailableError:
-                if time.monotonic() >= deadline:
-                    raise
-                attempt += 1
-                delay = min(0.1 * (2 ** min(attempt, 5)), 2.0)
-                time.sleep(delay * (0.5 + float(self._rng.random())))
+                conn.command("HELLO", *self.hello)
             except resp.ServerReplyError as exc:
-                busy = parse_busy(str(exc))
-                if busy is None:
-                    raise  # -ERR: the request is wrong; retry cannot help
-                self.busy_refusals += 1
-                self.last_busy = busy
-                now = time.monotonic()
-                reason = str(busy.get("reason", "busy"))
-                hint = busy.get("retry_after_s")
-                if now >= deadline:
-                    raise ServiceBusyError(
-                        reason,
-                        None if hint is None else float(hint),
-                        detail=busy,
-                    ) from None
-                if hint is not None:
-                    # Honor the server's seeded pacing over our own.
-                    delay = max(0.0, float(hint))
-                else:
+                conn.close()
+                if parse_busy(str(exc)) is not None:
+                    raise  # shed at accept: paced like any -BUSY
+                raise HelloRefusedError(f"{self.address} refused HELLO: {exc}") from None
+            except BaseException:
+                conn.close()
+                raise
+        return conn
+
+    def close(self) -> None:
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def command(self, *parts) -> Any:
+        """Send one command; retry within the budget; return its reply."""
+        with self._lock:
+            deadline = time.monotonic() + self.reconnect_budget
+            attempt = 0
+            lost = False
+            while True:
+                kept = self._conn is not None
+                try:
+                    if self._conn is None:
+                        self._conn = self._open()
+                        self.reconnects += lost
+                    return self._conn.command(*parts)
+                except BackendUnavailableError as exc:
+                    self.close()
+                    lost = True
+                    if kept:
+                        continue  # idle-cut or restarted peer: reopen at once
+                    error: Exception = exc
+                    hint = None
+                except resp.ServerReplyError as exc:
+                    busy = parse_busy(str(exc))
+                    if busy is None:
+                        raise  # -ERR: the request is wrong; retry cannot help
+                    self.busy_refusals += 1
+                    self.last_busy = busy
+                    hint = busy.get("retry_after_s")
+                    hint = None if hint is None else max(0.0, float(hint))
+                    error = ServiceBusyError(
+                        str(busy.get("reason", "busy")), hint, detail=busy
+                    )
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or self.stop.is_set():
+                    raise error from None
+                if hint is None:
                     attempt += 1
-                    delay = min(0.1 * (2 ** min(attempt, 5)), 2.0)
-                    delay *= 0.5 + float(self._rng.random())
-                time.sleep(min(delay, max(0.0, deadline - now)))
-            finally:
-                if conn is not None:
-                    conn.close()
+                    hint = min(0.1 * (2 ** min(attempt, 5)), 2.0)
+                    hint *= 0.5 + float(self._rng.random())
+                if self.stop.wait(min(hint, remaining)):
+                    raise error from None
 
     def ping(self) -> bool:
-        return str(self._command("PING")) == "PONG"
+        return str(self.command("PING")) == "PONG"
 
     def health(self) -> dict:
         """The service's readiness document (see the HEALTH command)."""
-        reply = self._command("HEALTH")
+        reply = self.command("HEALTH")
         doc = json.loads(reply) if reply else None
         if not isinstance(doc, dict):
             raise SweepError(f"malformed HEALTH reply from {self.address}")
@@ -1217,12 +1260,12 @@ class ServiceClient:
             name, points, tenant=tenant, timeout=timeout,
             retries=retries, capture=capture,
         )
-        reply = self._command("SUBMIT", blob)
+        reply = self.command("SUBMIT", blob)
         return json.loads(reply) if reply else {}
 
     def status(self, grid: Optional[str] = None) -> dict:
         reply = (
-            self._command("STATUS", grid) if grid else self._command("STATUS")
+            self.command("STATUS", grid) if grid else self.command("STATUS")
         )
         status = json.loads(reply) if reply else None
         if not isinstance(status, dict):
@@ -1230,10 +1273,10 @@ class ServiceClient:
         return status
 
     def cancel(self, grid: str) -> str:
-        return str(self._command("CANCEL", grid))
+        return str(self.command("CANCEL", grid))
 
     def jobs(self) -> list[dict]:
-        reply = self._command("JOBS")
+        reply = self.command("JOBS")
         rows = json.loads(reply) if reply else []
         return rows if isinstance(rows, list) else []
 
@@ -1250,7 +1293,7 @@ class ServiceClient:
             "fingerprint": fingerprint, "name": name, "tenant": tenant,
             "limit": limit, "divergences": include_divergences,
         }
-        reply = self._command("QUERY", json.dumps(spec, sort_keys=True))
+        reply = self.command("QUERY", json.dumps(spec, sort_keys=True))
         return json.loads(reply) if reply else {"rows": []}
 
     def usage(
@@ -1258,7 +1301,7 @@ class ServiceClient:
     ) -> dict:
         """Per-tenant, per-day accounting report (read-only)."""
         spec = {"tenant": tenant, "since": since}
-        reply = self._command("USAGE", json.dumps(spec, sort_keys=True))
+        reply = self.command("USAGE", json.dumps(spec, sort_keys=True))
         return json.loads(reply) if reply else {"tenants": []}
 
     def gc(
@@ -1276,7 +1319,7 @@ class ServiceClient:
             "tenant": tenant, "name": name, "lease_grace": lease_grace,
             "dry_run": dry_run,
         }
-        reply = self._command("GC", json.dumps(spec, sort_keys=True))
+        reply = self.command("GC", json.dumps(spec, sort_keys=True))
         return json.loads(reply) if reply else {}
 
     def results(self, grid: str, decode: bool = True) -> dict:
@@ -1286,7 +1329,7 @@ class ServiceClient:
         ``{index: (value, snapshot)}``; without it the raw payload bytes
         come back verbatim (byte-identity checks).
         """
-        reply = self._command("RESULTS", grid)
+        reply = self.command("RESULTS", grid)
         payload = load_results_reply(bytes(reply))
         out = {"state": payload["state"], "poisoned": payload.get("poisoned", {})}
         if decode:

@@ -12,22 +12,25 @@ perturb it.
 
 Rendering is a pure function of the status document
 (:func:`render_status`), so tests exercise the exact strings without a
-socket; :func:`watch` owns only the poll/clear/exit loop.
+socket; :func:`watch` owns only the poll/clear/exit loop. It fetches
+``STATUS`` and ``HEALTH`` through a one-attempt
+:class:`~repro.sweep.dist.service.ServiceClient` (the one client of the
+service) and keeps its own seeded reconnect loop, which paints the
+``RECONNECTING`` banner between attempts.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from typing import Callable, Optional, TextIO
 
 import numpy as np
 
-from repro.errors import BackendUnavailableError, SweepError, TransportError
-from repro.sweep.dist.protocol import parse_hostport
+from repro.errors import SweepError, TransportError
+from repro.sweep.dist.service import ServiceClient
 from repro.sweep.point import derive_seed
-from repro.transport.redis_backend import MiniRedisConnection
+from repro.transport.resp import ServerReplyError
 
 #: Progress-bar width in cells.
 BAR_WIDTH = 30
@@ -37,48 +40,11 @@ BAR_WIDTH = 30
 #: still exhaust it deterministically).
 RECONNECT_BUDGET = 30.0
 
+#: Socket timeout of each STATUS/HEALTH exchange.
+OP_TIMEOUT = 5.0
+
 #: ANSI: move the cursor home and wipe the rest of the screen.
 _CLEAR = "\x1b[H\x1b[J"
-
-
-def fetch_status(address: str, timeout: float = 5.0) -> dict:
-    """One STATUS round-trip to the service at ``HOST:PORT``.
-
-    Opens and closes its own connection per call — stateless, safe from
-    any thread, and strictly read-only on the serving side.
-    """
-    host, port = parse_hostport(address)
-    conn = MiniRedisConnection(host, port, timeout=timeout)
-    try:
-        reply = conn.command("STATUS")
-    finally:
-        conn.close()
-    try:
-        status = json.loads(reply) if reply else None
-    except ValueError:
-        status = None
-    if not isinstance(status, dict):
-        raise SweepError(f"malformed STATUS reply from {address}")
-    return status
-
-
-def fetch_health(address: str, timeout: float = 5.0) -> Optional[dict]:
-    """One HEALTH round-trip; None when the reply is not a document.
-
-    Failures propagate — :func:`watch` treats any of them as "no
-    banner", since only STATUS drives its reconnect loop.
-    """
-    host, port = parse_hostport(address)
-    conn = MiniRedisConnection(host, port, timeout=timeout)
-    try:
-        reply = conn.command("HEALTH")
-    finally:
-        conn.close()
-    try:
-        doc = json.loads(reply) if reply else None
-    except ValueError:
-        doc = None
-    return doc if isinstance(doc, dict) else None
 
 
 def progress_bar(done: int, total: int, width: int = BAR_WIDTH) -> str:
@@ -180,24 +146,41 @@ def render_status(status: dict, health: Optional[dict] = None) -> str:
     return "\n".join(lines)
 
 
+def _health_document(client: ServiceClient) -> Optional[dict]:
+    """HEALTH through ``client``; None when the reply is not a document."""
+    try:
+        return client.health()
+    except SweepError:
+        return None
+
+
 def watch(
     address: str,
     interval: float = 1.0,
     stream: Optional[TextIO] = None,
     max_refreshes: Optional[int] = None,
-    fetch: Callable[[str], dict] = fetch_status,
-    fetch_health_fn: Optional[Callable[[str], Optional[dict]]] = fetch_health,
+    fetch: Optional[Callable[[str], dict]] = None,
+    health_probe: Optional[Callable[[str], Optional[dict]]] = None,
     sleep: Callable[[float], None] = time.sleep,
     reconnect_budget: float = RECONNECT_BUDGET,
     seed: int = 0,
 ) -> int:
     """Poll-and-repaint until the grid drains; returns an exit code.
 
+    ``fetch``/``health_probe`` default to STATUS/HEALTH through one
+    one-attempt :class:`ServiceClient`; tests inject their own.
+
     Losing a service we had reached starts a seeded-backoff
     reconnect loop bounded by ``reconnect_budget`` cumulative seconds —
     a service restarting against the same store comes back mid-budget
-    and the console re-attaches where it left off. The budget is accounted in *requested* sleep seconds, not
-    wall time, so an injected no-op ``sleep`` exhausts it all the same.
+    and the console re-attaches where it left off. The budget is
+    accounted in *requested* sleep seconds, not wall time, so an
+    injected no-op ``sleep`` exhausts it all the same.
+
+    The overload banner comes from HEALTH, best-effort: a failed probe
+    skips the banner for that refresh only, while an ``-ERR`` reply (a
+    peer that does not know HEALTH) or a reply that is not a document
+    turns it off for the session.
 
     Exit 0 when the watched grid drained, or when a service we had
     reached stays gone past the budget — a ``--serve`` sweep only
@@ -220,71 +203,72 @@ def watch(
     last: Optional[dict] = None
     budget_left = reconnect_budget
     attempt = 0
-    health_supported = fetch_health_fn is not None
-    while max_refreshes is None or refreshes < max_refreshes:
-        try:
-            status = fetch(address)
+    health_supported = True
+    client = ServiceClient(address, op_timeout=OP_TIMEOUT, reconnect_budget=0.0)
+    fetch = fetch or (lambda _: client.status())
+    health_probe = health_probe or (lambda _: _health_document(client))
+    try:
+        while max_refreshes is None or refreshes < max_refreshes:
+            try:
+                status = fetch(address)
+            except (TransportError, OSError):
+                if last is None:
+                    print(f"coordinator at {address} is unreachable", file=out)
+                    return 1
+                if budget_left <= 0:
+                    if not drained(last):
+                        counts = last.get("counts", {})
+                        print(
+                            f"coordinator at {address} closed "
+                            f"({counts.get('done', 0)}/{last.get('n_points', 0)} "
+                            "done at last poll)",
+                            file=out,
+                        )
+                    return 0
+                delay = min(interval * 2 ** min(attempt, 4), 10.0)
+                delay = max(0.05, delay * (0.5 + float(rng.random())))
+                delay = min(delay, budget_left)
+                print(
+                    f"RECONNECTING to {address} "
+                    f"({budget_left:.1f}s left in budget)",
+                    file=out,
+                )
+                out.flush()
+                sleep(delay)
+                budget_left -= delay
+                attempt += 1
+                continue
             health = None
             if health_supported:
-                # Best-effort: only STATUS drives the reconnect loop; a
-                # health probe failing (a peer that is not a sweep
-                # service, an injected fetch in tests) just degrades the
-                # console to status-only.
                 try:
-                    health = fetch_health_fn(address)
-                except (BackendUnavailableError, TransportError, OSError):
-                    health = None
-                if health is None:
-                    health_supported = False
-        except (BackendUnavailableError, TransportError, OSError):
-            if last is None:
-                print(f"coordinator at {address} is unreachable", file=out)
-                return 1
-            if budget_left <= 0:
-                if not drained(last):
-                    counts = last.get("counts", {})
-                    print(
-                        f"coordinator at {address} closed "
-                        f"({counts.get('done', 0)}/{last.get('n_points', 0)} "
-                        "done at last poll)",
-                        file=out,
-                    )
-                return 0
-            delay = min(interval * 2 ** min(attempt, 4), 10.0)
-            delay = max(0.05, delay * (0.5 + float(rng.random())))
-            delay = min(delay, budget_left)
-            print(
-                f"RECONNECTING to {address} "
-                f"({budget_left:.1f}s left in budget)",
-                file=out,
-            )
+                    health = health_probe(address)
+                    health_supported = health is not None
+                except ServerReplyError:
+                    health_supported = False  # the peer does not know HEALTH
+                except (TransportError, OSError):
+                    pass  # no banner this refresh; STATUS drives reconnects
+            if attempt:
+                print(f"reconnected to {address}", file=out)
+            budget_left = reconnect_budget
+            attempt = 0
+            refreshes += 1
+            if use_ansi:
+                out.write(_CLEAR)
+            print(render_status(status, health), file=out)
             out.flush()
-            sleep(delay)
-            budget_left -= delay
-            attempt += 1
-            continue
-        if attempt:
-            print(f"reconnected to {address}", file=out)
-        budget_left = reconnect_budget
-        attempt = 0
-        refreshes += 1
-        if use_ansi:
-            out.write(_CLEAR)
-        print(render_status(status, health), file=out)
-        out.flush()
-        last = status
-        if drained(status):
-            return 0
-        sleep(interval)
-    return 0
+            last = status
+            if drained(status):
+                return 0
+            sleep(interval)
+        return 0
+    finally:
+        client.close()
 
 
 __all__ = [
     "BAR_WIDTH",
     "RECONNECT_BUDGET",
     "drained",
-    "fetch_health",
-    "fetch_status",
     "progress_bar",
     "render_health",
     "render_status",

@@ -2,43 +2,51 @@
 
 The agent is deliberately stateless about the grid: it claims one
 assignment at a time, executes it with the sweep engine's own point
-runner (per-point ``SIGALRM`` timeout, local retries for *retryable*
-errors with :class:`~repro.transport.resilience.RetryPolicy` backoff),
+runner (per-point ``SIGALRM`` timeout, immediate local retries for
+*retryable* errors, as the engine's serial and pool paths retry),
 streams the pickled (value, telemetry snapshot) result back, and claims
-again. Everything that makes the system fault-tolerant lives in how the
-agent fails:
+again. It reaches the service only through two
+:class:`~repro.sweep.dist.service.ServiceClient` instances, which own
+every connect, reconnect, backoff and ``-BUSY`` wait:
+
+* the **patient** client (budget ``reconnect_budget``) carries HELLO,
+  CLAIM, DONE and FAIL. It replays HELLO on every connection it opens
+  and rides out a coordinator restart or the gap between two grids of
+  a multi-stage sweep; the agent gives up only when a command cannot
+  reach the coordinator within the budget;
+* the **one-attempt** client (budget 0) carries the heartbeat's RENEW
+  and the main loop's SPANS, so neither can burn the reconnect budget
+  or stall the claim loop. The two threads take turns on it: the
+  heartbeat while a point runs, the main loop after it is joined.
+
+Everything that makes the system fault-tolerant lives in how the agent
+fails:
 
 * **heartbeats** — a background thread renews the current lease every
-  ``lease_seconds * heartbeat_fraction``; if the agent dies (SIGKILL,
-  OOM), renewals stop and the coordinator reclaims the point;
-* **reconnect with backoff + jitter** — every connection failure goes
-  through the shared :class:`RetryPolicy` (seeded jitter desynchronises
-  a fleet restarting together) gated by a :class:`CircuitBreaker`; the
-  agent only gives up after ``reconnect_budget`` seconds without
-  managing to reach the coordinator, which is what lets it ride out a
-  coordinator restart or the gap between two grids of a multi-stage
-  sweep;
-* **result durability** — a computed result is resent across reconnects
-  until acknowledged; a ``DUPLICATE`` ack (someone stole and finished
-  the point while we were partitioned) is a success, not an error. Every
-  submission names its grid signature, and the service acks a result
-  for a grid it no longer holds ``STALE`` instead of recording it into
-  the wrong grid. An ``-ERR`` rejection discards the point
-  and the agent claims again; only a rejected HELLO is fatal;
+  third of ``lease_seconds``; if the agent dies (SIGKILL, OOM),
+  renewals stop and the coordinator reclaims the point;
+* **result durability** — a ``DUPLICATE`` ack (someone stole and
+  finished the point while we were partitioned) is a success, not an
+  error. Every submission names its grid signature, and the service
+  acks a result for a grid it no longer holds ``STALE`` instead of
+  recording it into the wrong grid. A ``-BUSY`` means the service is
+  alive: the agent waits ``poll`` and resends (DONE is idempotent). An
+  ``-ERR`` rejection discards the point and the agent claims again;
+  only a refused HELLO is fatal;
 * **graceful drain** — SIGTERM (see :meth:`install_signal_handlers`)
-  finishes and reports the in-flight point, then exits the claim loop.
+  finishes and reports the in-flight point, then exits the claim loop;
+  it also ends any reconnect wait at once.
 
 Observability (passive, never on the failure-handling path):
 
 * every executed point becomes a wall-clock **fleet span** carrying the
-  assignment's ``trace_id``/``span_id``; finished spans ship back on the
-  ``SPANS`` command *fire-and-forget* — one attempt on the live
-  connection, no reconnects, no retries, because a worker must never
-  burn its reconnect budget (or stall its claim loop) on telemetry;
+  assignment's ``trace_id``/``span_id``; finished spans ship back on
+  ``SPANS`` through the one-attempt client, and a batch that fails is
+  dropped and counted;
 * a **flight recorder** rings recent protocol events and dumps a
   postmortem JSON on crash, drain, or exit when a dump path is set;
 * **structured logs** (``repro.sweep.worker``) narrate claims, results,
-  and reconnects when logging is configured.
+  and the end of the run when logging is configured.
 """
 
 from __future__ import annotations
@@ -52,53 +60,47 @@ import sys
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from repro.errors import BackendUnavailableError, SweepError, TransportError
+from repro.errors import (
+    BackendUnavailableError,
+    HelloRefusedError,
+    ServiceBusyError,
+    SweepError,
+    TransportError,
+)
 from repro.sweep.dist.protocol import (
     DRAINED,
     STALE,
     Assignment,
     FailureRecord,
     dump_spans,
-    parse_busy,
-    parse_hostport,
 )
+from repro.sweep.dist.service import ServiceClient
 from repro.sweep.point import derive_seed
 from repro.telemetry.flight import FlightRecorder, maybe_dump
 from repro.telemetry.log import get_logger
-from repro.transport.redis_backend import MiniRedisConnection
-from repro.transport.resilience import CircuitBreaker, RetryPolicy
 from repro.transport.resp import ServerReplyError
 from repro.version import __version__
 
 _AGENT_COUNTER = itertools.count()
 
+#: Lease renewals happen every ``lease_seconds * HEARTBEAT_FRACTION``.
+HEARTBEAT_FRACTION = 1.0 / 3.0
+
 _log = get_logger("sweep.worker")
-
-
-def _default_policy() -> RetryPolicy:
-    return RetryPolicy(
-        max_attempts=6, base_delay=0.2, multiplier=2.0, max_delay=3.0, jitter=0.25
-    )
 
 
 @dataclass
 class WorkerOptions:
-    """How one agent connects, retries, and paces itself."""
+    """How one agent reaches the coordinator and paces itself."""
 
-    policy: RetryPolicy = field(default_factory=_default_policy)
-    #: Seconds without reaching the coordinator before the agent exits.
+    #: Seconds a command may keep retrying an unreachable coordinator
+    #: before the agent gives up.
     reconnect_budget: float = 30.0
     #: Idle wait between claims when the queue is empty or drained.
     poll: float = 0.25
-    #: Lease renewals happen every ``lease_seconds * heartbeat_fraction``.
-    heartbeat_fraction: float = 1.0 / 3.0
-    breaker_threshold: int = 3
-    breaker_reset: float = 1.0
     #: Stop after completing/failing this many points (tests, canaries).
     max_points: Optional[int] = None
     #: Root seed for backoff jitter (derived per worker id).
@@ -119,8 +121,6 @@ class WorkerOptions:
             raise SweepError("reconnect_budget must be positive")
         if self.poll <= 0:
             raise SweepError("poll must be positive")
-        if not 0.0 < self.heartbeat_fraction < 1.0:
-            raise SweepError("heartbeat_fraction must be in (0, 1)")
         if self.op_timeout <= 0:
             raise SweepError("op_timeout must be positive")
 
@@ -169,11 +169,10 @@ class WorkerAgent:
     """One claim-execute-report loop against one coordinator address.
 
     Thread-safety: the run loop owns the agent, with two narrow
-    exceptions — the heartbeat thread shares ``self._conn`` (dropped
-    only via :meth:`_drop_conn_if`, so neither thread closes a fresh
-    connection the other just opened), and :meth:`request_drain` is
-    async-signal-safe (it only sets an event; all I/O and locking
-    happens on the run loop). Everything else is single-threaded.
+    exceptions — the heartbeat thread uses the one-attempt client while
+    a point executes (and only bumps the ``renews``/``lease_losses``
+    counters), and :meth:`request_drain` is async-signal-safe (it only
+    sets an event; all I/O and locking happens on the run loop).
 
     Durability: none here by design — the coordinator/service owns the
     durable record and a worker is disposable. SIGKILLing a worker
@@ -188,24 +187,37 @@ class WorkerAgent:
         options: Optional[WorkerOptions] = None,
         worker_id: Optional[str] = None,
     ) -> None:
-        self.host, self.port = parse_hostport(address)
         self.options = options or WorkerOptions()
         self.worker_id = worker_id or (
             f"{socket.gethostname()}:{os.getpid()}:{next(_AGENT_COUNTER)}"
         )
         self.report = WorkerReport(worker_id=self.worker_id)
-        self._rng = np.random.default_rng(
-            derive_seed(self.options.seed, "dist-worker", self.worker_id)
-        )
-        self._breaker = CircuitBreaker(
-            failure_threshold=self.options.breaker_threshold,
-            reset_timeout=self.options.breaker_reset,
-            name=f"worker:{self.worker_id}",
-        )
-        self._conn: Optional[MiniRedisConnection] = None
         self._drain = threading.Event()
-        self._last_contact = time.monotonic()
-        self.grid_info: Optional[dict] = None
+        hello = (
+            self.worker_id,
+            json.dumps(
+                {
+                    "version": __version__,
+                    "host": socket.gethostname(),
+                    "pid": os.getpid(),
+                    "python": sys.version.split()[0],
+                }
+            ),
+        )
+        self._client = ServiceClient(
+            address,
+            op_timeout=self.options.op_timeout,
+            reconnect_budget=self.options.reconnect_budget,
+            seed=derive_seed(self.options.seed, "dist-worker", self.worker_id),
+            hello=hello,
+            stop=self._drain,
+        )
+        self._oneshot = ServiceClient(
+            address,
+            op_timeout=self.options.op_timeout,
+            reconnect_budget=0.0,
+            hello=hello,
+        )
         self.flight = FlightRecorder(component=f"worker:{self.worker_id}")
         self._spans: list[dict] = []  # finished fleet spans awaiting SPANS
 
@@ -224,112 +236,13 @@ class WorkerAgent:
         """SIGTERM -> graceful drain. Call from a dedicated worker process."""
         signal.signal(signal.SIGTERM, lambda signum, frame: self.request_drain())
 
-    # -- connection management ----------------------------------------------
-    def _touch(self) -> None:
-        self._last_contact = time.monotonic()
-
-    def _drop_conn(self) -> None:
-        conn, self._conn = self._conn, None
-        if conn is not None:
-            conn.close()
-
-    def _drop_conn_if(self, conn) -> None:
-        """Drop the shared connection iff it is still ``conn``.
-
-        The heartbeat thread and the main loop share ``self._conn``; a
-        thread that saw an error on its copy must not close a *fresh*
-        connection the other thread just established.
-        """
-        if self._conn is conn:
-            self._drop_conn()
-        else:
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def _connect_once(self) -> MiniRedisConnection:
-        conn = MiniRedisConnection(self.host, self.port, timeout=self.options.op_timeout)
-        caps = json.dumps(
-            {
-                "version": __version__,
-                "host": socket.gethostname(),
-                "pid": os.getpid(),
-                "python": sys.version.split()[0],
-            }
-        )
-        try:
-            reply = conn.command("HELLO", self.worker_id, caps)
-        except BaseException:
-            conn.close()  # a rejected HELLO (version mismatch) is fatal
-            raise
-        self.grid_info = json.loads(reply) if reply else {}
-        return conn
-
-    def _ensure_connection(self) -> Optional[MiniRedisConnection]:
-        """(Re)connect under the retry policy; None = budget exhausted.
-
-        The budget is measured from the last successful exchange, so a
-        healthy agent that loses the coordinator has the full window to
-        wait out a restart.
-        """
-        if self._conn is not None:
-            return self._conn
-        attempt = 0
-        while not self._drain.is_set():
-            if time.monotonic() - self._last_contact > self.options.reconnect_budget:
-                return None
-            if not self._breaker.allow():
-                time.sleep(min(self.options.breaker_reset, self.options.poll))
-                continue
-            try:
-                self._conn = self._connect_once()
-            except BackendUnavailableError:
-                self._breaker.record_failure()
-                attempt += 1
-                delay = self.options.policy.delay(
-                    min(attempt, self.options.policy.max_attempts - 1) or 1, self._rng
-                )
-                time.sleep(delay)
-            except ServerReplyError as exc:
-                busy = parse_busy(str(exc))
-                if busy is None:
-                    raise  # e.g. a version-mismatch HELLO: genuinely fatal
-                # Typed overload refusal (connection cap): the service is
-                # shedding, not rejecting us — pace with its hint and
-                # retry under the same reconnect budget.
-                self.report.busy += 1
-                self._breaker.record_failure()
-                attempt += 1
-                hint = busy.get("retry_after_s")
-                delay = (
-                    float(hint)
-                    if hint is not None
-                    else self.options.policy.delay(
-                        min(attempt, self.options.policy.max_attempts - 1) or 1,
-                        self._rng,
-                    )
-                )
-                time.sleep(delay)
-            else:
-                self._breaker.record_success()
-                self._touch()
-                if attempt:
-                    self.report.reconnects += 1
-                    self.flight.record("reconnect", attempts=attempt)
-                    _log.info("reconnect", worker=self.worker_id, attempts=attempt)
-                return self._conn
-        return None
-
     # -- execution ----------------------------------------------------------
     def _execute(self, assignment: Assignment):
         """Run the point with local retries; returns (value, snap, failure)."""
         from repro.sweep.engine import _worker  # late: engine imports dist lazily
 
-        attempts = assignment.retries + 1
         local_retries = 0
         while True:
-            attempts -= 1
             try:
                 value, snapshot = _worker(
                     assignment.point, assignment.capture, assignment.timeout
@@ -337,16 +250,13 @@ class WorkerAgent:
                 return value, snapshot, None
             except Exception as exc:
                 retryable = bool(getattr(exc, "retryable", False))
-                if attempts > 0 and retryable and not self._drain.is_set():
+                if (
+                    local_retries < assignment.retries
+                    and retryable
+                    and not self._drain.is_set()
+                ):
                     local_retries += 1
                     self.report.local_retries += 1
-                    time.sleep(
-                        self.options.policy.delay(
-                            min(local_retries, self.options.policy.max_attempts - 1)
-                            or 1,
-                            self._rng,
-                        )
-                    )
                     continue
                 failure = FailureRecord(
                     worker=self.worker_id,
@@ -357,37 +267,16 @@ class WorkerAgent:
                 return None, None, failure
 
     def _heartbeat(self, assignment: Assignment, stop: threading.Event) -> None:
-        interval = max(
-            assignment.lease_seconds * self.options.heartbeat_fraction, 0.05
-        )
+        interval = max(assignment.lease_seconds * HEARTBEAT_FRACTION, 0.05)
         while not stop.wait(interval):
-            conn = self._conn
-            if conn is None:
-                # While the point executes, the main thread is blocked in
-                # _execute — this thread is the only one that can bring
-                # the connection back so renewals resume within the
-                # lease window after a transient outage.
-                if not self._breaker.allow():
-                    continue
-                try:
-                    conn = self._conn = self._connect_once()
-                except (TransportError, OSError):
-                    self._breaker.record_failure()
-                    continue
-                self._breaker.record_success()
-                self._touch()
             try:
                 # v4 arity: name the grid — under a multi-tenant service
                 # an index alone does not identify a lease.
-                held = conn.command(
+                held = self._oneshot.command(
                     "RENEW", self.worker_id, str(assignment.index), assignment.grid
                 )
-            except (TransportError, OSError):
-                # Broken (or rejecting) connection: drop it so the next
-                # beat reconnects instead of failing silently forever.
-                self._drop_conn_if(conn)
-                continue
-            self._touch()
+            except TransportError:
+                continue  # one attempt per beat; the next beat reconnects
             self.report.renews += 1
             if not held:
                 # The lease expired and may be running elsewhere too; we
@@ -397,43 +286,30 @@ class WorkerAgent:
     def _submit(
         self, command: str, assignment: Assignment, payload: bytes | str
     ) -> Optional[str]:
-        """Send DONE/FAIL across reconnects until acked (None = discarded)."""
+        """Send DONE/FAIL until acked; None = discarded (or gave up)."""
         while True:
-            conn = self._ensure_connection()
-            if conn is None:
-                return None
             try:
-                reply = conn.command(
+                reply = self._client.command(
                     command,
                     self.worker_id,
                     str(assignment.index),
                     assignment.grid,
                     payload,
                 )
-            except BackendUnavailableError:
-                self._drop_conn_if(conn)
+            except ServiceBusyError:
+                # Overload, not a rejection: never discard a finished
+                # result over transient pressure (not even when draining).
+                time.sleep(self.options.poll)
                 continue
-            except TransportError as exc:
-                busy = parse_busy(str(exc))
-                if busy is not None:
-                    # Overload shed, not a rejection: never discard a
-                    # finished result over transient pressure — pace with
-                    # the server's hint and resubmit (DONE is idempotent).
-                    self.report.busy += 1
-                    self._touch()
-                    hint = busy.get("retry_after_s")
-                    self._drain.wait(
-                        float(hint) if hint is not None else self.options.poll
-                    )
-                    continue
+            except BackendUnavailableError:
+                self.report.gave_up = not self._drain.is_set()
+                return None
+            except ServerReplyError:
                 # An -ERR reply (unknown index, draining coordinator,
                 # malformed payload): the submission was *rejected*, not
-                # lost. Discard the point and go claim again rather than
-                # crashing the whole agent. Only HELLO errors are fatal.
+                # lost. Discard the point and go claim again.
                 self.report.rejected += 1
-                self._touch()
                 return None
-            self._touch()
             reply = str(reply)
             if reply == STALE:
                 # The service no longer holds this grid (cancelled or
@@ -463,29 +339,20 @@ class WorkerAgent:
         )
 
     def _flush_spans(self) -> None:
-        """Ship queued fleet spans — one attempt, never a reconnect.
+        """Ship queued fleet spans through the one-attempt client.
 
-        Observability is expendable: a broken connection drops the batch
-        (counted in ``spans_dropped``) rather than burning the reconnect
-        budget, and an ``-ERR`` reply discards it without protest.
+        Observability is expendable: a failed attempt or an ``-ERR``
+        reply drops the batch (counted in ``spans_dropped``) rather than
+        burning the reconnect budget.
         """
         if not self._spans:
             return
         batch, self._spans = self._spans, []
-        conn = self._conn
-        if conn is None:
-            self.report.spans_dropped += len(batch)
-            return
         try:
-            accepted = conn.command("SPANS", self.worker_id, dump_spans(batch))
-        except BackendUnavailableError:
-            self._drop_conn_if(conn)  # the socket is dead; claims need a new one
-            self.report.spans_dropped += len(batch)
-            return
+            accepted = self._oneshot.command("SPANS", self.worker_id, dump_spans(batch))
         except TransportError:
             self.report.spans_dropped += len(batch)
             return
-        self._touch()
         self.report.spans_shipped += int(accepted or 0)
 
     def _process(self, assignment: Assignment) -> None:
@@ -559,53 +426,40 @@ class WorkerAgent:
     def run(self) -> WorkerReport:
         """Claim and execute until drained, budget-spent, or cut off."""
         try:
-            while not self._drain.is_set() and not self._budget_spent():
-                conn = self._ensure_connection()
-                if conn is None:
-                    # Either the reconnect budget ran out or a drain was
-                    # requested mid-reconnect; only the former is giving up.
-                    if not self._drain.is_set():
-                        self.report.gave_up = True
-                    break
+            while not (
+                self._drain.is_set() or self.report.gave_up or self._budget_spent()
+            ):
                 try:
-                    reply = conn.command("CLAIM", self.worker_id)
+                    reply = self._client.command("CLAIM", self.worker_id)
+                except ServiceBusyError:
+                    # Overload shed: the service is alive, so pace and
+                    # claim again rather than give up over it.
+                    self._drain.wait(self.options.poll)
+                    continue
                 except BackendUnavailableError:
-                    self._drop_conn()
-                    continue
-                except TransportError as exc:
-                    busy = parse_busy(str(exc))
-                    if busy is not None:
-                        # Overload shed: keep the connection (the server
-                        # chose to answer, not to cut us) and pace with
-                        # its retry hint before claiming again.
-                        self.report.busy += 1
-                        self._touch()
-                        hint = busy.get("retry_after_s")
-                        self._drain.wait(
-                            float(hint) if hint is not None else self.options.poll
-                        )
-                        continue
-                    # -ERR reply: the coordinator refused the claim. Drop
-                    # the connection (a fresh HELLO re-validates us) and
-                    # retry under the reconnect budget instead of dying.
+                    # The budget ran out, or a drain cut a wait short;
+                    # only the former is giving up.
+                    self.report.gave_up = not self._drain.is_set()
+                    break
+                except ServerReplyError:
+                    # The coordinator refused the claim: a fresh
+                    # connection (and HELLO) re-validates us.
                     self.report.rejected += 1
-                    self._drop_conn()
+                    self._client.close()
                     self._drain.wait(self.options.poll)
                     continue
-                self._touch()
-                if reply == DRAINED:
-                    # This grid is finished — but a multi-stage sweep may
-                    # serve another one on the same address shortly.
-                    self._drop_conn()
-                    self._drain.wait(self.options.poll)
-                    continue
-                if reply is None:
+                if reply is None or reply == DRAINED:
+                    # Nothing claimable now; a DRAINED grid may be
+                    # followed by another on the same address shortly.
                     self._drain.wait(self.options.poll)
                     continue
                 self._process(Assignment.from_bytes(reply))
         finally:
-            self._flush_spans()  # last chance before the socket goes away
-            self._drop_conn()
+            self._flush_spans()  # last chance before the sockets go away
+            self._client.close()
+            self._oneshot.close()
+            self.report.reconnects = self._client.reconnects
+            self.report.busy = self._client.busy_refusals
         self.report.drained = self._drain.is_set()
         if self.report.drained:
             self.flight.record("drained", completed=self.report.completed)
@@ -648,9 +502,8 @@ def run_worker_process(
     agent.install_signal_handlers()
     try:
         report = agent.run()
-    except TransportError as exc:
-        # Fatal handshake failure (HELLO version mismatch): misjoining
-        # this fleet would silently compute a different grid.
+    except HelloRefusedError as exc:
+        # Misjoining this fleet would silently compute a different grid.
         maybe_dump(agent.flight, options.flight_path, "fatal")
         print(f"worker {agent.worker_id}: fatal: {exc}", file=sys.stderr)
         return 1

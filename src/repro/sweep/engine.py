@@ -626,6 +626,7 @@ class SweepEngine:
                 break
             time.sleep(0.25)
         outcome = client.results(grid, decode=True)
+        client.close()
         self._collect_job(
             points, pending, cache, values, snapshots, grid, state,
             outcome["results"], outcome["poisoned"],

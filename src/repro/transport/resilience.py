@@ -143,9 +143,10 @@ class CircuitBreaker:
         self._probe_started: Optional[float] = None
         #: (time, from_state, to_state) — test hook and telemetry feed.
         self.transitions: list[tuple[float, str, str]] = []
-        # Breakers are shared across threads (e.g. a distributed sweep
-        # worker's main loop and its heartbeat thread); the lock keeps
-        # the open -> half-open probe transition single-winner.
+        # No caller shares a breaker across threads today (each
+        # DataStore client and each simulated store builds its own);
+        # the lock keeps the open -> half-open probe transition
+        # single-winner should one ever be shared.
         self._lock = threading.RLock()
 
     def _transition(self, to: BreakerState) -> None:

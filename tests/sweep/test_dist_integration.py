@@ -49,6 +49,21 @@ def always_boom(x):
     raise ValueError(f"toxic cell {x}")
 
 
+def _refuse_to_load():
+    raise ValueError("this result cannot be read back")
+
+
+class Unloadable:
+    """Pickles fine; unpickling it raises (the service reads results)."""
+
+    def __reduce__(self):
+        return (_refuse_to_load, ())
+
+
+def unloadable(x):
+    return Unloadable()
+
+
 def make_points(n=6, func=add):
     return [SweepPoint(func, {"x": x, "y": 1}) for x in range(n)]
 
@@ -320,59 +335,56 @@ class TestFaultPaths:
     def test_submit_discards_on_error_reply_instead_of_crashing(
         self, coordinator_factory
     ):
-        from repro.sweep.dist.protocol import Assignment, dump_result
-
-        coordinator = coordinator_factory(make_points(1))
-        agent = WorkerAgent(coordinator.address, agent_options())
-        # An index the job does not hold, but with the right grid
-        # signature: the service answers -ERR, and the agent must treat
-        # that as a discarded submission, not a crash.
-        assignment = Assignment(
-            index=77,
-            point=make_points(1)[0],
-            lease_seconds=1.0,
-            grid=coordinator.grid,
+        # The service cannot read this point's result back, so it
+        # answers the DONE -ERR: the agent must count that submission
+        # rejected, not crash and not count it completed.
+        coordinator = coordinator_factory(
+            [SweepPoint(unloadable, {"x": 1})], lease_seconds=30.0
         )
-        reply = agent._submit("DONE", assignment, dump_result(1, None))
-        assert reply is None
+        agents, threads = run_agents(coordinator.address, n=1)
+        (agent,) = agents
+        try:
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and agent.report.rejected == 0:
+                time.sleep(0.02)
+        finally:
+            drain_agents(agents, threads)
+        assert not threads[0].is_alive()
         assert agent.report.rejected == 1
-        agent._drop_conn()
+        assert agent.report.completed == 0 and agent.report.drained
+        assert values_of(coordinator) == {}
 
     def test_heartbeat_drops_broken_connection_and_renews_again(
         self, coordinator_factory
     ):
-        from repro.sweep.dist.protocol import Assignment
+        from tests.sweep.dist_grid import slow_add
 
-        coordinator = coordinator_factory(make_points(1), lease_seconds=2.0)
-        agent = WorkerAgent(coordinator.address, agent_options())
-        conn = agent._ensure_connection()
-        assignment = Assignment.from_bytes(conn.command("CLAIM", agent.worker_id))
-        agent._drop_conn()
-
-        class BrokenConn:
-            closed = False
-
-            def command(self, *args):
-                raise OSError("wire cut")
-
-            def close(self):
-                self.closed = True
-
-        broken = BrokenConn()
-        agent._conn = broken  # a transient socket error broke the pipe
-        stop = threading.Event()
-        thread = threading.Thread(
-            target=agent._heartbeat, args=(assignment, stop), daemon=True
+        coordinator = coordinator_factory(
+            [SweepPoint(slow_add, {"x": 1, "y": 1, "delay": 2.0})],
+            lease_seconds=0.6,
         )
-        thread.start()
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline and agent.report.renews == 0:
-            time.sleep(0.02)
-        stop.set()
-        thread.join(timeout=10)
-        assert broken.closed is True  # the dead connection was dropped
-        assert agent.report.renews >= 1  # and renewals resumed on a fresh one
-        agent._drop_conn()
+        agents, threads = run_agents(coordinator.address, n=1)
+        (agent,) = agents
+        try:
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and agent.report.renews < 2:
+                time.sleep(0.01)
+            # Cut every connection the service holds, the heartbeat's too.
+            for conn in list(coordinator._open_conns):
+                conn.shutdown(socket.SHUT_RDWR)
+            renews_at_cut = agent.report.renews
+            while (
+                time.monotonic() < deadline
+                and agent.report.renews < renews_at_cut + 2
+            ):
+                time.sleep(0.01)
+            coordinator.serve_forever(poll=0.02, until=coordinator.grid)
+        finally:
+            drain_agents(agents, threads)
+        assert agent.report.renews >= renews_at_cut + 2  # renewals resumed
+        assert coordinator.jobs[coordinator.grid].table.reclaims == 0
+        assert values_of(coordinator) == {0: 2}
+        assert agent.report.completed == 1
 
     def test_grid_swap_on_same_address_discards_stale_result(self, tmp_path):
         """The reconnect budget rides out one serving session ending and
@@ -381,9 +393,15 @@ class TestFaultPaths:
         from tests.sweep.dist_grid import slow_add
 
         port = free_port()
+        started = tmp_path / "started.log"
         grid_a = serve_one_grid(
             tmp_path / "a" / "store.sqlite",
-            [SweepPoint(slow_add, {"x": 100, "y": 1, "delay": 1.0})],
+            [
+                SweepPoint(
+                    slow_add,
+                    {"x": 100, "y": 1, "delay": 1.0, "log": str(started)},
+                )
+            ],
             port=port,
         )
         agent = WorkerAgent(
@@ -392,9 +410,10 @@ class TestFaultPaths:
         thread = threading.Thread(target=agent.run, daemon=True)
         thread.start()
         try:
-            record = grid_a.jobs[grid_a.grid].table.records[0]
+            # Wait for the point to run, not for its lease: a CLAIM reply
+            # cut by the stop below would never reach the worker.
             deadline = time.monotonic() + 10
-            while time.monotonic() < deadline and record.state.value != "leased":
+            while time.monotonic() < deadline and not started.exists():
                 time.sleep(0.01)
             # Grid A's service vanishes while the point is in flight
             # and a *different* grid appears on the same address.
@@ -427,7 +446,7 @@ class TestFaultPaths:
     def test_worker_gives_up_when_coordinator_never_appears(self):
         agent = WorkerAgent(
             f"127.0.0.1:{free_port()}",
-            WorkerOptions(poll=0.02, reconnect_budget=0.5, breaker_reset=0.1),
+            WorkerOptions(poll=0.02, reconnect_budget=0.5),
         )
         report = agent.run()
         assert report.gave_up is True
@@ -443,7 +462,7 @@ class TestFaultPaths:
     def test_drain_during_reconnect_is_not_giving_up(self):
         agent = WorkerAgent(
             f"127.0.0.1:{free_port()}",
-            WorkerOptions(poll=0.02, reconnect_budget=30.0, breaker_reset=0.05),
+            WorkerOptions(poll=0.02, reconnect_budget=30.0),
         )
         thread = threading.Thread(target=agent.run, daemon=True)
         thread.start()

@@ -16,6 +16,7 @@ from repro.errors import BackendUnavailableError, SweepError
 from repro.sweep import SweepEngine, SweepOptions, SweepPoint
 from repro.sweep.dist import (
     EwmaRate,
+    ServiceClient,
     SweepService,
     WorkerAgent,
     WorkerOptions,
@@ -25,7 +26,6 @@ from repro.sweep.dist.protocol import Assignment, dump_result, dump_spans, load_
 from repro.sweep.dist.query import fleet_tracer, lease_intervals
 from repro.sweep.dist.watch import (
     drained,
-    fetch_status,
     progress_bar,
     render_status,
     watch,
@@ -691,6 +691,46 @@ class TestWatchRendering:
         assert watch("127.0.0.1:1", stream=stream, fetch=fetch) == 1
         assert "unreachable" in stream.getvalue()
 
+    def _watch_with_health(self, probes):
+        """Three refreshes of an undrained grid; HEALTH answers ``probes``."""
+        import io
+
+        calls = []
+
+        def health_probe(addr):
+            reply = probes[min(len(calls), len(probes) - 1)]
+            calls.append(addr)
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+        stream = io.StringIO()
+        watch(
+            "127.0.0.1:1",
+            stream=stream,
+            max_refreshes=3,
+            fetch=lambda addr: self.status(),
+            health_probe=health_probe,
+            sleep=lambda s: None,
+        )
+        return stream.getvalue(), len(calls)
+
+    def test_watch_banner_survives_one_failed_health_probe(self):
+        brownout = {"state": "brownout", "admission": {}, "queues": {}}
+        text, calls = self._watch_with_health(
+            [BackendUnavailableError("blip"), brownout]
+        )
+        assert calls == 3
+        assert text.count("service BROWNOUT") == 2
+
+    def test_watch_banner_is_off_for_a_peer_without_health(self):
+        from repro.transport.resp import ServerReplyError
+
+        for refusal in (ServerReplyError("ERR unknown command 'HEALTH'"), None):
+            text, calls = self._watch_with_health([refusal])
+            assert calls == 1  # never asked again this session
+            assert "BROWNOUT" not in text and text.count("sweep abcdef") == 3
+
     def test_watch_validates_interval(self):
         with pytest.raises(SweepError):
             watch("127.0.0.1:1", interval=0.0)
@@ -856,7 +896,7 @@ class TestFleetIntegration:
             coordinator.serve_forever(poll=0.02, until=grid)
             conn = MiniRedisConnection(coordinator.host, coordinator.port)
             metrics = conn.command("METRICS")
-            status = fetch_status(coordinator.address)
+            status = ServiceClient(coordinator.address).status()
             conn.close()
         finally:
             drain_agents(agents, threads)

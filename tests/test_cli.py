@@ -311,7 +311,7 @@ def test_sweep_flag_validation_errors():
         (["sweep"], "name at least one experiment"),
         (
             ["sweep", "fig5", "--serve", "127.0.0.1:1", "--parallel", "2"],
-            "mutually exclusive",
+            "--parallel does not apply to --serve",
         ),
         (
             ["sweep", "--connect", "127.0.0.1:1", "--serve", "127.0.0.1:2"],
@@ -321,8 +321,8 @@ def test_sweep_flag_validation_errors():
             ["sweep", "fig5", "--connect", "127.0.0.1:1"],
             "no experiment names",
         ),
-        (["sweep", "fig5", "--journal", "j"], "only apply to --serve"),
-        (["sweep", "fig5", "--lease", "3"], "only apply to --serve"),
+        (["sweep", "fig5", "--journal", "j"], "only applies to --serve"),
+        (["sweep", "fig5", "--lease", "3"], "only applies to --service, --serve"),
         (["sweep", "--service", "127.0.0.1:1"], "needs --store"),
         (
             [
@@ -334,26 +334,119 @@ def test_sweep_flag_validation_errors():
                 "--connect",
                 "127.0.0.1:2",
             ],
-            "runs standalone",
+            "--service and --connect are mutually exclusive",
         ),
         (
             ["sweep", "fig5", "--service", "127.0.0.1:1", "--store", "s.sqlite"],
             "no experiment names",
         ),
-        (["sweep", "fig5", "--store", "s.sqlite"], "only applies to --service"),
+        (["sweep", "fig5", "--store", "s.sqlite"], "--store does not apply to a local run"),
         (
             ["sweep", "fig5", "--submit", "127.0.0.1:1", "--serve", "127.0.0.1:2"],
             "mutually exclusive",
         ),
         (
             ["sweep", "fig5", "--submit", "127.0.0.1:1", "--parallel", "2"],
-            "mutually exclusive",
+            "--parallel does not apply to --submit",
         ),
-        (["sweep", "fig5", "--tenant", "alice"], "only applies to --submit"),
+        (["sweep", "fig5", "--tenant", "alice"], "only applies to .*--submit"),
     ]
     for argv, match in cases:
         with pytest.raises(ConfigError, match=match):
             main(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, flag, mode",
+    [
+        ("--watch A:1 --submit B:2", "--submit", "--watch"),
+        ("--watch A:1 --parallel 4", "--parallel", "--watch"),
+        ("--connect A:1 --tenant t", "--tenant", "--connect"),
+        ("--connect A:1 --journal d --lease 3", "--journal", "--connect"),
+        ("--connect A:1 --cache-dir c --parallel 4", "--parallel", "--connect"),
+        ("fig3 --workers 4 --poll 0.1 --op-timeout 3 --reconnect-budget 5",
+         "--workers", "a local run"),
+        ("--cache-info --cache-dir c --serve A:1", "--serve", "--cache-info"),
+        ("--service A:1 --store s --parallel 4 --cache-dir c", "--parallel",
+         "--service"),
+        ("usage --store s --parallel 3 --lease 2", "--parallel", "'usage'"),
+    ],
+)
+def test_sweep_refuses_a_flag_its_mode_does_not_read(argv, flag, mode):
+    from repro.cli import _validate_sweep_args, build_parser
+    from repro.errors import ConfigError
+
+    args = build_parser().parse_args(["sweep", *argv.split()])
+    with pytest.raises(ConfigError) as err:
+        _validate_sweep_args(args)
+    assert flag in str(err.value) and mode in str(err.value)
+
+
+#: Every sweep command line that CI (ci.yml), README, OPERATIONS,
+#: EXPERIMENTS and the e2e harness run, with placeholders filled in.
+DOCUMENTED_SWEEP_LINES = [
+    # ci.yml
+    "fig3 --parallel 2 --cache-dir .sweep-cache",
+    "--cache-info --cache-dir .sweep-cache",
+    "--service 127.0.0.1:47300 --store service-store/store.sqlite --lease 2 "
+    "--flight-recorder service.flight.json",
+    "--connect 127.0.0.1:47300 --workers 1 --poll 0.05 --op-timeout 2 "
+    "--reconnect-budget 90 --seed 1",
+    "--service 127.0.0.1:47301 --store service-store/store.sqlite",
+    "usage --store service-store/store.sqlite --json",
+    "--service 127.0.0.1:47302 --store service-store/overload.sqlite --lease 2 "
+    "--max-live-jobs 2 --max-queued-points 24 --max-connections 64",
+    "health --store service-store/overload.sqlite --json",
+    "fig3",
+    "fig3 --serve 127.0.0.1:47200 --journal .dist-journal --lease 3 "
+    "--fleet-trace fleet.trace.json --flight-recorder coordinator.flight.json "
+    "--log-json coordinator.log.jsonl --log-level debug",
+    "--connect 127.0.0.1:47200 --workers 1 --poll 0.1",
+    "--connect 127.0.0.1:47200 --workers 1 --poll 0.1 "
+    "--flight-recorder worker2.flight.json",
+    "fig3 --serve 127.0.0.1:47200 --journal .dist-journal --lease 3",
+    # README.md
+    "all",
+    "fig3 fig6 --parallel 4 --cache-dir .sweep-cache",
+    "fig3 --cache-dir .sweep-cache",
+    # OPERATIONS.md
+    "--service 0.0.0.0:4700 --store /var/lib/repro/store.sqlite --lease 10 "
+    "--flight-recorder /var/log/repro/service-flight.json",
+    "--connect HOST:4700 --workers 8",
+    "fig3 --submit HOST:4700 --tenant alice",
+    "query --store FILE --fingerprint abc123",
+    "query --at HOST:4700 --name fig6 --json",
+    "usage --store FILE --tenant alice --since 1700000000",
+    "gc --store FILE --max-age 604800",
+    "gc --at HOST:4700 --max-age 604800 --apply",
+    "gc --at HOST:4700 --max-age 2592000 --keep-latest 5 --apply",
+    "gc --at HOST:4700 --tenant ci --name smoke --keep-latest 1 --apply",
+    "--service 0.0.0.0:4700 --store FILE --max-live-jobs 8 "
+    "--max-queued-points 5000 --max-store-mb 2048 --max-connections 256",
+    "health --at HOST:4700",
+    "--watch HOST:4700",
+    "query --store FILE --json",
+    # EXPERIMENTS.md
+    "ext_faults --parallel 4 --cache-dir .sweep-cache",
+    "fig3 --cache-dir .sweep-cache --cache-max-mb 256",
+    "fig3 --serve 127.0.0.1:6399 --journal .dist-journal --lease 5",
+    "--connect 127.0.0.1:6399 --workers 2",
+    "fig3 --serve 127.0.0.1:6399 --lease 5 --fleet-trace fleet.trace.json "
+    "--flight-recorder flight.json --log-json serve.log.jsonl --log-level debug",
+    "--watch 127.0.0.1:6399",
+    "--service 127.0.0.1:6400 --store sweep-store.sqlite --lease 5",
+    "--connect 127.0.0.1:6400 --workers 2",
+    "fig5 --submit 127.0.0.1:6400 --tenant bob",
+    # benchmarks/e2e service_roundtrip
+    "--service 127.0.0.1:0 --store F --lease 300",
+]
+
+
+@pytest.mark.parametrize("argv", DOCUMENTED_SWEEP_LINES)
+def test_documented_sweep_lines_validate(argv):
+    from repro.cli import _validate_sweep_args, build_parser
+
+    _validate_sweep_args(build_parser().parse_args(["sweep", *argv.split()]))
 
 
 def test_sweep_serve_refuses_a_legacy_jsonl_journal_dir(tmp_path):
