@@ -10,27 +10,32 @@ evaluation section.
 Top-level convenience imports expose the SimAI-Bench-style public API::
 
     from repro import Workflow, Simulation, AI, ServerManager, DataStore
+
+Like every package ``__init__`` here, this one resolves a re-exported
+name on first attribute access, from an ``{name: module}`` table, and
+caches it in the module's globals: an import costs only what its caller
+uses.
 """
+
+import importlib
 
 from repro.version import __version__
 
-__all__ = [
-    "__version__",
-    "AI",
-    "DataStore",
-    "ServerManager",
-    "Simulation",
-    "Workflow",
-]
+#: Exported name -> the module that defines it.
+_EXPORTS = {
+    "AI": ".core",
+    "DataStore": ".transport",
+    "ServerManager": ".transport",
+    "Simulation": ".core",
+    "Workflow": ".core",
+}
+
+__all__ = ["__version__", *_EXPORTS]
 
 
-def __getattr__(name):  # lazy to keep `import repro` light and cycle-free
-    if name in ("Workflow", "Simulation", "AI"):
-        from repro import core
-
-        return getattr(core, name)
-    if name in ("ServerManager", "DataStore"):
-        from repro import transport
-
-        return getattr(transport, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name], __name__), name)
+    globals()[name] = value
+    return value

@@ -2,7 +2,7 @@
 
 import sys
 
-from repro.cli import main
+from repro.cli import shell_main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(shell_main(sys.argv[1:]))

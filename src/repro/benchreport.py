@@ -277,12 +277,12 @@ def run_service_benchmark(
 # -- experiment rounds ------------------------------------------------------
 def run_experiment_rounds() -> dict[str, dict[str, float]]:
     """Wall seconds for one round of each paper experiment."""
-    from repro.experiments import ALL_EXPERIMENTS
+    from repro.experiments import ALL_EXPERIMENTS, driver
 
     timings: dict[str, dict[str, float]] = {}
-    for name, module in ALL_EXPERIMENTS.items():
+    for name in ALL_EXPERIMENTS:
         start = time.perf_counter()
-        module.run()
+        driver(name).run()
         timings[name] = {"seconds": time.perf_counter() - start}
     return timings
 

@@ -926,15 +926,15 @@ def _cmd_sweep_serial_or_serve(args: argparse.Namespace) -> int:
     import sys
     import time
 
-    from repro.experiments import ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS
+    from repro.experiments import ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS, driver
     from repro.sweep import SweepOptions
 
-    registry = {**ALL_EXPERIMENTS, **EXTENSION_EXPERIMENTS}
+    known = [*ALL_EXPERIMENTS, *EXTENSION_EXPERIMENTS]
     names = list(ALL_EXPERIMENTS) if "all" in args.experiments else args.experiments
-    unknown = [n for n in names if n not in registry]
+    unknown = [n for n in names if n not in known]
     if unknown:
         raise ConfigError(
-            f"unknown experiments {unknown}; choose from {sorted(registry)}"
+            f"unknown experiments {unknown}; choose from {sorted(known)}"
         )
 
     for name in names:
@@ -954,7 +954,7 @@ def _cmd_sweep_serial_or_serve(args: argparse.Namespace) -> int:
             job_name=name if args.submit else None,
         )
         start = time.perf_counter()
-        result = registry[name].run(sweep=options)
+        result = driver(name).run(sweep=options)
         elapsed = time.perf_counter() - start
         print(progress.summary(name, elapsed), file=sys.stderr)
         print(f"=== {name} ({elapsed:.1f}s) ===")
@@ -1408,3 +1408,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "trace-summary":
         return _cmd_trace_summary(args)
     raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover
+
+
+def shell_main(argv: list[str]) -> int:
+    """``main(argv)`` for a shell: a ``ConfigError`` is one stderr line
+    and exit status 2, like an argparse usage error, not a traceback."""
+    try:
+        return main(argv)
+    except ConfigError as exc:
+        import sys
+
+        command = argv[0] if argv else ""
+        print(f"repro {command}: error: {exc}", file=sys.stderr)
+        return 2

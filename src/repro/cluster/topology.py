@@ -4,15 +4,14 @@ Aurora's Slingshot fabric is a dragonfly: nodes attach to switches, switches
 within a group are all-to-all, and groups are connected by global links.
 We reproduce that structure so that hop counts (and therefore latency) and
 shared-link sets (and therefore contention) are derived from the topology
-rather than assumed.
+rather than assumed. networkx is imported where a graph is built or
+searched, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.errors import ConfigError
 
@@ -67,6 +66,8 @@ class DragonflyTopology:
 
         self.n_switches = math.ceil(n_nodes / nodes_per_switch)
         self.n_groups = math.ceil(self.n_switches / switches_per_group)
+
+        import networkx as nx
 
         self.graph = nx.Graph()
         self._build()
@@ -152,6 +153,8 @@ class DragonflyTopology:
         if src == dst:
             route = [self.node_id(src)]
         else:
+            import networkx as nx
+
             route = nx.shortest_path(self.graph, self.node_id(src), self.node_id(dst))
         self._path_cache[(src, dst)] = route
         return route

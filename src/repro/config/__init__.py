@@ -1,38 +1,36 @@
-"""Configuration schema, loaders, and stochastic parameter distributions."""
+"""Configuration schema, loaders, and stochastic parameter distributions.
 
-from repro.config.distributions import (
-    Constant,
-    Discrete,
-    Distribution,
-    Exponential,
-    LogNormal,
-    Normal,
-    Uniform,
-)
-from repro.config.loader import (
-    load_ai_config,
-    load_config,
-    load_server_config,
-    load_simulation_config,
-    save_config,
-)
-from repro.config.schema import AIConfig, KernelConfig, ServerConfig, SimulationConfig
+Names resolve on first use (see :mod:`repro`).
+"""
 
-__all__ = [
-    "AIConfig",
-    "Constant",
-    "Discrete",
-    "Distribution",
-    "Exponential",
-    "KernelConfig",
-    "LogNormal",
-    "Normal",
-    "ServerConfig",
-    "SimulationConfig",
-    "Uniform",
-    "load_ai_config",
-    "load_config",
-    "load_server_config",
-    "load_simulation_config",
-    "save_config",
-]
+import importlib
+
+#: Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "AIConfig": ".schema",
+    "Constant": ".distributions",
+    "Discrete": ".distributions",
+    "Distribution": ".distributions",
+    "Exponential": ".distributions",
+    "KernelConfig": ".schema",
+    "LogNormal": ".distributions",
+    "Normal": ".distributions",
+    "ServerConfig": ".schema",
+    "SimulationConfig": ".schema",
+    "Uniform": ".distributions",
+    "load_ai_config": ".loader",
+    "load_config": ".loader",
+    "load_server_config": ".loader",
+    "load_simulation_config": ".loader",
+    "save_config": ".loader",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name], __name__), name)
+    globals()[name] = value
+    return value

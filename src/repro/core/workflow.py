@@ -32,12 +32,13 @@ from __future__ import annotations
 import inspect
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
 from repro.errors import DependencyCycleError, WorkflowError
 from repro.mpi.local import run_parallel
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -111,6 +112,8 @@ class Workflow:
     # -- DAG -----------------------------------------------------------------------
     def graph(self) -> nx.DiGraph:
         """The dependency DAG (edge dep -> component)."""
+        import networkx as nx
+
         g = nx.DiGraph()
         for spec in self._components.values():
             g.add_node(spec.name)
@@ -125,6 +128,8 @@ class Workflow:
 
     def execution_order(self) -> list[str]:
         """A valid topological order (raises on cycles)."""
+        import networkx as nx
+
         g = self.graph()
         try:
             return list(nx.topological_sort(g))

@@ -16,59 +16,46 @@ process-based DES style (generators yielding delays and events)::
 
     env.process(clock(env, 1.0))
     env.run(until=3.5)
+
+Names resolve on first use (see :mod:`repro`).
 """
 
-from repro.des.calendar import CalendarQueue
-from repro.des.core import (
-    CORES,
-    EmptySchedule,
-    Environment,
-    Process,
-    default_core,
-    set_default_core,
-)
-from repro.des.probe import (
-    CountingProbe,
-    MultiProbe,
-    PeriodicSampler,
-    Probe,
-    attach_probe,
-)
-from repro.des.events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    ConditionValue,
-    Event,
-    Interrupt,
-    Timeout,
-)
-from repro.des.resources import Container, Request, Resource, Store
-from repro.des.rng import RngRegistry
+import importlib
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "CORES",
-    "CalendarQueue",
-    "Condition",
-    "ConditionValue",
-    "Container",
-    "CountingProbe",
-    "EmptySchedule",
-    "Environment",
-    "Event",
-    "Interrupt",
-    "MultiProbe",
-    "PeriodicSampler",
-    "Probe",
-    "Process",
-    "Request",
-    "Resource",
-    "RngRegistry",
-    "Store",
-    "Timeout",
-    "attach_probe",
-    "default_core",
-    "set_default_core",
-]
+#: Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "AllOf": ".events",
+    "AnyOf": ".events",
+    "CORES": ".core",
+    "CalendarQueue": ".calendar",
+    "Condition": ".events",
+    "ConditionValue": ".events",
+    "Container": ".resources",
+    "CountingProbe": ".probe",
+    "EmptySchedule": ".core",
+    "Environment": ".core",
+    "Event": ".events",
+    "Interrupt": ".events",
+    "MultiProbe": ".probe",
+    "PeriodicSampler": ".probe",
+    "Probe": ".probe",
+    "Process": ".core",
+    "Request": ".resources",
+    "Resource": ".resources",
+    "RngRegistry": ".rng",
+    "Store": ".resources",
+    "Timeout": ".events",
+    "attach_probe": ".probe",
+    "default_core": ".core",
+    "set_default_core": ".core",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name], __name__), name)
+    globals()[name] = value
+    return value

@@ -11,6 +11,7 @@ from __future__ import annotations
 import sys
 
 from repro.cli import main as repro_main
+from repro.cli import shell_main
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -18,4 +19,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(shell_main(["sweep", *sys.argv[1:]]))

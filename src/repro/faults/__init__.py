@@ -14,28 +14,33 @@ The subsystem has three pieces:
 Resilience policies that *react* to these faults (retry, backoff,
 circuit breaking, quorum reads) live in
 :mod:`repro.transport.resilience`.
+
+Names resolve on first use (see :mod:`repro`): a simulated run does not
+load the TCP relay.
 """
 
-from repro.faults.injector import FaultInjector, InjectedFault
-from repro.faults.netproxy import ChaosProxy, NetChaos
-from repro.faults.plan import (
-    FaultKind,
-    FaultPlan,
-    FaultSpec,
-    StochasticFaultSpec,
-    merge_plans,
-)
-from repro.faults.state import FaultState
+import importlib
 
-__all__ = [
-    "ChaosProxy",
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
-    "FaultSpec",
-    "FaultState",
-    "InjectedFault",
-    "NetChaos",
-    "StochasticFaultSpec",
-    "merge_plans",
-]
+#: Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "ChaosProxy": ".netproxy",
+    "FaultInjector": ".injector",
+    "FaultKind": ".plan",
+    "FaultPlan": ".plan",
+    "FaultSpec": ".plan",
+    "FaultState": ".state",
+    "InjectedFault": ".injector",
+    "NetChaos": ".netproxy",
+    "StochasticFaultSpec": ".plan",
+    "merge_plans": ".plan",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name], __name__), name)
+    globals()[name] = value
+    return value

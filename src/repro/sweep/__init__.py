@@ -38,30 +38,35 @@ Quick use::
     points = [SweepPoint(func=measure, kwargs=kw, label=str(kw))
               for kw in grid(backend=["redis", "dragon"], nbytes=[1e6, 4e6])]
     values = SweepEngine(SweepOptions(parallel=4, cache_dir=".sweep")).run(points)
+
+Names resolve on first use (see :mod:`repro`): importing
+:mod:`repro.sweep.point` does not load the engine.
 """
 
-from repro.sweep.cache import (
-    CacheStats,
-    ResultCache,
-    fingerprint,
-    grid_fingerprint,
-    point_fingerprint,
-    point_key,
-)
-from repro.sweep.engine import SweepEngine, SweepOptions, SweepReport
-from repro.sweep.point import SweepPoint, derive_seed, grid
+import importlib
 
-__all__ = [
-    "CacheStats",
-    "ResultCache",
-    "SweepEngine",
-    "SweepOptions",
-    "SweepPoint",
-    "SweepReport",
-    "derive_seed",
-    "fingerprint",
-    "grid",
-    "grid_fingerprint",
-    "point_fingerprint",
-    "point_key",
-]
+#: Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "CacheStats": ".cache",
+    "ResultCache": ".cache",
+    "SweepEngine": ".engine",
+    "SweepOptions": ".engine",
+    "SweepPoint": ".point",
+    "SweepReport": ".engine",
+    "derive_seed": ".point",
+    "fingerprint": ".cache",
+    "grid": ".point",
+    "grid_fingerprint": ".cache",
+    "point_fingerprint": ".cache",
+    "point_key": ".cache",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name], __name__), name)
+    globals()[name] = value
+    return value

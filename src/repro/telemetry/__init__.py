@@ -1,82 +1,61 @@
 """Telemetry: clocks, event records, summary statistics, timelines,
-hierarchical spans, metrics, and Chrome-trace export."""
+hierarchical spans, metrics, and Chrome-trace export.
 
-from repro.telemetry.chrome_trace import (
-    load_trace,
-    summarize_trace,
-    trace_events,
-    validate_trace_events,
-    write_chrome_trace,
-)
-from repro.telemetry.events import TRANSPORT_KINDS, EventKind, EventLog, EventRecord
-from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.hub import Telemetry
-from repro.telemetry.log import (
-    ComponentLogger,
-    JsonLineFormatter,
-    configure_logging,
-    get_logger,
-    host_identity,
-    remove_handler,
-)
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    labeled_name,
-)
-from repro.telemetry.snapshot import TelemetrySnapshot
-from repro.telemetry.stats import (
-    Summary,
-    event_counts,
-    iteration_time_summary,
-    mean_throughput,
-    mean_transport_time,
-    runtime_per_iteration,
-)
-from repro.telemetry.timeline import Lane, Timeline
-from repro.telemetry.timer import Clock, RealClock, Stopwatch, VirtualClock
-from repro.telemetry.tracing import CounterSample, InstantEvent, Span, Tracer
+Names resolve on first use (see :mod:`repro`): a simulated run does not
+load the logging, flight-recorder or trace-export modules.
+"""
 
-__all__ = [
-    "Clock",
-    "ComponentLogger",
-    "Counter",
-    "CounterSample",
-    "EventKind",
-    "EventLog",
-    "EventRecord",
-    "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "JsonLineFormatter",
-    "InstantEvent",
-    "Lane",
-    "MetricsRegistry",
-    "RealClock",
-    "Span",
-    "Stopwatch",
-    "Summary",
-    "Telemetry",
-    "TelemetrySnapshot",
-    "Timeline",
-    "TRANSPORT_KINDS",
-    "Tracer",
-    "VirtualClock",
-    "configure_logging",
-    "event_counts",
-    "get_logger",
-    "host_identity",
-    "iteration_time_summary",
-    "labeled_name",
-    "load_trace",
-    "remove_handler",
-    "mean_throughput",
-    "mean_transport_time",
-    "runtime_per_iteration",
-    "summarize_trace",
-    "trace_events",
-    "validate_trace_events",
-    "write_chrome_trace",
-]
+import importlib
+
+#: Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "Clock": ".timer",
+    "ComponentLogger": ".log",
+    "Counter": ".metrics",
+    "CounterSample": ".tracing",
+    "EventKind": ".events",
+    "EventLog": ".events",
+    "EventRecord": ".events",
+    "FlightRecorder": ".flight",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "JsonLineFormatter": ".log",
+    "InstantEvent": ".tracing",
+    "Lane": ".timeline",
+    "MetricsRegistry": ".metrics",
+    "RealClock": ".timer",
+    "Span": ".tracing",
+    "Stopwatch": ".timer",
+    "Summary": ".stats",
+    "Telemetry": ".hub",
+    "TelemetrySnapshot": ".snapshot",
+    "Timeline": ".timeline",
+    "TRANSPORT_KINDS": ".events",
+    "Tracer": ".tracing",
+    "VirtualClock": ".timer",
+    "configure_logging": ".log",
+    "event_counts": ".stats",
+    "get_logger": ".log",
+    "host_identity": ".log",
+    "iteration_time_summary": ".stats",
+    "labeled_name": ".metrics",
+    "load_trace": ".chrome_trace",
+    "remove_handler": ".log",
+    "mean_throughput": ".stats",
+    "mean_transport_time": ".stats",
+    "runtime_per_iteration": ".stats",
+    "summarize_trace": ".chrome_trace",
+    "trace_events": ".chrome_trace",
+    "validate_trace_events": ".chrome_trace",
+    "write_chrome_trace": ".chrome_trace",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name], __name__), name)
+    globals()[name] = value
+    return value

@@ -12,44 +12,43 @@ Real, functional implementations (used by real-mode mini-apps and tests):
 Calibrated performance models for simulated Aurora-scale runs live in
 :mod:`repro.transport.models` and the DES-side store in
 :mod:`repro.transport.simstore`.
+
+Names resolve on first use (see :mod:`repro`): a simulated run does not
+load the real backends or their servers.
 """
 
-from repro.transport.base import ClientStats, DataStoreClient, OpStats
-from repro.transport.datastore import DataStore, make_client
-from repro.transport.dragon_backend import (
-    DragonDictionary,
-    DragonShardServer,
-    DragonStoreClient,
-)
-from repro.transport.kvfile import FileStoreClient, ShardedFileStore, crc32_shard
-from repro.transport.redis_backend import (
-    MiniRedisClient,
-    MiniRedisServer,
-    RedisStoreClient,
-)
-from repro.transport.serializer import deserialize, serialize, serialized_nbytes
-from repro.transport.server import ServerManager
-from repro.transport.streaming import StreamReader, StreamWriter
+import importlib
 
-__all__ = [
-    "ClientStats",
-    "DataStore",
-    "DataStoreClient",
-    "DragonDictionary",
-    "DragonShardServer",
-    "DragonStoreClient",
-    "FileStoreClient",
-    "MiniRedisClient",
-    "MiniRedisServer",
-    "OpStats",
-    "RedisStoreClient",
-    "ServerManager",
-    "ShardedFileStore",
-    "StreamReader",
-    "StreamWriter",
-    "crc32_shard",
-    "deserialize",
-    "make_client",
-    "serialize",
-    "serialized_nbytes",
-]
+#: Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "ClientStats": ".base",
+    "DataStore": ".datastore",
+    "DataStoreClient": ".base",
+    "DragonDictionary": ".dragon_backend",
+    "DragonShardServer": ".dragon_backend",
+    "DragonStoreClient": ".dragon_backend",
+    "FileStoreClient": ".kvfile",
+    "MiniRedisClient": ".redis_backend",
+    "MiniRedisServer": ".redis_backend",
+    "OpStats": ".base",
+    "RedisStoreClient": ".redis_backend",
+    "ServerManager": ".server",
+    "ShardedFileStore": ".kvfile",
+    "StreamReader": ".streaming",
+    "StreamWriter": ".streaming",
+    "crc32_shard": ".kvfile",
+    "deserialize": ".serializer",
+    "make_client": ".datastore",
+    "serialize": ".serializer",
+    "serialized_nbytes": ".serializer",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name], __name__), name)
+    globals()[name] = value
+    return value

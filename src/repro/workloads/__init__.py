@@ -1,57 +1,42 @@
-"""Workload builders: the paper's two patterns plus the nekRS-ML setup."""
+"""Workload builders: the paper's two patterns plus the nekRS-ML setup.
 
-from repro.workloads.nekrs import (
-    NekrsValidationSetup,
-    nekrs_ai_config,
-    nekrs_simulation_config,
-)
-from repro.workloads.patterns import (
-    DEFAULT_SNAPSHOT_NBYTES,
-    GNN_ITER_TIME,
-    NEKRS_ITER_TIME,
-    ManyToOneConfig,
-    OneToOneConfig,
-    PatternResult,
-    run_many_to_one,
-    run_one_to_one,
-)
-from repro.workloads.inference import (
-    InferenceLoopConfig,
-    InferenceResult,
-    run_inference_loop,
-)
-from repro.workloads.profiling import (
-    TransportSchedule,
-    calibrate_run_time,
-    calibrate_simulation_config,
-    calibrate_transport_schedule,
-)
-from repro.workloads.realrun import (
-    RealOneToOneConfig,
-    RealRunResult,
-    run_one_to_one_real,
-)
+Names resolve on first use (see :mod:`repro`): a simulated run does not
+load the real-mode runner or the nekRS setup.
+"""
 
-__all__ = [
-    "DEFAULT_SNAPSHOT_NBYTES",
-    "GNN_ITER_TIME",
-    "InferenceLoopConfig",
-    "InferenceResult",
-    "ManyToOneConfig",
-    "NEKRS_ITER_TIME",
-    "NekrsValidationSetup",
-    "OneToOneConfig",
-    "PatternResult",
-    "RealOneToOneConfig",
-    "RealRunResult",
-    "TransportSchedule",
-    "calibrate_run_time",
-    "calibrate_simulation_config",
-    "calibrate_transport_schedule",
-    "nekrs_ai_config",
-    "nekrs_simulation_config",
-    "run_inference_loop",
-    "run_many_to_one",
-    "run_one_to_one",
-    "run_one_to_one_real",
-]
+import importlib
+
+#: Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "DEFAULT_SNAPSHOT_NBYTES": ".patterns",
+    "GNN_ITER_TIME": ".patterns",
+    "InferenceLoopConfig": ".inference",
+    "InferenceResult": ".inference",
+    "ManyToOneConfig": ".patterns",
+    "NEKRS_ITER_TIME": ".patterns",
+    "NekrsValidationSetup": ".nekrs",
+    "OneToOneConfig": ".patterns",
+    "PatternResult": ".patterns",
+    "RealOneToOneConfig": ".realrun",
+    "RealRunResult": ".realrun",
+    "TransportSchedule": ".profiling",
+    "calibrate_run_time": ".profiling",
+    "calibrate_simulation_config": ".profiling",
+    "calibrate_transport_schedule": ".profiling",
+    "nekrs_ai_config": ".nekrs",
+    "nekrs_simulation_config": ".nekrs",
+    "run_inference_loop": ".inference",
+    "run_many_to_one": ".patterns",
+    "run_one_to_one": ".patterns",
+    "run_one_to_one_real": ".realrun",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name], __name__), name)
+    globals()[name] = value
+    return value

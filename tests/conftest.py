@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS
+from repro.experiments import driver
 
 
 @pytest.fixture(scope="session")
@@ -14,12 +14,11 @@ def driver_result():
     engine parity, the archived-output check) reads the same object
     instead of paying for the run again.
     """
-    registry = {**ALL_EXPERIMENTS, **EXTENSION_EXPERIMENTS}
     results = {}
 
     def get(name):
         if name not in results:
-            results[name] = registry[name].run()
+            results[name] = driver(name).run()
         return results[name]
 
     return get

@@ -12,19 +12,19 @@ import time
 
 import pytest
 
-from repro.experiments import ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS
+from repro.experiments import ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS, driver
 from repro.sweep import SweepOptions
 
-REGISTRY = {**ALL_EXPERIMENTS, **EXTENSION_EXPERIMENTS}
+NAMES = sorted([*ALL_EXPERIMENTS, *EXTENSION_EXPERIMENTS])
 
 #: The cache tests run one backend's 14 Fig 3 cells; whole-grid parity is
 #: the parametrized test's job.
 ONE_BACKEND = ["node-local"]
 
 
-@pytest.mark.parametrize("name", sorted(REGISTRY))
+@pytest.mark.parametrize("name", NAMES)
 def test_driver_parallel_render_is_bit_identical(name, driver_result):
-    pooled = REGISTRY[name].run(sweep=SweepOptions(parallel=4)).render()
+    pooled = driver(name).run(sweep=SweepOptions(parallel=4)).render()
     assert pooled == driver_result(name).render()
 
 

@@ -1,6 +1,9 @@
 """Tests for the top-level CLI (python -m repro)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -289,6 +292,26 @@ def test_sweep_unknown_experiment():
 
     with pytest.raises(ConfigError, match="unknown experiments"):
         main(["sweep", "nope"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-m", "repro", "sweep", "nosuch"],
+        ["-m", "repro.experiments", "nosuch"],
+        ["-m", "repro", "sweep", "--watch", "127.0.0.1:1", "--submit", "x", "fig3"],
+    ],
+)
+def test_config_error_from_the_shell_is_one_line_and_exit_2(argv):
+    # As an argparse usage error: no traceback, status 2, one stderr line.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    proc = subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("repro sweep: error: ")
 
 
 @pytest.mark.parametrize("command", ["sweep", "chaos", "bench"])

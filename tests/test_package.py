@@ -1,8 +1,20 @@
 """Package-level tests: public API surface and lazy imports."""
 
 import importlib
+import os
+import pkgutil
+import subprocess
+import sys
 
 import pytest
+
+import repro
+from repro.experiments import ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS
+
+#: ``repro`` and every package under it.
+PACKAGES = ["repro"] + sorted(
+    info.name for info in pkgutil.walk_packages(repro.__path__, "repro.") if info.ispkg
+)
 
 
 def test_version_exposed():
@@ -52,15 +64,95 @@ def test_every_subpackage_imports(module):
     importlib.import_module(module)
 
 
-@pytest.mark.parametrize(
-    "module",
-    ["repro.cluster", "repro.config", "repro.core", "repro.des", "repro.ml",
-     "repro.mpi", "repro.telemetry", "repro.transport", "repro.workloads"],
-)
+@pytest.mark.parametrize("module", PACKAGES)
 def test_all_exports_resolve(module):
+    # A package resolves its exports on first access: a mistyped
+    # {name: module} entry only shows when the name is looked up.
     mod = importlib.import_module(module)
     for name in getattr(mod, "__all__", []):
         assert hasattr(mod, name), f"{module}.__all__ lists missing {name!r}"
+
+
+@pytest.mark.parametrize("module", PACKAGES)
+def test_unknown_export_raises_attribute_error_naming_the_module(module):
+    mod = importlib.import_module(module)
+    with pytest.raises(AttributeError, match=f"module '{module}' has no attribute 'NotAThing'"):
+        _ = mod.NotAThing
+
+
+@pytest.mark.parametrize("module", PACKAGES)
+def test_star_import_binds_every_export(module):
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(getattr(importlib.import_module(module), "__all__", [])) <= set(namespace)
+
+
+# -- import hygiene: a simulated paper run loads only what it runs ----------
+
+#: Modules (and packages, with everything under them) that no simulated
+#: paper cell uses: the networkx fabric, the SimAI-Bench real-mode core,
+#: the real transports and their servers, the TCP chaos relay and the
+#: distributed sweep.
+OFF_THE_PAPER_PATH = (
+    "networkx",
+    "repro.core",
+    "repro.ml",
+    "repro.kernels",
+    "repro.mpi",
+    "repro.faults.netproxy",
+    "repro.transport.redis_backend",
+    "repro.transport.dragon_backend",
+    "repro.transport.server",
+    "repro.sweep.dist",
+)
+DRIVERS = {
+    f"repro.experiments.{module}"
+    for module in (*ALL_EXPERIMENTS.values(), *EXTENSION_EXPERIMENTS.values())
+}
+
+
+def _modules_after(code, tmp_path):
+    """The ``sys.modules`` names a fresh interpreter holds after ``code``."""
+    out = tmp_path / "modules.txt"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    script = f"{code}\nimport sys\nopen({str(out)!r}, 'w').write('\\n'.join(sys.modules))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(out.read_text().split())
+
+
+def _off_path(loaded):
+    return sorted(
+        m for m in loaded
+        if any(m == bad or m.startswith(bad + ".") for bad in OFF_THE_PAPER_PATH)
+    )
+
+
+def test_paper_cells_load_no_fabric_real_backend_or_other_driver(tmp_path):
+    loaded = _modules_after(
+        "from repro.experiments import fig3_throughput, fig6_scaling\n"
+        "fig6_scaling.sweep_point(backend='filesystem', scale=128, nbytes=4e6, iterations=2)\n"
+        "fig3_throughput.sweep_point(backend='redis', nbytes=4e6, scale=8, iterations=2)",
+        tmp_path,
+    )
+    assert _off_path(loaded) == []
+    ran = {"repro.experiments.fig3_throughput", "repro.experiments.fig6_scaling"}
+    assert sorted(loaded & DRIVERS - ran) == []
+
+
+def test_repro_sweep_fig5_loads_no_other_driver(tmp_path):
+    loaded = _modules_after(
+        "import runpy, sys\n"
+        "sys.argv = ['repro', 'sweep', 'fig5']\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__')\n"
+        "except SystemExit as exit:\n"
+        "    assert exit.code == 0, exit.code",
+        tmp_path,
+    )
+    assert sorted(loaded & DRIVERS) == ["repro.experiments.fig5_twonode"]
 
 
 def test_exception_hierarchy_rooted():
