@@ -127,7 +127,6 @@ class LeaseTable:
                 raise SweepError(f"duplicate point index {index}")
             self.records[index] = PointRecord(index)
             self._queue_append(index)
-        self.reclaims = 0  # leases stolen back from expired workers
 
     # -- helpers -----------------------------------------------------------
     def _notify(self, event: str, record: PointRecord) -> None:
@@ -215,7 +214,6 @@ class LeaseTable:
             record.worker = None
             record.deadline = 0.0
             self._queue_append(index, left=True)
-            self.reclaims += 1
             self._notify("reclaim", record)
         return expired
 

@@ -151,14 +151,13 @@ never expose the coordinator port to untrusted networks.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import pickle
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.errors import SweepError
-from repro.sweep.cache import point_key
+from repro.sweep.cache import grid_fingerprint_of, point_key
 from repro.sweep.point import SweepPoint
 
 #: Bumped when the assignment/result wire shape changes.
@@ -262,10 +261,14 @@ def grid_signature(points: Sequence[tuple[int, SweepPoint]]) -> str:
     replayed into a different one, a reordered grid, or another code
     version.
     """
-    digest = hashlib.sha256()
-    for index, point in points:
-        digest.update(f"{index}:{point_key(point.func_path, dict(point.kwargs))}\n".encode())
-    return digest.hexdigest()
+    return grid_signature_of(
+        (index, point_key(point.func_path, dict(point.kwargs))) for index, point in points
+    )
+
+
+#: :func:`grid_signature` from ``(index, point key)`` pairs the caller
+#: already holds: the same ``index:id`` digest as the grid fingerprint.
+grid_signature_of = grid_fingerprint_of
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,11 @@ steal/quarantine/replay instants — merged with the worker-shipped
 written.
 
 The job lifecycle is ``SUBMITTED -> RUNNING -> {DONE, CANCELLED,
-POISONED}`` (see ARCHITECTURE.md for the full state machine); terminal
-states are immutable and stay queryable forever.
+POISONED}`` (see ARCHITECTURE.md for the full state machine). Only live
+jobs are held in memory: a job leaves :attr:`SweepService.jobs` when it
+becomes terminal, and from then on every request about it (STATUS,
+RESULTS, CANCEL, SUBMIT, a late DONE) is answered from its store rows,
+the same way in this session and after a restart.
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ import signal
 import sys
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -105,7 +108,7 @@ from repro.sweep.dist.protocol import (
     dump_busy,
     dump_results_reply,
     dump_submission,
-    grid_signature,
+    grid_signature_of,
     load_result,
     load_results_reply,
     load_spans,
@@ -113,7 +116,7 @@ from repro.sweep.dist.protocol import (
     parse_busy,
     parse_hostport,
 )
-from repro.sweep.cache import point_fingerprint
+from repro.sweep.cache import point_identity
 from repro.sweep.dist.query import (
     ReaderPool,
     RetentionPolicy,
@@ -150,11 +153,13 @@ _log = get_logger("sweep.service")
 #: ``done``, ``requeue``, ``poison``), called under the dispatch lock.
 TransitionFn = Callable[[str, str, PointRecord], None]
 
+#: Lease transitions the aggregate STATUS counts for the session.
+_SESSION_COUNTERS = {"done": "executed", "reclaim": "reclaims", "requeue": "requeues"}
+
 
 @dataclass
 class ServiceJob:
-    """One job this session served: lease table + options, and — while
-    it is live — its point specs (released when it leaves the ring)."""
+    """One live job: its lease table, point specs and options."""
 
     grid: str
     name: str
@@ -165,9 +170,6 @@ class ServiceJob:
     timeout: Optional[float] = None
     retries: int = 1
     capture: bool = True
-    executed: int = 0
-    replayed: int = 0
-    requeues: int = 0
 
     @property
     def trace_id(self) -> str:
@@ -247,9 +249,15 @@ class SweepService(RespTcpServer):
         self.poison_failures = poison_failures
         self.clock = clock
         self.wall = wall
-        self.jobs: dict[str, ServiceJob] = {}
-        #: Fair-share rotation order over *active* job signatures.
-        self._ring: deque[str] = deque()
+        #: Live (submitted or running) jobs in fair-share order: CLAIM
+        #: starts at the head and moves each job it tries to the back.
+        self.jobs: OrderedDict[str, ServiceJob] = OrderedDict()
+        #: Done and poisoned points of the jobs retired this session.
+        self._retired = {"done": 0, "poisoned": 0}
+        #: Session counters: executed, replayed, reclaims, requeues.
+        self._totals = dict.fromkeys(
+            ("executed", "replayed", "reclaims", "requeues"), 0
+        )
         self._stop_serving = False
         self.flight = FlightRecorder(component="service", clock=wall)
         self.flight_path = Path(flight_path) if flight_path is not None else None
@@ -260,7 +268,6 @@ class SweepService(RespTcpServer):
         self.workers: dict[str, dict] = {}
         #: (track, span) of worker SPANS, kept only for a fleet trace.
         self._worker_spans: list[tuple[str, dict]] = []
-        self._spans_accepted = 0
         self.stale_grid = 0
         self.duplicates = 0
         #: Read-only connections beside the single writer: QUERY/USAGE
@@ -293,17 +300,19 @@ class SweepService(RespTcpServer):
             job = self._activate(
                 grid, row["name"], row.get("tenant", ""), points, state=row["state"]
             )
+            replayed = 0
             for idx in self.store.done_payloads(grid):
                 if idx in job.table.records:
                     job.table.preload_done(idx)
-                    job.replayed += 1
+                    replayed += 1
+            self._totals["replayed"] += replayed
             self.store.record_event(grid, None, "restore")
-            self.flight.record("restore", grid=grid[:16], replayed=job.replayed)
+            self.flight.record("restore", grid=grid[:16], replayed=replayed)
             _log.info(
                 "service.restore",
                 grid=grid[:16],
                 n_points=len(points),
-                replayed=job.replayed,
+                replayed=replayed,
             )
             self._maybe_finalize(job)
 
@@ -339,29 +348,28 @@ class SweepService(RespTcpServer):
             capture=capture,
         )
         self.jobs[grid] = job
-        self._ring.append(grid)
         return job
 
     # -- lease-table plumbing ------------------------------------------------
     def _on_transition(self, grid: str, event: str, record: PointRecord) -> None:
         """The one place a lease transition lands: its store ``events`` row
         (``done``/``poisoned`` are written by the handler's own commit),
-        the per-worker and per-job tallies, the flight ring, the observer."""
+        the per-worker tallies and session counters, the flight ring, the
+        observer."""
         worker = record.worker
         if event in ("lease", "reclaim", "requeue"):
             self.store.record_event(grid, record.index, event, worker)
+        if event in _SESSION_COUNTERS:
+            self._totals[_SESSION_COUNTERS[event]] += 1
         if event == "lease":
             self._tally(worker)["claimed"] += 1
             self._rates.setdefault(worker, EwmaRate()).mark_active(self.clock())
         elif event == "done":
-            self.jobs[grid].executed += 1
             self._tally(worker)["completed"] += 1
             self._rates.setdefault(worker, EwmaRate()).observe(self.clock())
         elif event in ("requeue", "poison"):
             # fail() clears the holder; the failure names who reported it.
             self._tally(record.failures[-1].worker)["failed"] += 1
-            if event == "requeue":
-                self.jobs[grid].requeues += 1
         self.flight.record(event, grid=grid[:16], index=record.index, worker=worker)
         if event == "reclaim":
             _log.warning("lease.reclaim", grid=grid[:16], index=record.index,
@@ -376,10 +384,9 @@ class SweepService(RespTcpServer):
 
     def _maybe_finalize(self, job: ServiceJob) -> None:
         """Move a drained job to its terminal state (immutable afterwards)."""
-        if job.state in JOB_TERMINAL or not job.table.done():
+        if not job.table.done():
             return
-        poisoned = list(job.table.poisoned())
-        job.state = JOB_POISONED if poisoned else JOB_DONE
+        job.state = JOB_POISONED if job.table.poisoned() else JOB_DONE
         self.store.set_job_state(job.grid, job.state)
         self._retire(job)
         self.flight.record("job." + job.state, grid=job.grid[:16])
@@ -388,19 +395,17 @@ class SweepService(RespTcpServer):
             grid=job.grid[:16],
             name=job.name,
             state=job.state,
-            executed=job.executed,
-            replayed=job.replayed,
+            n_points=job.n_points,
         )
 
     def _retire(self, job: ServiceJob) -> None:
-        """Take a finished or cancelled job out of the claim ring and drop
-        its point specs: nothing hands them out again, and the job stays
-        in ``self.jobs`` (late DONEs, STATUS) for the life of the service."""
-        try:
-            self._ring.remove(job.grid)
-        except ValueError:
-            pass
-        job.points = {}
+        """Drop a finished or cancelled job from memory; its store rows are
+        its only record from now on. Its done and poisoned points stay in
+        the aggregate through the retired tally."""
+        del self.jobs[job.grid]
+        counts = job.table.counts()
+        for state in self._retired:
+            self._retired[state] += counts[state]
 
     def _mark_running(self, job: ServiceJob) -> None:
         if job.state == JOB_SUBMITTED:
@@ -421,14 +426,14 @@ class SweepService(RespTcpServer):
         work = [(int(i), p) for i, p in points]
         if not work:
             raise SweepError("a submission needs at least one point")
-        grid = grid_signature(work)
-        existing = self.jobs.get(grid)
-        if existing is not None:
-            return {"grid": grid, "created": False, "state": existing.state,
-                    "n_points": existing.n_points}
+        # One rendering per point gives both its key and its fingerprint.
+        identities = [point_identity(p.func_path, p.kwargs) for _, p in work]
+        grid = grid_signature_of(
+            (idx, key) for (idx, _), (key, _) in zip(work, identities)
+        )
         row = self.store.job(grid)
         if row is not None:
-            # Known but not live: terminal, or restored-unresumable.
+            # Live, finished, or restored-unresumable: the store row says.
             return {"grid": grid, "created": False, "state": row["state"],
                     "n_points": row["n_points"]}
         tomb = self.store.tombstone(grid)
@@ -453,12 +458,8 @@ class SweepService(RespTcpServer):
                 refusal["reason"], refusal.get("retry_after_s"), detail=refusal
             )
         specs = [
-            (
-                idx,
-                pickle.dumps(point, protocol=pickle.HIGHEST_PROTOCOL),
-                point_fingerprint(point.func_path, point.kwargs),
-            )
-            for idx, point in work
+            (idx, pickle.dumps(point, protocol=pickle.HIGHEST_PROTOCOL), fp)
+            for (idx, point), (_, fp) in zip(work, identities)
         ]
         t0 = time.perf_counter()
         self.store.submit_job(grid, name=name, points=specs, tenant=tenant)
@@ -476,42 +477,38 @@ class SweepService(RespTcpServer):
     def cancel(self, grid: str) -> str:
         """Cancel one job; its leases are revoked, other jobs untouched."""
         job = self.jobs.get(grid)
-        if job is None:
-            row = self.store.job(grid)
-            if row is None:
-                raise TransportError(f"unknown grid {grid[:16]}")
-            if row["state"] in (JOB_DONE, JOB_POISONED):
-                return TERMINAL
-            if row["state"] != JOB_CANCELLED:
-                self.store.set_job_state(grid, JOB_CANCELLED)
-            return CANCELLED
-        if job.state in (JOB_DONE, JOB_POISONED):
-            return TERMINAL
-        if job.state != JOB_CANCELLED:
+        if job is not None:
             job.state = JOB_CANCELLED
             self.store.set_job_state(grid, JOB_CANCELLED)
             self._retire(job)
             self.flight.record("cancel", grid=grid[:16], name=job.name)
             _log.info("job.cancel", grid=grid[:16], name=job.name)
+            return CANCELLED
+        row = self.store.job(grid)
+        if row is None:
+            raise TransportError(f"unknown grid {grid[:16]}")
+        if row["state"] in (JOB_DONE, JOB_POISONED):
+            return TERMINAL
+        if row["state"] != JOB_CANCELLED:
+            self.store.set_job_state(grid, JOB_CANCELLED)
         return CANCELLED
 
     # -- admission control ---------------------------------------------------
-    def _tenant_usage(self, tenant: str) -> tuple[int, int]:
-        """(live jobs, outstanding points) this tenant holds right now."""
-        live_jobs = 0
-        queued = 0
-        for job in self._active_jobs():
-            if job.tenant == tenant:
-                live_jobs += 1
-                queued += job.table.remaining()
-        return live_jobs, queued
+    def _tenant_load(self) -> dict[str, list[int]]:
+        """tenant -> [live jobs, outstanding points], over the live jobs."""
+        load: dict[str, list[int]] = {}
+        for job in self.jobs.values():
+            entry = load.setdefault(job.tenant, [0, 0])
+            entry[0] += 1
+            entry[1] += job.table.remaining()
+        return load
 
     def _admission_check(self, tenant: str, n_points: int) -> Optional[dict]:
         """None to admit this submission; a ``-BUSY`` document otherwise."""
         if self._stop_serving:
             return self.admission.refuse("draining", scale=4.0, tenant=tenant)
         self._evaluate_brownout()
-        live_jobs, queued = self._tenant_usage(tenant)
+        live_jobs, queued = self._tenant_load().get(tenant, (0, 0))
         store_bytes = None
         if self.admission.quota.max_store_bytes is not None:
             store_bytes = self.store.used_bytes()
@@ -599,21 +596,15 @@ class SweepService(RespTcpServer):
             return doc
         try:
             quota = self.admission.quota
-            tenants: dict[str, dict] = {}
-            live = 0
-            for job in self._active_jobs():
-                live += 1
-                entry = tenants.setdefault(
-                    job.tenant, {"live_jobs": 0, "queued_points": 0}
-                )
-                entry["live_jobs"] += 1
-                entry["queued_points"] += job.table.remaining()
-            for entry in tenants.values():
-                entry["headroom"] = quota.headroom(
-                    entry["live_jobs"], entry["queued_points"], store_bytes
-                )
-            doc["tenants"] = dict(sorted(tenants.items()))
-            doc["jobs"] = {"live": live, "known": len(self.jobs)}
+            doc["tenants"] = {
+                tenant: {
+                    "live_jobs": live_jobs,
+                    "queued_points": queued,
+                    "headroom": quota.headroom(live_jobs, queued, store_bytes),
+                }
+                for tenant, (live_jobs, queued) in sorted(self._tenant_load().items())
+            }
+            doc["jobs"] = {"live": len(self.jobs)}
         finally:
             self._exec_lock.release()
         return doc
@@ -733,9 +724,8 @@ class SweepService(RespTcpServer):
         """Plan (always) and apply (unless dry_run) a retention pass.
 
         The apply path funnels through the store's single writer like
-        every other mutation; afterwards any collected job is evicted
-        from the in-memory job map and claim ring so workers stop
-        seeing it immediately.
+        every other mutation. GC collects terminal jobs only, which the
+        service no longer holds in memory.
         """
         policy = RetentionPolicy(
             max_age_seconds=spec.get("max_age_seconds"),
@@ -751,13 +741,7 @@ class SweepService(RespTcpServer):
             now=self.wall(),
         )
         for entry in report["collected"]:
-            grid = entry["grid"]
-            self.jobs.pop(grid, None)
-            try:
-                self._ring.remove(grid)
-            except ValueError:
-                pass
-            self.flight.record("gc.collect", grid=grid[:16])
+            self.flight.record("gc.collect", grid=entry["grid"][:16])
         if not dry_run:
             _log.info(
                 "gc.pass",
@@ -783,37 +767,29 @@ class SweepService(RespTcpServer):
         host, pid = caps.get("host"), caps.get("pid")
         if host is not None and pid is not None:
             entry["track"] = f"worker {host}:{pid}"
-        active = list(self._active_jobs())
+        live = self.jobs.values()
         info = GridInfo(
             grid=MULTI_GRID,
-            n_points=sum(j.n_points for j in active),
+            n_points=sum(j.n_points for j in live),
             lease_seconds=self.lease_seconds,
             version=__version__,
-            remaining=sum(j.table.remaining() for j in active),
-            extra={"service": True, "jobs": len(active)},
+            remaining=sum(j.table.remaining() for j in live),
+            extra={"service": True, "jobs": len(live)},
         )
         self.flight.record("hello", worker=worker, host=host, pid=pid)
         return resp.encode_bulk(json.dumps(info.as_dict(), sort_keys=True).encode())
 
-    def _active_jobs(self):
-        """Live jobs in ring order. Iterates the ring itself: a caller
-        that finalises or cancels while looping takes a ``list()`` first."""
-        for grid in self._ring:
-            job = self.jobs.get(grid)
-            if job is not None and job.state in (JOB_SUBMITTED, JOB_RUNNING):
-                yield job
-
     def _handle_claim(self, worker: str) -> bytes:
-        if self._stop_serving:
+        # DRAINED only when there are no live jobs at all: a service with
+        # an empty moment is not finished, so idle workers poll, not leave.
+        if self._stop_serving or not self.jobs:
             return resp.encode_simple(DRAINED)
-        # Fair share: try each active job once, starting at the ring head,
-        # and rotate the ring so the *next* claim starts at the next tenant.
-        for _ in range(len(self._ring)):
-            grid = self._ring[0]
-            self._ring.rotate(-1)
-            job = self.jobs.get(grid)
-            if job is None or job.state not in (JOB_SUBMITTED, JOB_RUNNING):
-                continue
+        # Fair share: try each live job once, starting at the head, and
+        # move each tried job to the back so the *next* claim starts at
+        # the next tenant.
+        for _ in range(len(self.jobs)):
+            job = next(iter(self.jobs.values()))
+            self.jobs.move_to_end(job.grid)
             index = job.table.claim(worker)
             if index is None:
                 continue
@@ -830,27 +806,30 @@ class SweepService(RespTcpServer):
                 span_id=f"{index}/{job.table.records[index].leases}",
             )
             return resp.encode_bulk(assignment.to_bytes())
-        # Nothing claimable anywhere. DRAINED only when there are no live
-        # jobs at all — a service with an empty moment is not finished,
-        # so idle workers should poll, not leave.
-        if next(self._active_jobs(), None) is None:
-            return resp.encode_simple(DRAINED)
         return resp.encode_bulk(None)
 
     def _handle_renew(self, worker: str, index: int, grid: str) -> bytes:
         job = self.jobs.get(grid)
-        if job is None or job.state == JOB_CANCELLED:
+        if job is None:
             return resp.encode_integer(0)
         return resp.encode_integer(int(job.table.renew(worker, index)))
 
+    def _late_ack(self, grid: str) -> bytes:
+        """DONE/FAIL for a grid that is not live, acknowledged so the
+        worker moves on and recorded nowhere: ``DUPLICATE`` when the store
+        says the job finished, ``STALE`` when it was cancelled or is
+        unknown here (another service's work, a journal-era leftover)."""
+        row = self.store.job(grid)
+        if row is not None and row["state"] in (JOB_DONE, JOB_POISONED):
+            self.duplicates += 1
+            return resp.encode_simple("DUPLICATE")
+        self.stale_grid += 1
+        return resp.encode_simple(STALE)
+
     def _handle_done(self, worker: str, index: int, grid: str, blob: bytes) -> bytes:
         job = self.jobs.get(grid)
-        if job is None or job.state == JOB_CANCELLED:
-            # Unknown grid (another service's work, or a journal-era
-            # leftover) or a cancelled tenant: acknowledge so the worker
-            # moves on, record nothing.
-            self.stale_grid += 1
-            return resp.encode_simple(STALE)
+        if job is None:
+            return self._late_ack(grid)
         record = job.table.records.get(index)
         if record is None:
             raise TransportError(f"unknown point index {index}")
@@ -874,9 +853,8 @@ class SweepService(RespTcpServer):
 
     def _handle_fail(self, worker: str, index: int, grid: str, info_json: str) -> bytes:
         job = self.jobs.get(grid)
-        if job is None or job.state == JOB_CANCELLED:
-            self.stale_grid += 1
-            return resp.encode_simple(STALE)
+        if job is None:
+            return self._late_ack(grid)
         record = job.table.records.get(index)
         if record is None:
             raise TransportError(f"unknown point index {index}")
@@ -918,20 +896,12 @@ class SweepService(RespTcpServer):
 
     def results(self, grid: str) -> tuple[str, dict[int, bytes], dict[int, list]]:
         """``(job state, done wire payloads, poisoned failures)`` from the
-        store — what RESULTS ships, and what the embedding engine reads."""
-        job = self.jobs.get(grid)
-        if job is not None:
-            state = job.state
-        else:
-            row = self.store.job(grid)
-            if row is None:
-                raise TransportError(f"unknown grid {grid[:16]}")
-            state = row["state"]
-        return (
-            state,
-            self.store.done_payloads(grid),
-            self.store.poisoned_points(grid),
-        )
+        store in one read — what RESULTS ships, and what the embedding
+        engine reads."""
+        found = self.store.job_results(grid)
+        if found is None:
+            raise TransportError(f"unknown grid {grid[:16]}")
+        return found
 
     def _handle_results(self, grid: str) -> bytes:
         return resp.encode_bulk(dump_results_reply(*self.results(grid)))
@@ -941,51 +911,28 @@ class SweepService(RespTcpServer):
         if self.fleet_path is not None:
             track = self.workers.get(worker, {}).get("track") or f"worker {worker}"
             self._worker_spans.extend((track, span) for span in spans)
-        self._spans_accepted += len(spans)
         return resp.encode_integer(len(spans))
 
     # -- status --------------------------------------------------------------
-    def _job_status(self, job: ServiceJob) -> dict:
-        return {
-            "grid": job.grid,
-            "name": job.name,
-            "tenant": job.tenant,
-            "state": job.state,
-            "n_points": job.n_points,
-            "remaining": job.table.remaining(),
-            "counts": job.table.counts(),
-            "reclaims": job.table.reclaims,
-            "requeues": job.requeues,
-            "executed": job.executed,
-            "replayed": job.replayed,
-            "poisoned_points": sorted(r.index for r in job.table.poisoned()),
-        }
-
     def status(self, grid: Optional[str] = None) -> dict:
-        """One job's status, or the aggregate (watch-compatible) document."""
+        """One job's status, or the aggregate (watch-compatible) document.
+
+        A job's document comes from its store rows, live or not; a live
+        job's lease table adds the leased count. The aggregate is the
+        live jobs plus the retired tally and the session counters.
+        """
         if grid:
-            job = self.jobs.get(grid)
-            if job is not None:
-                return self._job_status(job)
-            row = self.store.job(grid)
-            if row is None:
+            doc = self.store.job_status(grid)
+            if doc is None:
                 if self.store.tombstone(grid) is not None:
                     raise TransportError(f"grid {grid[:16]} collected by gc")
                 raise TransportError(f"unknown grid {grid[:16]}")
-            counts = self.store.point_counts(grid)
-            return {
-                "grid": grid,
-                "name": row["name"],
-                "tenant": row.get("tenant", ""),
-                "state": row["state"],
-                "n_points": row["n_points"],
-                "remaining": row["n_points"] - counts.get("done", 0)
-                - counts.get("poisoned", 0),
-                "counts": counts,
-                "poisoned_points": sorted(self.store.poisoned_points(grid)),
-            }
+            job = self.jobs.get(grid)
+            if job is not None:
+                doc["counts"] = job.table.counts()
+            return doc
         live = list(self.jobs.values())
-        counts = {"queued": 0, "leased": 0, "done": 0, "poisoned": 0}
+        counts = {"queued": 0, "leased": 0, **self._retired}
         poisoned_points: list[int] = []
         now = self.clock()
         lease_age: dict[str, float] = {}
@@ -995,7 +942,7 @@ class SweepService(RespTcpServer):
                 counts[state] += n
             poisoned_points.extend(r.index for r in job.table.poisoned())
             if not job_counts["leased"]:
-                continue  # finished jobs stay known: no record scan for them
+                continue
             for record in job.table.records.values():
                 if record.state is PointState.LEASED and record.worker is not None:
                     age = max(
@@ -1014,13 +961,10 @@ class SweepService(RespTcpServer):
         return {
             "grid": MULTI_GRID,
             "service": True,
-            "n_points": sum(j.n_points for j in live),
-            "remaining": sum(j.table.remaining() for j in live),
+            "n_points": sum(counts.values()),
+            "remaining": counts["queued"] + counts["leased"],
             "counts": counts,
-            "reclaims": sum(j.table.reclaims for j in live),
-            "requeues": sum(j.requeues for j in live),
-            "executed": sum(j.executed for j in live),
-            "replayed": sum(j.replayed for j in live),
+            **self._totals,
             "poisoned_points": sorted(poisoned_points),
             "workers": {
                 w: {k: v for k, v in entry.items() if k != "capabilities"}
@@ -1028,7 +972,17 @@ class SweepService(RespTcpServer):
             },
             "rates": rates,
             "jobs": {
-                job.grid: self._job_status(job) for job in live
+                job.grid: {
+                    "grid": job.grid,
+                    "name": job.name,
+                    "tenant": job.tenant,
+                    "state": job.state,
+                    "n_points": job.n_points,
+                    "remaining": job.table.remaining(),
+                    "counts": job.table.counts(),
+                    "poisoned_points": [r.index for r in job.table.poisoned()],
+                }
+                for job in live
             },
         }
 
@@ -1036,30 +990,27 @@ class SweepService(RespTcpServer):
     def request_stop(self) -> None:
         self._stop_serving = True
 
-    def serve_forever(self, poll: float = 0.1, until: Optional[str] = None) -> dict:
-        """Run until :meth:`request_stop` (SIGTERM); returns a summary.
+    def serve_forever(self, poll: float = 0.1, until: Optional[str] = None) -> None:
+        """Run until :meth:`request_stop` (SIGTERM).
 
         Draining all jobs does *not* end the loop — a service waits for
         the next tenant — unless ``until`` names the one grid this
         session exists for (the engine's embedded ``--serve`` service):
-        then the loop also ends once that job is terminal, or is not
-        live at all because an earlier session finished it. The periodic
-        tick reclaims expired leases across every live job so work
-        stealing happens even when no worker is polling.
+        then the loop also ends once that job is not live, because it
+        became terminal here or an earlier session finished it. The
+        periodic tick reclaims expired leases across every live job so
+        work stealing happens even when no worker is polling.
         """
         if not self.is_running:
             self.start()
         try:
             while not self._stop_serving:
                 with self._exec_lock:
-                    for job in list(self._active_jobs()):
+                    for job in list(self.jobs.values()):
                         job.table.reclaim_expired()
                         self._maybe_finalize(job)
                     self._evaluate_brownout()
-                    if until is not None and (
-                        until not in self.jobs
-                        or self.jobs[until].state in JOB_TERMINAL
-                    ):
+                    if until is not None and until not in self.jobs:
                         break
                 time.sleep(poll)
         except BaseException:
@@ -1074,22 +1025,15 @@ class SweepService(RespTcpServer):
                 except (OSError, SweepStoreError) as exc:
                     # Observability must not mask the run.
                     print(f"fleet trace not written: {exc}", file=sys.stderr)
-        served = self.jobs.get(until) if until is not None else None
+        served = self.store.job(until) if until is not None else None
         maybe_dump(
             self.flight,
             self.flight_path,
-            "poison" if served is not None and served.state == JOB_POISONED
+            "poison" if served is not None and served["state"] == JOB_POISONED
             else "drain" if self._stop_serving
             else "completed",
         )
-        summary = {
-            "jobs": {g: j.state for g, j in self.jobs.items()},
-            "stale_grid": self.stale_grid,
-            "duplicates": self.duplicates,
-            "spans": self._spans_accepted,
-        }
         _log.info("service.closed", jobs=len(self.jobs))
-        return summary
 
     def write_fleet_trace(self, path: str | Path) -> int:
         """Write this session's fleet trace as one Chrome trace.
@@ -1386,14 +1330,8 @@ def run_service_process(
     store_path: str | Path,
     lease_seconds: float = 5.0,
     flight_path: Optional[str] = None,
-    poll: float = 0.1,
-    max_frame_bytes: Optional[int] = None,
     quota: Optional[TenantQuota] = None,
     max_connections: Optional[int] = 256,
-    idle_timeout: Optional[float] = 300.0,
-    write_timeout: Optional[float] = 30.0,
-    dispatch_queue_limit: Optional[int] = 128,
-    busy_retry_s: float = 1.0,
     seed: int = 0,
 ) -> int:
     """Entry point for ``repro sweep --service`` (standalone service).
@@ -1410,13 +1348,8 @@ def run_service_process(
             port=port,
             lease_seconds=lease_seconds,
             flight_path=flight_path,
-            max_frame_bytes=max_frame_bytes,
             quota=quota,
             max_connections=max_connections,
-            idle_timeout=idle_timeout,
-            write_timeout=write_timeout,
-            dispatch_queue_limit=dispatch_queue_limit,
-            busy_retry_s=busy_retry_s,
             seed=seed,
         )
     except SweepStoreError as exc:
@@ -1429,7 +1362,7 @@ def run_service_process(
     )
     try:
         with sigterm_calls(service.request_stop):
-            service.serve_forever(poll=poll)
+            service.serve_forever()
     finally:
         service.stop()
     return 0

@@ -254,6 +254,28 @@ def _fingerprint_spec(spec: Optional[bytes]) -> Optional[str]:
         return None
 
 
+def _done_payloads(conn: sqlite3.Connection, grid: str) -> dict[int, bytes]:
+    rows = conn.execute(
+        "SELECT idx, payload FROM points WHERE grid = ? AND state = 'done'",
+        (grid,),
+    ).fetchall()
+    return {int(r["idx"]): r["payload"] for r in rows if r["payload"] is not None}
+
+
+def _poisoned(conn: sqlite3.Connection, grid: str) -> dict[int, list[dict]]:
+    """idx -> recorded failures for every poisoned point of ``grid``."""
+    out: dict[int, list[dict]] = {}
+    for row in conn.execute(
+        "SELECT idx, failures FROM points WHERE grid = ? AND state = 'poisoned'",
+        (grid,),
+    ):
+        try:
+            out[int(row["idx"])] = json.loads(row["failures"] or "[]")
+        except ValueError:
+            out[int(row["idx"])] = []
+    return out
+
+
 def live_bytes(conn: sqlite3.Connection) -> int:
     """Bytes of live data in the store file behind ``conn``.
 
@@ -660,41 +682,57 @@ class SweepStore:
 
     def done_payloads(self, grid: str) -> dict[int, bytes]:
         """idx -> wire payload for every completed point of ``grid``."""
+        return self._call(lambda conn: _done_payloads(conn, grid))
+
+    def job_results(
+        self, grid: str
+    ) -> Optional[tuple[str, dict[int, bytes], dict[int, list[dict]]]]:
+        """``(state, done payloads, poisoned failures)`` of one job in one
+        read; None for a grid the store does not hold."""
 
         def op(conn: sqlite3.Connection):
-            rows = conn.execute(
-                "SELECT idx, payload FROM points WHERE grid = ? AND state = 'done'",
-                (grid,),
-            ).fetchall()
-            return {int(r["idx"]): r["payload"] for r in rows if r["payload"] is not None}
+            row = conn.execute("SELECT state FROM jobs WHERE grid = ?", (grid,)).fetchone()
+            if row is None:
+                return None
+            return row["state"], _done_payloads(conn, grid), _poisoned(conn, grid)
 
         return self._call(op)
 
-    def poisoned_points(self, grid: str) -> dict[int, list[dict]]:
-        def op(conn: sqlite3.Connection):
-            rows = conn.execute(
-                "SELECT idx, failures FROM points WHERE grid = ?"
-                " AND state = 'poisoned'",
-                (grid,),
-            ).fetchall()
-            out: dict[int, list[dict]] = {}
-            for row in rows:
-                try:
-                    out[int(row["idx"])] = json.loads(row["failures"] or "[]")
-                except ValueError:
-                    out[int(row["idx"])] = []
-            return out
+    def job_status(self, grid: str) -> Optional[dict]:
+        """One job's STATUS document as its rows record it, or None.
 
-        return self._call(op)
+        A point with no outcome counts as queued (no lease outlives the
+        service that granted it), and ``reclaims``/``requeues`` count the
+        grid's ``events`` rows, so the document reads the same in every
+        session that opens this store.
+        """
 
-    def point_counts(self, grid: str) -> dict[str, int]:
         def op(conn: sqlite3.Connection):
-            rows = conn.execute(
-                "SELECT state, COUNT(*) AS n FROM points WHERE grid = ?"
-                " GROUP BY state",
+            row = conn.execute(
+                "SELECT name, tenant, n_points, state FROM jobs WHERE grid = ?",
                 (grid,),
-            ).fetchall()
-            return {str(r["state"]): int(r["n"]) for r in rows}
+            ).fetchone()
+            if row is None:
+                return None
+            counts = {"queued": 0, "leased": 0, "done": 0, "poisoned": 0}
+            counts.update(conn.execute(
+                "SELECT state, COUNT(*) FROM points WHERE grid = ? GROUP BY state",
+                (grid,),
+            ).fetchall())
+            events = dict(conn.execute(
+                "SELECT event, COUNT(*) FROM events WHERE grid = ?"
+                " AND event IN ('reclaim', 'requeue') GROUP BY event",
+                (grid,),
+            ).fetchall())
+            return {
+                "grid": grid,
+                **dict(row),
+                "remaining": row["n_points"] - counts["done"] - counts["poisoned"],
+                "counts": counts,
+                "reclaims": events.get("reclaim", 0),
+                "requeues": events.get("requeue", 0),
+                "poisoned_points": sorted(_poisoned(conn, grid)),
+            }
 
         return self._call(op)
 

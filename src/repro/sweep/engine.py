@@ -485,13 +485,12 @@ class SweepEngine:
         for points an earlier session finished, "steal" for reclaimed
         leases) and the shared :meth:`_collect_job`.
         """
-        from repro.sweep.dist.protocol import grid_signature, load_result, parse_hostport
+        from repro.sweep.dist.protocol import load_result, parse_hostport
         from repro.sweep.dist.service import SweepService, sigterm_calls
         from repro.sweep.dist.store import STORE_FILENAME
         from repro.telemetry.log import get_logger
 
         work = [(index, points[index]) for index, _ in pending]
-        grid = grid_signature(work)
         host, port = parse_hostport(self.options.serve)
         progress_done = done
 
@@ -525,15 +524,18 @@ class SweepEngine:
                 observer=on_transition,
             )
             stack.callback(service.stop)
-            created = service.submit(
+            submitted = service.submit(
                 points[work[0][0]].label,
                 work,
                 timeout=self.options.timeout,
                 retries=self.options.retries,
                 capture=capture,
-            )["created"]
+            )
+            grid = submitted["grid"]
             # A job this store already knew may hold acknowledged results.
-            replayed = [] if created else sorted(service.store.done_payloads(grid))
+            replayed = (
+                [] if submitted["created"] else sorted(service.store.done_payloads(grid))
+            )
             get_logger("sweep.engine").info(
                 "grid.open",
                 grid=grid[:16],
@@ -552,13 +554,12 @@ class SweepEngine:
             finally:
                 self._service = None
             state, payloads, poisoned = service.results(grid)
-            job = service.jobs.get(grid)
+            status = service.status(grid)
         report.replayed = len(replayed)
         report.computed = len(payloads) - len(replayed)
-        if job is not None:
-            report.reclaims = job.table.reclaims
-            report.requeues = job.requeues
-            report.retried += job.requeues
+        report.reclaims = status["reclaims"]
+        report.requeues = status["requeues"]
+        report.retried += status["requeues"]
         self._collect_job(
             points, pending, cache, values, snapshots, grid, state,
             {index: load_result(blob) for index, blob in payloads.items()},
@@ -633,10 +634,8 @@ class SweepEngine:
         )
         report.replayed = replayed
         report.computed = len(pending) - replayed
-        # A job no longer live answers STATUS from its store row, which
-        # carries no lease history.
-        report.reclaims = int(status.get("reclaims", 0))
-        report.requeues = int(status.get("requeues", 0))
+        report.reclaims = status["reclaims"]
+        report.requeues = status["requeues"]
 
     def _collect_job(
         self, points, pending, cache, values, snapshots, grid, state, results,

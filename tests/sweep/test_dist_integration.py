@@ -162,7 +162,7 @@ class TestDistributedRun:
         coordinator.serve_forever(poll=0.02, until=coordinator.grid)
         drain_agents(agents, threads)
 
-        assert coordinator.jobs[coordinator.grid].state == JOB_DONE
+        assert coordinator.status(coordinator.grid)["state"] == JOB_DONE
         assert values_of(coordinator) == {x: x + 1 for x in range(8)}
         assert sum(e["completed"] for e in coordinator.workers.values()) == 8
 
@@ -187,9 +187,9 @@ class TestDistributedRun:
         agents, threads = run_agents(coordinator.address, n=1)
         coordinator.serve_forever(poll=0.02, until=coordinator.grid)
         drain_agents(agents, threads)
-        job = coordinator.jobs[coordinator.grid]
-        assert job.executed == 3
-        assert job.requeues == 0  # absorbed by local retries
+        assert coordinator.status()["executed"] == 3
+        # Absorbed by local retries:
+        assert coordinator.status(coordinator.grid)["requeues"] == 0
         assert agents[0].report.local_retries == 3
 
     def test_poison_point_raises_with_tracebacks(self):
@@ -231,10 +231,13 @@ class TestFaultPaths:
         agents, threads = run_agents(coordinator.address, n=1)
         coordinator.serve_forever(poll=0.02, until=coordinator.grid)
         drain_agents(agents, threads)
-        table = coordinator.jobs[coordinator.grid].table
         assert sorted(values_of(coordinator)) == [0, 1]
-        assert table.reclaims >= 1
-        assert table.records[0].leases >= 2 or table.records[1].leases >= 2
+        assert coordinator.status(coordinator.grid)["reclaims"] >= 1
+        leases = [
+            e["idx"] for e in coordinator.store.events(coordinator.grid)
+            if e["event"] == "lease"
+        ]
+        assert leases.count(0) >= 2 or leases.count(1) >= 2
 
     def test_duplicate_done_is_acknowledged(self, coordinator_factory):
         from repro.sweep.dist.protocol import Assignment, dump_result
@@ -308,7 +311,7 @@ class TestFaultPaths:
         assert conn.command("FAIL", "w3", "0", grid, payload) == "DUPLICATE"
         events = [e["event"] for e in coordinator.store.events(grid)]
         assert events.count("poisoned") == 1
-        assert coordinator.jobs[grid].state == JOB_POISONED
+        assert coordinator.status(grid)["state"] == JOB_POISONED
         conn.close()
 
     def test_done_after_journal_close_is_an_error_reply_not_a_disconnect(
@@ -382,7 +385,7 @@ class TestFaultPaths:
         finally:
             drain_agents(agents, threads)
         assert agent.report.renews >= renews_at_cut + 2  # renewals resumed
-        assert coordinator.jobs[coordinator.grid].table.reclaims == 0
+        assert coordinator.status(coordinator.grid)["reclaims"] == 0
         assert values_of(coordinator) == {0: 2}
         assert agent.report.completed == 1
 

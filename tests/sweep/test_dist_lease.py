@@ -66,14 +66,17 @@ class TestClaim:
 
 class TestExpiry:
     def test_expired_lease_is_reclaimed_and_stolen(self):
-        table, clock = make_table(1, lease_seconds=5.0)
+        events = []
+        table, clock = make_table(
+            1, lease_seconds=5.0, observer=lambda event, record: events.append(event)
+        )
         assert table.claim("w1") == 0
         clock.advance(5.1)
         assert table.claim("w2") == 0  # stolen
         record = table.records[0]
         assert record.worker == "w2"
         assert record.leases == 2
-        assert table.reclaims == 1
+        assert events.count("reclaim") == 1
 
     def test_renewal_extends_the_lease(self):
         table, clock = make_table(1, lease_seconds=5.0)
@@ -249,7 +252,13 @@ def _expired_by_scan(table, now):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_OPS, max_size=60))
 def test_counters_and_reclaim_agree_with_full_scan(ops):
-    table, clock = make_table(6, poison_workers=2, poison_failures=3)
+    reclaimed = []
+
+    def observer(event, record):
+        if event == "reclaim":
+            reclaimed.append(record.index)
+
+    table, clock = make_table(6, poison_workers=2, poison_failures=3, observer=observer)
     for op in ops:
         kind = op[0]
         if kind == "advance":
@@ -257,9 +266,9 @@ def test_counters_and_reclaim_agree_with_full_scan(ops):
         elif kind == "claim":
             # claim() reclaims first: it must steal what a scan would.
             expected = _expired_by_scan(table, clock.now)
-            before = table.reclaims
+            before = len(reclaimed)
             table.claim(op[1])
-            assert table.reclaims - before == len(expected)
+            assert sorted(reclaimed[before:]) == expected
         elif kind == "renew":
             held = [r for r in table.records.values() if r.state is PointState.LEASED]
             if held:

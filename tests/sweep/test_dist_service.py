@@ -1,5 +1,6 @@
 """SweepService: multi-tenant lifecycle, fair-share, isolation, restart."""
 
+import json
 import logging
 import sqlite3
 import threading
@@ -66,6 +67,27 @@ def claim(service, worker="w0"):
     if reply in (None, b"DRAINED") or str(reply) == "DRAINED":
         return None
     return Assignment.from_bytes(bytes(reply))
+
+
+def claim_in_process(service, worker="w0"):
+    """One CLAIM straight through the handler (no socket)."""
+    return Assignment.from_bytes(bulk_payload(service._handle_claim(worker)))
+
+
+def bulk_payload(reply):
+    """Strip RESP bulk framing from a raw handler reply."""
+    return bytes(reply).partition(b"\r\n")[2][:-2]
+
+
+class FakeClock:
+    def __init__(self, t=0.0):
+        self.t = float(t)
+
+    def __call__(self):
+        return self.t
+
+    def advance(self, dt):
+        self.t += dt
 
 
 def command(service, *parts):
@@ -158,7 +180,7 @@ class TestCancelIsolation:
                 continue
         assert str(command(service, "CANCEL", a)) == CANCELLED
         # Alice's job is cancelled...
-        assert service.jobs[a].state == JOB_CANCELLED
+        assert service.status(a)["state"] == JOB_CANCELLED
         assert service.store.job(a)["state"] == JOB_CANCELLED
         # ...but Bob's lease still renews and his DONE still lands.
         renewed = command(service, "RENEW", "bob-w", str(bob_assignment.index), b)
@@ -322,9 +344,8 @@ class TestRestart:
         revived = SweepService(store_path, host="127.0.0.1", port=0)
         revived.start()
         try:
-            job = revived.jobs[grid]
-            assert job.replayed == 1
-            assert job.state == JOB_RUNNING
+            assert revived.status()["replayed"] == 1
+            assert revived.jobs[grid].state == JOB_RUNNING
             # The acknowledged payload survived byte-for-byte.
             assert revived.store.done_payloads(grid) == before
             client = ServiceClient(f"{revived.host}:{revived.port}")
@@ -345,7 +366,7 @@ class TestRestart:
             service, "DONE", "w0", str(assignment.index), grid,
             dump_result(0, None),
         )
-        assert service.jobs[grid].state == JOB_DONE
+        assert service.status(grid)["state"] == JOB_DONE
         service.stop()
 
         revived = SweepService(store_path, host="127.0.0.1", port=0)
@@ -421,20 +442,21 @@ class TestStatus:
 
 
 class TestRetiredJobs:
-    """A job that left the ring keeps answering, without its specs."""
+    """A job leaves memory when it becomes terminal; its store rows answer."""
 
     def test_finished_job_releases_specs_and_still_acks_late_done(self, service):
         grid = service.submit("grid-a", points_for(2), tenant="alice")["grid"]
-        first, second = claim(service), claim(service)
-        finish(service, None, grid, first)
-        finish(service, None, grid, second)
-        job = service.jobs[grid]
-        assert job.state == JOB_DONE
-        assert job.points == {}  # every SweepPoint + kwargs released
-        late = ("DONE", "w9", "0", grid, dump_result(0, None))
-        assert command(service, *late) == "DUPLICATE"
+        first = claim(service)
+        # An unknown index is an error while the job is live.
         with pytest.raises(TransportError):
             command(service, "DONE", "w9", "7", grid, dump_result(0, None))
+        second = claim(service)
+        finish(service, None, grid, first)
+        finish(service, None, grid, second)
+        assert grid not in service.jobs  # every SweepPoint + kwargs released
+        assert service.status(grid)["state"] == JOB_DONE
+        late = ("DONE", "w9", "0", grid, dump_result(0, None))
+        assert command(service, *late) == "DUPLICATE"
         doc = service.status(grid)
         assert doc["n_points"] == 2 and doc["remaining"] == 0
         assert doc["counts"] == {"queued": 0, "leased": 0, "done": 2, "poisoned": 0}
@@ -445,9 +467,173 @@ class TestRetiredJobs:
         grid = service.submit("grid-a", points_for(3))["grid"]
         claim(service)
         assert service.cancel(grid) == CANCELLED
-        assert service.jobs[grid].points == {}
+        assert grid not in service.jobs
         assert service.status(grid)["n_points"] == 3
         assert claim(service) is None  # nothing live: DRAINED
+
+
+class TestFinishedJobInTheStore:
+    """Every request about a finished job is answered from the store, the
+    same way in the session that finished it and after a restart."""
+
+    def finished_with_history(self, tmp_path):
+        """A 3-point job finished on an injected clock after one reclaimed
+        lease and one requeue; returns (service, grid)."""
+        clock = FakeClock(0.0)
+        service = SweepService(tmp_path / "store.sqlite", lease_seconds=5.0, clock=clock)
+        grid = service.submit("history", points_for(3), tenant="alice")["grid"]
+        lost = claim_in_process(service, "ghost")
+        clock.advance(10.0)  # the ghost's lease expires: the next claim steals it
+        assignments = [claim_in_process(service, "w1") for _ in range(3)]
+        assert lost.index in [a.index for a in assignments]
+        failed = assignments[0]
+        assert service._handle_fail(
+            "w1", failed.index, grid, '{"error": "transient"}'
+        ) == b"+REQUEUED\r\n"
+        assignments[0] = claim_in_process(service, "w2")
+        for a in assignments:
+            service._handle_done("w1", a.index, grid, dump_result(a.point.call(), None))
+        return service, grid
+
+    def test_status_is_one_document_before_and_after_restart(self, tmp_path):
+        service, grid = self.finished_with_history(tmp_path)
+        before = json.dumps(service.status(grid), sort_keys=True)
+        service.stop()
+        revived = SweepService(tmp_path / "store.sqlite")
+        try:
+            after = json.dumps(revived.status(grid), sort_keys=True)
+        finally:
+            revived.stop()
+        assert after == before
+        doc = json.loads(before)
+        assert doc["state"] == JOB_DONE and doc["remaining"] == 0
+        assert doc["counts"] == {"queued": 0, "leased": 0, "done": 3, "poisoned": 0}
+        assert (doc["reclaims"], doc["requeues"]) == (1, 1)
+        assert "executed" not in doc and "replayed" not in doc
+
+    def test_aggregate_counts_retired_jobs(self, service):
+        """N finished jobs and one live one: the aggregate reads what a
+        walk over every job this session held would report."""
+        grids = [service.submit(f"g{n}", points_for(2, offset=10 * n))["grid"]
+                 for n in range(4)]
+        for _ in range(8):
+            a = claim(service)
+            finish(service, None, a.grid, a)
+        live = service.submit("live", points_for(3, offset=100))["grid"]
+        claim(service)
+        doc = service.status()
+        assert doc["n_points"] == 11 and doc["remaining"] == 3
+        assert doc["counts"] == {"queued": 2, "leased": 1, "done": 8, "poisoned": 0}
+        assert (doc["executed"], doc["reclaims"], doc["replayed"]) == (8, 0, 0)
+        assert live in doc["jobs"]
+        assert all(service.status(g)["state"] == JOB_DONE for g in grids)
+
+    def test_service_holds_live_jobs_only(self, service):
+        done = service.submit("done", points_for(1))["grid"]
+        cancelled = service.submit("cancelled", points_for(2, offset=10))["grid"]
+        live = service.submit("live", points_for(2, offset=20))["grid"]
+        a = claim(service)
+        assert a.grid == done
+        finish(service, None, done, a)
+        service.cancel(cancelled)
+        assert list(service.jobs) == [live]
+        aggregate = service.status()
+        assert set(aggregate["jobs"]) == {live}
+        assert service.health()["jobs"] == {"live": 1}
+
+    def test_late_done_and_fail_acks(self, tmp_path):
+        store = tmp_path / "store.sqlite"
+        service = SweepService(store)
+        done = service.submit("done", points_for(1))["grid"]
+        cancelled = service.submit("cancelled", points_for(1, offset=10))["grid"]
+        a = claim_in_process(service, "w1")
+        assert a.grid == done
+        service._handle_done("w1", a.index, done, dump_result(0, None))
+        service.cancel(cancelled)
+
+        def late_acks(svc):
+            blob = dump_result(0, None)
+            return [
+                svc._handle_done("w9", 0, done, blob),
+                svc._handle_fail("w9", 0, done, "{}"),
+                svc._handle_done("w9", 0, cancelled, blob),
+                svc._handle_fail("w9", 0, cancelled, "{}"),
+            ]
+
+        expected = [b"+DUPLICATE\r\n"] * 2 + [b"+STALE\r\n"] * 2
+        assert late_acks(service) == expected
+        assert (service.duplicates, service.stale_grid) == (2, 2)
+        service.stop()
+        revived = SweepService(store)  # the same acks after a restart
+        try:
+            assert late_acks(revived) == expected
+            assert (revived.duplicates, revived.stale_grid) == (2, 2)
+            assert revived.store.done_payloads(cancelled) == {}
+        finally:
+            revived.stop()
+
+    def test_metrics_counters_never_decrease_across_retirement(self, service):
+        def totals():
+            text = bulk_payload(service._dispatch("METRICS", [])).decode()
+            return {
+                sample: float(value)
+                for sample, _, value in (line.rpartition(" ") for line in text.splitlines())
+                if sample.startswith("repro_sweep_")
+                and sample.partition("{")[0].endswith("_total")
+            }
+
+        grid = service.submit("g", points_for(2))["grid"]
+        seen = [totals()]
+        for _ in range(2):
+            a = claim(service)
+            finish(service, None, grid, a)
+            seen.append(totals())
+        report = json.loads(bulk_payload(service._handle_gc(
+            {"max_age_seconds": 0.0, "lease_grace": 0.0, "dry_run": False}
+        )))
+        assert [e["grid"] for e in report["collected"]] == [grid]
+        seen.append(totals())
+        assert seen[-1]["repro_sweep_executed_total"] == 2
+        for earlier, later in zip(seen, seen[1:]):
+            for name, value in earlier.items():
+                assert later[name] >= value, name
+
+    def test_watch_can_drain_after_a_cancel(self, service):
+        from repro.sweep.dist.watch import drained
+
+        cancelled = service.submit("cancelled", points_for(3))["grid"]
+        a = claim(service)
+        finish(service, None, cancelled, a)
+        other = service.submit("other", points_for(1, offset=10))["grid"]
+        service.cancel(cancelled)
+        a = claim(service)
+        assert a.grid == other
+        assert not drained(service.status())
+        finish(service, None, other, a)
+        doc = service.status()
+        assert (doc["n_points"], doc["counts"]["done"]) == (2, 2)
+        assert drained(doc)
+
+    def test_submit_renders_each_point_once(self, service, monkeypatch):
+        import repro.sweep.cache as cache
+
+        real, depth, renders = cache.fingerprint, [0], []
+
+        def counting(obj):
+            if not depth[0]:
+                renders.append(obj)
+            depth[0] += 1
+            try:
+                return real(obj)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(cache, "fingerprint", counting)
+        pts = points_for(40)
+        reply = service.submit("forty", pts)
+        assert len(renders) == 40
+        monkeypatch.setattr(cache, "fingerprint", real)
+        assert reply["grid"] == grid_signature(pts)
 
 
 class TestEngineSubmitPath:

@@ -95,8 +95,12 @@ class TestPoints:
         store.record_poisoned("g", 0, [{"error": "late"}])
         store.record_poisoned("g", 1, [{"error": "toxic"}])
         assert store.done_payloads("g") == {0: b"r"}
-        assert store.poisoned_points("g") == {1: [{"error": "toxic"}]}
-        assert store.point_counts("g") == {"done": 1, "poisoned": 1}
+        assert store.job_results("g") == (
+            "submitted", {0: b"r"}, {1: [{"error": "toxic"}]}
+        )
+        assert store.job_status("g")["counts"] == {
+            "queued": 0, "leased": 0, "done": 1, "poisoned": 1,
+        }
 
     def test_events_audit_trail(self, store):
         store.submit_job("g", name="g", points=[(0, b"s")])

@@ -370,7 +370,7 @@ class TestCoordinatorRatesAndStatus:
                 ),
             )
             assert reply == b":1\r\n"
-        assert service.jobs[service.grid].state == "done"
+        assert service.status(service.grid)["state"] == "done"
         assert service._worker_spans == []
         events = written_trace(service, tmp_path / "on-demand.json")
         assert sum(e["cat"] == "lease" for e in events) == 200
@@ -450,7 +450,7 @@ class TestFleetTraceWriter:
             coordinator._handle_done(
                 "w1", assignment.index, grid, dump_result(0, None)
             )
-        assert coordinator.jobs[grid].state == "done"
+        assert coordinator.status(grid)["state"] == "done"
         report = json.loads(bulk_payload(coordinator._handle_usage({})))
         billed = sum(row["wall_seconds"] for row in report["tenants"])
         spans = [e for e in written_trace(coordinator) if e["ph"] == "X"]
@@ -905,7 +905,7 @@ class TestFleetIntegration:
             if isinstance(metrics, (bytes, bytearray))
             else str(metrics)
         )
-        assert coordinator.jobs[grid].state == "done"
+        assert coordinator.status(grid)["state"] == "done"
         assert "repro_sweep_executed_total 6" in text
         for agent in agents:
             assert f'worker="{agent.worker_id}"' in text
