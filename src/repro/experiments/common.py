@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro.telemetry.events import EventKind, EventLog
 from repro.telemetry.stats import mean_throughput, mean_transport_time
 from repro.transport.models import (
@@ -126,14 +128,20 @@ def nekrs_validation_point(which: str, iterations: int, seed: int = 0):
     raise ValueError(f"unknown validation run {which!r}")
 
 
-def measurement_from_log(log: EventLog) -> TransportMeasurement:
-    from repro.telemetry.stats import iteration_time_summary
+def _mean_iteration_time(log: EventLog, component: str, kind: EventKind) -> float:
+    """``iteration_time_summary(...).mean`` without the rest of the Summary."""
+    durations = log.filter(component=component, kind=kind).durations()
+    if not durations:
+        return 0.0
+    return float(np.asarray(durations, dtype=float).mean())
 
+
+def measurement_from_log(log: EventLog) -> TransportMeasurement:
     return TransportMeasurement(
         read_throughput=mean_throughput(log, EventKind.READ),
         write_throughput=mean_throughput(log, EventKind.WRITE),
         read_time=mean_transport_time(log, EventKind.READ),
         write_time=mean_transport_time(log, EventKind.WRITE),
-        sim_iter_time=iteration_time_summary(log, "sim", EventKind.COMPUTE).mean,
-        ai_iter_time=iteration_time_summary(log, "train", EventKind.TRAIN).mean,
+        sim_iter_time=_mean_iteration_time(log, "sim", EventKind.COMPUTE),
+        ai_iter_time=_mean_iteration_time(log, "train", EventKind.TRAIN),
     )

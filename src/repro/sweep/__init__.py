@@ -12,7 +12,12 @@ first-class object and executes it as fast as the hardware allows:
 * :class:`~repro.sweep.engine.SweepEngine` — executes a point list
   serially or across a ``concurrent.futures.ProcessPoolExecutor`` with
   per-point timeout/retry (reusing the :mod:`repro.errors` retryable
-  classification) and live progress callbacks;
+  classification) and live progress callbacks. A process keeps one
+  pool: the first ``parallel > 1`` run starts it and later runs reuse
+  it, one pooled run at a time; a run that raises shuts it down (queued
+  points cancelled, running ones awaited) and the next run starts a
+  fresh one. Workers are forked when the pool starts, so a point must
+  not depend on parent state changed after the first pooled run;
 * :class:`~repro.sweep.cache.ResultCache` — a content-addressed on-disk
   store keyed by a stable hash of (function, arguments, package
   version), so re-running a sweep only computes changed points;

@@ -51,6 +51,11 @@ _POINT_FORMAT = "repro-sweep-point-v1"
 #: where one is not is skipped like a torn append.
 _HISTORY_NUMBERS = ("time", "hits", "misses", "hit_rate")
 
+#: Value types a flat kwargs dict renders in one pass (see
+#: :func:`fingerprint`): exact types only, whose generic rendering is
+#: ``repr``. Subclasses (``np.float64``, ``IntEnum``) take the long way.
+_PLAIN = frozenset((str, int, bool, float, type(None)))
+
 
 def fingerprint(obj: Any) -> str:
     """A canonical, process-stable string rendering of ``obj``.
@@ -64,6 +69,17 @@ def fingerprint(obj: Any) -> str:
     a memory address) is rejected — a cache key built from it would
     never hit.
     """
+    if type(obj) is dict:
+        # Fast path for a grid cell's kwargs: str keys and plain values
+        # render as the generic dict branch below would, in one pass.
+        pairs = []
+        for key, value in obj.items():
+            if type(key) is not str or type(value) not in _PLAIN:
+                break
+            pairs.append((repr(key), repr(value)))
+        else:
+            pairs.sort()
+            return "{" + ",".join([f"{key}:{value}" for key, value in pairs]) + "}"
     if obj is None or isinstance(obj, (bool, int, str)):
         return repr(obj)
     if isinstance(obj, float):
@@ -206,6 +222,7 @@ class ResultCache:
         self.directory = Path(directory)
         self.version = version
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._root = os.fspath(self.directory)
         self.stats = CacheStats()
 
     def key_for(self, point) -> str:
@@ -223,9 +240,9 @@ class ResultCache:
         return point_identity(point.func_path, point.kwargs, self.version)
 
     def _file(self, key: str) -> str:
-        # A plain string join: lookup and store run once per cell per
-        # sweep, and two pathlib joins were a fifth of a warm replay.
-        return os.path.join(self.directory, key[:2], f"{key}.pkl")
+        # A plain string: lookup and store run once per cell per sweep,
+        # and two pathlib joins were a fifth of a warm replay.
+        return f"{self._root}{os.sep}{key[:2]}{os.sep}{key}.pkl"
 
     def _path(self, key: str) -> Path:
         return Path(self._file(key))
@@ -242,8 +259,9 @@ class ResultCache:
         path = self._file(key)
         for attempt in (1, 2):
             try:
-                with open(path, "rb") as handle:
-                    entry = pickle.load(handle)
+                # One unbuffered read of the whole entry, then one loads.
+                with open(path, "rb", buffering=0) as handle:
+                    entry = pickle.loads(handle.read())
             except FileNotFoundError:
                 self.stats.misses += 1
                 return None

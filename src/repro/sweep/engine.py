@@ -15,7 +15,23 @@ Execution contract (what the bit-identical regression tests rely on):
   with its own :class:`~repro.telemetry.hub.Telemetry` hub; the engine
   ships back a :class:`~repro.telemetry.snapshot.TelemetrySnapshot` and
   folds it into the parent hub, so one trace/metrics document still
-  covers the whole sweep.
+  covers the whole sweep. A process keeps **one worker pool**: the first
+  ``parallel > 1`` run starts it with ``parallel`` workers and later runs
+  reuse it (a run asking for another size replaces it). Pooled runs take
+  turns, so ``parallel=N`` never means more than N busy workers. A run
+  that raises (a terminal point error, a broken pool, an interrupt)
+  cancels its queued points, waits for the running ones and shuts the
+  pool down; the next run starts a fresh one, so no work of a failed
+  run reaches a later one. A worker lost while the pool sat idle is
+  noticed at the next run's first submit, which starts a fresh pool. A
+  forked child forgets its parent's pool; interpreter exit is left to
+  the exit hook of :mod:`concurrent.futures`, and a multiprocessing
+  child (which joins its children before that hook runs) shuts its
+  pool down from a multiprocessing finalizer.
+* **Fork snapshot** — workers are forked when the pool starts, so a
+  point must not depend on parent-process state changed after the first
+  pooled run (the one such global today, ``des.set_default_core``,
+  gives identical results on either core).
 * **Faults** — a point failure raising an exception whose class is
   marked ``retryable`` (see :mod:`repro.errors`) is re-attempted up to
   ``retries`` times; terminal failures surface as
@@ -28,12 +44,15 @@ Execution contract (what the bit-identical regression tests rely on):
 from __future__ import annotations
 
 import contextlib
+import multiprocessing.util
+import os
 import signal
 import tempfile
 import threading
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
@@ -249,6 +268,53 @@ def _is_retryable(exc: BaseException) -> bool:
     return bool(getattr(exc, "retryable", False))
 
 
+#: The process's one worker pool as ``(size, executor)``, started by the
+#: first pooled run and reused by later ones; None until then and after a
+#: run that raised. Guarded by ``_pool_lock``, which a pooled run holds
+#: from its first submit to its last result.
+_pool: Optional[tuple[int, ProcessPoolExecutor]] = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool and lock are not ours."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pool_of(size: int) -> ProcessPoolExecutor:
+    """The kept pool with ``size`` workers, started (or resized) on demand.
+
+    The caller holds ``_pool_lock``.
+    """
+    global _pool
+    if _pool is not None and _pool[0] != size:
+        _pool[1].shutdown(wait=True)
+        _pool = None
+    if _pool is None:
+        _pool = (size, ProcessPoolExecutor(max_workers=size))
+        # A multiprocessing child joins its children before the exit hook
+        # of concurrent.futures tells the workers to stop: shut the pool
+        # down first, ahead of the queue finalizers (priority 10) it uses.
+        multiprocessing.util.Finalize(None, _drop_pool, exitpriority=100)
+    return _pool[1]
+
+
+def _drop_pool() -> None:
+    """Shut the kept pool down and forget it: queued points are cancelled,
+    running ones waited for. Called under ``_pool_lock`` after a run that
+    raised, and by a multiprocessing child's exit finalizer."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[1], None
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 class SweepEngine:
     """Executes :class:`SweepPoint` lists under one :class:`SweepOptions`."""
 
@@ -428,45 +494,53 @@ class SweepEngine:
         self, points, pending, cache, capture, values, snapshots, report,
         done, emit,
     ) -> None:
-        max_workers = max(1, min(self.options.parallel, len(pending)))
+        timeout = self.options.timeout
         attempts_left = {index: self.options.retries for index, _ in pending}
         keys = dict(pending)
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = {
-                pool.submit(
-                    _worker, points[index], capture, self.options.timeout
-                ): index
-                for index, _ in pending
-            }
-            while futures:
-                finished, _ = wait(futures, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    index = futures.pop(future)
-                    point = points[index]
-                    try:
-                        value, snapshot = future.result()
-                    except Exception as exc:
-                        if attempts_left[index] > 0 and _is_retryable(exc):
-                            attempts_left[index] -= 1
-                            report.retried += 1
-                            emit(done, point.label, "retry")
-                            futures[
-                                pool.submit(
-                                    _worker, point, capture, self.options.timeout
-                                )
-                            ] = index
-                            continue
-                        for open_future in futures:
-                            open_future.cancel()
-                        raise SweepPointError(point.label, exc) from exc
-                    values[index] = value
-                    snapshots[index] = snapshot
-                    if cache is not None and keys.get(index) is not None:
-                        cache.store(
-                            keys[index], value, snapshot, meta={"label": point.label}
-                        )
-                    done += 1
-                    emit(done, point.label, "run")
+
+        def submit(index: int):
+            return pool.submit(_worker, points[index], capture, timeout)
+
+        with _pool_lock:
+            pool = _pool_of(self.options.parallel)
+            try:
+                first = pending[0][0]
+                try:
+                    futures = {submit(first): first}
+                except BrokenProcessPool:
+                    # A worker of the kept pool died while it sat idle;
+                    # nothing of this run has been submitted yet.
+                    _drop_pool()
+                    pool = _pool_of(self.options.parallel)
+                    futures = {submit(first): first}
+                futures.update((submit(index), index) for index, _ in pending[1:])
+                while futures:
+                    finished, _ = wait(futures, return_when=FIRST_COMPLETED)
+                    for future in finished:
+                        index = futures.pop(future)
+                        point = points[index]
+                        try:
+                            value, snapshot = future.result()
+                        except Exception as exc:
+                            if attempts_left[index] > 0 and _is_retryable(exc):
+                                attempts_left[index] -= 1
+                                report.retried += 1
+                                emit(done, point.label, "retry")
+                                futures[submit(index)] = index
+                                continue
+                            raise SweepPointError(point.label, exc) from exc
+                        values[index] = value
+                        snapshots[index] = snapshot
+                        if cache is not None and keys.get(index) is not None:
+                            cache.store(
+                                keys[index], value, snapshot, meta={"label": point.label}
+                            )
+                        done += 1
+                        emit(done, point.label, "run")
+            except BaseException:
+                # Only a run that completes leaves the pool up.
+                _drop_pool()
+                raise
 
     # -- distributed path ---------------------------------------------------
     def _run_dist(

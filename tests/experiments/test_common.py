@@ -9,9 +9,13 @@ from repro.experiments.common import (
     SIZE_SWEEP_MB,
     backend_models,
     measure_one_to_one,
+    measurement_from_log,
     pattern1_context,
 )
+from repro.telemetry.events import EventKind, EventLog
+from repro.telemetry.stats import iteration_time_summary
 from repro.transport.models import MB
+from repro.workloads.patterns import OneToOneConfig, run_one_to_one
 
 
 def test_size_sweep_matches_paper():
@@ -55,3 +59,24 @@ def test_measure_one_to_one_deterministic():
     a = measure_one_to_one(models["dragon"], 2 * MB, n_nodes=8, train_iterations=100)
     b = measure_one_to_one(models["dragon"], 2 * MB, n_nodes=8, train_iterations=100)
     assert a == b
+
+
+@pytest.mark.parametrize("backend", PATTERN1_BACKENDS)
+def test_measurement_means_equal_the_summary_means(backend):
+    """A cell takes its two iteration means straight from the durations;
+    they are the very floats ``iteration_time_summary(...).mean`` gives."""
+    config = OneToOneConfig(
+        train_iterations=60, snapshot_nbytes=2 * MB, ranks_per_component=6
+    )
+    log = run_one_to_one(
+        backend_models()[backend], config, ctx=pattern1_context(8)
+    ).log
+    m = measurement_from_log(log)
+    assert m.sim_iter_time == iteration_time_summary(log, "sim", EventKind.COMPUTE).mean
+    assert m.ai_iter_time == iteration_time_summary(log, "train", EventKind.TRAIN).mean
+    assert m.sim_iter_time > 0 and m.ai_iter_time > 0
+
+
+def test_measurement_of_an_empty_log_reads_zero_means():
+    m = measurement_from_log(EventLog())
+    assert (m.sim_iter_time, m.ai_iter_time) == (0.0, 0.0)

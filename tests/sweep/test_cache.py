@@ -5,6 +5,8 @@ import enum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SweepError
 from repro.sweep import ResultCache, SweepPoint, fingerprint, point_key
@@ -70,6 +72,48 @@ def test_fingerprint_numpy_values():
     a = np.arange(6, dtype=np.int64).reshape(2, 3)
     assert fingerprint(a) == fingerprint(a.copy())
     assert fingerprint(a) != fingerprint(a.T.copy())
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+def generic_dict_fingerprint(obj):
+    """The generic dict branch of ``fingerprint``, kept as the reference
+    its one-pass fast path for flat kwargs must equal."""
+    inner = ",".join(
+        f"{fingerprint(k)}:{fingerprint(obj[k])}" for k in sorted(obj, key=repr)
+    )
+    return f"{{{inner}}}"
+
+
+KEYS = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["a b", "1x", "'", '"', "\\", "it's", 'say "hi"', "\\n", "\n", "é"]),
+)
+VALUES = st.one_of(
+    st.text(max_size=8),
+    st.integers(),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0]),
+    st.none(),
+    st.floats(allow_nan=True).map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.sampled_from(list(Level)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kwargs=st.dictionaries(KEYS, VALUES, max_size=6))
+def test_flat_dict_fast_path_renders_like_the_generic_branch(kwargs):
+    assert fingerprint(kwargs) == generic_dict_fingerprint(kwargs)
+
+
+def test_dicts_outside_the_fast_path_render_as_before():
+    for obj in ({1: "a", "b": 2}, {"a": [1, 2]}, {"a": Color.RED}, {"a": {"b": 1}}):
+        assert fingerprint(obj) == generic_dict_fingerprint(obj)
 
 
 def test_fingerprint_rejects_address_based_repr():
@@ -280,20 +324,20 @@ def test_history_limit_keeps_most_recent(tmp_path):
 def test_lookup_retries_once_when_a_writer_lands_mid_read(tmp_path, monkeypatch):
     import pickle
 
-    real_load = pickle.load
+    real_loads = pickle.loads
     cache = ResultCache(tmp_path)
     key = point_key("m:f", {"a": 1})
     cache.store(key, "v")
 
     calls = {"n": 0}
 
-    def torn_then_fine(handle):
+    def torn_then_fine(data):
         calls["n"] += 1
         if calls["n"] == 1:
             raise EOFError("torn read under a concurrent writer")
-        return real_load(handle)
+        return real_loads(data)
 
-    monkeypatch.setattr("repro.sweep.cache.pickle.load", torn_then_fine)
+    monkeypatch.setattr("repro.sweep.cache.pickle.loads", torn_then_fine)
     entry = cache.lookup(key)
     assert entry["value"] == "v"
     assert calls["n"] == 2

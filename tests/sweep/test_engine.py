@@ -1,8 +1,11 @@
 """Tests for the sweep engine: serial/pool execution, retries, caching."""
 
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -51,6 +54,46 @@ def flaky(marker, fail_times):
 def sleepy(seconds):
     time.sleep(seconds)
     return seconds
+
+
+def rendezvous(directory, parties):
+    """Check in under ``directory`` and wait until ``parties`` distinct
+    processes have; returns this process's pid. ``parties`` points of one
+    run therefore occupy ``parties`` different workers at once."""
+    Path(directory, str(os.getpid())).touch()
+    deadline = time.monotonic() + 30.0
+    while len(os.listdir(directory)) < parties and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return os.getpid()
+
+
+def crash(code):
+    os._exit(code)
+
+
+def slow_once(marker):
+    """Wedges (until a timeout interrupts it) on the first call only."""
+    path = Path(marker)
+    if not path.exists():
+        path.write_text("1")
+        time.sleep(30.0)
+    return os.getpid()
+
+
+def square_and_pid(x):
+    return x * x, os.getpid()
+
+
+def parent_pid(x):
+    return os.getppid()
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def points_for(xs, telemetry=False):
@@ -139,6 +182,144 @@ def test_worker_timeout_converts_to_sweep_timeout():
         SweepEngine(options).run([point])
     assert isinstance(excinfo.value.cause, SweepTimeoutError)
     assert excinfo.value.cause.retryable
+
+
+# -- the kept worker pool --------------------------------------------------
+
+
+def pool_pids(tmp_path, name, parallel, **options):
+    """The worker pids of one pooled run that occupies every worker."""
+    directory = tmp_path / name
+    directory.mkdir()
+    points = [
+        SweepPoint(func=rendezvous, kwargs={"directory": str(directory), "parties": parallel})
+        for _ in range(parallel)
+    ]
+    values = SweepEngine(SweepOptions(parallel=parallel, **options)).run(points).values
+    assert len(set(values)) == parallel
+    return set(values)
+
+
+def test_pooled_runs_share_one_pool(tmp_path):
+    first = pool_pids(tmp_path, "first", 2)
+    assert pool_pids(tmp_path, "second", 2) == first
+    assert os.getpid() not in first
+
+
+def test_a_crashed_worker_fails_its_run_and_the_next_run_gets_a_fresh_pool():
+    # The crash is the run's only point: a broken pool fails every open
+    # future, and the first one read names the run's error.
+    with pytest.raises(SweepPointError, match="crash"):
+        SweepEngine(SweepOptions(parallel=2)).run(
+            [SweepPoint(func=crash, kwargs={"code": 3})]
+        )
+    assert SweepEngine(SweepOptions(parallel=2)).run(points_for([3, 4, 5])).values == [
+        9, 16, 25,
+    ]
+
+
+def test_a_terminal_error_leaves_no_stale_result_for_the_next_run(tmp_path):
+    before = pool_pids(tmp_path, "before", 2)
+    slow = [SweepPoint(func=sleepy, kwargs={"seconds": 0.2}) for _ in range(4)]
+    with pytest.raises(SweepPointError, match="boom"):
+        SweepEngine(SweepOptions(parallel=2)).run(
+            slow + [SweepPoint(func=boom, kwargs={"x": 5})] + slow
+        )
+    report = SweepEngine(SweepOptions(parallel=2)).run(points_for(range(6)))
+    assert report.values == [0, 1, 4, 9, 16, 25]
+    assert report.computed == 6 and report.retried == 0
+    assert pool_pids(tmp_path, "after", 2).isdisjoint(before)
+
+
+def test_another_size_replaces_the_pool(tmp_path):
+    two = pool_pids(tmp_path, "two", 2)
+    three = pool_pids(tmp_path, "three", 3)
+    assert len(three) == 3 and three.isdisjoint(two)
+
+
+def _pooled_run_in_fork_child() -> None:
+    report = SweepEngine(SweepOptions(parallel=2)).run(
+        [SweepPoint(func=parent_pid, kwargs={"x": x}) for x in range(4)]
+    )
+    # The child's run went to workers of its own, not to its parent's.
+    # A failed check exits 1; a normal return exits 0 once the child has
+    # shut its own pool down.
+    assert report.values == [os.getpid()] * 4
+
+
+def test_a_fork_child_runs_its_own_pool(tmp_path):
+    pool_pids(tmp_path, "parent", 2)
+    child = multiprocessing.get_context("fork").Process(target=_pooled_run_in_fork_child)
+    child.start()
+    child.join(60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("a fork child's pooled run hung")
+    assert child.exitcode == 0
+
+
+def test_concurrent_pooled_runs_take_turns():
+    """More threads than cores run pooled runs back to back, at two pool
+    sizes, and one thread's runs fail every other time. Each run gets its
+    own values on at most ``parallel`` workers, or its own error: another
+    thread's resize or failed-run shutdown never lands in it."""
+    outcomes = []
+
+    def run(parallel, failing):
+        for k in range(4):
+            xs = range(k, k + 6)
+            points = [SweepPoint(func=square_and_pid, kwargs={"x": x}) for x in xs]
+            fails = failing and k % 2 == 0
+            if fails:
+                points.append(SweepPoint(func=boom, kwargs={"x": k}))
+            try:
+                values = SweepEngine(SweepOptions(parallel=parallel)).run(points).values
+            except Exception as exc:  # checked below, on the test's thread
+                outcomes.append((fails, isinstance(exc, SweepPointError) and "boom" in str(exc)))
+                continue
+            pids = {pid for _, pid in values}
+            outcomes.append((fails, [v for v, _ in values] == [x * x for x in xs]
+                             and len(pids) <= parallel))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=run, args=args)
+            for args in ((2, False), (2, False), (3, False), (2, True))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(outcomes) == 16
+    assert sum(fails for fails, _ in outcomes) == 2
+    assert all(ok for _, ok in outcomes), outcomes
+
+
+def test_a_timed_out_point_keeps_the_pool(tmp_path):
+    before = pool_pids(tmp_path, "before", 2)
+    point = SweepPoint(func=slow_once, kwargs={"marker": str(tmp_path / "marker")})
+    report = SweepEngine(SweepOptions(parallel=2, timeout=0.2, retries=1)).run([point])
+    assert report.retried == 1 and report.values[0] in before
+    assert pool_pids(tmp_path, "after", 2, timeout=0.2) == before
+
+
+def test_a_worker_lost_between_runs_is_replaced(tmp_path):
+    pids = pool_pids(tmp_path, "before", 2)
+    os.kill(min(pids), signal.SIGKILL)
+    # The pool notices, stops its other worker and reaps both.
+    deadline = time.monotonic() + 30.0
+    while any(alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert SweepEngine(SweepOptions(parallel=2)).run(points_for([1, 2, 3])).values == [
+        1, 4, 9,
+    ]
+    assert pool_pids(tmp_path, "after", 2).isdisjoint(pids)
 
 
 # -- caching ---------------------------------------------------------------
