@@ -180,29 +180,20 @@ def _simulate_one_to_one(args, model, telemetry, fault_plan=None):
 
 
 def _simulate_many_to_one(args, model, telemetry, fault_plan=None):
-    from repro.transport.models import MB, TransportOpContext
+    from repro.experiments.common import pattern2_contexts
+    from repro.transport.models import MB
     from repro.workloads import ManyToOneConfig, run_many_to_one
 
-    nbytes = args.size_mb * MB
-    n_sims = args.nodes - 1
-    n_clients = n_sims + min(12, n_sims)
+    write_ctx, read_ctx = pattern2_contexts(args.nodes)
     return run_many_to_one(
         model,
         ManyToOneConfig(
-            n_simulations=n_sims,
+            n_simulations=args.nodes - 1,
             train_iterations=args.iterations,
-            snapshot_nbytes=nbytes,
+            snapshot_nbytes=args.size_mb * MB,
         ),
-        write_ctx=TransportOpContext(
-            local=True, clients_per_server=12, concurrent_clients=n_clients
-        ),
-        read_ctx=TransportOpContext(
-            local=False,
-            clients_per_server=12,
-            fan_in=n_sims,
-            concurrent_peers=min(12, n_sims),
-            concurrent_clients=n_clients,
-        ),
+        write_ctx=write_ctx,
+        read_ctx=read_ctx,
         telemetry=telemetry,
         fault_plan=fault_plan,
     )
@@ -804,9 +795,9 @@ def _cmd_sweep_workers(args: argparse.Namespace) -> int:
     agent gets its own process and SIGTERM here drains the whole fleet.
     """
     import multiprocessing
-    import signal
 
     from repro.sweep.dist import run_worker_process
+    from repro.sweep.dist.service import sigterm_calls
     from repro.sweep.dist.worker import worker_process_main
 
     kwargs = {
@@ -842,17 +833,14 @@ def _cmd_sweep_workers(args: argparse.Namespace) -> int:
     for proc in procs:
         proc.start()
 
-    def _forward_sigterm(signum, frame):
+    def _forward_sigterm():
         for proc in procs:
             if proc.is_alive() and proc.pid:
                 proc.terminate()  # SIGTERM -> each agent drains gracefully
 
-    previous = signal.signal(signal.SIGTERM, _forward_sigterm)
-    try:
+    with sigterm_calls(_forward_sigterm):
         for proc in procs:
             proc.join()
-    finally:
-        signal.signal(signal.SIGTERM, previous)
     return max((proc.exitcode or 0) for proc in procs)
 
 

@@ -136,7 +136,7 @@ class SweepError(ReproError):
 
 
 class SweepPointError(SweepError):
-    """One sweep point exhausted its retries or failed terminally.
+    """One sweep point failed in a serial or pooled run.
 
     Carries the point's label and the original cause so sweep callers can
     report *which* grid cell died without unpacking tracebacks.
@@ -149,24 +149,6 @@ class SweepPointError(SweepError):
 
     def __reduce__(self):  # exceptions cross process-pool boundaries
         return (type(self), (self.label, self.cause))
-
-
-class SweepTimeoutError(SweepError, builtins.TimeoutError):
-    """A sweep point exceeded its per-point wall-clock timeout.
-
-    Retryable: the engine may resubmit the point (a fresh worker gets a
-    fresh budget), subject to the sweep's retry limit.
-    """
-
-    retryable = True
-
-    def __init__(self, label: str, timeout: float) -> None:
-        self.label = label
-        self.timeout = timeout
-        super().__init__(f"sweep point {label!r} exceeded {timeout:g}s timeout")
-
-    def __reduce__(self):  # exceptions cross process-pool boundaries
-        return (type(self), (self.label, self.timeout))
 
 
 class SweepStoreError(SweepError):

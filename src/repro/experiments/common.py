@@ -45,6 +45,29 @@ def pattern1_context(n_nodes: int) -> TransportOpContext:
     )
 
 
+def pattern2_contexts(n_nodes: int) -> tuple[TransportOpContext, TransportOpContext]:
+    """``(write_ctx, read_ctx)`` for the many-to-one pattern on ``n_nodes``.
+
+    Each pattern-2 component stages ONE array per interval (§4.2), so the
+    staging-client population is one writer per simulation node (one node
+    is the trainer's) plus the trainer's reader lanes — unlike pattern 1,
+    where every rank stages its own data.
+    """
+    n_sims = n_nodes - 1
+    n_clients = n_sims + min(12, n_sims)
+    write_ctx = TransportOpContext(
+        local=True, clients_per_server=12, concurrent_clients=n_clients
+    )
+    read_ctx = TransportOpContext(
+        local=False,
+        clients_per_server=12,
+        fan_in=n_sims,
+        concurrent_peers=min(12, n_sims),
+        concurrent_clients=n_clients,
+    )
+    return write_ctx, read_ctx
+
+
 def backend_models() -> dict[str, BackendModel]:
     return aurora_backend_models(processes_per_node=PROCESSES_PER_NODE)
 

@@ -24,10 +24,10 @@ from repro.experiments.common import (
     SIZE_SWEEP_BYTES,
     SIZE_SWEEP_MB,
     backend_models,
+    pattern2_contexts,
     sweep_values,
 )
 from repro.telemetry.stats import runtime_per_iteration
-from repro.transport.models import TransportOpContext
 from repro.workloads.patterns import ManyToOneConfig, run_many_to_one
 
 SCALES = (8, 128)
@@ -41,26 +41,9 @@ def sweep_point(backend: str, scale: int, nbytes: float, iterations: int) -> flo
         train_iterations=iterations,
         snapshot_nbytes=nbytes,
     )
-    # Each pattern-2 component stages ONE array per interval (§4.2), so
-    # the staging-client population is one writer per simulation node
-    # plus the trainer's reader lanes — unlike pattern 1, where every
-    # rank stages its own data.
-    n_clients = n_sims + min(12, n_sims)
+    write_ctx, read_ctx = pattern2_contexts(scale)
     res = run_many_to_one(
-        backend_models()[backend],
-        config,
-        write_ctx=TransportOpContext(
-            local=True,
-            clients_per_server=12,
-            concurrent_clients=n_clients,
-        ),
-        read_ctx=TransportOpContext(
-            local=False,
-            clients_per_server=12,
-            fan_in=n_sims,
-            concurrent_peers=min(12, n_sims),
-            concurrent_clients=n_clients,
-        ),
+        backend_models()[backend], config, write_ctx=write_ctx, read_ctx=read_ctx
     )
     return runtime_per_iteration(res.log, "train", iterations)
 

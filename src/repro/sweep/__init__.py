@@ -11,8 +11,8 @@ first-class object and executes it as fast as the hardware allows:
   telemetry;
 * :class:`~repro.sweep.engine.SweepEngine` — executes a point list
   serially or across a ``concurrent.futures.ProcessPoolExecutor`` with
-  per-point timeout/retry (reusing the :mod:`repro.errors` retryable
-  classification) and live progress callbacks. A process keeps one
+  live progress callbacks; a point is tried once, and its first failure
+  raises :class:`~repro.errors.SweepPointError`. A process keeps one
   pool: the first ``parallel > 1`` run starts it and later runs reuse
   it, one pooled run at a time; a run that raises shuts it down (queued
   points cancelled, running ones awaited) and the next run starts a

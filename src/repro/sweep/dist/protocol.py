@@ -278,10 +278,6 @@ class Assignment:
     index: int
     point: SweepPoint
     lease_seconds: float
-    #: Per-point wall-clock timeout (None = unlimited), enforced worker-side.
-    timeout: Optional[float] = None
-    #: Additional local attempts the worker grants retryable failures.
-    retries: int = 1
     #: Whether the worker must capture a telemetry snapshot.
     capture: bool = True
     #: Signature of the grid this assignment belongs to; echoed back in
@@ -331,8 +327,6 @@ def dump_submission(
     name: str,
     points: Sequence[tuple[int, SweepPoint]],
     tenant: str = "",
-    timeout: Optional[float] = None,
-    retries: int = 1,
     capture: bool = True,
 ) -> bytes:
     """Encode one SUBMIT payload (a named grid + its execution options).
@@ -347,8 +341,6 @@ def dump_submission(
             "name": str(name),
             "tenant": str(tenant),
             "points": [(int(i), p) for i, p in points],
-            "timeout": timeout,
-            "retries": int(retries),
             "capture": bool(capture),
         },
         protocol=pickle.HIGHEST_PROTOCOL,
@@ -451,20 +443,14 @@ def load_spans(text: str) -> list[dict]:
 
 @dataclass
 class FailureRecord:
-    """One terminal worker-side failure of one point (FAIL payload)."""
+    """One worker-side failure of one point (FAIL payload)."""
 
     worker: str
     error: str
     traceback: str = ""
-    retries: int = 0  # local re-attempts the worker burned before giving up
 
     def as_dict(self) -> dict:
-        return {
-            "worker": self.worker,
-            "error": self.error,
-            "traceback": self.traceback,
-            "retries": self.retries,
-        }
+        return {"worker": self.worker, "error": self.error, "traceback": self.traceback}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FailureRecord":
@@ -472,7 +458,6 @@ class FailureRecord:
             worker=str(data.get("worker", "?")),
             error=str(data.get("error", "?")),
             traceback=str(data.get("traceback", "")),
-            retries=int(data.get("retries", 0)),
         )
 
 

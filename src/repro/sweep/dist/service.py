@@ -167,8 +167,6 @@ class ServiceJob:
     points: dict[int, SweepPoint]
     table: LeaseTable
     state: str = JOB_SUBMITTED
-    timeout: Optional[float] = None
-    retries: int = 1
     capture: bool = True
 
     @property
@@ -323,8 +321,6 @@ class SweepService(RespTcpServer):
         tenant: str,
         points: dict[int, SweepPoint],
         state: str = JOB_SUBMITTED,
-        timeout: Optional[float] = None,
-        retries: int = 1,
         capture: bool = True,
     ) -> ServiceJob:
         job = ServiceJob(
@@ -343,8 +339,6 @@ class SweepService(RespTcpServer):
                 ),
             ),
             state=state,
-            timeout=timeout,
-            retries=retries,
             capture=capture,
         )
         self.jobs[grid] = job
@@ -418,8 +412,6 @@ class SweepService(RespTcpServer):
         name: str,
         points: Sequence[tuple[int, SweepPoint]],
         tenant: str = "",
-        timeout: Optional[float] = None,
-        retries: int = 1,
         capture: bool = True,
     ) -> dict:
         """Register one named grid; idempotent by content signature."""
@@ -464,10 +456,7 @@ class SweepService(RespTcpServer):
         t0 = time.perf_counter()
         self.store.submit_job(grid, name=name, points=specs, tenant=tenant)
         self.admission.observe_store_write(time.perf_counter() - t0)
-        job = self._activate(
-            grid, name, tenant, dict(work),
-            timeout=timeout, retries=retries, capture=capture,
-        )
+        job = self._activate(grid, name, tenant, dict(work), capture=capture)
         _log.info("job.submit", grid=grid[:16], name=name, tenant=tenant,
                   n_points=len(work))
         self.flight.record("submit", grid=grid[:16], name=name, n_points=len(work))
@@ -798,8 +787,6 @@ class SweepService(RespTcpServer):
                 index=index,
                 point=job.points[index],
                 lease_seconds=self.lease_seconds,
-                timeout=job.timeout,
-                retries=job.retries,
                 capture=job.capture,
                 grid=job.grid,
                 trace_id=job.trace_id,
@@ -880,8 +867,6 @@ class SweepService(RespTcpServer):
                 payload["name"],
                 payload["points"],
                 tenant=payload.get("tenant", ""),
-                timeout=payload.get("timeout"),
-                retries=int(payload.get("retries", 1)),
                 capture=bool(payload.get("capture", True)),
             )
         except ServiceBusyError as exc:
@@ -1196,14 +1181,9 @@ class ServiceClient:
         name: str,
         points: Sequence[tuple[int, SweepPoint]],
         tenant: str = "",
-        timeout: Optional[float] = None,
-        retries: int = 1,
         capture: bool = True,
     ) -> dict:
-        blob = dump_submission(
-            name, points, tenant=tenant, timeout=timeout,
-            retries=retries, capture=capture,
-        )
+        blob = dump_submission(name, points, tenant=tenant, capture=capture)
         reply = self.command("SUBMIT", blob)
         return json.loads(reply) if reply else {}
 

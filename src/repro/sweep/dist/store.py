@@ -52,8 +52,6 @@ Schema (version 2)::
                 spec BLOB, payload BLOB, failures TEXT, updated,
                 fingerprint)                       -- v2, indexed
     events     (seq AUTOINCREMENT, grid, idx, event, worker, time)
-    history    (seq AUTOINCREMENT, time, hits, misses, stores,
-                invalid, hit_rate, fingerprint)    -- fingerprint: v2
     tombstones (grid PRIMARY KEY, name, tenant, n_points, state,
                 version, created, collected, points_done, reason)
 
@@ -61,9 +59,9 @@ Schema (version 2)::
 so a restarted service can re-serve unfinished jobs without the tenant
 resubmitting; ``points.payload`` holds the pickled (value, snapshot)
 wire blob exactly as the worker shipped it, which is what makes restart
-results byte-identical. The ``history`` table is kept in the schema, no
-longer written: cache hit rates live in the cache directory's
-``history.jsonl`` (:meth:`repro.sweep.cache.ResultCache.record_history`).
+results byte-identical. Cache hit rates live in the cache directory's
+``history.jsonl`` (:meth:`repro.sweep.cache.ResultCache.record_history`),
+not here: opening a store drops the ``history`` table older stores carry.
 
 Version 2 additions (see :mod:`repro.sweep.dist.query` for the read
 side):
@@ -72,8 +70,6 @@ side):
   the cell (:func:`repro.sweep.cache.point_fingerprint`), indexed, so
   "every result for this cell across jobs, tenants, and ``repro``
   versions" is one indexed join;
-* ``history.fingerprint`` — the grid fingerprint column of the
-  unwritten ``history`` table;
 * ``tombstones`` — one row per garbage-collected job, so idempotent
   re-submission still short-circuits after the job's bulk rows are gone
   (:meth:`SweepStore.collect_job`).
@@ -83,7 +79,7 @@ Usage accounting (:func:`repro.sweep.dist.query.usage`) aggregates
 dropped on open.
 
 Opening a v1 store migrates it in place on the writer thread before the
-first caller can touch it: the fingerprint columns are added and
+first caller can touch it: the fingerprint column is added and
 **backfilled** by unpickling each stored spec (specs that no longer
 unpickle are left NULL — still collectable, just not
 cross-version-queryable), then ``schema_version`` flips to 2. The
@@ -166,16 +162,6 @@ CREATE TABLE IF NOT EXISTS events (
     time   REAL NOT NULL
 );
 CREATE INDEX IF NOT EXISTS events_by_grid ON events (grid, seq);
-CREATE TABLE IF NOT EXISTS history (
-    seq         INTEGER PRIMARY KEY AUTOINCREMENT,
-    time        REAL NOT NULL,
-    hits        INTEGER NOT NULL DEFAULT 0,
-    misses      INTEGER NOT NULL DEFAULT 0,
-    stores      INTEGER NOT NULL DEFAULT 0,
-    invalid     INTEGER NOT NULL DEFAULT 0,
-    hit_rate    REAL NOT NULL DEFAULT 0.0,
-    fingerprint TEXT
-);
 CREATE TABLE IF NOT EXISTS tombstones (
     grid        TEXT PRIMARY KEY,
     name        TEXT NOT NULL,
@@ -192,10 +178,12 @@ CREATE TABLE IF NOT EXISTS tombstones (
 
 #: Indexes over v2 columns; applied after migration so they never
 #: reference a column a v1 store does not have yet. No code read the
-#: ``usage_daily`` view, so opening a store drops it.
+#: ``usage_daily`` view or wrote the ``history`` table older stores
+#: carry, so opening a store drops both.
 _SCHEMA_DERIVED = """
 CREATE INDEX IF NOT EXISTS points_by_fingerprint ON points (fingerprint);
 DROP VIEW IF EXISTS usage_daily;
+DROP TABLE IF EXISTS history;
 """
 
 #: Longest an audit row nobody waits on (:meth:`SweepStore.record_event`)
@@ -211,9 +199,8 @@ _log = get_logger("sweep.store")
 def _migrate_v1_to_v2(conn: sqlite3.Connection) -> None:
     """In-place v1 -> v2 migration; runs on the writer thread at open.
 
-    Adds the ``points.fingerprint`` / ``history.fingerprint`` columns
-    (the ``tombstones`` table and the derived index come from the
-    shared schema scripts) and backfills point fingerprints from the
+    Adds the ``points.fingerprint`` column (the ``tombstones`` table and
+    the derived index come from the shared schema scripts) and backfills point fingerprints from the
     pickled specs. Every step is guarded on the store's current shape,
     so a crash mid-migration re-enters cleanly on the next open; the
     version row flips last. ``points.payload`` is never read or
@@ -222,9 +209,6 @@ def _migrate_v1_to_v2(conn: sqlite3.Connection) -> None:
     point_cols = {row[1] for row in conn.execute("PRAGMA table_info(points)")}
     if "fingerprint" not in point_cols:
         conn.execute("ALTER TABLE points ADD COLUMN fingerprint TEXT")
-    history_cols = {row[1] for row in conn.execute("PRAGMA table_info(history)")}
-    if "fingerprint" not in history_cols:
-        conn.execute("ALTER TABLE history ADD COLUMN fingerprint TEXT")
     rows = conn.execute(
         "SELECT grid, idx, spec FROM points"
         " WHERE spec IS NOT NULL AND fingerprint IS NULL"

@@ -1,11 +1,10 @@
 """WorkerAgent: claims, executes, and reports sweep points over TCP.
 
 The agent is deliberately stateless about the grid: it claims one
-assignment at a time, executes it with the sweep engine's own point
-runner (per-point ``SIGALRM`` timeout, immediate local retries for
-*retryable* errors, as the engine's serial and pool paths retry),
-streams the pickled (value, telemetry snapshot) result back, and claims
-again. It reaches the service only through two
+assignment at a time, executes it once with the sweep engine's own point
+runner, streams back the pickled (value, telemetry snapshot) result or a
+``FAIL`` that the service requeues or quarantines, and claims again. It
+reaches the service only through two
 :class:`~repro.sweep.dist.service.ServiceClient` instances, which own
 every connect, reconnect, backoff and ``-BUSY`` wait:
 
@@ -33,9 +32,9 @@ fails:
   alive: the agent waits ``poll`` and resends (DONE is idempotent). An
   ``-ERR`` rejection discards the point and the agent claims again;
   only a refused HELLO is fatal;
-* **graceful drain** — SIGTERM (see :meth:`install_signal_handlers`)
-  finishes and reports the in-flight point, then exits the claim loop;
-  it also ends any reconnect wait at once.
+* **graceful drain** — SIGTERM (routed to :meth:`request_drain` by
+  :func:`run_worker_process`) finishes and reports the in-flight point,
+  then exits the claim loop; it also ends any reconnect wait at once.
 
 Observability (passive, never on the failure-handling path):
 
@@ -54,7 +53,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import signal
 import socket
 import sys
 import threading
@@ -77,7 +75,7 @@ from repro.sweep.dist.protocol import (
     FailureRecord,
     dump_spans,
 )
-from repro.sweep.dist.service import ServiceClient
+from repro.sweep.dist.service import ServiceClient, sigterm_calls
 from repro.sweep.point import derive_seed
 from repro.telemetry.flight import FlightRecorder, maybe_dump
 from repro.telemetry.log import get_logger
@@ -136,7 +134,6 @@ class WorkerReport:
     reconnects: int = 0
     renews: int = 0
     lease_losses: int = 0  # renewals answered "lease lost" mid-execution
-    local_retries: int = 0
     stale_grid: int = 0  # results acked STALE: the service no longer holds the grid
     rejected: int = 0  # submissions/claims the coordinator answered -ERR
     busy: int = 0  # -BUSY shed/overload replies absorbed (paced retries)
@@ -232,39 +229,21 @@ class WorkerAgent:
         """
         self._drain.set()
 
-    def install_signal_handlers(self) -> None:
-        """SIGTERM -> graceful drain. Call from a dedicated worker process."""
-        signal.signal(signal.SIGTERM, lambda signum, frame: self.request_drain())
-
     # -- execution ----------------------------------------------------------
     def _execute(self, assignment: Assignment):
-        """Run the point with local retries; returns (value, snap, failure)."""
-        from repro.sweep.engine import _worker  # late: engine imports dist lazily
+        """Run the point once; returns (value, snapshot, failure)."""
+        from repro.sweep.engine import _execute_point  # late: engine imports dist lazily
 
-        local_retries = 0
-        while True:
-            try:
-                value, snapshot = _worker(
-                    assignment.point, assignment.capture, assignment.timeout
-                )
-                return value, snapshot, None
-            except Exception as exc:
-                retryable = bool(getattr(exc, "retryable", False))
-                if (
-                    local_retries < assignment.retries
-                    and retryable
-                    and not self._drain.is_set()
-                ):
-                    local_retries += 1
-                    self.report.local_retries += 1
-                    continue
-                failure = FailureRecord(
-                    worker=self.worker_id,
-                    error=f"{type(exc).__name__}: {exc}",
-                    traceback=traceback.format_exc(),
-                    retries=local_retries,
-                )
-                return None, None, failure
+        try:
+            value, snapshot = _execute_point(assignment.point, assignment.capture)
+        except Exception as exc:
+            failure = FailureRecord(
+                worker=self.worker_id,
+                error=f"{type(exc).__name__}: {exc}",
+                traceback=traceback.format_exc(),
+            )
+            return None, None, failure
+        return value, snapshot, None
 
     def _heartbeat(self, assignment: Assignment, stop: threading.Event) -> None:
         interval = max(assignment.lease_seconds * HEARTBEAT_FRACTION, 0.05)
@@ -482,9 +461,10 @@ def run_worker_process(
 ) -> int:
     """Entry point for a dedicated worker process (CLI ``--connect``).
 
-    Installs the SIGTERM drain handler, runs one agent to completion,
-    and prints its report to stderr. Returns a process exit code: 0 for
-    a clean exit (including a SIGTERM drain), nonzero when the agent
+    Routes SIGTERM to a graceful drain while one agent runs to completion
+    (the previous handler comes back afterwards), and prints its report
+    to stderr. Returns a process exit code: 0 for a clean exit
+    (including a SIGTERM drain), nonzero when the agent
     gave up (reconnect budget exhausted with the grid unfinished),
     failed every point it touched, or was refused at the handshake —
     so fleet managers taking ``max(exitcode)`` can tell a failed fleet
@@ -499,9 +479,9 @@ def run_worker_process(
         op_timeout=op_timeout,
     )
     agent = WorkerAgent(address, options)
-    agent.install_signal_handlers()
     try:
-        report = agent.run()
+        with sigterm_calls(agent.request_drain):
+            report = agent.run()
     except HelloRefusedError as exc:
         # Misjoining this fleet would silently compute a different grid.
         maybe_dump(agent.flight, options.flight_path, "fatal")

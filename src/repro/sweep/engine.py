@@ -32,13 +32,12 @@ Execution contract (what the bit-identical regression tests rely on):
   point must not depend on parent-process state changed after the first
   pooled run (the one such global today, ``des.set_default_core``,
   gives identical results on either core).
-* **Faults** — a point failure raising an exception whose class is
-  marked ``retryable`` (see :mod:`repro.errors`) is re-attempted up to
-  ``retries`` times; terminal failures surface as
-  :class:`~repro.errors.SweepPointError` naming the grid cell. Per-point
-  wall-clock ``timeout`` is enforced *inside* worker processes (via
-  ``SIGALRM``), so a wedged point converts into a retryable
-  :class:`~repro.errors.SweepTimeoutError` instead of hanging the sweep.
+* **Faults** — a point is tried once where it runs: its first failure
+  ends a serial or pooled run as :class:`~repro.errors.SweepPointError`
+  naming the grid cell (a deterministic cell that failed would fail
+  again). A serving or submitted run leaves failures to the service,
+  which requeues a failed point to the next claim and quarantines it as
+  poison past its thresholds (:class:`~repro.errors.SweepPoisonedError`).
 """
 
 from __future__ import annotations
@@ -46,31 +45,24 @@ from __future__ import annotations
 import contextlib
 import multiprocessing.util
 import os
-import signal
 import tempfile
 import threading
 import time
-import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from repro.errors import (
-    SweepError,
-    SweepPointError,
-    SweepPoisonedError,
-    SweepTimeoutError,
-)
+from repro.errors import SweepError, SweepPointError, SweepPoisonedError
 from repro.sweep.cache import CacheStats, ResultCache, grid_fingerprint_of
 from repro.sweep.point import SweepPoint, points_from_grid
 
 #: Progress callback signature: (done_count, total, label, source) where
-#: source is "cache", "run", "retry", "journal" (acknowledged by an
-#: earlier serving session and replayed from its store), or "steal"
-#: (lease reclaimed from a dead worker — informational, does not advance
-#: the done count).
+#: source is "cache", "run", "journal" (acknowledged by an earlier
+#: serving session and replayed from its store), or, informational and
+#: not advancing the done count, "retry" (a failed point requeued by the
+#: service) or "steal" (lease reclaimed from a dead worker).
 ProgressFn = Callable[[int, int, str, str], None]
 
 _UNSET = object()
@@ -87,12 +79,6 @@ class SweepOptions:
     parallel: int = 1
     #: Result-cache directory; None disables caching.
     cache_dir: Optional[str | Path] = None
-    #: Per-point wall-clock seconds before a worker aborts the attempt
-    #: with a retryable SweepTimeoutError. None = unlimited. Enforced in
-    #: worker processes only (the serial path cannot safely interrupt).
-    timeout: Optional[float] = None
-    #: Additional attempts granted to retryable point failures.
-    retries: int = 1
     #: Live progress callback (see ProgressFn); None = silent.
     progress: Optional[ProgressFn] = None
     #: ``HOST:PORT`` to serve the grid on for distributed workers
@@ -135,10 +121,6 @@ class SweepOptions:
     job_name: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise SweepError(f"retries must be >= 0, got {self.retries}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise SweepError(f"timeout must be positive, got {self.timeout}")
         if self.serve is not None and self.parallel > 1:
             raise SweepError(
                 "serve and parallel are mutually exclusive: a serving sweep "
@@ -179,7 +161,6 @@ class SweepReport:
     values: list[Any] = field(default_factory=list)
     n_points: int = 0
     computed: int = 0  # points actually executed (not cache- or store-served)
-    retried: int = 0
     cache: Optional[CacheStats] = None
     # Distributed-run extras (zero on serial/pool runs):
     replayed: int = 0  # points an earlier serving session had acknowledged
@@ -201,71 +182,6 @@ def _execute_point(point: SweepPoint, capture: bool):
     value = point.call(telemetry=hub)
     snapshot = hub.snapshot() if hub is not None else None
     return value, snapshot
-
-
-@contextlib.contextmanager
-def _point_alarm(label: str, timeout: Optional[float]):
-    """Bound a block's wall-clock time with SIGALRM, safely.
-
-    SIGALRM only delivers to the main thread, and naively arming an
-    itimer clobbers whatever alarm the host application had pending. So
-    this guard:
-
-    * no-ops (with a :class:`RuntimeWarning`) off the main thread or on
-      platforms without ``SIGALRM``/``setitimer`` — the point simply
-      runs unbounded rather than the timer silently misfiring;
-    * saves the previous handler *and* the previous timer's remaining
-      time, and re-arms both on exit, crediting the time this block
-      consumed (an outer alarm that would have fired during the block
-      fires almost immediately after it).
-    """
-    if not timeout:
-        yield
-        return
-    if not (hasattr(signal, "SIGALRM") and hasattr(signal, "setitimer")):
-        warnings.warn(  # pragma: no cover - non-POSIX
-            f"per-point timeout for {label!r} disabled: platform lacks SIGALRM",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        yield
-        return
-    if threading.current_thread() is not threading.main_thread():
-        warnings.warn(
-            f"per-point timeout for {label!r} disabled: SIGALRM timers only "
-            "fire on the main thread",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        yield
-        return
-
-    def _on_alarm(signum, frame):
-        raise SweepTimeoutError(label, timeout)
-
-    previous_handler = signal.signal(signal.SIGALRM, _on_alarm)
-    prev_delay, prev_interval = signal.setitimer(signal.ITIMER_REAL, timeout)
-    started = time.monotonic()
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous_handler)
-        if prev_delay > 0.0:
-            remaining = prev_delay - (time.monotonic() - started)
-            # An outer timer that expired while ours was armed still owes
-            # its application a signal: fire it as soon as possible.
-            signal.setitimer(signal.ITIMER_REAL, max(remaining, 1e-6), prev_interval)
-
-
-def _worker(point: SweepPoint, capture: bool, timeout: Optional[float]):
-    """Process-pool / dist-worker entry: execution under an optional alarm."""
-    with _point_alarm(point.label, timeout):
-        return _execute_point(point, capture)
-
-
-def _is_retryable(exc: BaseException) -> bool:
-    return bool(getattr(exc, "retryable", False))
 
 
 #: The process's one worker pool as ``(size, executor)``, started by the
@@ -393,14 +309,12 @@ class SweepEngine:
                 )
             elif self.options.parallel <= 1:
                 self._run_serial(
-                    points, pending, cache, hub, capture, values, snapshots, report,
-                    done, emit,
+                    points, pending, cache, hub, capture, values, snapshots, done, emit
                 )
                 report.computed = len(pending)
             else:
                 self._run_pool(
-                    points, pending, cache, capture, values, snapshots, report,
-                    done, emit,
+                    points, pending, cache, capture, values, snapshots, done, emit
                 )
                 report.computed = len(pending)
 
@@ -460,28 +374,19 @@ class SweepEngine:
 
     # -- serial path -------------------------------------------------------
     def _run_serial(
-        self, points, pending, cache, hub, capture, values, snapshots, report,
-        done, emit,
+        self, points, pending, cache, hub, capture, values, snapshots, done, emit
     ) -> None:
         for index, key in pending:
             point = points[index]
-            attempts = self.options.retries + 1
-            while True:
-                attempts -= 1
-                try:
-                    if cache is None and hub is not None:
-                        # Historical driver path: record live into the
-                        # parent hub (spans nest under any open spans).
-                        value, snapshot = point.call(telemetry=hub), None
-                    else:
-                        value, snapshot = _execute_point(point, capture)
-                    break
-                except Exception as exc:
-                    if attempts > 0 and _is_retryable(exc):
-                        report.retried += 1
-                        emit(done, point.label, "retry")
-                        continue
-                    raise SweepPointError(point.label, exc) from exc
+            try:
+                if cache is None and hub is not None:
+                    # Historical driver path: record live into the parent
+                    # hub (spans nest under any open spans).
+                    value, snapshot = point.call(telemetry=hub), None
+                else:
+                    value, snapshot = _execute_point(point, capture)
+            except Exception as exc:
+                raise SweepPointError(point.label, exc) from exc
             values[index] = value
             snapshots[index] = snapshot
             if cache is not None and key is not None:
@@ -491,15 +396,12 @@ class SweepEngine:
 
     # -- pool path ---------------------------------------------------------
     def _run_pool(
-        self, points, pending, cache, capture, values, snapshots, report,
-        done, emit,
+        self, points, pending, cache, capture, values, snapshots, done, emit
     ) -> None:
-        timeout = self.options.timeout
-        attempts_left = {index: self.options.retries for index, _ in pending}
         keys = dict(pending)
 
         def submit(index: int):
-            return pool.submit(_worker, points[index], capture, timeout)
+            return pool.submit(_execute_point, points[index], capture)
 
         with _pool_lock:
             pool = _pool_of(self.options.parallel)
@@ -514,29 +416,19 @@ class SweepEngine:
                     pool = _pool_of(self.options.parallel)
                     futures = {submit(first): first}
                 futures.update((submit(index), index) for index, _ in pending[1:])
-                while futures:
-                    finished, _ = wait(futures, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        index = futures.pop(future)
-                        point = points[index]
-                        try:
-                            value, snapshot = future.result()
-                        except Exception as exc:
-                            if attempts_left[index] > 0 and _is_retryable(exc):
-                                attempts_left[index] -= 1
-                                report.retried += 1
-                                emit(done, point.label, "retry")
-                                futures[submit(index)] = index
-                                continue
-                            raise SweepPointError(point.label, exc) from exc
-                        values[index] = value
-                        snapshots[index] = snapshot
-                        if cache is not None and keys.get(index) is not None:
-                            cache.store(
-                                keys[index], value, snapshot, meta={"label": point.label}
-                            )
-                        done += 1
-                        emit(done, point.label, "run")
+                for future in as_completed(futures):
+                    index = futures[future]
+                    point = points[index]
+                    try:
+                        value, snapshot = future.result()
+                    except Exception as exc:
+                        raise SweepPointError(point.label, exc) from exc
+                    values[index] = value
+                    snapshots[index] = snapshot
+                    if cache is not None and keys.get(index) is not None:
+                        cache.store(keys[index], value, snapshot, meta={"label": point.label})
+                    done += 1
+                    emit(done, point.label, "run")
             except BaseException:
                 # Only a run that completes leaves the pool up.
                 _drop_pool()
@@ -598,13 +490,7 @@ class SweepEngine:
                 observer=on_transition,
             )
             stack.callback(service.stop)
-            submitted = service.submit(
-                points[work[0][0]].label,
-                work,
-                timeout=self.options.timeout,
-                retries=self.options.retries,
-                capture=capture,
-            )
+            submitted = service.submit(points[work[0][0]].label, work, capture=capture)
             grid = submitted["grid"]
             # A job this store already knew may hold acknowledged results.
             replayed = (
@@ -633,7 +519,6 @@ class SweepEngine:
         report.computed = len(payloads) - len(replayed)
         report.reclaims = status["reclaims"]
         report.requeues = status["requeues"]
-        report.retried += status["requeues"]
         self._collect_job(
             points, pending, cache, values, snapshots, grid, state,
             {index: load_result(blob) for index, blob in payloads.items()},
@@ -662,14 +547,7 @@ class SweepEngine:
         work = [(index, points[index]) for index, _ in pending]
         name = self.options.job_name or points[work[0][0]].label
         client = ServiceClient(self.options.submit)
-        submitted = client.submit(
-            name,
-            work,
-            tenant=self.options.tenant,
-            timeout=self.options.timeout,
-            retries=self.options.retries,
-            capture=capture,
-        )
+        submitted = client.submit(name, work, tenant=self.options.tenant, capture=capture)
         grid = submitted["grid"]
         if submitted.get("state") == "collected":
             # The service's retention GC ate this exact grid: the

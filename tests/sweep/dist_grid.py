@@ -21,6 +21,23 @@ def slow_add(x, y, delay=0.05, log=None):
     return x + y
 
 
+def flaky_once_add(x, y, marker):
+    """``x + y``, after a retryable failure on the first attempt only
+    (the ``marker`` file records that the attempt was made)."""
+    from repro.errors import BackendUnavailableError
+
+    try:
+        with open(marker, "x", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+    except FileExistsError:
+        return x + y
+    raise BackendUnavailableError(f"transient failure of cell {x}")
+
+
+def always_fail(x):
+    raise ValueError(f"cell {x} always fails")
+
+
 def serve_main(
     address,
     n=12,

@@ -95,13 +95,11 @@ def drain_agents(agents, threads):
         thread.join(timeout=10)
 
 
-def serve_one_grid(store_path, points, port=0, retries=1, capture=True, **kwargs):
+def serve_one_grid(store_path, points, port=0, capture=True, **kwargs):
     """A started service holding ``points`` as its one job (``.grid``)."""
     kwargs.setdefault("lease_seconds", 5.0)
     service = SweepService(store_path, port=port, **kwargs)
-    service.grid = service.submit(
-        "grid", list(enumerate(points)), retries=retries, capture=capture
-    )["grid"]
+    service.grid = service.submit("grid", list(enumerate(points)), capture=capture)["grid"]
     service.start()
     return service
 
@@ -180,17 +178,24 @@ class TestDistributedRun:
             assert value == points[index].kwargs["x"] + 2
             assert snapshot is not None
 
-    def test_worker_retries_retryable_failures_locally(self, coordinator_factory):
+    def test_a_point_failing_once_finishes_through_one_requeue(self, coordinator_factory):
         _flaky_seen.clear()
         points = [SweepPoint(flaky_once, {"x": x}) for x in range(3)]
-        coordinator = coordinator_factory(points, retries=2)
+        coordinator = coordinator_factory(points)
         agents, threads = run_agents(coordinator.address, n=1)
         coordinator.serve_forever(poll=0.02, until=coordinator.grid)
         drain_agents(agents, threads)
-        assert coordinator.status()["executed"] == 3
-        # Absorbed by local retries:
-        assert coordinator.status(coordinator.grid)["requeues"] == 0
-        assert agents[0].report.local_retries == 3
+        # The worker tries each point once and reports FAIL; the service
+        # requeues it and the next claim finishes it.
+        assert coordinator.status(coordinator.grid)["state"] == JOB_DONE
+        assert values_of(coordinator) == {0: 0, 1: 1, 2: 2}
+        assert coordinator.status(coordinator.grid)["requeues"] == 3
+        requeues = [
+            e["idx"] for e in coordinator.store.events(coordinator.grid)
+            if e["event"] == "requeue"
+        ]
+        assert sorted(requeues) == [0, 1, 2]
+        assert (agents[0].report.failed, agents[0].report.completed) == (3, 3)
 
     def test_poison_point_raises_with_tracebacks(self):
         points = [SweepPoint(add, {"x": 1, "y": 1}), SweepPoint(always_boom, {"x": 9})]
@@ -199,7 +204,7 @@ class TestDistributedRun:
         address = f"127.0.0.1:{free_port()}"
         engine = SweepEngine(
             SweepOptions(
-                serve=address, poison_workers=2, poison_failures=50, retries=0
+                serve=address, poison_workers=2, poison_failures=50
             )
         )
         agents, threads = run_agents(address, n=2)
@@ -490,6 +495,24 @@ class TestFaultPaths:
             )
         finally:
             signal_module.signal(signal_module.SIGTERM, previous)
+        assert code == 1
+
+    def test_worker_process_gives_sigterm_back_when_it_ends(self):
+        import signal
+
+        from repro.sweep.dist import run_worker_process
+
+        def before(signum, frame):
+            pass
+
+        original = signal.signal(signal.SIGTERM, before)
+        try:
+            code = run_worker_process(
+                f"127.0.0.1:{free_port()}", reconnect_budget=0.1, quiet=True
+            )
+            assert signal.getsignal(signal.SIGTERM) is before
+        finally:
+            signal.signal(signal.SIGTERM, original)
         assert code == 1
 
 

@@ -303,10 +303,14 @@ class TestMigration:
         finally:
             conn.close()
 
+    def _tables(self, path):
+        return {row[0] for row in self._raw(path, "SELECT name FROM sqlite_master")}
+
     def test_snapshot_migrates_with_payloads_byte_identical(self, tmp_path):
         path = tmp_path / "store.sqlite"
         shutil.copy(SNAPSHOT, path)
         assert schema_version(path) == 1
+        assert "history" in self._tables(path)
         before = dict(
             (tuple(row[:2]), row[2])
             for row in self._raw(
@@ -318,6 +322,8 @@ class TestMigration:
         store = SweepStore(path)
         try:
             assert schema_version(path) == 2
+            # Nothing wrote the v1 ``history`` table: migration drops it.
+            assert "history" not in self._tables(path)
             after = dict(
                 (tuple(row[:2]), row[2])
                 for row in self._raw(
@@ -359,6 +365,7 @@ class TestMigration:
         SweepStore(path).close()
         SweepStore(path).close()  # second open: nothing to do, no error
         assert schema_version(path) == 2
+        assert "history" not in self._tables(path)
 
 
 # -- service wire commands -----------------------------------------------------

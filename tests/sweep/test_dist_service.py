@@ -308,9 +308,7 @@ class TestWorkersDrainService:
         serve.start()
         try:
             client = ServiceClient(f"{service.host}:{service.port}")
-            grid = client.submit(
-                "toxic", points_for(1, func=boom), retries=0, capture=False
-            )["grid"]
+            grid = client.submit("toxic", points_for(1, func=boom), capture=False)["grid"]
             agents, threads = self.run_workers(
                 f"{service.host}:{service.port}", n=1
             )

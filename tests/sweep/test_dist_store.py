@@ -224,6 +224,15 @@ class TestHistory:
         after = hashlib.sha256((tmp_path / STORE_FILENAME).read_bytes()).hexdigest()
         assert after == digest
 
+    def test_a_fresh_store_has_no_history_table(self, tmp_path):
+        SweepStore(tmp_path / STORE_FILENAME).close()
+        conn = sqlite3.connect(tmp_path / STORE_FILENAME)
+        try:
+            tables = {row[0] for row in conn.execute("SELECT name FROM sqlite_master")}
+        finally:
+            conn.close()
+        assert "history" not in tables and {"jobs", "points", "events"} <= tables
+
 
 class TestOpenRecovery:
     def test_reopen_sees_committed_state(self, tmp_path):

@@ -11,16 +11,20 @@ import json
 import os
 import signal
 import socket
+import sqlite3
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.sweep import SweepEngine, SweepOptions, SweepPoint
+from repro.errors import SweepPoisonedError
+from repro.sweep import ResultCache, SweepEngine, SweepOptions, SweepPoint
+from repro.sweep.dist.store import STORE_FILENAME
 
-from tests.sweep.dist_grid import slow_add
+from tests.sweep.dist_grid import always_fail, flaky_once_add, slow_add
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -56,7 +60,7 @@ def _spawn_coordinator(spec):
     )
 
 
-def _spawn_worker(address, rank):
+def _spawn_worker(address, rank, stderr=subprocess.DEVNULL):
     return subprocess.Popen(
         [
             sys.executable,
@@ -77,7 +81,8 @@ def _spawn_worker(address, rank):
         env=_env(),
         cwd=REPO_ROOT,
         stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
+        stderr=stderr,
+        text=True,
     )
 
 
@@ -209,3 +214,76 @@ def test_coordinator_sigkill_then_restart_resumes_from_journal(tmp_path):
     # the serving process died (at most one per worker) may run twice.
     executions = len(_read_log(log))
     assert n <= executions <= n + len(workers)
+
+
+@pytest.mark.slow
+def test_a_fleet_requeues_a_point_that_fails_once_and_poisons_one_that_always_fails(
+    tmp_path,
+):
+    address = _free_address()
+    slow = [SweepPoint(slow_add, {"x": x, "y": 1, "delay": 0.3}) for x in range(4)]
+    points = [
+        slow[0],
+        SweepPoint(flaky_once_add, {"x": 10, "y": 1, "marker": str(tmp_path / "flaky")}),
+        slow[1],
+        SweepPoint(always_fail, {"x": 20}),
+        slow[2],
+        slow[3],
+    ]
+    options = SweepOptions(
+        serve=address, cache_dir=tmp_path / "cache", journal_dir=tmp_path / "journal"
+    )
+    engine = SweepEngine(options)
+    raised = []
+
+    def serve():
+        try:
+            engine.run(points)
+        except Exception as exc:  # checked on the test's thread
+            raised.append(exc)
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    workers = [_spawn_worker(address, rank, stderr=subprocess.PIPE) for rank in range(2)]
+    try:
+        server.join(90)
+        assert not server.is_alive(), "the fleet never finished the grid"
+        for worker in workers:
+            worker.send_signal(signal.SIGTERM)
+        outcomes = [(worker.wait(timeout=30), worker.stderr.read()) for worker in workers]
+    finally:
+        if engine._service is not None:
+            engine._service.request_stop()
+        _reap(*workers)
+
+    # Only the always-failing cell is poisoned, with a worker traceback.
+    (error,) = raised
+    assert isinstance(error, SweepPoisonedError)
+    (cell,) = error.poisoned
+    assert (cell["index"], cell["label"]) == (3, points[3].label)
+    assert "cell 20 always fails" in cell["failures"][-1]["error"]
+    assert "always_fail" in cell["failures"][-1]["traceback"]
+
+    # The flaky cell finished after exactly one requeue.
+    conn = sqlite3.connect(tmp_path / "journal" / STORE_FILENAME)
+    try:
+        requeues = conn.execute(
+            "SELECT COUNT(*) FROM events WHERE event = 'requeue' AND idx = 1"
+        ).fetchone()[0]
+        (state,) = conn.execute("SELECT state FROM points WHERE idx = 1").fetchone()
+    finally:
+        conn.close()
+    assert (requeues, state) == (1, "done")
+
+    # The cache holds the five good values.
+    cache = ResultCache(tmp_path / "cache")
+    cached = {}
+    for index, point in enumerate(points):
+        entry = cache.lookup(cache.identity_for(point)[0])
+        if entry is not None:
+            cached[index] = entry["value"]
+    assert cached == {0: 1, 1: 11, 2: 2, 4: 3, 5: 4}
+
+    for code, stderr in outcomes:
+        assert code == 0, stderr
+        assert stderr.rstrip().endswith("(drained)"), stderr

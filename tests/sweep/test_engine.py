@@ -1,8 +1,9 @@
-"""Tests for the sweep engine: serial/pool execution, retries, caching."""
+"""Tests for the sweep engine: serial/pool execution, failures, caching."""
 
 import multiprocessing
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -11,13 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import SweepError, SweepPointError, SweepTimeoutError
+from repro.errors import SweepError, SweepPoisonedError, SweepPointError
 from repro.sweep import (
     SweepEngine,
     SweepOptions,
     SweepPoint,
     grid,
 )
+from repro.sweep.dist import WorkerAgent, WorkerOptions
 from repro.telemetry import Telemetry
 
 
@@ -41,14 +43,19 @@ def boom(x):
     raise ValueError(f"bad cell {x}")
 
 
-def flaky(marker, fail_times):
-    """Fails with a retryable error until it has been called fail_times."""
+def flaky_once(marker):
+    """Counts its calls in ``marker``; fails with a retryable error on
+    the first one only."""
     path = Path(marker)
     count = int(path.read_text()) if path.exists() else 0
     path.write_text(str(count + 1))
-    if count < fail_times:
+    if count == 0:
         raise TransientError(f"attempt {count}")
     return "ok"
+
+
+def always_transient():
+    raise TransientError("backend still down")
 
 
 def sleepy(seconds):
@@ -69,15 +76,6 @@ def rendezvous(directory, parties):
 
 def crash(code):
     os._exit(code)
-
-
-def slow_once(marker):
-    """Wedges (until a timeout interrupts it) on the first call only."""
-    path = Path(marker)
-    if not path.exists():
-        path.write_text("1")
-        time.sleep(30.0)
-    return os.getpid()
 
 
 def square_and_pid(x):
@@ -108,10 +106,10 @@ def points_for(xs, telemetry=False):
 
 
 def test_options_validate():
-    with pytest.raises(SweepError, match="retries"):
-        SweepOptions(retries=-1)
-    with pytest.raises(SweepError, match="timeout"):
-        SweepOptions(timeout=0.0)
+    with pytest.raises(SweepError, match="lease_seconds"):
+        SweepOptions(lease_seconds=0.0)
+    with pytest.raises(SweepError, match="poison thresholds"):
+        SweepOptions(poison_failures=0)
 
 
 # -- execution order and parity --------------------------------------------
@@ -151,43 +149,61 @@ def test_terminal_error_names_the_cell_pool():
         SweepEngine(SweepOptions(parallel=2)).run(points)
 
 
-def test_retryable_error_is_retried_serial(tmp_path):
+@pytest.mark.parametrize("parallel", [1, 2], ids=["serial", "pool"])
+def test_a_retryable_error_fails_the_run_on_its_first_attempt(tmp_path, parallel):
     marker = tmp_path / "attempts"
-    point = SweepPoint(func=flaky, kwargs={"marker": str(marker), "fail_times": 2})
-    report = SweepEngine(SweepOptions(retries=2)).run([point])
-    assert report.values == ["ok"]
-    assert report.retried == 2
-
-
-def test_retryable_error_is_retried_pool(tmp_path):
-    marker = tmp_path / "attempts"
-    point = SweepPoint(func=flaky, kwargs={"marker": str(marker), "fail_times": 1})
-    report = SweepEngine(SweepOptions(parallel=2, retries=1)).run([point])
-    assert report.values == ["ok"]
-    assert report.retried == 1
-
-
-def test_retries_exhausted_surfaces_original_error(tmp_path):
-    marker = tmp_path / "attempts"
-    point = SweepPoint(func=flaky, kwargs={"marker": str(marker), "fail_times": 99})
-    with pytest.raises(SweepPointError) as excinfo:
-        SweepEngine(SweepOptions(retries=1)).run([point])
+    point = SweepPoint(func=flaky_once, kwargs={"marker": str(marker)})
+    with pytest.raises(SweepPointError, match="flaky_once") as excinfo:
+        SweepEngine(SweepOptions(parallel=parallel)).run([point])
     assert isinstance(excinfo.value.cause, TransientError)
+    assert marker.read_text() == "1"  # called once, not retried
 
 
-def test_worker_timeout_converts_to_sweep_timeout():
-    point = SweepPoint(func=sleepy, kwargs={"seconds": 30.0})
-    options = SweepOptions(parallel=2, timeout=0.2, retries=0)
-    with pytest.raises(SweepPointError) as excinfo:
-        SweepEngine(options).run([point])
-    assert isinstance(excinfo.value.cause, SweepTimeoutError)
-    assert excinfo.value.cause.retryable
+# -- the one retry left: the service's requeue -------------------------------
+
+
+def serve_to_one_worker(points, **options):
+    """Run ``points`` through ``SweepOptions(serve=...)`` with one
+    in-process worker, which takes them one at a time."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        address = f"127.0.0.1:{probe.getsockname()[1]}"
+    agent = WorkerAgent(address, WorkerOptions(poll=0.02, reconnect_budget=10.0))
+    thread = threading.Thread(target=agent.run, daemon=True)
+    thread.start()
+    try:
+        return SweepEngine(SweepOptions(serve=address, **options)).run(points)
+    finally:
+        agent.request_drain()
+        thread.join(timeout=10)
+
+
+def test_retryable_error_is_retried_serial(tmp_path):
+    # The worker tries the point once and reports FAIL; the service
+    # requeues it and the lone worker's next claim finishes it.
+    marker = tmp_path / "attempts"
+    point = SweepPoint(func=flaky_once, kwargs={"marker": str(marker)})
+    report = serve_to_one_worker([point])
+    assert report.values == ["ok"]
+    assert report.requeues == 1
+    assert marker.read_text() == "2"
+
+
+def test_retries_exhausted_surfaces_original_error():
+    # One worker can only reach the total-failures threshold.
+    point = SweepPoint(func=always_transient, kwargs={})
+    with pytest.raises(SweepPoisonedError, match="backend still down") as excinfo:
+        serve_to_one_worker([point], poison_failures=3)
+    (cell,) = excinfo.value.poisoned
+    assert len(cell["failures"]) == 3
+    assert all("backend still down" in f["error"] for f in cell["failures"])
+    assert "TransientError" in cell["failures"][-1]["traceback"]
 
 
 # -- the kept worker pool --------------------------------------------------
 
 
-def pool_pids(tmp_path, name, parallel, **options):
+def pool_pids(tmp_path, name, parallel):
     """The worker pids of one pooled run that occupies every worker."""
     directory = tmp_path / name
     directory.mkdir()
@@ -195,7 +211,7 @@ def pool_pids(tmp_path, name, parallel, **options):
         SweepPoint(func=rendezvous, kwargs={"directory": str(directory), "parties": parallel})
         for _ in range(parallel)
     ]
-    values = SweepEngine(SweepOptions(parallel=parallel, **options)).run(points).values
+    values = SweepEngine(SweepOptions(parallel=parallel)).run(points).values
     assert len(set(values)) == parallel
     return set(values)
 
@@ -227,7 +243,7 @@ def test_a_terminal_error_leaves_no_stale_result_for_the_next_run(tmp_path):
         )
     report = SweepEngine(SweepOptions(parallel=2)).run(points_for(range(6)))
     assert report.values == [0, 1, 4, 9, 16, 25]
-    assert report.computed == 6 and report.retried == 0
+    assert report.computed == 6
     assert pool_pids(tmp_path, "after", 2).isdisjoint(before)
 
 
@@ -299,14 +315,6 @@ def test_concurrent_pooled_runs_take_turns():
     assert len(outcomes) == 16
     assert sum(fails for fails, _ in outcomes) == 2
     assert all(ok for _, ok in outcomes), outcomes
-
-
-def test_a_timed_out_point_keeps_the_pool(tmp_path):
-    before = pool_pids(tmp_path, "before", 2)
-    point = SweepPoint(func=slow_once, kwargs={"marker": str(tmp_path / "marker")})
-    report = SweepEngine(SweepOptions(parallel=2, timeout=0.2, retries=1)).run([point])
-    assert report.retried == 1 and report.values[0] in before
-    assert pool_pids(tmp_path, "after", 2, timeout=0.2) == before
 
 
 def test_a_worker_lost_between_runs_is_replaced(tmp_path):
