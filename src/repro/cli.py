@@ -492,7 +492,7 @@ def _maintenance_reports(args: argparse.Namespace, verb: str) -> dict:
     """Produce the query/usage/gc report dict from a file or a service.
 
     ``--at HOST:PORT`` asks a running service (the only safe way to
-    *apply* GC while one is up — its writer thread owns the store);
+    *apply* GC while one is up — its store connection owns the writes);
     ``--store FILE`` reads the SQLite file directly through a read-only
     :class:`~repro.sweep.dist.query.ReaderPool`, except ``gc --apply``,
     which opens the store read-write and must not race a live service.

@@ -156,8 +156,8 @@ class SweepStoreError(SweepError):
 
     Raised when the database fails its integrity check on open (real
     corruption, not a torn tail — torn writes roll back silently), when
-    its schema version is newer than this code, or when the store's
-    writer thread has shut down.
+    its schema version is newer than this code, or when the store has
+    been closed.
     """
 
 

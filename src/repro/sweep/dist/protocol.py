@@ -118,9 +118,9 @@ HELLO's version check keeps mixed fleets out entirely):
   jobs, dry-run planning, tombstoned grids still short-circuit
   re-submission). All three take one optional JSON argument and answer
   bulk JSON; on the service they are answered from a *read-only
-  connection pool* beside the store's single writer (GC's deletions
-  alone go through the writer), so heavy queries never sit between a
-  worker's DONE and its fsync — see ``repro.sweep.dist.query``. The
+  connection pool* beside the store's one locked read-write
+  connection (GC's deletions alone go through the store), so heavy
+  queries never sit between a worker's DONE and its fsync — see ``repro.sweep.dist.query``. The
   store schema moves to v2 (indexed per-point fingerprints, tombstone
   rows, usage views; v1 stores migrate in place on open). The *result*
   payload shape is unchanged — ``load_result`` accepts persisted v4

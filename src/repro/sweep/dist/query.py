@@ -1,8 +1,9 @@
 """Read-side query layer over the sweep-service store.
 
 :mod:`repro.sweep.dist.store` is deliberately write-mostly: every
-mutation funnels through one writer thread whose queue discipline is
-what makes the durability proofs tractable. This module is the other
+mutation runs on its one read-write connection under the store lock,
+one at a time in call order, which is what makes the durability proofs
+tractable. This module is the other
 half — the queries a long-lived multi-tenant service accumulates value
 for:
 
@@ -24,20 +25,20 @@ for:
   real run collects, and tombstones so idempotent re-submission still
   short-circuits after the bulk rows are gone.
 
-Concurrency model — **readers beside the single writer**:
+Concurrency model — **readers beside the store's locked connection**:
 
 Everything here reads through a :class:`ReaderPool` of *read-only*
 SQLite connections (URI ``mode=ro``). Under WAL, readers never block
-the writer and never see a half-committed transaction — each query gets
-the last committed snapshot. That is what lets the service answer
-QUERY/USAGE from its request threads without enqueuing onto the writer
-thread (where a read would wait behind result fsyncs), and what lets
-the CLI interrogate a *live* service's store file from another process.
+the store's writes and never see a half-committed transaction — each
+query gets the last committed snapshot. That is what lets the service
+answer QUERY/USAGE from its request threads without taking the store
+lock (where a read would wait behind result fsyncs), and what lets the
+CLI interrogate a *live* service's store file from another process.
 The one mutating operation — actually collecting a job — is explicitly
 NOT here: :func:`run_gc` plans through the pool, then hands each doomed
-grid to :meth:`SweepStore.collect_job` on the writer thread, which
-re-checks every refusal condition under the write lock. The plan is an
-intention; the writer is the judge.
+grid to :meth:`SweepStore.collect_job`, which re-checks every refusal
+condition under the store lock. The plan is an intention; the store is
+the judge.
 
 Library use::
 
@@ -88,11 +89,11 @@ class ReaderPool:
     """A bounded pool of read-only SQLite connections to one store file.
 
     The second half of the store's concurrency model: the
-    :class:`~repro.sweep.dist.store.SweepStore` writer thread owns the
-    only read-write connection, and every query-layer read goes through
+    :class:`~repro.sweep.dist.store.SweepStore` owns the only read-write
+    connection, behind its lock, and every query-layer read goes through
     here instead — read-only (URI ``mode=ro``: a pool can never create,
     recover, or migrate a store) and WAL-snapshot-isolated, so reads
-    neither block the writer nor queue behind its fsyncs.
+    neither block the store's writes nor queue behind its fsyncs.
 
     Thread-safe: connections are checked out under a lock; when the pool
     is empty a temporary connection is opened and closed after use, so
@@ -627,8 +628,8 @@ def run_gc(
     Planning reads through a :class:`ReaderPool` (the given one, or a
     transient one over ``store.path``); collection hands each planned
     grid to :meth:`SweepStore.collect_job`, which re-validates
-    everything (terminal? tombstoned meanwhile? dangling lease?) on the
-    writer thread — the plan carries no authority across the
+    everything (terminal? tombstoned meanwhile? dangling lease?) under
+    the store lock — the plan carries no authority across the
     read/write boundary. Report::
 
         {"policy": ..., "dry_run": bool,

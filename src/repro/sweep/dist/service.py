@@ -268,9 +268,10 @@ class SweepService(RespTcpServer):
         self._worker_spans: list[tuple[str, dict]] = []
         self.stale_grid = 0
         self.duplicates = 0
-        #: Read-only connections beside the single writer: QUERY/USAGE
-        #: (and GC's planning pass) answer from here, so an expensive
-        #: query never queues between a worker's DONE and its fsync.
+        #: Read-only connections beside the store's locked connection:
+        #: QUERY/USAGE (and GC's planning pass) answer from here, so an
+        #: expensive query never queues between a worker's DONE and its
+        #: fsync.
         self.reader = ReaderPool(self.store.path)
         #: The store's last ``events.seq`` before this session: the fleet
         #: trace draws the rows after it.
@@ -530,7 +531,7 @@ class SweepService(RespTcpServer):
 
     # -- health --------------------------------------------------------------
     def _store_bytes_ro(self) -> Optional[int]:
-        """Live store bytes via the reader pool (never queues on the writer)."""
+        """Live store bytes via the reader pool (never waits on the store lock)."""
         try:
             with self.reader.connection() as conn:
                 return live_bytes(conn)
@@ -712,8 +713,8 @@ class SweepService(RespTcpServer):
     def _handle_gc(self, spec: dict) -> bytes:
         """Plan (always) and apply (unless dry_run) a retention pass.
 
-        The apply path funnels through the store's single writer like
-        every other mutation. GC collects terminal jobs only, which the
+        The apply path runs under the store lock like every other
+        mutation. GC collects terminal jobs only, which the
         service no longer holds in memory.
         """
         policy = RetentionPolicy(

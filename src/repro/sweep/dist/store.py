@@ -8,30 +8,30 @@ serves every acknowledged result from disk. Many named grids live side
 by side, keyed by their content signature, and "all fig6 points ever
 run, any version" is one indexed query.
 
-Concurrency model — **single writer thread**:
+Concurrency model — **one connection behind one lock**:
 
-Every SQLite operation (reads included) funnels through one dedicated
-thread that owns the only connection. Callers enqueue a closure and
-block until the writer commits it; exceptions propagate back to the
-caller. This gives the service the same no-locking simplicity the RESP
-dispatch lock gives its command handlers, makes write ordering identical to
-call ordering (the crash-recovery tests rely on that prefix property),
-and sidesteps SQLite's cross-thread connection rules entirely.
+The store owns one read-write connection. Every public method runs its
+SQL on the caller's thread while holding the store lock, so calls from
+any thread apply one at a time and write ordering is call ordering (the
+crash-recovery tests rely on that prefix property). A store call costs
+its SQL and, for a mutation, its commit; no thread hand-off.
 
-The one call that does not wait is :meth:`SweepStore.record_event`:
+The one call that does not commit is :meth:`SweepStore.record_event`:
 audit rows (lease/reclaim/requeue/restore) promise nothing to anyone,
-so the writer inserts them in call order into a transaction it leaves
-open, and they commit with the next waited mutation (one fsync per
-point, not two), with :meth:`SweepStore.flush`, with ``close()``, or
-:data:`AUDIT_FLUSH_SECONDS` after the first pending row. Reads through
-the store see them at once; a second connection does not until that
-commit, and a crash inside the window drops them — nothing restores
-from audit rows.
+so it inserts them in call order into a transaction it leaves open, and
+they commit with the next waited mutation (one fsync per point, not
+two), with :meth:`SweepStore.flush`, with ``close()``, or
+:data:`AUDIT_FLUSH_SECONDS` after the first pending row. That idle
+deadline is kept by a small daemon ticker thread, which takes the lock
+only to commit such rows. Reads through the store see them at once; a
+second connection does not until that commit, and a crash inside the
+window drops them — nothing restores from audit rows.
 
 Durability and torn-write recovery:
 
 * ``journal_mode=WAL`` + ``synchronous=FULL`` — committed transactions
-  survive power loss, and readers never block the writer;
+  survive power loss, and readers on other connections never block
+  the store's writes;
 * every waited mutating call commits before it returns, together with
   the audit rows recorded since the previous commit — a crash mid-call
   (any fsync boundary) rolls back on the next open, so the store is
@@ -78,8 +78,8 @@ Usage accounting (:func:`repro.sweep.dist.query.usage`) aggregates
 ``events`` directly; the ``usage_daily`` view early v2 stores carried is
 dropped on open.
 
-Opening a v1 store migrates it in place on the writer thread before the
-first caller can touch it: the fingerprint column is added and
+Opening a v1 store migrates it in place inside the constructor, before
+the first caller can touch it: the fingerprint column is added and
 **backfilled** by unpickling each stored spec (specs that no longer
 unpickle are left NULL — still collectable, just not
 cross-version-queryable), then ``schema_version`` flips to 2. The
@@ -95,7 +95,6 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import queue
 import sqlite3
 import threading
 import time
@@ -187,17 +186,16 @@ DROP TABLE IF EXISTS history;
 """
 
 #: Longest an audit row nobody waits on (:meth:`SweepStore.record_event`)
-#: sits in the writer's open transaction before the writer commits it on
+#: sits in the store's open transaction before the ticker commits it on
 #: its own: bounds both the write lock other processes see and the tail
 #: of lease/reclaim/requeue rows a SIGKILL can drop.
 AUDIT_FLUSH_SECONDS = 0.05
 
-_CLOSE = object()
 _log = get_logger("sweep.store")
 
 
 def _migrate_v1_to_v2(conn: sqlite3.Connection) -> None:
-    """In-place v1 -> v2 migration; runs on the writer thread at open.
+    """In-place v1 -> v2 migration; runs on the opening thread, once.
 
     Adds the ``points.fingerprint`` column (the ``tombstones`` table and
     the derived index come from the shared schema scripts) and backfills point fingerprints from the
@@ -277,7 +275,7 @@ def live_bytes(conn: sqlite3.Connection) -> int:
 
 
 class SweepStore:
-    """One SQLite file, one writer thread, many tenants' jobs."""
+    """One SQLite file, one locked connection, many tenants' jobs."""
 
     def __init__(
         self,
@@ -288,7 +286,7 @@ class SweepStore:
     ) -> None:
         """Open (creating and/or recovering) the store at ``path``.
 
-        ``_crash_op``/``_crash_mode`` are crash-test hooks: the writer
+        ``_crash_op``/``_crash_mode`` are crash-test hooks: the calling
         thread ``os._exit``\\ s the whole process before or after the
         commit of the Nth *mutating* call. They exist so the recovery
         property tests can kill a real writer at every fsync boundary;
@@ -300,105 +298,55 @@ class SweepStore:
         self._crash_op = _crash_op
         self._crash_mode = _crash_mode
         self._mutations = 0
-        self._ops: queue.Queue = queue.Queue()
-        self._open_error: Optional[BaseException] = None
-        self._opened = threading.Event()
-        self._writer = threading.Thread(
-            target=self._writer_loop, name=f"sweep-store-{self.path.name}", daemon=True
-        )
-        self._writer.start()
-        self._opened.wait()
-        if self._open_error is not None:
-            raise SweepStoreError(
-                f"cannot open sweep store {self.path}: {self._open_error}"
-            ) from self._open_error
-
-    # -- writer thread ------------------------------------------------------
-    def _writer_loop(self) -> None:
         try:
-            conn = self._open_connection()
-        except BaseException as exc:
-            self._open_error = exc
-            self._opened.set()
-            return
-        self._opened.set()
+            self._conn = self._open_connection()
+        except Exception as exc:
+            raise SweepStoreError(f"cannot open sweep store {self.path}: {exc}") from exc
+        self._lock = threading.Lock()
+        self._open = True
         # Commit-by time of the open transaction holding unacknowledged
         # audit rows; None while nothing is pending.
-        deadline: Optional[float] = None
-        while True:
-            wait = None if deadline is None else deadline - time.monotonic()
-            try:
-                if wait is not None and wait <= 0:
-                    raise queue.Empty
-                item = self._ops.get(timeout=wait)
-            except queue.Empty:
-                self._commit_audit(conn)
-                deadline = None
-                continue
-            if item is _CLOSE:
-                break
-            fn, mutate, box, done = item
-            pending = deadline is not None
-            if done is None:  # record_event: nobody waits, nothing commits
-                try:
-                    fn(conn)
-                    if not pending:
-                        deadline = time.monotonic() + AUDIT_FLUSH_SECONDS
-                except Exception as exc:
-                    _log.error(
-                        "store.audit.failed", store=str(self.path), error=str(exc)
-                    )
-                continue
-            try:
-                if mutate and pending:
-                    # A failing mutation must undo itself only, not the
-                    # audit rows waiting in the same transaction.
-                    conn.execute("SAVEPOINT mutation")
-                box["value"] = fn(conn)
-                if mutate:
-                    self._mutations += 1
-                    if (
-                        self._crash_op is not None
-                        and self._mutations >= self._crash_op
-                        and self._crash_mode == "before_commit"
-                    ):
-                        os._exit(86)  # crash-test hook: die mid-transaction
-                    conn.commit()
-                    deadline = None
-                    if (
-                        self._crash_op is not None
-                        and self._mutations >= self._crash_op
-                        and self._crash_mode == "after_commit"
-                    ):
-                        os._exit(86)  # crash-test hook: die post-fsync
-            except BaseException as exc:  # propagate to the caller
-                try:
-                    if not pending:
-                        conn.rollback()
-                    elif mutate:
-                        conn.execute("ROLLBACK TO mutation")
-                        conn.execute("RELEASE mutation")
-                except sqlite3.Error:
-                    pass
-                box["error"] = exc
-            finally:
-                done.set()
-        self._commit_audit(conn)
-        conn.close()
+        self._deadline: Optional[float] = None
+        self._armed = threading.Event()  # a pending window opened, or close
+        self._stop = threading.Event()
+        self._ticker = threading.Thread(
+            target=self._tick, name=f"sweep-store-{self.path.name}", daemon=True
+        )
+        self._ticker.start()
 
-    def _commit_audit(self, conn: sqlite3.Connection) -> None:
+    # -- connection -----------------------------------------------------------
+    def _tick(self) -> None:
+        """Keep the idle deadline: commit audit rows nobody waits on once
+        :data:`AUDIT_FLUSH_SECONDS` have passed since the first of them.
+
+        Sleeps until :meth:`record_event` opens a pending window, then
+        until that window's deadline, and takes the store lock only to
+        commit a window still pending and due. Exits on :meth:`close`.
+        """
+        while not self._stop.is_set():
+            self._armed.wait()
+            self._armed.clear()  # before the read: a later window re-arms
+            deadline = self._deadline
+            if deadline is None or self._stop.wait(deadline - time.monotonic()):
+                continue
+            with self._lock:  # close() leaves no deadline behind
+                if self._deadline is not None and self._deadline <= time.monotonic():
+                    self._commit_audit()
+
+    def _commit_audit(self) -> None:
         """Commit audit rows nobody waits on (idle deadline, close)."""
+        self._deadline = None
         try:
-            conn.commit()
+            self._conn.commit()
         except sqlite3.Error as exc:
             _log.error("store.audit.failed", store=str(self.path), error=str(exc))
             try:
-                conn.rollback()
+                self._conn.rollback()
             except sqlite3.Error:
                 pass
 
     def _open_connection(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(str(self.path))
+        conn = sqlite3.connect(str(self.path), check_same_thread=False)
         conn.row_factory = sqlite3.Row
         # WAL + FULL: committed transactions survive power loss, and the
         # implicit open already rolled back any hot journal / replayed
@@ -434,24 +382,51 @@ class SweepStore:
         conn.commit()
         return conn
 
-    def _enqueue(self, item: tuple) -> None:
-        """Queue ``(fn, mutate, box, done)``; ``done=None``: nobody waits."""
-        if not self._writer.is_alive():
+    def _check_open(self) -> sqlite3.Connection:
+        """The connection, for a caller holding the lock; raises once closed."""
+        if not self._open:
             raise SweepStoreError(f"sweep store {self.path} is closed")
-        self._ops.put(item)
+        return self._conn
+
+    def _crash(self, mode: str) -> None:
+        if (
+            self._crash_op is not None
+            and self._mutations >= self._crash_op
+            and self._crash_mode == mode
+        ):
+            os._exit(86)  # crash-test hook: die at this fsync boundary
 
     def _call(self, fn: Callable[[sqlite3.Connection], Any], mutate: bool = False) -> Any:
-        """Run ``fn(conn)`` on the writer thread and return its result."""
-        box: dict[str, Any] = {}
-        done = threading.Event()
-        self._enqueue((fn, mutate, box, done))
-        done.wait()
-        if "error" in box:
-            error = box["error"]
-            if isinstance(error, sqlite3.Error):
-                raise SweepStoreError(f"sweep store {self.path}: {error}") from error
-            raise error
-        return box.get("value")
+        """Run ``fn(conn)`` on the calling thread under the store lock and
+        return its result; a mutation commits (fsync included) first."""
+        with self._lock:
+            conn = self._check_open()
+            pending = self._deadline is not None
+            try:
+                if mutate and pending:
+                    # A failing mutation must undo itself only, not the
+                    # audit rows waiting in the same transaction.
+                    conn.execute("SAVEPOINT mutation")
+                value = fn(conn)
+                if mutate:
+                    self._mutations += 1
+                    self._crash("before_commit")
+                    conn.commit()
+                    self._deadline = None
+                    self._crash("after_commit")
+                return value
+            except BaseException as exc:
+                try:
+                    if not pending:
+                        conn.rollback()
+                    elif mutate:
+                        conn.execute("ROLLBACK TO mutation")
+                        conn.execute("RELEASE mutation")
+                except sqlite3.Error:
+                    pass
+                if isinstance(exc, sqlite3.Error):
+                    raise SweepStoreError(f"sweep store {self.path}: {exc}") from exc
+                raise
 
     def flush(self) -> None:
         """Barrier: every row recorded before this call is committed when
@@ -461,14 +436,21 @@ class SweepStore:
         self._call(lambda conn: None, mutate=True)
 
     def close(self) -> None:
-        if self._writer.is_alive():
-            self._ops.put(_CLOSE)
-            self._writer.join(timeout=10.0)
+        """Commit pending audit rows, close the connection, stop the ticker."""
+        with self._lock:
+            if not self._open:
+                return
+            self._open = False
+            self._commit_audit()
+            self._conn.close()
+        self._stop.set()
+        self._armed.set()
+        self._ticker.join()
 
     @property
     def is_open(self) -> bool:
-        """Whether the writer thread is alive (the store accepts writes)."""
-        return self._writer.is_alive()
+        """Whether the store is open (accepts writes)."""
+        return self._open
 
     def used_bytes(self) -> int:
         """Bytes of live data in the store file (admission accounting);
@@ -654,15 +636,20 @@ class SweepStore:
         drop it.
         """
         now = self.wall()
-
-        def op(conn: sqlite3.Connection) -> None:
-            conn.execute(
-                "INSERT INTO events (grid, idx, event, worker, time)"
-                " VALUES (?, ?, ?, ?, ?)",
-                (grid, idx, event, worker, now),
-            )
-
-        self._enqueue((op, False, None, None))
+        with self._lock:
+            conn = self._check_open()
+            try:
+                conn.execute(
+                    "INSERT INTO events (grid, idx, event, worker, time)"
+                    " VALUES (?, ?, ?, ?, ?)",
+                    (grid, idx, event, worker, now),
+                )
+            except sqlite3.Error as exc:
+                _log.error("store.audit.failed", store=str(self.path), error=str(exc))
+                return
+            if self._deadline is None:
+                self._deadline = time.monotonic() + AUDIT_FLUSH_SECONDS
+                self._armed.set()
 
     def done_payloads(self, grid: str) -> dict[int, bytes]:
         """idx -> wire payload for every completed point of ``grid``."""
@@ -738,8 +725,8 @@ class SweepStore:
     ) -> dict:
         """Garbage-collect one **terminal** job; returns what happened.
 
-        Runs as one mutation on the writer thread (commit + fsync before
-        returning, like every other mutation): the job's ``points`` /
+        Runs as one mutation under the store lock (commit + fsync
+        before returning, like every other mutation): the job's ``points`` /
         ``events`` / ``jobs`` rows are deleted and one ``tombstones``
         row is written in their place, so idempotent re-submission of
         the same grid still short-circuits (:meth:`submit_job`) and the

@@ -6,6 +6,7 @@ import os
 import sqlite3
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -135,7 +136,7 @@ class TestAuditRidesNextCommit:
     def test_rides_the_next_waited_mutation(self, store, pool, no_idle_flush):
         store.record_event("g", 0, "lease", worker="w0")
         assert _lease_rows_on_disk(pool) == 0
-        # Reads through the writer see the row at once, in call order.
+        # Reads through the store see the row at once, in call order.
         assert [e["event"] for e in store.events("g")] == ["submit", "lease"]
         store.record_done("g", 0, b"r", worker="w0")
         assert _lease_rows_on_disk(pool) == 1
@@ -149,7 +150,7 @@ class TestAuditRidesNextCommit:
 
     def test_idle_deadline_commits_without_any_caller(self, store, pool):
         store.record_event("g", 0, "lease", worker="w0")
-        deadline = time.monotonic() + 10.0
+        deadline = time.monotonic() + 20 * store_module.AUDIT_FLUSH_SECONDS
         while _lease_rows_on_disk(pool) == 0 and time.monotonic() < deadline:
             time.sleep(0.01)
         assert _lease_rows_on_disk(pool) == 1
@@ -211,6 +212,92 @@ class TestAuditRidesNextCommit:
             service.stop()
 
 
+class TestThreads:
+    """Every call runs on its caller's thread under the store lock; the
+    one thread a store starts is the idle-deadline ticker."""
+
+    def test_concurrent_callers_keep_acks_and_call_order(self, store):
+        n_threads, per_thread = 8, 25
+        store.submit_job(
+            "g", name="g", points=[(i, b"s") for i in range(n_threads * per_thread)]
+        )
+        start = threading.Barrier(n_threads)
+        acked: dict[int, bytes] = {}
+        errors: list[BaseException] = []
+
+        def caller(t: int) -> None:
+            worker = f"w{t}"
+            try:
+                start.wait()
+                for k in range(per_thread):
+                    idx = t * per_thread + k
+                    store.record_event("g", idx, "lease", worker=worker)
+                    assert store.job("g")["n_points"] == n_threads * per_thread
+                    payload = b"r-%d" % idx
+                    if store.record_done("g", idx, payload, worker=worker):
+                        acked[idx] = payload
+                    assert store.job_status("g")["counts"]["done"] >= 1
+                    if k == per_thread // 2:
+                        store.flush()
+                    # A failing mutation undoes itself only, not the rows
+                    # other threads left pending or are committing.
+                    with pytest.raises(SweepStoreError):
+                        store.submit_job(f"d{t}", name="d", points=[(0, b"s")] * 2)
+            except BaseException as exc:  # surfaced below, per thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=caller, args=(t,)) for t in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(acked) == n_threads * per_thread
+        with ReaderPool(store.path) as pool, pool.connection() as conn:
+            on_disk = {idx: payload for idx, payload in conn.execute(
+                "SELECT idx, payload FROM points WHERE grid = 'g' AND state = 'done'"
+            )}
+            assert on_disk == acked
+            for t in range(n_threads):
+                rows = [tuple(row) for row in conn.execute(
+                    "SELECT event, idx FROM events WHERE worker = ? ORDER BY seq",
+                    (f"w{t}",),
+                )]
+                own = range(t * per_thread, (t + 1) * per_thread)
+                assert rows == [(e, idx) for idx in own for e in ("lease", "done")]
+
+    def test_one_ticker_gone_within_a_second_of_close(self, tmp_path):
+        before = set(threading.enumerate())
+        store = SweepStore(tmp_path / "ticking.sqlite")
+        started = set(threading.enumerate()) - before
+        tickers = [t for t in started if t.name.startswith("sweep-store-")]
+        assert len(tickers) <= 1
+        store.record_event("g", None, "restore")
+        assert store.is_open
+        store.close()
+        assert not store.is_open
+        deadline = time.monotonic() + 1.0
+        while any(t.is_alive() for t in tickers) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(t.is_alive() for t in tickers)
+
+    def test_health_reports_a_closed_store_unwritable(self, tmp_path):
+        service = SweepService(tmp_path / "health.sqlite")
+        try:
+            assert service.health()["store"]["writable"] is True
+            service.store.close()
+            assert service.health()["store"]["writable"] is False
+        finally:
+            service.stop()
+
+
 class TestHistory:
     def test_store_in_a_cache_dir_is_not_a_history_sink(self, tmp_path):
         with SweepStore(tmp_path / STORE_FILENAME) as store:
@@ -265,9 +352,12 @@ class TestOpenRecovery:
     def test_garbage_file_is_refused_not_clobbered(self, tmp_path):
         path = tmp_path / "store.sqlite"
         path.write_bytes(b"this is not a database " * 100)
+        before = set(threading.enumerate())
         with pytest.raises(SweepStoreError):
             SweepStore(path)
         assert path.read_bytes().startswith(b"this is not")
+        started = set(threading.enumerate()) - before
+        assert not [t for t in started if t.name.startswith("sweep-store-")]
 
 
 def _run_crash_subprocess(tmp_path, crash_op, crash_mode):
