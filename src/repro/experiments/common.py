@@ -153,10 +153,10 @@ def nekrs_validation_point(which: str, iterations: int, seed: int = 0):
 
 def _mean_iteration_time(log: EventLog, component: str, kind: EventKind) -> float:
     """``iteration_time_summary(...).mean`` without the rest of the Summary."""
-    durations = log.filter(component=component, kind=kind).durations()
-    if not durations:
+    durations = log._values("duration", component=component, kind=kind)
+    if not durations.size:
         return 0.0
-    return float(np.asarray(durations, dtype=float).mean())
+    return float(durations.mean())
 
 
 def measurement_from_log(log: EventLog) -> TransportMeasurement:

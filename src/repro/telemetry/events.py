@@ -80,6 +80,9 @@ class EventRecord:
 _FIELDS = tuple(f.name for f in fields(EventRecord))
 _ROW = len(_FIELDS)
 _KIND_OF = {kind._value_: kind for kind in EventKind}
+#: ``(row index, step index)`` of the fields every track of a step shares
+#: that the statistics read.
+_SHARED_AT = {"duration": (3, 3), "nbytes": (5, 4)}
 
 
 def _kind_value(kind) -> str:
@@ -227,14 +230,6 @@ class EventLog:
             for (component, rank), key in zip(tracks, keys or repeat("")):
                 yield (component, kind, start, duration, rank, nbytes, key, None)
 
-    def _shared(self, row_at: int, step_at: int) -> Iterator:
-        """One field of every record, for a field the tracks of a step share."""
-        for entry in self._entries:
-            if len(entry) == _ROW:
-                yield entry[row_at]
-            else:
-                yield from repeat(entry[step_at], len(entry[0]))
-
     def __iter__(self) -> Iterator[EventRecord]:
         return map(_materialize, self._expanded())
 
@@ -263,7 +258,9 @@ class EventLog:
             raise ReproError("pass either kind or kinds, not both")
         entries = self._entries
         if kind is not None:
-            entries = [e for e in entries if e[1] == kind]
+            # Rows hold the plain value: a str compare, not the enum's.
+            value = kind._value_ if type(kind) is EventKind else kind
+            entries = [e for e in entries if e[1] == value]
         if kinds is not None:
             wanted = frozenset(kinds)
             entries = [e for e in entries if e[1] in wanted]
@@ -304,15 +301,62 @@ class EventLog:
         statistics over no events are simply empty, unlike time-window
         queries which have no meaningful answer (see :meth:`span`).
         """
-        return list(self._shared(3, 3))
+        return self._values("duration").tolist()
 
     def sizes(self) -> list[float]:
         """Every record's nbytes, in log order."""
-        return list(self._shared(5, 4))
+        return self._values("nbytes").tolist()
 
     def total_bytes(self) -> float:
         """Sum of nbytes over all records."""
-        return sum(self._shared(5, 4))
+        return sum(self.sizes())
+
+    def _values(
+        self,
+        name: str,
+        component: Optional[str] = None,
+        kind: Optional[EventKind] = None,
+        kinds: Optional[Iterable[EventKind]] = None,
+        rank: Optional[int] = None,
+    ):
+        """``name`` (``"duration"`` or ``"nbytes"``) of every matching
+        record, as a float ``numpy`` array in log order.
+
+        The statistics' one read of the log: the records of a step share
+        the field, so it is taken once per entry and repeated by how many
+        of the step's tracks match, a count worked out once per distinct
+        ``tracks`` object (as :func:`_narrowed` does). The array equals,
+        element for element, :meth:`filter` with the same arguments
+        followed by :meth:`durations` or :meth:`sizes`.
+        """
+        import numpy as np  # a log is built and written without numpy
+
+        row_at, step_at = _SHARED_AT[name]
+        narrow = component is not None or rank is not None
+        values: list = []
+        counts: list[int] = []
+        matching: dict[int, int] = {}
+        for entry in self._matching(kind=kind, kinds=kinds):
+            if len(entry) == _ROW:
+                if narrow and not (
+                    (component is None or entry[0] == component)
+                    and (rank is None or entry[4] == rank)
+                ):
+                    continue
+                values.append(entry[row_at])
+                counts.append(1)
+                continue
+            tracks = entry[0]
+            n = matching.get(id(tracks))
+            if n is None:
+                n = matching[id(tracks)] = len(tracks) if not narrow else sum(
+                    1 for c, r in tracks
+                    if (component is None or c == component) and (rank is None or r == rank)
+                )
+            if n:
+                values.append(entry[step_at])
+                counts.append(n)
+        return np.repeat(np.array(values, dtype=float), np.array(counts, dtype=np.intp))
 
     def _window(self, what: str, where: dict) -> tuple[float, float]:
         """One pass over the matching entries: (min start, max end)."""

@@ -37,7 +37,9 @@ class Summary:
 
     @classmethod
     def of(cls, values: Iterable[float]) -> "Summary":
-        arr = np.asarray(list(values), dtype=float)
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        arr = np.asarray(values, dtype=float)
         if arr.size == 0:
             return cls(count=0, mean=0.0, std=0.0, min=0.0, max=0.0, total=0.0)
         p50, p95, p99 = np.percentile(arr, (50, 95, 99))
@@ -70,7 +72,7 @@ class Summary:
 
 def iteration_time_summary(log: EventLog, component: str, kind: EventKind) -> Summary:
     """Mean/std of iteration durations for a component (Table 3)."""
-    return Summary.of(log.filter(component=component, kind=kind).durations())
+    return Summary.of(log._values("duration", component=component, kind=kind))
 
 
 def event_counts(log: EventLog, component: str) -> dict[str, int]:
@@ -89,19 +91,20 @@ def mean_throughput(log: EventLog, kind: EventKind, component: str | None = None
     """
     if kind not in TRANSPORT_KINDS:
         raise ReproError(f"{kind} is not a transport kind")
-    events = log.filter(component=component, kind=kind)
-    samples = [n / d for n, d in zip(events.sizes(), events.durations()) if d > 0]
-    if not samples:
+    nbytes = log._values("nbytes", component=component, kind=kind)
+    seconds = log._values("duration", component=component, kind=kind)
+    moving = seconds > 0
+    if not moving.any():
         return 0.0
-    return float(np.mean(samples))
+    return float(np.mean(nbytes[moving] / seconds[moving]))
 
 
 def mean_transport_time(log: EventLog, kind: EventKind, component: str | None = None) -> float:
     """Mean per-message transport time (Fig 4's read/write bars)."""
     if kind not in TRANSPORT_KINDS:
         raise ReproError(f"{kind} is not a transport kind")
-    durations = log.filter(component=component, kind=kind).durations()
-    if not durations:
+    durations = log._values("duration", component=component, kind=kind)
+    if not durations.size:
         return 0.0
     return float(np.mean(durations))
 

@@ -229,7 +229,8 @@ def _workload_makespan(log: EventLog) -> float:
 
 
 def _rank_groups(ranks, iter_time: Distribution, harness, contiguous: bool = True) -> list:
-    """The ranks of one component, split into groups that are one process each.
+    """The ranks (or reader lanes) of one component, split into groups
+    that are one process each.
 
     All ranks form one group when lock-step is provable from the inputs:
     a deterministic iteration time, no fault or resilience wiring, and
@@ -559,7 +560,10 @@ def run_many_to_one(
 
     The trainer blocks at every update until data from *all* producers for
     that update has arrived (§4.2), draining reads over ``reader_lanes``
-    concurrent lanes. ``telemetry`` behaves as in :func:`run_one_to_one`.
+    concurrent lanes. Where the producers provably publish in lock-step
+    the lanes of an ingest are one process that reads a key column per
+    step, otherwise one process each; the records are the same.
+    ``telemetry`` behaves as in :func:`run_one_to_one`.
 
     Each lane's wait is bounded by ``config.poll_timeout``; under an
     active ``fault_plan`` the trainer proceeds when at least
@@ -617,31 +621,46 @@ def run_many_to_one(
             count_every_write=True,
         )
 
-    def reader_lane(store, keys: list[str], got: dict):
-        poll, poll_timeout = store.poll_staged_data, config.poll_timeout
-        for key in keys:
-            deadline = env.now + poll_timeout
-            present = False
+    def read_lanes(store, lanes: list[list[str]], got: dict):
+        """One DES process reading a group of the trainer's reader lanes.
+
+        The lanes' mirror of :func:`_sim_ranks`: column ``k`` is the
+        ``k``-th key of every lane that has one, in lane order, and costs
+        one poll (re-polled every 0.01 s until the column's shared
+        deadline) and one read for the whole group. Several lanes share a
+        process only where :func:`_rank_groups` proved the producers
+        publish in lock-step, so every lane finds the same thing at the
+        same instant (the group ops check). A group of one is the general
+        case: one lane, key by key, through the trainer's own (possibly
+        resilient) store.
+        """
+        sole = store if len(lanes) == 1 else None
+        for k in range(len(lanes[0])):
+            column = [keys[k] for keys in lanes if k < len(keys)]
+            stores = [store] * len(column)
+            deadline = env.now + config.poll_timeout
             while True:
                 try:
-                    present = yield from poll(key)
+                    if sole is None:
+                        present = yield from poll_staged_group(stores, column)
+                    else:
+                        present = yield from sole.poll_staged_data(column[0])
                 except TransportError:
                     present = False
                 if present or env.now >= deadline:
                     break
-                yield 0.01  # producer not there yet: re-poll
-            if not present:
-                got[key] = False
-                counters["missed"] += 1
-                continue
-            try:
-                yield from store.stage_read(key)
-            except TransportError:
-                got[key] = False
-                counters["missed"] += 1
-                continue
-            got[key] = True
-            counters["read"] += 1
+                yield 0.01  # producers not there yet: re-poll
+            if present:
+                try:
+                    if sole is None:
+                        yield from stage_read_group(stores, [[key] for key in column])
+                    else:
+                        yield from sole.stage_read(column[0])
+                except TransportError:
+                    present = False
+            for key in column:
+                got[key] = present
+            counters["read" if present else "missed"] += len(column)
 
     def trainer():
         store = harness.wrap(
@@ -657,6 +676,10 @@ def run_many_to_one(
             )
         )
         rng = rngs.stream("ai")
+        n_lanes = min(config.reader_lanes, config.n_simulations)
+        # The lanes find keys in lock-step exactly when the producers
+        # publish them in lock-step: the producers' inputs decide.
+        lane_groups = _rank_groups(range(n_lanes), config.sim_iter_time, harness)
         add, sample = log.add, config.ai_iter_time.sample
         train, read_interval = EventKind.TRAIN, config.read_interval
         update = 0
@@ -676,17 +699,15 @@ def run_many_to_one(
                 keys = [
                     f"sim{index}_update{update}" for index in range(config.n_simulations)
                 ]
-                lanes = [
-                    keys[lane :: config.reader_lanes]
-                    for lane in range(min(config.reader_lanes, len(keys)))
-                ]
                 got: dict = {}
                 procs = [
-                    env.process(reader_lane(store, lane_keys, got), name=f"lane{j}")
-                    for j, lane_keys in enumerate(lanes)
-                    if lane_keys
+                    env.process(
+                        read_lanes(store, [keys[lane::n_lanes] for lane in group], got),
+                        name=f"lane{group[0]}",
+                    )
+                    for group in lane_groups
                 ]
-                yield env.all_of(procs)
+                yield procs[0] if len(procs) == 1 else env.all_of(procs)
                 arrived = sum(1 for ok in got.values() if ok)
                 if arrived < quorum_needed:
                     harness.quorum_misses.append(

@@ -1,13 +1,15 @@
 """Lock-step ranks run as one DES process — and nothing shows.
 
 A group of ranks that provably advance together (deterministic iteration
-time, healthy, contiguous calendar entries) shares one sleep
-per step: Pattern 2's producers, Pattern 1's simulation ranks and
-Pattern 1's trainer ranks. These tests pin that the grouped program and
+time, healthy, contiguous calendar entries) shares one sleep per step:
+Pattern 2's producers, Pattern 1's simulation ranks, Pattern 1's trainer
+ranks and Pattern 2's reader lanes (one process per ingest, one poll and
+one read per key column). These tests pin that the grouped program and
 the one-process-per-rank program are indistinguishable from outside: same
 ``EventLog`` bytes, counters, makespan and, under a hub, the same tracer
 and metrics content. The one-rank-per-group side is driven by patching
-the internal grouping function (there is no public switch).
+the internal grouping function (there is no public switch); it ungroups
+the lanes along with the ranks.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import repro.workloads.patterns as patterns
 from repro.config.distributions import Constant, Normal
 from repro.des.probe import CountingProbe
 from repro.errors import ReproError
-from repro.experiments.common import backend_models, pattern1_context
+from repro.experiments.common import backend_models, pattern1_context, pattern2_contexts
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.telemetry import Telemetry
 from repro.transport.resilience import ResilienceConfig
@@ -186,23 +188,31 @@ def test_one_to_one_trainer_group_equals_per_rank(backend, case, traced):
     check_one_to_one(backend, case, traced)
 
 
+#: From deadlines that expire mid-ingest to the default that never does.
+POLL_TIMEOUTS = st.sampled_from([0.05, 0.1, 0.5, 300.0])
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    backend=st.sampled_from(["dragon", "redis", "filesystem"]),
-    producers=st.integers(1, 16),
+    # node-local cannot serve the trainer's remote reads: every column is missed.
+    backend=st.sampled_from(["node-local", "dragon", "redis", "filesystem"]),
+    producers=st.integers(1, 40),
     write_interval=st.integers(1, 4),
     read_interval=st.integers(1, 4),
-    reader_lanes=st.integers(1, 4),
+    reader_lanes=st.integers(1, 12),
     nbytes=SIZES,
     sim_iter=ITER_TIMES,
     ai_iter=ITER_TIMES,
     train_iterations=st.integers(0, 12),
+    poll_timeout=POLL_TIMEOUTS,
     traced=st.booleans(),
 )
 def test_many_to_one_grouped_equals_per_rank(
     backend, producers, write_interval, read_interval, reader_lanes, nbytes,
-    sim_iter, ai_iter, train_iterations, traced,
+    sim_iter, ai_iter, train_iterations, poll_timeout, traced,
 ):
+    """Producers and reader lanes alike: uneven lanes, more lanes than
+    producers, columns that time out or are missed."""
     config = ManyToOneConfig(
         n_simulations=producers,
         sim_iter_time=Constant(sim_iter),
@@ -212,6 +222,7 @@ def test_many_to_one_grouped_equals_per_rank(
         train_iterations=train_iterations,
         snapshot_nbytes=nbytes,
         reader_lanes=reader_lanes,
+        poll_timeout=poll_timeout,
     )
     model = backend_models()[backend]
     grouped, ungrouped = both_ways(
@@ -277,8 +288,10 @@ def test_deterministic_healthy_serial_runs_are_one_group(groups_seen):
     model = backend_models()["dragon"]
     run_one_to_one(model, OneToOneConfig(train_iterations=5, ranks_per_component=4))
     run_many_to_one(model, ManyToOneConfig(n_simulations=5, train_iterations=5))
-    # Pattern 1 decides twice: its sims, then its trainers.
-    assert groups_seen == [[[0, 1, 2, 3]], [[0, 1, 2, 3]], [[0, 1, 2, 3, 4]]]
+    # Each pattern decides twice: Pattern 1 its sims, then its trainers;
+    # Pattern 2 its producers, then the trainer's reader lanes (five
+    # producers leave five of the twelve lanes with a key).
+    assert groups_seen == [[[0, 1, 2, 3]], [[0, 1, 2, 3]], [[0, 1, 2, 3, 4]], [[0, 1, 2, 3, 4]]]
 
 
 @pytest.mark.parametrize(
@@ -300,7 +313,7 @@ def test_unprovable_lockstep_takes_one_rank_per_group(groups_seen, overrides, kw
         ManyToOneConfig(n_simulations=3, train_iterations=20, poll_timeout=2.0, **overrides),
         **kwargs,
     )
-    assert groups_seen == [[[0], [1], [2]]] * 3
+    assert groups_seen == [[[0], [1], [2]]] * 4
 
 
 def test_disabled_fault_plan_still_groups(groups_seen):
@@ -311,7 +324,7 @@ def test_disabled_fault_plan_still_groups(groups_seen):
         ManyToOneConfig(n_simulations=3, train_iterations=5),
         fault_plan=plan,
     )
-    assert groups_seen == [[[0, 1, 2]]]
+    assert groups_seen == [[[0, 1, 2]]] * 2  # producers, then reader lanes
 
 
 @pytest.mark.parametrize("pattern", ["one-to-one", "many-to-one"])
@@ -377,6 +390,84 @@ def test_a_fig3_cell_is_two_processes_and_a_pinned_number_of_events():
     assert len(watch.names) == 12 and watch.processed == 6 * 445
     assert len(grouped.log) == len(per_rank.log) == 6 * 441 - 10  # the two INIT rows are rank 0's
     assert grouped.log.to_jsonl() == per_rank.log.to_jsonl()
+
+
+def fig6_cell(backend: str = "dragon"):
+    """A 128-node Fig 6 cell (``fig6_scaling.sweep_point``), 1 MB, 20 iterations."""
+    write_ctx, read_ctx = pattern2_contexts(128)
+    config = ManyToOneConfig(n_simulations=127, train_iterations=20, snapshot_nbytes=1e6)
+    return run_many_to_one(
+        backend_models()[backend], config, write_ctx=write_ctx, read_ctx=read_ctx
+    )
+
+
+def test_a_fig6_cell_is_two_processes_and_a_lane_group_per_ingest():
+    with watched() as watch:
+        grouped = fig6_cell()
+    assert watch.names == ["sim0", "train", "lane0", "lane0"]
+    # Exact, not bounds: one event more is a change to the grouped program.
+    # 93 producer steps (the last wakes after the trainer stops), 9 write
+    # columns, 20 train steps, two ingests of 11 columns (127 keys on 12
+    # lanes) that each find their keys at the first poll, one poll and one
+    # read per column; per process (sim0, train, two lane groups) its
+    # start and its end.
+    assert watch.processed == 93 + 9 + 20 + 2 * 11 * 2 + 4 * 2 == 174
+    assert len(grouped.log._entries) == 174 - 8 == 166  # one entry per step, not per row
+    with one_rank_per_group(), watched() as watch:
+        per_rank = fig6_cell()
+    # 127 producers and, per ingest, 12 lanes that the trainer joins with
+    # an ``all_of``: each producer 93 steps, 9 writes, its start and end;
+    # each ingest one poll and one read per key, each lane its start and end.
+    assert len(watch.names) == 127 + 1 + 2 * 12
+    assert watch.processed == 127 * (93 + 9 + 2) + 20 + 2 + 2 * (127 * 2 + 12 * 2 + 1) == 13788
+    assert len(grouped.log) == len(per_rank.log) == 127 * (93 + 9) + 20 + 2 * 127 * 2 == 13482
+    assert grouped.log.to_jsonl() == per_rank.log.to_jsonl()
+    assert grouped.makespan == per_rank.makespan
+    assert grouped.snapshots_read == per_rank.snapshots_read == 2 * 127
+
+
+@pytest.mark.parametrize("lost", ["sim0_update0", "sim1_update0"])
+def test_a_lane_group_that_stops_agreeing_is_an_error(monkeypatch, lost):
+    """One producer's first update never staged, on the first lane or a
+    later one: lanes that would take different branches raise instead of
+    one of them deciding for all."""
+    publish = patterns.SimStagingArea.publish
+
+    def tampering(self, key, nbytes):
+        if key != lost:
+            publish(self, key, nbytes)
+
+    monkeypatch.setattr(patterns.SimStagingArea, "publish", tampering)
+    config = ManyToOneConfig(n_simulations=4, train_iterations=20, poll_timeout=0.05)
+    model = backend_models()["dragon"]
+    with pytest.raises(ReproError, match="lock-step group diverged.*sim0_update0.*sim1_update0"):
+        run_many_to_one(model, config)
+    # One process per lane has nothing to agree on: the lane of the lost
+    # key times out on it and the same run completes.
+    with one_rank_per_group():
+        result = run_many_to_one(model, config)
+    assert result.train_iterations == 20
+    assert result.snapshots_read == 2 * 4 - 1
+
+
+@pytest.mark.parametrize("producers", [1, 3])
+def test_a_fault_plan_keeps_one_process_per_lane(monkeypatch, producers):
+    """One producer is one group under a fault plan too; the lanes are
+    still one process each and their ops pass the fault gate."""
+    gated = []
+    gate = patterns.SimDataStore._fault_gate
+
+    def spy(self, faults):
+        gated.append(self.component)
+        return gate(self, faults)
+
+    monkeypatch.setattr(patterns.SimDataStore, "_fault_gate", spy)
+    config = ManyToOneConfig(n_simulations=producers, train_iterations=20, poll_timeout=2.0)
+    with watched() as watch:
+        run_many_to_one(backend_models()["redis"], config, fault_plan=crash_plan())
+    lanes = [name for name in watch.names if name.startswith("lane")]
+    assert lanes == [f"lane{j}" for j in range(producers)] * 2  # two ingests
+    assert "train" in gated
 
 
 @pytest.mark.parametrize(
