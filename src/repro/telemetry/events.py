@@ -199,8 +199,10 @@ class EventLog:
         The records of one step of a lock-step group share ``kind``,
         ``start``, ``duration`` and ``nbytes`` (``keys`` names one key per
         track), so they are validated once and stored as one entry. A
-        ``tracks`` tuple is stored by reference: pass the same one every
-        step. No tracks, no records.
+        ``tracks`` tuple is stored as it is, not copied: a group builds
+        its tuple once and passes that same object every step, so the
+        queries' per-``tracks`` caches (:func:`_narrowed`,
+        :meth:`_values`) work the group out once. No tracks, no records.
         """
         if not (duration >= 0 and nbytes >= 0):
             _reject_negative(tracks[0][0] if tracks else "?", duration, nbytes)
@@ -209,7 +211,8 @@ class EventLog:
             if len(keys) != len(tracks):
                 raise ReproError(f"{len(keys)} keys for {len(tracks)} tracks")
         if tracks:
-            self._entries.append((tuple(tracks), _kind_value(kind), start, duration, nbytes, keys))
+            value = kind._value_ if type(kind) is EventKind else _kind_value(kind)
+            self._entries.append((tuple(tracks), value, start, duration, nbytes, keys))
             self._count += len(tracks)
 
     def extend(self, other: "EventLog") -> None:

@@ -21,6 +21,9 @@ Usage inside a DES process::
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import repeat
+from operator import add, sub
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Sequence
 
 from repro.des import Environment
@@ -53,9 +56,27 @@ class SimStagingArea:
         return self._staged_bytes
 
     def publish(self, key: str, nbytes: float) -> None:
-        self._staged_bytes += nbytes - self._staged.get(key, 0.0)
-        self._staged[key] = nbytes
-        self.total_writes += 1
+        self.publish_column((key,), nbytes)
+
+    def publish_column(self, keys: Sequence[str], nbytes: float) -> None:
+        """Stage every key of ``keys`` at ``nbytes``, in order, in one call.
+
+        The gauge is the per-key sum ``staged_bytes += nbytes - old`` in
+        key order, bit for bit: the differences are taken in C and folded
+        left. A key repeated in the column sees its own earlier publish.
+        """
+        staged = self._staged
+        fresh = dict.fromkeys(keys, nbytes)
+        if len(fresh) == len(keys):
+            olds = list(map(staged.get, keys, repeat(0.0)))
+            staged.update(fresh)
+        else:
+            olds = []
+            for key in keys:
+                olds.append(staged.get(key, 0.0))
+                staged[key] = nbytes
+        self._staged_bytes = reduce(add, map(sub, repeat(nbytes), olds), self._staged_bytes)
+        self.total_writes += len(keys)
 
     def size_of(self, key: str) -> float:
         try:
@@ -75,6 +96,9 @@ class SimStagingArea:
 
     def keys(self) -> list[str]:
         return sorted(self._staged)
+
+    def __len__(self) -> int:
+        return len(self._staged)
 
     def clear(self) -> int:
         count = len(self._staged)
@@ -226,114 +250,120 @@ class SimDataStore:
 
 
 def _lockstep(
-    stores: Sequence[SimDataStore],
+    store: SimDataStore,
+    tracks: tuple,
     kind: EventKind,
     columns: Sequence[Sequence[str]],
     price: Callable[[Sequence[str]], tuple[float, float]],
-    settle: Callable[[str, float], None],
+    settle: Callable[[Sequence[str], float], None],
 ) -> Generator:
-    """Lock-step ops of a group of stores, as one DES process.
+    """Lock-step ops of a group of ranks, as one DES process.
 
-    Every store runs the same op on its own key of ``columns[0]``, then
-    of ``columns[1]``, ... back to back. The stores share one
+    The rank on ``tracks[i]`` runs the same op on ``columns[0][i]``, then
+    on ``columns[1][i]``, ... back to back. The ranks share one
     environment, model, default context, op budget, staging area and
-    event log and carry no fault state, so a column is one modeled cost
-    and one sleep. ``price(column)`` gives its ``(nbytes, seconds)`` at
-    the instant the stores would start on it, and raises what a store
-    would raise before charging anything. After the sleep
-    ``settle(key, nbytes)`` (the op's effect on the area) runs per
-    store, in list order — the order per-store :class:`SimDataStore`
-    calls run in when the stores' calendar entries pop consecutively.
-    The rows of a column are one :meth:`EventLog.add_step` after that
-    loop: no ``yield`` separates them, so no other process's row can
-    fall between.
+    event log and carry no fault state, so ``store`` (the group's lead)
+    speaks for all of them and a column is one modeled cost and one
+    sleep. ``price(column)`` gives its ``(nbytes, seconds)`` at the
+    instant the ranks would start on it, and raises what a rank would
+    raise before charging anything. After the sleep ``settle(column,
+    nbytes)`` applies the column's effect on the area in one call, key by
+    key in track order — the order per-rank :class:`SimDataStore` calls
+    run in when the ranks' calendar entries pop consecutively. The rows
+    of a column are one :meth:`EventLog.add_step` right after: no
+    ``yield`` separates them, so no other process's row can fall between.
+    ``tracks`` is the tuple the group built once; every step stores that
+    same object, so the log works out what it matches once per group.
     """
-    lead = stores[0]
-    env, log = lead.env, lead.event_log
-    tracks = tuple([(store.component, store.rank) for store in stores])
+    env, log = store.env, store.event_log
     last = len(columns) - 1
     following = price(columns[0])
     for j, column in enumerate(columns):
         nbytes, modeled = following
         start = env.now
-        cost, late = lead._charge(kind.value, column[0], modeled)
+        cost, late = store._charge(kind.value, column[0], modeled)
         yield cost
         if late is not None:
             raise late
         # Whether the next column can start is one answer for the group:
-        # nothing runs between the stores' turns.
+        # nothing runs between the ranks' turns.
         refused = None
         if j < last:
             try:
                 following = price(columns[j + 1])
             except KeyNotStagedError as exc:
                 refused = exc
-        for key in column:
-            settle(key, nbytes)
+        settle(column, nbytes)
         if log is not None:
             log.add_step(tracks, kind, start, env.now - start, nbytes, column)
         if refused is not None:
             raise refused
 
 
-def _agreed(keys: Sequence[str], found: Sequence, what: str):
-    """The one answer every store of a lock-step group got, else ReproError."""
+def _agreed(keys: Sequence[str], found: list, what: str):
+    """The one answer every rank of a lock-step group got, else ReproError."""
+    first = found[0]
+    if found.count(first) == len(found):
+        return first
     for key, answer in zip(keys, found):
-        if answer != found[0]:
+        if answer != first:
             raise ReproError(
-                f"lock-step group diverged: {what} of {keys[0]!r} is {found[0]!r}, "
+                f"lock-step group diverged: {what} of {keys[0]!r} is {first!r}, "
                 f"of {key!r} {answer!r}"
             )
-    return found[0]
+    return first
 
 
 def stage_write_group(
-    stores: Sequence[SimDataStore], keys: Sequence[Sequence[str]], nbytes: float
+    store: SimDataStore, tracks: tuple, columns: Sequence[Sequence[str]], nbytes: float
 ) -> Generator:
-    """Lock-step writes: ``stores[i]`` stages ``keys[i][0]``,
-    ``keys[i][1]``, ... back to back, ``nbytes`` each."""
+    """Lock-step writes: the rank on ``tracks[i]`` stages
+    ``columns[0][i]``, ``columns[1][i]``, ... back to back, ``nbytes``
+    each; a column is one publish on the area."""
     if nbytes < 0:
         raise TransportError(f"negative staged size {nbytes}")
-    lead = stores[0]
-    priced = nbytes, lead.model.write_time(nbytes, lead.default_ctx)
+    priced = nbytes, store.model.write_time(nbytes, store.default_ctx)
     yield from _lockstep(
-        stores, EventKind.WRITE, list(zip(*keys)), lambda column: priced, lead.area.publish
+        store, tracks, EventKind.WRITE, columns, lambda column: priced,
+        store.area.publish_column,
     )
 
 
-def stage_read_group(stores: Sequence[SimDataStore], keys: Sequence[Sequence[str]]) -> Generator:
-    """Lock-step reads: ``stores[i]`` reads ``keys[i][0]``, ``keys[i][1]``,
-    ... back to back.
+def stage_read_group(
+    store: SimDataStore, tracks: tuple, columns: Sequence[Sequence[str]]
+) -> Generator:
+    """Lock-step reads: the rank on ``tracks[i]`` reads ``columns[0][i]``,
+    ``columns[1][i]``, ... back to back.
 
     A column nobody staged raises :class:`KeyNotStagedError` where the
-    stores would each have raised it. A column staged for some stores
+    ranks would each have raised it. A column staged for some ranks
     only, or at different sizes, is a :class:`ReproError`: the group
     would no longer be in lock-step.
     """
-    lead = stores[0]
-    area = lead.area
+    area = store.area
+    size = area._staged.get
 
     def price(column):
-        nbytes = _agreed(column, [area._staged.get(key) for key in column], "staged size")
+        nbytes = _agreed(column, list(map(size, column)), "staged size")
         if nbytes is None:
             raise KeyNotStagedError(column[0], backend="sim")
-        return nbytes, lead.model.read_time(nbytes, lead.default_ctx)
+        return nbytes, store.model.read_time(nbytes, store.default_ctx)
 
-    def settle(key, nbytes):
-        area.total_reads += 1
+    def settle(column, nbytes):
+        area.total_reads += len(column)
 
-    yield from _lockstep(stores, EventKind.READ, list(zip(*keys)), price, settle)
+    yield from _lockstep(store, tracks, EventKind.READ, columns, price, settle)
 
 
-def poll_staged_group(stores: Sequence[SimDataStore], keys: Sequence[str]) -> Generator:
-    """Lock-step existence check of ``keys[i]`` by ``stores[i]``; returns
-    the group's one answer (:class:`ReproError` if the stores disagree)."""
-    lead = stores[0]
-    contains = lead.area.contains
-    priced = 0.0, lead.model.poll_time(lead.default_ctx)
+def poll_staged_group(store: SimDataStore, tracks: tuple, column: Sequence[str]) -> Generator:
+    """Lock-step existence check of ``column[i]`` by the rank on
+    ``tracks[i]``; returns the group's one answer (:class:`ReproError` if
+    the ranks disagree)."""
+    staged = store.area._staged
+    priced = 0.0, store.model.poll_time(store.default_ctx)
     found: list[bool] = []
     yield from _lockstep(
-        stores, EventKind.POLL, [keys], lambda column: priced,
-        lambda key, nbytes: found.append(contains(key)),
+        store, tracks, EventKind.POLL, [column], lambda _: priced,
+        lambda column, nbytes: found.extend(map(staged.__contains__, column)),
     )
-    return _agreed(keys, found, "presence")
+    return _agreed(column, found, "presence")

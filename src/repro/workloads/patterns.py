@@ -65,6 +65,12 @@ SIM_INIT_TIME = 2.0
 AI_INIT_TIME = 4.0
 
 
+def _check_snapshot_nbytes(nbytes: float) -> None:
+    """A staged size is a finite number of bytes, zero or more."""
+    if not (math.isfinite(nbytes) and nbytes >= 0):
+        raise ConfigError(f"snapshot_nbytes must be finite and >= 0, got {nbytes!r}")
+
+
 @dataclass
 class OneToOneConfig:
     """Knobs of the pattern-1 mini-app."""
@@ -88,6 +94,7 @@ class OneToOneConfig:
             raise ConfigError("train_iterations must be >= 0")
         if self.ranks_per_component < 1:
             raise ConfigError("ranks_per_component must be >= 1")
+        _check_snapshot_nbytes(self.snapshot_nbytes)
 
 
 @dataclass
@@ -125,7 +132,7 @@ def _bind_telemetry(telemetry: Optional[Telemetry], env: Environment, area: SimS
         return
     sampler = telemetry.bind_environment(env)
     sampler.add_source("staging.bytes", lambda: area.staged_bytes)
-    sampler.add_source("staging.keys", lambda: len(area.keys()))
+    sampler.add_source("staging.keys", lambda: len(area))
 
 
 def _run(env: Environment, log: EventLog, model: BackendModel, harness: "_FaultHarness",
@@ -244,18 +251,19 @@ def _rank_groups(ranks, iter_time: Distribution, harness, contiguous: bool = Tru
 
 
 def _sim_ranks(
-    env, log, stop, counters, faults, rngs, stores, config,
-    keys_for, init_time=None, count_every_write=False,
+    env, log, stop, counters, faults, rngs, store, tracks, config,
+    columns_for, init_time=None, count_every_write=False,
 ):
     """One DES process driving a group of simulation ranks in lock-step.
 
     A step is one sleep for the whole group, then one COMPUTE row per
-    rank in rank order; every ``write_interval`` steps each rank stages
-    ``keys_for(rank, snapshot)``. Several ranks share a process only
-    where :func:`_rank_groups` proved lock-step, and then write through
-    :func:`~repro.transport.simstore.stage_write_group`. A group of one
-    is the general case: its own (possibly resilient) store, its own RNG
-    stream, the fault hooks.
+    ``(component, rank)`` track in rank order; every ``write_interval``
+    steps the group stages ``columns_for(ranks, snapshot)``, a list of
+    key columns (one key per rank each). Several ranks share a process
+    only where :func:`_rank_groups` proved lock-step, and then write
+    through :func:`~repro.transport.simstore.stage_write_group` on the
+    group's one lead ``store``. A group of one is the general case: its
+    own (possibly resilient) store, its own RNG stream, the fault hooks.
 
     One process emits what N did because the N per-rank calendar entries
     are pushed during one uninterrupted run of pops: they carry
@@ -263,13 +271,13 @@ def _sim_ranks(
     the same timestamp lies wholly before or after the block. Rows,
     publishes, counters and the ``stop`` test keep their order.
     """
-    tracks = tuple([(store.component, store.rank) for store in stores])
+    ranks = [rank for _, rank in tracks]
     component = tracks[0][0]  # the fault hooks only ever see a group of one
-    leads = tracks[0][1] == 0  # rank 0 carries the per-run counters
-    sole = stores[0] if len(stores) == 1 else None
+    leads = ranks[0] == 0  # rank 0 carries the per-run counters
+    sole = store if len(tracks) == 1 else None
     sample, write_interval = config.sim_iter_time.sample, config.write_interval
     # A deterministic distribution never draws: no Generator is built for it.
-    rng = None if isinstance(config.sim_iter_time, Constant) else rngs.stream(f"sim{tracks[0][1]}")
+    rng = None if isinstance(config.sim_iter_time, Constant) else rngs.stream(f"sim{ranks[0]}")
     if init_time is not None:
         yield init_time
         if leads:
@@ -292,17 +300,17 @@ def _sim_ranks(
             try:
                 if sole is None:
                     yield from stage_write_group(
-                        stores, [keys_for(r, snapshot) for _, r in tracks], config.snapshot_nbytes
+                        store, tracks, columns_for(ranks, snapshot), config.snapshot_nbytes
                     )
                 else:
-                    for key in keys_for(tracks[0][1], snapshot):
+                    for (key,) in columns_for(ranks, snapshot):
                         yield from sole.stage_write(key, config.snapshot_nbytes)
             except TransportError:
                 # Degrade, don't crash: the snapshot is lost, the
                 # simulation carries on.
-                counters["lost"] += len(stores)
+                counters["lost"] += len(tracks)
             else:
-                counters["written"] += len(stores) if count_every_write else leads
+                counters["written"] += len(tracks) if count_every_write else leads
             snapshot += 1
 
 
@@ -374,14 +382,17 @@ def run_one_to_one(
             )
         )
 
-    def snapshot_keys(rank: int, snapshot: int) -> list[str]:
-        return [f"r{rank}_snap{snapshot}_a{a}" for a in range(config.arrays_per_snapshot)]
+    arrays = range(config.arrays_per_snapshot)
+
+    def snapshot_columns(ranks: list[int], snapshot: int) -> list[list[str]]:
+        """A snapshot's keys, one column per array, one key per rank."""
+        return [[f"r{rank}_snap{snapshot}_a{a}" for rank in ranks] for a in arrays]
 
     def sim_ranks(ranks: list[int]):
         return _sim_ranks(
             env, log, stop, counters, faults, rngs,
-            [client(sim_name, rank) for rank in ranks], config,
-            keys_for=snapshot_keys,
+            client(sim_name, ranks[0]), tuple([(sim_name, rank) for rank in ranks]), config,
+            columns_for=snapshot_columns,
             init_time=config.sim_init_time,
         )
 
@@ -394,11 +405,11 @@ def run_one_to_one(
         process only where :func:`_rank_groups` proved it; a group of one
         is the general case (own store, RNG stream and fault hooks).
         """
-        stores = [client(ai_name, rank) for rank in ranks]
+        store = client(ai_name, ranks[0])  # the group's lead speaks for it
         tracks = tuple([(ai_name, rank) for rank in ranks])
         first = ranks[0]  # the fault hooks only ever see a group of one
         leads = first == 0  # rank 0 carries the per-run counters and steers
-        sole = stores[0] if len(stores) == 1 else None
+        sole = store if len(ranks) == 1 else None
         add_step, sample = log.add_step, config.ai_iter_time.sample
         train, read_interval = EventKind.TRAIN, config.read_interval
         # A deterministic distribution never draws: no Generator is built for it.
@@ -422,16 +433,14 @@ def run_one_to_one(
                 # publishes a key column without yielding, so every rank of a
                 # trainer group finds the same thing (the group ops check).
                 while True:
-                    keys = [snapshot_keys(rank, next_snapshot) for rank in ranks]
+                    columns = snapshot_columns(ranks, next_snapshot)
                     try:
                         if sole is None:
-                            present = yield from poll_staged_group(
-                                stores, [mine[0] for mine in keys]
-                            )
+                            present = yield from poll_staged_group(store, tracks, columns[0])
                         else:
-                            present = yield from sole.poll_staged_data(keys[0][0])
+                            present = yield from sole.poll_staged_data(columns[0][0])
                     except TransportError:
-                        counters["failed_ingests"] += len(stores)
+                        counters["failed_ingests"] += len(ranks)
                         break
                     if not present:
                         if faults is not None:
@@ -451,19 +460,19 @@ def run_one_to_one(
                         break
                     try:
                         if sole is None:
-                            yield from stage_read_group(stores, keys)
+                            yield from stage_read_group(store, tracks, columns)
                         else:
-                            for key in keys[0]:
+                            for (key,) in columns:
                                 yield from sole.stage_read(key)
                     except KeyNotStagedError:
                         # Partially staged snapshot (a write died mid-fault, or
                         # the poll fell between two array writes):
                         # unrecoverable, skip past it.
-                        counters["lost_skipped"] += len(stores)
+                        counters["lost_skipped"] += len(ranks)
                         next_snapshot += 1
                         continue
                     except TransportError:
-                        counters["failed_ingests"] += len(stores)
+                        counters["failed_ingests"] += len(ranks)
                         break
                     next_snapshot += 1
                     last_ingest = env.now
@@ -544,6 +553,7 @@ class ManyToOneConfig:
             raise ConfigError("train_iterations must be >= 0")
         if self.poll_timeout <= 0:
             raise ConfigError("poll_timeout must be positive")
+        _check_snapshot_nbytes(self.snapshot_nbytes)
 
 
 def run_many_to_one(
@@ -599,52 +609,62 @@ def run_many_to_one(
     }
     quorum_needed = math.ceil(harness.quorum * config.n_simulations)
 
+    def update_keys(prefixes: list[str], update: int) -> list[str]:
+        """``sim{index}_update{update}`` for each producer's prefix."""
+        suffix = str(update)
+        return [prefix + suffix for prefix in prefixes]
+
     def producers(indexes: list[int]):
-        stores = [
-            harness.wrap(
-                SimDataStore(
-                    env,
-                    model,
-                    area,
-                    component=f"sim{index}",
-                    rank=index,
-                    event_log=log,
-                    default_ctx=write_ctx,
-                    fault_state=faults,
-                )
+        # One store per group: its lead speaks for every producer of it.
+        store = harness.wrap(
+            SimDataStore(
+                env,
+                model,
+                area,
+                component=f"sim{indexes[0]}",
+                rank=indexes[0],
+                event_log=log,
+                default_ctx=write_ctx,
+                fault_state=faults,
             )
-            for index in indexes
-        ]
+        )
+        prefixes = [f"sim{index}_update" for index in indexes]
         return _sim_ranks(
-            env, log, stop, counters, faults, rngs, stores, config,
-            keys_for=lambda index, update: [f"sim{index}_update{update}"],
+            env, log, stop, counters, faults, rngs,
+            store, tuple([(f"sim{index}", index) for index in indexes]), config,
+            columns_for=lambda _, update: [update_keys(prefixes, update)],
             count_every_write=True,
         )
 
-    def read_lanes(store, lanes: list[list[str]], got: dict):
+    #: The trainer's tracks for a lane group's key column, one tuple per
+    #: column length, so every step of every ingest logs the same object.
+    lane_tracks: dict[int, tuple] = {}
+
+    def read_lanes(store, columns: list[list[str]], sole: bool, got: dict):
         """One DES process reading a group of the trainer's reader lanes.
 
-        The lanes' mirror of :func:`_sim_ranks`: column ``k`` is the
-        ``k``-th key of every lane that has one, in lane order, and costs
-        one poll (re-polled every 0.01 s until the column's shared
-        deadline) and one read for the whole group. Several lanes share a
-        process only where :func:`_rank_groups` proved the producers
-        publish in lock-step, so every lane finds the same thing at the
-        same instant (the group ops check). A group of one is the general
-        case: one lane, key by key, through the trainer's own (possibly
-        resilient) store.
+        The lanes' mirror of :func:`_sim_ranks`: ``columns[k]`` is the
+        ``k``-th key of every lane of the group that has one, in lane
+        order, and costs one poll (re-polled every 0.01 s until the
+        column's shared deadline) and one read for the whole group.
+        Several lanes share a process only where :func:`_rank_groups`
+        proved the producers publish in lock-step, so every lane finds
+        the same thing at the same instant (the group ops check). A
+        ``sole`` lane is the general case: key by key, through the
+        trainer's own (possibly resilient) store.
         """
-        sole = store if len(lanes) == 1 else None
-        for k in range(len(lanes[0])):
-            column = [keys[k] for keys in lanes if k < len(keys)]
-            stores = [store] * len(column)
+        for column in columns:
+            n = len(column)
+            tracks = lane_tracks.get(n)
+            if tracks is None:
+                tracks = lane_tracks[n] = ((ai_name, 0),) * n
             deadline = env.now + config.poll_timeout
             while True:
                 try:
-                    if sole is None:
-                        present = yield from poll_staged_group(stores, column)
+                    if sole:
+                        present = yield from store.poll_staged_data(column[0])
                     else:
-                        present = yield from sole.poll_staged_data(column[0])
+                        present = yield from poll_staged_group(store, tracks, column)
                 except TransportError:
                     present = False
                 if present or env.now >= deadline:
@@ -652,15 +672,14 @@ def run_many_to_one(
                 yield 0.01  # producers not there yet: re-poll
             if present:
                 try:
-                    if sole is None:
-                        yield from stage_read_group(stores, [[key] for key in column])
+                    if sole:
+                        yield from store.stage_read(column[0])
                     else:
-                        yield from sole.stage_read(column[0])
+                        yield from stage_read_group(store, tracks, [column])
                 except TransportError:
                     present = False
-            for key in column:
-                got[key] = present
-            counters["read" if present else "missed"] += len(column)
+            got.update(dict.fromkeys(column, present))
+            counters["read" if present else "missed"] += n
 
     def trainer():
         store = harness.wrap(
@@ -680,6 +699,7 @@ def run_many_to_one(
         # The lanes find keys in lock-step exactly when the producers
         # publish them in lock-step: the producers' inputs decide.
         lane_groups = _rank_groups(range(n_lanes), config.sim_iter_time, harness)
+        prefixes = [f"sim{index}_update" for index in range(config.n_simulations)]
         add, sample = log.add, config.ai_iter_time.sample
         train, read_interval = EventKind.TRAIN, config.read_interval
         update = 0
@@ -696,17 +716,19 @@ def run_many_to_one(
                 # after poll_timeout, so a dead producer costs bounded
                 # time; the quorum check below decides whether enough of
                 # the collective arrived.
-                keys = [
-                    f"sim{index}_update{update}" for index in range(config.n_simulations)
-                ]
+                keys = update_keys(prefixes, update)
                 got: dict = {}
-                procs = [
-                    env.process(
-                        read_lanes(store, [keys[lane::n_lanes] for lane in group], got),
-                        name=f"lane{group[0]}",
-                    )
-                    for group in lane_groups
-                ]
+                procs = []
+                for group in lane_groups:
+                    # Lane j takes keys j, j + n_lanes, ...; a group is one
+                    # lane or every lane, whose column k is then a slice.
+                    if len(group) == 1:
+                        columns = [[key] for key in keys[group[0]::n_lanes]]
+                    else:
+                        columns = [keys[i:i + n_lanes] for i in range(0, len(keys), n_lanes)]
+                    procs.append(env.process(
+                        read_lanes(store, columns, len(group) == 1, got), name=f"lane{group[0]}"
+                    ))
                 yield procs[0] if len(procs) == 1 else env.all_of(procs)
                 arrived = sum(1 for ok in got.values() if ok)
                 if arrived < quorum_needed:

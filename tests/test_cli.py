@@ -314,6 +314,21 @@ def test_config_error_from_the_shell_is_one_line_and_exit_2(argv):
     assert proc.stderr.startswith("repro sweep: error: ")
 
 
+@pytest.mark.parametrize("pattern", ["one-to-one", "many-to-one"])
+def test_a_negative_simulated_size_is_one_line_and_exit_2(pattern):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "simulate", "--pattern", pattern,
+         "--nodes", "8", "--iterations", "5", "--size-mb", "-1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "repro simulate: error: snapshot_nbytes must be finite and >= 0, got -1048576.0"
+    ]
+
+
 @pytest.mark.parametrize("command", ["sweep", "chaos", "bench"])
 def test_experiment_commands_take_no_scale_flag(command, capsys):
     # argparse accepts any unique prefix, so "--q" finds every flag that

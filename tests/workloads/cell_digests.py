@@ -94,11 +94,16 @@ def cells(fig3_iterations: int = FIG3_ITERATIONS, fig6_iterations: int = FIG6_IT
     return out
 
 
-def record_cell(driver, owner, attr: str, kwargs: dict) -> dict:
+def run_cell(driver, owner, attr: str, kwargs: dict) -> tuple:
+    """The cell's value and the PatternResult behind it."""
     sink: list = []
     with _capturing(owner, attr, sink):
         value = driver.sweep_point(**kwargs)
-    return digest(value, sink[0])
+    return value, sink[0]
+
+
+def record_cell(driver, owner, attr: str, kwargs: dict) -> dict:
+    return digest(*run_cell(driver, owner, attr, kwargs))
 
 
 def record_all(**iterations) -> dict[str, dict]:

@@ -271,13 +271,14 @@ def _diverging_run(monkeypatch):
         logs.append(EventLog())
         return logs[-1]
 
-    publish = patterns.SimStagingArea.publish
+    publish_column = patterns.SimStagingArea.publish_column
 
-    def tampering(self, key, nbytes):
-        publish(self, key, nbytes + (key == "r1_snap0_a0"))
+    def tampering(self, keys, nbytes):
+        for key in keys:
+            publish_column(self, (key,), nbytes + (key == "r1_snap0_a0"))
 
     monkeypatch.setattr(patterns, "EventLog", kept_log)
-    monkeypatch.setattr(patterns.SimStagingArea, "publish", tampering)
+    monkeypatch.setattr(patterns.SimStagingArea, "publish_column", tampering)
     hub = Telemetry()
     with pytest.raises(ReproError, match="lock-step group diverged"):
         run_one_to_one(

@@ -28,7 +28,7 @@ from repro.des.probe import CountingProbe
 from repro.errors import ReproError
 from repro.experiments.common import backend_models, pattern1_context, pattern2_contexts
 from repro.faults import FaultKind, FaultPlan, FaultSpec
-from repro.telemetry import Telemetry
+from repro.telemetry import EventKind, Telemetry
 from repro.transport.resilience import ResilienceConfig
 from repro.workloads.patterns import (
     ManyToOneConfig,
@@ -339,21 +339,23 @@ def test_negative_size_counts_every_rank_as_lost(monkeypatch, pattern):
     monkeypatch.setattr(patterns, "_sim_ranks", spy)
     model = backend_models()["dragon"]
 
+    def negative(config):
+        # The configs refuse a negative size; set after construction it
+        # reaches the stores' own guard, which every rank must hit.
+        config.snapshot_nbytes = -1.0
+        return config
+
     def run(hub=None):
         if pattern == "one-to-one":
             return run_one_to_one(
                 model,
-                OneToOneConfig(
-                    train_iterations=10, ranks_per_component=4,
-                    write_interval=5, snapshot_nbytes=-1.0,
-                ),
+                negative(OneToOneConfig(train_iterations=10, ranks_per_component=4, write_interval=5)),
             )
         return run_many_to_one(
             model,
-            ManyToOneConfig(
-                n_simulations=4, train_iterations=10, write_interval=5,
-                snapshot_nbytes=-1.0, poll_timeout=0.5,
-            ),
+            negative(ManyToOneConfig(
+                n_simulations=4, train_iterations=10, write_interval=5, poll_timeout=0.5,
+            )),
         )
 
     grouped, ungrouped = both_ways(run)
@@ -426,18 +428,38 @@ def test_a_fig6_cell_is_two_processes_and_a_lane_group_per_ingest():
     assert grouped.snapshots_read == per_rank.snapshots_read == 2 * 127
 
 
+def test_a_grouped_fig6_cell_builds_one_store_per_group(monkeypatch):
+    """The producer group writes through its lead's store and the lane
+    groups read through the trainer's: two stores, not one per rank."""
+    built = []
+
+    class CountedStore(patterns.SimDataStore):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            built.append((self.component, self.rank))
+
+    monkeypatch.setattr(patterns, "SimDataStore", CountedStore)
+    grouped = fig6_cell()
+    assert built == [("sim0", 0), ("train", 0)]
+    built.clear()
+    with one_rank_per_group():
+        per_rank = fig6_cell()
+    assert built == [(f"sim{i}", i) for i in range(127)] + [("train", 0)]
+    assert grouped.log.to_jsonl() == per_rank.log.to_jsonl()
+
+
 @pytest.mark.parametrize("lost", ["sim0_update0", "sim1_update0"])
 def test_a_lane_group_that_stops_agreeing_is_an_error(monkeypatch, lost):
     """One producer's first update never staged, on the first lane or a
     later one: lanes that would take different branches raise instead of
     one of them deciding for all."""
-    publish = patterns.SimStagingArea.publish
+    publish_column = patterns.SimStagingArea.publish_column
 
-    def tampering(self, key, nbytes):
-        if key != lost:
-            publish(self, key, nbytes)
+    def tampering(self, keys, nbytes):
+        publish_column(self, [key for key in keys if key != lost], nbytes)
 
-    monkeypatch.setattr(patterns.SimStagingArea, "publish", tampering)
+    # Group writes publish a column, a rank's own write a one-key column.
+    monkeypatch.setattr(patterns.SimStagingArea, "publish_column", tampering)
     config = ManyToOneConfig(n_simulations=4, train_iterations=20, poll_timeout=0.05)
     model = backend_models()["dragon"]
     with pytest.raises(ReproError, match="lock-step group diverged.*sim0_update0.*sim1_update0"):
@@ -493,16 +515,17 @@ def test_unprovable_lockstep_is_one_process_per_trainer_rank(overrides, kwargs, 
 def test_a_trainer_group_that_stops_agreeing_is_an_error(monkeypatch, fate):
     """Rank 1's first array staged late or at another size: ranks that would
     take different branches raise instead of one of them deciding for all."""
-    publish = patterns.SimStagingArea.publish
+    publish_column = patterns.SimStagingArea.publish_column
 
-    def tampering(self, key, nbytes):
-        if key == "r1_snap0_a0":
-            if fate == "missing":
-                return
-            nbytes += 1.0
-        publish(self, key, nbytes)
+    def tampering(self, keys, nbytes):
+        for key in keys:
+            if key != "r1_snap0_a0":
+                publish_column(self, (key,), nbytes)
+            elif fate != "missing":
+                publish_column(self, (key,), nbytes + 1.0)
 
-    monkeypatch.setattr(patterns.SimStagingArea, "publish", tampering)
+    # Group writes publish a column, a rank's own write a one-key column.
+    monkeypatch.setattr(patterns.SimStagingArea, "publish_column", tampering)
     config = fig3_cell(ranks_per_component=3, write_interval=10)
     with pytest.raises(ReproError, match="lock-step group diverged.*r0_snap0_a0.*r1_snap0_a0"):
         run_one_to_one(backend_models()["dragon"], config)
@@ -514,11 +537,54 @@ def test_a_trainer_group_that_stops_agreeing_is_an_error(monkeypatch, fate):
 # -- byte parity with the commit before grouping ----------------------------------
 
 
+def area_disagreements(area, log) -> list[str]:
+    """What ``area`` says about the run that ``log`` does not.
+
+    Writes and reads are counted once each, every key written is staged
+    (nothing is removed), and the gauge is the sequential sum, over the
+    WRITE records in log order, of each record's size less the key's
+    previous one — bit for bit.
+    """
+    sizes: dict = {}
+    staged_bytes = 0.0
+    writes = log.filter(kind=EventKind.WRITE)
+    for record in writes:
+        staged_bytes += record.nbytes - sizes.get(record.key, 0.0)
+        sizes[record.key] = record.nbytes
+    seen = {
+        "total_writes": (area.total_writes, len(writes)),
+        "total_reads": (area.total_reads, log.count(kind=EventKind.READ)),
+        "staged keys": (len(area), len(sizes)),
+        "staged_bytes": (area.staged_bytes.hex(), float(staged_bytes).hex()),
+    }
+    return [f"{what} {got!r} != {want!r}" for what, (got, want) in seen.items() if got != want]
+
+
 @pytest.mark.parametrize("figure", ["fig3", "fig6"])
-def test_every_figure_cell_matches_the_pre_grouping_digest(figure):
+def test_every_figure_cell_matches_the_pre_grouping_digest(figure, monkeypatch):
+    """Each cell's digest is the golden one, and its staging area agrees
+    with its log (:func:`area_disagreements`)."""
+    areas: list = []
+
+    class KeptArea(patterns.SimStagingArea):
+        def __init__(self) -> None:
+            super().__init__()
+            areas.append(self)
+
+    monkeypatch.setattr(patterns, "SimStagingArea", KeptArea)
     golden = json.loads(cell_digests.GOLDEN_PATH.read_text())["cells"]
     specs = {n: s for n, s in cell_digests.cells().items() if n.startswith(figure)}
     assert len(specs) == {"fig3": 56, "fig6": 42}[figure]
     assert {n for n in golden if n.startswith(figure)} == set(specs)
-    moved = [n for n, spec in specs.items() if cell_digests.record_cell(*spec) != golden[n]]
+    moved, disagree = [], {}
+    for name, spec in specs.items():
+        areas.clear()
+        value, result = cell_digests.run_cell(*spec)
+        if cell_digests.digest(value, result) != golden[name]:
+            moved.append(name)
+        (area,) = areas
+        assert area.total_writes > 0 and area.total_reads > 0, name
+        if problems := area_disagreements(area, result.log):
+            disagree[name] = problems
     assert not moved, f"cells whose value, counters, makespan or EventLog moved: {moved}"
+    assert not disagree, f"cells whose staging area disagrees with the log: {disagree}"

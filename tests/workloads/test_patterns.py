@@ -112,6 +112,15 @@ def test_one_to_one_config_validation():
         OneToOneConfig(ranks_per_component=0)
 
 
+@pytest.mark.parametrize("config", [OneToOneConfig, ManyToOneConfig])
+@pytest.mark.parametrize("nbytes", [-1.0, float("nan"), float("inf")], ids=["neg", "nan", "inf"])
+def test_a_snapshot_size_that_is_not_a_finite_byte_count_is_refused(config, nbytes):
+    # Accepted, -1 ran to the end moving nothing and nan died mid-run.
+    with pytest.raises(ConfigError, match="snapshot_nbytes must be finite and >= 0"):
+        config(snapshot_nbytes=nbytes)
+    assert config(snapshot_nbytes=0.0).snapshot_nbytes == 0.0
+
+
 def test_one_to_one_slower_backend_same_event_counts():
     """Transport backend affects time, not the event schedule."""
     fast = run_one_to_one(NodeLocalBackendModel(), small_one_to_one())

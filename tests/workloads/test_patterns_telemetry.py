@@ -81,3 +81,33 @@ def test_many_to_one_accepts_telemetry():
     assert traced.makespan == base.makespan
     assert telemetry.tracer.finished_spans(category="workload")
     assert telemetry.metrics.gauge("link.occupancy").max_sample >= 1.0
+
+
+#: SHA-256 of ``save_trace`` / ``save_metrics`` for :func:`fig6b_cell`,
+#: recorded before the lock-step group ops took whole key columns and
+#: before the ``staging.keys`` gauge read the area's length. Regenerate
+#: only when a change to the exported bytes is intended.
+FIG6B_TRACE_SHA256 = "3c9b43b2d7ab06ca9f34c423236037fbd9980c5fa4f98ea8626033be6e7d4f0c"
+FIG6B_METRICS_SHA256 = "a28f5a495cbf6fa81e40d9a9c3c3c35d4f061c154e1456ce2b573b923bb5821a"
+
+
+def test_a_traced_fig6b_cell_exports_the_pinned_bytes(tmp_path):
+    """A 128-node Fig 6b cell (dragon, 4 MB, 20 iterations) under a stock
+    hub: its Chrome trace and metrics files, byte for byte."""
+    import hashlib
+
+    from repro.experiments.common import backend_models, pattern2_contexts
+
+    hub = Telemetry()
+    write_ctx, read_ctx = pattern2_contexts(128)
+    run_many_to_one(
+        backend_models()["dragon"],
+        ManyToOneConfig(n_simulations=127, train_iterations=20, snapshot_nbytes=4e6),
+        write_ctx=write_ctx, read_ctx=read_ctx, telemetry=hub,
+    )
+    hub.save_trace(tmp_path / "t.json")
+    hub.save_metrics(tmp_path / "m.json")
+    digests = [
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("t.json", "m.json")
+    ]
+    assert digests == [FIG6B_TRACE_SHA256, FIG6B_METRICS_SHA256]
