@@ -8,8 +8,7 @@ and assert the corresponding paper effect appears/disappears with it.
 import dataclasses
 
 from conftest import run_once
-from repro.cluster.filesystem import LustreSpec
-from repro.cluster.presets import aurora_lustre
+from repro.cluster.filesystem import LustreSpec, aurora_lustre
 from repro.experiments.common import pattern1_context
 from repro.telemetry import EventKind
 from repro.telemetry.stats import runtime_per_iteration
@@ -107,8 +106,6 @@ def test_ablation_incast_flips_pattern2_ordering(benchmark):
 def test_ablation_stripe_count(benchmark):
     """Striping spreads a large file over OSTs: more stripes, more data
     bandwidth — until the client NIC caps it."""
-    from repro.cluster import LustreModel
-    from repro.des import Environment
 
     def sweep():
         times = {}
@@ -119,8 +116,7 @@ def test_ablation_stripe_count(benchmark):
                 client_bandwidth=8e9,
                 stripe_count=stripes,
             )
-            model = LustreModel(Environment(), spec)
-            times[stripes] = model.data_time_estimate(256 * MB)
+            times[stripes] = spec.data_time_estimate(256 * MB)
         return times
 
     times = run_once(benchmark, sweep)

@@ -252,6 +252,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"unknown backend {args.backend!r}; options {sorted(models)}"
         ) from None
+    if args.pattern == "many-to-one" and args.iterations < 1:
+        raise ConfigError(
+            "many-to-one reports runtime per training iteration: "
+            f"--iterations must be >= 1, got {args.iterations}"
+        )
     telemetry = _make_telemetry(args)
     fault_plan = _load_fault_plan(args)
 

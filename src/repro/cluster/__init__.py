@@ -1,4 +1,5 @@
-"""Machine model: nodes, interconnect topology, file system, presets.
+"""Machine model: the Lustre file system the paper's drivers charge, and
+the dragonfly interconnect fabric.
 
 Names resolve on first use (see :mod:`repro`), so importing one
 submodule does not load the others.
@@ -8,28 +9,12 @@ import importlib
 
 #: Exported name -> the submodule that defines it.
 _EXPORTS = {
-    "GB": ".node",
-    "MB": ".node",
-    "CpuSpec": ".node",
     "DragonflyTopology": ".topology",
-    "GpuSpec": ".node",
     "LinkSpec": ".topology",
     "LustreModel": ".filesystem",
     "LustreSpec": ".filesystem",
-    "Machine": ".machine",
-    "MachineInstance": ".machine",
-    "MachineSpec": ".machine",
     "NetworkFabric": ".network",
-    "Node": ".node",
-    "NodeLocalModel": ".storage",
-    "NodeLocalSpec": ".storage",
-    "NodeSpec": ".node",
-    "aurora": ".presets",
-    "aurora_lustre": ".presets",
-    "aurora_node": ".presets",
-    "aurora_node_local": ".presets",
-    "laptop": ".presets",
-    "make_machine": ".machine",
+    "aurora_lustre": ".filesystem",
 }
 
 __all__ = list(_EXPORTS)

@@ -1,9 +1,11 @@
 """A from-scratch discrete-event simulation (DES) engine.
 
-This subpackage provides the substrate on which the simulated Aurora
-machine (:mod:`repro.cluster`) and the simulated execution mode of
-SimAI-Bench mini-apps run. The API intentionally mirrors the classic
-process-based DES style (generators yielding delays and events)::
+This subpackage provides the clock that the simulated pattern runs
+(:mod:`repro.workloads.patterns`) charge their modeled transport times
+to, and the ``Resource``/``Store`` primitives of the DES reference
+models in :mod:`repro.cluster`. The API intentionally mirrors the
+classic process-based DES style (generators yielding delays and
+events)::
 
     from repro.des import Environment
 

@@ -15,6 +15,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.telemetry.events import EventKind, EventLog
 from repro.telemetry.stats import mean_throughput, mean_transport_time
 from repro.transport.models import (
@@ -38,6 +39,8 @@ PROCESSES_PER_NODE = 12  # 6 simulation + 6 AI ranks
 
 def pattern1_context(n_nodes: int) -> TransportOpContext:
     """Scale context for the co-located one-to-one pattern."""
+    if n_nodes < 1:
+        raise ConfigError(f"one-to-one needs at least 1 node, got {n_nodes}")
     return TransportOpContext(
         local=True,
         clients_per_server=PROCESSES_PER_NODE,
@@ -53,6 +56,10 @@ def pattern2_contexts(n_nodes: int) -> tuple[TransportOpContext, TransportOpCont
     is the trainer's) plus the trainer's reader lanes — unlike pattern 1,
     where every rank stages its own data.
     """
+    if n_nodes < 2:
+        raise ConfigError(
+            f"many-to-one needs at least 2 nodes (a trainer and a simulation), got {n_nodes}"
+        )
     n_sims = n_nodes - 1
     n_clients = n_sims + min(12, n_sims)
     write_ctx = TransportOpContext(

@@ -1,19 +1,11 @@
-"""MPI-like layer: real threaded communicator + simulated cost models."""
+"""MPI-like layer: a real threaded communicator and its collectives."""
 
 from repro.mpi.api import ANY_SOURCE, ANY_TAG, MAX, MIN, PROD, SUM, Communicator, ReduceOp
 from repro.mpi.local import LocalComm, LocalWorld, run_parallel
-from repro.mpi.simulated import (
-    AlphaBeta,
-    CollectiveTimeModel,
-    SimChannel,
-    SimCommNetwork,
-)
 
 __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
-    "AlphaBeta",
-    "CollectiveTimeModel",
     "Communicator",
     "LocalComm",
     "LocalWorld",
@@ -23,6 +15,4 @@ __all__ = [
     "ReduceOp",
     "run_parallel",
     "SUM",
-    "SimChannel",
-    "SimCommNetwork",
 ]

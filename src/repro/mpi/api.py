@@ -7,12 +7,9 @@ mpi4py API that SimAI-Bench's kernels need: point-to-point ``send``/
 ``allgather``), the support collectives those are built from, and
 ``barrier``.
 
-Implementations:
-
-* :class:`repro.mpi.local.LocalComm` — real message passing between threads
-  in one process (used by real-mode mini-apps and the test suite).
-* :mod:`repro.mpi.simulated` — analytic alpha–beta time models charged to
-  the DES clock for simulated Aurora-scale runs.
+The implementation is :class:`repro.mpi.local.LocalComm`: real message
+passing between threads in one process (used by real-mode mini-apps and
+the test suite).
 """
 
 from __future__ import annotations

@@ -25,8 +25,10 @@ filesystem         client serialization; per-op *metadata* round-trips
                    concurrent streams.
 =================  ==========================================================
 
-All constants live in dataclasses with an ``aurora()`` preset; every value
-is justified in EXPERIMENTS.md against a ratio the paper reports.
+All constants live in the frozen ``*ModelSpec`` dataclasses below (the
+filesystem's in :func:`~repro.cluster.filesystem.aurora_lustre`), and
+:func:`aurora_backend_models` builds the calibrated set; every value is
+justified in EXPERIMENTS.md against a ratio the paper reports.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from repro.cluster.filesystem import LustreSpec
+from repro.cluster.filesystem import LustreSpec, aurora_lustre
 from repro.errors import TransportError
 
 MB = 1024 * 1024
@@ -95,6 +97,12 @@ class TransportOpContext:
 def _check_size(nbytes: float) -> None:
     if nbytes < 0:
         raise TransportError(f"negative payload size {nbytes}")
+
+
+def _incast_factor(coefficient: float, fan_in: int) -> float:
+    """Queueing at the one consumer that ``fan_in`` producers feed
+    (Fig 6's many-to-one latency effect); a single peer pays nothing."""
+    return 1.0 + coefficient * max(0, fan_in - 1)
 
 
 def _spill_bandwidth(nbytes: float, fast: float, slow: float, knee: float) -> float:
@@ -208,9 +216,7 @@ class RedisBackendModel(BackendModel):
     def _rtt(self, ctx: TransportOpContext) -> float:
         s = self.spec
         rtt = s.rtt_local if ctx.local else s.rtt_remote
-        # Incast queueing at the consumer when many producers feed one
-        # reader (Fig 6's latency effect); a single peer pays no penalty.
-        return rtt * (1.0 + s.consumer_incast_coefficient * max(0, ctx.fan_in - 1))
+        return rtt * _incast_factor(s.consumer_incast_coefficient, ctx.fan_in)
 
     @_memoize_pure
     def _op_time(self, nbytes: float, ctx: TransportOpContext) -> float:
@@ -264,7 +270,7 @@ class DragonBackendModel(BackendModel):
         base = s.latency_local if ctx.local else s.latency_remote
         # Many-to-one: requests from fan_in producers queue at the consumer's
         # manager; the paper infers exactly this latency effect in Fig 6.
-        return base * (1.0 + s.incast_coefficient * max(0, ctx.fan_in - 1))
+        return base * _incast_factor(s.incast_coefficient, ctx.fan_in)
 
     def _data_time(self, nbytes: float, ctx: TransportOpContext) -> float:
         s = self.spec
@@ -317,19 +323,15 @@ class FileSystemBackendModel(BackendModel):
     """Lustre: MDS metadata contention + shared OST data path.
 
     Delegates the queueing math to :class:`~repro.cluster.filesystem.
-    LustreModel`'s analytic estimates (the same mechanisms the DES version
-    exercises), adding client-side serialization.
+    LustreSpec`'s analytic estimates (the same mechanisms the DES
+    :class:`~repro.cluster.filesystem.LustreModel` exercises), adding
+    client-side serialization.
     """
 
     name = "filesystem"
 
     def __init__(self, spec: FileSystemModelSpec | None = None) -> None:
-        from repro.des import Environment
-        from repro.cluster.filesystem import LustreModel
-
         self.spec = spec or FileSystemModelSpec()
-        # Analytic estimates only — a throwaway env satisfies the ctor.
-        self._lustre = LustreModel(Environment(), self.spec.lustre)
 
     @_memoize_pure
     def _op_time(self, nbytes: float, ctx: TransportOpContext, is_write: bool) -> float:
@@ -338,13 +340,11 @@ class FileSystemBackendModel(BackendModel):
         n_meta = (
             lustre.metadata_ops_per_write if is_write else lustre.metadata_ops_per_read
         )
-        metadata = n_meta * self._lustre.metadata_latency_estimate(
-            ctx.concurrent_clients
-        )
+        metadata = n_meta * lustre.metadata_latency_estimate(ctx.concurrent_clients)
         streams_per_ost = max(
             1.0, ctx.concurrent_clients * self.spec.data_duty_cycle / lustre.n_osts
         )
-        data = self._lustre.data_time_estimate(nbytes, streams_per_ost)
+        data = lustre.data_time_estimate(nbytes, streams_per_ost)
         return self.spec.serialization.time(nbytes) + metadata + data
 
     def write_time(self, nbytes: float, ctx: TransportOpContext) -> float:
@@ -355,7 +355,7 @@ class FileSystemBackendModel(BackendModel):
 
     @_memoize_pure
     def poll_time(self, ctx: TransportOpContext) -> float:
-        waves = self._lustre.metadata_latency_estimate(ctx.concurrent_clients)
+        waves = self.spec.lustre.metadata_latency_estimate(ctx.concurrent_clients)
         return self.spec.lustre.metadata_ops_per_poll * waves
 
 
@@ -390,9 +390,7 @@ class StreamingBackendModel(BackendModel):
 
     def _latency(self, ctx: TransportOpContext) -> float:
         s = self.spec
-        return s.handshake_latency * (
-            1.0 + s.incast_coefficient * max(0, ctx.fan_in - 1)
-        )
+        return s.handshake_latency * _incast_factor(s.incast_coefficient, ctx.fan_in)
 
     @_memoize_pure
     def _op_time(self, nbytes: float, ctx: TransportOpContext) -> float:
@@ -470,8 +468,6 @@ class DaosBackendModel(BackendModel):
 def aurora_backend_models(processes_per_node: int = 12) -> dict[str, BackendModel]:
     """The four calibrated models for the Aurora experiments."""
     l3_share = 105 * MB / max(1, processes_per_node)
-    from repro.cluster.presets import aurora_lustre
-
     return {
         "node-local": NodeLocalBackendModel(NodeLocalModelSpec(l3_share_bytes=l3_share)),
         "redis": RedisBackendModel(RedisModelSpec(l3_share_bytes=l3_share)),

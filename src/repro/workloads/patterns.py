@@ -579,6 +579,9 @@ def run_many_to_one(
     active ``fault_plan`` the trainer proceeds when at least
     ``resilience.quorum`` of the producers' updates arrived, counting the
     rest as missed reads instead of blocking forever on a dead producer.
+    A ``model`` that cannot serve ``read_ctx`` at all (node-local staging
+    read from another node) is a :class:`ConfigError` before the clock
+    starts.
     """
     config = config or ManyToOneConfig()
     write_ctx = write_ctx or TransportOpContext(local=True, clients_per_server=12)
@@ -588,6 +591,15 @@ def run_many_to_one(
         concurrent_peers=min(config.reader_lanes, config.n_simulations),
         concurrent_clients=config.n_simulations + 1,
     )
+    try:
+        # A cost model is a pure function of size and context: a context
+        # it refuses for one read it refuses for every read, so refuse
+        # the run instead of logging nothing but missed reads.
+        model.read_time(0.0, read_ctx)
+    except TransportError as exc:
+        raise ConfigError(
+            f"backend {model.name!r} cannot serve the trainer's reads: {exc}"
+        ) from None
     env = Environment()
     log = EventLog()
     area = SimStagingArea()

@@ -9,7 +9,7 @@ with the analytic predictions.
 
 import pytest
 
-from repro.cluster import LustreModel, LustreSpec, aurora
+from repro.cluster import LustreModel, LustreSpec
 from repro.des import Environment
 
 
@@ -66,28 +66,6 @@ def test_des_counters_track_operations():
     _, fs = run_writers(10, 1e6, SPEC, writes_each=2)
     assert fs.bytes_written == 10 * 2 * 1e6
     assert fs.metadata_ops == 10 * 2 * SPEC.metadata_ops_per_write
-
-
-def test_machine_instance_end_to_end():
-    """A bound MachineInstance exposes live fabric + lustre + node-local
-    that all charge time on the same clock."""
-    machine = aurora(4)
-    env = Environment()
-    inst = machine.instantiate(env)
-    finished = []
-
-    def workload(env, inst):
-        # cross-node transfer, a staged write, and a node-local op estimate
-        yield from inst.fabric.transfer(0, 3, 8e6)
-        yield from inst.lustre.write(key_hash=1, nbytes=8e6)
-        yield env.timeout(inst.node_local.op_time(8e6))
-        finished.append(env.now)
-
-    env.process(workload(env, inst))
-    env.run()
-    assert finished and finished[0] > 0
-    assert inst.fabric.bytes_moved == 8e6
-    assert inst.lustre.bytes_written == 8e6
 
 
 def test_des_poll_storm_builds_mds_queue():

@@ -44,36 +44,32 @@ def test_assign_osts_capped_at_n_osts():
 
 
 def test_metadata_latency_estimate_grows_with_clients():
-    env, fs = make_model(mds_capacity=4, mds_service_time=1e-4)
-    low = fs.metadata_latency_estimate(4)
-    high = fs.metadata_latency_estimate(400)
+    spec = LustreSpec(mds_capacity=4, mds_service_time=1e-4)
+    low = spec.metadata_latency_estimate(4)
+    high = spec.metadata_latency_estimate(400)
     assert low == pytest.approx(1e-4)
     assert high == pytest.approx(1e-2)
     assert high / low == pytest.approx(100)
 
 
 def test_metadata_latency_negative_clients():
-    env, fs = make_model()
     with pytest.raises(SimulationError):
-        fs.metadata_latency_estimate(-1)
+        LustreSpec().metadata_latency_estimate(-1)
 
 
 def test_data_time_monotonic_in_size():
-    env, fs = make_model()
-    assert fs.data_time_estimate(32e6) > fs.data_time_estimate(1e6)
+    spec = LustreSpec()
+    assert spec.data_time_estimate(32e6) > spec.data_time_estimate(1e6)
 
 
 def test_data_time_negative_size():
-    env, fs = make_model()
     with pytest.raises(SimulationError):
-        fs.data_time_estimate(-1.0)
+        LustreSpec().data_time_estimate(-1.0)
 
 
 def test_data_time_capped_by_client_bandwidth():
-    env, fs = make_model(
-        n_osts=16, ost_bandwidth=10e9, client_bandwidth=1e9, stripe_count=8
-    )
-    assert fs.data_time_estimate(1e9) == pytest.approx(1.0)
+    spec = LustreSpec(n_osts=16, ost_bandwidth=10e9, client_bandwidth=1e9, stripe_count=8)
+    assert spec.data_time_estimate(1e9) == pytest.approx(1.0)
 
 
 def test_op_time_estimate_write_vs_read():

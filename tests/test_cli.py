@@ -329,6 +329,35 @@ def test_a_negative_simulated_size_is_one_line_and_exit_2(pattern):
     ]
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--pattern", "many-to-one", "--iterations", "20", "--json"],
+         "backend 'node-local' cannot serve the trainer's reads: "
+         "node-local backend cannot serve non-local clients"),
+        (["--pattern", "many-to-one", "--nodes", "1"],
+         "many-to-one needs at least 2 nodes (a trainer and a simulation), got 1"),
+        (["--pattern", "many-to-one", "--nodes", "0"],
+         "many-to-one needs at least 2 nodes (a trainer and a simulation), got 0"),
+        (["--pattern", "one-to-one", "--nodes", "0"],
+         "one-to-one needs at least 1 node, got 0"),
+        (["--pattern", "many-to-one", "--backend", "redis", "--iterations", "0"],
+         "many-to-one reports runtime per training iteration: "
+         "--iterations must be >= 1, got 0"),
+    ],
+    ids=["p2-on-node-local", "p2-one-node", "p2-no-nodes", "p1-no-nodes", "p2-no-iterations"],
+)
+def test_an_impossible_simulated_run_is_one_line_and_exit_2(args, message):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "simulate", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"repro simulate: error: {message}"]
+
+
 @pytest.mark.parametrize("command", ["sweep", "chaos", "bench"])
 def test_experiment_commands_take_no_scale_flag(command, capsys):
     # argparse accepts any unique prefix, so "--q" finds every flag that

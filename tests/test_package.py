@@ -95,6 +95,8 @@ def test_star_import_binds_every_export(module):
 #: distributed sweep.
 OFF_THE_PAPER_PATH = (
     "networkx",
+    "repro.cluster.network",
+    "repro.cluster.topology",
     "repro.core",
     "repro.ml",
     "repro.kernels",
@@ -138,6 +140,10 @@ def test_paper_cells_load_no_fabric_real_backend_or_other_driver(tmp_path):
         tmp_path,
     )
     assert _off_path(loaded) == []
+    # The machine model a cell charges is the Lustre spec, nothing more.
+    assert sorted(m for m in loaded if m.startswith("repro.cluster")) == [
+        "repro.cluster", "repro.cluster.filesystem"
+    ]
     ran = {"repro.experiments.fig3_throughput", "repro.experiments.fig6_scaling"}
     assert sorted(loaded & DRIVERS - ran) == []
 

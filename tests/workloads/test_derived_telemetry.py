@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.experiments import ext_faults
 from repro.experiments.common import backend_models, pattern1_context
 from repro.telemetry import EventKind, EventLog, Telemetry
@@ -58,7 +58,11 @@ RUNS = {
         lambda tracks: tracks + min(ManyToOneConfig().reader_lanes, MANY_TO_ONE["n_simulations"]) - 1,
     ),
 }
-CASES = [(pattern, backend) for pattern in RUNS for backend in BACKENDS]
+#: Pattern 2 on node-local is refused before it runs (tested below).
+CASES = [
+    (pattern, backend) for pattern in RUNS for backend in BACKENDS
+    if (pattern, backend) != ("many-to-one", "node-local")
+]
 
 
 @functools.lru_cache(maxsize=None)
@@ -156,12 +160,8 @@ def test_transport_counters_add_up_to_the_log(pattern, backend):
     hub, log = traced(pattern, backend)
     for kind in OPS:
         rows = log.filter(kind=kind)
+        assert rows
         name = f"transport.{kind.value}.{{}}{{{{backend={backend}}}}}"
-        if not rows:
-            # Pattern 2 cannot read from node-local storage on another node.
-            assert (pattern, backend, kind) == ("many-to-one", "node-local", EventKind.READ)
-            assert not any(name.format(what) in hub.metrics for what in ("ops", "seconds", "bytes"))
-            continue
         ops, seconds = hub.metrics.get(name.format("ops")), hub.metrics.get(name.format("seconds"))
         assert ops.value == len(rows) == seconds.count
         assert seconds.sum == pytest.approx(sum(rows.durations()), rel=1e-12)
@@ -170,6 +170,17 @@ def test_transport_counters_add_up_to_the_log(pattern, backend):
             assert counted.value == pytest.approx(rows.total_bytes(), rel=1e-12)
     # A poll moves no bytes, so it has no bytes counter at all.
     assert f"transport.poll.bytes{{backend={backend}}}" not in hub.metrics
+
+
+def test_pattern_2_on_node_local_is_refused_before_the_clock_starts():
+    # Node-local staging cannot be read from the trainer's node, so no
+    # read could ever succeed: the run is a config error, not a run of
+    # missed reads, and the hub sees nothing.
+    hub = Telemetry()
+    with pytest.raises(ConfigError, match="'node-local' cannot serve the trainer's reads"):
+        many_to_one("node-local", telemetry=hub)
+    assert hub.tracer.finished_spans() == []
+    assert hub.metrics.names() == []
 
 
 @pytest.mark.parametrize("pattern, backend", CASES)
