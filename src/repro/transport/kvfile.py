@@ -9,6 +9,16 @@ Implements exactly the design described in the paper (§3.2):
   readers never observe a torn write;
 * ``poll`` is a file-existence check, ``clean`` unlinks.
 
+Atomic means visible whole or not at all; it does not mean durable. A
+staged value lives as long as the run that reads it, so nothing is
+flushed. The temp file's size is stated (``posix_fallocate``) before its
+bytes are written: ext4 (``auto_da_alloc``) starts writeback of a file
+with delayed-allocation blocks when it is renamed over an existing one,
+and a preallocated file has none, so republishing a key stays a
+metadata operation. After a host crash a published file can read as
+zeros or be empty; either fails to deserialize
+(:class:`~repro.errors.CorruptPayloadError`) rather than passing as data.
+
 Pointing the root at a tmpfs directory gives the *node-local* backend;
 pointing it at a parallel-file-system directory gives the *filesystem*
 backend (the paper uses Lustre with stripe size 1 MB, count 1 — stripe
@@ -27,9 +37,10 @@ from typing import Any, Optional
 from repro.errors import BackendUnavailableError, KeyNotStagedError, TransportError
 from repro.transport.base import DataStoreClient
 from repro.transport.serializer import deserialize, serialize_parts
-from repro.transport.wire import Blob, as_parts, nbytes
+from repro.transport.wire import Blob, as_parts, landing, nbytes
 
 VALUE_SUFFIX = ".pickle"
+_HAS_FALLOCATE = hasattr(os, "posix_fallocate")  # not on macOS
 
 
 def crc32_shard(key: str, n_shards: int) -> int:
@@ -58,8 +69,9 @@ class ShardedFileStore:
 
     # -- operations ------------------------------------------------------------
     def write(self, key: str, blob: Blob) -> None:
-        """Atomically publish ``blob`` under ``key``."""
+        """Atomically publish ``blob`` under ``key`` (not flushed to disk)."""
         final = self.path_for(key)
+        parts = as_parts(blob)
         try:
             fd, tmp_name = tempfile.mkstemp(
                 prefix=f".{key}.", suffix=".tmp", dir=final.parent
@@ -69,28 +81,38 @@ class ShardedFileStore:
                 f"cannot stage into {final.parent}: {exc}"
             ) from exc
         try:
-            # Unbuffered: each piece goes to the kernel from the caller's
-            # own memory, with no staging copy in a userspace file buffer.
-            with os.fdopen(fd, "wb", buffering=0) as handle:
-                for piece in as_parts(blob):
+            try:
+                if _HAS_FALLOCATE:
+                    try:  # a hint (see the module docstring): writes report real errors
+                        os.posix_fallocate(fd, 0, sum(map(nbytes, parts)))
+                    except OSError:
+                        pass
+                # Each piece goes to the kernel from the caller's own
+                # memory, with no staging copy in a userspace file buffer.
+                for piece in parts:
                     view = memoryview(piece).cast("B")
                     while view.nbytes:
-                        view = view[handle.write(view) :]
+                        view = view[os.write(fd, view) :]
+            finally:
+                os.close(fd)
             os.replace(tmp_name, final)  # atomic publish
-        except BaseException:
+        except BaseException as exc:
             try:
                 os.unlink(tmp_name)
             except FileNotFoundError:
                 pass
+            if isinstance(exc, OSError):
+                raise BackendUnavailableError(f"cannot write key {key!r}: {exc}") from exc
             raise
 
     def read(self, key: str) -> bytearray:
-        """The stored blob, in a new buffer the caller owns."""
+        """The stored blob, in a new :func:`~repro.transport.wire.landing`
+        buffer the caller owns."""
         try:
             with open(self.path_for(key), "rb", buffering=0) as handle:
                 # Sized from fstat and filled in place; a published file
                 # never changes (writers replace it), so the size holds.
-                blob = bytearray(os.fstat(handle.fileno()).st_size)
+                blob = landing(os.fstat(handle.fileno()).st_size)
                 view = memoryview(blob)
                 while view.nbytes:
                     got = handle.readinto(view)

@@ -14,8 +14,9 @@ become available.
 Small frames — the whole control plane — are parsed inside the receive
 buffer. A bulk string whose *declared* length is at least
 :data:`DIRECT_BULK_BYTES` is instead received straight into a buffer of
-exactly that size, which then *is* the parsed value (a ``bytearray``):
-a staged array crosses the parser without being copied. The encoders
+exactly that size, which then *is* the parsed value (a ``bytearray``
+from :func:`~repro.transport.wire.landing`, not zero-filled first): a
+staged array crosses the parser without being copied. The encoders
 mirror this: values that large are passed through as separate buffers
 for :func:`~repro.transport.wire.send_parts` instead of being joined
 into the frame.
@@ -34,7 +35,7 @@ import socket
 from typing import Any, Iterable, Optional, Union
 
 from repro.errors import TransportError
-from repro.transport.wire import Blob, Buffer, as_parts, nbytes
+from repro.transport.wire import Blob, Buffer, as_parts, landing, nbytes
 
 CRLF = b"\r\n"
 
@@ -235,7 +236,7 @@ class RespParser:
     def _land(self, at: int, length: int) -> bytearray:
         """Start a large bulk whose header line ends at buffer offset ``at``."""
         self._check_held(at + length)
-        value = self._landed[at] = bytearray(length)
+        value = self._landed[at] = landing(length)
         self._landed_bytes += length
         self._filling = memoryview(value)
         # Whatever part of the payload was buffered before its header

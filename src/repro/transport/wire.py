@@ -5,7 +5,8 @@ streaming transport all move a small header next to a payload that can
 be tens of MiB. Both helpers keep the payload out of Python-level
 copies: :func:`send_parts` hands the kernel views of the caller's own
 buffers, :func:`recv_exact` lets the kernel fill the buffer that becomes
-the result.
+the result. Such a buffer comes from :func:`landing`, which does not
+zero-fill what the kernel is about to overwrite.
 
 They also share how a connection comes to be: every server port is one
 :class:`Listener` (TCP on ``host:port`` plus a same-host Unix-socket
@@ -15,6 +16,7 @@ takes the twin when the server is on this host and TCP otherwise.
 
 from __future__ import annotations
 
+import functools
 import os
 import selectors
 import socket
@@ -41,7 +43,37 @@ def nbytes(buffer: Buffer) -> int:
 
 #: Sends smaller than this in total are joined first: copying a few KiB
 #: costs less than a scatter-gather call, and ``sendall`` then does the rest.
+#: Receive buffers this large skip the zero-fill (:func:`landing`);
+#: ``resp.DIRECT_BULK_BYTES`` is the same 64 KiB.
 _JOIN_BELOW = 1 << 16
+
+
+def landing(n: int) -> bytearray:
+    """A writable buffer of ``n`` bytes whose contents the caller will overwrite.
+
+    Below :data:`_JOIN_BELOW` it is ``bytearray(n)``. From there up it is
+    a ``bytearray`` whose bytes are left as malloc gave them: zero-filling
+    would write every page once before the kernel writes it again.
+    """
+    if n < _JOIN_BELOW:
+        return bytearray(n)
+    return _unfilled_bytearray()(None, n)
+
+
+@functools.cache
+def _unfilled_bytearray() -> Callable[[None, int], bytearray]:
+    # CPython's PyByteArray_FromStringAndSize(NULL, n) allocates without
+    # writing (its pickle module lands BYTEARRAY8 frames that way). The
+    # result is an ordinary bytearray, so every consumer keeps its type:
+    # ``.decode``, ``json.loads`` and ``int`` refuse a memoryview.
+    try:
+        import ctypes
+
+        return ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_char_p, ctypes.c_ssize_t)(
+            ("PyByteArray_FromStringAndSize", ctypes.pythonapi)
+        )
+    except (ImportError, AttributeError):  # no ctypes, or not CPython
+        return lambda _, n: bytearray(n)
 
 
 def send_parts(sock: socket.socket, parts: Sequence[Buffer]) -> None:
@@ -80,12 +112,14 @@ def send_parts(sock: socket.socket, parts: Sequence[Buffer]) -> None:
 
 
 def recv_exact(sock: socket.socket, n: int) -> bytearray:
-    """Receive exactly ``n`` bytes into one new buffer (the caller owns it).
+    """Receive exactly ``n`` bytes into one new :func:`landing` buffer
+    (the caller owns it, and nothing else refers to it).
 
     A peer that closes first raises ``ConnectionError`` — an ``OSError``,
-    so callers treat it like any other dead socket.
+    so callers treat it like any other dead socket; a partly filled
+    buffer is never returned.
     """
-    buffer = bytearray(n)
+    buffer = landing(n)
     filled = sock.recv_into(buffer) if n else 0  # small frames arrive whole
     while filled < n:
         got = sock.recv_into(memoryview(buffer)[filled:])
