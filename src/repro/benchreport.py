@@ -515,45 +515,6 @@ def check_regression(
 
 
 # -- CLI --------------------------------------------------------------------
-def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=5,
-        metavar="N",
-        help="DES micro-bench repeats (best-of-N wall time)",
-    )
-    parser.add_argument(
-        "--out-dir",
-        default="benchmarks",
-        metavar="DIR",
-        help="where BENCH_<date>.json is written",
-    )
-    parser.add_argument(
-        "--baseline-dir",
-        default="benchmarks",
-        metavar="DIR",
-        help="where the committed baseline BENCH_*.json files live",
-    )
-    parser.add_argument(
-        "--no-write",
-        action="store_true",
-        help="print the report and delta table without writing a file",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit nonzero on a DES events/sec regression beyond --threshold",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_REGRESSION_THRESHOLD,
-        metavar="FRACTION",
-        help="allowed events/sec regression fraction for --check (default 0.25)",
-    )
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     baseline_dir = pathlib.Path(args.baseline_dir)
     baseline_path = find_baseline(baseline_dir)

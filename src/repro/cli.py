@@ -1367,14 +1367,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_observability(chaos)
 
+    # Declared here, not in repro.benchreport: building the parser must
+    # not load the bench code for every other command.
     bench = sub.add_parser(
         "bench",
         help="perf baseline: DES micro-bench + one round of each paper experiment "
         "-> BENCH_<date>.json with a delta table vs the last baseline",
     )
-    from repro.benchreport import add_bench_arguments
-
-    add_bench_arguments(bench)
+    bench.add_argument(
+        "--repeats",
+        type=int,
+        default=5,
+        metavar="N",
+        help="DES micro-bench repeats (best-of-N wall time)",
+    )
+    bench.add_argument(
+        "--out-dir",
+        default="benchmarks",
+        metavar="DIR",
+        help="where BENCH_<date>.json is written",
+    )
+    bench.add_argument(
+        "--baseline-dir",
+        default="benchmarks",
+        metavar="DIR",
+        help="where the committed baseline BENCH_*.json files live",
+    )
+    bench.add_argument(
+        "--no-write",
+        action="store_true",
+        help="print the report and delta table without writing a file",
+    )
+    bench.add_argument(
+        "--check",
+        action="store_true",
+        help="exit nonzero on a DES events/sec regression beyond --threshold",
+    )
+    bench.add_argument(
+        "--threshold",
+        type=float,
+        default=0.25,  # benchreport.DEFAULT_REGRESSION_THRESHOLD
+        metavar="FRACTION",
+        help="allowed events/sec regression fraction for --check (default 0.25)",
+    )
 
     trace_summary = sub.add_parser(
         "trace-summary", help="print the top-k slowest spans per component of a trace"

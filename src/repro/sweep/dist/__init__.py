@@ -17,69 +17,56 @@ sweep --submit``). Embedded (``SweepOptions(serve=...)``, ``repro sweep
 --serve``) the engine starts one in-process for a single grid and stops
 it when that job is terminal.
 
+Names resolve on first use (see :mod:`repro`): ``repro sweep
+--service`` loads the control plane (service, store, leases, protocol,
+admission, queries) and never the worker, the ``--watch`` console or
+the staging data path.
+
 See ``ARCHITECTURE.md`` for the lease/job state machines and failure
 matrix.
 """
 
-from repro.sweep.dist.admission import AdmissionController, TenantQuota
-from repro.sweep.dist.fleetmetrics import EwmaRate, prometheus_exposition
-from repro.sweep.dist.lease import LeaseTable, PointRecord, PointState
-from repro.sweep.dist.protocol import (
-    Assignment,
-    FailureRecord,
-    GridInfo,
-    grid_signature,
-    parse_hostport,
-)
-from repro.sweep.dist.service import (
-    ServiceClient,
-    SweepService,
-    run_service_process,
-)
-from repro.sweep.dist.store import (
-    JOB_CANCELLED,
-    JOB_DONE,
-    JOB_POISONED,
-    JOB_RUNNING,
-    JOB_SUBMITTED,
-    JOB_TERMINAL,
-    SweepStore,
-)
-from repro.sweep.dist.watch import render_status, watch
-from repro.sweep.dist.worker import (
-    WorkerAgent,
-    WorkerOptions,
-    WorkerReport,
-    run_worker_process,
-)
+import importlib
 
-__all__ = [
-    "AdmissionController",
-    "Assignment",
-    "EwmaRate",
-    "FailureRecord",
-    "GridInfo",
-    "JOB_CANCELLED",
-    "JOB_DONE",
-    "JOB_POISONED",
-    "JOB_RUNNING",
-    "JOB_SUBMITTED",
-    "JOB_TERMINAL",
-    "LeaseTable",
-    "PointRecord",
-    "PointState",
-    "ServiceClient",
-    "SweepService",
-    "SweepStore",
-    "TenantQuota",
-    "WorkerAgent",
-    "WorkerOptions",
-    "WorkerReport",
-    "grid_signature",
-    "parse_hostport",
-    "prometheus_exposition",
-    "render_status",
-    "run_service_process",
-    "run_worker_process",
-    "watch",
-]
+#: Exported name -> the submodule that defines it. ``watch`` the
+#: function is not here: the package attribute of that name is the
+#: ``repro.sweep.dist.watch`` module once anything imports it.
+_EXPORTS = {
+    "AdmissionController": ".admission",
+    "Assignment": ".protocol",
+    "EwmaRate": ".fleetmetrics",
+    "FailureRecord": ".protocol",
+    "GridInfo": ".protocol",
+    "JOB_CANCELLED": ".store",
+    "JOB_DONE": ".store",
+    "JOB_POISONED": ".store",
+    "JOB_RUNNING": ".store",
+    "JOB_SUBMITTED": ".store",
+    "JOB_TERMINAL": ".store",
+    "LeaseTable": ".lease",
+    "PointRecord": ".lease",
+    "PointState": ".lease",
+    "ServiceClient": ".service",
+    "SweepService": ".service",
+    "SweepStore": ".store",
+    "TenantQuota": ".admission",
+    "WorkerAgent": ".worker",
+    "WorkerOptions": ".worker",
+    "WorkerReport": ".worker",
+    "grid_signature": ".protocol",
+    "parse_hostport": ".protocol",
+    "prometheus_exposition": ".fleetmetrics",
+    "render_status": ".watch",
+    "run_service_process": ".service",
+    "run_worker_process": ".worker",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name], __name__), name)
+    globals()[name] = value
+    return value

@@ -29,11 +29,10 @@ growing until the process dies. Recovery requires dropping below
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
-
-import numpy as np
 
 from repro.sweep.point import derive_seed
 
@@ -123,7 +122,7 @@ class AdmissionController:
         self.recovery_fraction = float(recovery_fraction)
         self.busy_retry_s = float(busy_retry_s)
         self.clock = clock
-        self._rng = np.random.default_rng(derive_seed(seed, "admission"))
+        self._rng = random.Random(derive_seed(seed, "admission"))
         self.state = READY
         self.brownouts = 0  # transitions into brownout
         self.busy_refusals = 0
@@ -142,7 +141,7 @@ class AdmissionController:
         thundering herd is de-synchronized deterministically.
         """
         base = self.busy_retry_s * float(scale)
-        return base * (0.5 + float(self._rng.random()))
+        return base * (0.5 + self._rng.random())
 
     def refuse(
         self, reason: str, scale: float = 1.0, **extra: Any

@@ -29,7 +29,9 @@ without talking to the service — and all generator-side pacing jitter
 comes from per-thread RNGs.
 
 No new dependencies: stdlib + numpy, raw sockets beside the existing
-RESP helpers.
+RESP helpers. Light at import: the service imports this module to
+unpickle points (:func:`loadgen_point`), so numpy and the RESP client
+load inside the functions that drive load, not here.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Any, Optional
 
-import numpy as np
-
 from repro.errors import TransportError
 from repro.sweep.dist.protocol import (
     dump_result,
@@ -55,7 +55,6 @@ from repro.sweep.dist.protocol import (
 )
 from repro.sweep.point import SweepPoint, derive_seed
 from repro.transport import resp
-from repro.transport.redis_backend import MiniRedisConnection
 from repro.transport.wire import connect
 
 #: A torn RESP frame: array header + first bulk announced but never
@@ -90,6 +89,8 @@ def tenant_grid(
     the drill can recompute any admitted grid's expected results
     offline.
     """
+    import numpy as np
+
     rng = np.random.default_rng(derive_seed(seed, "loadgen-grid", tenant, grid_index))
     func = _canonical_point_func()
     points = []
@@ -150,6 +151,8 @@ def _submit_once(
     host: str, port: int, blob: bytes, op_timeout: float
 ) -> tuple[str, Optional[dict]]:
     """One raw SUBMIT: ("admitted"|"busy"|"down", busy-doc)."""
+    from repro.transport.redis_backend import MiniRedisConnection
+
     conn = None
     try:
         conn = MiniRedisConnection(host, port, timeout=op_timeout)
@@ -175,6 +178,8 @@ def _flood_tenant(
     deadline: float,
     stats: _Stats,
 ) -> None:
+    import numpy as np
+
     rng = np.random.default_rng(derive_seed(spec.seed, "loadgen-flood", tenant))
     for g in range(spec.grids_per_tenant):
         if time.monotonic() >= deadline:
@@ -355,8 +360,8 @@ def run_load(address: str, spec: Optional[LoadSpec] = None) -> dict:
             "refusal_reasons": dict(sorted(stats.refusal_reasons.items())),
             "retry_hints": {
                 "count": len(hints),
-                "min": round(min(hints), 4) if hints else None,
-                "max": round(max(hints), 4) if hints else None,
+                "min": min(hints) if hints else None,
+                "max": max(hints) if hints else None,
                 "mean": round(sum(hints) / len(hints), 4) if hints else None,
             },
             "admitted_grids": dict(sorted(stats.admitted_grids.items())),

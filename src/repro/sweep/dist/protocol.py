@@ -204,12 +204,14 @@ def dump_busy(
     ``reason`` is a stable machine-readable slug (``tenant-live-jobs``,
     ``tenant-queued-points``, ``tenant-store-bytes``, ``brownout``,
     ``draining``, ``dispatch-queue``); ``retry_after_s`` is the server's
-    seeded-jittered pacing hint. Extra keys carry quota context (limit,
-    usage) for operators reading a ``-BUSY`` storm out of client logs.
+    seeded-jittered pacing hint, sent as drawn (rounding it could reach
+    the open upper end of its window). Extra keys carry quota context
+    (limit, usage) for operators reading a ``-BUSY`` storm out of client
+    logs.
     """
     doc: dict[str, Any] = {"reason": str(reason)}
     if retry_after_s is not None:
-        doc["retry_after_s"] = round(float(retry_after_s), 4)
+        doc["retry_after_s"] = float(retry_after_s)
     doc.update(extra)
     return json.dumps(doc, sort_keys=True)
 

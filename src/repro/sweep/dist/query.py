@@ -63,12 +63,23 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 from repro.errors import SweepStoreError
 from repro.sweep.cache import fingerprint as _canonical_fingerprint
 from repro.sweep.dist.store import JOB_TERMINAL, SweepStore
-from repro.telemetry.tracing import Tracer
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.telemetry.tracing import Tracer
 
 __all__ = [
     "LeaseInterval",
@@ -393,6 +404,8 @@ def fleet_tracer(
     session. ``worker_spans`` are ``(track, span)`` pairs as
     :func:`~repro.sweep.dist.protocol.load_spans` decodes them.
     """
+    from repro.telemetry.tracing import Tracer
+
     tracer = Tracer(clock=lambda: now)
     session = [row for row in rows if row["seq"] > after_seq]
     lanes: dict[str, int] = {}

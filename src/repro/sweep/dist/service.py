@@ -70,6 +70,7 @@ from __future__ import annotations
 import contextlib
 import json
 import pickle
+import random
 import signal
 import sys
 import threading
@@ -77,9 +78,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.errors import (
     BackendUnavailableError,
@@ -138,13 +137,14 @@ from repro.sweep.dist.store import (
     live_bytes,
 )
 from repro.sweep.point import SweepPoint, derive_seed
-from repro.telemetry.chrome_trace import write_chrome_trace
 from repro.telemetry.flight import FlightRecorder, maybe_dump
 from repro.telemetry.log import get_logger
 from repro.transport import resp
-from repro.transport.redis_backend import MiniRedisConnection
 from repro.transport.server import RespTcpServer
 from repro.version import __version__
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.transport.redis_backend import MiniRedisConnection
 
 _log = get_logger("sweep.service")
 
@@ -624,7 +624,7 @@ class SweepService(RespTcpServer):
         if name == "DONE":
             self._need(args, 4, "DONE")
             return self._handle_done(
-                _text(args[0]), _index(args[1]), _text(args[2]), bytes(args[3])
+                _text(args[0]), _index(args[1]), _text(args[2]), _blob(args[3])
             )
         if name == "FAIL":
             self._need(args, 4, "FAIL")
@@ -633,7 +633,7 @@ class SweepService(RespTcpServer):
             )
         if name == "SUBMIT":
             self._need(args, 1, "SUBMIT")
-            return self._handle_submit(bytes(args[0]))
+            return self._handle_submit(_blob(args[0]))
         if name == "CANCEL":
             self._need(args, 1, "CANCEL")
             return resp.encode_simple(self.cancel(_text(args[0])))
@@ -1030,6 +1030,8 @@ class SweepService(RespTcpServer):
         leaves unfinished points) is closed at "now" so the trace stays
         structurally valid. Returns the number of trace events written.
         """
+        from repro.telemetry.chrome_trace import write_chrome_trace
+
         with self._exec_lock:
             self.store.flush()
             rows = session_events(self.reader, self._session_seq)
@@ -1089,7 +1091,7 @@ class ServiceClient:
         self.reconnect_budget = reconnect_budget
         self.hello = tuple(hello) if hello else None
         self.stop = stop if stop is not None else threading.Event()
-        self._rng = np.random.default_rng(derive_seed(seed, "service-client", address))
+        self._rng = random.Random(derive_seed(seed, "service-client", address))
         #: -BUSY refusals absorbed or raised across this client's lifetime.
         self.busy_refusals = 0
         #: The most recent -BUSY document seen, for operator forensics.
@@ -1100,6 +1102,8 @@ class ServiceClient:
         self._lock = threading.Lock()
 
     def _open(self) -> MiniRedisConnection:
+        from repro.transport.redis_backend import MiniRedisConnection
+
         conn = MiniRedisConnection(self.host, self.port, timeout=self.op_timeout)
         if self.hello is not None:
             try:
@@ -1162,7 +1166,7 @@ class ServiceClient:
                 if hint is None:
                     attempt += 1
                     hint = min(0.1 * (2 ** min(attempt, 5)), 2.0)
-                    hint *= 0.5 + float(self._rng.random())
+                    hint *= 0.5 + self._rng.random()
                 if self.stop.wait(min(hint, remaining)):
                     raise error from None
 
@@ -1349,10 +1353,20 @@ def run_service_process(
     return 0
 
 
+def _blob(arg: Any) -> bytes:
+    """A bulk-string command argument; any other RESP value is refused."""
+    if isinstance(arg, bytes):
+        return arg
+    if isinstance(arg, (bytearray, memoryview)):
+        return bytes(arg)
+    raise TransportError(f"expected a bulk string argument, got {type(arg).__name__}")
+
+
 def _text(arg: Any) -> str:
-    if isinstance(arg, (bytes, bytearray)):
-        return bytes(arg).decode("utf-8", "replace")
-    return str(arg)
+    """A command argument as text: bulk strings decoded, integers as digits."""
+    if isinstance(arg, int):
+        return str(arg)
+    return _blob(arg).decode("utf-8", "replace")
 
 
 def _index(arg: Any) -> int:

@@ -21,11 +21,10 @@ service) and keeps its own seeded reconnect loop, which paints the
 
 from __future__ import annotations
 
+import random
 import sys
 import time
 from typing import Callable, Optional, TextIO
-
-import numpy as np
 
 from repro.errors import SweepError, TransportError
 from repro.sweep.dist.service import ServiceClient
@@ -198,7 +197,7 @@ def watch(
         )
     out = stream if stream is not None else sys.stdout
     use_ansi = stream is None and sys.stdout.isatty()
-    rng = np.random.default_rng(derive_seed(seed, "watch-reconnect", address))
+    rng = random.Random(derive_seed(seed, "watch-reconnect", address))
     refreshes = 0
     last: Optional[dict] = None
     budget_left = reconnect_budget
@@ -226,7 +225,7 @@ def watch(
                         )
                     return 0
                 delay = min(interval * 2 ** min(attempt, 4), 10.0)
-                delay = max(0.05, delay * (0.5 + float(rng.random())))
+                delay = max(0.05, delay * (0.5 + rng.random()))
                 delay = min(delay, budget_left)
                 print(
                     f"RECONNECTING to {address} "

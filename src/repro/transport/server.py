@@ -34,14 +34,14 @@ import socket
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
-from repro.config.loader import load_server_config
-from repro.config.schema import ServerConfig
 from repro.errors import ServerError, TransportError
 from repro.transport import resp
-from repro.transport.kvfile import ShardedFileStore
 from repro.transport.wire import Blob, Listener, as_parts, send_parts
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.config.schema import ServerConfig
 
 #: What ``_dispatch`` returns: one encoded reply, or its pieces when a
 #: large value rides along uncopied (``resp.encode_bulk``).
@@ -341,13 +341,21 @@ class RespTcpServer:
 
 
 class ServerManager:
-    """Owns the lifecycle of one data-transport deployment."""
+    """Owns the lifecycle of one data-transport deployment.
+
+    The config schema and the file store load when a manager is built
+    or started, not with this module: the sweep service imports it for
+    :class:`RespTcpServer` alone and never pays for them.
+    """
 
     def __init__(
         self,
         name: str,
         config: Union[ServerConfig, Mapping[str, Any], str, None] = None,
     ) -> None:
+        from repro.config.loader import load_server_config
+        from repro.config.schema import ServerConfig
+
         self.name = name
         if config is None:
             config = ServerConfig()
@@ -388,6 +396,8 @@ class ServerManager:
         return self
 
     def _start_file_backend(self) -> None:
+        from repro.transport.kvfile import ShardedFileStore
+
         if self.config.path:
             self._path = Path(self.config.path)
             self._owns_path = False

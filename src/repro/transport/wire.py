@@ -237,8 +237,9 @@ class Listener:
 
     Every connection accepted on either socket is offered to ``admit``
     (on the accept thread) and, if taken, registered in :attr:`conns` and
-    served by ``serve(conn)`` on its own thread; the connection is closed
-    when ``serve`` returns.
+    served by ``serve(conn)`` on its own thread, held in :attr:`threads`.
+    When ``serve`` returns the connection is closed, and then leaves
+    :attr:`conns` and its thread :attr:`threads`, together.
     """
 
     def __init__(self, host: str, port: int) -> None:
@@ -266,7 +267,7 @@ class Listener:
         self._serve = self._admit = None
         self.lock = threading.Lock()
         self.conns: set[socket.socket] = set()
-        self.threads: list[threading.Thread] = []
+        self.threads: set[threading.Thread] = set()
         #: Connections accepted on the twin (monotonic): is the fast path in use?
         self.local_connections = 0
 
@@ -300,21 +301,22 @@ class Listener:
                 target=self._run, args=(self._serve, conn), name=self._name, daemon=True
             )
             self.conns.add(conn)  # before its thread can look: HEALTH counts itself
+            self.threads.add(thread)
             try:
                 thread.start()
             except RuntimeError:  # out of threads
                 self.conns.discard(conn)
+                self.threads.discard(thread)
                 raise
-            self.threads = [t for t in self.threads if t.is_alive()]
-            self.threads.append(thread)
 
     def _run(self, serve: Callable[[socket.socket], None], conn: socket.socket) -> None:
         try:
             serve(conn)
         finally:
+            _close(conn)
             with self.lock:
                 self.conns.discard(conn)
-            _close(conn)
+                self.threads.discard(threading.current_thread())
 
     def close(self) -> None:
         """Stop accepting, drop every open connection, join their threads."""
@@ -324,7 +326,7 @@ class Listener:
             self._closed = True
             started = self._serve is not None
             self._serve = self._admit = None  # the server's bound methods: a cycle through us
-            conns, threads = list(self.conns), self.threads
+            conns, threads = list(self.conns), list(self.threads)
         for sock in self._socks:
             if started:
                 _accept_thread.unregister(sock)

@@ -145,13 +145,18 @@ def _coords(job_name: str) -> tuple[int, int]:
 
 
 def test_package_import_leaves_loadgen_unloaded():
-    # The load generator is a tool (`python -m repro.sweep.dist.loadgen`),
-    # not part of what `import repro.sweep.dist` pays for.
+    # `import repro.sweep.dist` loads no submodule; naming SweepService
+    # loads the service, not the load generator (a tool run as
+    # `python -m repro.sweep.dist.loadgen`), the worker or the console.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     code = (
         "import sys, repro.sweep.dist\n"
+        "for name in ('service', 'loadgen'):\n"
+        "    assert 'repro.sweep.dist.' + name not in sys.modules, name\n"
+        "from repro.sweep.dist import SweepService\n"
         "assert 'repro.sweep.dist.service' in sys.modules\n"
-        "assert 'repro.sweep.dist.loadgen' not in sys.modules\n"
+        "for name in ('loadgen', 'worker', 'watch'):\n"
+        "    assert 'repro.sweep.dist.' + name not in sys.modules, name\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60

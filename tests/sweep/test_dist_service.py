@@ -256,6 +256,35 @@ class TestHello:
         assert info["service"] is True
 
 
+class TestArgumentTypes:
+    def test_text_arguments_are_bulk_strings_or_integers(self):
+        from repro.sweep.dist.service import _text
+
+        assert _text(b"w0") == _text(bytearray(b"w0")) == _text(memoryview(b"w0")) == "w0"
+        assert _text(12) == "12"
+        for bad in ([b"w0"], None, "w0"):
+            with pytest.raises(TransportError, match="expected a bulk string"):
+                _text(bad)
+
+    def test_a_non_text_argument_is_refused_and_the_connection_serves_on(self, service):
+        import socket
+
+        with socket.create_connection((service.host, service.port), timeout=5.0) as sock:
+            replies = sock.makefile("rb")
+            # FAIL whose worker argument is an array.
+            sock.sendall(b"*5\r\n$4\r\nFAIL\r\n*1\r\n$2\r\nw0\r\n"
+                         b"$1\r\n0\r\n$1\r\ng\r\n$3\r\nerr\r\n")
+            assert replies.readline().startswith(b"-ERR expected a bulk string")
+            # DONE whose payload is an integer, and CANCEL of a nil grid.
+            sock.sendall(b"*5\r\n$4\r\nDONE\r\n$2\r\nw0\r\n$1\r\n0\r\n"
+                         b"$1\r\ng\r\n:1000000000\r\n")
+            assert replies.readline().startswith(b"-ERR expected a bulk string")
+            sock.sendall(b"*2\r\n$6\r\nCANCEL\r\n$-1\r\n")
+            assert replies.readline().startswith(b"-ERR expected a bulk string")
+            sock.sendall(b"*1\r\n$4\r\nPING\r\n")
+            assert replies.readline() == b"+PONG\r\n"
+
+
 class TestWorkersDrainService:
     def run_workers(self, address, n=2, **kwargs):
         kwargs.setdefault("poll", 0.02)

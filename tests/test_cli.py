@@ -367,6 +367,15 @@ def test_experiment_commands_take_no_scale_flag(command, capsys):
     assert "unrecognized arguments: --q" in capsys.readouterr().err
 
 
+def test_bench_threshold_default_is_the_bench_modules():
+    # The parser declares `bench`'s flags itself so that it need not
+    # import repro.benchreport; the default must not drift from it.
+    from repro.benchreport import DEFAULT_REGRESSION_THRESHOLD
+    from repro.cli import build_parser
+
+    assert build_parser().parse_args(["bench"]).threshold == DEFAULT_REGRESSION_THRESHOLD
+
+
 # -- sweep: distributed/cache flags ----------------------------------------
 
 

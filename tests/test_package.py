@@ -3,8 +3,10 @@
 import importlib
 import os
 import pkgutil
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -159,6 +161,85 @@ def test_repro_sweep_fig5_loads_no_other_driver(tmp_path):
         tmp_path,
     )
     assert sorted(loaded & DRIVERS) == ["repro.experiments.fig5_twonode"]
+
+
+# -- import hygiene: the sweep service loads its control plane alone -------
+
+#: What ``repro sweep --service`` never calls: numpy, the staging data
+#: path (serializer, file store, RESP client, config schema), trace
+#: export, the worker, the ``--watch`` console and the bench code.
+OFF_THE_CONTROL_PLANE = (
+    "numpy",
+    "repro.transport.serializer",
+    "repro.transport.kvfile",
+    "repro.transport.redis_backend",
+    "repro.transport.base",
+    "repro.config",
+    "repro.telemetry.events",
+    "repro.telemetry.chrome_trace",
+    "repro.sweep.dist.worker",
+    "repro.sweep.dist.watch",
+    "repro.benchreport",
+)
+
+
+def _off_control_plane(loaded):
+    return sorted(
+        m for m in loaded
+        if any(m == bad or m.startswith(bad + ".") for bad in OFF_THE_CONTROL_PLANE)
+    )
+
+
+def test_service_and_loadgen_modules_load_only_the_control_plane(tmp_path):
+    # The service imports loadgen to unpickle its points.
+    loaded = _modules_after("import repro.sweep.dist.service, repro.sweep.dist.loadgen", tmp_path)
+    assert _off_control_plane(loaded) == []
+
+
+def test_service_child_serving_a_loadgen_grid_imports_only_the_control_plane(tmp_path):
+    from repro.sweep.dist.loadgen import tenant_grid
+    from repro.sweep.dist.protocol import DRAINED, Assignment, dump_result
+    from repro.sweep.dist.service import ServiceClient
+    from repro.transport.redis_backend import MiniRedisConnection
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    log = tmp_path / "service.stderr"
+    with open(log, "wb") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-X", "importtime", "-m", "repro", "sweep", "--service",
+             "127.0.0.1:0", "--store", str(tmp_path / "store.sqlite")],
+            env=env, stdout=subprocess.DEVNULL, stderr=err,
+        )
+    try:
+        deadline = time.monotonic() + 60
+        while "sweep service on " not in log.read_text(errors="replace"):
+            assert child.poll() is None and time.monotonic() < deadline, log.read_text()
+            time.sleep(0.02)
+        address = log.read_text().split("sweep service on ", 1)[1].split()[0]
+        with ServiceClient(address) as client:
+            grid = client.submit("budget", tenant_grid(0, 0, 0, 3), capture=False)["grid"]
+            worker = MiniRedisConnection(*address.rsplit(":", 1), timeout=30.0)
+            try:
+                worker.command("HELLO", "budget-worker", "{}")
+                while (reply := worker.command("CLAIM", "budget-worker")) != DRAINED:
+                    assignment = Assignment.from_bytes(reply)
+                    value = dump_result(assignment.point.call(), None)
+                    assert worker.command(
+                        "DONE", "budget-worker", str(assignment.index), grid, value
+                    ) == "OK"
+            finally:
+                worker.close()
+            assert client.results(grid)["state"] == "done"
+    finally:
+        child.send_signal(signal.SIGTERM)
+        child.wait(timeout=30)
+    imported = {
+        line.split("|")[-1].strip()
+        for line in log.read_text().splitlines()
+        if line.startswith("import time:")
+    }
+    assert "repro.sweep.dist.loadgen" in imported  # the points were unpickled
+    assert _off_control_plane(imported) == []
 
 
 def test_exception_hierarchy_rooted():

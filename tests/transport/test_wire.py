@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.transport.wire import as_parts, recv_exact, send_parts
+from repro.transport.wire import Listener, as_parts, recv_exact, send_parts
 
 
 @pytest.fixture
@@ -105,3 +105,27 @@ def test_as_parts():
     blob = b"x"
     assert as_parts(blob) == (blob,)
     assert as_parts((b"a", b"b")) == (b"a", b"b")
+
+
+def test_a_finished_connection_leaves_conns_and_threads_together():
+    listener = Listener("127.0.0.1", 0)
+    served = []
+
+    def serve(conn):
+        served.append(conn)
+        conn.recv(1)  # b"" once the client closes
+
+    listener.start(serve, "test-listener")
+    try:
+        for _ in range(5):
+            with socket.create_connection((listener.host, listener.port)):
+                pass
+        deadline = time.monotonic() + 10.0
+        while (len(served) < 5 or listener.conns) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with listener.lock:
+            # No later accept is needed to forget a finished thread.
+            assert not listener.conns and not listener.threads
+        assert all(conn.fileno() == -1 for conn in served)  # closed before leaving
+    finally:
+        listener.close()
