@@ -4,13 +4,7 @@ For every backend and message size in the paper's sweep (0.4-32 MB), runs
 the co-located one-to-one mini-app and reports the per-process read and
 write throughput averaged over all processes and events.
 
-Shapes to match (§4.1.2):
-
-* in-memory backends (node-local, dragon, redis): non-monotonic — rising
-  with size, dipping past the ~8 MB per-process L3 share;
-* node-local ≳ dragon > redis;
-* filesystem: monotonic rise with size; collapses at 512 nodes from MDS
-  metadata contention while the others are unchanged.
+What the results must show: the ``fig3.*`` rows of ``repro.experiments.claims``.
 """
 
 from __future__ import annotations

@@ -5,12 +5,7 @@ mean per-message read/write times for the two scaling extremes the paper
 plots: node-local (top row) and filesystem (bottom row), each at 8 and
 512 nodes.
 
-Shapes to match (§4.1.2):
-
-* node-local: a 32 MB transfer costs about one simulation iteration, at
-  both scales (negligible overhead, perfect scaling);
-* filesystem: comparable to an iteration at 8 nodes, but roughly an order
-  of magnitude *more* than an iteration at 512 nodes.
+What the results must show: the ``fig4.*`` rows of ``repro.experiments.claims``.
 """
 
 from __future__ import annotations

@@ -4,14 +4,7 @@ One simulation component and one AI component on different nodes. The
 simulation stages locally; the AI reads non-locally. The node-local
 backend is excluded (impossible in this pattern) as in the paper.
 
-Shapes to match (§4.2):
-
-* redis: reasonable local write, poor non-local read;
-* dragon: high throughput both ways, read peaking near 10 MB then
-  declining;
-* filesystem: monotonic rise with size, approaching dragon at the largest
-  sizes;
-* local-write profiles resemble Fig 3's write panels.
+What the results must show: the ``fig5.*`` rows of ``repro.experiments.claims``.
 """
 
 from __future__ import annotations

@@ -5,13 +5,7 @@ blocks until each update has arrived from every simulation. Runtime per
 iteration = total training-component execution time / iterations, so it
 folds compute *and* transport together, as the paper specifies.
 
-Shapes to match (§4.2):
-
-* 8 nodes: runtime grows with size for all backends; redis worst; dragon
-  and filesystem about equal;
-* 128 nodes: redis still worst; dragon substantially slower than the
-  filesystem below ~10 MB (incast latency dominating), comparable above;
-  filesystem is the best overall choice for this pattern.
+What the results must show: the ``fig6*`` rows of ``repro.experiments.claims``.
 """
 
 from __future__ import annotations

@@ -4,14 +4,8 @@ Runs the synthesized "original" nekRS-ML workflow (measured iteration-time
 distributions, Redis transport) and its SimAI-Bench mini-app replica, and
 compares time-step and data-transport event counts per component.
 
-Paper reference values (5000 training iterations):
-
-    ============  =========  ==============  =========  ==============
-                  Simulation                 Training
-                  timestep   data transport  timestep   data transport
-    Original      10108      203             5000       208
-    Mini-app      10507      211             5000       208
-    ============  =========  ==============  =========  ==============
+``PAPER_TABLE2`` holds the paper's counts (5000 training iterations);
+the ``table2.*`` rows of ``repro.experiments.claims`` test against them.
 """
 
 from __future__ import annotations

@@ -1,17 +1,7 @@
 """Table 3 — iteration-time mean/std fidelity: original vs mini-app.
 
-Paper reference values:
-
-    ==========  ================  ================
-                Simulation        Training
-                mean (s)  std     mean (s)  std
-    Original    0.0312    0.0273  0.0611    0.1
-    Mini-app    0.0325    0.0011  0.0633    0.0017
-    ==========  ================  ================
-
-The headline behaviours to reproduce: mini-app means within a few percent
-of the original's, and a mini-app std that is orders of magnitude smaller
-(the executor pins iteration durations to the configured value, §4.1.1).
+``PAPER_TABLE3`` holds the paper's statistics; the ``table3.*`` rows of
+``repro.experiments.claims`` test against them.
 """
 
 from __future__ import annotations

@@ -70,11 +70,11 @@ def run_one_to_one_real(
     """Run pattern 1 for real against a running data server.
 
     The simulation thread stages a fresh synthetic (x, y) snapshot every
-    ``write_interval`` iterations; the AI thread polls every
-    ``read_interval`` training iterations, ingests what is new, trains on
-    the growing pool, and finally steers the simulation to stop. A
-    ``telemetry`` hub gets, at the end, the iteration and transport
-    spans and metrics derived from the run's log, and the
+    ``write_interval`` iterations, at least one per run; the AI thread
+    polls every ``read_interval`` training iterations, ingests what is
+    new, trains on the growing pool, and finally steers the simulation to
+    stop. A ``telemetry`` hub gets, at the end, the iteration and
+    transport spans and metrics derived from the run's log, and the
     ``resilience.retries`` counters of a ``resilience`` server_info.
     """
     config = config or RealOneToOneConfig()
@@ -102,7 +102,9 @@ def run_one_to_one_real(
         rng = np.random.default_rng(7)
         snapshot = 0
         try:
-            while not stop.is_set():
+            # Stop is honoured once a snapshot is staged: a trainer that
+            # outruns the first write_interval must not leave a run that moved no data.
+            while snapshot == 0 or not stop.is_set():
                 sim.run_iteration()
                 counters["sim_iters"] += 1
                 if counters["sim_iters"] % config.write_interval == 0:

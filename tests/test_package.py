@@ -150,6 +150,11 @@ def test_paper_cells_load_no_fabric_real_backend_or_other_driver(tmp_path):
     assert sorted(loaded & DRIVERS - ran) == []
 
 
+def test_the_drivers_do_not_load_the_claims_table(tmp_path):
+    code = "import repro.experiments.common\nfrom repro.experiments import fig3_throughput, fig6_scaling"
+    assert "repro.experiments.claims" not in _modules_after(code, tmp_path)
+
+
 def test_repro_sweep_fig5_loads_no_other_driver(tmp_path):
     loaded = _modules_after(
         "import runpy, sys\n"

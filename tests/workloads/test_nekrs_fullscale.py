@@ -1,63 +1,18 @@
-"""Full-scale (5000-iteration) validation: the actual Table 2/3 numbers.
+"""Full-scale (5000-iteration) validation runs.
 
-Sim-mode runs are cheap enough (<1 s) to validate at the paper's true
-scale, so these tests pin our measured values against the paper's
-reported ones with explicit tolerances.
+The Table 2/3 numbers themselves are checked against the paper's by the
+``table2.*`` / ``table3.*`` rows of ``repro.experiments.claims``.
 """
 
 import pytest
 
-from repro.core import compare_event_counts, compare_iteration_stats
-from repro.telemetry import EventKind
 from repro.workloads import NekrsValidationSetup
-
-PAPER = {
-    "orig_sim_steps": 10108,
-    "orig_sim_transport": 203,
-    "orig_train_transport": 208,
-    "sim_mean": 0.0312,
-    "sim_std": 0.0273,
-    "train_mean": 0.0611,
-    "train_std": 0.1,
-}
 
 
 @pytest.fixture(scope="module")
 def fullscale():
     setup = NekrsValidationSetup(train_iterations=5000)
     return setup.run_original(), setup.run_miniapp()
-
-
-def test_sim_timesteps_near_paper(fullscale):
-    original, _ = fullscale
-    assert original.sim_iterations == pytest.approx(PAPER["orig_sim_steps"], rel=0.05)
-
-
-def test_transport_event_counts_near_paper(fullscale):
-    original, miniapp = fullscale
-    sim_cmp = compare_event_counts(original.log, miniapp.log, "sim")
-    train_cmp = compare_event_counts(original.log, miniapp.log, "train")
-    assert sim_cmp.original_transport == pytest.approx(
-        PAPER["orig_sim_transport"], rel=0.1
-    )
-    assert train_cmp.original_transport == pytest.approx(
-        PAPER["orig_train_transport"], rel=0.1
-    )
-    assert train_cmp.original_timesteps == train_cmp.miniapp_timesteps == 5000
-
-
-def test_iteration_stats_near_paper(fullscale):
-    original, miniapp = fullscale
-    sim = compare_iteration_stats(original.log, miniapp.log, "sim", EventKind.COMPUTE)
-    train = compare_iteration_stats(original.log, miniapp.log, "train", EventKind.TRAIN)
-    assert sim.original.mean == pytest.approx(PAPER["sim_mean"], rel=0.03)
-    assert sim.original.std == pytest.approx(PAPER["sim_std"], rel=0.1)
-    assert train.original.mean == pytest.approx(PAPER["train_mean"], rel=0.03)
-    assert train.original.std == pytest.approx(PAPER["train_std"], rel=0.1)
-    # Mini-app: matching means, collapsed variance (Table 3's signature).
-    assert sim.mean_relative_error < 0.05
-    assert train.mean_relative_error < 0.05
-    assert sim.miniapp.std < 0.001 * sim.miniapp.mean
 
 
 def test_writes_and_reads_balance_at_scale(fullscale):
