@@ -14,15 +14,15 @@ Prints a markdown table, constant x scale -> the claims whose verdict
 flipped against the unscaled models, then the constants that flip no
 claim at x0.5 or x2::
 
-    PYTHONPATH=src python benchmarks/claims_sensitivity.py [--workers 2]
+    PYTHONPATH=src python benchmarks/claims_sensitivity.py
 
-126 runs of the four drivers (an integer field skips the scalings that round back to
-its value), about 6 minutes with 2 workers on 2 vCPUs.
+126 runs of the four drivers (an integer field skips the scalings that
+round back to its value), one worker process per CPU: about 6 minutes
+on 2 vCPUs.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import multiprocessing
 import sys
@@ -42,7 +42,8 @@ def _is_number(value) -> bool:
 
 
 def constants() -> list[tuple[str, str, float]]:
-    """``(owner, field, value)``: owner is a backend, ``lustre`` or ``serialization``."""
+    """``(owner, field, value)``; owner is a backend, ``lustre`` or
+    ``serialization``."""
     found = []
     models = _AURORA()
     for backend, model in models.items():
@@ -52,7 +53,9 @@ def constants() -> list[tuple[str, str, float]]:
             if _is_number(getattr(model.spec, f.name)) and f.name not in NOT_CALIBRATED
         ]
     lustre = models["filesystem"].spec.lustre
-    found += [("lustre", f.name, getattr(lustre, f.name)) for f in dataclasses.fields(lustre)]
+    found += [
+        ("lustre", f.name, getattr(lustre, f.name)) for f in dataclasses.fields(lustre)
+    ]
     serialization = models["filesystem"].spec.serialization
     found += [("serialization", "bandwidth", serialization.bandwidth)]
     return found
@@ -76,7 +79,8 @@ def scaled_models(owner: str, name: str, factor: float):
             if owner == backend:
                 spec = _replace_field(spec, name, factor)
             elif owner == "lustre" and backend == "filesystem":
-                spec = dataclasses.replace(spec, lustre=_replace_field(spec.lustre, name, factor))
+                lustre = _replace_field(spec.lustre, name, factor)
+                spec = dataclasses.replace(spec, lustre=lustre)
             elif owner == "serialization":
                 spec = dataclasses.replace(
                     spec, serialization=_replace_field(spec.serialization, name, factor)
@@ -95,14 +99,12 @@ def verdicts(owner=None, name=None, factor=None) -> dict[str, bool]:
         results = {figure: driver(figure).run() for figure in FIGURES}
     finally:
         common.aurora_backend_models = _AURORA
-    return {c.id: c.evaluate(results[c.figure])[1] for c in CLAIMS if c.figure in FIGURES}
+    return {
+        c.id: c.evaluate(results[c.figure])[1] for c in CLAIMS if c.figure in FIGURES
+    }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workers", type=int, default=2)
-    args = parser.parse_args(argv)
-
+def main() -> int:
     base = verdicts()
     jobs = [
         (owner, name, factor)
@@ -111,7 +113,7 @@ def main(argv=None) -> int:
         if _scale(value, factor) != value
     ]
     context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=args.workers, mp_context=context) as pool:
+    with ProcessPoolExecutor(mp_context=context) as pool:
         flipped = {
             job: sorted(cid for cid, ok in result.items() if ok != base[cid])
             for job, result in zip(jobs, pool.map(verdicts, *zip(*jobs)))
@@ -124,13 +126,18 @@ def main(argv=None) -> int:
         cells = []
         for factor in FACTORS:
             ids = flipped.get((owner, name, factor))
-            cells.append("—" if ids is None else ", ".join(f"`{i}`" for i in ids) or "·")
+            if ids is None:
+                cells.append("—")
+            else:
+                cells.append(", ".join(f"`{i}`" for i in ids) or "·")
         print(f"| {owner}.{name} | {value:g} | " + " | ".join(cells) + " |")
         if not any(flipped.get((owner, name, f)) for f in (FACTORS[0], FACTORS[-1])):
             quiet.append(f"{owner}.{name}")
     print()
-    print(f"{len(quiet)} constants flip no claim at ×{FACTORS[0]:g} or ×{FACTORS[-1]:g}: "
-          + ", ".join(quiet))
+    print(
+        f"{len(quiet)} constants flip no claim at ×{FACTORS[0]:g} or ×{FACTORS[-1]:g}: "
+        + ", ".join(quiet)
+    )
     return 0
 
 

@@ -70,11 +70,12 @@ def run_one_to_one_real(
     """Run pattern 1 for real against a running data server.
 
     The simulation thread stages a fresh synthetic (x, y) snapshot every
-    ``write_interval`` iterations, at least one per run; the AI thread
-    polls every ``read_interval`` training iterations, ingests what is
-    new, trains on the growing pool, and finally steers the simulation to
-    stop. A ``telemetry`` hub gets, at the end, the iteration and
-    transport spans and metrics derived from the run's log, and the
+    ``write_interval`` iterations, and one as it stops if it has staged
+    none, so a run always moves data; the AI thread polls every
+    ``read_interval`` training iterations, ingests what is new, trains on
+    the growing pool, and finally steers the simulation to stop. A
+    ``telemetry`` hub gets, at the end, the iteration and transport
+    spans and metrics derived from the run's log, and the
     ``resilience.retries`` counters of a ``resilience`` server_info.
     """
     config = config or RealOneToOneConfig()
@@ -101,28 +102,35 @@ def run_one_to_one_real(
         sim = Simulation("sim", config=sim_cfg, server_info=server_info)
         rng = np.random.default_rng(7)
         snapshot = 0
+
+        def stage() -> None:
+            nonlocal snapshot
+            x, y = synthetic_snapshot(
+                config.snapshot_samples,
+                config.input_dim,
+                config.output_dim,
+                rng,
+            )
+            try:
+                sim.stage_write(f"snap{snapshot}", (x, y))
+            except TransportError:
+                # Degrade, don't crash: the snapshot is lost (the
+                # retry budget is already spent), the sim carries on.
+                counters["lost"] += 1
+            else:
+                counters["written"] += 1
+            snapshot += 1
+
         try:
-            # Stop is honoured once a snapshot is staged: a trainer that
-            # outruns the first write_interval must not leave a run that moved no data.
-            while snapshot == 0 or not stop.is_set():
+            while not stop.is_set():
                 sim.run_iteration()
                 counters["sim_iters"] += 1
                 if counters["sim_iters"] % config.write_interval == 0:
-                    x, y = synthetic_snapshot(
-                        config.snapshot_samples,
-                        config.input_dim,
-                        config.output_dim,
-                        rng,
-                    )
-                    try:
-                        sim.stage_write(f"snap{snapshot}", (x, y))
-                    except TransportError:
-                        # Degrade, don't crash: the snapshot is lost (the
-                        # retry budget is already spent), the sim carries on.
-                        counters["lost"] += 1
-                    else:
-                        counters["written"] += 1
-                    snapshot += 1
+                    stage()
+            if snapshot == 0 and not errors:
+                # A trainer that finished before the first write_interval
+                # still gets a run that moved data: one snapshot, as it stops.
+                stage()
         except BaseException as exc:  # noqa: BLE001
             errors.append(exc)
             stop.set()

@@ -5,8 +5,10 @@ are the rows of :data:`repro.experiments.claims.CLAIMS`, one test each;
 the rest check the rendered output and the registry.
 """
 
+import fnmatch
 import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -57,10 +59,14 @@ def test_fig6_render(driver_result):
     assert "128 nodes" in driver_result("fig6").render()
 
 
-@pytest.mark.parametrize("claim", [
-    pytest.param(c, id=c.id, marks=pytest.mark.xfail(strict=True, reason=c.known_miss) if c.known_miss else ())
-    for c in CLAIMS
-])
+def _claim_param(claim):
+    if not claim.known_miss:
+        return pytest.param(claim, id=claim.id)
+    xfail = pytest.mark.xfail(strict=True, reason=claim.known_miss)
+    return pytest.param(claim, id=claim.id, marks=xfail)
+
+
+@pytest.mark.parametrize("claim", [_claim_param(c) for c in CLAIMS])
 def test_claim_holds(claim, driver_result):
     value, passed = claim.evaluate(driver_result(claim.figure))
     assert passed, f"{claim.id}: measured {value!r}, tolerance {claim.bounds()}"
@@ -69,6 +75,16 @@ def test_claim_holds(claim, driver_result):
 def test_experiments_md_holds_the_rendered_claims(driver_result):
     rendered = render_markdown(driver_result)
     assert rendered in EXPERIMENTS_MD.read_text(), "regenerate EXPERIMENTS.md's claims tables"
+
+
+def test_experiments_md_names_only_claims_that_exist():
+    """The calibration and sensitivity tables name claims by hand (``fig4.filesystem.*``
+    is a pattern): each name must match a row of ``CLAIMS``."""
+    ids = [c.id for c in CLAIMS]
+    text = EXPERIMENTS_MD.read_text()
+    named = set(re.findall(r"`((?:table|fig)\d[ab]?\.[^`]+)`", text))
+    unknown = sorted(n for n in named if not fnmatch.filter(ids, n))
+    assert named and not unknown, unknown
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -114,8 +114,9 @@ def test_real_one_to_one_runs_end_to_end(tmp_path, backend):
 
 
 def test_a_real_run_stages_a_snapshot_when_the_trainer_finishes_first(tmp_path):
-    """The trainer's two iterations end long before the simulation's third,
-    its first write: the run still stages one snapshot before it stops."""
+    """The trainer's two iterations end long before the simulation's 50th,
+    its first write: the run still stages one snapshot, as it stops, without
+    running on to the write_interval."""
     from repro.telemetry import Telemetry
     from repro.transport import ServerManager
 
@@ -123,10 +124,11 @@ def test_a_real_run_stages_a_snapshot_when_the_trainer_finishes_first(tmp_path):
     config = {"backend": "node-local", "n_shards": 1, "path": str(tmp_path)}
     with ServerManager("stage", config=config) as manager:
         result = run_one_to_one_real(manager.get_server_info(), RealOneToOneConfig(
-            train_iterations=2, write_interval=3, read_interval=1,
+            train_iterations=2, write_interval=50, read_interval=1,
             sim_iter_time=0.2, ai_iter_time=0.001,
         ), telemetry=hub)
-    assert result.snapshots_written >= 1
+    assert result.snapshots_written == 1
+    assert result.sim_iterations < 50
     writes = hub.metrics.get("transport.write.ops{backend=node-local}")
     assert writes is not None and writes.value == result.snapshots_written
 
