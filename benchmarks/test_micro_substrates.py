@@ -1,11 +1,10 @@
-"""Microbenchmarks: substrate performance (DES engine, MPI layer, ML)."""
+"""Microbenchmarks: substrate performance (DES engine, ML)."""
 
 import numpy as np
 
 from repro.des import Environment, Resource
 from repro.config import AIConfig
 from repro.ml import SGD, build_mlp, train_step
-from repro.mpi import run_parallel
 
 
 def test_des_event_throughput(benchmark):
@@ -43,16 +42,6 @@ def test_des_resource_contention(benchmark):
         return env.now
 
     assert benchmark(run_sim) > 0
-
-
-def test_mpi_allreduce_8_ranks(benchmark):
-    data = np.ones(4096)
-
-    def op():
-        return run_parallel(lambda comm: comm.allreduce(data), 8)
-
-    results = benchmark(op)
-    assert results[0][0] == 8.0
 
 
 def test_ml_train_step(benchmark):

@@ -3,8 +3,8 @@ Coupled AI-Simulation Workflow Patterns" (SC 2025).
 
 The package re-implements the paper's SimAI-Bench framework and every
 substrate it depends on (a discrete-event engine charged by calibrated
-per-backend transport cost models, a threaded MPI-like layer,
-data-transport backends, a small neural-network library), plus the
+per-backend transport cost models, data-transport backends, a small
+neural-network library), plus the
 experiment drivers that regenerate every table and figure of the paper's
 evaluation section.
 

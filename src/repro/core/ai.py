@@ -4,9 +4,9 @@ Wraps a real feed-forward network (:mod:`repro.ml`) in the same execution
 control as the Simulation class: training proceeds for a prescribed number
 of iterations, and when ``run_time`` is configured each iteration is
 padded to the sampled duration — how the paper's mini-app matches the
-production GNN's 0.061 s/iteration with a lightweight MLP. Distributed
-data-parallel training synchronizes gradients over the component's
-communicator.
+production GNN's 0.061 s/iteration with a lightweight MLP. The trainer is
+one rank: a step is zero_grad, forward, loss, backward and an optimizer
+step.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from repro.config.schema import AIConfig
 from repro.core.component import Component
 from repro.errors import ConfigError, MLError
 from repro.ml.data import ReplayDataset, SnapshotDataset
-from repro.ml.ddp import DistributedDataParallel, shard_batch
 from repro.ml.graph import build_gnn, mesh_graph
 from repro.ml.loss import MSELoss
-from repro.ml.network import build_mlp
+from repro.ml.network import build_mlp, train_step
 from repro.ml.optim import Adam
 from repro.telemetry.events import EventKind
 from repro.telemetry.timer import Stopwatch
@@ -49,7 +48,7 @@ class AI(Component):
                 config = load_ai_config(config)
             self.config = config
             self.rng = np.random.default_rng(
-                np.random.SeedSequence([config.seed, 17, self.rank])
+                np.random.SeedSequence([config.seed, 17, 0])  # rank 0
             )
             if config.architecture == "gnn":
                 # The paper's future-work architecture: a GCN over the
@@ -66,7 +65,6 @@ class AI(Component):
                 self.model = build_mlp(config)
                 self.dataset = ReplayDataset(rng=self.rng)
             self.optimizer = Adam(self.model, lr=config.learning_rate)
-            self.ddp = DistributedDataParallel(self.model, comm=self.comm)
             self.loss_fn = MSELoss()
             self.iterations_run = 0
             self.losses: list[float] = []
@@ -97,7 +95,7 @@ class AI(Component):
 
     # -- execution -----------------------------------------------------------------
     def train_iteration(self) -> float:
-        """One training step (DDP-synchronized), padded to run_time."""
+        """One training step, padded to run_time."""
         start = self.clock.now()
         budget = (
             self.config.run_time.sample(self.rng)
@@ -108,16 +106,13 @@ class AI(Component):
             # No data yet: emulate a stalled data loader (wait out the
             # iteration budget, as the production trainer's loader would).
             loss = float("nan")
-        elif self.config.architecture == "gnn":
-            # Whole-mesh training: every replica steps on one snapshot
-            # (data parallelism over snapshots, not rows).
-            x, y = self.dataset.sample()
-            loss = self.ddp.train_step(self.optimizer, x, y, loss_fn=self.loss_fn)
         else:
-            x, y = self.dataset.sample(self.config.batch_size)
-            if self.comm is not None and self.comm.size > 1:
-                x, y = shard_batch(x, y, self.comm)
-            loss = self.ddp.train_step(self.optimizer, x, y, loss_fn=self.loss_fn)
+            if self.config.architecture == "gnn":
+                # Whole-mesh training: a step is one snapshot, not a batch of rows.
+                x, y = self.dataset.sample()
+            else:
+                x, y = self.dataset.sample(self.config.batch_size)
+            loss = train_step(self.model, self.optimizer, x, y, loss_fn=self.loss_fn)
         self.losses.append(loss)
         if budget is not None:
             elapsed = self.clock.now() - start
@@ -129,7 +124,6 @@ class AI(Component):
             kind=EventKind.TRAIN,
             start=start,
             duration=duration,
-            rank=self.rank,
         )
         self.iterations_run += 1
         return duration

@@ -2,7 +2,8 @@
 
 Owns the pieces every component shares: a DataStore client built from
 ``server_info``, an event log, a pacing clock, and the stage_* passthrough
-API the paper shows on both classes (Listing 1).
+API the paper shows on both classes (Listing 1). A real component runs as
+one rank: its records are rank 0.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from pathlib import Path
 from typing import Any, Mapping, Optional
 
 from repro.errors import WorkflowError
-from repro.mpi.api import Communicator
 from repro.telemetry.events import EventKind, EventLog
 from repro.telemetry.timer import Clock, RealClock
 from repro.transport.datastore import DataStore
@@ -26,7 +26,6 @@ class Component:
         self,
         name: str,
         server_info: Optional[Mapping[str, Any]] = None,
-        comm: Optional[Communicator] = None,
         clock: Optional[Clock] = None,
         event_log: Optional[EventLog] = None,
         workdir: Optional[str | Path] = None,
@@ -34,7 +33,6 @@ class Component:
         if not name:
             raise WorkflowError("components need a non-empty name")
         self.name = name
-        self.comm = comm
         self.clock = clock or RealClock()
         self.event_log = event_log if event_log is not None else EventLog()
         self.workdir = Path(workdir) if workdir is not None else None
@@ -43,18 +41,9 @@ class Component:
             self._datastore = DataStore(
                 name=name,
                 server_info=server_info,
-                rank=self.rank,
                 clock=self.clock,
                 event_log=self.event_log,
             )
-
-    @property
-    def rank(self) -> int:
-        return self.comm.rank if self.comm is not None else 0
-
-    @property
-    def nranks(self) -> int:
-        return self.comm.size if self.comm is not None else 1
 
     @property
     def datastore(self) -> DataStore:
@@ -88,7 +77,6 @@ class Component:
             kind=EventKind.INIT,
             start=start,
             duration=duration,
-            rank=self.rank,
         )
 
     def close(self) -> None:

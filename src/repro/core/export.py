@@ -5,8 +5,9 @@ Simulation and AI modules to be exported for use with third-party workflow
 managers, such as RADICAL-Pilot or Parsl."
 
 The exported form is a plain JSON-able *workflow spec*: component names,
-types, rank counts, dependency edges, static args, and the component
-function's import path. Any external manager can consume it; the included
+types, dependency edges, static args, and the component function's import
+path. Every component runs as one rank; a spec that asks for more is
+refused. Any external manager can consume it; the included
 :class:`ExternalExecutor` shows the minimal adapter contract (Parsl-style
 ``submit(fn, *deps)`` futures) and doubles as the reference executor for
 round-trip tests.
@@ -74,7 +75,6 @@ def export_spec(workflow: Workflow) -> dict[str, Any]:
                 "type": spec.type,
                 "args": spec.args,
                 "dependencies": spec.dependencies,
-                "nranks": spec.nranks,
             }
         )
     return {
@@ -91,6 +91,11 @@ def workflow_from_spec(spec: Mapping[str, Any]) -> Workflow:
         raise WorkflowError(f"unknown workflow spec schema {spec.get('schema')!r}")
     workflow = Workflow(name=spec.get("name", "workflow"), sys_info=spec.get("sys_info"))
     for comp in spec.get("components", []):
+        if comp.get("nranks", 1) != 1:
+            raise WorkflowError(
+                f"component {comp.get('name')!r} asks for nranks={comp['nranks']!r}; "
+                "components run as one rank"
+            )
         workflow.add_component(
             ComponentSpec(
                 name=comp["name"],
@@ -98,7 +103,6 @@ def workflow_from_spec(spec: Mapping[str, Any]) -> Workflow:
                 type=comp.get("type", "local"),
                 args=dict(comp.get("args", {})),
                 dependencies=list(comp.get("dependencies", [])),
-                nranks=int(comp.get("nranks", 1)),
             )
         )
     workflow.execution_order()  # validate the imported DAG
@@ -135,14 +139,6 @@ class ExternalExecutor:
         results: dict[str, Any] = {}
         for name in workflow.execution_order():
             comp = workflow._components[name]
-            if comp.nranks > 1:
-                from repro.mpi.local import run_parallel
-
-                result = run_parallel(
-                    lambda comm, _c=comp: _c.fn(**_c.args), comp.nranks
-                )
-            else:
-                result = self.submit(comp.fn, comp.args)
+            results[name] = self.submit(comp.fn, comp.args)
             self.submitted.append(name)
-            results[name] = result
         return results

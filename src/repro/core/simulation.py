@@ -45,7 +45,7 @@ class Simulation(Component):
                 config = load_simulation_config(config)
             self.config = config
             self.rng = np.random.default_rng(
-                np.random.SeedSequence([config.seed, self.rank])
+                np.random.SeedSequence([config.seed, 0])  # rank 0
             )
             self._executors: list[KernelExecutor] = []
             for kernel_config in config.kernels:
@@ -56,9 +56,8 @@ class Simulation(Component):
     # -- kernel management ------------------------------------------------------
     def _add_executor(self, kernel_config: KernelConfig) -> None:
         ctx = KernelContext(
-            device=device_from_name(kernel_config.device, index=self.rank),
+            device=device_from_name(kernel_config.device),
             rng=self.rng,
-            comm=self.comm,
             workdir=self.workdir,
         )
         kernel = make_kernel(kernel_config, ctx)
@@ -97,7 +96,6 @@ class Simulation(Component):
             kind=EventKind.COMPUTE,
             start=start,
             duration=duration,
-            rank=self.rank,
         )
         self.iterations_run += 1
         return duration

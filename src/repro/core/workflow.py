@@ -19,23 +19,19 @@ matches Listing 1::
 
 ``type="remote"`` stands for components the production tool would place
 on remote compute nodes via ``mpirun``; here both types execute in this
-process, with remote components optionally spanning multiple ranks
-(``nranks=N`` gives the function a ``comm`` keyword when it accepts one —
-our in-process stand-in for an mpirun launch). Components whose
-dependencies are satisfied run **concurrently** (each on its own thread);
+process, as one rank each. Components whose dependencies are satisfied
+run **concurrently** (each on its own thread);
 ``launch`` performs a topological traversal of the DAG, propagates the
 first failure, and returns every component's result.
 """
 
 from __future__ import annotations
 
-import inspect
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
 from repro.errors import DependencyCycleError, WorkflowError
-from repro.mpi.local import run_parallel
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -50,7 +46,6 @@ class ComponentSpec:
     type: str = "local"
     args: dict[str, Any] = field(default_factory=dict)
     dependencies: list[str] = field(default_factory=list)
-    nranks: int = 1
 
     def __post_init__(self) -> None:
         if self.type not in ("local", "remote"):
@@ -58,8 +53,6 @@ class ComponentSpec:
                 f"component {self.name!r}: type must be 'local' or 'remote', "
                 f"got {self.type!r}"
             )
-        if self.nranks < 1:
-            raise WorkflowError(f"component {self.name!r}: nranks must be >= 1")
 
 
 class Workflow:
@@ -82,7 +75,6 @@ class Workflow:
         type: str = "local",
         args: Optional[Mapping[str, Any]] = None,
         dependencies: Optional[list[str]] = None,
-        nranks: int = 1,
     ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
         """Decorator registering a function as a workflow component."""
 
@@ -93,7 +85,6 @@ class Workflow:
                 type=type,
                 args=dict(args or {}),
                 dependencies=list(dependencies or []),
-                nranks=nranks,
             )
             self.add_component(spec)
             return fn
@@ -163,7 +154,7 @@ class Workflow:
             if failure.is_set():
                 return
             try:
-                result = self._run_component(spec)
+                result = spec.fn(**spec.args)
                 with results_lock:
                     self.results[spec.name] = result
             except BaseException as exc:  # noqa: BLE001 - propagate to caller
@@ -197,16 +188,3 @@ class Workflow:
                 if name in errors:
                     raise errors[name]
         return dict(self.results)
-
-    def _run_component(self, spec: ComponentSpec) -> Any:
-        kwargs = dict(spec.args)
-        if spec.nranks > 1:
-            accepts_comm = "comm" in inspect.signature(spec.fn).parameters
-
-            def rank_fn(comm):
-                if accepts_comm:
-                    return spec.fn(comm=comm, **kwargs)
-                return spec.fn(**kwargs)
-
-            return run_parallel(rank_fn, spec.nranks)
-        return spec.fn(**kwargs)

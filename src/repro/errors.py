@@ -206,9 +206,5 @@ class DeviceError(KernelError):
     """An operation referenced an unknown or incompatible device."""
 
 
-class MPIError(ReproError):
-    """An MPI-like communicator operation failed."""
-
-
 class MLError(ReproError):
     """A machine-learning component failed (shape mismatch, bad config...)."""

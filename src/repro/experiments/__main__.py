@@ -10,13 +10,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.cli import main as repro_main
 from repro.cli import shell_main
-
-
-def main(argv: list[str] | None = None) -> int:
-    return repro_main(["sweep", *(sys.argv[1:] if argv is None else argv)])
-
 
 if __name__ == "__main__":
     sys.exit(shell_main(["sweep", *sys.argv[1:]]))

@@ -28,7 +28,6 @@ import numpy as np
 from repro.config.schema import KernelConfig
 from repro.errors import KernelError
 from repro.kernels.device import Device, device_from_name
-from repro.mpi.api import Communicator
 from repro.telemetry.timer import Clock, RealClock
 
 
@@ -38,7 +37,6 @@ class KernelContext:
 
     device: Device = field(default_factory=Device)
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
-    comm: Optional[Communicator] = None
     workdir: Optional[Path] = None
 
     def require_workdir(self, kernel: str) -> Path:

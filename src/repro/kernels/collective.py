@@ -1,16 +1,13 @@
 """Collective-communication kernels from Table 1.
 
-Both kernels run over the context's communicator (our mpi4py stand-in;
-see :mod:`repro.mpi`). Without a communicator they degrade to size-1
-semantics, so single-rank configurations stay runnable.
+A mini-app component runs as one rank, so both kernels have size-1
+semantics: the all-reduce and the all-gather of one rank's array are
+that array.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.kernels.base import Kernel, KernelResult, register_kernel
-from repro.mpi.api import SUM
 
 
 def _array_size(data_size: tuple[int, ...]) -> int:
@@ -20,44 +17,27 @@ def _array_size(data_size: tuple[int, ...]) -> int:
     return n
 
 
+class _CollectiveKernel(Kernel):
+    """One rank's collective: it moves its own array."""
+
+    category = "collective"
+
+    def setup(self) -> None:
+        self.x = self.ctx.rng.random(_array_size(self.data_size))
+
+    def run_once(self) -> KernelResult:
+        return KernelResult(bytes_processed=float(self.x.nbytes), flops=0.0)
+
+
 @register_kernel
-class AllReduce(Kernel):
+class AllReduce(_CollectiveKernel):
     """Performs an all-reduce (sum) over the configured array."""
 
     name = "AllReduce"
-    category = "collective"
-
-    def setup(self) -> None:
-        self.x = self.ctx.rng.random(_array_size(self.data_size))
-
-    def run_once(self) -> KernelResult:
-        comm = self.ctx.comm
-        if comm is None or comm.size == 1:
-            result = self.x
-        else:
-            result = comm.allreduce(self.x, op=SUM)
-        p = 1 if comm is None else comm.size
-        return KernelResult(
-            bytes_processed=float(result.nbytes) * max(1, p - 1),
-            flops=float(result.size) * max(0, p - 1),
-        )
 
 
 @register_kernel
-class AllGather(Kernel):
+class AllGather(_CollectiveKernel):
     """Performs an all-gather of the configured array."""
 
     name = "AllGather"
-    category = "collective"
-
-    def setup(self) -> None:
-        self.x = self.ctx.rng.random(_array_size(self.data_size))
-
-    def run_once(self) -> KernelResult:
-        comm = self.ctx.comm
-        if comm is None or comm.size == 1:
-            gathered = [self.x]
-        else:
-            gathered = comm.allgather(self.x)
-        total = float(sum(np.asarray(g).nbytes for g in gathered))
-        return KernelResult(bytes_processed=total, flops=0.0)

@@ -1,16 +1,15 @@
 """IO kernels from Table 1.
 
 The paper's IO kernels use HDF5; h5py is not installed here, so files are
-raw little-endian float64 blocks (the access *pattern* — who writes, how
-the file is shared, collective vs independent — is what the kernels model,
-not the container format):
+raw little-endian float64 blocks (the access *pattern* — how the file is
+shared, positioned vs streamed — is what the kernels model, not the
+container format). A mini-app component runs as one rank, rank 0:
 
-* ``WriteSingleRank`` — rank 0 gathers and writes everything;
+* ``WriteSingleRank`` — rank 0 writes everything to one shared file;
 * ``WriteNonMPI`` / ``ReadNonMPI`` — file-per-rank independent IO;
-* ``WriteWithMPI`` / ``ReadWithMPI`` — a single shared file accessed
-  collectively at rank offsets (``os.pwrite``/``os.pread``, which is what
-  MPI-IO degenerates to on one node), with a barrier to mimic the
-  collective's synchronization semantics.
+* ``WriteWithMPI`` / ``ReadWithMPI`` — a single shared file accessed at
+  the rank's offset (``os.pwrite``/``os.pread``, which is what MPI-IO
+  degenerates to on one node).
 """
 
 from __future__ import annotations
@@ -39,12 +38,9 @@ class _IOKernel(Kernel):
         self.workdir = self.ctx.require_workdir(self.name)
         n = _array_size(self.data_size)
         self.array = self.ctx.rng.random(n)
-        self.rank = self.ctx.comm.rank if self.ctx.comm else 0
-        self.nranks = self.ctx.comm.size if self.ctx.comm else 1
-        self.counter = 0
 
     def _per_rank_path(self) -> Path:
-        return self.workdir / f"{self.config.name}_rank{self.rank}.bin"
+        return self.workdir / f"{self.config.name}_rank0.bin"
 
     def _shared_path(self) -> Path:
         return self.workdir / f"{self.config.name}_shared.bin"
@@ -64,17 +60,9 @@ class WriteSingleRank(_IOKernel):
     name = "WriteSingleRank"
 
     def run_once(self) -> KernelResult:
-        comm = self.ctx.comm
-        if comm is not None and comm.size > 1:
-            gathered = comm.gather(self.array, root=0)
-            if comm.rank != 0:
-                return KernelResult(bytes_processed=float(self.array.nbytes))
-            data = np.concatenate(gathered)
-        else:
-            data = self.array
         with open(self._shared_path(), "wb") as handle:
-            handle.write(data.tobytes())
-        return KernelResult(bytes_processed=float(data.nbytes))
+            handle.write(self.array.tobytes())
+        return KernelResult(bytes_processed=float(self.array.nbytes))
 
 
 @register_kernel
@@ -108,54 +96,35 @@ class ReadNonMPI(_IOKernel):
 
 @register_kernel
 class WriteWithMPI(_IOKernel):
-    """Collective write: every rank writes its block of one shared file."""
+    """Positioned write of the rank's block of one shared file."""
 
     name = "WriteWithMPI"
 
     def run_once(self) -> KernelResult:
-        path = self._shared_path()
-        offset = self.rank * self.array.nbytes
-        # Pre-size the file once so concurrent pwrites land in place.
-        if self.rank == 0 and not path.exists():
-            with open(path, "wb") as handle:
-                handle.truncate(self.nranks * self.array.nbytes)
-        if self.ctx.comm is not None:
-            self.ctx.comm.barrier()
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+        fd = os.open(self._shared_path(), os.O_WRONLY | os.O_CREAT)
         try:
-            os.pwrite(fd, self.array.tobytes(), offset)
+            os.pwrite(fd, self.array.tobytes(), 0)
         finally:
             os.close(fd)
-        if self.ctx.comm is not None:
-            self.ctx.comm.barrier()  # collective completion semantics
         return KernelResult(bytes_processed=float(self.array.nbytes))
 
 
 @register_kernel
 class ReadWithMPI(_IOKernel):
-    """Collective read: every rank reads its block of one shared file."""
+    """Positioned read of the rank's block of one shared file."""
 
     name = "ReadWithMPI"
 
     def setup(self) -> None:
         super().setup()
-        path = self._shared_path()
-        if self.rank == 0:
-            with open(path, "wb") as handle:
-                handle.write(
-                    np.tile(self.array, self.nranks).tobytes()
-                )
-        if self.ctx.comm is not None:
-            self.ctx.comm.barrier()  # readers wait for the file to exist
+        with open(self._shared_path(), "wb") as handle:
+            handle.write(self.array.tobytes())
 
     def run_once(self) -> KernelResult:
-        offset = self.rank * self.array.nbytes
         fd = os.open(self._shared_path(), os.O_RDONLY)
         try:
-            blob = os.pread(fd, self.array.nbytes, offset)
+            blob = os.pread(fd, self.array.nbytes, 0)
         finally:
             os.close(fd)
-        if self.ctx.comm is not None:
-            self.ctx.comm.barrier()
         data = np.frombuffer(blob, dtype=np.float64)
         return KernelResult(bytes_processed=float(data.nbytes))

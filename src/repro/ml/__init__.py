@@ -1,12 +1,11 @@
 """A from-scratch neural-network library (the PyTorch stand-in).
 
 Provides exactly what the paper's AI component needs: feed-forward
-fully-connected models, MSE/cross-entropy losses, SGD/Adam, and a DDP
-wrapper doing gradient allreduce over :mod:`repro.mpi`.
+fully-connected models, MSE/cross-entropy losses and SGD/Adam, trained on
+one rank.
 """
 
 from repro.ml.data import DataLoader, ReplayDataset, synthetic_snapshot
-from repro.ml.ddp import DistributedDataParallel, shard_batch
 from repro.ml.graph import (
     GraphConv,
     HaloExchangeModel,
@@ -33,7 +32,6 @@ __all__ = [
     "Adam",
     "CrossEntropyLoss",
     "DataLoader",
-    "DistributedDataParallel",
     "GELU",
     "GraphConv",
     "HaloExchangeModel",
@@ -53,7 +51,6 @@ __all__ = [
     "evaluate",
     "mesh_graph",
     "normalized_adjacency",
-    "shard_batch",
     "synthetic_snapshot",
     "train_step",
 ]

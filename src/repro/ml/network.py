@@ -3,7 +3,8 @@
 The paper's AI class "supports distributed data-parallel training with DDP
 from torch.distributed, with an initial focus on a feed-forward, fully-
 connected neural network models" (§3.4). :func:`build_mlp` constructs that
-model family from an :class:`~repro.config.AIConfig`.
+model family from an :class:`~repro.config.AIConfig`; :func:`train_step` is
+the AI component's step, on one rank.
 """
 
 from __future__ import annotations

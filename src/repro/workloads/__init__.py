@@ -19,10 +19,6 @@ _EXPORTS = {
     "PatternResult": ".patterns",
     "RealOneToOneConfig": ".realrun",
     "RealRunResult": ".realrun",
-    "TransportSchedule": ".profiling",
-    "calibrate_run_time": ".profiling",
-    "calibrate_simulation_config": ".profiling",
-    "calibrate_transport_schedule": ".profiling",
     "nekrs_ai_config": ".nekrs",
     "nekrs_simulation_config": ".nekrs",
     "run_inference_loop": ".inference",

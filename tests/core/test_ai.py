@@ -8,7 +8,6 @@ import pytest
 from repro.core import AI
 from repro.errors import ConfigError, MLError
 from repro.ml import synthetic_snapshot
-from repro.mpi import run_parallel
 from repro.telemetry import EventKind, VirtualClock
 from repro.transport import ServerManager
 
@@ -109,27 +108,6 @@ def test_ingest_staged_bad_payload(tmp_path):
         with pytest.raises(MLError):
             ai.ingest_staged("bad")
         ai.close()
-
-
-def test_distributed_ai_replicas_synchronized():
-    rng = np.random.default_rng(2)
-    x, y = synthetic_snapshot(64, 8, 4, rng)
-
-    def fn(comm):
-        ai = AI(
-            "train",
-            config={**AI_CONFIG, "run_time": None, "seed": comm.rank},
-            comm=comm,
-            clock=VirtualClock(auto_advance=1e-5),
-        )
-        ai.add_training_data(x, y)
-        for _ in range(3):
-            ai.train_iteration()
-        assert ai.ddp.check_synchronized()
-        return ai.model.get_param("0.W").copy()
-
-    weights = run_parallel(fn, 2)
-    np.testing.assert_allclose(weights[0], weights[1])
 
 
 def test_last_loss_nan_before_training():

@@ -23,19 +23,13 @@ def test_component_without_datastore():
     c.close()  # no-op, no raise
 
 
-def test_component_rank_defaults():
-    c = Component("c")
-    assert c.rank == 0
-    assert c.nranks == 1
-
-
-def test_component_with_comm_rank():
-    from repro.mpi import LocalWorld
-
-    world = LocalWorld(4)
-    c = Component("c", comm=world.comm(2))
-    assert c.rank == 2
-    assert c.nranks == 4
+def test_component_rank_defaults(tmp_path):
+    """A component is one rank: everything it records is rank 0."""
+    with ServerManager("s", config={"backend": "node-local", "path": str(tmp_path)}) as m:
+        with Component("c", server_info=m.get_server_info()) as c:
+            c.record_init(start=0.0, duration=0.1)
+            c.stage_write("k", 1)
+    assert {record.rank for record in c.event_log} == {0}
 
 
 def test_component_owns_event_log_by_default():
@@ -65,18 +59,6 @@ def test_component_context_manager_closes(tmp_path):
             assert c.stage_read("k") == [1, 2]
             assert c.poll_staged_data("k")
             assert c.clean_staged_data(["k"]) == 1
-
-
-def test_component_datastore_rank_propagates(tmp_path):
-    from repro.mpi import LocalWorld
-
-    world = LocalWorld(2)
-    with ServerManager("s", config={"backend": "node-local", "path": str(tmp_path)}) as m:
-        c = Component("c", server_info=m.get_server_info(), comm=world.comm(1))
-        c.stage_write("k", 1)
-        writes = c.event_log.filter(kind=EventKind.WRITE)
-        assert writes[0].rank == 1
-        c.close()
 
 
 def test_component_workdir_path(tmp_path):

@@ -24,10 +24,6 @@ def task_b(offset=0):
     return 20 + offset
 
 
-def task_ranked(comm=None):
-    return 1
-
-
 def build_workflow():
     w = Workflow(name="exported", sys_info={"nodes": 2})
     w.component(name="a", args={"scale": 2})(task_a)
@@ -122,8 +118,18 @@ def test_external_executor_custom_submit():
     assert calls == ["task_a", "task_b"]
 
 
-def test_external_executor_multirank_component():
-    w = Workflow()
-    w.component(name="par", type="remote", nranks=3)(task_ranked)
-    results = ExternalExecutor().execute(export_spec(w))
-    assert results == {"par": [1, 1, 1]}
+@pytest.mark.parametrize("nranks", [0, 3])
+def test_from_spec_refuses_a_component_of_other_than_one_rank(nranks):
+    """A spec is outside input: a rank count the run cannot honour is an
+    error naming the component, never a silent one-rank run."""
+    spec = export_spec(build_workflow())
+    spec["components"][1]["nranks"] = nranks
+    with pytest.raises(WorkflowError, match=f"'b' asks for nranks={nranks}"):
+        workflow_from_spec(spec)
+
+
+def test_from_spec_accepts_an_explicit_single_rank():
+    spec = export_spec(build_workflow())
+    for comp in spec["components"]:
+        comp["nranks"] = 1
+    assert workflow_from_spec(spec).launch() == {"a": 20, "b": 25}

@@ -155,6 +155,7 @@ def test_empty_name_rejected():
 
 
 def test_component_rank_without_comm():
-    sim = Simulation("sim")
-    assert sim.rank == 0
-    assert sim.nranks == 1
+    """A simulation is one rank: its init and compute records are rank 0."""
+    sim = Simulation("sim", config=LISTING2)
+    sim.run_iteration()
+    assert {record.rank for record in sim.event_log} == {0}

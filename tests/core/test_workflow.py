@@ -205,36 +205,6 @@ def test_failure_cancels_downstream():
     assert ran == []
 
 
-def test_multirank_remote_component_gets_comm():
-    w = Workflow()
-
-    @w.component(name="par", type="remote", nranks=4)
-    def par(comm=None):
-        return comm.allreduce(comm.rank + 1)
-
-    results = w.launch()
-    assert results["par"] == [10, 10, 10, 10]
-
-
-def test_multirank_component_without_comm_param():
-    w = Workflow()
-
-    @w.component(name="par", type="remote", nranks=3)
-    def par():
-        return 1
-
-    assert w.launch()["par"] == [1, 1, 1]
-
-
-def test_nranks_validation():
-    w = Workflow()
-    with pytest.raises(WorkflowError):
-
-        @w.component(name="x", nranks=0)
-        def a():
-            pass
-
-
 def test_empty_workflow_launch():
     assert Workflow().launch() == {}
 

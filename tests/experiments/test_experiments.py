@@ -102,15 +102,15 @@ def test_no_driver_takes_a_scale_parameter():
 
 
 def test_cli_main_runs(capsys):
-    from repro.experiments.__main__ import main
+    from repro.cli import main
 
-    assert main(["table2"]) == 0
+    assert main(["sweep", "table2"]) == 0
     out = capsys.readouterr().out
     assert "Table 2" in out
 
 
 def test_cli_unknown_experiment():
-    from repro.experiments.__main__ import main
+    from repro.cli import main
 
     with pytest.raises(ConfigError, match="unknown experiments"):
-        main(["bogus"])
+        main(["sweep", "bogus"])

@@ -95,7 +95,7 @@ def test_futurework_render(futurework):
 
 
 def test_cli_accepts_extensions(capsys):
-    from repro.experiments.__main__ import main
+    from repro.cli import main
 
-    assert main(["ext_inference"]) == 0
+    assert main(["sweep", "ext_inference"]) == 0
     assert "round trip" in capsys.readouterr().out

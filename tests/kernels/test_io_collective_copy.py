@@ -6,15 +6,13 @@ import pytest
 from repro.config import KernelConfig
 from repro.errors import KernelError
 from repro.kernels import KernelContext, device_from_name, list_kernels, make_kernel
-from repro.mpi import run_parallel
 
 
-def make(kernel, tmp_path=None, data_size=(64,), device="cpu", comm=None, seed=0):
+def make(kernel, tmp_path=None, data_size=(64,), device="cpu", seed=0):
     cfg = KernelConfig(mini_app_kernel=kernel, data_size=data_size, device=device)
     ctx = KernelContext(
         device=device_from_name(device),
         rng=np.random.default_rng(seed),
-        comm=comm,
         workdir=tmp_path,
     )
     return make_kernel(cfg, ctx)
@@ -69,54 +67,18 @@ def test_teardown_removes_files(tmp_path):
     assert list(tmp_path.glob("*.bin")) == []
 
 
-@pytest.mark.parametrize("size", [2, 4])
-def test_write_single_rank_gathers_across_ranks(tmp_path, size):
-    def fn(comm):
-        k = make("WriteSingleRank", tmp_path, data_size=(16,), comm=comm, seed=comm.rank)
-        k.run_once()
-        return True
-
-    run_parallel(fn, size)
-    shared = list(tmp_path.glob("*_shared.bin"))
-    assert len(shared) == 1
-    assert shared[0].stat().st_size == size * 16 * 8
-
-
 def test_write_with_mpi_shared_file_blocks(tmp_path):
-    size = 4
-
-    def fn(comm):
-        k = make("WriteWithMPI", tmp_path, data_size=(8,), comm=comm, seed=comm.rank)
-        k.run_once()
-        return k.array
-
-    arrays = run_parallel(fn, size)
+    k = make("WriteWithMPI", tmp_path, data_size=(8,), seed=3)
+    k.run_once()
+    k.run_once()  # a second write lands in place, it does not append
     shared = list(tmp_path.glob("*_shared.bin"))
     assert len(shared) == 1
-    data = np.fromfile(shared[0], dtype=np.float64)
-    for rank in range(size):
-        np.testing.assert_array_equal(data[rank * 8 : (rank + 1) * 8], arrays[rank])
+    np.testing.assert_array_equal(np.fromfile(shared[0], dtype=np.float64), k.array)
 
 
 def test_read_with_mpi_each_rank_reads_its_block(tmp_path):
-    size = 3
-
-    def fn(comm):
-        k = make("ReadWithMPI", tmp_path, data_size=(8,), comm=comm)
-        result = k.run_once()
-        return result.bytes_processed
-
-    assert run_parallel(fn, size) == [8 * 8.0] * size
-
-
-def test_write_non_mpi_per_rank_files(tmp_path):
-    def fn(comm):
-        k = make("WriteNonMPI", tmp_path, data_size=(4,), comm=comm)
-        k.run_once()
-        return True
-
-    run_parallel(fn, 3)
-    assert len(list(tmp_path.glob("*_rank*.bin"))) == 3
+    k = make("ReadWithMPI", tmp_path, data_size=(8,))
+    assert k.run_once().bytes_processed == 8 * 8.0
 
 
 # ---------------------------------------------------------------------------
@@ -136,22 +98,9 @@ def test_allreduce_kernel_single_rank():
     assert result.bytes_processed > 0
 
 
-def test_allreduce_kernel_multi_rank():
-    def fn(comm):
-        k = make("AllReduce", data_size=(16,), comm=comm, seed=0)
-        return k.run_once().bytes_processed
-
-    results = run_parallel(fn, 4)
-    assert all(b == 16 * 8 * 3 for b in results)
-
-
-def test_allgather_kernel_multi_rank():
-    def fn(comm):
-        k = make("AllGather", data_size=(16,), comm=comm, seed=comm.rank)
-        return k.run_once().bytes_processed
-
-    results = run_parallel(fn, 4)
-    assert all(b == 4 * 16 * 8 for b in results)
+def test_allgather_kernel_single_rank():
+    k = make("AllGather", data_size=(16,))
+    assert k.run_once().bytes_processed == 16 * 8
 
 
 # ---------------------------------------------------------------------------

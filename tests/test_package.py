@@ -54,7 +54,6 @@ ALL_MODULES = [
     "repro.experiments",
     "repro.kernels",
     "repro.ml",
-    "repro.mpi",
     "repro.telemetry",
     "repro.transport",
     "repro.workloads",
@@ -102,7 +101,6 @@ OFF_THE_PAPER_PATH = (
     "repro.core",
     "repro.ml",
     "repro.kernels",
-    "repro.mpi",
     "repro.faults.netproxy",
     "repro.transport.redis_backend",
     "repro.transport.dragon_backend",
