@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import islice, repeat
+from json.encoder import encode_basestring_ascii as _quoted
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import EmptyLogError, ReproError
@@ -80,6 +81,8 @@ class EventRecord:
 _FIELDS = tuple(f.name for f in fields(EventRecord))
 _ROW = len(_FIELDS)
 _KIND_OF = {kind._value_: kind for kind in EventKind}
+#: The fields a JSONL line must carry (the record's fields without a default).
+_REQUIRED = frozenset(_FIELDS[:4])
 #: ``(row index, step index)`` of the fields every track of a step shares
 #: that the statistics read.
 _SHARED_AT = {"duration": (3, 3), "nbytes": (5, 4)}
@@ -134,6 +137,118 @@ def _size(entries: list) -> int:
     """How many records the entries stand for."""
     return sum(1 if len(e) == _ROW else len(e[0]) for e in entries)
 
+
+def _step_rows(entry: tuple) -> Iterator[tuple]:
+    """The rows a step entry stands for, in track order."""
+    tracks, kind, start, duration, nbytes, keys = entry
+    for (component, rank), key in zip(tracks, keys or repeat("")):
+        yield (component, kind, start, duration, rank, nbytes, key, None)
+
+
+# -- JSONL rendering ----------------------------------------------------------
+# A record's line is ``json.dumps(fields, sort_keys=True)`` with ``meta``
+# None written as ``{}``. The renderer below writes those bytes from an
+# entry's own fields: plain ``str``, ``float`` and ``int`` values the way
+# the ``json`` encoder writes them, and any other value (a bool, a float or
+# int subclass, a non-str component) through ``json.dumps`` itself.
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number(value) -> Optional[str]:
+    """An exact ``float`` or ``int`` as JSON; None for any other value."""
+    if type(value) is float:
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if type(value) is int:
+        return int.__repr__(value)
+    return None
+
+
+def _text(value) -> Optional[str]:
+    """An exact ``str`` as an ASCII JSON string; None for any other value."""
+    return _quoted(value) if type(value) is str else None
+
+
+def _dumped(row: tuple) -> str:
+    """One row's line through ``json.dumps``: the general path."""
+    record = dict(zip(_FIELDS, row))
+    record["meta"] = row[7] or {}
+    return json.dumps(record, sort_keys=True)
+
+
+def _row_line(row: tuple) -> str:
+    """One row's line, its keys in sorted order."""
+    component, kind, start, duration, rank, nbytes, key, meta = row
+    parts = (
+        _text(component), _number(duration), _text(key), _text(kind),
+        _number(nbytes), _number(rank), _number(start),
+    )
+    if None in parts:
+        return _dumped(row)
+    c, d, k, kd, n, r, s = parts
+    m = json.dumps(meta, sort_keys=True) if meta else "{}"
+    return (
+        f'{{"component": {c}, "duration": {d}, "key": {k}, "kind": {kd}, '
+        f'"meta": {m}, "nbytes": {n}, "rank": {r}, "start": {s}}}'
+    )
+
+
+def _track_heads(tracks: tuple) -> Optional[list]:
+    """Per track, its line up to the duration and its rank as JSON (None
+    when a component or rank needs the general path)."""
+    heads = []
+    for component, rank in tracks:
+        c, r = _text(component), _number(rank)
+        if c is None or r is None:
+            return None
+        heads.append(('{"component": ' + c + ', "duration": ', r))
+    return heads
+
+
+def _step_lines(entry: tuple, heads_of: dict) -> list[str]:
+    """A step's lines: the shared fields rendered once, each track's head
+    once per distinct ``tracks`` object (``heads_of``, keyed by ``id``:
+    the log's entries hold every ``tracks`` object while it renders)."""
+    tracks, kind, start, duration, nbytes, keys = entry
+    try:
+        heads = heads_of[id(tracks)]
+    except KeyError:
+        heads = heads_of[id(tracks)] = _track_heads(tracks)
+    d, kd, n, s = _number(duration), _text(kind), _number(nbytes), _number(start)
+    keyed = None if keys is None else list(map(_text, keys))
+    if heads is None or None in (d, kd, n, s) or (keyed is not None and None in keyed):
+        return [_dumped(row) for row in _step_rows(entry)]
+    tail = ', "start": ' + s + "}"
+    after = ', "kind": ' + kd + ', "meta": {}, "nbytes": ' + n + ', "rank": '
+    if keyed is None:
+        mid = d + ', "key": ""' + after
+        return [f"{head}{mid}{rank}{tail}" for head, rank in heads]
+    before = d + ', "key": '
+    return [
+        f"{head}{before}{key}{after}{rank}{tail}" for (head, rank), key in zip(heads, keyed)
+    ]
+
+
+def _parsed(line: str) -> dict:
+    """The keyword arguments of :meth:`EventLog.add` for one JSONL line."""
+    try:
+        record = json.loads(line)
+    except ValueError as exc:
+        raise ReproError(f"not JSON ({exc})") from exc
+    if type(record) is not dict:
+        raise ReproError(f"not a JSON object: {line[:60]}")
+    missing = _REQUIRED - record.keys()
+    if missing:
+        raise ReproError(f"missing field(s) {sorted(missing)}")
+    unknown = record.keys() - _FIELDS
+    if unknown:
+        raise ReproError(f"unknown field(s) {sorted(unknown)}")
+    kind = record["kind"]
+    if type(kind) is not str or kind not in _KIND_OF:
+        raise ReproError(f"unknown kind {kind!r}")
+    record["kind"] = _KIND_OF[kind]
+    return record
 
 class EventLog:
     """An append-only collection of event records with query helpers.
@@ -228,10 +343,8 @@ class EventLog:
         for entry in self._entries:
             if len(entry) == _ROW:
                 yield entry
-                continue
-            tracks, kind, start, duration, nbytes, keys = entry
-            for (component, rank), key in zip(tracks, keys or repeat("")):
-                yield (component, kind, start, duration, rank, nbytes, key, None)
+            else:
+                yield from _step_rows(entry)
 
     def __iter__(self) -> Iterator[EventRecord]:
         return map(_materialize, self._expanded())
@@ -397,25 +510,39 @@ class EventLog:
 
     # -- (de)serialisation ----------------------------------------------------
     def to_jsonl(self) -> str:
-        """Serialize as one JSON object per line."""
-        lines = []
-        for row in self._expanded():
-            d = dict(zip(_FIELDS, row))
-            d["meta"] = row[7] or {}
-            lines.append(json.dumps(d, sort_keys=True))
+        """Serialize as one JSON object per line, in log order.
+
+        Each line is ``json.dumps`` of the record's fields with
+        ``sort_keys=True`` (``meta`` None as ``{}``), written per entry
+        without building the record: a step renders its shared fields
+        once for all its tracks.
+        """
+        lines: list[str] = []
+        heads_of: dict[int, Optional[list]] = {}
+        for entry in self._entries:
+            if len(entry) == _ROW:
+                lines.append(_row_line(entry))
+            else:
+                lines.extend(_step_lines(entry, heads_of))
         return "\n".join(lines)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "EventLog":
-        """Parse a log from :meth:`to_jsonl` output (blank lines skipped)."""
+        """Parse a log from :meth:`to_jsonl` output (blank lines skipped).
+
+        A malformed line (not JSON, not an object, a missing or unknown
+        field, an unknown kind, an invalid value) raises one
+        :class:`~repro.errors.ReproError` naming its 1-based line number.
+        """
         log = cls()
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
-            d = json.loads(line)
-            d["kind"] = EventKind(d["kind"])
-            log.add(**d)
+            try:
+                log.add(**_parsed(line))
+            except (ReproError, TypeError) as exc:
+                raise ReproError(f"event log line {number}: {exc}") from exc
         return log
 
     def save(self, path) -> None:

@@ -13,7 +13,9 @@ import json
 import pickle
 import sys
 from dataclasses import asdict
+from enum import IntEnum
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,6 +114,114 @@ FILTERS = st.fixed_dictionaries(
         "kinds": st.one_of(st.none(), st.lists(KINDS, max_size=3)),
         "rank": st.one_of(st.none(), RANKS),
     },
+)
+
+
+# Wider values, for the JSONL renderer. A *plain* value is one the
+# renderer writes itself: any text (non-ASCII, control characters), an
+# exact float (non-finite and -0.0 included) or int, nested unicode
+# metadata. An *odd* value goes through json.dumps: a bool, np.float64,
+# an IntEnum rank, a str subclass, a non-str component or key. A record,
+# a step and a tracks tuple are all plain or carry one odd value, half
+# the time each. Steps draw their tracks from a small pool, so one
+# tracks object recurs across steps (and two of one length differ), with
+# and without keys, between rows.
+class Rank(IntEnum):
+    LEAD = 0
+    PEER = 7
+
+
+class Label(str):
+    pass
+
+
+PLAIN_TEXT = st.text(max_size=10)
+PLAIN_STARTS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0]),
+    st.integers(-(2**64), 2**64),
+)
+PLAIN_SIZES = st.one_of(
+    st.floats(min_value=0), st.sampled_from([-0.0, float("inf")]), st.integers(0, 2**64)
+)
+PLAIN_RANKS = st.integers(-(2**70), 2**70)
+PLAIN_METAS = st.dictionaries(
+    PLAIN_TEXT,
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | PLAIN_TEXT,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(PLAIN_TEXT, inner, max_size=3),
+        max_leaves=6,
+    ),
+    max_size=3,
+)
+ODD_NUMBERS = st.one_of(st.booleans(), st.floats().map(np.float64), st.sampled_from(Rank))
+ODD_TEXT = st.one_of(st.integers(-3, 3), PLAIN_TEXT.map(Label))
+
+
+def one_odd(plain: dict, odd: dict):
+    """Fields drawn from ``plain``, none or one of them redrawn from ``odd``."""
+    swap = st.one_of(
+        st.none(),
+        st.sampled_from(sorted(odd)).flatmap(lambda name: st.tuples(st.just(name), odd[name])),
+    )
+    return st.tuples(st.fixed_dictionaries(plain), swap).map(
+        lambda drawn: {**drawn[0], **dict([drawn[1]] if drawn[1] else [])}
+    )
+
+
+def one_swapped(plain_items, odd_item):
+    """A list from ``plain_items`` with one element swapped for ``odd_item``."""
+    return plain_items.flatmap(
+        lambda items: st.tuples(st.integers(0, len(items) - 1), odd_item).map(
+            lambda at: [*items[: at[0]], at[1], *items[at[0] + 1:]]
+        )
+    )
+
+
+def as_op(op: str, fields: dict) -> tuple:
+    """``(op, (component or tracks, kind, start, duration, optional))``, as :func:`build` takes."""
+    first = fields.pop("tracks" if op == "add_step" else "component")
+    return op, (first, fields.pop("kind"), fields.pop("start"), fields.pop("duration"), fields)
+
+
+WIDE_RECORD_OPS = st.tuples(
+    st.sampled_from(["add", "record", "extend"]),
+    one_odd(
+        {"component": PLAIN_TEXT, "kind": KINDS, "start": PLAIN_STARTS, "duration": PLAIN_SIZES,
+         "rank": PLAIN_RANKS, "nbytes": PLAIN_SIZES, "key": PLAIN_TEXT, "meta": PLAIN_METAS},
+        {"component": ODD_TEXT, "start": ODD_NUMBERS, "duration": ODD_NUMBERS,
+         "rank": ODD_NUMBERS, "nbytes": ODD_NUMBERS, "key": ODD_TEXT},
+    ),
+).map(lambda drawn: as_op(*drawn))
+
+
+def pool_of_tracks(n: int):
+    """One to three distinct plain tracks tuples of ``n`` tracks, and maybe
+    one with an odd track."""
+    plain = st.lists(st.tuples(PLAIN_TEXT, PLAIN_RANKS), min_size=n, max_size=n)
+    odd_track = st.one_of(st.tuples(ODD_TEXT, PLAIN_RANKS), st.tuples(PLAIN_TEXT, ODD_NUMBERS))
+    return st.tuples(
+        st.lists(plain, min_size=1, max_size=3, unique_by=tuple),
+        st.lists(one_swapped(plain, odd_track), max_size=1),
+    ).map(lambda lists: [tuple(tracks) for tracks in lists[0] + lists[1]])
+
+
+def wide_step(tracks: tuple):
+    keys = st.lists(PLAIN_TEXT, min_size=len(tracks), max_size=len(tracks))
+    return one_odd(
+        {"tracks": st.just(tracks), "kind": KINDS, "start": PLAIN_STARTS,
+         "duration": PLAIN_SIZES, "nbytes": PLAIN_SIZES, "keys": st.one_of(st.none(), keys)},
+        {"start": ODD_NUMBERS, "duration": ODD_NUMBERS, "nbytes": ODD_NUMBERS,
+         "keys": one_swapped(keys, ODD_TEXT)},
+    ).map(lambda fields: as_op("add_step", fields))
+
+
+WIDE_OPS = st.integers(1, 3).flatmap(pool_of_tracks).flatmap(
+    lambda pool: st.lists(
+        st.one_of(WIDE_RECORD_OPS, st.sampled_from(pool).flatmap(wide_step)),
+        min_size=4,
+        max_size=20,
+    )
 )
 
 
@@ -234,6 +344,15 @@ def test_eventlog_matches_reference_model(ops, more, where, index, cut):
         filtered.add_step([("sim", 0), ("train", 1)], EventKind.OTHER, 0.0, 1.0)
         assert len(filtered) == len(expected.records) + 2
         assert_same(log, ModelLog(model.records + other_model.records))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=WIDE_OPS)
+def test_to_jsonl_is_json_dumps_of_every_record(ops):
+    """The per-entry renderer writes what ``json.dumps`` writes, record by
+    record, for any value a record may hold."""
+    log, model = build(ops)
+    assert log.to_jsonl() == model.to_jsonl()
 
 
 def test_filtered_log_is_independent_of_its_source():

@@ -94,6 +94,7 @@ def test_run_real_miniapp(tmp_path, capsys):
 
     log = EventLog.load(events_path)
     assert len(log) > 0
+    assert events_path.read_text(encoding="utf-8") == log.to_jsonl() + "\n"
 
 
 def test_run_unsupported_pattern(tmp_path):
